@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, FrozenSet, Iterable, Iterator, Optional, Set, Tuple
+from typing import TYPE_CHECKING, FrozenSet, Iterable, Iterator, List, Optional, Set, Tuple
 
 if TYPE_CHECKING:  # pragma: no cover - annotation-only import, avoids a layering cycle
     from repro.streamrule.work import WorkItem
@@ -81,6 +81,15 @@ class SolveResult:
 class Control:
     """Incrementally assembled ASP run: add rules and facts, ground, solve.
 
+    Rules and facts are kept apart.  The rule set is ``program`` itself --
+    shared, not copied, so the per-rule-set analysis
+    (:class:`~repro.asp.grounding.grounder.RulePlan`) done for one window
+    serves every later control over the same program; the first ``add`` /
+    ``add_rule(s)`` call switches to a private copy, so the caller's program
+    is never mutated.  Facts given to :meth:`add_facts` stay a plain list of
+    atoms and reach the grounder as such.  :attr:`program` is a *view* that
+    merges the two on demand.
+
     ``delta_track`` opts into incremental (delta-) grounding: when set
     together with a ``grounding_cache``, :meth:`ground` goes through
     :meth:`GroundingCache.ground_incremental` so an overlapping window
@@ -109,7 +118,9 @@ class Control:
         solver_cache: Optional[SolverCache] = None,
         solver_track: Optional[int] = None,
     ):
-        self._program = program.copy() if program is not None else Program()
+        self._rules = program if program is not None else Program()
+        self._owns_rules = program is None
+        self._facts: List[Atom] = []
         self._grounding_cache = grounding_cache
         self._work = work
         if (
@@ -141,19 +152,20 @@ class Control:
     # ------------------------------------------------------------------ #
     def add(self, text: str) -> None:
         """Parse and add ASP source text (rules and/or facts)."""
-        self._program.extend(parse_program(text))
-        self._invalidate_grounding()
+        self.add_rules(parse_program(text).rules)
 
     def add_rule(self, rule: Rule) -> None:
-        self._program.add_rule(rule)
-        self._invalidate_grounding()
+        self.add_rules((rule,))
 
     def add_rules(self, rules: Iterable[Rule]) -> None:
-        self._program.add_rules(rules)
+        if not self._owns_rules:
+            self._rules = self._rules.copy()
+            self._owns_rules = True
+        self._rules.add_rules(rules)
         self._invalidate_grounding()
 
     def add_facts(self, atoms: Iterable[Atom]) -> None:
-        self._program.add_facts(atoms)
+        self._facts.extend(atoms)
         self._invalidate_grounding()
 
     def _invalidate_grounding(self) -> None:
@@ -164,7 +176,8 @@ class Control:
 
     @property
     def program(self) -> Program:
-        return self._program
+        """The assembled program: the rule set plus the added facts (a fresh copy)."""
+        return self._rules.with_facts(self._facts)
 
     @property
     def work(self) -> Optional["WorkItem"]:
@@ -182,26 +195,27 @@ class Control:
     def ground(self) -> GroundProgram:
         """Instantiate the program; idempotent until new rules are added.
 
-        When a :class:`GroundingCache` was supplied, the instantiation is
-        served from (and recorded into) the cache keyed on the program's fact
-        signature; :attr:`ground_from_cache` reports which path was taken.
+        When a :class:`GroundingCache` was supplied, the instantiation goes
+        through it (the LRU memo, or the track's repairable state when
+        ``delta_track`` is set); :attr:`ground_outcome` reports which path
+        was taken.
         """
         if self._ground_program is None:
             started = time.perf_counter()
             if self._grounding_cache is not None:
                 if self._delta_track is not None:
                     self._ground_program, outcome, stats = self._grounding_cache.ground_incremental(
-                        self._program, track=self._delta_track
+                        self._rules, self._facts, track=self._delta_track
                     )
                     self._ground_from_cache = outcome == "hit"
                     self._ground_outcome = outcome
                     self._repair_stats = stats
                 else:
-                    self._ground_program, from_cache = self._grounding_cache.ground(self._program)
+                    self._ground_program, from_cache = self._grounding_cache.ground(self._rules, self._facts)
                     self._ground_from_cache = from_cache
                     self._ground_outcome = "hit" if from_cache else "full"
             else:
-                self._ground_program = Grounder(self._program).ground()
+                self._ground_program = Grounder(self._rules, self._facts).ground()
             self._grounding_seconds = time.perf_counter() - started
         return self._ground_program
 

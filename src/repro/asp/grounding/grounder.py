@@ -39,11 +39,23 @@ atoms that keep an untouched alternative derivation, then run the
 semi-naive join seeded only with the rescued and newly asserted atoms.
 :meth:`GroundingCache.ground_incremental` wires the two layers together per
 *track* (one track per consecutive window stream, e.g. a partition index):
-exact signature recurrence is served from the LRU, overlapping windows are
-delta-repaired, and anything else falls back to a full (state-rebuilding)
+a fact set equal to the track state's is a free ``"hit"``, an overlapping
+one is delta-repaired, and anything else falls back to a full
 instantiation.  Repairs re-simplify against a freshly computed definite
 closure, so the emitted :class:`GroundProgram` always has the same answer
 sets as grounding the current window from scratch.
+
+Rules versus facts
+------------------
+A stream evaluates one fixed rule set against ever-changing facts, so the
+two never travel together: everything derived from the rules alone lives in
+a :class:`RulePlan`, built once per rule set
+(:meth:`Program.derived <repro.asp.syntax.program.Program.derived>`) and
+shared by :class:`Grounder`, :class:`DeltaGrounding` and
+:class:`GroundingCache`, while a window's facts are passed next to the
+program as a plain collection of ground atoms.  Facts written in the
+program itself (``mode(peak).``) belong to the plan and join every window's
+fact set.
 """
 
 from __future__ import annotations
@@ -51,7 +63,8 @@ from __future__ import annotations
 import threading
 from collections import OrderedDict
 from dataclasses import dataclass, field
-from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Set, Tuple
+from itertools import chain
+from typing import Collection, Dict, FrozenSet, Iterable, List, Optional, Sequence, Set, Tuple
 
 from repro.asp.errors import GroundingError
 from repro.asp.grounding.dependency import (
@@ -72,6 +85,7 @@ __all__ = [
     "Grounder",
     "GroundingCache",
     "RepairStats",
+    "RulePlan",
     "ground_program",
 ]
 
@@ -171,44 +185,68 @@ class GroundProgram:
 class _AtomStore:
     """Per-predicate store of ground atoms with lazily built join indexes.
 
-    Membership is tracked as a set of interned symbol ids against a
-    :class:`~repro.asp.syntax.symbols.SymbolTable` -- an atom is hashed
-    once when first interned, and every subsequent membership probe keys
-    on a machine int.  The table may be shared (``DeltaGrounding`` passes
-    one so ids survive store rebuilds across repairs); by default the
-    store owns a private table.
+    Atoms of one signature sit in an insertion-ordered list (what a join
+    scans) and ``_slots`` maps every member to its position there, so
+    membership is one dict probe and :meth:`remove` is O(1): the last atom
+    of the list moves into the vacated position.  A join index covers the
+    first ``indexed_upto`` atoms of its signature's list and catches up on
+    the next probe; :meth:`remove` keeps that prefix invariant.
+
+    ``symbols`` is not used for membership: it is the table the grounder
+    interns instance keys against, carried here so every consumer of one
+    store agrees on the ids.
     """
 
     def __init__(self, symbols: Optional[SymbolTable] = None) -> None:
         self.symbols = symbols if symbols is not None else SymbolTable()
         self._by_signature: Dict[Tuple[str, int], List[Atom]] = {}
-        self._member_ids: Set[int] = set()
-        # (signature, bound positions) -> (indexed_upto, {key values -> [atoms]})
-        self._indexes: Dict[Tuple[Tuple[str, int], Tuple[int, ...]], Tuple[int, Dict[Tuple, List[Atom]]]] = {}
+        self._slots: Dict[Atom, int] = {}
+        # signature -> bound positions -> [indexed_upto, {key values -> [atoms]}]
+        self._indexes: Dict[Tuple[str, int], Dict[Tuple[int, ...], list]] = {}
 
     def __contains__(self, atom: Atom) -> bool:
-        atom_id = self.symbols.id_of(atom)
-        return atom_id is not None and atom_id in self._member_ids
+        return atom in self._slots
 
     def __len__(self) -> int:
-        return len(self._member_ids)
+        return len(self._slots)
 
     def atoms(self) -> Set[Atom]:
-        resolve = self.symbols.resolve
-        return {resolve(atom_id) for atom_id in self._member_ids}
-
-    def member_ids(self) -> Set[int]:
-        """Snapshot of the member atoms as interned ids."""
-        return set(self._member_ids)
+        return set(self._slots)
 
     def add(self, atom: Atom) -> bool:
         """Add a ground atom; return True when it was not present before."""
-        atom_id = self.symbols.intern(atom)
-        if atom_id in self._member_ids:
+        if atom in self._slots:
             return False
-        self._member_ids.add(atom_id)
-        self._by_signature.setdefault(atom.signature, []).append(atom)
+        population = self._by_signature.setdefault(atom.signature, [])
+        self._slots[atom] = len(population)
+        population.append(atom)
         return True
+
+    def remove(self, atom: Atom) -> None:
+        """Remove a member atom in place (its list, its slot, its index buckets)."""
+        position = self._slots.pop(atom)
+        signature = atom.signature
+        population = self._by_signature[signature]
+        last = population.pop()
+        moved = position < len(population)
+        if moved:
+            population[position] = last
+            self._slots[last] = position
+        for key_positions, index in self._indexes.get(signature, {}).items():
+            indexed_upto, table = index
+            if position >= indexed_upto:
+                continue  # neither the atom nor the one that replaced it was indexed
+            key = tuple(atom.arguments[at] for at in key_positions)
+            bucket = table[key]
+            bucket.remove(atom)
+            if not bucket:
+                del table[key]
+            if indexed_upto > len(population):
+                index[0] = len(population)  # the whole list was indexed, and it shrank
+            elif moved:
+                # The replacement came from the unindexed tail into the indexed prefix.
+                key = tuple(last.arguments[at] for at in key_positions)
+                table.setdefault(key, []).append(last)
 
     def by_signature(self, signature: Tuple[str, int]) -> List[Atom]:
         return self._by_signature.get(signature, [])
@@ -233,16 +271,90 @@ class _AtomStore:
             return population
         # Fully-ground pattern: a membership probe beats building an index.
         if len(bound_positions) == len(instantiated.arguments):
-            return [instantiated] if instantiated in self else []
+            return [instantiated] if instantiated in self._slots else []
         key_positions = tuple(bound_positions)
-        index_key = (signature, key_positions)
-        indexed_upto, table = self._indexes.get(index_key, (0, {}))
+        indexes = self._indexes.get(signature)
+        if indexes is None:
+            indexes = self._indexes[signature] = {}
+        index = indexes.get(key_positions)
+        if index is None:
+            index = indexes[key_positions] = [0, {}]
+        indexed_upto, table = index
         if indexed_upto < len(population):
             for atom in population[indexed_upto:]:
                 key = tuple(atom.arguments[position] for position in key_positions)
                 table.setdefault(key, []).append(atom)
-            self._indexes[index_key] = (len(population), table)
+            index[0] = len(population)
         return table.get(tuple(bound_values), [])
+
+
+# --------------------------------------------------------------------------- #
+# The compiled rule set
+# --------------------------------------------------------------------------- #
+class RulePlan:
+    """Everything the grounding layer derives from a rule set alone.
+
+    Obtained through ``program.derived(RulePlan)``, so it is computed once
+    per rule set -- on first use, never per window -- and rebuilt only when
+    the program's rules change.  Building it checks safety, so holding a
+    plan means the rules are safe.  Instances are immutable after
+    construction and may be shared between threads.
+    """
+
+    __slots__ = ("facts", "rules_key", "strata", "constraints", "rules_by_predicate")
+
+    def __init__(self, program: Program):
+        check_safety(program)
+        proper_rules = [rule for rule in program.rules if not rule.is_fact]
+        #: The program's own facts: part of every fact set grounded under it.
+        self.facts: Tuple[Atom, ...] = tuple(rule.head[0] for rule in program.rules if rule.is_fact)
+        #: Rendered proper rules: identifies the rule set in cache keys.
+        self.rules_key: Tuple[str, ...] = tuple(str(rule) for rule in proper_rules)
+
+        # Component evaluation order.  Tarjan emits sink components first;
+        # reverse for bottom-up evaluation (predicates a rule depends on must
+        # be instantiated before the rule).
+        graph = PredicateDependencyGraph.from_program(program)
+        components = list(reversed(strongly_connected_components(graph.adjacency())))
+        component_of: Dict[str, int] = {}
+        for component_index, component in enumerate(components):
+            for predicate in component:
+                component_of[predicate] = component_index
+        rules_by_component: Dict[int, List[Rule]] = {}
+        #: Constraints are instantiated last, over all possible atoms.
+        self.constraints: List[Rule] = []
+        for rule in proper_rules:
+            if rule.is_constraint:
+                self.constraints.append(rule)
+                continue
+            # A rule is evaluated with the highest component among its head
+            # predicates (they are in the same SCC for disjunctive rules that
+            # are mutually recursive; otherwise max is a sound choice).
+            component_index = max(component_of.get(predicate, 0) for predicate in rule.head_predicates())
+            rules_by_component.setdefault(component_index, []).append(rule)
+        #: Bottom-up evaluation order: (component, its non-recursive rules,
+        #: its recursive rules), for the components that define anything.
+        self.strata: List[Tuple[Set[str], List[Rule], List[Rule]]] = []
+        for component_index in sorted(rules_by_component):
+            component = components[component_index]
+            rules = rules_by_component[component_index]
+            recursive = [
+                rule for rule in rules if any(literal.predicate in component for literal in rule.positive_body)
+            ]
+            self.strata.append((component, [rule for rule in rules if rule not in recursive], recursive))
+
+        #: Positive-body predicate -> rules, for delta-restricted instantiation.
+        self.rules_by_predicate: Dict[str, List[Rule]] = {}
+        for rule in proper_rules:
+            for literal in rule.positive_body:
+                bucket = self.rules_by_predicate.setdefault(literal.predicate, [])
+                if rule not in bucket:
+                    bucket.append(rule)
+
+    def fact_set(self, facts: Iterable[Atom]) -> FrozenSet[Atom]:
+        """The fact set grounded for a window: its ``facts`` plus the program's own."""
+        window = frozenset(facts)
+        return window.union(self.facts) if self.facts else window
 
 
 # --------------------------------------------------------------------------- #
@@ -253,15 +365,21 @@ CacheKey = Tuple[Tuple[str, ...], FrozenSet[Atom]]
 
 
 class GroundingCache:
-    """LRU memo of grounding results keyed on the program's *fact signature*.
+    """Window-to-window reuse of grounding work, keyed on the *fact signature*.
 
     In the streaming setting the rule part of the program is fixed while the
-    facts change window by window -- and recurring or overlapping window
-    content produces the *same* fact set again and again.  The key therefore
-    separates the two: the rendered proper rules identify the program, and a
-    frozenset of the ground fact atoms identifies the window content
-    (order-insensitive, duplicate-insensitive -- exactly the granularity at
-    which grounding results coincide).
+    facts change window by window, so every entry point takes the two
+    separately -- ``program`` (whose :class:`RulePlan` identifies the rule
+    set) and the window's ``facts`` -- and keys on the rendered proper rules
+    plus the *set* of ground fact atoms (order-insensitive,
+    duplicate-insensitive -- exactly the granularity at which grounding
+    results coincide).  Two layers:
+
+    * :meth:`ground` -- an LRU memo of whole ground programs for windows
+      with no predecessor to repair (tumbling windows, recurring content);
+    * :meth:`ground_incremental` -- one repairable :class:`DeltaGrounding`
+      per *track*; it holds no ground programs at all, only the tracks'
+      instantiation states.
 
     Isolation guarantees:
 
@@ -272,9 +390,9 @@ class GroundingCache:
       never aliased with -- what callers see, and caller-side mutation of a
       returned ground program cannot leak back into the cache.
 
-    The cache is thread-safe (one lock around the LRU book-keeping) so a
-    single instance can back ``ExecutionMode.THREADS``; in
-    ``ExecutionMode.PROCESSES`` every worker process holds its own instance.
+    The cache is thread-safe (one lock around the LRU book-keeping, one per
+    track state) so a single instance can back a thread pool; every worker
+    process holds its own instance.
     """
 
     def __init__(
@@ -312,50 +430,13 @@ class GroundingCache:
         # server labels each tenant lane's track range so the per-track
         # delta states stay attributable in the ops metrics export.
         self._track_labels: Dict[int, str] = {}
-        # Rendered-rules memo: tuple of rule ids -> (strong refs, rendering).
-        # In the streaming setting the rule part is fixed while the facts
-        # change per window, and Program.copy shares the Rule objects -- so
-        # the O(rules) string rendering of key_for needs to happen only once
-        # per distinct rule set, not once per partition per window.  The
-        # strong references keep the rules alive, so an id can never be
-        # recycled while its memo entry exists.
-        self._rules_memo: Dict[Tuple[int, ...], Tuple[Tuple[Rule, ...], Tuple[str, ...]]] = {}
 
     # ------------------------------------------------------------------ #
     @staticmethod
-    def _split(program: Program) -> Tuple[List[Rule], List[Atom]]:
-        """Partition a program into (proper rules, fact atoms) -- the two
-        halves of the cache key."""
-        proper_rules: List[Rule] = []
-        facts: List[Atom] = []
-        for rule in program.rules:
-            if rule.is_fact:
-                facts.append(rule.head[0])
-            else:
-                proper_rules.append(rule)
-        return proper_rules, facts
-
-    @staticmethod
-    def key_for(program: Program) -> CacheKey:
-        """Cache key of ``program``: rendered rules plus fact-atom set."""
-        proper_rules, facts = GroundingCache._split(program)
-        return (tuple(str(rule) for rule in proper_rules), frozenset(facts))
-
-    def _memoized_key(self, program: Program) -> CacheKey:
-        """Like :meth:`key_for`, with the rules part rendered at most once."""
-        proper_rules, facts = self._split(program)
-        identity = tuple(map(id, proper_rules))
-        with self._lock:
-            memo = self._rules_memo.get(identity)
-        if memo is None:
-            # Render outside the lock (worst case: two threads render the
-            # same rules once each), then publish under it.
-            memo = (tuple(proper_rules), tuple(str(rule) for rule in proper_rules))
-            with self._lock:
-                if len(self._rules_memo) >= 8:
-                    self._rules_memo.clear()
-                self._rules_memo[identity] = memo
-        return (memo[1], frozenset(facts))
+    def key_for(program: Program, facts: Collection[Atom] = ()) -> CacheKey:
+        """Cache key of ``program`` evaluated over ``facts``."""
+        plan = program.derived(RulePlan)
+        return (plan.rules_key, plan.fact_set(facts))
 
     def lookup(self, key: CacheKey) -> Optional[GroundProgram]:
         """Return a fresh copy of the entry for ``key``, or ``None``."""
@@ -368,7 +449,7 @@ class GroundingCache:
             self.hits += 1
         # Stored entries are never mutated in place, so the (potentially
         # large) copy can happen outside the lock without serializing
-        # concurrent THREADS-mode readers through it.
+        # concurrent thread-pool readers through it.
         return entry.copy()
 
     def store(self, key: CacheKey, ground: GroundProgram) -> None:
@@ -381,44 +462,42 @@ class GroundingCache:
                 self._entries.popitem(last=False)
 
     # ------------------------------------------------------------------ #
-    def ground(self, program: Program) -> Tuple[GroundProgram, bool]:
-        """Ground ``program`` through the cache.
+    def ground(self, program: Program, facts: Collection[Atom] = ()) -> Tuple[GroundProgram, bool]:
+        """Ground ``program`` over ``facts`` through the LRU memo.
 
         Returns ``(ground_program, from_cache)``.
         """
-        key = self._memoized_key(program)
+        key = self.key_for(program, facts)
         cached = self.lookup(key)
         if cached is not None:
             return cached, True
-        ground = Grounder(program).ground()
+        ground = Grounder(program, facts).ground()
         self.store(key, ground)
         return ground, False
 
     def ground_incremental(
-        self, program: Program, track: int = 0
+        self, program: Program, facts: Collection[Atom] = (), track: int = 0
     ) -> Tuple[GroundProgram, str, Optional["RepairStats"]]:
-        """Ground ``program`` incrementally against the ``track``'s last state.
+        """Ground ``program`` over ``facts`` against the ``track``'s last state.
 
         Returns ``(ground_program, outcome, repair_stats)`` with outcome one
-        of ``"hit"`` (exact fact-signature recurrence, served from the LRU),
-        ``"repair"`` (the track's cached instantiation was delta-repaired to
-        the new fact set), or ``"full"`` (no state, or the fact churn
-        exceeded ``max_repair_fraction`` of the window, so the state was
-        rebuilt from scratch).  ``repair_stats`` is only set for ``"repair"``.
+        of ``"hit"`` (the fact set equals the track state's: nothing to
+        repair, the state is simply emitted again), ``"repair"`` (the
+        track's instantiation was delta-repaired to the new fact set), or
+        ``"full"`` (no state, or the fact churn exceeded
+        ``max_repair_fraction`` of the window, so the window was grounded
+        from scratch).  ``repair_stats`` is only set for ``"repair"``.
 
         The retracted/asserted delta is computed here by set difference
-        against the cached state's fact set, so callers only signal *that*
+        against the state's fact set, so callers only signal *that*
         window-to-window continuity is expected (and on which track) -- a
         stale or divergent state degrades to a rebuild, never to a wrong
-        answer.
+        answer.  Nothing is memoized per window on this path: the cache
+        holds one instantiation state per track, however long the stream.
         """
-        key = self._memoized_key(program)
-        cached = self.lookup(key)
-        if cached is not None:
-            return cached, "hit", None
-        rules_key = key[0]
-        facts = set(key[1])
-        state_key = (rules_key, track)
+        plan = program.derived(RulePlan)
+        target = plan.fact_set(facts)
+        state_key = (plan.rules_key, track)
         with self._lock:
             state = self._delta_states.get(state_key)
             if state is not None:
@@ -426,16 +505,22 @@ class GroundingCache:
             state_lock = self._delta_locks.setdefault(state_key, threading.Lock())
         with state_lock:
             if state is not None:
-                churn = len(state.facts - facts) + len(facts - state.facts)
-                budget = self.max_repair_fraction * max(len(facts), len(state.facts), 1)
+                retracted = state.facts - target
+                asserted = target - state.facts
+                churn = len(retracted) + len(asserted)
+                if not churn:
+                    with self._lock:
+                        self.hits += 1
+                    return state.to_ground_program(), "hit", None
+                budget = self.max_repair_fraction * max(len(target), len(state.facts), 1)
                 # churn < |facts| + |state facts| iff the two sets overlap:
                 # with nothing shared a "repair" would redo all the work of a
                 # reground while paying the deletion cascade on top.
-                if churn <= budget and churn < len(facts) + len(state.facts):
-                    stats = state.repair(facts)
+                if churn <= budget and churn < len(target) + len(state.facts):
+                    stats = state.repair(target, diff=(retracted, asserted))
                     ground = state.to_ground_program()
-                    self.store(key, ground)
                     with self._lock:
+                        self.misses += 1
                         self.delta_repairs += 1
                         self.repaired_atoms += stats.repair_size
                         self.repaired_rules += stats.rules_deleted + stats.rules_added
@@ -446,15 +531,15 @@ class GroundingCache:
                 # because repairs diff against the *state's* fact set, a
                 # later window that overlaps the stale state again resumes
                 # repairing by itself.
-                ground = Grounder(program).ground()
-                self.store(key, ground)
+                ground = Grounder(program, facts).ground()
                 with self._lock:
+                    self.misses += 1
                     self.delta_rebuilds += 1
                 return ground, "full", None
-            state = DeltaGrounding(program)
+            state = DeltaGrounding(program, facts)
             ground = state.to_ground_program()
-        self.store(key, ground)
         with self._lock:
+            self.misses += 1
             self.delta_rebuilds += 1
             self._delta_states[state_key] = state
             self._delta_states.move_to_end(state_key)
@@ -538,24 +623,27 @@ class Grounder:
     def __init__(
         self,
         program: Program,
-        extra_facts: Optional[Iterable[Atom]] = None,
+        extra_facts: Optional[Collection[Atom]] = None,
         *,
         certain_negative_drop: bool = True,
         symbols: Optional[SymbolTable] = None,
     ):
-        self.program = program.copy()
-        if extra_facts is not None:
-            self.program.add_facts(extra_facts)
-        check_safety(self.program)
+        """Ground ``program`` over its own facts plus ``extra_facts`` (a window's).
+
+        The rule analysis comes from the program's shared :class:`RulePlan`;
+        constructing a grounder copies nothing and re-checks nothing.
+        """
+        self._plan = program.derived(RulePlan)
+        self._facts: Collection[Atom] = extra_facts if extra_facts is not None else ()
         self._certain_negative_drop = certain_negative_drop
-        # Symbol table backing the possible-atom store; DeltaGrounding passes
-        # a shared table so interned ids stay stable across repair-time store
-        # rebuilds.  None means each _instantiate owns a fresh table.
+        # Symbol table the instance dedup keys are interned against;
+        # DeltaGrounding passes its own so the ids stay stable across
+        # repairs.  None means each _instantiate owns a fresh table.
         self._symbols = symbols
 
     # ------------------------------------------------------------------ #
     def ground(self) -> GroundProgram:
-        possible, certain, ground_rules, _ = self._instantiate()
+        possible, certain, ground_rules, _ = self._instantiate(self._facts)
 
         # Final simplification --------------------------------------------- #
         possible_atoms = possible.atoms()
@@ -568,62 +656,33 @@ class Grounder:
         return GroundProgram(facts=set(certain), rules=simplified, possible_atoms=possible_atoms | set(certain))
 
     # ------------------------------------------------------------------ #
-    def _instantiate(self) -> Tuple[_AtomStore, Set[Atom], List[GroundRule], Set[Tuple]]:
+    def _instantiate(self, facts: Iterable[Atom]) -> Tuple[_AtomStore, Set[Atom], List[GroundRule], Set[Tuple]]:
         """Run the full bottom-up instantiation (steps 1-4, no simplification).
 
         Returns the possible-atom store, the certain facts, the unsimplified
         ground rules, and the dedup keys of the recorded instances.
         """
+        plan = self._plan
         possible = _AtomStore(self._symbols)
         certain: Set[Atom] = set()
         ground_rules: List[GroundRule] = []
         seen_rules: Set[Tuple] = set()
 
-        # 1. Facts -------------------------------------------------------- #
-        proper_rules: List[Rule] = []
-        for rule in self.program.rules:
-            if rule.is_fact:
-                atom = rule.head[0]
-                if not atom.is_ground():
-                    raise GroundingError(f"non-ground fact {atom} (facts must be variable-free)")
-                possible.add(atom)
-                certain.add(atom)
-            else:
-                proper_rules.append(rule)
+        # 1. Facts: the program's own, then the window's ------------------ #
+        for atom in chain(plan.facts, facts):
+            if not atom.is_ground():
+                raise GroundingError(f"non-ground fact {atom} (facts must be variable-free)")
+            possible.add(atom)
+            certain.add(atom)
 
-        # 2. Component evaluation order ----------------------------------- #
-        graph = PredicateDependencyGraph.from_program(self.program)
-        # Tarjan emits sink components first; reverse for bottom-up evaluation
-        # (predicates a rule depends on must be instantiated before the rule).
-        components = list(reversed(strongly_connected_components(graph.adjacency())))
-        component_of: Dict[str, int] = {}
-        for component_index, component in enumerate(components):
-            for predicate in component:
-                component_of[predicate] = component_index
-
-        rules_by_component: Dict[int, List[Rule]] = {}
-        constraint_rules: List[Rule] = []
-        for rule in proper_rules:
-            if rule.is_constraint:
-                constraint_rules.append(rule)
-                continue
-            # A rule is evaluated with the highest component among its head
-            # predicates (they are in the same SCC for disjunctive rules that
-            # are mutually recursive; otherwise max is a sound choice).
-            component_index = max(component_of.get(predicate, 0) for predicate in rule.head_predicates())
-            rules_by_component.setdefault(component_index, []).append(rule)
-
-        # 3. Bottom-up semi-naive evaluation ------------------------------ #
-        for component_index, component in enumerate(components):
-            rules = rules_by_component.get(component_index, [])
-            if not rules:
-                continue
+        # 2-3. Bottom-up semi-naive evaluation along the plan's strata ---- #
+        for component, non_recursive, recursive in plan.strata:
             self._evaluate_component(
-                rules, component, possible, certain, ground_rules, seen_rules
+                non_recursive, recursive, component, possible, certain, ground_rules, seen_rules
             )
 
         # 4. Constraints are instantiated last over all possible atoms ---- #
-        for rule in constraint_rules:
+        for rule in plan.constraints:
             self._instantiate_rule(rule, possible, certain, ground_rules, seen_rules, delta=None, restrict=None)
 
         return possible, certain, ground_rules, seen_rules
@@ -631,7 +690,8 @@ class Grounder:
     # ------------------------------------------------------------------ #
     def _evaluate_component(
         self,
-        rules: Sequence[Rule],
+        non_recursive: Sequence[Rule],
+        recursive: Sequence[Rule],
         component: Set[str],
         possible: _AtomStore,
         certain: Set[Atom],
@@ -639,11 +699,6 @@ class Grounder:
         seen_rules: Set[Tuple],
     ) -> None:
         """Semi-naive fixpoint over one strongly connected component."""
-        recursive = [
-            rule for rule in rules if any(literal.predicate in component for literal in rule.positive_body)
-        ]
-        non_recursive = [rule for rule in rules if rule not in recursive]
-
         delta: Set[Atom] = set()
         for rule in non_recursive:
             delta.update(
@@ -909,24 +964,18 @@ class DeltaGrounding:
     answer sets as a from-scratch grounding of the current facts.
     """
 
-    def __init__(self, program: Program):
-        proper_rules, fact_atoms = GroundingCache._split(program)
-        self._proper_rules: List[Rule] = list(proper_rules)
-        # Positive-body predicate -> rules, for delta-restricted instantiation.
-        self._rules_by_predicate: Dict[str, List[Rule]] = {}
-        for rule in self._proper_rules:
-            for literal in rule.positive_body:
-                bucket = self._rules_by_predicate.setdefault(literal.predicate, [])
-                if rule not in bucket:
-                    bucket.append(rule)
-        # One symbol table for the lifetime of the state: atom ids survive
-        # store rebuilds across repairs, so the repair indexes below can key
-        # on dense ints instead of re-hashing atoms window after window.
+    def __init__(self, program: Program, facts: Collection[Atom] = ()):
+        plan = program.derived(RulePlan)
+        self._rules_by_predicate = plan.rules_by_predicate
+        # One symbol table for the lifetime of the state, so the repair
+        # indexes below can key on dense ints instead of re-hashing atoms
+        # window after window.
         self._symbols = SymbolTable()
         self._machine = Grounder(program, certain_negative_drop=False, symbols=self._symbols)
-        self.facts: Set[Atom] = set(fact_atoms)
+        #: The fact set the state is instantiated for (window + program facts).
+        self.facts: FrozenSet[Atom] = plan.fact_set(facts)
 
-        store, _certain, ground_rules, seen = self._machine._instantiate()
+        store, _certain, ground_rules, seen = self._machine._instantiate(facts)
         self._store = store
         self._seen: Set[Tuple] = seen
         self._instances: Dict[int, GroundRule] = {}
@@ -983,14 +1032,23 @@ class DeltaGrounding:
     # ------------------------------------------------------------------ #
     # Repair
     # ------------------------------------------------------------------ #
-    def repair(self, new_facts: Iterable[Atom]) -> RepairStats:
-        """Move the instantiation from ``self.facts`` to ``new_facts``."""
+    def repair(
+        self,
+        new_facts: Iterable[Atom],
+        diff: Optional[Tuple[Collection[Atom], Collection[Atom]]] = None,
+    ) -> RepairStats:
+        """Move the instantiation from ``self.facts`` to ``new_facts``.
+
+        ``new_facts`` is the complete fact set (a ``frozenset`` is adopted
+        as is); ``diff`` is its ``(retracted, asserted)`` difference from
+        ``self.facts`` when the caller has already computed it.  Apart from
+        that difference the bookkeeping is proportional to what the cascade
+        touches, not to the window.
+        """
         table = self._symbols
         intern = table.intern
-        target = set(new_facts)
-        retracted = self.facts - target
-        asserted = target - self.facts
-        target_ids = set(table.intern_many(target))
+        target = frozenset(new_facts)
+        retracted, asserted = diff if diff is not None else (self.facts - target, target - self.facts)
 
         # 1. Overdelete (the cascade runs entirely over interned ids) ------ #
         dead_ids: Set[int] = set()
@@ -998,32 +1056,26 @@ class DeltaGrounding:
         worklist: List[int] = [intern(atom) for atom in retracted]
         while worklist:
             atom_id = worklist.pop()
-            if atom_id in dead_ids or atom_id in target_ids:
+            if atom_id in dead_ids:
                 continue
             dead_ids.add(atom_id)
             for instance_id in self._body_index.get(atom_id, ()):
                 if instance_id in dead_instances:
                     continue
                 dead_instances.add(instance_id)
-                worklist.extend(intern(head) for head in self._instances[instance_id].head)
+                # A derived atom that is also a fact of the new window stays.
+                worklist.extend(
+                    intern(head) for head in self._instances[instance_id].head if head not in target
+                )
         for instance_id in dead_instances:
             self._remove_instance(instance_id)
 
         # 2. Rescue: overdeleted atoms with a surviving alternative support. #
         rescued_ids = {atom_id for atom_id in dead_ids if self._head_index.get(atom_id)}
         dead_ids -= rescued_ids
-
-        # Rebuild the possible-atom store without the dead atoms (the store
-        # is append-only; a rebuild is O(atoms) with small constants, far
-        # below the join work a full reground would redo).  The rebuilt
-        # store shares the state's symbol table, so surviving ids are
-        # unchanged.
         resolve = table.resolve
-        if dead_ids:
-            survivor_ids = self._store.member_ids() - dead_ids
-            self._store = _AtomStore(table)
-            for atom_id in survivor_ids:
-                self._store.add(resolve(atom_id))
+        for atom_id in dead_ids:
+            self._store.remove(resolve(atom_id))
 
         # 3. Assert + re-derive -------------------------------------------- #
         self.facts = target
@@ -1126,6 +1178,6 @@ class DeltaGrounding:
         return GroundProgram(facts=certain, rules=simplified, possible_atoms=possible | certain)
 
 
-def ground_program(program: Program, facts: Optional[Iterable[Atom]] = None) -> GroundProgram:
+def ground_program(program: Program, facts: Optional[Collection[Atom]] = None) -> GroundProgram:
     """Convenience wrapper: ground ``program`` (optionally with extra facts)."""
     return Grounder(program, extra_facts=facts).ground()

@@ -15,12 +15,14 @@ The paper uses three predicate sets throughout (Section I):
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable, Iterator, List, Optional, Set
+from typing import Callable, Iterable, Iterator, List, Optional, Set, Tuple, TypeVar
 
 from repro.asp.syntax.atoms import Atom
 from repro.asp.syntax.rules import Rule
 
 __all__ = ["Program"]
+
+Derived = TypeVar("Derived")
 
 
 @dataclass
@@ -29,9 +31,33 @@ class Program:
 
     rules: List[Rule] = field(default_factory=list)
     name: str = "program"
+    #: ``(build, rules snapshot, build(self))`` of the last :meth:`derived` call.
+    _derived: Optional[Tuple[Callable, List[Rule], object]] = field(
+        default=None, init=False, repr=False, compare=False
+    )
 
     def __post_init__(self) -> None:
         self.rules = list(self.rules)
+
+    def __getstate__(self) -> dict:
+        # The derived analysis is rebuilt on demand wherever the program lands.
+        return {"rules": self.rules, "name": self.name}
+
+    def derived(self, build: Callable[["Program"], Derived]) -> Derived:
+        """``build(self)``, computed once and reused until the rule list changes.
+
+        A streaming reasoner evaluates one fixed rule set against thousands
+        of windows; whatever depends on the rules alone (the grounder's
+        :class:`~repro.asp.grounding.grounder.RulePlan`) is built on first
+        use and shared by every later evaluation.  The memo is validated
+        against a snapshot of :attr:`rules`, so mutating the program --
+        through the ``add_*`` methods or the list itself -- rebuilds it.
+        """
+        memo = self._derived
+        if memo is None or memo[0] is not build or memo[1] != self.rules:
+            memo = (build, list(self.rules), build(self))
+            self._derived = memo
+        return memo[2]  # type: ignore[return-value]
 
     # ------------------------------------------------------------------ #
     # Construction

@@ -23,6 +23,7 @@ from typing import Dict, List, Optional, Sequence
 
 from repro.asp.syntax.atoms import Atom
 from repro.core.plan import PartitioningPlan
+from repro.streaming.format import DataFormatProcessor
 
 __all__ = [
     "DependencyPartitioner",
@@ -145,10 +146,14 @@ class HashPartitioner(Partitioner):
     Deterministic per process: ``hash(str(atom))`` is stable within one
     interpreter (including forked workers), which is all the delta path
     needs -- the partition layout of a recurring item never changes
-    mid-stream.
+    mid-stream.  An RDF triple is hashed as the atom it translates to, so a
+    data item lands in the same chunk whether the partitioner sees the
+    triple (a window evaluated directly) or the atom a session made of it
+    when it was pushed.
     """
 
     deterministic = True
+    _format = DataFormatProcessor()
 
     def __init__(self, partitions: int):
         if partitions < 1:
@@ -161,6 +166,8 @@ class HashPartitioner(Partitioner):
 
     def partition(self, window: Window) -> List[List[Atom]]:
         partitions: List[List[Atom]] = [[] for _ in range(self._partitions)]
-        for atom in window:
-            partitions[hash(str(atom)) % self._partitions].append(atom)
+        to_atom = self._format.triple_to_atom
+        for item in window:
+            atom = item if isinstance(item, Atom) else to_atom(item)
+            partitions[hash(str(atom)) % self._partitions].append(item)
         return partitions

@@ -42,6 +42,22 @@ class DataFormatProcessor:
     def triples_to_atoms(self, triples: Iterable[Triple]) -> List[Atom]:
         return [self.triple_to_atom(triple) for triple in triples]
 
+    def to_atoms(self, items: Iterable[Union[Triple, Atom]]) -> List[Atom]:
+        """Translate stream items into ASP facts; ready-made atoms pass through as they are.
+
+        The atoms of an all-atom input come back as the same objects, so a
+        stream converted once at ingestion costs later stages one type
+        check per item and keeps its atoms identity-stable.
+        """
+        return [item if type(item) is Atom else self._item_to_atom(item) for item in items]
+
+    def _item_to_atom(self, item: object) -> Atom:
+        if isinstance(item, Triple):
+            return self.triple_to_atom(item)
+        if isinstance(item, Atom):
+            return item
+        raise TypeError(f"window items must be Triple or Atom, got {type(item)!r}")
+
     # ------------------------------------------------------------------ #
     # ASP -> RDF
     # ------------------------------------------------------------------ #

@@ -36,13 +36,24 @@ this window).  The invariant, exploited by the delta-grounding tests, is::
 
 i.e. expired items form a prefix of the previous window, arrived items a
 suffix of the current one, and the two reconstruct each slide exactly.
+
+What a window holds
+-------------------
+The steppers never look inside an item: a count window counts whatever it
+is fed, and a time window needs only each item's timestamp, which
+:meth:`TimeWindowStepper.feed_stamped` / :meth:`TimeWindow.deltas_stamped`
+take next to the item.  A :class:`~repro.streamrule.session.StreamSession`
+relies on this: it converts every pushed triple to an ASP atom once, feeds
+the steppers those atoms (``None`` holding the slot of an item its query
+processor rejected, so boundaries still count raw pushed items), and the
+windows come out ready for the reasoner.
 """
 
 from __future__ import annotations
 
 import bisect
 from dataclasses import dataclass
-from typing import Iterable, Iterator, List, Optional, Tuple
+from typing import Any, Iterable, Iterator, List, Optional, Tuple
 
 from repro.streaming.triples import Triple
 
@@ -233,23 +244,24 @@ class TimeWindow:
         if self.slide is not None and self.slide <= 0:
             raise ValueError("window slide must be positive")
 
-    def _annotate(self, triples: Iterable[Triple]) -> List[Tuple[float, Triple]]:
-        """Pair every triple with its effective timestamp, sorted by time.
+    @staticmethod
+    def _annotate(stamped: Iterable[Tuple[Optional[float], Any]]) -> List[Tuple[float, Any]]:
+        """Pair every item with its effective timestamp, sorted by time.
 
-        The sort is stable, so triples sharing an effective timestamp keep
+        The sort is stable, so items sharing an effective timestamp keep
         their arrival order.
         """
-        items = list(triples)
+        stamped = list(stamped)
         carried: List[Optional[float]] = []
         carry: Optional[float] = None
-        for triple in items:
-            if triple.timestamp is not None:
-                carry = triple.timestamp
+        for timestamp, _ in stamped:
+            if timestamp is not None:
+                carry = timestamp
             carried.append(carry)
         first_known = next((stamp for stamp in carried if stamp is not None), 0.0)
         annotated = [
-            (stamp if stamp is not None else first_known, triple)
-            for stamp, triple in zip(carried, items)
+            (stamp if stamp is not None else first_known, item)
+            for stamp, (_, item) in zip(carried, stamped)
         ]
         annotated.sort(key=lambda pair: pair[0])
         return annotated
@@ -259,7 +271,11 @@ class TimeWindow:
             yield list(delta.window)
 
     def deltas(self, triples: Iterable[Triple]) -> Iterator[WindowDelta]:
-        """Iterate non-empty windows annotated with expired/arrived deltas.
+        """Iterate non-empty windows annotated with expired/arrived deltas."""
+        return self.deltas_stamped((triple.timestamp, triple) for triple in triples)
+
+    def deltas_stamped(self, stamped: Iterable[Tuple[Optional[float], Any]]) -> Iterator[WindowDelta]:
+        """:meth:`deltas` over ``(timestamp or None, item)`` pairs; windows hold the items.
 
         The windowing state machine lives in :class:`TimeWindowStepper`
         (the push-based form); this batch generator annotates and *sorts*
@@ -268,8 +284,8 @@ class TimeWindow:
         iteration styles can never diverge.
         """
         stepper = self.stepper()
-        for stamp, triple in self._annotate(triples):
-            yield from stepper.feed_at(stamp, triple)
+        for stamp, item in self._annotate(stamped):
+            yield from stepper.feed_at(stamp, item)
         yield from stepper.flush()
 
     def stepper(self, late: str = "raise") -> "TimeWindowStepper":
@@ -339,12 +355,16 @@ class TimeWindowStepper:
     # ------------------------------------------------------------------ #
     def feed(self, triple: Triple) -> List[WindowDelta]:
         """Accept one stream item; return the deltas of the windows it closes."""
-        if triple.timestamp is not None:
-            self._carry = triple.timestamp
+        return self.feed_stamped(triple.timestamp, triple)
+
+    def feed_stamped(self, timestamp: Optional[float], item: Any) -> List[WindowDelta]:
+        """:meth:`feed` with the timestamp given next to the item (``None``: inherit)."""
+        if timestamp is not None:
+            self._carry = timestamp
         elif self._carry is None:
             # A leading timestamp-less run inherits the first known
             # timestamp; hold it back until that timestamp arrives.
-            self._leading.append(triple)
+            self._leading.append(item)
             return []
         stamp = self._carry
         assert stamp is not None
@@ -353,7 +373,7 @@ class TimeWindowStepper:
             backfill, self._leading = self._leading, []
             for queued in backfill:
                 emitted.extend(self.feed_at(stamp, queued))
-        emitted.extend(self.feed_at(stamp, triple))
+        emitted.extend(self.feed_at(stamp, item))
         return emitted
 
     def feed_at(self, stamp: float, triple: Triple) -> List[WindowDelta]:

@@ -103,7 +103,7 @@ from repro.streamrule.placement import PlacementStrategy
 from repro.streamrule.reasoner import ReasonerResult
 from repro.streamrule.session import PendingWindow, StreamSession, WindowSolution
 from repro.streamrule.work import WorkItem
-from repro.streaming.window import TimeWindow, WindowDelta
+from repro.streaming.window import WindowDelta
 
 __all__ = [
     "AioTcpBackend",
@@ -978,30 +978,10 @@ class AsyncStreamSession:
         """
         session = self._session
         await self._ensure_backend()
-        batch = session._as_items(items)
-        if session.window is None:
-            index = session._push_index
-            session._push_index += 1
-            await self._enqueue(index, batch, None)
-            return 1
-        if isinstance(session.window, TimeWindow):
-            if not session.eager_time_windows:
-                session._buffer.extend(batch)
-                return 0
-            stepper = session._eager_time_stepper()
-            count = 0
-            for item in batch:
-                for delta in stepper.feed(item):
-                    await self._enqueue(delta.index, list(delta.window), delta)
-                    count += 1
-            return count
-        stepper = session._count_stepper()
         count = 0
-        for item in batch:
-            delta = stepper.feed(item)
-            if delta is not None:
-                await self._enqueue(delta.index, list(delta.window), delta)
-                count += 1
+        for window in session._cut(session._as_items(items)):
+            await self._enqueue(*window)
+            count += 1
         return count
 
     async def push_window(
@@ -1020,7 +1000,7 @@ class AsyncStreamSession:
             index = session._push_index
             session._push_index += 1
         session._dispatch_into(
-            session._inflight, index, list(items), delta, tag=tag, track_base=track_base
+            session._inflight, index, session._ingest_window(items), delta, tag=tag, track_base=track_base
         )
         while len(session._inflight) >= session.effective_max_inflight():
             await self._gather_oldest(backpressure=True)
@@ -1067,7 +1047,7 @@ class AsyncStreamSession:
 
     async def _enqueue(self, index: int, items: List, delta) -> None:
         session = self._session
-        session._dispatch_into(session._inflight, index, items, delta)
+        session._dispatch_cut(session._inflight, index, items, delta)
         # Re-resolved every iteration, exactly like the sync facade: an
         # adaptive controller may cut its target mid-drain.
         while len(session._inflight) >= session.effective_max_inflight():

@@ -115,7 +115,7 @@ class StreamRulePipeline:
         forwarded so a grounding cache can repair the previous window's
         instantiation instead of regrounding.
         """
-        return self.session()._solve_window(window_index, list(triples), delta)
+        return self.session()._solve_window(window_index, triples, delta)
 
     def process_stream(self, triples: Iterable[Triple]) -> Iterator[WindowSolution]:
         """Window an unbounded triple stream and process every window.

@@ -130,16 +130,15 @@ class Reasoner:
 
     # ------------------------------------------------------------------ #
     def to_atoms(self, window: WindowInput) -> List[Atom]:
-        """Translate a window of triples (or ready-made atoms) into ASP facts."""
-        atoms: List[Atom] = []
-        for item in window:
-            if isinstance(item, Atom):
-                atoms.append(item)
-            elif isinstance(item, Triple):
-                atoms.append(self.format_processor.triple_to_atom(item))
-            else:
-                raise TypeError(f"window items must be Triple or Atom, got {type(item)!r}")
-        return atoms
+        """Translate a window of triples (or ready-made atoms) into ASP facts.
+
+        A :class:`~repro.streamrule.session.StreamSession` converts every
+        item once, when it is pushed, so the work items it dispatches carry
+        atoms and this is an identity pass for them; triples are still
+        converted here for direct :meth:`reason` callers and for work items
+        from coordinators that ship triples.
+        """
+        return self.format_processor.to_atoms(window)
 
     def reason_item(self, item: WorkItem) -> ReasonerResult:
         """Evaluate one :class:`~repro.streamrule.work.WorkItem`.

@@ -49,6 +49,7 @@ from repro.asp.grounding.grounder import GroundingCache
 from repro.asp.syntax.atoms import Atom
 from repro.asp.syntax.program import Program
 from repro.core.partitioner import Partitioner
+from repro.streaming.format import DataFormatProcessor
 from repro.streaming.triples import Triple
 from repro.streaming.window import CountWindowStepper
 from repro.streamrule.backends import ExecutionBackend, InlineBackend
@@ -166,6 +167,7 @@ class QueryServer:
         #: Solutions whose lane disappeared before gather (late unregister).
         self.orphaned_windows = 0
 
+        self._format_processor = DataFormatProcessor()
         self._lock = threading.RLock()
         self._signatures: Dict[str, ProgramSignature] = {}
         self._lanes: Dict[Hashable, _Lane] = {}
@@ -313,6 +315,7 @@ class QueryServer:
             program,
             input_predicates=tuple(sorted(inputs)) or None,
             output_predicates=tuple(sorted(outputs)) or None,
+            format_processor=self._format_processor,
             max_models=self.max_models,
             grounding_cache=self.grounding_cache,
             solver_cache=self.solver_cache,
@@ -346,7 +349,10 @@ class QueryServer:
         order is the fairness scheduler's, not arrival order; results land
         in the member queries' subscriptions as evaluations gather.
         """
-        batch = [items] if isinstance(items, (Triple, Atom)) else list(items)
+        # One conversion per pushed item, whatever the number of lanes: the
+        # lane steppers buffer atoms, and the windows they cut go to the
+        # shared session (and over the wire) as they are.
+        batch = self._format_processor.to_atoms([items] if isinstance(items, (Triple, Atom)) else items)
         ready = 0
         with self._lock:
             self._require_open()
@@ -432,7 +438,7 @@ class QueryServer:
                 stats = self.tenant_stats[self.registry.get(member).tenant]
                 stats.windows_dispatched += 1
         self._session.push_window(
-            list(delta.window),
+            delta.window,
             delta=delta,
             index=delta.index,
             tag=lane_key,

@@ -44,6 +44,19 @@ Windowing semantics of ``push``
   inherent: count windows close on arrival order alone, time windows close
   only once the timestamps say so.
 
+Ingest once
+-----------
+Every pushed item is filtered by the query processor and translated to an
+ASP atom exactly once, when it arrives -- not once per window it ends up
+in.  The window steppers buffer those atoms (an item the query processor
+rejected keeps its slot as ``None``, so window boundaries are still counted
+over the *raw* pushed stream); the windows, the dispatched
+:class:`~repro.streamrule.work.WorkItem` facts and the wire carry them,
+and the reasoner's own translation step is an identity pass.  The time spent
+converting is billed to the window the converted items complete
+(``LatencyBreakdown.transformation_seconds``): the paper counts the data
+format processor as part of the reasoner's latency, wherever it runs.
+
 Pipelined ingestion
 -------------------
 On a backend whose futures make progress concurrently (``backend.pipelined``:
@@ -85,6 +98,7 @@ import time
 from collections import deque
 from concurrent.futures import Future
 from dataclasses import dataclass
+from itertools import islice
 from typing import Deque, Iterable, Iterator, List, Optional, Sequence, Tuple, Union
 
 from repro.asp.syntax.atoms import Atom
@@ -107,6 +121,8 @@ __all__ = ["DEFAULT_MAX_INFLIGHT", "ParallelResult", "PendingWindow", "StreamSes
 AnswerSet = frozenset
 StreamItem = Union[Triple, Atom]
 WindowPolicy = Union[CountWindow, TimeWindow]
+#: One window cut from the ingested stream: (index, its atoms, its delta).
+CutWindow = Tuple[int, List[Atom], Optional[WindowDelta]]
 
 #: Default in-flight bound of pipelined ingestion: how many windows may be
 #: dispatched but not yet gathered before ``push`` blocks on the oldest one.
@@ -114,6 +130,8 @@ WindowPolicy = Union[CountWindow, TimeWindow]
 #: windows, large enough to keep every worker slot of a typical fleet busy
 #: while the producer windows the next batch.
 DEFAULT_MAX_INFLIGHT = 4
+
+_NO_ITEM = object()  # end-of-iteration marker that no stream item can be
 
 
 @dataclass(frozen=True)
@@ -151,16 +169,19 @@ class PendingWindow:
     needs to finish the evaluation -- the submitted futures (``None`` where
     the backend refused the item at submit time and the inline fallback will
     evaluate it), the already-measured partitioning cost, and the window's
-    stream coordinates for the eventual :class:`WindowSolution`.
+    stream coordinates for the eventual :class:`WindowSolution`.  It keeps
+    the window's size, not its items: the work items already hold them.
     """
 
     index: int
     epoch: int
-    window: List[StreamItem]
+    window_size: int
     partition_sizes: List[int]
     submissions: List[Tuple[WorkItem, Optional["Future[ReasonerResult]"]]]
     partitioning_seconds: float
     dispatched_at: float
+    #: Ingestion-time conversion cost billed to this window (see the module docstring).
+    transformation_seconds: float = 0.0
     #: Opaque caller token threaded through to the :class:`WindowSolution`
     #: (the query server uses it to route solutions back to their lane).
     tag: Optional[object] = None
@@ -298,7 +319,10 @@ class StreamSession:
         self.ingestion = IngestionStats()
         if self.inflight_controller is not None:
             self.ingestion.inflight_target = self.inflight_controller.target
-        self._buffer: List[StreamItem] = []  # time-window (and windowless) staging
+        #: Deferred time windows: (timestamp, ingested item) pairs staged until finish.
+        self._buffer: List[Tuple[Optional[float], Optional[Atom]]] = []
+        self._unbilled_items = 0  # ingested items no window has been charged for yet
+        self._unbilled_seconds = 0.0  # ... and what converting them took
         self._stepper: Optional[CountWindowStepper] = None  # count-window incremental driver
         self._time_stepper: Optional[TimeWindowStepper] = None  # eager time-window driver
         self._push_index = 0  # next window index of the pushed stream
@@ -362,30 +386,10 @@ class StreamSession:
         window's position in the pushed stream, exactly as :meth:`process`
         reports it.
         """
-        batch = self._as_items(items)
-        if self.window is None:
-            index = self._push_index
-            self._push_index += 1
-            self._enqueue_window(index, batch, delta=None)
-            return 1
-        if isinstance(self.window, TimeWindow):
-            if not self.eager_time_windows:
-                self._buffer.extend(batch)
-                return 0
-            stepper = self._eager_time_stepper()
-            count = 0
-            for item in batch:
-                for delta in stepper.feed(item):
-                    self._enqueue_window(delta.index, list(delta.window), delta)
-                    count += 1
-            return count
-        stepper = self._count_stepper()
         count = 0
-        for item in batch:
-            delta = stepper.feed(item)
-            if delta is not None:
-                self._enqueue_window(delta.index, list(delta.window), delta)
-                count += 1
+        for window in self._cut(self._as_items(items)):
+            self._enqueue_window(*window)
+            count += 1
         return count
 
     def finish(self) -> int:
@@ -403,30 +407,104 @@ class StreamSession:
 
     def _finish_dispatch(self) -> int:
         """Dispatch the staged tail windows; returns how many there were."""
+        count = 0
+        for window in self._cut_tail():
+            self._enqueue_window(*window)
+            count += 1
+        return count
+
+    # ------------------------------------------------------------------ #
+    # Ingestion and windowing: every item is filtered and converted once
+    # ------------------------------------------------------------------ #
+    def _ingest(self, items: Sequence[StreamItem]) -> List[Optional[Atom]]:
+        """Filter and convert arriving items; ``None`` keeps a rejected item's slot."""
+        started = time.perf_counter()
+        accepted = self.query_processor.process(items) if self.query_processor else items
+        ingested: List[Optional[Atom]] = self.reasoner.to_atoms(accepted)  # type: ignore[assignment]
+        if len(ingested) != len(items):
+            # ``accepted`` is a subsequence of ``items``: walk both to give
+            # every rejected item its empty slot.
+            converted, kept = iter(ingested), iter(accepted)
+            ingested = []
+            expected = next(kept, _NO_ITEM)
+            for item in items:
+                if item is expected:
+                    ingested.append(next(converted))
+                    expected = next(kept, _NO_ITEM)
+                else:
+                    ingested.append(None)
+        self._unbilled_items += len(items)
+        self._unbilled_seconds += time.perf_counter() - started
+        return ingested
+
+    def _bill_transformation(self, items: Optional[int]) -> float:
+        """The conversion time owed by a window that newly covers ``items`` items.
+
+        Conversion happens when items are pushed, possibly many windows'
+        worth in one batch, so a window is charged the pro-rata share of
+        what is still unbilled (``None``: all of it).
+        """
+        if items is None or items >= self._unbilled_items:
+            share, self._unbilled_items, self._unbilled_seconds = self._unbilled_seconds, 0, 0.0
+            return share
+        share = self._unbilled_seconds * items / self._unbilled_items
+        self._unbilled_items -= items
+        self._unbilled_seconds -= share
+        return share
+
+    @staticmethod
+    def _accepted(slots: Iterable[Optional[Atom]]) -> List[Atom]:
+        """The atoms of a run of ingested items, without the rejected items' empty slots."""
+        return [atom for atom in slots if atom is not None]
+
+    @classmethod
+    def _window_of(cls, delta: WindowDelta) -> CutWindow:
+        """A stepper's window as dispatched: the one copy made of it."""
+        return delta.index, cls._accepted(delta.window), delta
+
+    @staticmethod
+    def _timestamps(items: Sequence[StreamItem]) -> List[Optional[float]]:
+        return [getattr(item, "timestamp", None) for item in items]
+
+    def _cut(self, batch: Sequence[StreamItem]) -> Iterator[CutWindow]:
+        """Ingest one pushed batch and yield the windows it completes."""
+        ingested = self._ingest(batch)
+        if self.window is None:
+            index = self._push_index
+            self._push_index += 1
+            yield index, self._accepted(ingested), None
+        elif isinstance(self.window, TimeWindow):
+            stamped = zip(self._timestamps(batch), ingested)
+            if not self.eager_time_windows:
+                self._buffer.extend(stamped)
+                return
+            feed_stamped = self._eager_time_stepper().feed_stamped
+            for timestamp, atom in stamped:
+                for delta in feed_stamped(timestamp, atom):
+                    yield self._window_of(delta)
+        else:
+            feed = self._count_stepper().feed
+            for atom in ingested:
+                delta = feed(atom)
+                if delta is not None:
+                    yield self._window_of(delta)
+
+    def _cut_tail(self) -> Iterator[CutWindow]:
+        """End of the pushed stream: yield what is still staged, reset the windowing."""
         if self.window is None:
             self._push_index = 0
-            return 0
-        count = 0
-        if isinstance(self.window, TimeWindow):
-            if self.eager_time_windows:
-                stepper = self._eager_time_stepper()
-                for delta in stepper.flush():
-                    self._enqueue_window(delta.index, list(delta.window), delta)
-                    count += 1
-                self._time_stepper = None  # next push starts a fresh stream
-                return count
-            for delta in self.window.deltas(self._buffer):
-                self._enqueue_window(delta.index, list(delta.window), delta)
-                count += 1
-            self._buffer = []
-            return count
-        stepper = self._count_stepper()
-        tail = stepper.flush()
-        if tail is not None:
-            self._enqueue_window(tail.index, list(tail.window), tail)
-            count = 1
-        self._stepper = None  # next push starts a fresh stream
-        return count
+        elif not isinstance(self.window, TimeWindow):
+            tail = self._count_stepper().flush()
+            self._stepper = None  # next push starts a fresh stream
+            if tail is not None:
+                yield self._window_of(tail)
+        elif self.eager_time_windows:
+            tails = self._eager_time_stepper().flush()
+            self._time_stepper = None  # next push starts a fresh stream
+            yield from map(self._window_of, tails)
+        else:
+            staged, self._buffer = self._buffer, []
+            yield from map(self._window_of, self.window.deltas_stamped(staged))
 
     def results(self, wait: bool = True) -> Iterator[WindowSolution]:
         """Stream the window solutions in window order, oldest first.
@@ -506,7 +584,10 @@ class StreamSession:
         disjoint cache-track namespace -- the seam the multi-tenant
         :class:`~repro.streamrule.server.QueryServer` uses to run many
         window lanes over one session without colliding their per-track
-        grounding/solver states.  The ``max_inflight`` bound applies: once
+        grounding/solver states.  The items go through the same
+        filter-and-convert step as pushed ones, here once per window
+        (atoms, such as the server's lanes hold, pass through unchanged).
+        The ``max_inflight`` bound applies: once
         it is reached, the call blocks gathering the oldest window
         (backpressure), so check :attr:`inflight_count` first to dispatch
         without blocking.
@@ -514,7 +595,9 @@ class StreamSession:
         if index is None:
             index = self._push_index
             self._push_index += 1
-        self._dispatch_into(self._inflight, index, list(items), delta, tag=tag, track_base=track_base)
+        self._dispatch_into(
+            self._inflight, index, self._ingest_window(items), delta, tag=tag, track_base=track_base
+        )
         # Re-resolve the bound every iteration: an adaptive controller may
         # cut its target mid-loop (a stalled gather is a congestion signal),
         # and the loop must then drain down to the *new* bound.
@@ -525,18 +608,34 @@ class StreamSession:
         self,
         inflight: "Deque[PendingWindow]",
         index: int,
-        items: List[StreamItem],
+        items: List[Atom],
         delta: Optional[WindowDelta],
         tag: Optional[object] = None,
         track_base: Optional[int] = None,
+        billed_items: Optional[int] = None,
     ) -> None:
-        """Dispatch one window into an in-flight queue, keeping the stats."""
+        """Dispatch one ingested window into an in-flight queue, keeping the stats.
+
+        ``billed_items`` is how many ingested items the window newly covers
+        (``None``: everything ingested since the last dispatch), for the
+        transformation-time bill.
+        """
         if inflight:
             self.ingestion.dispatched_ahead += 1
-        inflight.append(self._dispatch_window(index, items, delta, tag=tag, track_base=track_base))
+        inflight.append(
+            self._dispatch_window(index, items, delta, tag=tag, track_base=track_base, billed_items=billed_items)
+        )
         self.ingestion.inflight_high_water = max(self.ingestion.inflight_high_water, len(inflight))
 
-    def _enqueue_window(self, index: int, items: List[StreamItem], delta: Optional[WindowDelta]) -> None:
+    def _dispatch_cut(
+        self, inflight: "Deque[PendingWindow]", index: int, items: List[Atom], delta: Optional[WindowDelta]
+    ) -> None:
+        """Dispatch a window the session cut itself: it newly covers its arrived items."""
+        self._dispatch_into(
+            inflight, index, items, delta, billed_items=None if delta is None else len(delta.arrived)
+        )
+
+    def _enqueue_window(self, index: int, items: List[Atom], delta: Optional[WindowDelta]) -> None:
         """Dispatch one completed window, applying the in-flight bound.
 
         The window joins the in-flight queue; once the queue holds
@@ -544,7 +643,7 @@ class StreamSession:
         returns -- with ``max_inflight=1`` that degenerates to the
         synchronous dispatch-then-gather loop.
         """
-        self._dispatch_into(self._inflight, index, items, delta)
+        self._dispatch_cut(self._inflight, index, items, delta)
         while len(self._inflight) >= self.effective_max_inflight():
             self._gather_oldest(backpressure=True)
 
@@ -629,8 +728,17 @@ class StreamSession:
         consumes the current solution.
         """
         if self.window is None:
-            yield self._solve_window(0, list(items), delta=None)
+            yield self._solve_window(0, items, delta=None)
             return
+        deltas: Iterable[WindowDelta]
+        if isinstance(self.window, TimeWindow):
+            batch = list(items)  # time windows sort the whole stream before cutting it
+            deltas = self.window.deltas_stamped(zip(self._timestamps(batch), self._ingest(batch)))
+        else:
+            # One slide's worth at a time: each window then pays for the
+            # items it newly covers, and the source is read no further
+            # ahead than the window being cut needs.
+            deltas = self.window.deltas(self._ingest_lazily(items, self.window.slide or self.window.size))
         limit = self.effective_max_inflight()
         # A local queue, not self._inflight: the caller owns the solutions
         # here (they are yielded, never staged in _ready), and an abandoned
@@ -638,12 +746,21 @@ class StreamSession:
         # Stall accounting stays push-specific -- the consumer of this
         # iterator is the one pacing it.
         inflight: Deque[PendingWindow] = deque()
-        for delta in self.window.deltas(items):
-            self._dispatch_into(inflight, delta.index, list(delta.window), delta)
+        for delta in deltas:
+            self._dispatch_cut(inflight, *self._window_of(delta))
             while len(inflight) >= limit:
                 yield self._gather_solution(inflight.popleft())
         while inflight:
             yield self._gather_solution(inflight.popleft())
+
+    def _ingest_lazily(self, items: Iterable[StreamItem], chunk: int) -> Iterator[Optional[Atom]]:
+        iterator = iter(items)
+        while batch := list(islice(iterator, chunk)):
+            yield from self._ingest(batch)
+
+    def _ingest_window(self, items: Iterable[StreamItem]) -> List[Atom]:
+        """Ingest a complete, externally cut window: its accepted atoms."""
+        return self._accepted(self._ingest(list(items)))
 
     def process_all(self, items: Iterable[StreamItem]) -> List[WindowSolution]:
         return list(self.process(items))
@@ -654,29 +771,31 @@ class StreamSession:
     # several windows ahead of the gather point.
     # ------------------------------------------------------------------ #
     def _solve_window(
-        self, index: int, window_items: List[StreamItem], delta: Optional[WindowDelta]
+        self, index: int, items: Iterable[StreamItem], delta: Optional[WindowDelta]
     ) -> WindowSolution:
-        """Dispatch and immediately gather one window (the synchronous form)."""
-        return self._gather_solution(self._dispatch_window(index, window_items, delta))
+        """Ingest, dispatch and immediately gather one externally cut window."""
+        return self._gather_solution(self._dispatch_window(index, self._ingest_window(items), delta))
 
     def _dispatch_window(
         self,
         index: int,
-        window_items: List[StreamItem],
+        window_atoms: List[Atom],
         delta: Optional[WindowDelta],
         tag: Optional[object] = None,
         track_base: Optional[int] = None,
+        billed_items: Optional[int] = None,
     ) -> PendingWindow:
-        """Filter and dispatch one stream window (the facade's dispatch half)."""
-        filtered = self.query_processor.process(window_items) if self.query_processor else window_items
+        """Dispatch one ingested stream window (the facade's dispatch half)."""
         self.ingestion.windows_dispatched += 1
         # Tagged windows come from an external windowing authority whose
         # lane-local indexes repeat across lanes; let the session's own
         # monotonic epoch counter keep cache bookkeeping globally ordered.
         epoch = None if tag is not None else index
-        return self._dispatch_evaluation(
-            filtered, delta=delta, epoch=epoch, index=index, tag=tag, track_base=track_base
+        pending = self._dispatch_evaluation(
+            window_atoms, delta=delta, epoch=epoch, index=index, tag=tag, track_base=track_base
         )
+        pending.transformation_seconds = self._bill_transformation(billed_items)
+        return pending
 
     def _gather_solution(self, pending: PendingWindow) -> WindowSolution:
         """Gather one dispatched window into its :class:`WindowSolution`."""
@@ -688,7 +807,7 @@ class StreamSession:
         )
         return WindowSolution(
             window_index=pending.index,
-            window_size=len(pending.window),
+            window_size=pending.window_size,
             answers=tuple(result.answers),
             solution_triples=solution_triples,
             metrics=result.metrics,
@@ -704,11 +823,13 @@ class StreamSession:
     ) -> ParallelResult:
         """Partition, dispatch to the backend, and combine one input window.
 
-        Following Figure 6, the partitioning handler splits the *filtered
-        stream* directly (triples and atoms both expose their predicate),
-        and each partition's reasoner performs its own data format
-        translation -- so the transformation cost is parallelised along with
-        the solving.
+        Following Figure 6, the partitioning handler splits the window as
+        given (triples and atoms both expose their predicate) and each
+        partition's reasoner performs its own data format translation -- so
+        for a window evaluated directly, the transformation cost is
+        parallelised along with the solving.  (Windows that arrive through
+        :meth:`push` / :meth:`process` were translated when their items
+        were ingested and reach this stage as atoms.)
 
         ``delta`` signals that this window is the next slide of an
         overlapping stream.  When the partitioner is *deterministic* (the
@@ -724,11 +845,11 @@ class StreamSession:
         gather), whatever ``max_inflight`` says -- pipelining applies to the
         push/process facade, whose window ordering the session controls.
         """
-        return self._gather_evaluation(self._dispatch_evaluation(window, delta=delta, epoch=epoch))
+        return self._gather_evaluation(self._dispatch_evaluation(list(window), delta=delta, epoch=epoch))
 
     def _dispatch_evaluation(
         self,
-        window: Sequence[StreamItem],
+        window: List[StreamItem],
         *,
         delta: Optional[WindowDelta],
         epoch: Optional[int],
@@ -751,7 +872,6 @@ class StreamSession:
         shifts the whole layout, so independent window lanes multiplexed
         over one session occupy disjoint track namespaces.
         """
-        window = list(window)
         if track_base is None:
             track_base = self.track_base
         if epoch is None:
@@ -771,7 +891,7 @@ class StreamSession:
         with Timer() as partitioning_timer:
             partitions = self.partitioner.partition(window)
 
-        batches = [(track, list(partition)) for track, partition in enumerate(partitions) if partition]
+        batches = [(track, partition) for track, partition in enumerate(partitions) if partition]
         if not batches:
             batches = [(0, [])]
         items = [
@@ -793,7 +913,7 @@ class StreamSession:
         return PendingWindow(
             index=index if index is not None else epoch,
             epoch=epoch,
-            window=window,
+            window_size=len(window),
             partition_sizes=[len(partition) for partition in partitions],
             submissions=submissions,
             partitioning_seconds=partitioning_timer.seconds,
@@ -835,25 +955,31 @@ class StreamSession:
             )
 
         breakdown = self._latency(partition_results)
+        breakdown.transformation_seconds += pending.transformation_seconds
         breakdown.partitioning_seconds += pending.partitioning_seconds
         breakdown.combining_seconds += combining_timer.seconds
 
         if self.backend.measures_wall_clock:
             # Real pools report what a stopwatch around the evaluation phase
-            # actually measured.
-            latency_seconds = pending.partitioning_seconds + evaluation_seconds + combining_timer.seconds
+            # actually measured (conversion happened before it, at ingestion).
+            latency_seconds = (
+                pending.transformation_seconds
+                + pending.partitioning_seconds
+                + evaluation_seconds
+                + combining_timer.seconds
+            )
         else:
             latency_seconds = breakdown.total_seconds
 
-        window = pending.window
+        window_size = pending.window_size
         metrics = ReasonerMetrics(
-            window_size=len(window),
+            window_size=window_size,
             latency_seconds=latency_seconds,
             breakdown=breakdown,
             partition_sizes=list(pending.partition_sizes),
             answer_count=len(combined),
             duplication_ratio=(
-                (sum(pending.partition_sizes) - len(window)) / len(window) if window else 0.0
+                (sum(pending.partition_sizes) - window_size) / window_size if window_size else 0.0
             ),
             cache_hits=sum(result.metrics.cache_hits for result in partition_results),
             cache_misses=sum(result.metrics.cache_misses for result in partition_results),

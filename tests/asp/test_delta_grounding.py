@@ -229,3 +229,148 @@ class TestGroundIncremental:
         assert clone.max_repair_fraction == 0.5
         assert len(clone) == 0
         assert clone.statistics()["delta_states"] == 0.0
+
+
+# --------------------------------------------------------------------------- #
+# Facts travel next to the program, never inside it
+# --------------------------------------------------------------------------- #
+OWN_FACT_RULES = """
+mode(peak).
+busy(X) :- load(X, Y), Y > 5.
+alert(X) :- busy(X), mode(peak), not muted(X).
+busy(X) :- alert(Y), near(Y, X).
+"""
+
+
+def solve_through(program, facts, cache=None, track=None):
+    control = Control(program, grounding_cache=cache, delta_track=track)
+    control.add_facts(facts)
+    return {frozenset(model.atoms) for model in control.solve().models}, control
+
+
+class TestFactsBesideTheProgram:
+    def test_program_facts_join_every_window_on_a_track(self):
+        """The program's own ``mode(peak).`` must survive every slide, and an atom
+        that is both derived (``busy(2)`` via ``near``) and pushed as a window
+        fact must neither die with its derivation nor outlive its fact."""
+        program = parse_program(OWN_FACT_RULES)
+        windows = [
+            [make_atom("load", 1, 9), make_atom("near", 1, 2)],
+            [make_atom("load", 1, 9), make_atom("near", 1, 2), make_atom("busy", 2)],  # derived *and* a fact
+            [make_atom("near", 1, 2), make_atom("busy", 2)],  # derivation gone, fact stays
+            [make_atom("load", 1, 9), make_atom("near", 1, 2)],  # fact gone, derivation back
+            [make_atom("load", 1, 9), make_atom("muted", 1), make_atom("busy", 2)],
+            [make_atom("load", 3, 7)],
+        ]
+        cache = GroundingCache()
+        outcomes = []
+        for window in windows:
+            repaired, control = solve_through(program, window, cache, track=0)
+            outcomes.append(control.ground_outcome)
+            scratch, _ = solve_through(program, window)
+            assert repaired == scratch
+            assert all(make_atom("mode", "peak") in answer for answer in repaired)
+        assert outcomes[0] == "full" and set(outcomes[1:]) == {"repair"}
+        assert len(program) == 4  # the shared program never absorbed a window's facts
+
+    def test_facts_given_beside_or_inside_the_program_are_the_same_window(self):
+        program = parse_program(OWN_FACT_RULES)
+        facts = [make_atom("load", 1, 9), make_atom("near", 1, 2)]
+        assert GroundingCache.key_for(program, facts) == GroundingCache.key_for(program.with_facts(facts))
+        beside = Grounder(program, facts).ground()
+        inside = Grounder(program.with_facts(facts)).ground()
+        assert beside == inside
+        assert make_atom("mode", "peak") in beside.facts
+
+    def test_rule_analysis_is_shared_until_the_rules_change(self):
+        from repro.asp.grounding.grounder import RulePlan
+
+        program = parse_program(OWN_FACT_RULES)
+        plan = program.derived(RulePlan)
+        Grounder(program, [make_atom("load", 1, 9)]).ground()
+        DeltaGrounding(program, [make_atom("load", 2, 9)])
+        assert program.derived(RulePlan) is plan
+        program.add_rule(parse_program("quiet(X) :- muted(X).").rules[0])
+        assert program.derived(RulePlan) is not plan
+
+    def test_control_adds_rules_to_a_private_copy(self):
+        program = parse_program(OWN_FACT_RULES)
+        control = Control(program)
+        control.add("quiet(X) :- muted(X).")
+        control.add_facts([make_atom("muted", 4)])
+        assert len(program) == 4
+        assert len(control.program) == 6  # the view: rules + added rule + added fact
+        [answer] = {frozenset(model.atoms) for model in control.solve().models}
+        assert make_atom("quiet", 4) in answer
+
+
+class TestTrackPathFootprint:
+    def test_long_sliding_stream_holds_state_per_track_not_per_window(self):
+        """300 slides over a bounded pool: no ground program is memoized on the
+        track path and the repaired store holds exactly the live window's atoms."""
+        import random
+
+        program = parse_program(MIXED_RULES)
+        rng = random.Random(2017)
+        pool = (
+            [make_atom("edge", i, j) for i in range(6) for j in range(6)]
+            + [make_atom(p, i) for p in ("node", "open", "cand", "bad") for i in range(6)]
+        )
+        cache = GroundingCache()
+        windows = {0: rng.sample(pool, 24), 1: rng.sample(pool, 24)}
+        for _ in range(300):
+            for track, window in windows.items():
+                window[:] = window[3:] + rng.sample(pool, 3)  # slide by 3, duplicates allowed
+                cache.ground_incremental(program, window, track=track)
+        statistics = cache.statistics()
+        assert len(cache) == 0 and statistics["entries"] == 0.0
+        assert statistics["delta_states"] == 2.0
+        assert statistics["delta_repairs"] + statistics["hits"] >= 590
+        for (_, track), state in cache._delta_states.items():
+            fresh = DeltaGrounding(program, windows[track])
+            assert state.facts == fresh.facts == frozenset(windows[track])
+            assert state._store.atoms() == fresh._store.atoms()
+            assert state.instance_count == fresh.instance_count
+            assert answers_of_state(state) == answers_of_state(fresh)
+
+
+class TestAtomStoreRemoval:
+    @given(st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_candidates_stay_correct_under_interleaved_add_and_remove(self, data):
+        """Indexes are built lazily up to a watermark; removal swaps the last atom
+        into the hole.  Whatever the interleaving, a probe sees exactly the members."""
+        from repro.asp.grounding.grounder import _AtomStore
+        from repro.asp.syntax.parser import parse_program as parse
+
+        patterns = {
+            "first": parse("h :- p(1, Y).").rules[0].positive_body[0].atom,
+            "second": parse("h :- p(X, 2).").rules[0].positive_body[0].atom,
+            "free": parse("h :- p(X, Y).").rules[0].positive_body[0].atom,
+            "ground": parse("h :- p(1, 2).").rules[0].positive_body[0].atom,
+        }
+        universe = [make_atom("p", i, j) for i in range(3) for j in range(4)]
+        store, members = _AtomStore(), set()
+        operations = data.draw(
+            st.lists(st.tuples(st.sampled_from(["add", "remove", "probe"]), st.integers(0, 11)), max_size=60)
+        )
+        for operation, pick in operations + [("probe", 0)]:
+            atom = universe[pick]
+            if operation == "add":
+                assert store.add(atom) == (atom not in members)
+                members.add(atom)
+            elif operation == "remove" and atom in members:
+                store.remove(atom)
+                members.discard(atom)
+            else:
+                for name, pattern in patterns.items():
+                    wanted = {
+                        member
+                        for member in members
+                        if (name in ("free", "second") or member.arguments[0].value == 1)
+                        and (name in ("free", "first") or member.arguments[1].value == 2)
+                    }
+                    found = store.candidates(pattern, {})
+                    assert len(found) == len(set(found)) and set(found) == wanted, name
+            assert len(store) == len(members) and store.atoms() == members
+            assert set(store.by_signature(("p", 2))) == members
