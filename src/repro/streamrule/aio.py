@@ -19,21 +19,19 @@ stream.  This module is the many-cheap-sessions shape of the same facade:
     ``tests/streamrule/test_aio.py`` pins exactly that.
 
 :class:`AsyncWorkerClient` / :class:`AsyncWorkerFleet` / :class:`AioTcpBackend`
-    A non-blocking TCP client speaking the existing ``SRW1`` wire protocol
-    (:mod:`repro.streamrule.net`): ``asyncio.open_connection`` instead of a
-    blocking socket, one reader *task* per connection instead of the
-    elevator pattern, and the same FIFO ticket queue -- the worker answers
-    strictly in request order, so responses match to awaiting callers by
-    position.  The handshake bytes come from the same
-    :func:`~repro.streamrule.net.build_hello` /
-    :func:`~repro.streamrule.net.parse_welcome` helpers the sync client
-    uses, and slot routing reuses
-    :func:`~repro.streamrule.fleet.initial_slot_owners` /
-    :func:`~repro.streamrule.fleet.rerouted_owner`, so a track lands on the
-    same worker whichever client drives the fleet.  One event loop can
-    multiplex thousands of sessions over one shared fleet without a thread
-    per session: per-slot ordering is kept by *chaining* each slot's
-    dispatch tasks instead of dedicating a dispatcher thread per slot.
+    The asyncio *drivers* of the ``SRW1`` transport.  What the protocol
+    says lives in :class:`~repro.streamrule.net.ClientConnection` and
+    where a slot goes in :class:`~repro.streamrule.fleet.SlotTable` -- the
+    same two objects the blocking stack drives -- so nothing here builds a
+    handshake frame, matches a response to a caller or picks a survivor;
+    a track lands on the same worker, and the same bytes cross the wire,
+    whichever stack runs.  This module contributes the waiting:
+    ``asyncio.open_connection`` instead of a blocking socket, one reader
+    *task* per connection instead of the elevator pattern, ``gather``
+    instead of threads.  One event loop can multiplex thousands of
+    sessions over one shared fleet without a thread per session:
+    per-slot ordering is kept by *chaining* each slot's dispatch tasks
+    instead of dedicating a dispatcher thread per slot.
 
 Failure semantics of the async fleet now match the sync fleet's
 resubmission discipline: a roundtrip that hits a dead connection marks
@@ -63,41 +61,25 @@ facade stops being non-blocking; see ``docs/async-serving.md``.
 from __future__ import annotations
 
 import asyncio
+import contextlib
 import ssl
-import time
 from collections import deque
 from concurrent.futures import Future
-from typing import Any, Callable, Deque, Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Any, Deque, Dict, Iterable, List, Optional, Sequence, Tuple
 
-from repro.streamrule.backends import ExecutionBackend
-from repro.streamrule.errors import (
-    BackendConnectionError,
-    BackendError,
-    HandshakeError,
-    ProtocolError,
-)
-from repro.streamrule.fleet import (
-    EndpointLike,
-    WorkerEndpoint,
-    initial_slot_owners,
-    rerouted_owner,
-)
+from repro.streamrule.backends import ExecutionBackend, FleetBackend
+from repro.streamrule.errors import BackendConnectionError, BackendError, HandshakeError, ProtocolError
+from repro.streamrule.fleet import EndpointLike, FleetView, WorkerEndpoint
 from repro.streamrule.metrics import Timer
 from repro.streamrule.net import (
-    MAGIC,
-    MAX_FRAME_BYTES,
-    DeltaShipper,
+    ClientConnection,
+    ConnectionSettings,
     FrameKind,
-    WireStats,
-    _FRAME_HEADER,
-    _dumps,
-    auth_mac,
-    build_hello,
-    decode_result,
-    dumps_json,
+    FrameParser,
+    Ticket,
+    dial_failure,
     encode_reasoner_payload,
-    loads_control,
-    parse_welcome_fields,
+    tls_failure,
 )
 from repro.streamrule.placement import PlacementStrategy
 from repro.streamrule.reasoner import ReasonerResult
@@ -112,6 +94,9 @@ __all__ = [
     "AsyncWorkerFleet",
 ]
 
+#: Upper bound of one ``StreamReader.read``; frames may span reads.
+_READ_BYTES = 1 << 16
+
 
 # --------------------------------------------------------------------------- #
 # The asyncio wire client: SRW1 over asyncio streams
@@ -119,15 +104,16 @@ __all__ = [
 class AsyncWorkerClient:
     """One handshaken asyncio connection to a worker daemon.
 
-    The asyncio sibling of :class:`~repro.streamrule.net.WorkerClient`:
-    same magic, same handshake (via the shared payload helpers), same
-    pipelined FIFO discipline -- several work frames may be outstanding at
-    once and the worker answers strictly in request order, so responses
-    resolve the ticket queue's head.  Instead of the sync client's elevator
-    pattern (whichever waiter holds the receive lock reads for everyone), a
-    single long-lived reader task pumps response frames to the tickets; a
-    transport error fails every in-flight ticket with
-    :class:`BackendConnectionError` and closes the connection for good.
+    The asyncio driver of a :class:`~repro.streamrule.net.ClientConnection`
+    -- the same protocol state machine the blocking
+    :class:`~repro.streamrule.net.WorkerClient` drives, so handshake,
+    capabilities, frame sequence and ticket FIFO cannot differ between
+    the two.  This class only dials, moves bytes and waits: instead of the
+    sync client's elevator pattern (whichever waiter holds the receive lock
+    reads for everyone), a single long-lived reader task feeds arriving
+    bytes to the connection, which settles the tickets; a transport error
+    fails every in-flight ticket with :class:`BackendConnectionError` and
+    closes the connection for good.
 
     Construct with :meth:`connect` (the constructor itself is transport
     plumbing).  All methods must run on the loop that connected.
@@ -142,23 +128,18 @@ class AsyncWorkerClient:
         auth_token: Optional[str] = None,
         codec: str = "pickle",
     ):
-        if codec not in ("pickle", "restricted"):
-            raise ValueError(f"codec must be 'pickle' or 'restricted', got {codec!r}")
+        self._connection = ClientConnection(address, auth_token=auth_token, codec=codec)
         self.address = address
         self.codec = codec
-        self.stats = WireStats()
-        self.capabilities: Dict[str, bool] = {}
-        self._auth_token = auth_token
+        self.stats = self._connection.stats
         self._reader = reader
         self._writer = writer
-        self._closed = False
-        #: Serializes sends (and the delta shipper, which must advance in
-        #: wire order); asyncio.Lock wakes waiters FIFO, so submission order
-        #: is send order.
+        self._parser = FrameParser()
+        self._frames: Deque[Tuple[FrameKind, bytes]] = deque()  # cut from the stream, not yet interpreted
+        #: Serializes sends (and the shipper, which must advance in wire
+        #: order); asyncio.Lock wakes waiters FIFO, so submission order is
+        #: send order.
         self._send_lock = asyncio.Lock()
-        self._pending: Deque["asyncio.Future[Tuple[FrameKind, bytes]]"] = deque()
-        self._shipper: Optional[Any] = None
-        self._decode_result: Callable[[bytes, Tuple[str, int]], ReasonerResult] = decode_result
         self._reader_task: Optional["asyncio.Task[None]"] = None
 
     @classmethod
@@ -194,96 +175,82 @@ class AsyncWorkerClient:
         delay = base_delay
         failure: Optional[Exception] = None
         reader = writer = None
-        tls_kwargs: Dict[str, object] = {}
-        if ssl_context is not None:
-            tls_kwargs["ssl"] = ssl_context
-            if server_hostname is not None:
-                tls_kwargs["server_hostname"] = server_hostname
         for attempt in range(attempts):
             if attempt:
                 await asyncio.sleep(delay)
                 delay = min(max_delay, delay * 2)
             try:
-                reader, writer = await asyncio.wait_for(
-                    asyncio.open_connection(address[0], address[1], **tls_kwargs),
-                    timeout=connect_timeout,
+                # asyncio refuses a server_hostname without ssl.
+                dial = asyncio.open_connection(
+                    *address, ssl=ssl_context, server_hostname=server_hostname if ssl_context else None
                 )
+                reader, writer = await asyncio.wait_for(dial, timeout=connect_timeout)
                 break
             except ssl.SSLError as error:
-                raise HandshakeError(
-                    f"TLS handshake with worker {address[0]}:{address[1]} failed: {error!r}"
-                ) from error
+                raise tls_failure(address, error) from error
             except (ConnectionResetError, BrokenPipeError) as error:
                 if ssl_context is not None:
                     # The TCP connect succeeded and the peer then hung up on
                     # our ClientHello: it is not speaking TLS (e.g. a
                     # plaintext SRW1 daemon) -- permanent, don't retry.
-                    raise HandshakeError(
-                        f"TLS handshake with worker {address[0]}:{address[1]} failed: {error!r}"
-                    ) from error
+                    raise tls_failure(address, error) from error
                 failure = error
             except (OSError, asyncio.TimeoutError) as error:
                 failure = error
         if reader is None or writer is None:
-            raise BackendConnectionError(
-                f"could not connect to worker {address[0]}:{address[1]} "
-                f"after {attempts} attempts: {failure!r}"
-            ) from failure
+            raise dial_failure(address, attempts, failure) from failure
         client = cls(address, reader, writer, auth_token=auth_token, codec=codec)
+        connection = client._connection
         try:
-            await client._handshake(reasoner_payload, delta_shipping, symbol_ids)
-        except BaseException:
-            client._close_transport()
+            chunks = connection.open(reasoner_payload, delta_shipping=delta_shipping, symbol_ids=symbol_ids)
+            while not connection.is_open:
+                # Only the transport and the framing are guarded: what the
+                # frame *says* is the connection's to judge, with its own
+                # error classes.
+                try:
+                    client._write(chunks)
+                    await writer.drain()
+                    frame = await client._recv_frame()
+                except (OSError, EOFError) as error:
+                    raise connection.connection_lost(error) from error
+                chunks = connection.receive_frame(*frame)
+        except BaseException as error:
+            client.abort(error)
             raise
-        use_delta = bool(client.capabilities.get("delta_shipping"))
-        use_ids = bool(client.capabilities.get("symbol_ids"))
-        if client.capabilities.get("restricted_codec"):
-            from repro.streamrule.codec import RestrictedResultDecoder, RestrictedShipper
-
-            client._shipper = RestrictedShipper(delta_shipping=use_delta)
-            client._decode_result = RestrictedResultDecoder().decode
-        else:
-            client._shipper = (
-                DeltaShipper(delta_shipping=use_delta, symbol_ids=use_ids)
-                if (use_delta or use_ids)
-                else None
-            )
         client._reader_task = asyncio.get_running_loop().create_task(client._read_loop())
         return client
 
     # -- lifecycle ------------------------------------------------------- #
     @property
+    def capabilities(self) -> Dict[str, bool]:
+        return self._connection.capabilities
+
+    @property
     def alive(self) -> bool:
-        return not self._closed
+        return not self._connection.closed
 
     @property
     def pending_count(self) -> int:
         """Frames sent whose responses have not yet arrived."""
-        return len(self._pending)
+        return self._connection.pending_count
 
-    def abort(self, cause: BaseException) -> None:
+    def abort(self, cause: BaseException) -> Any:
         """Close the connection and fail every in-flight ticket (sync).
 
-        The async spelling of :meth:`WorkerClient._abort`: pending results
-        can never arrive once the stream is broken, so their awaiters get
-        :class:`BackendConnectionError`.  Safe to call from the reader task
-        or from fleet bookkeeping; idempotent.
+        Pending results can never arrive once the stream is broken, so
+        their awaiters get :class:`BackendConnectionError`.  Safe to call
+        from the reader task or from fleet bookkeeping; idempotent.
+        Returns ``cause``.
         """
-        self._close_transport()
-        pending, self._pending = list(self._pending), deque()
-        if pending:
-            failure = (
-                cause
-                if isinstance(cause, BackendConnectionError)
-                else BackendConnectionError(f"connection to worker {self.address} aborted: {cause!r}")
-            )
-            for ticket in pending:
-                if not ticket.done():
-                    ticket.set_exception(failure)
+        try:
+            self._writer.close()
+        except Exception:  # noqa: BLE001 - transports may already be broken
+            pass
+        return self._connection.abort(cause)
 
     async def close(self) -> None:
         """Abort the connection and await the reader task's exit."""
-        self.abort(BackendConnectionError(f"connection to worker {self.address} is closed"))
+        self.abort(self._connection.closed_error())
         task, self._reader_task = self._reader_task, None
         if task is not None and task is not asyncio.current_task():
             task.cancel()
@@ -292,101 +259,32 @@ class AsyncWorkerClient:
             except (asyncio.CancelledError, Exception):  # noqa: BLE001 - teardown is best-effort
                 pass
 
-    def _close_transport(self) -> None:
-        if self._closed:
-            return
-        self._closed = True
-        try:
-            self._writer.close()
-        except Exception:  # noqa: BLE001 - transports may already be broken
-            pass
-
-    # -- framing --------------------------------------------------------- #
-    def _write_frame(self, kind: FrameKind, payload: bytes = b"") -> None:
-        self._writer.write(_FRAME_HEADER.pack(len(payload), kind) + payload)
+    # -- moving bytes ------------------------------------------------------ #
+    def _write(self, chunks: List[bytes]) -> None:
+        for chunk in chunks:
+            self._writer.write(chunk)
 
     async def _recv_frame(self) -> Tuple[FrameKind, bytes]:
-        header = await self._reader.readexactly(_FRAME_HEADER.size)
-        length, kind_byte = _FRAME_HEADER.unpack(header)
-        if length > MAX_FRAME_BYTES:
-            raise ProtocolError(f"frame of {length} bytes exceeds the {MAX_FRAME_BYTES}-byte bound")
-        try:
-            kind = FrameKind(kind_byte)
-        except ValueError as error:
-            raise ProtocolError(f"unknown frame kind {kind_byte!r}") from error
-        payload = await self._reader.readexactly(length) if length else b""
-        return kind, payload
+        """The next frame off the stream (reads may complete none or several)."""
+        while not self._frames:
+            data = await self._reader.read(_READ_BYTES)
+            if not data:
+                raise EOFError("peer closed the connection")
+            self._frames.extend(self._parser.feed(data))
+        return self._frames.popleft()
 
-    # -- handshake ------------------------------------------------------- #
-    async def _handshake(self, reasoner_payload: bytes, delta_shipping: bool, symbol_ids: bool) -> None:
-        """Run the client half of the handshake (MAGIC .. READY).
-
-        Mirrors the sync client exactly, including the error taxonomy: a
-        transport failure mid-handshake is a :class:`HandshakeError` (a
-        plaintext client against a TLS daemon fails loudly here instead of
-        being endlessly re-dialed), a worker demanding auth we cannot
-        answer is a :class:`HandshakeError`, and a ``REJECT`` after the
-        ``REASONER`` (bad token, refused codec) is one too.
-        """
-        restricted = self.codec == "restricted"
-        hello, offered = build_hello(delta_shipping, symbol_ids, restricted=restricted)
-        try:
-            self._writer.write(MAGIC)
-            self._write_frame(FrameKind.HELLO, hello)
-            await self._writer.drain()
-            kind, payload = await self._recv_frame()
-        except (OSError, EOFError, asyncio.IncompleteReadError, ConnectionError) as error:
-            raise HandshakeError(f"handshake with {self.address} failed: {error!r}") from error
-        accepted, welcome = parse_welcome_fields(
-            kind, payload, offered, self.address, allow_pickle=not restricted
-        )
-        self.capabilities = accepted
-        if restricted and not accepted.get("restricted_codec"):
-            raise HandshakeError(
-                f"worker {self.address[0]}:{self.address[1]} did not accept the restricted codec; "
-                "refusing to fall back to pickle"
-            )
-        nonce = welcome.get("nonce")
-        try:
-            if nonce is not None:
-                if not self._auth_token:
-                    raise HandshakeError(
-                        f"worker {self.address[0]}:{self.address[1]} requires token auth "
-                        "and this client has no token"
-                    )
-                self._write_frame(FrameKind.AUTH, dumps_json({"mac": auth_mac(self._auth_token, str(nonce))}))
-            self._write_frame(FrameKind.REASONER, reasoner_payload)
-            await self._writer.drain()
-            kind, payload = await self._recv_frame()
-        except (OSError, EOFError, asyncio.IncompleteReadError, ConnectionError) as error:
-            raise HandshakeError(f"handshake with {self.address} failed: {error!r}") from error
-        if kind is FrameKind.REJECT:
-            reject = loads_control(payload, allow_pickle=not restricted)
-            raise HandshakeError(
-                f"worker {self.address[0]}:{self.address[1]} rejected the handshake: "
-                f"{reject.get('reason', 'unspecified')}"
-            )
-        if kind is not FrameKind.READY:
-            raise ProtocolError(f"expected READY, got {kind.name}")
-
-    # -- the response pump ----------------------------------------------- #
     async def _read_loop(self) -> None:
+        """The response pump: arriving frames settle the ticket queue's head."""
         try:
             while True:
-                kind, payload = await self._recv_frame()
-                self.stats.bytes_in += len(payload)
-                if not self._pending:
-                    raise ProtocolError(f"unsolicited {kind.name} frame from {self.address}")
-                ticket = self._pending.popleft()
-                if not ticket.done():
-                    ticket.set_result((kind, payload))
+                self._connection.receive_frame(*await self._recv_frame())
         except asyncio.CancelledError:
-            self.abort(BackendConnectionError(f"connection to worker {self.address} is closed"))
+            self.abort(self._connection.closed_error())
             raise
-        except (asyncio.IncompleteReadError, ConnectionError, OSError, EOFError) as error:
-            self.abort(BackendConnectionError(f"connection to worker {self.address} lost: {error!r}"))
-        except ProtocolError as error:
+        except ProtocolError as error:  # before OSError, which it inherits from
             self.abort(error)
+        except (OSError, EOFError) as error:
+            self.abort(self._connection.connection_lost(error))
 
     # -- request/response ------------------------------------------------ #
     async def submit_item(self, item: WorkItem) -> ReasonerResult:
@@ -396,64 +294,37 @@ class AsyncWorkerClient:
         then awaits the FIFO ticket, so concurrent callers keep multiple
         work frames outstanding on this one connection.
         """
-        loop = asyncio.get_running_loop()
-        ticket: "asyncio.Future[Tuple[FrameKind, bytes]]" = loop.create_future()
+        settled = asyncio.Event()  # only wakes us; the ticket carries its own outcome
+        ticket = Ticket(settled.set)
         async with self._send_lock:
-            if self._closed:
-                raise BackendConnectionError(f"connection to worker {self.address} is closed")
-            if self._shipper is not None:
-                frames = self._shipper.encode_frames(item)
-            else:
-                frames = [(FrameKind.WORK, _dumps(item.thinned()))]
+            chunks = self._connection.encode_item(item)
+            self._connection.expect(ticket)
             try:
-                # Leading SYMBOLS frames are one-way (no response, no
-                # ticket); only the trailing work frame enters the queue.
-                for sync_kind, sync_payload in frames[:-1]:
-                    self._write_frame(sync_kind, sync_payload)
-                    self.stats.symbol_frames += 1
-                    self.stats.bytes_symbols += len(sync_payload)
-                kind, payload = frames[-1]
-                self._write_frame(kind, payload)
-                self._pending.append(ticket)
-                if kind is FrameKind.DELTA:
-                    self.stats.items_delta += 1
-                    self.stats.bytes_delta += len(payload)
-                else:
-                    self.stats.items_full += 1
-                    self.stats.bytes_full += len(payload)
+                self._write(chunks)
                 await self._writer.drain()
-            except (OSError, ConnectionError) as error:
-                if self._pending and self._pending[-1] is ticket:
-                    self._pending.pop()
-                failure = BackendConnectionError(f"connection to worker {self.address} lost: {error!r}")
-                self.abort(failure)
-                raise failure from error
-        response_kind, response = await ticket
-        if response_kind is not FrameKind.RESULT:
-            failure = ProtocolError(f"expected RESULT, got {response_kind.name}")
-            self.abort(failure)
-            raise failure
+            except OSError as error:
+                raise self.abort(self._connection.connection_lost(error)) from error
+        await settled.wait()
         try:
-            return self._decode_result(response, self.address)
-        except ProtocolError as failure:
-            self.abort(failure)
-            raise
+            return self._connection.take_result(ticket)
+        except ProtocolError as error:
+            raise self.abort(error)
 
 
 # --------------------------------------------------------------------------- #
 # The asyncio fleet: slot routing without threads
 # --------------------------------------------------------------------------- #
-class AsyncWorkerFleet:
+class AsyncWorkerFleet(FleetView):
     """Slot -> endpoint router over :class:`AsyncWorkerClient` connections.
 
-    The asyncio sibling of :class:`~repro.streamrule.fleet.WorkerFleet`,
-    sharing its layout helpers (slot ``i`` starts on endpoint ``i % n``;
-    dead owners reroute round-robin over the survivors) but none of its
-    locks -- everything runs on one event loop, so plain attribute state is
-    already serialized.  Failure semantics match the sync fleet's
-    resubmission discipline: a failed roundtrip retires the endpoint and
-    resubmits the item on the survivors (each endpoint tried at most
-    once); only a fleet-wide outage propagates
+    The asyncio driver of the :class:`~repro.streamrule.fleet.SlotTable`
+    the sync :class:`~repro.streamrule.fleet.WorkerFleet` drives too (slot
+    ``i`` starts on endpoint ``i % n``; dead owners reroute round-robin
+    over the survivors), with none of its locks -- everything runs on one
+    event loop, so the table is already serialized.  Failure semantics
+    match the sync fleet's resubmission discipline: a failed roundtrip
+    retires the endpoint and resubmits the item on the survivors (each
+    endpoint tried at most once); only a fleet-wide outage propagates
     :class:`BackendConnectionError` to the session's inline fallback.
     There is still no mid-stream *reconnect* here -- dead endpoints stay
     dead for the backend's lifetime.
@@ -475,28 +346,7 @@ class AsyncWorkerFleet:
         auth_token: Optional[str] = None,
         codec: str = "pickle",
     ):
-        self.endpoints: List[WorkerEndpoint] = [WorkerEndpoint.parse(endpoint) for endpoint in endpoints]
-        if not self.endpoints:
-            raise ValueError("a worker fleet needs at least one endpoint")
-        if slots is not None and slots < 1:
-            raise ValueError("a worker fleet needs at least one slot")
-        self.slot_count: int = slots if slots is not None else len(self.endpoints)
-        self.delta_shipping = delta_shipping
-        self.symbol_ids = symbol_ids
-        self.connect_attempts = connect_attempts
-        self.base_delay = base_delay
-        self.max_delay = max_delay
-        self.connect_timeout = connect_timeout
-        self.ssl_context = ssl_context
-        self.server_hostname = server_hostname
-        self.auth_token = auth_token
-        self.codec = codec
-        self._clients: List[Optional[AsyncWorkerClient]] = [None] * len(self.endpoints)
-        self._dead: List[bool] = [False] * len(self.endpoints)
-        self._slot_owner: List[int] = initial_slot_owners(self.slot_count, len(self.endpoints))
-        self._retired_stats = WireStats()
-        #: How many slot reassignments dead workers have caused.
-        self.reroutes = 0
+        super().__init__(endpoints, slots, ConnectionSettings.of(locals()), contextlib.nullcontext())
 
     # -- lifecycle ------------------------------------------------------- #
     async def start(self, reasoner_payload: bytes) -> None:
@@ -507,14 +357,9 @@ class AsyncWorkerFleet:
         closes everything and propagates; no reachable endpoint at all is
         a :class:`BackendConnectionError`.
         """
-        self._payload = reasoner_payload
-        indexes = [
-            index
-            for index in range(len(self.endpoints))
-            if self._clients[index] is None and not self._dead[index]
-        ]
+        indexes = self._table.unconnected_indexes()
         outcomes = await asyncio.gather(
-            *(self._connect(index) for index in indexes), return_exceptions=True
+            *(self._dial(self.endpoints[index], reasoner_payload) for index in indexes), return_exceptions=True
         )
         handshake_failure: Optional[HandshakeError] = None
         for index, outcome in zip(indexes, outcomes):
@@ -525,50 +370,27 @@ class AsyncWorkerFleet:
             elif isinstance(outcome, BaseException):
                 raise outcome
             else:
-                self._clients[index] = outcome
+                self._table.connections[index] = outcome
         if handshake_failure is not None:
             await self.close()
             raise handshake_failure
-        if not self._alive_indexes():
-            raise BackendConnectionError(
-                f"no worker of the fleet {[str(e) for e in self.endpoints]} is reachable"
-            )
+        if not self._table.alive_indexes():
+            raise self._table.unreachable()
 
-    async def _connect(self, index: int) -> AsyncWorkerClient:
-        endpoint = self.endpoints[index]
-        assert self._payload is not None
+    async def _dial(self, endpoint: WorkerEndpoint, payload: bytes) -> AsyncWorkerClient:
         return await AsyncWorkerClient.connect(
-            (endpoint.host, endpoint.port),
-            self._payload,
-            delta_shipping=self.delta_shipping,
-            symbol_ids=self.symbol_ids,
-            attempts=self.connect_attempts,
-            base_delay=self.base_delay,
-            max_delay=self.max_delay,
-            connect_timeout=self.connect_timeout,
-            ssl_context=self.ssl_context,
-            server_hostname=self.server_hostname,
-            auth_token=self.auth_token,
-            codec=self.codec,
+            (endpoint.host, endpoint.port), payload, **self.settings.client_keywords()
         )
 
     def abort(self) -> None:
         """Synchronous teardown: abort every connection, fail their tickets."""
-        clients, self._clients = self._clients, [None] * len(self.endpoints)
-        for client in clients:
-            if client is not None:
-                self._retired_stats = self._retired_stats.merged_with(client.stats)
-                client.abort(BackendConnectionError("fleet closed"))
+        for client in self._table.reset():
+            client.abort(BackendConnectionError("fleet closed"))
 
     async def close(self) -> None:
         """Graceful teardown: abort connections and await their reader tasks."""
-        clients, self._clients = self._clients, [None] * len(self.endpoints)
-        self._dead = [False] * len(self.endpoints)
-        self._slot_owner = initial_slot_owners(self.slot_count, len(self.endpoints))
-        for client in clients:
-            if client is not None:
-                self._retired_stats = self._retired_stats.merged_with(client.stats)
-                await client.close()
+        for client in self._table.reset():
+            await client.close()
 
     # -- dispatch -------------------------------------------------------- #
     async def roundtrip(self, slot: int, item: WorkItem) -> ReasonerResult:
@@ -587,11 +409,9 @@ class AsyncWorkerFleet:
         one path that blocks the loop; previously *every* in-flight item
         of a dead worker took it, idling healthy survivors).
         """
-        if not 0 <= slot < self.slot_count:
-            raise ValueError(f"slot {slot} out of range for a {self.slot_count}-slot fleet")
         failure: Optional[BackendConnectionError] = None
         for _ in range(len(self.endpoints) + 1):
-            client, owner = self._client_for_slot(slot)
+            client, owner = self._table.route(slot)
             if client is None:
                 break
             try:
@@ -599,81 +419,14 @@ class AsyncWorkerFleet:
             except BackendConnectionError as error:
                 failure = error
                 self._mark_dead(owner)
-        raise BackendConnectionError(
-            f"no live worker left for slot {slot} (fleet {[str(e) for e in self.endpoints]})"
-        ) from failure
+        raise self._table.exhausted(slot) from failure
 
-    # -- introspection ---------------------------------------------------- #
-    @property
-    def alive_endpoints(self) -> List[WorkerEndpoint]:
-        return [self.endpoints[index] for index in self._alive_indexes()]
-
-    def slot_table(self) -> Dict[int, str]:
-        """Current slot -> endpoint routing (diagnostic snapshot)."""
-        return {slot: str(self.endpoints[owner]) for slot, owner in enumerate(self._slot_owner)}
-
-    def pending_items(self) -> Dict[str, int]:
-        """Frames in flight per endpoint (sent, response not yet received)."""
-        return {
-            str(endpoint): (client.pending_count if client is not None else 0)
-            for endpoint, client in zip(self.endpoints, self._clients)
-        }
-
-    def wire_statistics(self) -> WireStats:
-        """Aggregate :class:`WireStats` over all connections, live and retired."""
-        merged = self._retired_stats
-        for client in self._clients:
-            if client is not None:
-                merged = merged.merged_with(client.stats)
-        return merged
-
-    # -- internals -------------------------------------------------------- #
-    _payload: Optional[bytes] = None
-
-    def _alive_indexes(self) -> List[int]:
-        return [
-            index
-            for index, client in enumerate(self._clients)
-            if client is not None and client.alive
-        ]
-
-    def _client_for_slot(self, slot: int) -> Tuple[Optional[AsyncWorkerClient], int]:
-        owner = self._slot_owner[slot]
-        client = self._clients[owner]
-        if client is not None and not client.alive:
-            self._mark_dead(owner)
-            client = None
-        if client is not None:
-            return client, owner
-        alive = self._alive_indexes()
-        if not alive:
-            return None, owner
-        new_owner = rerouted_owner(slot, alive)
-        if new_owner != owner:
-            self._slot_owner[slot] = new_owner
-            self.reroutes += 1
-        return self._clients[new_owner], new_owner
-
-    def _mark_dead(self, index: int) -> None:
-        client = self._clients[index]
-        if client is not None:
-            self._retired_stats = self._retired_stats.merged_with(client.stats)
-            client.abort(BackendConnectionError(f"endpoint {self.endpoints[index]} retired"))
-        self._clients[index] = None
-        self._dead[index] = True
-        alive = self._alive_indexes()
-        if not alive:
-            return
-        for slot, owner in enumerate(self._slot_owner):
-            if owner == index:
-                self._slot_owner[slot] = rerouted_owner(slot, alive)
-                self.reroutes += 1
 
 
 # --------------------------------------------------------------------------- #
 # The asyncio TCP backend: loop-bound, thread-free dispatch
 # --------------------------------------------------------------------------- #
-class AioTcpBackend(ExecutionBackend):
+class AioTcpBackend(FleetBackend):
     """Dispatch work items to remote workers from inside an event loop.
 
     Implements the standard :class:`ExecutionBackend` protocol -- futures
@@ -694,10 +447,6 @@ class AioTcpBackend(ExecutionBackend):
     """
 
     name = "aio-tcp"
-    is_remote = True
-    uses_placement = True
-    measures_wall_clock = True
-    pipelined = True
 
     def __init__(
         self,
@@ -716,28 +465,9 @@ class AioTcpBackend(ExecutionBackend):
         auth_token: Optional[str] = None,
         codec: str = "pickle",
     ):
-        super().__init__(placement)
-        self.endpoints = [WorkerEndpoint.parse(endpoint) for endpoint in endpoints]
-        self.slots = slots
-        self.delta_shipping = delta_shipping
-        self.symbol_ids = symbol_ids
-        self.connect_attempts = connect_attempts
-        self.base_delay = base_delay
-        self.max_delay = max_delay
-        self.connect_timeout = connect_timeout
-        self.ssl_context = ssl_context
-        self.server_hostname = server_hostname
-        self.auth_token = auth_token
-        self.codec = codec
-        self._fleet: Optional[AsyncWorkerFleet] = None
+        super().__init__(endpoints, slots, placement, ConnectionSettings.of(locals()))
         self._loop: Optional[asyncio.AbstractEventLoop] = None
         self._slot_tails: Optional[List[Optional["asyncio.Task[ReasonerResult]"]]] = None
-        self._final_stats: Dict[str, float] = {}
-
-    @property
-    def fleet(self) -> Optional[AsyncWorkerFleet]:
-        """The live fleet coordinator (``None`` while closed)."""
-        return self._fleet
 
     # -- lifecycle ------------------------------------------------------- #
     async def astart(self, reasoner) -> None:
@@ -746,21 +476,8 @@ class AioTcpBackend(ExecutionBackend):
             return
         if self._reasoner is not None:
             await self.aclose()
-        fleet = AsyncWorkerFleet(
-            self.endpoints,
-            slots=self.slots,
-            delta_shipping=self.delta_shipping,
-            symbol_ids=self.symbol_ids,
-            connect_attempts=self.connect_attempts,
-            base_delay=self.base_delay,
-            max_delay=self.max_delay,
-            connect_timeout=self.connect_timeout,
-            ssl_context=self.ssl_context,
-            server_hostname=self.server_hostname,
-            auth_token=self.auth_token,
-            codec=self.codec,
-        )
-        await fleet.start(encode_reasoner_payload(reasoner, self.codec))
+        fleet = AsyncWorkerFleet(self.endpoints, slots=self.slots, **vars(self.settings))
+        await fleet.start(encode_reasoner_payload(reasoner, self.settings.codec))
         self._fleet = fleet
         self._loop = asyncio.get_running_loop()
         self._slot_tails = [None] * fleet.slot_count
@@ -768,12 +485,9 @@ class AioTcpBackend(ExecutionBackend):
 
     async def aclose(self) -> None:
         """Gracefully close the fleet (async ``close``)."""
-        fleet, self._fleet = self._fleet, None
-        self._slot_tails = None
-        self._loop = None
         self._reasoner = None
+        fleet = self._release_fleet()
         if fleet is not None:
-            self._final_stats = self._snapshot_stats(fleet)
             await fleet.close()
 
     def _start(self, reasoner) -> None:
@@ -784,12 +498,14 @@ class AioTcpBackend(ExecutionBackend):
         )
 
     def _close(self) -> None:
-        fleet, self._fleet = self._fleet, None
+        fleet = self._release_fleet()
+        if fleet is not None:
+            fleet.abort()
+
+    def _release_fleet(self) -> Optional[AsyncWorkerFleet]:
         self._slot_tails = None
         self._loop = None
-        if fleet is not None:
-            self._final_stats = self._snapshot_stats(fleet)
-            fleet.abort()
+        return super()._release_fleet()
 
     # -- dispatch -------------------------------------------------------- #
     def _submit(self, item: WorkItem) -> "Future[ReasonerResult]":
@@ -832,39 +548,6 @@ class AioTcpBackend(ExecutionBackend):
 
         task.add_done_callback(_bridge)
         return bridged
-
-    # -- introspection ---------------------------------------------------- #
-    def pending_items(self) -> Dict[str, int]:
-        """Wire-level queue depth per endpoint."""
-        if self._fleet is None:
-            return {}
-        return self._fleet.pending_items()
-
-    def transport_statistics(self) -> Dict[str, float]:
-        return self.wire_statistics()
-
-    def wire_statistics(self) -> Dict[str, float]:
-        """Fleet traffic counters (final snapshot survives ``close``)."""
-        if self._fleet is None:
-            return dict(self._final_stats)
-        return self._snapshot_stats(self._fleet)
-
-    @staticmethod
-    def _snapshot_stats(fleet: AsyncWorkerFleet) -> Dict[str, float]:
-        stats = fleet.wire_statistics()
-        return {
-            "items_full": float(stats.items_full),
-            "items_delta": float(stats.items_delta),
-            "bytes_full": float(stats.bytes_full),
-            "bytes_delta": float(stats.bytes_delta),
-            "symbol_frames": float(stats.symbol_frames),
-            "bytes_symbols": float(stats.bytes_symbols),
-            "bytes_out": float(stats.bytes_out),
-            "bytes_in": float(stats.bytes_in),
-            "pings": float(stats.pings),
-            "reroutes": float(fleet.reroutes),
-            "alive_workers": float(len(fleet.alive_endpoints)),
-        }
 
 
 # --------------------------------------------------------------------------- #

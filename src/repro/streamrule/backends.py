@@ -54,14 +54,14 @@ import ssl
 import threading
 import weakref
 from concurrent.futures import Future, ProcessPoolExecutor, ThreadPoolExecutor
-from typing import Dict, List, Optional, Sequence, Tuple, Union
+from typing import Any, Dict, List, Optional, Sequence, Tuple, Union
 
 from repro.streamrule.errors import BackendConnectionError, BackendError
 from repro.streamrule.fleet import EndpointLike, FleetRegistry, WorkerEndpoint, WorkerFleet
 from repro.streamrule.net import (
+    ConnectionSettings,
     FrameKind,
     RemoteFailure,
-    WireStats,
     encode_reasoner_payload,
     recv_frame,
     send_frame,
@@ -546,6 +546,73 @@ class LoopbackSocketBackend(ExecutionBackend):
 # --------------------------------------------------------------------------- #
 # TCP backend: remote worker fleet
 # --------------------------------------------------------------------------- #
+class FleetBackend(ExecutionBackend):
+    """What the fleet-backed backends share: settings, the fleet, its statistics.
+
+    Base of :class:`TcpBackend` (dispatcher threads over a
+    :class:`~repro.streamrule.fleet.WorkerFleet`) and of
+    :class:`~repro.streamrule.aio.AioTcpBackend` (tasks over an
+    ``AsyncWorkerFleet``).  Builds nothing itself: subclasses set
+    ``_fleet`` when they start and call :meth:`_release_fleet` when they
+    close.
+    """
+
+    is_remote = True
+    uses_placement = True
+    measures_wall_clock = True
+    pipelined = True
+
+    def __init__(
+        self,
+        endpoints: Sequence[EndpointLike],
+        slots: Optional[int],
+        placement: Optional[PlacementStrategy],
+        settings: ConnectionSettings,
+    ):
+        super().__init__(placement)
+        self.endpoints = [WorkerEndpoint.parse(endpoint) for endpoint in endpoints]
+        self.slots = slots
+        #: The connection keywords, built once here and handed down.
+        self.settings = settings
+        #: A :class:`~repro.streamrule.fleet.FleetView`: whichever fleet the subclass drives.
+        self._fleet: Any = None
+        self._final_stats: Dict[str, float] = {}
+
+    @property
+    def fleet(self):
+        """The live fleet coordinator (``None`` while closed)."""
+        return self._fleet
+
+    def _release_fleet(self):
+        """Forget the fleet, keeping its final statistics; returns it for closing."""
+        fleet, self._fleet = self._fleet, None
+        if fleet is not None:
+            self._final_stats = fleet.statistics()
+        return fleet
+
+    def pending_items(self) -> Dict[str, int]:
+        """Wire-level queue depth per endpoint (see :meth:`FleetView.pending_items`)."""
+        if self._fleet is None:
+            return {}
+        return self._fleet.pending_items()
+
+    def transport_statistics(self) -> Dict[str, float]:
+        """The fleet's wire counters (the uniform transport spelling)."""
+        return self.wire_statistics()
+
+    def wire_statistics(self) -> Dict[str, float]:
+        """Fleet traffic counters: frames, payload bytes, reroutes, liveness.
+
+        The same keys whichever fleet runs underneath (a counter the
+        asyncio fleet has no operation for stays 0).  After ``close`` this
+        keeps answering with the final snapshot of the last fleet, so
+        benchmarks can report traffic once the session is torn down.
+        """
+        if self._fleet is None:
+            return dict(self._final_stats)
+        return self._fleet.statistics()
+
+
 def _close_tcp_resources(dispatchers, fleet) -> None:
     """Finalizer backstop mirroring :func:`_shutdown_executors`."""
     for dispatcher in dispatchers:
@@ -553,7 +620,7 @@ def _close_tcp_resources(dispatchers, fleet) -> None:
     fleet.close()
 
 
-class TcpBackend(ExecutionBackend):
+class TcpBackend(FleetBackend):
     """Dispatch work items to remote worker daemons over TCP.
 
     The multi-machine transport of the execution layer: every endpoint is a
@@ -615,10 +682,6 @@ class TcpBackend(ExecutionBackend):
     """
 
     name = "tcp"
-    is_remote = True
-    uses_placement = True
-    measures_wall_clock = True
-    pipelined = True
 
     def __init__(
         self,
@@ -640,34 +703,15 @@ class TcpBackend(ExecutionBackend):
         codec: str = "pickle",
         registry: Union[bool, str, Tuple[str, int]] = False,
     ):
-        super().__init__(placement)
-        self.endpoints = [WorkerEndpoint.parse(endpoint) for endpoint in endpoints]
-        self.slots = slots
-        self.delta_shipping = delta_shipping
-        self.symbol_ids = symbol_ids
+        super().__init__(endpoints, slots, placement, ConnectionSettings.of(locals()))
         self.heartbeat_interval = heartbeat_interval
-        self.connect_attempts = connect_attempts
         self.reconnect_attempts = reconnect_attempts
-        self.base_delay = base_delay
-        self.max_delay = max_delay
-        self.connect_timeout = connect_timeout
-        self.ssl_context = ssl_context
-        self.server_hostname = server_hostname
-        self.auth_token = auth_token
-        self.codec = codec
         self._registry_spec = registry
         self._registry: Optional[FleetRegistry] = None
-        self._fleet: Optional[WorkerFleet] = None
         self._dispatchers: Optional[List[ThreadPoolExecutor]] = None
         self._finalizer: Optional[weakref.finalize] = None
         self._heartbeat_stop: Optional[threading.Event] = None
         self._heartbeat_thread: Optional[threading.Thread] = None
-        self._final_stats: Dict[str, float] = {}
-
-    @property
-    def fleet(self) -> Optional[WorkerFleet]:
-        """The live fleet coordinator (``None`` while closed)."""
-        return self._fleet
 
     @property
     def registry(self) -> Optional[FleetRegistry]:
@@ -676,21 +720,9 @@ class TcpBackend(ExecutionBackend):
 
     def _start(self, reasoner: Reasoner) -> None:
         fleet = WorkerFleet(
-            self.endpoints,
-            slots=self.slots,
-            delta_shipping=self.delta_shipping,
-            symbol_ids=self.symbol_ids,
-            connect_attempts=self.connect_attempts,
-            reconnect_attempts=self.reconnect_attempts,
-            base_delay=self.base_delay,
-            max_delay=self.max_delay,
-            connect_timeout=self.connect_timeout,
-            ssl_context=self.ssl_context,
-            server_hostname=self.server_hostname,
-            auth_token=self.auth_token,
-            codec=self.codec,
+            self.endpoints, slots=self.slots, reconnect_attempts=self.reconnect_attempts, **vars(self.settings)
         )
-        fleet.start(encode_reasoner_payload(reasoner, self.codec))
+        fleet.start(encode_reasoner_payload(reasoner, self.settings.codec))
         if self._registry_spec:
             if self._registry_spec is True:
                 registry_host, registry_port = "127.0.0.1", 0
@@ -737,43 +769,6 @@ class TcpBackend(ExecutionBackend):
         slot = self.placement.slot(item, self._fleet.slot_count)
         return self._dispatchers[slot].submit(self._fleet.roundtrip, slot, item)
 
-    def pending_items(self) -> Dict[str, int]:
-        """Wire-level queue depth per endpoint (see :meth:`WorkerFleet.pending_items`)."""
-        if self._fleet is None:
-            return {}
-        return self._fleet.pending_items()
-
-    def transport_statistics(self) -> Dict[str, float]:
-        """The fleet's wire counters (the uniform transport spelling)."""
-        return self.wire_statistics()
-
-    def wire_statistics(self) -> Dict[str, float]:
-        """Fleet traffic counters: frames, payload bytes, reroutes, liveness.
-
-        After ``close`` this keeps answering with the final snapshot of the
-        last fleet, so benchmarks can report traffic once the session is
-        torn down.
-        """
-        if self._fleet is None:
-            return dict(self._final_stats)
-        stats: WireStats = self._fleet.wire_statistics()
-        return {
-            "items_full": float(stats.items_full),
-            "items_delta": float(stats.items_delta),
-            "bytes_full": float(stats.bytes_full),
-            "bytes_delta": float(stats.bytes_delta),
-            "symbol_frames": float(stats.symbol_frames),
-            "bytes_symbols": float(stats.bytes_symbols),
-            "bytes_out": float(stats.bytes_out),
-            "bytes_in": float(stats.bytes_in),
-            "pings": float(stats.pings),
-            "reroutes": float(self._fleet.reroutes),
-            "readoptions": float(self._fleet.readoptions),
-            "adoptions": float(self._fleet.adoptions),
-            "retirements": float(self._fleet.retirements),
-            "alive_workers": float(len(self._fleet.alive_endpoints)),
-        }
-
     def _close(self) -> None:
         registry, self._registry = self._registry, None
         if registry is not None:
@@ -784,10 +779,9 @@ class TcpBackend(ExecutionBackend):
             stop.set()
         if thread is not None:
             thread.join(timeout=5.0)
-        self._final_stats = self.wire_statistics()
+        self._release_fleet()
         finalizer, self._finalizer = self._finalizer, None
         self._dispatchers = None
-        self._fleet = None
         if finalizer is not None:
             finalizer()
 

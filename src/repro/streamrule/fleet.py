@@ -1,10 +1,14 @@
 """The :class:`WorkerFleet` coordinator: placement slots over worker endpoints.
 
 The placement layer (:mod:`repro.streamrule.placement`) maps work items to
-abstract *slots*; this module maps slots to *machines*.  A fleet owns one
-:class:`~repro.streamrule.net.WorkerClient` per live endpoint and a
-slot-ownership table (slot ``i`` starts on endpoint ``i % n``).  When a
-worker dies mid-stream the fleet
+abstract *slots*; this module maps slots to *machines*.  The mapping itself
+is a :class:`SlotTable` -- pure routing state (slot ``i`` starts on endpoint
+``i % n``) that decides every reroute, readoption, adoption and retirement
+and counts them -- and a fleet is a *driver* of one: :class:`WorkerFleet`
+(below: blocking :class:`~repro.streamrule.net.WorkerClient` connections,
+locks, reconnects, a heartbeat, the announce registry) or the asyncio
+fleet in :mod:`repro.streamrule.aio`.  :class:`FleetView` is the read side
+they share.  When a worker dies mid-stream the fleet
 
 1. retries the endpoint with bounded exponential backoff
    (:func:`~repro.streamrule.net.connect_with_backoff` semantics -- a
@@ -49,12 +53,13 @@ import socket
 import ssl
 import threading
 import time
-from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
+from dataclasses import asdict, dataclass
+from typing import Any, Callable, ContextManager, Dict, List, Optional, Sequence, Tuple, Union
 
 from repro.streamrule.errors import BackendConnectionError, HandshakeError, ProtocolError
 from repro.streamrule.net import (
     MAGIC,
+    ConnectionSettings,
     FrameKind,
     WireStats,
     WorkerClient,
@@ -132,14 +137,286 @@ class WorkerEndpoint:
 EndpointLike = Union[str, Tuple[str, int], WorkerEndpoint]
 
 
-class WorkerFleet:
+class SlotTable:
+    """The routing state of a fleet: pure bookkeeping, no I/O and no locks.
+
+    Everything a fleet must *decide* lives here -- the canonical
+    ``slot % n`` layout, rerouting over survivors, mark-dead, readopt,
+    adopt, retire, and the counters that record each -- so the blocking
+    :class:`WorkerFleet` and the asyncio fleet in
+    :mod:`repro.streamrule.aio` route a slot identically and differ only
+    in how they dial, close and wait.  Per endpoint the table holds the
+    installed connection (anything with ``alive``, ``stats`` and
+    ``pending_count``; ``None`` while there is none) and a *dead* mark;
+    methods that take a connection out of service hand it back for the
+    driver to close.
+    """
+
+    def __init__(self, endpoints: Sequence["EndpointLike"], slots: Optional[int] = None):
+        self.endpoints: List[WorkerEndpoint] = [WorkerEndpoint.parse(endpoint) for endpoint in endpoints]
+        if not self.endpoints:
+            raise ValueError("a worker fleet needs at least one endpoint")
+        if slots is not None and slots < 1:
+            raise ValueError("a worker fleet needs at least one slot")
+        self.slot_count: int = slots if slots is not None else len(self.endpoints)
+        self.connections: List[Optional[Any]] = []
+        self.retired_stats = WireStats()
+        #: How many slot reassignments dead workers have caused.
+        self.reroutes = 0
+        #: How many dead endpoints were revived and given their slots back.
+        self.readoptions = 0
+        #: How many endpoints were adopted / retired mid-stream.
+        self.adoptions = 0
+        self.retirements = 0
+        self.reset()
+
+    # -- mutations -------------------------------------------------------- #
+    def reset(self) -> List[Any]:
+        """Back to the canonical layout with nothing installed and nobody dead.
+
+        Returns the connections that were installed (their traffic
+        counters are kept in ``retired_stats``).
+        """
+        released = [self.release(index) for index in range(len(self.connections))]
+        self.connections = [None] * len(self.endpoints)
+        self.dead: List[bool] = [False] * len(self.endpoints)
+        self.owners: List[int] = initial_slot_owners(self.slot_count, len(self.endpoints))
+        return [connection for connection in released if connection is not None]
+
+    def release(self, index: int) -> Optional[Any]:
+        """Take endpoint ``index``'s connection out, keeping its counters."""
+        connection, self.connections[index] = self.connections[index], None
+        if connection is not None:
+            self.retired_stats = self.retired_stats.merged_with(connection.stats)
+        return connection
+
+    def mark_dead(self, index: int) -> Optional[Any]:
+        """Retire endpoint ``index`` and reroute its slots over the survivors."""
+        connection = self.release(index)
+        self.dead[index] = True
+        alive = self.alive_indexes()
+        if alive:
+            for slot, owner in enumerate(self.owners):
+                if owner == index:
+                    self.owners[slot] = rerouted_owner(slot, alive)
+                    self.reroutes += 1
+        return connection
+
+    def route(self, slot: int) -> Tuple[Optional[Any], int]:
+        """The connection serving ``slot`` and its endpoint index.
+
+        A slot whose owner has no live connection moves to a survivor
+        (counted as a reroute); ``(None, owner)`` once nobody survives.
+        """
+        if not 0 <= slot < self.slot_count:
+            raise ValueError(f"slot {slot} out of range for a {self.slot_count}-slot fleet")
+        owner = self.owners[slot]
+        connection = self.connections[owner]
+        if connection is not None and connection.alive:
+            return connection, owner
+        # Installed, not `alive`: a connection that broke a moment ago is
+        # still a candidate, because submitting to it fails at once and
+        # that failure is what sends its driver down the reconnect-or-
+        # mark-dead path (skipping it could declare a restarting one-worker
+        # fleet exhausted).
+        installed = [index for index, candidate in enumerate(self.connections) if candidate is not None]
+        if not installed:
+            return None, owner
+        new_owner = rerouted_owner(slot, installed)
+        if new_owner != owner:
+            self.owners[slot] = new_owner
+            self.reroutes += 1
+        return self.connections[new_owner], new_owner
+
+    def readopt(self, index: int, connection: Any) -> bool:
+        """Revive dead endpoint ``index`` on ``connection``.
+
+        It gets back every slot of its canonical layout (``slot % n ==
+        index``), the same slots a fresh start would give it.  ``False``
+        (nothing installed) when the endpoint is not dead any more.
+        """
+        if not self.dead[index]:
+            return False
+        self.dead[index] = False
+        self.connections[index] = connection
+        for slot in range(index, self.slot_count, len(self.endpoints)):
+            self.owners[slot] = index
+        self.readoptions += 1
+        return True
+
+    def adopt(self, endpoint: WorkerEndpoint, connection: Any) -> int:
+        """Append a new endpoint; returns its index.
+
+        It receives the slots of the *widened* canonical layout
+        (``slot % (n+1) == n``) -- slots it steals were until now served
+        by survivors, whose caches simply stop seeing those tracks.
+        """
+        index = len(self.endpoints)
+        self.endpoints.append(endpoint)
+        self.connections.append(connection)
+        self.dead.append(False)
+        for slot in range(index, self.slot_count, index + 1):
+            self.owners[slot] = index
+        self.adoptions += 1
+        return index
+
+    def retire(self, index: int) -> Optional[Any]:
+        """Drain endpoint ``index`` out: a death without the corpse."""
+        if self.connections[index] is None and self.dead[index]:
+            return None
+        self.retirements += 1
+        return self.mark_dead(index)
+
+    # -- checks ------------------------------------------------------------ #
+    def check_index(self, index: int) -> None:
+        if not 0 <= index < len(self.endpoints):
+            raise ValueError(f"endpoint index {index} out of range")
+
+    def unreachable(self) -> BackendConnectionError:
+        return BackendConnectionError(f"no worker of the fleet {[str(e) for e in self.endpoints]} is reachable")
+
+    def exhausted(self, slot: int) -> BackendConnectionError:
+        return BackendConnectionError(
+            f"no live worker left for slot {slot} (fleet {[str(e) for e in self.endpoints]})"
+        )
+
+    # -- reads ------------------------------------------------------------- #
+    def unconnected_indexes(self) -> List[int]:
+        """Endpoints a start still has to dial: nothing installed, not dead."""
+        return [
+            index
+            for index, connection in enumerate(self.connections)
+            if connection is None and not self.dead[index]
+        ]
+
+    def alive_indexes(self) -> List[int]:
+        return [
+            index
+            for index, connection in enumerate(self.connections)
+            if connection is not None and connection.alive
+        ]
+
+    def dead_indexes(self) -> List[int]:
+        return [index for index, dead in enumerate(self.dead) if dead]
+
+    def wire_statistics(self) -> WireStats:
+        merged = self.retired_stats
+        for connection in self.connections:
+            if connection is not None:
+                merged = merged.merged_with(connection.stats)
+        return merged
+
+
+class FleetView:
+    """What both fleets show of their :class:`SlotTable`, read under their guard.
+
+    ``guard`` is the context manager that makes a table access safe in the
+    driver's world: the fleet lock for the threaded :class:`WorkerFleet`,
+    a null context on an event loop.
+    """
+
+    def __init__(
+        self,
+        endpoints: Sequence["EndpointLike"],
+        slots: Optional[int],
+        settings: ConnectionSettings,
+        guard: ContextManager,
+    ):
+        self._table = SlotTable(endpoints, slots)
+        #: The table's own list (adoption appends to it) and its fixed slot count.
+        self.endpoints: List[WorkerEndpoint] = self._table.endpoints
+        self.slot_count: int = self._table.slot_count
+        self.settings = settings
+        self._lock = guard
+        self._payload: Optional[bytes] = None
+
+    @property
+    def reroutes(self) -> int:
+        return self._table.reroutes
+
+    @property
+    def readoptions(self) -> int:
+        return self._table.readoptions
+
+    @property
+    def adoptions(self) -> int:
+        return self._table.adoptions
+
+    @property
+    def retirements(self) -> int:
+        return self._table.retirements
+
+    @property
+    def alive_endpoints(self) -> List[WorkerEndpoint]:
+        with self._lock:
+            return [self.endpoints[index] for index in self._table.alive_indexes()]
+
+    @property
+    def dead_endpoints(self) -> List[WorkerEndpoint]:
+        with self._lock:
+            return [self.endpoints[index] for index in self._table.dead_indexes()]
+
+    def slot_table(self) -> Dict[int, str]:
+        """Current slot -> endpoint routing (diagnostic snapshot)."""
+        with self._lock:
+            return {slot: str(self.endpoints[owner]) for slot, owner in enumerate(self._table.owners)}
+
+    def pending_items(self) -> Dict[str, int]:
+        """Frames in flight per endpoint (sent, response not yet received).
+
+        The wire-level queue-depth introspection behind the backend's
+        backpressure accounting: on a pipelined connection several work
+        frames may be outstanding at once, and this snapshot shows how far
+        each worker has fallen behind its coordinator-side dispatchers.
+        """
+        with self._lock:
+            return {
+                str(endpoint): (connection.pending_count if connection is not None else 0)
+                for endpoint, connection in zip(self.endpoints, self._table.connections)
+            }
+
+    def wire_statistics(self) -> WireStats:
+        """Aggregate :class:`WireStats` over all connections, live and retired."""
+        with self._lock:
+            return self._table.wire_statistics()
+
+    def _mark_dead(self, index: int) -> None:
+        """Retire endpoint ``index`` and reroute its slots (guard held)."""
+        client = self._table.mark_dead(index)
+        if client is not None:
+            client.abort(BackendConnectionError(f"endpoint {self.endpoints[index]} retired"))
+
+    def statistics(self) -> Dict[str, float]:
+        """Traffic, routing and liveness counters, uniformly named.
+
+        The transport-statistics dict of every fleet-backed backend: the
+        :class:`WireStats` fields plus what the table counted, so the key
+        set cannot depend on which fleet runs underneath.
+        """
+        with self._lock:
+            stats = self._table.wire_statistics()
+            counters = {
+                **asdict(stats),
+                "bytes_out": stats.bytes_out,
+                "reroutes": self.reroutes,
+                "readoptions": self.readoptions,
+                "adoptions": self.adoptions,
+                "retirements": self.retirements,
+                "alive_workers": len(self._table.alive_indexes()),
+            }
+        return {name: float(value) for name, value in counters.items()}
+
+
+class WorkerFleet(FleetView):
     """Connection manager + slot router over a set of worker endpoints.
 
-    Thread-safe: the per-slot dispatcher threads of
+    The threaded driver of a :class:`SlotTable`: it dials and closes
+    :class:`~repro.streamrule.net.WorkerClient` connections and waits on
+    them; where a slot goes is the table's decision.  Thread-safe: the
+    per-slot dispatcher threads of
     :class:`~repro.streamrule.backends.TcpBackend` call :meth:`roundtrip`
-    concurrently (per-connection serialization lives in
-    :class:`~repro.streamrule.net.WorkerClient`), and the routing table is
-    guarded by the fleet lock.
+    concurrently (per-connection serialization lives in the client), and
+    the table is guarded by the fleet lock.
 
     Parameters
     ----------
@@ -188,41 +465,14 @@ class WorkerFleet:
         auth_token: Optional[str] = None,
         codec: str = "pickle",
     ):
-        self.endpoints: List[WorkerEndpoint] = [WorkerEndpoint.parse(endpoint) for endpoint in endpoints]
-        if not self.endpoints:
-            raise ValueError("a worker fleet needs at least one endpoint")
-        if slots is not None and slots < 1:
-            raise ValueError("a worker fleet needs at least one slot")
-        self.slot_count: int = slots if slots is not None else len(self.endpoints)
-        self.delta_shipping = delta_shipping
-        self.symbol_ids = symbol_ids
-        self.connect_attempts = connect_attempts
+        super().__init__(endpoints, slots, ConnectionSettings.of(locals()), threading.Lock())
         self.reconnect_attempts = reconnect_attempts
-        self.base_delay = base_delay
-        self.max_delay = max_delay
-        self.connect_timeout = connect_timeout
-        self.ssl_context = ssl_context
-        self.server_hostname = server_hostname
-        self.auth_token = auth_token
-        self.codec = codec
         self._sleep = sleep
-        self._lock = threading.Lock()
         #: One lock per endpoint serializing reconnect attempts, so a slow
         #: reconnect never blocks dispatch on slots of *other* endpoints
-        #: (the global lock only ever guards table mutations, never I/O).
+        #: (the fleet lock only ever guards table mutations, never I/O
+        #: after the start).
         self._endpoint_locks = [threading.Lock() for _ in self.endpoints]
-        self._payload: Optional[bytes] = None
-        self._clients: List[Optional[WorkerClient]] = [None] * len(self.endpoints)
-        self._dead: List[bool] = [False] * len(self.endpoints)
-        self._slot_owner: List[int] = initial_slot_owners(self.slot_count, len(self.endpoints))
-        self._retired_stats = WireStats()
-        #: How many slot reassignments dead workers have caused.
-        self.reroutes = 0
-        #: How many dead endpoints were revived and given their slots back.
-        self.readoptions = 0
-        #: How many endpoints the autoscaler adopted / retired mid-stream.
-        self.adoptions = 0
-        self.retirements = 0
 
     # ------------------------------------------------------------------ #
     # Lifecycle
@@ -241,36 +491,25 @@ class WorkerFleet:
         with self._lock:
             self._payload = reasoner_payload
             try:
-                for index in range(len(self.endpoints)):
-                    if self._clients[index] is None and not self._dead[index]:
-                        try:
-                            self._clients[index] = self._connect(
-                                index, self.connect_attempts, reasoner_payload
-                            )
-                        except BackendConnectionError:
-                            self._mark_dead(index)
+                for index in self._table.unconnected_indexes():
+                    try:
+                        self._table.connections[index] = self._dial(self.endpoints[index], reasoner_payload)
+                    except BackendConnectionError:
+                        self._table.mark_dead(index)
             except HandshakeError:
-                for index, client in enumerate(self._clients):
-                    if client is not None:
-                        client.close()
-                        self._clients[index] = None
+                for client in self._table.reset():
+                    client.close()
                 raise
-            if not self._alive_indexes():
-                raise BackendConnectionError(
-                    f"no worker of the fleet {[str(e) for e in self.endpoints]} is reachable"
-                )
+            if not self._table.alive_indexes():
+                raise self._table.unreachable()
 
     def close(self) -> None:
         """Close every live connection (idempotent; ``start`` reconnects)."""
         with self._lock:
-            clients, self._clients = self._clients, [None] * len(self.endpoints)
-            self._dead = [False] * len(self.endpoints)
-            self._slot_owner = initial_slot_owners(self.slot_count, len(self.endpoints))
+            clients = self._table.reset()
             self._payload = None
         for client in clients:
-            if client is not None:
-                self._retired_stats = self._retired_stats.merged_with(client.stats)
-                client.close()
+            client.close()
 
     # ------------------------------------------------------------------ #
     # Dispatch
@@ -292,11 +531,10 @@ class WorkerFleet:
         mid-burst crash loses no window and duplicates none (the dead
         connection never delivered their results).
         """
-        if not 0 <= slot < self.slot_count:
-            raise ValueError(f"slot {slot} out of range for a {self.slot_count}-slot fleet")
         failure: Optional[BackendConnectionError] = None
         for _ in range(len(self.endpoints) + 1):
-            client, owner = self._client_for_slot(slot)
+            with self._lock:
+                client, owner = self._table.route(slot)
             if client is None:
                 break
             try:
@@ -304,10 +542,7 @@ class WorkerFleet:
             except BackendConnectionError as error:
                 failure = error
                 self._handle_connection_loss(owner)
-        raise BackendConnectionError(
-            f"no live worker left for slot {slot} "
-            f"(fleet {[str(e) for e in self.endpoints]})"
-        ) from failure
+        raise self._table.exhausted(slot) from failure
 
     def ping(self) -> Dict[str, Optional[float]]:
         """Heartbeat every live endpoint; dead/unresponsive ones map to ``None``.
@@ -321,7 +556,7 @@ class WorkerFleet:
         outcome: Dict[str, Optional[float]] = {}
         for index, endpoint in enumerate(self.endpoints):
             with self._lock:
-                client = self._clients[index]
+                client = self._table.connections[index]
             if client is None:
                 outcome[str(endpoint)] = None
                 continue
@@ -331,48 +566,6 @@ class WorkerFleet:
                 outcome[str(endpoint)] = None
                 self._handle_connection_loss(index)
         return outcome
-
-    # ------------------------------------------------------------------ #
-    # Introspection
-    # ------------------------------------------------------------------ #
-    @property
-    def alive_endpoints(self) -> List[WorkerEndpoint]:
-        with self._lock:
-            return [self.endpoints[index] for index in self._alive_indexes()]
-
-    def slot_table(self) -> Dict[int, str]:
-        """Current slot -> endpoint routing (diagnostic snapshot)."""
-        with self._lock:
-            return {slot: str(self.endpoints[owner]) for slot, owner in enumerate(self._slot_owner)}
-
-    def pending_items(self) -> Dict[str, int]:
-        """Frames in flight per endpoint (sent, response not yet received).
-
-        The wire-level queue-depth introspection behind the backend's
-        backpressure accounting: on a pipelined connection several work
-        frames may be outstanding at once, and this snapshot shows how far
-        each worker has fallen behind its coordinator-side dispatchers.
-        """
-        with self._lock:
-            clients = list(zip(self.endpoints, self._clients))
-        return {
-            str(endpoint): (client.pending_count if client is not None else 0)
-            for endpoint, client in clients
-        }
-
-    def wire_statistics(self) -> WireStats:
-        """Aggregate :class:`WireStats` over all connections, live and retired."""
-        with self._lock:
-            clients = [client for client in self._clients if client is not None]
-            merged = self._retired_stats
-        for client in clients:
-            merged = merged.merged_with(client.stats)
-        return merged
-
-    @property
-    def dead_endpoints(self) -> List[WorkerEndpoint]:
-        with self._lock:
-            return [self.endpoints[index] for index, dead in enumerate(self._dead) if dead]
 
     # ------------------------------------------------------------------ #
     # Elasticity: readoption, adoption, retirement
@@ -389,29 +582,33 @@ class WorkerFleet:
         unreachable endpoint stays dead and the probe cost is one bounded
         connect.  Never raises on an unreachable or version-skewed peer.
         """
-        if not 0 <= index < len(self.endpoints):
-            raise ValueError(f"endpoint index {index} out of range")
+        self._table.check_index(index)
         with self._endpoint_locks[index]:
             with self._lock:
-                if not self._dead[index] or self._payload is None:
+                if not self._table.dead[index] or self._payload is None:
                     return False
                 payload = self._payload
             budget = attempts if attempts is not None else self.reconnect_attempts
             try:
-                revived = self._connect(index, budget, payload)
+                revived = self._dial(self.endpoints[index], payload, budget)
             except (HandshakeError, BackendConnectionError):
                 return False
             with self._lock:
-                if not self._dead[index]:  # someone else won the race
-                    revived.close()
-                    return False
-                self._dead[index] = False
-                self._clients[index] = revived
-                for slot in range(self.slot_count):
-                    if slot % len(self.endpoints) == index and self._slot_owner[slot] != index:
-                        self._slot_owner[slot] = index
-                self.readoptions += 1
-        return True
+                adopted = self._table.readopt(index, revived)
+            if not adopted:  # someone else won the race
+                revived.close()
+            return adopted
+
+    def readopt_endpoint(self, endpoint: "EndpointLike") -> bool:
+        """Re-adopt ``endpoint`` if it is one of this fleet's and dead.
+
+        The door a :class:`FleetRegistry` announce comes through: strangers
+        and healthy endpoints are a no-op (``False``).
+        """
+        parsed = WorkerEndpoint.parse(endpoint)
+        with self._lock:
+            dead = [index for index in self._table.dead_indexes() if self.endpoints[index] == parsed]
+        return bool(dead) and self.readopt(dead[0])
 
     def readopt_dead(self, *, attempts: int = 1) -> List[WorkerEndpoint]:
         """Probe every dead endpoint once; returns the ones revived.
@@ -422,129 +619,53 @@ class WorkerFleet:
         registry.
         """
         with self._lock:
-            dead = [index for index, is_dead in enumerate(self._dead) if is_dead]
-        return [
-            self.endpoints[index] for index in dead if self.readopt(index, attempts=attempts)
-        ]
+            dead = self._table.dead_indexes()
+        return [self.endpoints[index] for index in dead if self.readopt(index, attempts=attempts)]
 
     def adopt_endpoint(self, endpoint: "EndpointLike", *, attempts: Optional[int] = None) -> int:
         """Grow the fleet by one endpoint mid-stream; returns its index.
 
         The new endpoint receives the slots of the *widened* canonical
-        layout (``slot % (n+1) == n``) -- slots it steals were until now
-        served by survivors, whose caches simply stop seeing those tracks.
-        Raises :class:`BackendConnectionError` (or :class:`HandshakeError`)
-        when the endpoint cannot be handshaken; the fleet is unchanged in
-        that case.
+        layout (``slot % (n+1) == n``).  Raises
+        :class:`BackendConnectionError` (or :class:`HandshakeError`) when
+        the endpoint cannot be handshaken; the fleet is unchanged in that
+        case.
         """
         parsed = WorkerEndpoint.parse(endpoint)
         with self._lock:
             if self._payload is None:
                 raise RuntimeError("adopt_endpoint requires a started fleet")
             payload = self._payload
-            index = len(self.endpoints)
-            if any(existing == parsed for existing in self.endpoints):
+            if parsed in self.endpoints:
                 raise ValueError(f"endpoint {parsed} is already part of the fleet")
-        client = WorkerClient(
-            (parsed.host, parsed.port),
-            payload,
-            delta_shipping=self.delta_shipping,
-            symbol_ids=self.symbol_ids,
-            attempts=attempts if attempts is not None else self.connect_attempts,
-            base_delay=self.base_delay,
-            max_delay=self.max_delay,
-            connect_timeout=self.connect_timeout,
-            sleep=self._sleep,
-            ssl_context=self.ssl_context,
-            server_hostname=self.server_hostname,
-            auth_token=self.auth_token,
-            codec=self.codec,
-        )
+        client = self._dial(parsed, payload, attempts)
         with self._lock:
-            index = len(self.endpoints)
-            self.endpoints.append(parsed)
-            self._clients.append(client)
-            self._dead.append(False)
             self._endpoint_locks.append(threading.Lock())
-            count = len(self.endpoints)
-            for slot in range(self.slot_count):
-                if slot % count == index:
-                    self._slot_owner[slot] = index
-            self.adoptions += 1
-        return index
+            return self._table.adopt(parsed, client)
 
     def retire_endpoint(self, index: int) -> None:
         """Drain endpoint ``index`` out of the fleet (autoscaler scale-down).
 
         Its slots reroute over the survivors exactly as if it had died --
         in-flight items on the retired connection fail over through the
-        normal resubmission path -- but the endpoint is *not* marked
-        permanently dead, so a later :meth:`readopt` (or announce) can
-        bring it back.
+        normal resubmission path -- but the retirement is counted apart,
+        and a later :meth:`readopt` (or announce) can bring the endpoint
+        back.
         """
-        if not 0 <= index < len(self.endpoints):
-            raise ValueError(f"endpoint index {index} out of range")
+        self._table.check_index(index)
         with self._lock:
-            if self._clients[index] is None and self._dead[index]:
-                return
-            self._mark_dead(index)
-            self.retirements += 1
-
-    # ------------------------------------------------------------------ #
-    # Internals (callers hold no lock)
-    # ------------------------------------------------------------------ #
-    def _connect(self, index: int, attempts: int, payload: bytes) -> WorkerClient:
-        endpoint = self.endpoints[index]
-        return WorkerClient(
-            (endpoint.host, endpoint.port),
-            payload,
-            delta_shipping=self.delta_shipping,
-            symbol_ids=self.symbol_ids,
-            attempts=attempts,
-            base_delay=self.base_delay,
-            max_delay=self.max_delay,
-            connect_timeout=self.connect_timeout,
-            sleep=self._sleep,
-            ssl_context=self.ssl_context,
-            server_hostname=self.server_hostname,
-            auth_token=self.auth_token,
-            codec=self.codec,
-        )
-
-    def _alive_indexes(self) -> List[int]:
-        return [index for index, client in enumerate(self._clients) if client is not None]
-
-    def _client_for_slot(self, slot: int):
-        """Resolve the slot's current client, rerouting off dead owners."""
-        with self._lock:
-            owner = self._slot_owner[slot]
-            client = self._clients[owner]
-            if client is not None and client.alive:
-                return client, owner
-            alive = self._alive_indexes()
-            if not alive:
-                return None, owner
-            new_owner = rerouted_owner(slot, alive)
-            if new_owner != owner:
-                self._slot_owner[slot] = new_owner
-                self.reroutes += 1
-            return self._clients[new_owner], new_owner
-
-    def _mark_dead(self, index: int) -> None:
-        """Retire endpoint ``index`` and reroute its slots (lock held)."""
-        client = self._clients[index]
+            client = self._table.retire(index)
         if client is not None:
-            self._retired_stats = self._retired_stats.merged_with(client.stats)
             client.close()
-        self._clients[index] = None
-        self._dead[index] = True
-        alive = self._alive_indexes()
-        if not alive:
-            return
-        for slot, owner in enumerate(self._slot_owner):
-            if owner == index:
-                self._slot_owner[slot] = rerouted_owner(slot, alive)
-                self.reroutes += 1
+
+    # ------------------------------------------------------------------ #
+    # Internals
+    # ------------------------------------------------------------------ #
+    def _dial(self, endpoint: WorkerEndpoint, payload: bytes, attempts: Optional[int] = None) -> WorkerClient:
+        """Connect and handshake one client (``attempts`` defaults to the connect budget)."""
+        return WorkerClient(
+            (endpoint.host, endpoint.port), payload, sleep=self._sleep, **self.settings.client_keywords(attempts)
+        )
 
     def _handle_connection_loss(self, index: int) -> None:
         """A connection died: try a bounded reconnect, else retire the endpoint.
@@ -559,35 +680,31 @@ class WorkerFleet:
         The reconnect itself (backoff sleeps, TCP connect, handshake) runs
         outside the fleet lock, under a per-endpoint lock -- one worker
         black-holing packets must never stall dispatch on the other slots.
-        While the reconnect is in flight, :meth:`_client_for_slot` may
-        already reroute this endpoint's slots to survivors; a reconnect
-        that then succeeds simply re-installs the endpoint for the slots
-        still (or again) pointing at it.
+        While the reconnect is in flight, routing may already move this
+        endpoint's slots to survivors; a reconnect that then succeeds
+        simply re-installs the endpoint for the slots still (or again)
+        pointing at it.
         """
         with self._endpoint_locks[index]:
             with self._lock:
-                client = self._clients[index]
+                client = self._table.connections[index]
                 if client is not None and client.alive:
                     return  # another thread already revived this endpoint
-                if self._payload is None or self._dead[index]:
+                if self._payload is None or self._table.dead[index]:
                     return
                 payload = self._payload
-                if client is not None:
-                    # Preserve the dead connection's traffic counters before
-                    # the slot forgets it.
-                    self._retired_stats = self._retired_stats.merged_with(client.stats)
-                    self._clients[index] = None
+                self._table.release(index)
             try:
-                revived = self._connect(index, self.reconnect_attempts, payload)
+                revived = self._dial(self.endpoints[index], payload, self.reconnect_attempts)
             except (HandshakeError, BackendConnectionError):
                 with self._lock:
                     self._mark_dead(index)
                 return
             with self._lock:
-                if self._dead[index]:
+                if self._table.dead[index]:
                     revived.close()
                 else:
-                    self._clients[index] = revived
+                    self._table.connections[index] = revived
 
 
 # --------------------------------------------------------------------------- #
@@ -618,8 +735,10 @@ class FleetRegistry:
         self._listener.bind((host, port))
         self._listener.listen(16)
         self.address: Tuple[str, int] = self._listener.getsockname()[:2]
-        #: Announce frames accepted (readopted or not), for tests/metrics.
+        #: Announce frames accepted (readopted or not), for tests/metrics;
+        #: bumped by one handler thread per connection, hence the lock.
         self.announces = 0
+        self._announce_lock = threading.Lock()
         self._stop = threading.Event()
         self._thread = threading.Thread(target=self._accept_loop, name="streamrule-registry", daemon=True)
         self._thread.start()
@@ -659,7 +778,8 @@ class FleetRegistry:
             if kind is not FrameKind.ANNOUNCE:
                 return
             host, port = parse_announce(payload)
-            self.announces += 1
+            with self._announce_lock:
+                self.announces += 1
             send_frame(connection, FrameKind.PONG)
         except (OSError, EOFError, ProtocolError):
             return
@@ -668,13 +788,4 @@ class FleetRegistry:
                 connection.close()
             except OSError:
                 pass
-        announced = WorkerEndpoint(host, port)
-        fleet = self._fleet
-        with fleet._lock:
-            try:
-                index = fleet.endpoints.index(announced)
-            except ValueError:
-                return
-            if not fleet._dead[index]:
-                return
-        fleet.readopt(index)
+        self._fleet.readopt_endpoint(WorkerEndpoint(host, port))

@@ -7,31 +7,34 @@ comes back is still a :class:`~repro.streamrule.reasoner.ReasonerResult` --
 the same partition/combine protocol the loopback backend proved survives a
 wire, now behind a versioned handshake on a real TCP socket.
 
-Frame format
-------------
-Every message after the 4-byte connection magic is one *frame*::
+The frame grammar, the handshake sequence, capability negotiation and the
+failure semantics are specified once, in ``docs/wire-protocol.md``; this
+docstring only says where each part lives and why.
 
-    +--------------------+-----------+----------------------+
-    | length  (uint32 BE)| kind (u8) | payload (length bytes)|
-    +--------------------+-----------+----------------------+
+Layout
+------
+* **Framing and control payloads** -- :class:`FrameKind`,
+  :func:`frame_bytes` / :func:`parse_frame_header` (the one header
+  validation, behind the blocking :func:`recv_frame` and the incremental
+  :class:`FrameParser`), JSON-or-pickle control frames.
+* **Wire forms of a work item** -- :class:`DeltaShipper` /
+  :class:`DeltaDecoder` and the classes they pickle (which must keep this
+  module path: a peer from another build looks them up here).
+* **The client as a state machine** -- :class:`ClientConnection`:
+  everything a coordinator must *know* to talk SRW1 (handshake and its
+  error taxonomy, capability intersection, shipper and result-decoder
+  choice, the frames of an item with their :class:`WireStats`, the ticket
+  FIFO), with no socket, lock, thread or event loop in it.
+* **Two I/O drivers of that state machine** -- :class:`WorkerClient` here
+  (blocking sockets, threads) and ``AsyncWorkerClient`` in
+  :mod:`repro.streamrule.aio` (asyncio streams).  They dial, move bytes
+  and wait; neither knows a frame kind beyond ``PING``.
+* **The server half** -- :func:`serve_worker_connection`.
 
-``kind`` is a :class:`FrameKind`; payloads are pickled Python values
-(pickle protocol :data:`pickle.HIGHEST_PROTOCOL`).  The full frame grammar,
-the handshake sequence, and the failure semantics are specified in
-``docs/wire-protocol.md``.
-
-Handshake
----------
-1. client sends :data:`MAGIC` + ``HELLO {protocol, capabilities}``;
-2. server answers ``WELCOME {protocol, capabilities}`` (the accepted subset)
-   or ``REJECT {protocol, reason}`` on a version mismatch;
-3. client ships the pickled reasoner in a ``REASONER`` frame;
-4. server instantiates it and answers ``READY``; work frames may now flow.
-
-Capability negotiation keeps the protocol forward-compatible: a capability
-is active only when *both* peers named it in the handshake, so a new
-coordinator talking to an old worker silently degrades (e.g. to full-fact
-shipping) instead of breaking.
+A new frame kind or capability is therefore added in :class:`FrameKind`,
+:class:`ClientConnection` and :func:`serve_worker_connection` (plus
+``docs/wire-protocol.md``) and nowhere else; where a slot is *routed* is
+the business of :class:`repro.streamrule.fleet.SlotTable`.
 
 Pipelined frames
 ----------------
@@ -39,7 +42,7 @@ The connection is *not* strict request/response: a coordinator may have
 several ``WORK``/``DELTA`` (and ``PING``) frames outstanding at once.  The
 server always answers strictly in request order, which is what lets the
 client match responses to callers with a plain FIFO ticket queue
-(:class:`WorkerClient`) and lets the worker read and decode ahead of its
+(:class:`ClientConnection`) and lets the worker read and decode ahead of its
 evaluation loop (``read_ahead`` in :func:`serve_worker_connection`).  Any
 transport error still kills the whole connection -- in-flight frames are
 failed at the client and resubmitted elsewhere by the fleet.
@@ -125,8 +128,8 @@ import struct
 import threading
 import time
 from collections import deque
-from dataclasses import dataclass, field
-from typing import Any, Callable, Deque, Dict, List, Optional, Tuple, Union
+from dataclasses import astuple, dataclass, field
+from typing import Any, Callable, Deque, Dict, Iterator, List, Mapping, Optional, Tuple, Union
 
 from repro.asp.syntax.symbols import SymbolDelta, SymbolTable, pack_ids, unpack_ids
 from repro.streamrule.errors import (
@@ -163,7 +166,6 @@ __all__ = [
     "diff_id_runs",
     "encode_reasoner_payload",
     "parse_announce",
-    "parse_welcome",
     "parse_welcome_fields",
     "recv_frame",
     "send_frame",
@@ -215,9 +217,55 @@ class FrameKind(enum.IntEnum):
 # --------------------------------------------------------------------------- #
 # Framing primitives
 # --------------------------------------------------------------------------- #
+def frame_bytes(kind: FrameKind, payload: bytes = b"") -> bytes:
+    """One ``length | kind | payload`` frame as it appears on the wire."""
+    return _FRAME_HEADER.pack(len(payload), kind) + payload
+
+
+def parse_frame_header(header: bytes) -> Tuple[int, FrameKind]:
+    """Validate a frame header; returns ``(payload length, kind)``.
+
+    The one place a length beyond :data:`MAX_FRAME_BYTES` or an unknown
+    kind byte becomes a :class:`ProtocolError` -- for the blocking reader
+    (:func:`recv_frame`) and the incremental one (:class:`FrameParser`)
+    alike.
+    """
+    length, kind = _FRAME_HEADER.unpack(header)
+    if length > MAX_FRAME_BYTES:
+        raise ProtocolError(f"frame of {length} bytes exceeds the {MAX_FRAME_BYTES}-byte bound")
+    try:
+        return length, FrameKind(kind)
+    except ValueError as error:
+        raise ProtocolError(f"unknown frame kind {kind!r}") from error
+
+
+class FrameParser:
+    """Cut a byte stream into frames, however the transport chunked it."""
+
+    def __init__(self) -> None:
+        self._buffer = bytearray()
+
+    def feed(self, data: bytes) -> Iterator[Tuple[FrameKind, bytes]]:
+        """Buffer ``data`` and yield every frame it completes, in order.
+
+        A header is validated as soon as its five bytes are in, before any
+        of its payload is waited for, and frames ahead of a bad header are
+        still delivered (the generator raises only when it reaches it).
+        """
+        self._buffer += data
+        while len(self._buffer) >= _FRAME_HEADER.size:
+            length, kind = parse_frame_header(self._buffer[: _FRAME_HEADER.size])
+            end = _FRAME_HEADER.size + length
+            if len(self._buffer) < end:
+                return
+            payload = bytes(self._buffer[_FRAME_HEADER.size : end])
+            del self._buffer[:end]
+            yield kind, payload
+
+
 def send_frame(connection: socket.socket, kind: FrameKind, payload: bytes = b"") -> None:
-    """Write one ``length | kind | payload`` frame."""
-    connection.sendall(_FRAME_HEADER.pack(len(payload), kind) + payload)
+    """Write one frame with a single ``sendall``."""
+    connection.sendall(frame_bytes(kind, payload))
 
 
 def recv_exactly(connection: socket.socket, count: int) -> bytes:
@@ -234,14 +282,8 @@ def recv_exactly(connection: socket.socket, count: int) -> bytes:
 
 def recv_frame(connection: socket.socket) -> Tuple[FrameKind, bytes]:
     """Read one frame; returns ``(kind, payload)``."""
-    length, kind = _FRAME_HEADER.unpack(recv_exactly(connection, _FRAME_HEADER.size))
-    if length > MAX_FRAME_BYTES:
-        raise ProtocolError(f"frame of {length} bytes exceeds the {MAX_FRAME_BYTES}-byte bound")
-    try:
-        frame_kind = FrameKind(kind)
-    except ValueError as error:
-        raise ProtocolError(f"unknown frame kind {kind!r}") from error
-    return frame_kind, recv_exactly(connection, length)
+    length, kind = parse_frame_header(recv_exactly(connection, _FRAME_HEADER.size))
+    return kind, recv_exactly(connection, length)
 
 
 def _dumps(value: Any) -> bytes:
@@ -671,16 +713,7 @@ class WireStats:
         return self.bytes_full + self.bytes_delta + self.bytes_symbols
 
     def merged_with(self, other: "WireStats") -> "WireStats":
-        return WireStats(
-            items_full=self.items_full + other.items_full,
-            items_delta=self.items_delta + other.items_delta,
-            bytes_full=self.bytes_full + other.bytes_full,
-            bytes_delta=self.bytes_delta + other.bytes_delta,
-            symbol_frames=self.symbol_frames + other.symbol_frames,
-            bytes_symbols=self.bytes_symbols + other.bytes_symbols,
-            bytes_in=self.bytes_in + other.bytes_in,
-            pings=self.pings + other.pings,
-        )
+        return WireStats(*(mine + theirs for mine, theirs in zip(astuple(self), astuple(other))))
 
 
 # --------------------------------------------------------------------------- #
@@ -743,14 +776,6 @@ def parse_welcome_fields(
     return accepted, welcome
 
 
-def parse_welcome(
-    kind: FrameKind, payload: bytes, offered: Dict[str, bool], address: Tuple[str, int]
-) -> Dict[str, bool]:
-    """Capabilities-only view of :func:`parse_welcome_fields` (stable API)."""
-    accepted, _ = parse_welcome_fields(kind, payload, offered, address)
-    return accepted
-
-
 def encode_reasoner_payload(reasoner: Reasoner, codec: str = "pickle") -> bytes:
     """Build the ``REASONER`` frame payload for the given codec.
 
@@ -787,6 +812,18 @@ def decode_result(payload: bytes, address: Tuple[str, int]) -> ReasonerResult:
 # --------------------------------------------------------------------------- #
 # Connecting with bounded exponential backoff
 # --------------------------------------------------------------------------- #
+def tls_failure(address: Tuple[str, int], error: BaseException) -> HandshakeError:
+    """A failed TLS negotiation: permanent, so not a retriable connection error."""
+    return HandshakeError(f"TLS handshake with worker {address[0]}:{address[1]} failed: {error!r}")
+
+
+def dial_failure(address: Tuple[str, int], attempts: int, failure: Optional[BaseException]) -> BackendConnectionError:
+    """The connect budget is spent and the worker never answered."""
+    return BackendConnectionError(
+        f"could not connect to worker {address[0]}:{address[1]} after {attempts} attempts: {failure!r}"
+    )
+
+
 def connect_with_backoff(
     address: Tuple[str, int],
     *,
@@ -838,14 +875,10 @@ def connect_with_backoff(
                     connection.close()
                 except OSError:
                     pass
-                raise HandshakeError(
-                    f"TLS handshake with worker {address[0]}:{address[1]} failed: {error!r}"
-                ) from error
+                raise tls_failure(address, error) from error
         connection.settimeout(None)  # evaluations may legitimately take long
         return connection
-    raise BackendConnectionError(
-        f"could not connect to worker {address[0]}:{address[1]} after {attempts} attempts: {failure!r}"
-    ) from failure
+    raise dial_failure(address, attempts, failure) from failure
 
 
 # --------------------------------------------------------------------------- #
@@ -909,48 +942,314 @@ def announce_endpoint(
 
 
 # --------------------------------------------------------------------------- #
-# Client side: one framed connection to a worker
+# Client side, sans-IO: everything a coordinator must know to talk SRW1
 # --------------------------------------------------------------------------- #
-class _Ticket:
-    """One in-flight request awaiting its FIFO-ordered response frame."""
+@dataclass(frozen=True)
+class ConnectionSettings:
+    """How a coordinator reaches and addresses its workers.
 
-    __slots__ = ("event", "kind", "payload", "error")
+    The one value a backend builds from its constructor arguments and hands
+    down: ``vars(settings)`` are the connection keywords of both fleets,
+    :meth:`client_keywords` those of both clients.  The field list below is
+    the only place those keywords are enumerated outside the public
+    constructor signatures themselves.
+    """
 
-    def __init__(self) -> None:
-        self.event = threading.Event()
-        self.kind: Optional[FrameKind] = None
-        self.payload: Optional[bytes] = None
-        self.error: Optional[BaseException] = None
+    delta_shipping: bool = True
+    symbol_ids: bool = True
+    connect_attempts: int = 5
+    base_delay: float = 0.05
+    max_delay: float = 2.0
+    connect_timeout: float = 5.0
+    ssl_context: Optional[ssl.SSLContext] = None
+    server_hostname: Optional[str] = None
+    auth_token: Optional[str] = None
+    codec: str = "pickle"
 
-    def resolve(self, kind: FrameKind, payload: bytes) -> None:
-        self.kind, self.payload = kind, payload
-        self.event.set()
+    @classmethod
+    def of(cls, arguments: Mapping[str, Any]) -> "ConnectionSettings":
+        """Pick the settings, by name, out of a constructor's ``locals()``."""
+        return cls(**{name: arguments[name] for name in cls.__dataclass_fields__})
 
-    def fail(self, error: BaseException) -> None:
-        if not self.event.is_set():
-            self.error = error
-            self.event.set()
+    def client_keywords(self, attempts: Optional[int] = None) -> Dict[str, Any]:
+        """The clients spell the dial budget ``attempts`` (default: ``connect_attempts``)."""
+        keywords = dict(vars(self), attempts=self.connect_attempts if attempts is None else attempts)
+        del keywords["connect_attempts"]
+        return keywords
 
 
+@dataclass(eq=False)
+class Ticket:
+    """One in-flight request awaiting its FIFO-ordered response frame.
+
+    Plain data: a response fills ``kind``/``payload``, a broken connection
+    fills ``error``, and either calls ``wake`` (if the driver gave one) --
+    exactly once, whatever happens afterwards.
+    """
+
+    wake: Optional[Callable[[], None]] = None
+    kind: Optional[FrameKind] = None
+    payload: Optional[bytes] = None
+    error: Optional[BaseException] = None
+    done: bool = False
+
+    def _settle(self, kind: Optional[FrameKind], payload: Optional[bytes], error: Optional[BaseException]) -> None:
+        if not self.done:
+            self.kind, self.payload, self.error = kind, payload, error
+            self.done = True  # last: a threaded driver polls this flag without a lock
+            if self.wake is not None:
+                self.wake()
+
+
+class ClientConnection:
+    """The client half of one SRW1 connection as a pure state machine.
+
+    Frames in (cut from the byte stream by :func:`recv_frame` or a
+    :class:`FrameParser`), bytes to send and settled :class:`Ticket` records
+    out; no socket, lock, thread or event loop.  It owns what both I/O
+    drivers -- the blocking :class:`WorkerClient` and the asyncio client in
+    :mod:`repro.streamrule.aio` -- must agree on: the ``MAGIC`` ..
+    ``READY`` handshake and its error taxonomy, the capability
+    intersection, the choice of shipper and result decoder, the ordered
+    frames of a work item with their :class:`WireStats` accounting, and the
+    FIFO of outstanding tickets.  A driver moves the returned chunks to its
+    transport *in order, one write per chunk*, feeds what arrives back in,
+    and waits on tickets however its world waits.  When its transport fails
+    (:meth:`connection_lost` says what that means) or a method here raises
+    :class:`ProtocolError`, the driver closes the transport and calls
+    :meth:`abort` -- the stream can no longer be trusted.
+
+    Not thread-safe: a threaded driver serializes the calls that touch the
+    ticket queue (:meth:`expect`, :meth:`receive_frame`, :meth:`abort`).
+    """
+
+    def __init__(
+        self,
+        address: Tuple[str, int],
+        *,
+        auth_token: Optional[str] = None,
+        codec: str = "pickle",
+    ) -> None:
+        if codec not in ("pickle", "restricted"):
+            raise ValueError(f"codec must be 'pickle' or 'restricted', got {codec!r}")
+        self.address = address
+        self.codec = codec
+        self.stats = WireStats()
+        self.capabilities: Dict[str, bool] = {}
+        self.closed = False
+        self.shipper: Any = None
+        self._decode_result: Callable[[bytes, Tuple[str, int]], ReasonerResult] = decode_result
+        self._auth_token = auth_token
+        self._offered: Dict[str, bool] = {}
+        #: ``"welcome"`` / ``"ready"`` while that handshake answer is
+        #: awaited, ``"open"`` once work frames may flow.
+        self._stage = "welcome"
+        self._reasoner_payload = b""
+        self._pending: Deque[Ticket] = deque()
+
+    @property
+    def is_open(self) -> bool:
+        """The handshake completed (``READY`` received)."""
+        return self._stage == "open"
+
+    @property
+    def pending_count(self) -> int:
+        """Requests sent whose responses have not yet arrived."""
+        return len(self._pending)
+
+    def _worker(self) -> str:
+        return f"worker {self.address[0]}:{self.address[1]}"
+
+    # -- handshake ------------------------------------------------------- #
+    def open(self, reasoner_payload: bytes, *, delta_shipping: bool = True, symbol_ids: bool = True) -> List[bytes]:
+        """The opening chunks: ``MAGIC``, then a ``HELLO`` offering the capabilities.
+
+        ``reasoner_payload`` follows in the ``REASONER`` frame once the
+        ``WELCOME`` (and its auth challenge, if any) has been answered.
+        """
+        self._reasoner_payload = reasoner_payload
+        hello, self._offered = build_hello(delta_shipping, symbol_ids, restricted=self.codec == "restricted")
+        return [MAGIC, frame_bytes(FrameKind.HELLO, hello)]
+
+    def _on_welcome(self, kind: FrameKind, payload: bytes) -> List[bytes]:
+        restricted = self.codec == "restricted"
+        accepted, welcome = parse_welcome_fields(
+            kind, payload, self._offered, self.address, allow_pickle=not restricted
+        )
+        if restricted and not accepted.get("restricted_codec"):
+            raise HandshakeError(
+                f"{self._worker()} did not accept the restricted codec; refusing to fall back to pickle"
+            )
+        chunks = []
+        nonce = welcome.get("nonce")
+        if nonce is not None:
+            if not self._auth_token:
+                raise HandshakeError(f"{self._worker()} requires token auth and this client has no token")
+            mac = auth_mac(self._auth_token, str(nonce))
+            chunks.append(frame_bytes(FrameKind.AUTH, dumps_json({"mac": mac})))
+        chunks.append(frame_bytes(FrameKind.REASONER, self._reasoner_payload))
+        self.capabilities = accepted
+        self._stage = "ready"
+        return chunks
+
+    def _on_ready(self, kind: FrameKind, payload: bytes) -> List[bytes]:
+        if kind is FrameKind.REJECT:
+            reject = loads_control(payload, allow_pickle=self.codec != "restricted")
+            raise HandshakeError(
+                f"{self._worker()} rejected the handshake: {reject.get('reason', 'unspecified')}"
+            )
+        if kind is not FrameKind.READY:
+            raise ProtocolError(f"expected READY, got {kind.name}")
+        use_delta = bool(self.capabilities.get("delta_shipping"))
+        if self.capabilities.get("restricted_codec"):
+            from repro.streamrule.codec import RestrictedResultDecoder, RestrictedShipper
+
+            self.shipper = RestrictedShipper(delta_shipping=use_delta)
+            self._decode_result = RestrictedResultDecoder().decode
+        else:
+            # With neither capability this still emits exactly one WORK
+            # frame holding the thinned item.
+            self.shipper = DeltaShipper(
+                delta_shipping=use_delta, symbol_ids=bool(self.capabilities.get("symbol_ids"))
+            )
+        self._stage = "open"
+        return []
+
+    # -- frames in -------------------------------------------------------- #
+    def receive_frame(self, kind: FrameKind, payload: bytes) -> List[bytes]:
+        """Advance by one received frame; returns the chunks to send in answer.
+
+        During the handshake the answer is its next step (``AUTH`` +
+        ``REASONER`` after ``WELCOME``).  Once open, a frame is the
+        response to the oldest outstanding request -- the worker answers
+        strictly in request order -- and settles that ticket; a frame
+        nobody asked for is a :class:`ProtocolError`.
+        """
+        if self._stage == "welcome":
+            return self._on_welcome(kind, payload)
+        if self._stage == "ready":
+            return self._on_ready(kind, payload)
+        self.stats.bytes_in += len(payload)
+        if not self._pending:
+            raise ProtocolError(f"unsolicited {kind.name} frame from {self.address}")
+        self._pending.popleft()._settle(kind, payload, None)
+        return []
+
+    # -- failure ---------------------------------------------------------- #
+    def closed_error(self) -> BackendConnectionError:
+        return BackendConnectionError(f"connection to worker {self.address} is closed")
+
+    def connection_lost(self, error: BaseException) -> BackendError:
+        """What a transport failure (``OSError``, EOF) means at this stage.
+
+        Mid-handshake -- the peer hung up on us, or fed us garbage that
+        does not even frame -- it is a :class:`HandshakeError`, not a retriable
+        :class:`BackendConnectionError`: this is how a plaintext client
+        talking to a TLS daemon (or vice versa) fails loudly instead of
+        being endlessly re-dialed by the fleet's reconnect machinery.
+        """
+        if not self.is_open:
+            return HandshakeError(f"handshake with {self.address} failed: {error!r}")
+        return BackendConnectionError(f"connection to worker {self.address} lost: {error!r}")
+
+    def abort(self, cause: BaseException) -> Any:
+        """Mark the connection closed and fail every outstanding ticket.
+
+        Their results can never arrive once the stream is broken, so their
+        waiters get :class:`BackendConnectionError` -- the signal a fleet
+        answers by rerouting the slot and resubmitting the item.  Returns
+        ``cause`` (for ``raise connection.abort(error)``); idempotent.
+        """
+        self.closed = True
+        if self._pending:
+            failure = (
+                cause
+                if isinstance(cause, BackendConnectionError)
+                else BackendConnectionError(f"connection to worker {self.address} aborted: {cause!r}")
+            )
+            while self._pending:
+                self._pending.popleft()._settle(None, None, failure)
+        return cause
+
+    # -- requests and their responses ------------------------------------- #
+    def encode_item(self, item: WorkItem) -> List[bytes]:
+        """The chunks that ship ``item``, counted in :attr:`stats`.
+
+        The last one is the ``WORK``/``DELTA`` frame whose response
+        :meth:`expect` queues a ticket for; ``SYMBOLS`` frames ahead of it
+        are one-way (no response, so no ticket).  The shipper's per-track
+        state advances here, so calls must happen in wire order.
+        """
+        if self.closed:
+            raise self.closed_error()
+        chunks = []
+        for kind, payload in self.shipper.encode_frames(item):
+            if kind is FrameKind.SYMBOLS:
+                self.stats.symbol_frames += 1
+                self.stats.bytes_symbols += len(payload)
+            elif kind is FrameKind.DELTA:
+                self.stats.items_delta += 1
+                self.stats.bytes_delta += len(payload)
+            else:
+                self.stats.items_full += 1
+                self.stats.bytes_full += len(payload)
+            chunks.append(frame_bytes(kind, payload))
+        return chunks
+
+    def expect(self, ticket: Ticket) -> None:
+        """Queue ``ticket`` for the response to the request about to be sent."""
+        if self.closed:
+            raise self.closed_error()
+        self._pending.append(ticket)
+
+    def _response(self, ticket: Ticket, expected: FrameKind) -> bytes:
+        if ticket.error is not None:
+            raise ticket.error
+        assert ticket.kind is not None and ticket.payload is not None
+        if ticket.kind is not expected:
+            raise ProtocolError(f"expected {expected.name}, got {ticket.kind.name}")
+        return ticket.payload
+
+    def take_result(self, ticket: Ticket) -> ReasonerResult:
+        """The evaluated result a settled work ticket carries.
+
+        Raises the ticket's failure, the worker-side exception a
+        ``RESULT`` wraps (the connection survives that), or
+        :class:`ProtocolError` for any other frame kind or an undecodable
+        payload.
+        """
+        return self._decode_result(self._response(ticket, FrameKind.RESULT), self.address)
+
+    def take_pong(self, ticket: Ticket) -> None:
+        """Check a settled ``PING`` ticket (counts the completed heartbeat)."""
+        self._response(ticket, FrameKind.PONG)
+        self.stats.pings += 1
+
+
+# --------------------------------------------------------------------------- #
+# Client side, blocking sockets: the threaded driver of ClientConnection
+# --------------------------------------------------------------------------- #
 class WorkerClient:
     """One handshaken connection to a worker daemon.
 
-    Owns the socket, the negotiated capabilities, the per-track
-    :class:`DeltaShipper`, and a :class:`WireStats` record.  The connection
-    is *pipelined*: sends and receives are serialized separately, so several
-    dispatcher threads (and the heartbeat) may each have a frame outstanding
-    on the one socket at the same time -- the worker answers strictly in
-    request order, so responses are matched to callers by a FIFO ticket
-    queue rather than by locking the socket across the whole round trip.
-    While one caller waits out a long evaluation, the next caller's frame is
-    already in the worker's receive buffer (and, with server-side
-    read-ahead, already decoded), which is what lets a pipelined session
-    keep a remote worker saturated.  Any transport error closes the
-    connection, raises at the caller that hit it, and fails every other
-    in-flight ticket with :class:`BackendConnectionError` (their results can
-    never arrive, so the fleet reroutes and resubmits them); a closed client
-    is never reused -- the fleet builds a fresh one (with fresh, in-sync
-    delta state) on reconnect.
+    The blocking-socket driver of a :class:`ClientConnection` (which holds
+    the negotiated capabilities, the per-track shipper and the
+    :class:`WireStats` record): this class only dials, moves bytes and
+    waits.  The connection is *pipelined*: sends and receives are
+    serialized separately, so several dispatcher threads (and the
+    heartbeat) may each have a frame outstanding on the one socket at the
+    same time -- the worker answers strictly in request order, so responses
+    are matched to callers by the FIFO ticket queue rather than by locking
+    the socket across the whole round trip.  While one caller waits out a
+    long evaluation, the next caller's frame is already in the worker's
+    receive buffer (and, with server-side read-ahead, already decoded),
+    which is what lets a pipelined session keep a remote worker saturated.
+    Any transport error closes the connection, raises at the caller that
+    hit it, and fails every other in-flight ticket with
+    :class:`BackendConnectionError` (their results can never arrive, so the
+    fleet reroutes and resubmits them); a closed client is never reused --
+    the fleet builds a fresh one (with fresh, in-sync delta state) on
+    reconnect.
     """
 
     def __init__(
@@ -970,22 +1269,19 @@ class WorkerClient:
         auth_token: Optional[str] = None,
         codec: str = "pickle",
     ):
-        if codec not in ("pickle", "restricted"):
-            raise ValueError(f"codec must be 'pickle' or 'restricted', got {codec!r}")
+        self._connection = ClientConnection(address, auth_token=auth_token, codec=codec)
         self.address = address
         self.codec = codec
-        self.stats = WireStats()
-        self._auth_token = auth_token
-        #: Serializes frame *sends* (and the delta-shipper state, which must
+        self.stats = self._connection.stats
+        #: Serializes frame *sends* (and the shipper state, which must
         #: advance in wire order).
         self._send_lock = threading.Lock()
         #: At most one thread reads the socket at a time; responses are
         #: delivered to the head of the ticket queue.
         self._recv_lock = threading.Lock()
-        #: Guards the ticket queue and the traffic counters.
+        #: Guards the ticket queue.
         self._state_lock = threading.Lock()
-        self._pending: Deque[_Ticket] = deque()
-        self._sock: Optional[socket.socket] = connect_with_backoff(
+        sock = connect_with_backoff(
             address,
             attempts=attempts,
             base_delay=base_delay,
@@ -995,27 +1291,24 @@ class WorkerClient:
             ssl_context=ssl_context,
             server_hostname=server_hostname,
         )
+        self._sock: Optional[socket.socket] = sock
         try:
-            self.capabilities = self._handshake(reasoner_payload, delta_shipping, symbol_ids)
+            chunks = self._connection.open(reasoner_payload, delta_shipping=delta_shipping, symbol_ids=symbol_ids)
+            while not self._connection.is_open:
+                # Only the transport and the framing are guarded: what the
+                # frame *says* is the connection's to judge, with its own
+                # error classes.
+                try:
+                    self._send(sock, chunks)
+                    frame = recv_frame(sock)
+                except (OSError, EOFError) as error:
+                    raise self._connection.connection_lost(error) from error
+                chunks = self._connection.receive_frame(*frame)
         except BaseException:
             self.close()
             raise
-        use_delta = bool(self.capabilities.get("delta_shipping"))
-        use_ids = bool(self.capabilities.get("symbol_ids"))
-        if self.capabilities.get("restricted_codec"):
-            from repro.streamrule.codec import RestrictedResultDecoder, RestrictedShipper
-
-            self._shipper: Any = RestrictedShipper(delta_shipping=use_delta)
-            self._decode_result: Callable[[bytes, Tuple[str, int]], ReasonerResult] = (
-                RestrictedResultDecoder().decode
-            )
-        else:
-            self._shipper = (
-                DeltaShipper(delta_shipping=use_delta, symbol_ids=use_ids)
-                if (use_delta or use_ids)
-                else None
-            )
-            self._decode_result = decode_result
+        self.capabilities = self._connection.capabilities
+        self._shipper = self._connection.shipper
 
     # -- lifecycle ------------------------------------------------------- #
     @property
@@ -1023,12 +1316,19 @@ class WorkerClient:
         return self._sock is not None
 
     def close(self) -> None:
+        self.abort(self._connection.closed_error())
+
+    def abort(self, cause: BaseException) -> Any:
+        """Close the socket and fail every in-flight ticket with ``cause``; returns it."""
+        with self._state_lock:
+            self._connection.abort(cause)
         sock, self._sock = self._sock, None
         if sock is not None:
             try:
                 sock.close()
             except OSError:
                 pass
+        return cause
 
     def __enter__(self) -> "WorkerClient":
         return self
@@ -1036,192 +1336,78 @@ class WorkerClient:
     def __exit__(self, *exc_info) -> None:
         self.close()
 
-    # -- handshake ------------------------------------------------------- #
-    def _handshake(self, reasoner_payload: bytes, delta_shipping: bool, symbol_ids: bool) -> Dict[str, bool]:
-        """Run the client half of the handshake (MAGIC .. READY).
-
-        A transport failure *here* -- the peer hung up mid-handshake, or
-        fed us garbage -- is a :class:`HandshakeError`, not a retriable
-        :class:`BackendConnectionError`: this is how a plaintext client
-        talking to a TLS daemon (or vice versa) fails loudly instead of
-        being endlessly re-dialed by the fleet's reconnect machinery.
-        """
-        sock = self._sock
-        assert sock is not None
-        restricted = self.codec == "restricted"
-        hello, offered = build_hello(delta_shipping, symbol_ids, restricted=restricted)
-        try:
-            sock.sendall(MAGIC)
-            send_frame(sock, FrameKind.HELLO, hello)
-            kind, payload = recv_frame(sock)
-        except (OSError, EOFError) as error:
-            raise HandshakeError(f"handshake with {self.address} failed: {error!r}") from error
-        accepted, welcome = parse_welcome_fields(
-            kind, payload, offered, self.address, allow_pickle=not restricted
-        )
-        if restricted and not accepted.get("restricted_codec"):
-            raise HandshakeError(
-                f"worker {self.address[0]}:{self.address[1]} did not accept the restricted codec; "
-                "refusing to fall back to pickle"
-            )
-        nonce = welcome.get("nonce")
-        try:
-            if nonce is not None:
-                if not self._auth_token:
-                    raise HandshakeError(
-                        f"worker {self.address[0]}:{self.address[1]} requires token auth "
-                        "and this client has no token"
-                    )
-                send_frame(sock, FrameKind.AUTH, dumps_json({"mac": auth_mac(self._auth_token, str(nonce))}))
-            send_frame(sock, FrameKind.REASONER, reasoner_payload)
-            kind, payload = recv_frame(sock)
-        except (OSError, EOFError) as error:
-            raise HandshakeError(f"handshake with {self.address} failed: {error!r}") from error
-        if kind is FrameKind.REJECT:
-            reject = loads_control(payload, allow_pickle=not restricted)
-            raise HandshakeError(
-                f"worker {self.address[0]}:{self.address[1]} rejected the handshake: "
-                f"{reject.get('reason', 'unspecified')}"
-            )
-        if kind is not FrameKind.READY:
-            raise ProtocolError(f"expected READY, got {kind.name}")
-        return accepted
-
     # -- request/response ------------------------------------------------ #
     @property
     def pending_count(self) -> int:
         """Frames sent whose responses have not yet arrived."""
         with self._state_lock:
-            return len(self._pending)
+            return self._connection.pending_count
 
-    def _post(self, kind: FrameKind, payload: bytes) -> _Ticket:
-        """Send one frame and enqueue its response ticket (FIFO order)."""
+    @staticmethod
+    def _send(sock: socket.socket, chunks: List[bytes]) -> None:
+        # One sendall per frame: the write pattern the tcp_fleet baseline
+        # was measured with (coalescing belongs to the wire-gap change).
+        for chunk in chunks:
+            sock.sendall(chunk)
+
+    def _post(self, chunks: List[bytes]) -> Ticket:
+        """Queue a response ticket and send its request (send lock held)."""
         sock = self._sock
         if sock is None:
-            raise BackendConnectionError(f"connection to worker {self.address} is closed")
-        ticket = _Ticket()
-        try:
-            send_frame(sock, kind, payload)
-        except (OSError, BrokenPipeError) as error:
-            failure = BackendConnectionError(f"connection to worker {self.address} lost: {error!r}")
-            self._abort(failure)
-            raise failure from error
+            raise self._connection.closed_error()
+        ticket = Ticket()
         with self._state_lock:
-            self._pending.append(ticket)
+            self._connection.expect(ticket)
+        try:
+            self._send(sock, chunks)
+        except OSError as error:
+            raise self.abort(self._connection.connection_lost(error)) from error
         return ticket
 
-    def _await(self, ticket: _Ticket) -> Tuple[FrameKind, bytes]:
-        """Block until ``ticket`` resolves, receiving frames when it is our turn.
+    def _await(self, ticket: Ticket) -> None:
+        """Block until ``ticket`` settles, receiving frames when it is our turn.
 
         The elevator pattern: whichever waiter holds the receive lock reads
         response frames off the socket and delivers them to the head of the
-        ticket queue (the worker answers strictly in request order) until its
-        own ticket resolves; everyone else blocks on the lock or on their
-        already-set event.
+        ticket queue until its own ticket settles; everyone else blocks on
+        the lock and finds its ticket already settled when it gets in.
         """
-        while not ticket.event.is_set():
+        while not ticket.done:
             with self._recv_lock:
-                if ticket.event.is_set():
-                    continue
-                self._receive_one()
-        if ticket.error is not None:
-            raise ticket.error
-        assert ticket.kind is not None and ticket.payload is not None
-        return ticket.kind, ticket.payload
+                if not ticket.done:
+                    self._receive_one()
 
     def _receive_one(self) -> None:
-        """Receive one frame and resolve the oldest ticket (recv lock held)."""
+        """Receive one frame and settle the oldest ticket (recv lock held)."""
         sock = self._sock
         if sock is None:
-            failure = BackendConnectionError(f"connection to worker {self.address} is closed")
-            self._abort(failure)
-            raise failure
+            raise self.abort(self._connection.closed_error())
         try:
             kind, payload = recv_frame(sock)
+            with self._state_lock:
+                self._connection.receive_frame(kind, payload)
         except ProtocolError as error:
-            # The stream is desynced mid-frame; the connection can never
-            # be trusted again (errors.py: a protocol violation closes
-            # the connection).
-            self._abort(error)
-            raise
+            # The stream is desynced or out of order; the connection can
+            # never be trusted again (errors.py: a protocol violation
+            # closes the connection).
+            raise self.abort(error)
         except (OSError, EOFError) as error:
-            failure = BackendConnectionError(f"connection to worker {self.address} lost: {error!r}")
-            self._abort(failure)
-            raise failure from error
-        with self._state_lock:
-            self.stats.bytes_in += len(payload)
-            ticket = self._pending.popleft() if self._pending else None
-        if ticket is None:
-            failure = ProtocolError(f"unsolicited {kind.name} frame from {self.address}")
-            self._abort(failure)
-            raise failure
-        ticket.resolve(kind, payload)
-
-    def _abort(self, cause: BaseException) -> None:
-        """Close the connection and fail every in-flight ticket.
-
-        The pending results can never arrive once the stream is broken, so
-        their waiters get :class:`BackendConnectionError` -- the signal the
-        fleet answers by rerouting the slot and resubmitting the item.
-        """
-        self.close()
-        with self._state_lock:
-            pending, self._pending = list(self._pending), deque()
-        if pending:
-            failure = (
-                cause
-                if isinstance(cause, BackendConnectionError)
-                else BackendConnectionError(f"connection to worker {self.address} aborted: {cause!r}")
-            )
-            for ticket in pending:
-                ticket.fail(failure)
+            raise self.abort(self._connection.connection_lost(error)) from error
 
     def submit_item(self, item: WorkItem) -> ReasonerResult:
         """Ship one work item (full or delta form) and await its result.
 
-        The send returns as soon as the frame is on the wire; the calling
+        The send returns as soon as the frames are on the wire; the calling
         thread then waits on the FIFO ticket queue, so concurrent callers
         keep multiple work frames outstanding on this one connection.
         """
         with self._send_lock:
-            sock = self._sock
-            if sock is None:
-                raise BackendConnectionError(f"connection to worker {self.address} is closed")
-            if self._shipper is not None:
-                frames = self._shipper.encode_frames(item)
-            else:
-                frames = [(FrameKind.WORK, _dumps(item.thinned()))]
-            # Leading SYMBOLS frames are one-way (no response, so no ticket);
-            # only the trailing work frame enters the FIFO ticket queue.
-            for sync_kind, sync_payload in frames[:-1]:
-                try:
-                    send_frame(sock, sync_kind, sync_payload)
-                except (OSError, BrokenPipeError) as error:
-                    failure = BackendConnectionError(f"connection to worker {self.address} lost: {error!r}")
-                    self._abort(failure)
-                    raise failure from error
-                with self._state_lock:
-                    self.stats.symbol_frames += 1
-                    self.stats.bytes_symbols += len(sync_payload)
-            kind, payload = frames[-1]
-            ticket = self._post(kind, payload)
-            with self._state_lock:
-                if kind is FrameKind.DELTA:
-                    self.stats.items_delta += 1
-                    self.stats.bytes_delta += len(payload)
-                else:
-                    self.stats.items_full += 1
-                    self.stats.bytes_full += len(payload)
-        response_kind, response = self._await(ticket)
-        if response_kind is not FrameKind.RESULT:
-            failure = ProtocolError(f"expected RESULT, got {response_kind.name}")
-            self._abort(failure)
-            raise failure
+            ticket = self._post(self._connection.encode_item(item))
+        self._await(ticket)
         try:
-            return self._decode_result(response, self.address)
-        except ProtocolError as failure:
-            self._abort(failure)
-            raise
+            return self._connection.take_result(ticket)
+        except ProtocolError as error:
+            raise self.abort(error)
 
     def ping(self) -> float:
         """Heartbeat round trip; returns the latency in seconds.
@@ -1233,16 +1419,13 @@ class WorkerClient:
         """
         started = time.perf_counter()
         with self._send_lock:
-            if self._sock is None:
-                raise BackendConnectionError(f"connection to worker {self.address} is closed")
-            ticket = self._post(FrameKind.PING, b"")
-        kind, _ = self._await(ticket)
-        if kind is not FrameKind.PONG:
-            failure = ProtocolError(f"expected PONG, got {kind.name}")
-            self._abort(failure)
-            raise failure
-        with self._state_lock:
-            self.stats.pings += 1
+            ticket = self._post([frame_bytes(FrameKind.PING)])
+        self._await(ticket)
+        try:
+            with self._state_lock:  # the pings counter is shared by every pinging thread
+                self._connection.take_pong(ticket)
+        except ProtocolError as error:
+            raise self.abort(error)
         return time.perf_counter() - started
 
     def try_ping(self) -> bool:
