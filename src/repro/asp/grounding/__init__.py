@@ -17,7 +17,6 @@ from repro.asp.grounding.grounder import (
     ground_program,
 )
 from repro.asp.grounding.safety import check_safety, is_safe, unsafe_variables
-from repro.asp.grounding.substitution import Substitution, match_atom
 
 __all__ = [
     "DeltaGrounding",
@@ -27,11 +26,9 @@ __all__ = [
     "GroundingCache",
     "PredicateDependencyGraph",
     "RepairStats",
-    "Substitution",
     "check_safety",
     "ground_program",
     "is_safe",
-    "match_atom",
     "stratify",
     "unsafe_variables",
 ]

@@ -10,7 +10,10 @@ the standard intelligent-grounding recipe used by DLV and gringo:
    only against newly derived atoms),
 3. instantiate rule bodies by indexed joins over the *possible atoms*
    derived so far, evaluating builtin comparisons as soon as their variables
-   are bound,
+   are bound -- the join of a rule is not interpreted but *run*: literal
+   order, index keys, comparison placement and the head/body templates are
+   fixed once per rule set (:mod:`repro.asp.grounding.joinplan`), one
+   generated function per rule and seed position,
 4. simplify ground rules: positive body atoms that are certainly true are
    removed, negative literals over atoms that can never be derived are
    removed, and rules whose body is certainly false are dropped.
@@ -48,14 +51,18 @@ sets as grounding the current window from scratch.
 Rules versus facts
 ------------------
 A stream evaluates one fixed rule set against ever-changing facts, so the
-two never travel together: everything derived from the rules alone lives in
-a :class:`RulePlan`, built once per rule set
+two never travel together: everything derived from the rules alone -- the
+safety check, the evaluation order of the strata, and every rule's compiled
+join plans -- lives in a :class:`RulePlan`, built once per rule set
 (:meth:`Program.derived <repro.asp.syntax.program.Program.derived>`) and
 shared by :class:`Grounder`, :class:`DeltaGrounding` and
 :class:`GroundingCache`, while a window's facts are passed next to the
-program as a plain collection of ground atoms.  Facts written in the
-program itself (``mode(peak).``) belong to the plan and join every window's
-fact set.
+program as a plain collection of ground atoms and enter the atom store in
+bulk.  A window therefore pays for running the plans over its facts (full
+evaluation when grounding from scratch, the seeded plans in semi-naive
+rounds and in a repair) and for nothing that could have been known before
+it arrived.  Facts written in the program itself (``mode(peak).``) belong
+to the plan and join every window's fact set.
 """
 
 from __future__ import annotations
@@ -64,16 +71,15 @@ import threading
 from collections import OrderedDict
 from dataclasses import dataclass, field
 from itertools import chain
-from typing import Collection, Dict, FrozenSet, Iterable, List, Optional, Sequence, Set, Tuple
+from typing import Collection, Dict, FrozenSet, Iterable, List, Optional, Set, Tuple
 
-from repro.asp.errors import GroundingError
 from repro.asp.grounding.dependency import (
     PredicateDependencyGraph,
     strongly_connected_components,
 )
+from repro.asp.grounding.joinplan import RuleJoins, _AtomStore, group_by_signature
 from repro.asp.grounding.safety import check_safety
-from repro.asp.grounding.substitution import Substitution, match_atom
-from repro.asp.syntax.atoms import Atom, Comparison, Literal
+from repro.asp.syntax.atoms import Atom
 from repro.asp.syntax.program import Program
 from repro.asp.syntax.rules import Rule
 from repro.asp.syntax.symbols import SymbolTable
@@ -180,115 +186,6 @@ class GroundProgram:
 
 
 # --------------------------------------------------------------------------- #
-# Indexed atom store
-# --------------------------------------------------------------------------- #
-class _AtomStore:
-    """Per-predicate store of ground atoms with lazily built join indexes.
-
-    Atoms of one signature sit in an insertion-ordered list (what a join
-    scans) and ``_slots`` maps every member to its position there, so
-    membership is one dict probe and :meth:`remove` is O(1): the last atom
-    of the list moves into the vacated position.  A join index covers the
-    first ``indexed_upto`` atoms of its signature's list and catches up on
-    the next probe; :meth:`remove` keeps that prefix invariant.
-
-    ``symbols`` is not used for membership: it is the table the grounder
-    interns instance keys against, carried here so every consumer of one
-    store agrees on the ids.
-    """
-
-    def __init__(self, symbols: Optional[SymbolTable] = None) -> None:
-        self.symbols = symbols if symbols is not None else SymbolTable()
-        self._by_signature: Dict[Tuple[str, int], List[Atom]] = {}
-        self._slots: Dict[Atom, int] = {}
-        # signature -> bound positions -> [indexed_upto, {key values -> [atoms]}]
-        self._indexes: Dict[Tuple[str, int], Dict[Tuple[int, ...], list]] = {}
-
-    def __contains__(self, atom: Atom) -> bool:
-        return atom in self._slots
-
-    def __len__(self) -> int:
-        return len(self._slots)
-
-    def atoms(self) -> Set[Atom]:
-        return set(self._slots)
-
-    def add(self, atom: Atom) -> bool:
-        """Add a ground atom; return True when it was not present before."""
-        if atom in self._slots:
-            return False
-        population = self._by_signature.setdefault(atom.signature, [])
-        self._slots[atom] = len(population)
-        population.append(atom)
-        return True
-
-    def remove(self, atom: Atom) -> None:
-        """Remove a member atom in place (its list, its slot, its index buckets)."""
-        position = self._slots.pop(atom)
-        signature = atom.signature
-        population = self._by_signature[signature]
-        last = population.pop()
-        moved = position < len(population)
-        if moved:
-            population[position] = last
-            self._slots[last] = position
-        for key_positions, index in self._indexes.get(signature, {}).items():
-            indexed_upto, table = index
-            if position >= indexed_upto:
-                continue  # neither the atom nor the one that replaced it was indexed
-            key = tuple(atom.arguments[at] for at in key_positions)
-            bucket = table[key]
-            bucket.remove(atom)
-            if not bucket:
-                del table[key]
-            if indexed_upto > len(population):
-                index[0] = len(population)  # the whole list was indexed, and it shrank
-            elif moved:
-                # The replacement came from the unindexed tail into the indexed prefix.
-                key = tuple(last.arguments[at] for at in key_positions)
-                table.setdefault(key, []).append(last)
-
-    def by_signature(self, signature: Tuple[str, int]) -> List[Atom]:
-        return self._by_signature.get(signature, [])
-
-    def candidates(self, pattern: Atom, binding: Substitution) -> List[Atom]:
-        """Atoms that could match ``pattern`` under ``binding``.
-
-        Uses a hash index on the argument positions that are already ground
-        after applying the binding; falls back to a full predicate scan when
-        no position is bound.
-        """
-        instantiated = pattern.substitute(binding) if binding else pattern
-        bound_positions: List[int] = []
-        bound_values: List[object] = []
-        for position, argument in enumerate(instantiated.arguments):
-            if argument.is_ground():
-                bound_positions.append(position)
-                bound_values.append(argument)
-        signature = pattern.signature
-        population = self._by_signature.get(signature, [])
-        if not bound_positions:
-            return population
-        # Fully-ground pattern: a membership probe beats building an index.
-        if len(bound_positions) == len(instantiated.arguments):
-            return [instantiated] if instantiated in self._slots else []
-        key_positions = tuple(bound_positions)
-        indexes = self._indexes.get(signature)
-        if indexes is None:
-            indexes = self._indexes[signature] = {}
-        index = indexes.get(key_positions)
-        if index is None:
-            index = indexes[key_positions] = [0, {}]
-        indexed_upto, table = index
-        if indexed_upto < len(population):
-            for atom in population[indexed_upto:]:
-                key = tuple(atom.arguments[position] for position in key_positions)
-                table.setdefault(key, []).append(atom)
-            index[0] = len(population)
-        return table.get(tuple(bound_values), [])
-
-
-# --------------------------------------------------------------------------- #
 # The compiled rule set
 # --------------------------------------------------------------------------- #
 class RulePlan:
@@ -297,11 +194,22 @@ class RulePlan:
     Obtained through ``program.derived(RulePlan)``, so it is computed once
     per rule set -- on first use, never per window -- and rebuilt only when
     the program's rules change.  Building it checks safety, so holding a
-    plan means the rules are safe.  Instances are immutable after
+    plan means the rules are safe, and compiles every proper rule and
+    constraint into its join plans (:mod:`repro.asp.grounding.joinplan`):
+    what a window pays for is running them.  Instances are immutable after
     construction and may be shared between threads.
     """
 
-    __slots__ = ("facts", "rules_key", "strata", "constraints", "rules_by_predicate")
+    __slots__ = (
+        "facts",
+        "rules_key",
+        "strata",
+        "constraints",
+        "rules_by_predicate",
+        "stratum_joins",
+        "constraint_joins",
+        "joins_by_predicate",
+    )
 
     def __init__(self, program: Program):
         check_safety(program)
@@ -327,10 +235,11 @@ class RulePlan:
             if rule.is_constraint:
                 self.constraints.append(rule)
                 continue
-            # A rule is evaluated with the highest component among its head
-            # predicates (they are in the same SCC for disjunctive rules that
-            # are mutually recursive; otherwise max is a sound choice).
-            component_index = max(component_of.get(predicate, 0) for predicate in rule.head_predicates())
+            # A rule is evaluated with the lowest component among its head
+            # predicates: every body predicate sits at or below each of them,
+            # and whatever consumes one of a disjunctive rule's head atoms sits
+            # above that head, hence above the lowest.
+            component_index = min(component_of.get(predicate, 0) for predicate in rule.head_predicates())
             rules_by_component.setdefault(component_index, []).append(rule)
         #: Bottom-up evaluation order: (component, its non-recursive rules,
         #: its recursive rules), for the components that define anything.
@@ -350,6 +259,28 @@ class RulePlan:
                 bucket = self.rules_by_predicate.setdefault(literal.predicate, [])
                 if rule not in bucket:
                     bucket.append(rule)
+
+        # The same three views over the compiled rules -- what a window runs.
+        joins = {rule: RuleJoins(rule, GroundRule) for rule in proper_rules}
+        #: Per stratum: the joins of its non-recursive rules, and those of its
+        #: recursive rules with the literal positions a semi-naive round seeds.
+        self.stratum_joins: List[Tuple[List[RuleJoins], List[Tuple[RuleJoins, List[int]]]]] = [
+            (
+                [joins[rule] for rule in non_recursive],
+                [
+                    (
+                        joins[rule],
+                        [seed for seed, predicate in enumerate(joins[rule].positive_predicates) if predicate in component],
+                    )
+                    for rule in recursive
+                ],
+            )
+            for component, non_recursive, recursive in self.strata
+        ]
+        self.constraint_joins: List[RuleJoins] = [joins[rule] for rule in self.constraints]
+        self.joins_by_predicate: Dict[str, List[RuleJoins]] = {
+            predicate: [joins[rule] for rule in rules] for predicate, rules in self.rules_by_predicate.items()
+        }
 
     def fact_set(self, facts: Iterable[Atom]) -> FrozenSet[Atom]:
         """The fact set grounded for a window: its ``facts`` plus the program's own."""
@@ -643,7 +574,7 @@ class Grounder:
 
     # ------------------------------------------------------------------ #
     def ground(self) -> GroundProgram:
-        possible, certain, ground_rules, _ = self._instantiate(self._facts)
+        possible, certain, ground_rules, _ = self._instantiate()
 
         # Final simplification --------------------------------------------- #
         possible_atoms = possible.atoms()
@@ -656,7 +587,7 @@ class Grounder:
         return GroundProgram(facts=set(certain), rules=simplified, possible_atoms=possible_atoms | set(certain))
 
     # ------------------------------------------------------------------ #
-    def _instantiate(self, facts: Iterable[Atom]) -> Tuple[_AtomStore, Set[Atom], List[GroundRule], Set[Tuple]]:
+    def _instantiate(self) -> Tuple[_AtomStore, Set[Atom], List[GroundRule], Set[Tuple]]:
         """Run the full bottom-up instantiation (steps 1-4, no simplification).
 
         Returns the possible-atom store, the certain facts, the unsimplified
@@ -664,240 +595,36 @@ class Grounder:
         """
         plan = self._plan
         possible = _AtomStore(self._symbols)
-        certain: Set[Atom] = set()
         ground_rules: List[GroundRule] = []
         seen_rules: Set[Tuple] = set()
+        drop = self._certain_negative_drop
 
-        # 1. Facts: the program's own, then the window's ------------------ #
-        for atom in chain(plan.facts, facts):
-            if not atom.is_ground():
-                raise GroundingError(f"non-ground fact {atom} (facts must be variable-free)")
-            possible.add(atom)
-            certain.add(atom)
+        # 1. Facts: the program's own, then the window's, in bulk ---------- #
+        distinct = dict.fromkeys(chain(plan.facts, self._facts))
+        possible.load(distinct)
+        certain: Set[Atom] = set(distinct)
 
         # 2-3. Bottom-up semi-naive evaluation along the plan's strata ---- #
-        for component, non_recursive, recursive in plan.strata:
-            self._evaluate_component(
-                non_recursive, recursive, component, possible, certain, ground_rules, seen_rules
-            )
+        for non_recursive, recursive in plan.stratum_joins:
+            new_atoms: List[Atom] = []
+            for joins in non_recursive:
+                joins.full(possible, None, certain, drop, ground_rules, seen_rules, new_atoms)
+            # First pass of recursive rules against everything derived so far.
+            for joins, _ in recursive:
+                joins.full(possible, None, certain, drop, ground_rules, seen_rules, new_atoms)
+            # Subsequent passes only need bindings that use at least one new atom.
+            while recursive and new_atoms:
+                delta = group_by_signature(new_atoms)
+                new_atoms = []
+                for joins, seeds in recursive:
+                    for seed in seeds:
+                        joins.seeded[seed](possible, delta, certain, drop, ground_rules, seen_rules, new_atoms)
 
         # 4. Constraints are instantiated last over all possible atoms ---- #
-        for rule in plan.constraints:
-            self._instantiate_rule(rule, possible, certain, ground_rules, seen_rules, delta=None, restrict=None)
+        for joins in plan.constraint_joins:
+            joins.full(possible, None, certain, drop, ground_rules, seen_rules, [])
 
         return possible, certain, ground_rules, seen_rules
-
-    # ------------------------------------------------------------------ #
-    def _evaluate_component(
-        self,
-        non_recursive: Sequence[Rule],
-        recursive: Sequence[Rule],
-        component: Set[str],
-        possible: _AtomStore,
-        certain: Set[Atom],
-        ground_rules: List[GroundRule],
-        seen_rules: Set[Tuple],
-    ) -> None:
-        """Semi-naive fixpoint over one strongly connected component."""
-        delta: Set[Atom] = set()
-        for rule in non_recursive:
-            delta.update(
-                self._instantiate_rule(rule, possible, certain, ground_rules, seen_rules, delta=None, restrict=None)
-            )
-        if not recursive:
-            return
-        # First pass of recursive rules against everything derived so far.
-        for rule in recursive:
-            delta.update(
-                self._instantiate_rule(rule, possible, certain, ground_rules, seen_rules, delta=None, restrict=None)
-            )
-        # Subsequent passes only need bindings that use at least one new atom.
-        while delta:
-            new_delta: Set[Atom] = set()
-            for rule in recursive:
-                new_delta.update(
-                    self._instantiate_rule(
-                        rule, possible, certain, ground_rules, seen_rules, delta=delta, restrict=component
-                    )
-                )
-            delta = new_delta
-
-    # ------------------------------------------------------------------ #
-    def _instantiate_rule(
-        self,
-        rule: Rule,
-        possible: _AtomStore,
-        certain: Set[Atom],
-        ground_rules: List[GroundRule],
-        seen_rules: Set[Tuple],
-        delta: Optional[Set[Atom]],
-        restrict: Optional[Set[str]],
-    ) -> Set[Atom]:
-        """Instantiate one rule and record its ground instances.
-
-        When ``delta`` is given, only substitutions where at least one
-        positive body literal over a predicate in ``restrict`` matches an
-        atom in ``delta`` are produced (semi-naive evaluation).
-
-        Returns the set of newly derived *possible* head atoms.
-        """
-        new_atoms: Set[Atom] = set()
-        positive_literals = list(rule.positive_body)
-        comparisons = list(rule.comparisons)
-
-        seed_indices: List[Optional[int]]
-        if delta is None:
-            seed_indices = [None]
-        else:
-            seed_indices = [
-                index
-                for index, literal in enumerate(positive_literals)
-                if restrict is not None and literal.predicate in restrict
-            ]
-            if not seed_indices:
-                return new_atoms
-
-        for seed in seed_indices:
-            for binding in self._join(positive_literals, comparisons, possible, delta, seed):
-                derived = self._emit_ground_rule(rule, binding, possible, certain, ground_rules, seen_rules)
-                new_atoms.update(derived)
-        return new_atoms
-
-    # ------------------------------------------------------------------ #
-    def _join(
-        self,
-        literals: List[Literal],
-        comparisons: List[Comparison],
-        possible: _AtomStore,
-        delta: Optional[Set[Atom]],
-        seed: Optional[int],
-    ) -> Iterable[Substitution]:
-        """Enumerate substitutions satisfying the positive body and comparisons.
-
-        The join is a depth-first nested-loop join with a greedy
-        most-bound-first literal ordering and early evaluation of
-        comparisons.
-        """
-        pending_comparisons = list(comparisons)
-        remaining = list(range(len(literals)))
-
-        def ready_comparisons(binding: Substitution) -> Optional[List[Comparison]]:
-            """Evaluate comparisons whose variables are all bound.
-
-            Returns the still-pending comparisons or None if one failed.
-            """
-            still_pending = []
-            for comparison in pending_stack[-1]:
-                instantiated = comparison.substitute(binding)
-                if instantiated.is_ground():
-                    if not instantiated.evaluate():
-                        return None
-                else:
-                    still_pending.append(comparison)
-            return still_pending
-
-        # Depth-first search over literal orderings.
-        pending_stack: List[List[Comparison]] = [pending_comparisons]
-
-        def descend(binding: Substitution, todo: List[int]) -> Iterable[Substitution]:
-            still_pending = ready_comparisons(binding)
-            if still_pending is None:
-                return
-            pending_stack.append(still_pending)
-            try:
-                if not todo:
-                    if still_pending:
-                        # Unsafe comparisons should have been rejected earlier.
-                        raise GroundingError(
-                            f"comparison {still_pending[0]} has unbound variables after the join"
-                        )
-                    yield dict(binding)
-                    return
-                # Pick the next literal: prefer the seed (must consume delta),
-                # then the literal with the most bound arguments.
-                chosen = None
-                if seed is not None and seed in todo:
-                    chosen = seed
-                else:
-                    def bound_count(index: int) -> int:
-                        literal = literals[index]
-                        pattern = literal.atom.substitute(binding) if binding else literal.atom
-                        return sum(1 for argument in pattern.arguments if argument.is_ground())
-
-                    chosen = max(todo, key=bound_count)
-                literal = literals[chosen]
-                rest = [index for index in todo if index != chosen]
-                if seed is not None and chosen == seed and delta is not None:
-                    if binding:
-                        candidates = [atom for atom in possible.candidates(literal.atom, binding) if atom in delta]
-                    else:
-                        # The seed is (by preference) matched first, with an
-                        # empty binding: iterating the delta directly beats
-                        # scanning the whole predicate population and
-                        # filtering -- the delta is what semi-naive rounds
-                        # and window repairs keep small.
-                        signature = literal.atom.signature
-                        candidates = [atom for atom in delta if atom.signature == signature and atom in possible]
-                else:
-                    candidates = possible.candidates(literal.atom, binding)
-                for candidate in candidates:
-                    extended = match_atom(literal.atom, candidate, binding)
-                    if extended is None:
-                        continue
-                    yield from descend(extended, rest)
-            finally:
-                pending_stack.pop()
-
-        yield from descend({}, remaining)
-
-    # ------------------------------------------------------------------ #
-    def _emit_ground_rule(
-        self,
-        rule: Rule,
-        binding: Substitution,
-        possible: _AtomStore,
-        certain: Set[Atom],
-        ground_rules: List[GroundRule],
-        seen_rules: Set[Tuple],
-    ) -> Set[Atom]:
-        """Create the ground instance of ``rule`` under ``binding``."""
-        head = tuple(atom.substitute(binding) for atom in rule.head)
-        positive = tuple(literal.atom.substitute(binding) for literal in rule.positive_body)
-        negative = tuple(literal.atom.substitute(binding) for literal in rule.negative_body)
-
-        for atom in head + positive + negative:
-            if not atom.is_ground():
-                raise GroundingError(f"incomplete instantiation of {rule}: {atom} is not ground")
-
-        # A negative literal over a certainly-true atom falsifies the body
-        # outright: the instance can never fire, so do not even register its
-        # head atoms as possible.  Kept (for later retraction) in delta mode.
-        if self._certain_negative_drop and any(atom in certain for atom in negative):
-            return set()
-
-        new_atoms: Set[Atom] = set()
-        for atom in head:
-            if possible.add(atom):
-                new_atoms.add(atom)
-
-        ground = GroundRule(head=head, positive_body=positive, negative_body=negative)
-        # Dedup instances on interned-id triples: a window emits the same
-        # instance through many bindings, and id-tuple hashing beats
-        # re-hashing three atom tuples every time.
-        intern = possible.symbols.intern
-        key = (
-            tuple(map(intern, head)),
-            tuple(map(intern, positive)),
-            tuple(map(intern, negative)),
-        )
-        if key not in seen_rules:
-            seen_rules.add(key)
-            ground_rules.append(ground)
-
-        # Track certainly-true atoms (definite consequences).
-        if len(head) == 1 and not negative and all(atom in certain for atom in positive):
-            certain.add(head[0])
-        return new_atoms
 
 
 def _simplify(rule: GroundRule, certain: Set[Atom], possible: Set[Atom]) -> Optional[GroundRule]:
@@ -966,16 +693,16 @@ class DeltaGrounding:
 
     def __init__(self, program: Program, facts: Collection[Atom] = ()):
         plan = program.derived(RulePlan)
-        self._rules_by_predicate = plan.rules_by_predicate
+        self._joins_by_predicate = plan.joins_by_predicate
         # One symbol table for the lifetime of the state, so the repair
         # indexes below can key on dense ints instead of re-hashing atoms
         # window after window.
         self._symbols = SymbolTable()
-        self._machine = Grounder(program, certain_negative_drop=False, symbols=self._symbols)
         #: The fact set the state is instantiated for (window + program facts).
         self.facts: FrozenSet[Atom] = plan.fact_set(facts)
 
-        store, _certain, ground_rules, seen = self._machine._instantiate(facts)
+        machine = Grounder(program, facts, certain_negative_drop=False, symbols=self._symbols)
+        store, _certain, ground_rules, seen = machine._instantiate()
         self._store = store
         self._seen: Set[Tuple] = seen
         self._instances: Dict[int, GroundRule] = {}
@@ -986,6 +713,8 @@ class DeltaGrounding:
         self._next_id = 0
         for ground in ground_rules:
             self._add_instance(ground)
+        #: Interned ids of :attr:`facts`, moved along by :meth:`repair`.
+        self._fact_ids: Set[int] = set(self._symbols.intern_many(self.facts))
 
     # ------------------------------------------------------------------ #
     # Instance bookkeeping
@@ -1053,7 +782,8 @@ class DeltaGrounding:
         # 1. Overdelete (the cascade runs entirely over interned ids) ------ #
         dead_ids: Set[int] = set()
         dead_instances: Set[int] = set()
-        worklist: List[int] = [intern(atom) for atom in retracted]
+        worklist: List[int] = table.intern_many(retracted)
+        self._fact_ids.difference_update(worklist)
         while worklist:
             atom_id = worklist.pop()
             if atom_id in dead_ids:
@@ -1079,6 +809,7 @@ class DeltaGrounding:
 
         # 3. Assert + re-derive -------------------------------------------- #
         self.facts = target
+        self._fact_ids.update(table.intern_many(asserted))
         rescued = {resolve(atom_id) for atom_id in rescued_ids}
         seeds: Set[Atom] = set(rescued)
         for atom in asserted:
@@ -1086,29 +817,24 @@ class DeltaGrounding:
                 seeds.add(atom)
         rules_added = 0
         atoms_added = 0
-        delta = seeds
+        delta: Collection[Atom] = seeds
         throwaway_certain: Set[Atom] = set()
         while delta:
             predicates = {atom.predicate for atom in delta}
-            touched: List[Rule] = []
+            touched: List[RuleJoins] = []
             for predicate in predicates:
-                for rule in self._rules_by_predicate.get(predicate, ()):
-                    if rule not in touched:
-                        touched.append(rule)
+                for joins in self._joins_by_predicate.get(predicate, ()):
+                    if joins not in touched:
+                        touched.append(joins)
+            by_signature = group_by_signature(delta)
             buffer: List[GroundRule] = []
-            new_atoms: Set[Atom] = set()
-            for rule in touched:
-                new_atoms.update(
-                    self._machine._instantiate_rule(
-                        rule,
-                        self._store,
-                        throwaway_certain,
-                        buffer,
-                        self._seen,
-                        delta=delta,
-                        restrict=predicates,
-                    )
-                )
+            new_atoms: List[Atom] = []
+            for joins in touched:
+                for seed, predicate in enumerate(joins.positive_predicates):
+                    if predicate in predicates:
+                        joins.seeded[seed](
+                            self._store, by_signature, throwaway_certain, False, buffer, self._seen, new_atoms
+                        )
             for ground in buffer:
                 self._add_instance(ground)
             rules_added += len(buffer)
@@ -1136,7 +862,7 @@ class DeltaGrounding:
         """
         table = self._symbols
         intern = table.intern
-        certain_ids: Set[int] = set(table.intern_many(self.facts))
+        certain_ids: Set[int] = set(self._fact_ids)
         remaining: Dict[int, int] = {}
         queue: List[int] = list(certain_ids)
         for instance_id, ground in self._instances.items():
@@ -1163,8 +889,7 @@ class DeltaGrounding:
                     if head_id not in certain_ids:
                         certain_ids.add(head_id)
                         queue.append(head_id)
-        resolve = table.resolve
-        return {resolve(atom_id) for atom_id in certain_ids}
+        return set(table.resolve_many(certain_ids))
 
     def to_ground_program(self) -> GroundProgram:
         """Simplify the current state into a fresh :class:`GroundProgram`."""

@@ -112,6 +112,13 @@ class TestRecursionAndConstraints:
         # violated constraint -- the program has no answer set.
         assert stable_models(ground) == []
 
+    def test_consumer_of_one_disjunct_is_instantiated_after_the_disjunctive_rule(self):
+        # a and b share no component; the disjunctive rule has to run before
+        # the consumer of *either* head, whichever component sorts first.
+        for text in ("a(1) | b(1) :- not e(1). c :- a(X).", "a(1) | b(1) :- not e(1). c :- b(X)."):
+            ground = ground_program(parse_program(text))
+            assert Atom("c") in ground.possible_atoms, text
+
     def test_disjunctive_heads_are_possible_not_certain(self):
         ground = ground_program(parse_program("p(1). a(X) | b(X) :- p(X)."))
         assert Atom("a", (Constant(1),)) in ground.possible_atoms
