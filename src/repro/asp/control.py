@@ -22,7 +22,7 @@ from typing import TYPE_CHECKING, FrozenSet, Iterable, Iterator, List, Optional,
 if TYPE_CHECKING:  # pragma: no cover - annotation-only import, avoids a layering cycle
     from repro.streamrule.work import WorkItem
 
-from repro.asp.grounding.grounder import GroundProgram, Grounder, GroundingCache, RepairStats
+from repro.asp.grounding.grounder import GroundProgram, Grounder, GroundingCache
 from repro.asp.solving.incremental import SolveStats, SolverCache
 from repro.asp.solving.solver import StableModelSolver
 from repro.asp.syntax.atoms import Atom
@@ -90,10 +90,10 @@ class Control:
     atoms and reach the grounder as such.  :attr:`program` is a *view* that
     merges the two on demand.
 
-    ``delta_track`` opts into incremental (delta-) grounding: when set
-    together with a ``grounding_cache``, :meth:`ground` goes through
-    :meth:`GroundingCache.ground_incremental` so an overlapping window
-    repairs the track's cached instantiation instead of regrounding.
+    ``delta_track`` opts into the track path: when set together with a
+    ``grounding_cache``, :meth:`ground` goes through
+    :meth:`GroundingCache.ground_incremental`, which serves a window equal
+    to the track's previous one for free and regrounds any other.
 
     Alternatively a typed :class:`~repro.streamrule.work.WorkItem` can be
     passed as ``work``: its track/epoch/incremental intent then drive the
@@ -143,7 +143,6 @@ class Control:
         self._ground_program: Optional[GroundProgram] = None
         self._ground_from_cache: Optional[bool] = None
         self._ground_outcome: Optional[str] = None
-        self._repair_stats: Optional[RepairStats] = None
         self._solve_stats: Optional[SolveStats] = None
         self._grounding_seconds = 0.0
 
@@ -172,7 +171,6 @@ class Control:
         self._ground_program = None
         self._ground_from_cache = None
         self._ground_outcome = None
-        self._repair_stats = None
 
     @property
     def program(self) -> Program:
@@ -196,7 +194,7 @@ class Control:
         """Instantiate the program; idempotent until new rules are added.
 
         When a :class:`GroundingCache` was supplied, the instantiation goes
-        through it (the LRU memo, or the track's repairable state when
+        through it (the LRU memo, or the track's last ground program when
         ``delta_track`` is set); :attr:`ground_outcome` reports which path
         was taken.
         """
@@ -204,12 +202,11 @@ class Control:
             started = time.perf_counter()
             if self._grounding_cache is not None:
                 if self._delta_track is not None:
-                    self._ground_program, outcome, stats = self._grounding_cache.ground_incremental(
+                    self._ground_program, outcome = self._grounding_cache.ground_incremental(
                         self._rules, self._facts, track=self._delta_track
                     )
                     self._ground_from_cache = outcome == "hit"
                     self._ground_outcome = outcome
-                    self._repair_stats = stats
                 else:
                     self._ground_program, from_cache = self._grounding_cache.ground(self._rules, self._facts)
                     self._ground_from_cache = from_cache
@@ -226,15 +223,9 @@ class Control:
 
     @property
     def ground_outcome(self) -> Optional[str]:
-        """How the last grounding was obtained: ``"hit"``, ``"repair"``, or
-        ``"full"`` (``None``: no cache or not grounded yet)."""
+        """How the last grounding was obtained: ``"hit"`` or ``"full"``
+        (``None``: no cache or not grounded yet)."""
         return self._ground_outcome
-
-    @property
-    def repair_stats(self) -> Optional[RepairStats]:
-        """Size record of the last delta repair (``None`` unless the last
-        grounding outcome was ``"repair"``)."""
-        return self._repair_stats
 
     @property
     def solve_stats(self) -> Optional[SolveStats]:

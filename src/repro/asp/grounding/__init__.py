@@ -8,24 +8,20 @@ footnote 1.
 
 from repro.asp.grounding.dependency import PredicateDependencyGraph, stratify
 from repro.asp.grounding.grounder import (
-    DeltaGrounding,
     GroundProgram,
     GroundRule,
     Grounder,
     GroundingCache,
-    RepairStats,
     ground_program,
 )
 from repro.asp.grounding.safety import check_safety, is_safe, unsafe_variables
 
 __all__ = [
-    "DeltaGrounding",
     "GroundProgram",
     "GroundRule",
     "Grounder",
     "GroundingCache",
     "PredicateDependencyGraph",
-    "RepairStats",
     "check_safety",
     "ground_program",
     "is_safe",

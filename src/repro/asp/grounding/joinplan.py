@@ -4,8 +4,8 @@ Instantiating a rule is a nested-loop join over its positive body.  For a
 fixed rule everything about that join except the data is static, so
 :class:`RuleJoins` decides it once per rule set and writes it down as one
 Python function per *seed position* (``None``: evaluate the whole rule;
-``i``: a semi-naive or repair round in which literal ``i`` ranges over the
-newly derived atoms only):
+``i``: a semi-naive round in which literal ``i`` ranges over the newly
+derived atoms only):
 
 * the **literal order** -- the seed first, then always the literal with the
   most arguments bound by the literals before it, ties going to the earlier
@@ -43,19 +43,17 @@ from typing import Callable, Collection, Dict, Iterable, List, Optional, Sequenc
 from repro.asp.errors import GroundingError
 from repro.asp.syntax.atoms import _COMPARISON_OPERATORS, Atom, Comparison, Literal, Signature, _comparison_key
 from repro.asp.syntax.rules import Rule
-from repro.asp.syntax.symbols import SymbolTable
 from repro.asp.syntax.terms import Constant, FunctionTerm, Term, Variable
 
 __all__ = ["RuleJoins", "group_by_signature"]
 
-#: ``join(store, delta, certain, drop, out, seen, new)``: run one compiled join.
+#: ``join(store, delta, certain, out, seen, new)``: run one compiled join.
 #:
 #: ``store`` holds the possible atoms; ``delta`` maps a signature to the new
 #: atoms a seeded join ranges over (``None`` for a full evaluation);
 #: ``certain`` is the set of certainly-true atoms, extended in place;
-#: ``drop`` skips instances whose negative body mentions a certain atom;
-#: unseen instances are appended to ``out`` and their interned-id key added
-#: to ``seen``; head atoms new to the store are appended to ``new``.
+#: unseen instances are appended to ``out`` and added to ``seen``; head
+#: atoms new to the store are appended to ``new``.
 Join = Callable[..., None]
 
 #: CPython compiles at most 20 statically nested blocks per function; a join
@@ -98,46 +96,25 @@ class _AtomStore:
 
     Atoms of one signature sit in an insertion-ordered list (what a join
     scans) and ``_slots`` maps every member to its position there, so
-    membership is one dict probe and :meth:`remove` is O(1): the last atom
-    of the list moves into the vacated position.  A join index covers a
-    prefix of its signature's list (see :class:`_Index`); :meth:`remove`
-    keeps that prefix invariant.  The compiled joins read ``_slots`` and the
-    population lists directly and append derived head atoms themselves.
-
-    ``symbols`` is not used for membership: it is the table the grounder
-    interns instance keys against, carried here so every consumer of one
-    store agrees on the ids.
+    membership is one dict probe.  A join index covers a prefix of its
+    signature's list (see :class:`_Index`).  The store only grows: the
+    compiled joins read ``_slots`` and the population lists directly and
+    append derived head atoms themselves.
     """
 
-    def __init__(self, symbols: Optional[SymbolTable] = None) -> None:
-        self.symbols = symbols if symbols is not None else SymbolTable()
+    def __init__(self) -> None:
         self._by_signature: Dict[Signature, List[Atom]] = {}
         self._slots: Dict[Atom, int] = {}
         self._indexes: Dict[Signature, Dict[Tuple[int, ...], _Index]] = {}
 
-    def __contains__(self, atom: Atom) -> bool:
-        return atom in self._slots
-
-    def __len__(self) -> int:
-        return len(self._slots)
-
     def atoms(self) -> Set[Atom]:
         return set(self._slots)
 
-    def add(self, atom: Atom) -> bool:
-        """Add a ground atom; return True when it was not present before."""
-        if atom in self._slots:
-            return False
-        population = self.population((atom.predicate, len(atom.arguments)))
-        self._slots[atom] = len(population)
-        population.append(atom)
-        return True
-
     def load(self, atoms: Collection[Atom]) -> None:
-        """Bulk :meth:`add` of distinct ground atoms, none of them a member yet.
+        """Add distinct ground atoms, none of them a member yet, in bulk.
 
         Slots and population lists are extended once per signature, in the
-        order a sequence of :meth:`add` calls would have left them.
+        order of ``atoms``.
         """
         # One C-level pass over every argument: anything but constants is rare.
         if not set(map(type, chain.from_iterable(map(_ARGUMENTS_OF, atoms)))) <= {Constant}:
@@ -148,30 +125,6 @@ class _AtomStore:
             population = self.population(signature)
             self._slots.update(zip(group, count(len(population))))
             population.extend(group)
-
-    def remove(self, atom: Atom) -> None:
-        """Remove a member atom in place (its list, its slot, its index buckets)."""
-        position = self._slots.pop(atom)
-        signature = (atom.predicate, len(atom.arguments))
-        population = self._by_signature[signature]
-        last = population.pop()
-        moved = position < len(population)
-        if moved:
-            population[position] = last
-            self._slots[last] = position
-        for index in self._indexes.get(signature, {}).values():
-            if position >= index.upto:
-                continue  # neither the atom nor the one that replaced it was indexed
-            key = index.key_of(atom.arguments)
-            bucket = index.table[key]
-            bucket.remove(atom)
-            if not bucket:
-                del index.table[key]
-            if index.upto > len(population):
-                index.upto = len(population)  # the whole list was indexed, and it shrank
-            elif moved:
-                # The replacement came from the unindexed tail into the indexed prefix.
-                index.table.setdefault(index.key_of(last.arguments), []).append(last)
 
     def population(self, signature: Signature) -> List[Atom]:
         """The live, insertion-ordered list of ``signature``'s atoms."""
@@ -288,8 +241,8 @@ class _JoinCompiler:
             "GroundRule": instance_type,
             "ckey": _comparison_key,
         }
-        self.prologue: List[str] = ["slots = store._slots", "intern = store.symbols.intern"]
-        self.outer = self.block = _Block("def join(store, delta, certain, drop, out, seen, new):")
+        self.prologue: List[str] = ["slots = store._slots"]
+        self.outer = self.block = _Block("def join(store, delta, certain, out, seen, new):")
         self.variables: Dict[Variable, str] = {}  # bound so far -> local name
         self.names = count()
         self._generate()
@@ -434,22 +387,18 @@ class _JoinCompiler:
         if negatives:
             # A negative literal over a certainly-true atom falsifies the body
             # outright: the instance can never fire, so its head atoms are not
-            # even registered as possible.  Kept (for later retraction) in
-            # delta mode.
-            self.emit(f"if drop and ({' or '.join(f'{name} in certain' for name in negatives)}): {self.skip}")
+            # even registered as possible.
+            self.emit(f"if {' or '.join(f'{name} in certain' for name in negatives)}: {self.skip}")
         for index, (name, atom) in enumerate(zip(heads, rule.head)):
             self.prologue.append(f"q{index} = store.population({self.bind(atom.signature)})")
             self.emit(f"{name} = {self.atom(atom)}")
             self.emit(f"if {name} not in slots:")
             self.emit(f"    slots[{name}] = len(q{index}); q{index}.append({name}); new.append({name})")
-        # Instances are deduplicated on interned-id triples: the same instance
-        # is reached through several seeds, rounds and (in a repairable state)
-        # windows.
-        ids = [_tuple_source([f"intern({name})" for name in names]) for names in (heads, bodies, negatives)]
-        self.emit(f"key = ({', '.join(ids)})")
-        self.emit("if key not in seen:")
-        self.emit("    seen.add(key)")
-        self.emit(f"    out.append(GroundRule({', '.join(map(_tuple_source, (heads, bodies, negatives)))}))")
+        # The same instance is reached through several seeds and rounds.
+        self.emit(f"instance = GroundRule({', '.join(map(_tuple_source, (heads, bodies, negatives)))})")
+        self.emit("if instance not in seen:")
+        self.emit("    seen.add(instance)")
+        self.emit("    out.append(instance)")
         # Certainly-true atoms: definite consequences of certain atoms.
         if len(heads) == 1 and not negatives:
             condition = " and ".join(f"{name} in certain" for name in bodies)

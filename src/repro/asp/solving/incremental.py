@@ -1,17 +1,17 @@
 """Incremental solving across window slides.
 
-`DeltaGrounding` repairs the *instantiation* between overlapping windows;
-this module does the same one layer down, for the *solving* state.  An
+The grounder grounds every changed window from scratch; what carries over
+between overlapping windows is the *solving* state.  An
 :class:`IncrementalSolver` holds per-track state that survives from one
 window to the next and is repaired from the content delta between the two
-ground programs (the counting-only `RepairStats` from the grounder tells us
-*that* a repair happened; the rule/fact diff tells us *what* changed):
+ground programs -- the rule/fact diff tells it *what* changed, whichever
+way the grounder produced them:
 
 * **Well-founded strata reuse** -- the residual rules are sliced into
   strongly-connected predicate components, evaluated bottom-up with the
   alternating fixpoint.  Each stratum's consequences are cached keyed on its
   rules, its facts and the truth of its input atoms; strata untouched by the
-  window's repair are reused verbatim.  Crucially the fixpoint only ever
+  window's diff are reused verbatim.  Crucially the fixpoint only ever
   sees the *relevant subprogram* (residual rules plus the facts their
   bodies mention), never the full window of facts -- from-scratch solving
   re-derives every fact through the fixpoint queue on every window, which
@@ -35,8 +35,8 @@ reusable state).  The contract in all cases: answer sets are identical to
 from-scratch solving of the same ground program.
 
 :class:`SolverCache` wraps one :class:`IncrementalSolver` per delta track,
-mirroring how `GroundingCache` keys its `DeltaGrounding` states: LRU
-eviction beyond ``max_states``, per-track locks for thread backends, and a
+mirroring how `GroundingCache` keys its per-track pairs: LRU eviction
+beyond ``max_states``, per-track locks for thread backends, and a
 ``__reduce__`` that ships an empty cache across process boundaries (worker
 processes warm their own solver state).
 """

@@ -28,7 +28,7 @@ class Atom:
     predicate: str
     arguments: Tuple[Term, ...] = ()
     # Lazily cached hash (0 = not yet computed).  Atoms live in the hash-heavy
-    # inner loops of grounding, delta repair, and solving; recomputing the
+    # inner loops of grounding and solving; recomputing the
     # recursive tuple hash on every set operation dominates those loops.
     _hash: int = field(default=0, init=False, repr=False, compare=False)
 

@@ -5,8 +5,8 @@ triples) are heavy to compare and hash -- an :class:`~repro.asp.syntax.atoms.Ato
 hash walks its whole term tree on first use, and every pickle boundary
 drops the cached hash on purpose (string hashing is randomized per
 interpreter).  A :class:`SymbolTable` interns each distinct symbol once
-and hands out a dense integer id ``0..n-1``; the inner loops of
-grounding, delta repair and the wire then key on machine ints instead of
+and hands out a dense integer id ``0..n-1``; the solver's inner loops
+and the wire then key on machine ints instead of
 re-hashing object graphs, and a window's fact set becomes a flat id
 array (:func:`pack_ids`) that crosses process boundaries without
 pickling.

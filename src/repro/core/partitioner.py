@@ -45,7 +45,7 @@ class Partitioner(abc.ABC):
     #: same item always lands in the same partition(s), independent of the
     #: rest of the window.  Deterministic layouts preserve window-to-window
     #: continuity per partition, which is what lets the parallel reasoner
-    #: propagate sliding-window deltas down to per-partition delta-grounding.
+    #: propagate sliding-window deltas down to per-partition tracks.
     deterministic: bool = False
 
     @abc.abstractmethod

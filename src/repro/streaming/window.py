@@ -30,7 +30,7 @@ Delta iteration
 :meth:`CountWindow.deltas` / :meth:`TimeWindow.deltas` yield
 :class:`WindowDelta` records pairing every window with the items that
 *expired* (present in the previous window, gone now) and *arrived* (new in
-this window).  The invariant, exploited by the delta-grounding tests, is::
+this window).  The invariant, exploited by the delta-shipping tests, is::
 
     previous_window[len(expired):] + arrived == window
 
@@ -103,8 +103,9 @@ class WindowDelta:
     def carries_over(self) -> bool:
         """Whether part of this window survived from the previous one.
 
-        True exactly for the overlapping (sliding) case -- the one where
-        delta-grounding can repair the previous instantiation.  Tumbling and
+        True exactly for the overlapping (sliding) case -- the one where a
+        partition's track (grounding cache, solver cache, delta shipping)
+        can carry state from the previous window.  Tumbling and
         hopping windows (and the first window of any stream) share no
         content with their predecessor, so ``arrived`` is the whole window.
         """

@@ -434,7 +434,7 @@ class AioTcpBackend(FleetBackend):
     dispatch/gather seam (and ``PendingWindow.done()``) works unchanged --
     but all I/O runs as asyncio tasks on the loop that started the backend,
     with no dispatcher threads.  Per-track ordering (the precondition for
-    delta shipping and delta grounding) is preserved by *chaining*: each
+    delta shipping and the per-track caches) is preserved by *chaining*: each
     slot remembers its newest dispatch task, and the next item's task
     awaits it before submitting, so one slot's items hit the wire strictly
     in submission order while different slots proceed concurrently.

@@ -460,7 +460,7 @@ class _LoopbackSlot:
         self.thread.start()
         # A single-thread dispatcher serializes the request/response pairs on
         # this slot's socket, preserving per-track ordering (and with it the
-        # delta-grounding continuity of the pinned tracks).
+        # per-track continuity of the pinned tracks).
         self.dispatcher = ThreadPoolExecutor(max_workers=1, thread_name_prefix=f"loopback-dispatch-{index}")
 
     def close(self) -> None:
@@ -803,8 +803,8 @@ class SharedMemoryBackend(ExecutionBackend):
     ``/dev/shm``, with no pickling of atoms in either direction.
 
     Same capability surface as the other remote backends: one single-thread
-    dispatcher per slot preserves per-track ordering (so delta grounding
-    keeps working), the placement strategy routes items to slots, and a
+    dispatcher per slot preserves per-track ordering (so the per-track
+    caches keep working), the placement strategy routes items to slots, and a
     dead worker raises :class:`BackendConnectionError` at the caller -- the
     session answers with its inline fallback.  :meth:`drop_worker` is the
     fault-injection hook the crash tests (and the example) use.

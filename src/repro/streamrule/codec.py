@@ -217,6 +217,7 @@ _COUNTER_FIELDS = (
     "answer_count",
     "cache_hits",
     "cache_misses",
+    # Retired (always 0), kept so peers of older versions decode what they expect.
     "delta_repairs",
     "repair_size",
     "repair_rules_changed",

@@ -26,7 +26,7 @@ they share.  When a worker dies mid-stream the fleet
 Rerouted tracks land on a worker whose grounding cache has no state for
 them; the first item after a reroute is shipped as a full fact set (fresh
 delta-shipping state per connection) and grounds from scratch, after which
-delta shipping and delta grounding resume on the new worker.
+delta shipping and the per-track caches resume on the new worker.
 
 Endpoints marked dead are no longer dead forever: a revived worker is
 **re-adopted** without a backend restart, through any of three doors --

@@ -205,12 +205,11 @@ class ReasonerMetrics:
     plain :class:`~repro.streamrule.reasoner.Reasoner` they are 0/1 per
     window; the parallel reasoner sums them over its partitions (including
     worker-process-side caches, whose counts travel back inside the partition
-    results).  With delta-grounding enabled a window resolves to exactly one
-    of three outcomes: an exact-signature *hit* (``cache_hits``), a *delta
-    repair* of the track's cached instantiation (``delta_repairs``, with the
-    fact churn in ``repair_size`` and the ground-instance churn in
-    ``repair_rules_changed``), or a full (re)grounding (``cache_misses``).  ``evaluation_wall_seconds`` is the measured wall-clock of the
-    partition-evaluation phase and ``worker_wall_seconds`` the in-worker
+    results): a hit serves a ground program the cache already held, a miss
+    grounds the window from scratch.  ``delta_repairs``, ``repair_size``
+    and ``repair_rules_changed`` are retired and always read 0 (see their
+    field comment).  ``evaluation_wall_seconds`` is the measured wall-clock
+    of the partition-evaluation phase and ``worker_wall_seconds`` the in-worker
     wall-clock of each *evaluated* partition, populated by the parallel
     reasoner.  Under pipelined ingestion (``StreamSession(max_inflight>1)``,
     the default on pipelined backends) ``evaluation_wall_seconds`` -- and
@@ -234,6 +233,10 @@ class ReasonerMetrics:
     duplication_ratio: float = 0.0
     cache_hits: int = 0
     cache_misses: int = 0
+    #: Retired, always 0: windows are no longer repaired, only served as a
+    #: hit or regrounded.  The fields stay because the restricted wire codec
+    #: whitelists them (peers of older versions send and expect all three)
+    #: and the repository benchmark still reads two of them.
     delta_repairs: int = 0
     repair_size: int = 0
     repair_rules_changed: int = 0

@@ -56,12 +56,12 @@ client-side :class:`DeltaShipper` and the server-side :class:`DeltaDecoder`
 each remember the previous fact tuple per track, and steady-state items
 travel as :class:`FactDelta` frames -- copy-runs over the previous window
 plus the literal arrivals (see :func:`diff_facts`) -- instead of full fact
-sets.  This is the wire-level
-sibling of delta *grounding*: the same overlap that lets a worker repair
-its previous instantiation lets the coordinator skip re-sending the
-overlapping facts, so a ``WindowDelta``-sized frame replaces a window-sized
-one (and :meth:`WorkItem.thinned`'s "never ship the delta twice" concern
-disappears entirely on this transport).
+sets.  The overlap between consecutive windows of a track lets the
+coordinator skip re-sending the overlapping facts, so a
+``WindowDelta``-sized frame replaces a window-sized one (and
+:meth:`WorkItem.thinned`'s "never ship the delta twice" concern disappears
+entirely on this transport).  Delta frames diff *fact sequences*: how the
+worker then grounds the window is its own business.
 
 Both peers update their per-track state in lockstep -- the client when it
 encodes, the server when it decodes -- and a transport error closes the

@@ -112,8 +112,8 @@ class StreamRulePipeline:
 
         ``delta`` carries the window's expired/arrived record when the
         stream is iterated delta-aware (see :meth:`process_stream`); it is
-        forwarded so a grounding cache can repair the previous window's
-        instantiation instead of regrounding.
+        forwarded so the per-track grounding and solver caches can carry
+        state over from the previous window.
         """
         return self.session()._solve_window(window_index, triples, delta)
 

@@ -145,15 +145,14 @@ class Reasoner:
 
         This is the core evaluation path every execution backend dispatches
         to.  The item's delta/incremental intent selects the grounding
-        route: when a grounding cache is attached and the item wants
-        incremental grounding, the cache's delta path repairs the track's
-        previous instantiation (retracting expired facts, instantiating from
-        arrived ones) instead of regrounding -- see
-        :meth:`GroundingCache.ground_incremental`.  An item that carries
-        nothing over (tumbling/hopping windows, the first window of a
-        stream) takes the plain path: there is no overlap to repair, and
-        maintaining repairable state would only tax the full-reground path.
-        Without a cache the intent is inert.
+        route: when a grounding cache is attached and the item wants the
+        incremental path, the window goes through the item's track -- free
+        when its fact set equals the track's last one, a reground otherwise
+        (see :meth:`GroundingCache.ground_incremental`) -- and a solver
+        cache re-solves on the track's persistent state.  An item that
+        carries nothing over (tumbling/hopping windows, the first window of
+        a stream) takes the plain path, the LRU memo of whole ground
+        programs.  Without a cache the intent is inert.
         """
         with Timer() as transformation_timer:
             facts = self.to_atoms(item.facts)
@@ -177,7 +176,6 @@ class Reasoner:
             solving_seconds=result.solving_seconds,
         )
         outcome = control.ground_outcome
-        repair = control.repair_stats
         solve_stats = control.solve_stats
         metrics = ReasonerMetrics(
             window_size=len(item.facts),
@@ -187,9 +185,6 @@ class Reasoner:
             answer_count=len(answers),
             cache_hits=1 if outcome == "hit" else 0,
             cache_misses=1 if outcome == "full" else 0,
-            delta_repairs=1 if outcome == "repair" else 0,
-            repair_size=repair.repair_size if repair is not None else 0,
-            repair_rules_changed=(repair.rules_deleted + repair.rules_added) if repair is not None else 0,
             assumption_resolves=1 if solve_stats is not None and solve_stats.is_incremental else 0,
             solver_full_solves=1 if solve_stats is not None and not solve_stats.is_incremental else 0,
             encoding_repairs=solve_stats.encoding_repairs if solve_stats is not None else 0,
@@ -272,8 +267,8 @@ def reason_item_task(item: WorkItem) -> ReasonerResult:
 
     The execution backends pin each partition track to a fixed worker slot
     (see :mod:`repro.streamrule.placement`), so the worker-local grounding
-    cache sees consecutive windows of the same track and can delta-repair
-    its last instantiation instead of regrounding.
+    caches see consecutive windows of the same track and can carry their
+    per-track state from one to the next.
     """
     if _WORKER_REASONER is None:
         raise RuntimeError(

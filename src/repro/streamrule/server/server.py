@@ -20,7 +20,7 @@ combinations for which that projection would not be semantics-preserving
 evaluated once, and the result fans out to every member query.  Every lane
 owns a disjoint track range (``lane_id * track_stride``) via the session's
 ``push_window(track_base=...)`` seam, so lanes never collide their
-per-track delta-grounding / incremental-solver states.
+per-track grounding / incremental-solver states.
 
 *Fairness.*  Ready windows do not dispatch in arrival order but through a
 :class:`~repro.streamrule.server.scheduler.FairScheduler`: weighted
@@ -76,7 +76,7 @@ __all__ = ["QueryConflictError", "QueryServer"]
 StreamItem = Union[Triple, Atom]
 
 #: Tracks reserved per lane: lane ``i`` dispatches partition ``t`` as cache
-#: track ``i * stride + t``, so lanes never collide their delta states as
+#: track ``i * stride + t``, so lanes never collide their track states as
 #: long as the partitioner stays under ``stride`` partitions.
 DEFAULT_TRACK_STRIDE = 64
 

@@ -73,7 +73,7 @@ order, whatever order the backend finished them in.  ``max_inflight=1``
 reproduces the synchronous behaviour exactly (each window is gathered
 before ``push`` returns), and is the automatic choice on non-pipelined
 backends (inline evaluation).  Per-track FIFO ordering -- the precondition
-for delta grounding and delta shipping -- is preserved by the backends'
+for the per-track caches and delta shipping -- is preserved by the backends'
 pinned slot dispatchers, so pipelining never reorders the windows one
 worker sees.  Note the error-timing consequence: an evaluation error in a
 dispatched window surfaces at its *gather* point (a later ``push`` under
@@ -577,7 +577,7 @@ class StreamSession:
         The caller owns the windowing policy: ``items`` is a complete
         window, ``delta`` its :class:`~repro.streaming.window.WindowDelta`
         when the window is the next slide of an overlapping stream (which
-        enables delta grounding / incremental solving exactly as the
+        enables the per-track grounding / incremental solving exactly as the
         session's own windowing would).  ``tag`` is an opaque token copied
         onto the produced :class:`WindowSolution`; ``track_base`` offsets
         the partition tracks, giving each caller-side stream its own
@@ -836,7 +836,8 @@ class StreamSession:
         same item always lands in the same partitions) and the backend
         preserves per-track continuity (``supports_delta``), every partition
         is evaluated incrementally on its own track: partition ``i``'s
-        grounding delta-repairs partition ``i``'s previous instantiation.
+        solver state carries over from partition ``i``'s previous window,
+        and an unchanged partition is not even regrounded.
         Non-deterministic partitioners (the random baseline) ignore the
         hint -- their layouts reshuffle every window, so there is no
         continuity to exploit.
@@ -983,9 +984,6 @@ class StreamSession:
             ),
             cache_hits=sum(result.metrics.cache_hits for result in partition_results),
             cache_misses=sum(result.metrics.cache_misses for result in partition_results),
-            delta_repairs=sum(result.metrics.delta_repairs for result in partition_results),
-            repair_size=sum(result.metrics.repair_size for result in partition_results),
-            repair_rules_changed=sum(result.metrics.repair_rules_changed for result in partition_results),
             assumption_resolves=sum(result.metrics.assumption_resolves for result in partition_results),
             solver_full_solves=sum(result.metrics.solver_full_solves for result in partition_results),
             encoding_repairs=sum(result.metrics.encoding_repairs for result in partition_results),

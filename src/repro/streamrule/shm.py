@@ -360,7 +360,7 @@ class ShmSlot:
     The coordinator side of a slot.  :meth:`roundtrip` is *not* thread-safe
     -- the backend serializes calls through a single-thread dispatcher per
     slot, which is also what preserves per-track ordering (and with it
-    delta-grounding continuity).
+    per-track cache continuity).
     """
 
     def __init__(

@@ -45,17 +45,17 @@ class WorkItem:
         twice.
     track:
         Stable identity of the sub-stream this item belongs to (the
-        partition index under a deterministic partitioner).  Grounding
-        caches key their per-partition delta states on it, and pinned
+        partition index under a deterministic partitioner).  Grounding and
+        solver caches key their per-partition state on it, and pinned
         placement uses it to choose a worker slot.
     epoch:
         Monotonic window counter of the originating stream.  Lets a worker
         (local or remote) order items of the same track and lets downstream
         tooling correlate results with windows.
     incremental:
-        Three-valued delta-grounding request: ``None`` derives the intent
-        from ``delta`` (repair when the delta carries content over), ``True``
-        forces the incremental path, ``False`` disables it.
+        Three-valued request for the per-track (incremental) path:
+        ``None`` derives the intent from ``delta`` (on when the delta
+        carries content over), ``True`` forces it, ``False`` disables it.
     """
 
     facts: Tuple[WorkFact, ...]
@@ -72,7 +72,7 @@ class WorkItem:
 
     @property
     def wants_incremental(self) -> bool:
-        """Whether this item asks for delta (incremental) grounding."""
+        """Whether this item asks for the per-track (incremental) path."""
         if self.incremental is not None:
             return self.incremental
         return self.delta is not None and self.delta.carries_over
@@ -91,9 +91,9 @@ class WorkItem:
     def thinned(self) -> "WorkItem":
         """The full-facts wire form: the delta payload collapsed to a flag.
 
-        The delta-grounding caches diff fact sets content-wise, so a worker
-        only needs to know *that* the window overlaps its predecessor, not
-        the expired/arrived triples themselves -- shipping them would roughly
+        The per-track caches compare fact sets and ground programs
+        content-wise, so a worker only needs to know *that* the window
+        overlaps its predecessor, not the expired/arrived triples themselves -- shipping them would roughly
         double the wire payload of every overlapping window.
 
         On delta-capable transports (a negotiated

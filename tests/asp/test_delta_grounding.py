@@ -1,41 +1,41 @@
-"""Unit and property tests for delta-grounding.
+"""The track path of the grounding cache.
 
-The contract under test: after any sequence of :meth:`DeltaGrounding.repair`
-calls, :meth:`DeltaGrounding.to_ground_program` has exactly the same answer
-sets as grounding the current fact set from scratch.  The scenarios cover
-the cases where naive incremental maintenance goes wrong:
-
-* retraction of a fact whose *absence* enables a rule (negation as failure:
-  the instance was blocked by a certainly-true negative literal),
-* retraction inside a positive cycle with and without alternative support
-  (the delete-and-rederive overdeletion/rescue dance),
-* constraints appearing/disappearing with their facts,
-* randomized slide sequences over a program mixing recursion, choice, and
-  constraints.
+:meth:`GroundingCache.ground_incremental` holds, per track, the last fact
+set and its ground program: an equal fact set is a free ``"hit"``, any other
+is grounded from scratch.  The contract under test: every window on a track
+gets the program ``Grounder(program, facts).ground()`` returns, however the
+windows slide -- including the slides that trip naive incremental
+maintenance (a retracted fact whose absence enables a rule, a positive
+cycle losing its support, constraints appearing and disappearing with their
+facts) -- and the cache keeps one pair per track, nothing per window.
 """
 
 from __future__ import annotations
 
+import pickle
+import random
+import sys
+from collections import Counter
+from concurrent.futures import ThreadPoolExecutor
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.asp.control import Control
-from repro.asp.grounding.grounder import DeltaGrounding, Grounder, GroundingCache
+from repro.asp.grounding.grounder import Grounder, GroundingCache, RulePlan, _rebuild_cache
 from repro.asp.solving.solver import StableModelSolver
 from repro.asp.syntax.parser import parse_program
 from tests.conftest import make_atom
 
 
-def answers_from_scratch(program, facts):
-    control = Control(program)
-    control.add_facts(facts)
-    return {frozenset(model.atoms) for model in control.solve().models}
-
-
-def answers_of_state(state):
-    return {frozenset(model) for model in StableModelSolver(state.to_ground_program()).models(limit=None)}
+def assert_same_program(actual, expected, ordered=True):
+    assert actual.facts == expected.facts
+    assert actual.possible_atoms == expected.possible_atoms
+    if ordered:
+        assert actual.rules == expected.rules
+    else:
+        assert Counter(actual.rules) == Counter(expected.rules)
 
 
 MIXED_RULES = """
@@ -47,70 +47,61 @@ drop(X) :- cand(X), not pick(X).
 :- pick(X), bad(X).
 """
 
+#: name -> (rules, the fact sets of consecutive windows on one track).
+SLIDES = {
+    # h is blocked while f is a fact; retracting f enables it, asserting it again blocks it.
+    "negative-literal": ("h(X) :- b(X), not f(X).", [[("b", 1), ("f", 1)], [("b", 1)], [("b", 1), ("f", 1)]]),
+    # The a<->b cycle survives losing f through g's support, then dies with g.
+    "cyclic-support": ("a :- b.\nb :- a.\na :- f.\nb :- g.", [[("f",), ("g",)], [("g",)], []]),
+    "constraint-toggles": (
+        "good(X) :- item(X).\n:- item(X), poison(X).",
+        [[("item", 1), ("item", 2)], [("item", 1), ("item", 2), ("poison", 1)], [("item", 1), ("item", 2)]],
+    ),
+    "empty-and-back": ("h(X) :- b(X).", [[("b", 1)], [], [("b", 2)], [("b", 2)]]),
+}
+
+
+@pytest.mark.parametrize("name", sorted(SLIDES))
+def test_every_track_window_is_the_from_scratch_program(name):
+    text, windows = SLIDES[name]
+    program = parse_program(text)
+    cache = GroundingCache()
+    for window in windows:
+        facts = [make_atom(*fact) for fact in window]
+        ground, _ = cache.ground_incremental(program, facts, track=0)
+        assert_same_program(ground, Grounder(program, facts).ground())
+
+
+def answers_from_scratch(program, facts):
+    control = Control(program)
+    control.add_facts(facts)
+    return {frozenset(model.atoms) for model in control.solve().models}
+
+
+def answers_on_track(cache, program, facts, track=0):
+    ground, _ = cache.ground_incremental(program, facts, track=track)
+    return {frozenset(model) for model in StableModelSolver(ground).models(limit=None)}
+
 
 class TestDeltaGroundingEquivalence:
-    def test_initial_state_matches_from_scratch(self):
-        program = parse_program(MIXED_RULES)
-        facts = [make_atom("edge", 1, 2), make_atom("edge", 2, 3), make_atom("node", 1), make_atom("cand", 1)]
-        state = DeltaGrounding(program.with_facts(facts))
-        assert answers_of_state(state) == answers_from_scratch(program, facts)
+    """Answer sets of consecutive windows on one track equal a from-scratch solve."""
 
     def test_negative_literal_resurrection(self):
-        # h is blocked while f is a fact; retracting f must revive the
-        # instance even though it never fired in the initial instantiation.
+        # h is blocked while f is a fact; retracting f must enable it.
         program = parse_program("h(X) :- b(X), not f(X).")
-        state = DeltaGrounding(program.with_facts([make_atom("b", 1), make_atom("f", 1)]))
-        assert answers_of_state(state) == answers_from_scratch(program, [make_atom("b", 1), make_atom("f", 1)])
-        state.repair({make_atom("b", 1)})
-        assert answers_of_state(state) == answers_from_scratch(program, [make_atom("b", 1)])
-        [answer] = answers_of_state(state)
+        cache = GroundingCache()
+        blocked = [make_atom("b", 1), make_atom("f", 1)]
+        assert answers_on_track(cache, program, blocked) == answers_from_scratch(program, blocked)
+        [answer] = answers_on_track(cache, program, [make_atom("b", 1)])
         assert {str(atom) for atom in answer} == {"b(1)", "h(1)"}
-
-    def test_cyclic_support_overdelete_and_rescue(self):
-        program = parse_program("a :- b.\nb :- a.\na :- f.\nb :- g.")
-        state = DeltaGrounding(program.with_facts([make_atom("f"), make_atom("g")]))
-        # Retract f: the a<->b cycle must survive through g's support.
-        state.repair({make_atom("g")})
-        assert answers_of_state(state) == answers_from_scratch(program, [make_atom("g")])
-        # Retract g too: the unfounded cycle must die.
-        state.repair(set())
-        assert answers_of_state(state) == answers_from_scratch(program, [])
 
     def test_constraint_appears_and_disappears(self):
         program = parse_program("good(X) :- item(X).\n:- item(X), poison(X).")
         items = [make_atom("item", 1), make_atom("item", 2)]
-        state = DeltaGrounding(program.with_facts(items))
-        assert len(answers_of_state(state)) == 1
-        state.repair(set(items) | {make_atom("poison", 1)})
-        assert answers_of_state(state) == set()  # constraint fires: unsatisfiable
-        state.repair(set(items))
-        assert len(answers_of_state(state)) == 1
-
-    def test_repair_to_empty_and_back(self):
-        program = parse_program("h(X) :- b(X).")
-        state = DeltaGrounding(program.with_facts([make_atom("b", 1)]))
-        state.repair(set())
-        assert answers_of_state(state) == answers_from_scratch(program, [])
-        state.repair({make_atom("b", 2)})
-        assert answers_of_state(state) == answers_from_scratch(program, [make_atom("b", 2)])
-
-    def test_repair_stats_account_for_churn(self):
-        program = parse_program("h(X) :- b(X).")
-        state = DeltaGrounding(program.with_facts([make_atom("b", 1), make_atom("b", 2)]))
-        stats = state.repair({make_atom("b", 2), make_atom("b", 3)})
-        assert stats.retracted == 1
-        assert stats.asserted == 1
-        assert stats.repair_size == 2
-        assert stats.rules_deleted == 1  # h(1) :- b(1).
-        assert stats.rules_added == 1  # h(3) :- b(3).
-
-    def test_repair_is_noop_for_identical_facts(self):
-        program = parse_program("h(X) :- b(X).")
-        facts = {make_atom("b", 1)}
-        state = DeltaGrounding(program.with_facts(facts))
-        stats = state.repair(facts)
-        assert stats.repair_size == 0
-        assert stats.rules_deleted == stats.rules_added == 0
+        cache = GroundingCache()
+        assert len(answers_on_track(cache, program, items)) == 1
+        assert answers_on_track(cache, program, items + [make_atom("poison", 1)]) == set()  # unsatisfiable
+        assert len(answers_on_track(cache, program, items)) == 1
 
     @given(st.lists(st.integers(min_value=0, max_value=30), min_size=1, max_size=12), st.randoms())
     @settings(max_examples=40, deadline=None)
@@ -120,14 +111,10 @@ class TestDeltaGroundingEquivalence:
             [make_atom("edge", i, j) for i in range(4) for j in range(4)]
             + [make_atom(p, i) for p in ("node", "open", "cand", "bad") for i in range(4)]
         )
-        facts = set(rng.sample(universe, min(10, len(universe))))
-        state = DeltaGrounding(program.with_facts(facts))
+        cache = GroundingCache()
         for size in sizes:
-            facts = set(rng.sample(universe, min(size, len(universe))))
-            state.repair(facts)
-            assert answers_of_state(state) == answers_from_scratch(program, facts)
-            # The closure starts from fact ids the state carries along, not re-interned facts.
-            assert state._fact_ids == set(state._symbols.intern_many(state.facts))
+            facts = rng.sample(universe, min(size, len(universe)))
+            assert answers_on_track(cache, program, facts) == answers_from_scratch(program, facts)
 
 
 class TestGroundIncremental:
@@ -138,99 +125,126 @@ class TestGroundIncremental:
     def test_outcome_progression(self):
         cache = GroundingCache()
         first = self.make_program(1, 2, 3)
-        _, outcome, stats = cache.ground_incremental(first, track=0)
-        assert outcome == "full" and stats is None
-        _, outcome, _ = cache.ground_incremental(first, track=0)
+        ground, outcome = cache.ground_incremental(first, track=0)
+        assert outcome == "full"
+        assert_same_program(ground, Grounder(first).ground())
+        ground, outcome = cache.ground_incremental(first, track=0)
         assert outcome == "hit"  # exact signature recurrence
-        ground, outcome, stats = cache.ground_incremental(self.make_program(2, 3, 4), track=0)
-        assert outcome == "repair"
-        assert stats is not None and stats.repair_size == 2
-        # The repaired program equals a from-scratch grounding.
-        scratch = Grounder(self.make_program(2, 3, 4)).ground()
-        assert {frozenset(m) for m in StableModelSolver(ground).models(limit=None)} == {
-            frozenset(m) for m in StableModelSolver(scratch).models(limit=None)
-        }
+        assert_same_program(ground, Grounder(first).ground())
+        ground, outcome = cache.ground_incremental(self.make_program(2, 3, 4), track=0)
+        assert outcome == "full"
+        assert_same_program(ground, Grounder(self.make_program(2, 3, 4)).ground())
 
     def test_tracks_are_independent(self):
         cache = GroundingCache()
         cache.ground_incremental(self.make_program(1), track=0)
-        _, outcome, _ = cache.ground_incremental(self.make_program(2), track=1)
-        assert outcome == "full"  # track 1 has no state yet
-        _, outcome, _ = cache.ground_incremental(self.make_program(2, 3), track=1)
-        assert outcome == "repair"
-        _, outcome, _ = cache.ground_incremental(self.make_program(1, 4), track=0)
-        assert outcome == "repair"  # track 0 still diffs against {b(1)}
+        _, outcome = cache.ground_incremental(self.make_program(1), track=1)
+        assert outcome == "full"  # track 1 holds nothing yet
+        _, outcome = cache.ground_incremental(self.make_program(2, 3), track=1)
+        assert outcome == "full"
+        _, outcome = cache.ground_incremental(self.make_program(1), track=0)
+        assert outcome == "hit"  # track 0 still holds {b(1)}
 
-    def test_over_budget_churn_falls_back_to_plain_ground(self):
-        cache = GroundingCache(max_repair_fraction=0.5)
-        cache.ground_incremental(self.make_program(1, 2, 3, 4), track=0)
-        before = cache.statistics()["delta_repairs"]
-        ground, outcome, stats = cache.ground_incremental(self.make_program(5, 6, 7, 8), track=0)
-        assert outcome == "full" and stats is None
-        assert cache.statistics()["delta_repairs"] == before
-        scratch = Grounder(self.make_program(5, 6, 7, 8)).ground()
-        assert {frozenset(m) for m in StableModelSolver(ground).models(limit=None)} == {
-            frozenset(m) for m in StableModelSolver(scratch).models(limit=None)
-        }
-        # The stale state self-heals once a window overlaps it again.
-        _, outcome, _ = cache.ground_incremental(self.make_program(1, 2, 3, 9), track=0)
-        assert outcome == "repair"
+    def test_hit_returns_a_copy(self):
+        cache = GroundingCache()
+        program = self.make_program(1, 2)
+        expected = Grounder(program).ground()
+        first, _ = cache.ground_incremental(program, track=0)
+        for _ in range(2):
+            first.facts.add(make_atom("b", 99))
+            first.possible_atoms.clear()
+            first.rules.clear()
+            first, outcome = cache.ground_incremental(program, track=0)
+            assert outcome == "hit"
+            assert_same_program(first, expected)
 
     def test_statistics_and_clear(self):
         cache = GroundingCache()
         cache.ground_incremental(self.make_program(1, 2), track=0)
         cache.ground_incremental(self.make_program(2, 3), track=0)
+        cache.ground_incremental(self.make_program(2, 3), track=0)
         statistics = cache.statistics()
         assert statistics["delta_states"] == 1.0
-        assert statistics["delta_repairs"] == 1.0
-        assert statistics["repaired_atoms"] == 2.0
+        assert statistics["delta_rebuilds"] == statistics["misses"] == 2.0
+        assert statistics["hits"] == 1.0
+        assert not {"delta_repairs", "repaired_atoms", "repaired_rules"} & set(statistics)
         cache.clear()
         statistics = cache.statistics()
-        assert statistics["delta_states"] == 0.0
-        assert statistics["delta_repairs"] == 0.0
+        assert statistics["delta_states"] == statistics["delta_rebuilds"] == statistics["hits"] == 0.0
 
     def test_delta_state_lru_eviction(self):
         cache = GroundingCache(max_delta_states=2)
         for track in range(3):
             cache.ground_incremental(self.make_program(track), track=track)
         assert cache.statistics()["delta_states"] == 2.0
-        # Track 0 was evicted: its next window is a full rebuild, not a repair.
-        _, outcome, _ = cache.ground_incremental(self.make_program(0, 9), track=0)
+        # Track 0 was evicted: even its unchanged window is grounded again.
+        _, outcome = cache.ground_incremental(self.make_program(0), track=0)
         assert outcome == "full"
+        _, outcome = cache.ground_incremental(self.make_program(2), track=2)
+        assert outcome == "hit"
+
+    def test_threads_sharing_a_track_always_get_their_windows_program(self):
+        """Threads racing on one track (two alternating windows, so pairs are
+        replaced while others are compared and copied) each get the program of
+        their own window, and every call is counted exactly once."""
+        programs = [self.make_program(1, 2, 3), self.make_program(2, 3, 4)]
+        expected = [Grounder(program).ground() for program in programs]
+        cache = GroundingCache()
+
+        def ground(call):
+            ground, _ = cache.ground_incremental(programs[call % 2], track=0)
+            return ground == expected[call % 2]
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with ThreadPoolExecutor(max_workers=8) as pool:
+                futures = [pool.submit(ground, call) for call in range(400)]
+                assert all(future.result(timeout=60) for future in futures)
+        finally:
+            sys.setswitchinterval(interval)
+        statistics = cache.statistics()
+        assert statistics["hits"] + statistics["delta_rebuilds"] == 400
+        assert statistics["delta_states"] == 1.0
 
     def test_invalid_configuration(self):
         with pytest.raises(ValueError):
             GroundingCache(max_delta_states=0)
         with pytest.raises(ValueError):
-            GroundingCache(max_repair_fraction=0.0)
-        with pytest.raises(ValueError):
-            GroundingCache(max_repair_fraction=1.5)
-
-    def test_zero_overlap_slide_is_plain_ground_not_repair(self):
-        # A window sharing nothing with the state: "repairing" would redo a
-        # full reground plus the deletion cascade.  Must report "full" with
-        # no stats and must not bump the repair counters.
-        cache = GroundingCache()
-        cache.ground_incremental(self.make_program(1, 2), track=0)
-        ground, outcome, stats = cache.ground_incremental(self.make_program(3, 4), track=0)
-        assert outcome == "full" and stats is None
-        assert cache.statistics()["delta_repairs"] == 0.0
-        scratch = Grounder(self.make_program(3, 4)).ground()
-        assert {frozenset(m) for m in StableModelSolver(ground).models(limit=None)} == {
-            frozenset(m) for m in StableModelSolver(scratch).models(limit=None)
-        }
+            GroundingCache(max_entries=0)
 
     def test_pickle_ships_configuration_only(self):
-        import pickle
-
-        cache = GroundingCache(max_entries=7, max_delta_states=3, max_repair_fraction=0.5)
+        cache = GroundingCache(max_entries=7, max_delta_states=3)
         cache.ground_incremental(self.make_program(1), track=0)
         clone = pickle.loads(pickle.dumps(cache))
         assert clone.max_entries == 7
         assert clone.max_delta_states == 3
-        assert clone.max_repair_fraction == 0.5
         assert len(clone) == 0
         assert clone.statistics()["delta_states"] == 0.0
+
+    def test_older_versions_pickled_cache_loads(self):
+        """Older versions pickle a third item, their repair budget; it is ignored."""
+
+        class OlderCache:
+            def __reduce__(self):
+                return (_rebuild_cache, (7, 3, 0.5))
+
+        clone = pickle.loads(pickle.dumps(OlderCache()))
+        assert isinstance(clone, GroundingCache)
+        assert (clone.max_entries, clone.max_delta_states) == (7, 3)
+
+    def test_pickled_cache_loads_with_the_older_signature(self):
+        """Older versions rebuild with (max_entries, max_delta_states,
+        max_repair_fraction) and reject a budget outside (0, 1]."""
+
+        def older_rebuild(max_entries, max_delta_states, max_repair_fraction):
+            if not 0.0 < max_repair_fraction <= 1.0:
+                raise ValueError("max_repair_fraction must be in (0, 1]")
+            return max_entries, max_delta_states
+
+        rebuild, arguments = GroundingCache(max_entries=7, max_delta_states=3).__reduce__()
+        assert rebuild is _rebuild_cache
+        assert older_rebuild(*arguments) == (7, 3)
 
 
 # --------------------------------------------------------------------------- #
@@ -263,16 +277,17 @@ class TestFactsBesideTheProgram:
             [make_atom("load", 1, 9), make_atom("near", 1, 2)],  # fact gone, derivation back
             [make_atom("load", 1, 9), make_atom("muted", 1), make_atom("busy", 2)],
             [make_atom("load", 3, 7)],
+            [make_atom("load", 3, 7)],  # unchanged
         ]
         cache = GroundingCache()
         outcomes = []
         for window in windows:
-            repaired, control = solve_through(program, window, cache, track=0)
+            on_track, control = solve_through(program, window, cache, track=0)
             outcomes.append(control.ground_outcome)
             scratch, _ = solve_through(program, window)
-            assert repaired == scratch
-            assert all(make_atom("mode", "peak") in answer for answer in repaired)
-        assert outcomes[0] == "full" and set(outcomes[1:]) == {"repair"}
+            assert on_track == scratch
+            assert all(make_atom("mode", "peak") in answer for answer in on_track)
+        assert outcomes == ["full"] * 6 + ["hit"]
         assert len(program) == 4  # the shared program never absorbed a window's facts
 
     def test_facts_given_beside_or_inside_the_program_are_the_same_window(self):
@@ -285,12 +300,10 @@ class TestFactsBesideTheProgram:
         assert make_atom("mode", "peak") in beside.facts
 
     def test_rule_analysis_is_shared_until_the_rules_change(self):
-        from repro.asp.grounding.grounder import RulePlan
-
         program = parse_program(OWN_FACT_RULES)
         plan = program.derived(RulePlan)
         Grounder(program, [make_atom("load", 1, 9)]).ground()
-        DeltaGrounding(program, [make_atom("load", 2, 9)])
+        GroundingCache().ground_incremental(program, [make_atom("load", 2, 9)])
         assert program.derived(RulePlan) is plan
         program.add_rule(parse_program("quiet(X) :- muted(X).").rules[0])
         assert program.derived(RulePlan) is not plan
@@ -307,11 +320,9 @@ class TestFactsBesideTheProgram:
 
 
 class TestTrackPathFootprint:
-    def test_long_sliding_stream_holds_state_per_track_not_per_window(self):
-        """300 slides over a bounded pool: no ground program is memoized on the
-        track path and the repaired store holds exactly the live window's atoms."""
-        import random
-
+    def test_long_sliding_stream_holds_one_pair_per_track(self):
+        """300 slides over a bounded pool: nothing is memoized per window, and
+        each track holds exactly its live window's fact set and ground program."""
         program = parse_program(MIXED_RULES)
         rng = random.Random(2017)
         pool = (
@@ -327,54 +338,9 @@ class TestTrackPathFootprint:
         statistics = cache.statistics()
         assert len(cache) == 0 and statistics["entries"] == 0.0
         assert statistics["delta_states"] == 2.0
-        assert statistics["delta_repairs"] + statistics["hits"] >= 590
-        for (_, track), state in cache._delta_states.items():
-            fresh = DeltaGrounding(program, windows[track])
-            assert state.facts == fresh.facts == frozenset(windows[track])
-            assert state._store.atoms() == fresh._store.atoms()
-            assert state.instance_count == fresh.instance_count
-            assert answers_of_state(state) == answers_of_state(fresh)
-
-
-class TestAtomStoreRemoval:
-    @given(st.data())
-    @settings(max_examples=60, deadline=None)
-    def test_lookups_stay_correct_under_interleaved_add_and_remove(self, data):
-        """Indexes are built lazily up to a watermark; removal swaps the last atom
-        into the hole.  Whatever the interleaving, the three access paths of a
-        compiled join -- index lookup, membership probe, population scan -- see
-        exactly the members."""
-        from repro.asp.grounding.grounder import _AtomStore
-
-        signature = ("p", 2)
-        universe = [make_atom("p", i, j) for i in range(3) for j in range(4)]
-        one, two = make_atom("p", 1, 2).arguments
-        store, members = _AtomStore(), set()
-        operations = data.draw(
-            st.lists(st.tuples(st.sampled_from(["add", "remove", "probe"]), st.integers(0, 11)), max_size=60)
-        )
-        for operation, pick in operations + [("probe", 0)]:
-            atom = universe[pick]
-            if operation == "add":
-                assert store.add(atom) == (atom not in members)
-                members.add(atom)
-            elif operation == "remove" and atom in members:
-                store.remove(atom)
-                members.discard(atom)
-            else:
-                found = {
-                    "first": store.index(signature, (0,)).lookup(one),  # p(1, Y)
-                    "second": store.index(signature, (1,)).lookup(two),  # p(X, 2)
-                    "free": store.population(signature),  # p(X, Y)
-                    "ground": [make_atom("p", 1, 2)] if make_atom("p", 1, 2) in store else [],  # p(1, 2)
-                }
-                for name, atoms in found.items():
-                    wanted = {
-                        member
-                        for member in members
-                        if (name in ("free", "second") or member.arguments[0].value == 1)
-                        and (name in ("free", "first") or member.arguments[1].value == 2)
-                    }
-                    assert len(atoms) == len(set(atoms)) and set(atoms) == wanted, name
-            assert len(store) == len(members) and store.atoms() == members
-            assert set(store.population(signature)) == members
+        assert statistics["delta_rebuilds"] + statistics["hits"] == 600
+        rules_key = program.derived(RulePlan).rules_key
+        assert set(cache._tracks) == {(rules_key, 0), (rules_key, 1)}
+        for (_, track), (facts, ground) in cache._tracks.items():
+            assert facts == frozenset(windows[track])
+            assert_same_program(ground, Grounder(program, windows[track]).ground(), ordered=False)

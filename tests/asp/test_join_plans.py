@@ -25,7 +25,6 @@ from hypothesis import strategies as st
 from bench_e2e.programs import search_program
 from repro.asp.control import Control
 from repro.asp.grounding.grounder import (
-    DeltaGrounding,
     Grounder,
     GroundingCache,
     GroundProgram,
@@ -33,7 +32,7 @@ from repro.asp.grounding.grounder import (
     RulePlan,
     ground_program,
 )
-from repro.asp.grounding.joinplan import _MAX_LOOPS
+from repro.asp.grounding.joinplan import _MAX_LOOPS, _AtomStore, group_by_signature
 from repro.asp.solving.solver import StableModelSolver
 from repro.asp.syntax.atoms import Atom, Literal
 from repro.asp.syntax.parser import parse_program
@@ -84,15 +83,14 @@ def test_compiled_literal_order_is_the_interpreters(name):
     plan = program.derived(RulePlan)
     proper = [rule for rule in program.rules if not rule.is_fact]
     assert len(proper) == len(recorded)
-    compiled = {joins.rule: joins for bucket in plan.joins_by_predicate.values() for joins in bucket}
     for rule, orders in zip(proper, recorded):
-        assert compiled[rule].orders == orders, str(rule)
+        assert plan.joins[rule].orders == orders, str(rule)
 
 
 def test_r4_access_paths():
     """car_fire(X) :- car_in_smoke(C, high), car_speed(C, 0), car_location(C, X):
     an index on the constant, a membership probe, an index on C."""
-    [joins] = traffic_program().derived(RulePlan).joins_by_predicate["car_speed"]
+    [joins] = [j for j in traffic_program().derived(RulePlan).joins.values() if "car_speed" in j.positive_predicates]
     source = joins.sources[None]
     assert source.count(".lookup") == 2 and source.count("not in slots: continue") == 1
     assert "store.population" in source  # only the head's population: no scan
@@ -121,10 +119,7 @@ class TestGeneratedSource:
         derived = Atom(hostile, (one, Constant(hostile, quoted=True)))
         assert ground.possible_atoms == {fact, derived}
         assert ground.rules == [GroundRule((derived,), (), ())]  # "not ..." is underivable, so dropped
-        state = DeltaGrounding(program, [])
-        state.repair(program.derived(RulePlan).fact_set([fact]))
-        assert state.to_ground_program() == ground
-        [joins] = program.derived(RulePlan).joins_by_predicate[predicate]
+        [joins] = program.derived(RulePlan).joins.values()
         for source in joins.sources.values():
             assert "import" not in source and "pwned" not in source and "SystemExit" not in source
             assert "'" not in source and '"' not in source  # no string literal at all
@@ -135,13 +130,12 @@ class TestGeneratedSource:
         assert make_atom("p") in ground.possible_atoms
         assert make_atom("r", 1) in ground.possible_atoms
         assert make_atom("s") not in ground.possible_atoms
-        assert DeltaGrounding(program, []).to_ground_program().possible_atoms == ground.possible_atoms
 
     def test_variable_free_comparison_is_decided_at_compile_time(self):
         program = parse_program("a(X) :- n(X), 1 < 2.\nb(X) :- n(X), 2 < 1.")
         ground = ground_program(program, [make_atom("n", 7)])
         assert ground.facts == {make_atom("n", 7), make_atom("a", 7)}
-        [joins] = [j for j in program.derived(RulePlan).joins_by_predicate["n"] if j.rule.head[0].predicate == "b"]
+        [joins] = [j for j in program.derived(RulePlan).joins.values() if j.rule.head[0].predicate == "b"]
         assert "for " not in joins.sources[None]
 
     def test_join_wider_than_one_function_may_nest(self):
@@ -155,10 +149,12 @@ class TestGeneratedSource:
             make_atom("chain", 0, width),
             make_atom("chain", 0, -1),
         }
-        state = DeltaGrounding(program, facts[1:])
-        assert not any(atom.predicate == "chain" for atom in state.to_ground_program().facts)
-        state.repair(frozenset(facts))
-        assert state.to_ground_program().facts == ground.facts
+        # The seeded join nests the same way: seeding e0(0, 1) re-derives both chains.
+        [joins] = program.derived(RulePlan).joins.values()
+        store, out = _AtomStore(), []
+        store.load(facts)
+        joins.seeded[0](store, group_by_signature(facts[:1]), set(), out, set(), [])
+        assert {instance.head[0] for instance in out} == {make_atom("chain", 0, width), make_atom("chain", 0, -1)}
 
 
 class TestSharedPlan:
@@ -229,12 +225,11 @@ def reference_candidates(program, universe):
     return candidates
 
 
-def reference_ground(candidates, facts, drop):
+def reference_ground(candidates, facts):
     """The ground program of ``candidates`` over ``facts`` by naive fixpoints.
 
-    ``drop`` mirrors the from-scratch grounder: an instance whose negative
-    body holds a definite consequence is never instantiated (so its head is
-    not possible); the repairable state keeps such instances.
+    As in the grounder, an instance whose negative body holds a definite
+    consequence is never instantiated, so its head is not possible.
     """
     certain = set(facts)
     possible = set(facts)
@@ -253,7 +248,7 @@ def reference_ground(candidates, facts, drop):
             head, positive, negative = instance
             if instance in instances or not possible.issuperset(positive):
                 continue
-            if drop and not certain.isdisjoint(negative):
+            if not certain.isdisjoint(negative):
                 continue
             instances.add(instance)
             possible.update(head)
@@ -376,33 +371,30 @@ def models_of(ground):
 
 
 class TestAgainstReference:
-    @given(programs(), windows)
+    @given(programs(), windows, st.lists(st.booleans(), min_size=5, max_size=5))
     @settings(max_examples=150, deadline=None)
-    def test_grounder_and_repaired_state_equal_the_reference(self, text, sequence):
+    def test_grounder_and_track_path_equal_the_reference(self, text, sequence, repeats):
+        """Random slides through one track, some windows repeated so the hit path runs."""
         program = parse_program(text)
         plan = program.derived(RulePlan)
         candidates = reference_candidates(program, UNIVERSE)
         cache = GroundingCache()
-        state = None
-        for facts in sequence:
-            expected = reference_ground(candidates, facts, drop=True)
+        held = None
+        for facts, repeat in zip(sequence, repeats):
+            expected = reference_ground(candidates, facts)
             ground = Grounder(program, facts).ground()
             assert ground.facts == expected.facts
             assert ground.possible_atoms == expected.possible_atoms
             assert set(ground.rules) == set(expected.rules)
 
-            if state is None:
-                state = DeltaGrounding(program, facts)
-            else:
-                state.repair(plan.fact_set(facts))
-            assert state._fact_ids == set(state._symbols.intern_many(state.facts))
-            expected_state = reference_ground(candidates, facts, drop=False)
-            repaired = state.to_ground_program()
-            assert repaired.facts == expected_state.facts
-            assert repaired.possible_atoms == expected_state.possible_atoms
-            assert set(repaired.rules) == set(expected_state.rules)
+            for _ in range(1 + repeat):
+                on_track, outcome = cache.ground_incremental(program, facts, track=0)
+                assert outcome == ("hit" if plan.fact_set(facts) == held else "full")
+                held = plan.fact_set(facts)
+                assert on_track == ground  # facts, rules in order, possible atoms
 
             control = Control(program, grounding_cache=cache, delta_track=0)
             control.add_facts(facts)
             answers = {frozenset(model.atoms) for model in control.solve().models}
-            assert answers == models_of(expected) == models_of(expected_state)
+            assert control.ground_outcome == "hit"
+            assert answers == models_of(expected)

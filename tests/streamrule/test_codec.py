@@ -17,6 +17,7 @@ direction.  These tests pin the three promises that make it safe to expose:
 from __future__ import annotations
 
 import asyncio
+import json
 import pickle
 import socket
 
@@ -152,6 +153,17 @@ class TestShipperDecoderPair:
         )
         assert {frozenset(a) for a in decoded.answers} == {frozenset(a) for a in result.answers}
         assert decoded.metrics.window_size == result.metrics.window_size
+
+    def test_retired_repair_counters_stay_in_the_metrics_record(self):
+        """Peers of older versions send and expect the three retired repair
+        counters: this version ships them as 0 and still decodes theirs."""
+        retired = ("delta_repairs", "repair_size", "repair_rules_changed")
+        payload = RestrictedServerCodec().encode_result(choice_reasoner().reason_item(work_item(3)))
+        record = json.loads(payload)
+        assert [record["metrics"][name] for name in retired] == [0, 0, 0]
+        record["metrics"].update(delta_repairs=1, repair_size=4, repair_rules_changed=2)
+        decoded = RestrictedResultDecoder().decode(json.dumps(record).encode(), ("127.0.0.1", 0))
+        assert [getattr(decoded.metrics, name) for name in retired] == [1, 4, 2]
 
     def test_error_decodes_as_backend_error(self):
         payload = RestrictedServerCodec.encode_error(ValueError("worker-side boom"))

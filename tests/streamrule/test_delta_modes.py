@@ -4,8 +4,8 @@ Acceptance contract of the delta path: for every windowed stream, the
 answer sets produced with delta-grounding enabled (sliding-window deltas
 threaded down to per-partition incremental grounding) are identical to the
 ground-from-scratch answer sets, in all four execution modes.  The delta
-machinery may change *how* a window is grounded (exact hit, repair, full
-rebuild) but never *what* the window answers.
+machinery may change *how* a window is grounded (exact hit or reground on
+the partition's track) but never *what* the window answers.
 """
 
 from __future__ import annotations
@@ -142,7 +142,7 @@ class TestSlidingWindowEquivalence:
         with ParallelReasoner(reasoner, RandomPartitioner(3, seed=5), mode=ExecutionMode.SERIAL) as parallel:
             results = [parallel.reason(list(delta.window), delta=delta) for delta in window_policy.deltas(stream)]
         with_delta = [{frozenset(answer) for answer in result.answers} for result in results]
-        assert all(result.metrics.delta_repairs == 0 for result in results)
+        assert reasoner.grounding_cache.statistics()["delta_states"] == 0.0  # no track was opened
         plain = Reasoner(traffic_program(), INPUT_PREDICATES, EVENT_PREDICATES)
         with ParallelReasoner(plain, RandomPartitioner(3, seed=5), mode=ExecutionMode.SERIAL) as parallel:
             without_delta = [
@@ -226,7 +226,7 @@ class TestBackendWindowKindEquivalence:
 
 
 class TestDeltaMetricsFlow:
-    def test_pipeline_reports_repairs(self):
+    def test_pipeline_reports_track_rebuilds_and_hits(self):
         stream = traffic_stream(200)
         cache = GroundingCache()
         reasoner = Reasoner(
@@ -235,11 +235,16 @@ class TestDeltaMetricsFlow:
         with StreamRulePipeline(reasoner, window=CountWindow(size=80, slide=20)) as pipeline:
             solutions = list(pipeline.process_stream(stream))
         assert len(solutions) >= 5
-        repairs = sum(solution.metrics.delta_repairs for solution in solutions)
-        assert repairs >= len(solutions) - 2  # all but the first window (and
-        # at most one over-budget straggler) are delta-repaired
-        assert sum(solution.metrics.repair_size for solution in solutions) > 0
-        assert cache.statistics()["delta_repairs"] == float(repairs)
+        rebuilds = sum(solution.metrics.cache_misses for solution in solutions)
+        hits = sum(solution.metrics.cache_hits for solution in solutions)
+        assert rebuilds + hits == len(solutions)  # one outcome per window
+        assert rebuilds >= 2  # sliding windows change, so they are regrounded
+        statistics = cache.statistics()
+        assert (statistics["misses"], statistics["hits"]) == (rebuilds, hits)
+        # The first window has no predecessor and goes through the LRU memo.
+        assert statistics["delta_rebuilds"] == rebuilds - 1
+        assert statistics["delta_states"] == 1.0
+        assert all(solution.metrics.delta_repairs == solution.metrics.repair_size == 0 for solution in solutions)
 
     def test_tumbling_pipeline_stays_on_exact_cache_path(self):
         stream = traffic_stream(200)
@@ -249,19 +254,23 @@ class TestDeltaMetricsFlow:
         )
         with StreamRulePipeline(reasoner, window=CountWindow(size=50)) as pipeline:
             solutions = list(pipeline.process_stream(stream))
-        # Tumbling windows carry nothing over: no delta state is maintained.
-        assert all(solution.metrics.delta_repairs == 0 for solution in solutions)
+        # Tumbling windows carry nothing over: no track is opened.
+        assert all(solution.metrics.cache_misses + solution.metrics.cache_hits == 1 for solution in solutions)
         assert cache.statistics()["delta_states"] == 0.0
+        assert cache.statistics()["delta_rebuilds"] == 0.0
 
-    def test_parallel_metrics_aggregate_repairs(self, plan_p):
+    def test_parallel_metrics_aggregate_track_outcomes(self, plan_p):
         stream = traffic_stream(200)
         window_policy = CountWindow(size=80, slide=20)
-        with ParallelReasoner(
-            cached_reasoner(), DependencyPartitioner(plan_p), mode=ExecutionMode.SERIAL
-        ) as parallel:
+        reasoner = cached_reasoner()
+        with ParallelReasoner(reasoner, DependencyPartitioner(plan_p), mode=ExecutionMode.SERIAL) as parallel:
             results = [
                 parallel.reason(list(delta.window), delta=delta) for delta in window_policy.deltas(stream)
             ]
-        assert sum(result.metrics.delta_repairs for result in results) > 0
-        repaired = [result for result in results if result.metrics.delta_repairs]
-        assert all(result.metrics.repair_size > 0 for result in repaired)
+        for result in results:
+            # One outcome per evaluated partition, summed over the window's partitions.
+            assert result.metrics.cache_hits + result.metrics.cache_misses == len(result.partition_results)
+        statistics = reasoner.grounding_cache.statistics()
+        assert statistics["delta_states"] > 1.0  # one track per partition
+        assert statistics["delta_rebuilds"] > 0.0
+        assert sum(result.metrics.cache_misses for result in results) == statistics["misses"]

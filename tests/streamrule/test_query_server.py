@@ -109,7 +109,7 @@ def isolated_answers(query, stream):
 
 
 def grounding_ops(statistics):
-    return statistics["misses"] + statistics["delta_repairs"] + statistics["delta_rebuilds"]
+    return statistics["misses"]  # every grounding not served as a hit
 
 
 class TestRegistry:
@@ -405,6 +405,11 @@ class TestMetricsEndpoint:
             "streamrule_scheduler_budget_trims_total",
         ):
             assert family in body, family
+        # The grounding-cache families: one per statistic, none for the retired repair counters.
+        for statistic in ("entries", "hits", "misses", "hit_rate", "delta_states", "delta_rebuilds", "labeled_tracks"):
+            assert f"\nstreamrule_grounding_cache_{statistic} " in body, statistic
+        for retired in ("delta_repairs", "repaired_atoms", "repaired_rules"):
+            assert f"streamrule_grounding_cache_{retired}" not in body, retired
         assert health["status"] == "ok" and health["queries"] == 1
         # Valid exposition format: HELP/TYPE pairs precede their samples.
         self._assert_exposition_valid(body)

@@ -90,7 +90,7 @@ class TestPushResults:
             assert session.finish() == 3
             assert len(list(session.results())) == 3
 
-    def test_sliding_push_repairs_incrementally(self):
+    def test_sliding_push_grounds_on_a_track(self):
         stream = traffic_stream(160)
         cache = GroundingCache()
         reasoner = Reasoner(traffic_program(), INPUT_PREDICATES, EVENT_PREDICATES, grounding_cache=cache)
@@ -98,7 +98,14 @@ class TestPushResults:
             session.push(stream)
             solutions = list(session.results())
         assert len(solutions) >= 4
-        assert sum(solution.metrics.delta_repairs for solution in solutions) > 0
+        rebuilds = sum(solution.metrics.cache_misses for solution in solutions)
+        hits = sum(solution.metrics.cache_hits for solution in solutions)
+        assert rebuilds + hits == len(solutions) and rebuilds > 0
+        statistics = cache.statistics()
+        assert statistics["delta_states"] == 1.0  # one pair, on the session's track
+        assert (statistics["misses"], statistics["hits"]) == (rebuilds, hits)
+        # The first window has no predecessor and goes through the LRU memo.
+        assert statistics["delta_rebuilds"] == rebuilds - 1
 
     def test_solutions_match_unwindowed_reference(self):
         stream = traffic_stream(80)
