@@ -23,9 +23,9 @@ def test_ablation_duplication_overhead(benchmark, suite_p, suite_p_prime, window
     window = make_window(window_size)
 
     with_duplication = benchmark.pedantic(
-        suite_p_prime.dependency.reason, args=(window,), rounds=1, iterations=1, warmup_rounds=0
+        suite_p_prime.dependency.evaluate_window, args=(window,), rounds=1, iterations=1, warmup_rounds=0
     )
-    without_duplication = suite_p.dependency.reason(window)
+    without_duplication = suite_p.dependency.evaluate_window(window)
 
     overhead = (
         with_duplication.metrics.latency_seconds / without_duplication.metrics.latency_seconds - 1.0

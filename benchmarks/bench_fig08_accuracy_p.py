@@ -21,7 +21,7 @@ WINDOW_SIZES = bench_window_sizes()
 PARTITIONED = ["PR_Dep"] + [f"PR_Ran_k{k}" for k in RANDOM_KS]
 
 
-def _reasoner_for(suite, label):
+def _session_for(suite, label):
     if label == "PR_Dep":
         return suite.dependency
     return suite.random[int(label.rsplit("k", 1)[1])]
@@ -38,9 +38,9 @@ def reference_answers(suite_p, windows):
 def test_fig08_accuracy_program_p(benchmark, suite_p, windows, reference_answers, label, window_size):
     """Measure the partitioned reasoner and score its answers against R."""
     window = windows[window_size]
-    reasoner = _reasoner_for(suite_p, label)
+    session = _session_for(suite_p, label)
 
-    result = benchmark.pedantic(reasoner.reason, args=(window,), rounds=1, iterations=1, warmup_rounds=0)
+    result = benchmark.pedantic(session.evaluate_window, args=(window,), rounds=1, iterations=1, warmup_rounds=0)
     accuracy = mean_accuracy(result.answers, reference_answers[window_size])
 
     benchmark.group = f"fig08 accuracy P (window={window_size})"
@@ -62,7 +62,7 @@ def test_fig08_write_series_table(suite_p, windows, reference_answers):
         latency = {"R": suite_p.baseline.reason(window).metrics.latency_milliseconds}
         accuracy = {"R": 1.0}
         for label in PARTITIONED:
-            result = _reasoner_for(suite_p, label).reason(window)
+            result = _session_for(suite_p, label).evaluate_window(window)
             latency[label] = result.metrics.latency_milliseconds
             accuracy[label] = mean_accuracy(result.answers, reference_answers[window_size])
         records.append(

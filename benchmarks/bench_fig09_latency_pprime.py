@@ -17,12 +17,13 @@ WINDOW_SIZES = bench_window_sizes()
 CONFIGURATIONS = ["R", "PR_Dep"] + [f"PR_Ran_k{k}" for k in RANDOM_KS]
 
 
-def _reasoner_for(suite, label):
+def _evaluator_for(suite, label):
+    """``R.reason`` for the baseline, ``evaluate_window`` of the label's session otherwise."""
     if label == "R":
-        return suite.baseline
+        return suite.baseline.reason
     if label == "PR_Dep":
-        return suite.dependency
-    return suite.random[int(label.rsplit("k", 1)[1])]
+        return suite.dependency.evaluate_window
+    return suite.random[int(label.rsplit("k", 1)[1])].evaluate_window
 
 
 @pytest.mark.parametrize("window_size", WINDOW_SIZES)
@@ -30,9 +31,9 @@ def _reasoner_for(suite, label):
 def test_fig09_latency_program_p_prime(benchmark, suite_p_prime, windows, label, window_size):
     """Time one window evaluation for every configuration and window size."""
     window = windows[window_size]
-    reasoner = _reasoner_for(suite_p_prime, label)
+    evaluate = _evaluator_for(suite_p_prime, label)
 
-    result = benchmark.pedantic(reasoner.reason, args=(window,), rounds=1, iterations=1, warmup_rounds=0)
+    result = benchmark.pedantic(evaluate, args=(window,), rounds=1, iterations=1, warmup_rounds=0)
 
     benchmark.group = f"fig09 latency P' (window={window_size})"
     benchmark.extra_info["figure"] = 9
@@ -55,5 +56,5 @@ def test_fig09_dependency_partitioning_still_beats_whole_window(suite_p_prime, w
     largest = max(windows)
     window = windows[largest]
     latency_r = suite_p_prime.baseline.reason(window).metrics.latency_milliseconds
-    latency_dep = suite_p_prime.dependency.reason(window).metrics.latency_milliseconds
+    latency_dep = suite_p_prime.dependency.evaluate_window(window).metrics.latency_milliseconds
     assert latency_dep < latency_r

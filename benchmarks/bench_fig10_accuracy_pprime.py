@@ -16,7 +16,7 @@ WINDOW_SIZES = bench_window_sizes()
 PARTITIONED = ["PR_Dep"] + [f"PR_Ran_k{k}" for k in RANDOM_KS]
 
 
-def _reasoner_for(suite, label):
+def _session_for(suite, label):
     if label == "PR_Dep":
         return suite.dependency
     return suite.random[int(label.rsplit("k", 1)[1])]
@@ -35,9 +35,9 @@ def test_fig10_accuracy_program_p_prime(
 ):
     """Measure the partitioned reasoner over P' and score against R."""
     window = windows[window_size]
-    reasoner = _reasoner_for(suite_p_prime, label)
+    session = _session_for(suite_p_prime, label)
 
-    result = benchmark.pedantic(reasoner.reason, args=(window,), rounds=1, iterations=1, warmup_rounds=0)
+    result = benchmark.pedantic(session.evaluate_window, args=(window,), rounds=1, iterations=1, warmup_rounds=0)
     accuracy = mean_accuracy(result.answers, reference_answers[window_size])
 
     benchmark.group = f"fig10 accuracy P' (window={window_size})"

@@ -24,7 +24,7 @@ from repro.core import (
     decompose,
     mean_accuracy,
 )
-from repro.streamrule import ParallelReasoner, Reasoner
+from repro.streamrule import Reasoner, StreamSession
 
 BUILDING_RULES = """
 % A room is overheating when it is hot and the HVAC reports a fault.
@@ -89,13 +89,13 @@ def main() -> None:
     print()
 
     reasoner = Reasoner(program, INPUT_PREDICATES, EVENTS)
-    dependency_reasoner = ParallelReasoner(reasoner, DependencyPartitioner(decomposition.plan))
-    random_reasoner = ParallelReasoner(reasoner, RandomPartitioner(decomposition.plan.community_count, seed=3))
+    dependency_session = StreamSession(reasoner, partitioner=DependencyPartitioner(decomposition.plan))
+    random_session = StreamSession(reasoner, partitioner=RandomPartitioner(decomposition.plan.community_count, seed=3))
 
     window = synthetic_window()
     reference = reasoner.reason(window)
-    partitioned = dependency_reasoner.reason(window)
-    randomised = random_reasoner.reason(window)
+    partitioned = dependency_session.evaluate_window(window)
+    randomised = random_session.evaluate_window(window)
 
     print(f"Window of {len(window)} sensor readings")
     print(f"  events found by R:        {sum(len(a) for a in reference.answers)}")

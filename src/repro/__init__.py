@@ -16,8 +16,9 @@ Subpackages
     RDF triples, synthetic stream generators, windows, the CQELS stand-in
     and the data format processor.
 ``repro.streamrule``
-    The (extended) StreamRule framework: reasoner ``R``, parallel reasoner
-    ``PR`` and the end-to-end pipeline.
+    The (extended) StreamRule framework: reasoner ``R`` and the
+    :class:`~repro.streamrule.session.StreamSession` that runs the parallel
+    reasoner ``PR`` end to end.
 ``repro.programs``
     The paper's traffic programs ``P`` and ``P'``.
 ``repro.experiments``
@@ -25,13 +26,16 @@ Subpackages
 
 Quickstart
 ----------
->>> from repro.programs import traffic_program, INPUT_PREDICATES
+>>> from repro.programs import EVENT_PREDICATES, INPUT_PREDICATES, motivating_example_window, traffic_program
 >>> from repro.core import build_input_dependency_graph, decompose, DependencyPartitioner
->>> from repro.streamrule import Reasoner, ParallelReasoner
+>>> from repro.streamrule import Reasoner, StreamSession
 >>> program = traffic_program()
->>> graph = build_input_dependency_graph(program, INPUT_PREDICATES)
->>> plan = decompose(graph).plan
->>> reasoner = ParallelReasoner(Reasoner(program, INPUT_PREDICATES), DependencyPartitioner(plan))
+>>> plan = decompose(build_input_dependency_graph(program, INPUT_PREDICATES)).plan
+>>> reasoner = Reasoner(program, INPUT_PREDICATES, EVENT_PREDICATES)
+>>> with StreamSession(reasoner, partitioner=DependencyPartitioner(plan)) as session:
+...     result = session.evaluate_window(motivating_example_window())
+>>> sorted(str(atom) for answer in result.answers for atom in answer)
+['car_fire(dangan)', 'give_notification(dangan)']
 """
 
 __version__ = "1.0.0"

@@ -21,8 +21,8 @@ from repro.core.partitioner import DependencyPartitioner, RandomPartitioner
 from repro.experiments.runner import build_reasoner_suite, program_by_name
 from repro.programs.traffic import EVENT_PREDICATES, INPUT_PREDICATES
 from repro.streaming.generator import SyntheticStreamConfig, generate_window
-from repro.streamrule.parallel import ParallelReasoner
 from repro.streamrule.reasoner import Reasoner
+from repro.streamrule.session import StreamSession
 
 __all__ = ["DuplicationRecord", "ResolutionRecord", "duplication_overhead", "partition_count_sweep", "resolution_sweep"]
 
@@ -60,8 +60,8 @@ def duplication_overhead(
             seed=seed + window_size,
         )
         window = generate_window(config)
-        with_duplication = suite_p_prime.dependency.session.evaluate_window(window)
-        without_duplication = suite_p.dependency.session.evaluate_window(window)
+        with_duplication = suite_p_prime.dependency.evaluate_window(window)
+        without_duplication = suite_p.dependency.evaluate_window(window)
         records.append(
             DuplicationRecord(
                 window_size=window_size,
@@ -102,8 +102,8 @@ def resolution_sweep(
     records: List[ResolutionRecord] = []
     for resolution in resolutions:
         decomposition = decompose(graph, resolution=resolution)
-        parallel_reasoner = ParallelReasoner(reasoner, DependencyPartitioner(decomposition.plan))
-        result = parallel_reasoner.session.evaluate_window(window)
+        session = StreamSession(reasoner, partitioner=DependencyPartitioner(decomposition.plan))
+        result = session.evaluate_window(window)
         records.append(
             ResolutionRecord(
                 resolution=resolution,
@@ -131,7 +131,7 @@ def partition_count_sweep(
     reference = reasoner.reason(window)
     accuracies: Dict[int, float] = {}
     for count in partition_counts:
-        parallel_reasoner = ParallelReasoner(reasoner, RandomPartitioner(count, seed=seed + count))
-        result = parallel_reasoner.session.evaluate_window(window)
+        session = StreamSession(reasoner, partitioner=RandomPartitioner(count, seed=seed + count))
+        result = session.evaluate_window(window)
         accuracies[count] = mean_accuracy(result.answers, reference.answers)
     return accuracies

@@ -3,7 +3,8 @@
 The evaluation compares, for each window size:
 
 * ``R``        -- the unpartitioned reasoner over the whole window,
-* ``PR_Dep``   -- the parallel reasoner with dependency-based partitioning,
+* ``PR_Dep``   -- the parallel reasoner (a :class:`StreamSession`) with
+  dependency-based partitioning,
 * ``PR_Ran_k`` -- the parallel reasoner with random partitioning into
   ``k`` = 2..5 chunks.
 
@@ -15,7 +16,7 @@ returns latency and accuracy records.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Mapping, Optional, Sequence, Union
+from typing import Dict, List, Mapping, Sequence, Union
 
 from repro.asp.syntax.program import Program
 from repro.core.accuracy import mean_accuracy
@@ -24,9 +25,8 @@ from repro.core.input_dependency import build_input_dependency_graph
 from repro.core.partitioner import DependencyPartitioner, RandomPartitioner
 from repro.programs.traffic import EVENT_PREDICATES, INPUT_PREDICATES, traffic_program, traffic_program_prime
 from repro.streaming.triples import Triple
-from repro.streamrule.backends import ExecutionBackend, ExecutionMode, backend_for_mode
-from repro.streamrule.parallel import ParallelReasoner
 from repro.streamrule.reasoner import Reasoner
+from repro.streamrule.session import StreamSession
 
 __all__ = ["ReasonerSuite", "WindowEvaluation", "build_reasoner_suite", "evaluate_window", "program_by_name"]
 
@@ -44,15 +44,16 @@ def program_by_name(name: str) -> Program:
 class ReasonerSuite:
     """All reasoner configurations compared for one program.
 
-    A suite built on a worker-owning backend (process pool, loopback
-    sockets) holds one backend per parallel reasoner; close the suite (or
-    use it as a context manager) to release them.
+    ``baseline`` is ``R``; every partitioned configuration is a
+    :class:`StreamSession` over the same reasoner with its own
+    ideally-parallel inline backend.  Close the suite (or use it as a
+    context manager) to close the sessions.
     """
 
     program: Program
     baseline: Reasoner
-    dependency: ParallelReasoner
-    random: Dict[int, ParallelReasoner]
+    dependency: StreamSession
+    random: Dict[int, StreamSession]
     decomposition: DecompositionResult
 
     @property
@@ -60,10 +61,10 @@ class ReasonerSuite:
         return ["R", "PR_Dep"] + [f"PR_Ran_k{k}" for k in sorted(self.random)]
 
     def close(self) -> None:
-        """Shut down the parallel reasoners' worker pools (if any)."""
+        """Close the partitioned sessions."""
         self.dependency.close()
-        for parallel_reasoner in self.random.values():
-            parallel_reasoner.close()
+        for session in self.random.values():
+            session.close()
 
     def __enter__(self) -> "ReasonerSuite":
         return self
@@ -79,38 +80,20 @@ def build_reasoner_suite(
     random_partition_counts: Sequence[int] = (2, 3, 4, 5),
     resolution: float = 1.0,
     seed: int = 2017,
-    mode: Optional[ExecutionMode] = None,
-    backend_factory: Optional[Callable[[], ExecutionBackend]] = None,
 ) -> ReasonerSuite:
-    """Create R, PR_Dep and PR_Ran_k reasoners for ``program``.
-
-    Each parallel reasoner gets its own backend from ``backend_factory``
-    (default: the ideally-parallel inline backend); the legacy ``mode``
-    argument is still accepted and mapped to the equivalent backend.
-    """
+    """Create R and the PR_Dep and PR_Ran_k sessions for ``program``."""
     resolved = program_by_name(program) if isinstance(program, str) else program
     reasoner = Reasoner(resolved, input_predicates=input_predicates, output_predicates=output_predicates)
-
-    def make_backend() -> ExecutionBackend:
-        if backend_factory is not None:
-            return backend_factory()
-        return backend_for_mode(mode or ExecutionMode.SIMULATED_PARALLEL)
-
     dependency_graph = build_input_dependency_graph(resolved, input_predicates)
     decomposition = decompose(dependency_graph, resolution=resolution)
-    dependency_reasoner = ParallelReasoner(
-        reasoner, DependencyPartitioner(decomposition.plan), backend=make_backend()
-    )
-
-    random_reasoners = {
-        k: ParallelReasoner(reasoner, RandomPartitioner(k, seed=seed + k), backend=make_backend())
-        for k in random_partition_counts
-    }
     return ReasonerSuite(
         program=resolved,
         baseline=reasoner,
-        dependency=dependency_reasoner,
-        random=random_reasoners,
+        dependency=StreamSession(reasoner, partitioner=DependencyPartitioner(decomposition.plan)),
+        random={
+            k: StreamSession(reasoner, partitioner=RandomPartitioner(k, seed=seed + k))
+            for k in random_partition_counts
+        },
         decomposition=decomposition,
     )
 
@@ -142,14 +125,14 @@ def evaluate_window(suite: ReasonerSuite, window: Sequence[Union[Triple, object]
     latency: Dict[str, float] = {"R": reference.metrics.latency_milliseconds}
     accuracy: Dict[str, float] = {"R": 1.0}
 
-    dependency_result = suite.dependency.session.evaluate_window(window)
+    dependency_result = suite.dependency.evaluate_window(window)
     latency["PR_Dep"] = dependency_result.metrics.latency_milliseconds
     accuracy["PR_Dep"] = mean_accuracy(dependency_result.answers, reference.answers)
     duplication_ratio = dependency_result.metrics.duplication_ratio
 
-    for k, parallel_reasoner in sorted(suite.random.items()):
+    for k, session in sorted(suite.random.items()):
         label = f"PR_Ran_k{k}"
-        result = parallel_reasoner.session.evaluate_window(window)
+        result = session.evaluate_window(window)
         latency[label] = result.metrics.latency_milliseconds
         accuracy[label] = mean_accuracy(result.answers, reference.answers)
 

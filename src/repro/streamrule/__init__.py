@@ -26,7 +26,8 @@
   (the dashed box of Figure 1).
 * :mod:`repro.streamrule.session` -- the unified :class:`StreamSession`
   facade: window policy -> partitioning handler -> backend dispatch ->
-  combining handler -> solution triples.
+  combining handler -> solution triples.  A session with a partitioner is
+  the parallel reasoner ``PR`` (the grey box of Figure 6).
 * :mod:`repro.streamrule.autoscale` -- the backpressure-driven
   :class:`FleetAutoscaler` growing/shrinking a live TCP fleet from
   sustained stall and AIMD-backoff streaks.
@@ -40,10 +41,6 @@
 * :mod:`repro.streamrule.aio` -- the asyncio-native serving surface:
   :class:`AsyncStreamSession` and :class:`AioTcpBackend` multiplex many
   sessions over one event loop and one worker fleet.
-* :mod:`repro.streamrule.parallel` -- the parallel reasoner ``PR``
-  (the grey box of Figure 6), now a deprecated shim over the session.
-* :mod:`repro.streamrule.pipeline` -- the legacy end-to-end pipeline,
-  likewise a deprecated shim over the session.
 * :mod:`repro.streamrule.server` -- the multi-tenant :class:`QueryServer`:
   many named standing queries over one shared backend, with shared-
   subprogram grounding, a fairness scheduler, and a Prometheus endpoint.
@@ -61,16 +58,13 @@ from repro.streamrule.aio import (
 )
 from repro.streamrule.backends import (
     ExecutionBackend,
-    ExecutionMode,
     InlineBackend,
     LoopbackSocketBackend,
     ProcessPoolBackend,
     SharedMemoryBackend,
     TcpBackend,
     ThreadPoolBackend,
-    backend_for_mode,
 )
-from repro.streamrule.compat import reset_deprecation_warnings
 from repro.streamrule.errors import BackendConnectionError, BackendError, HandshakeError, ProtocolError
 from repro.streamrule.fleet import FleetRegistry, WorkerEndpoint, WorkerFleet
 from repro.streamrule.metrics import (
@@ -81,8 +75,6 @@ from repro.streamrule.metrics import (
     Timer,
 )
 from repro.streamrule.net import PROTOCOL_VERSION, WireStats, WorkerClient
-from repro.streamrule.parallel import ParallelReasoner
-from repro.streamrule.pipeline import StreamRulePipeline
 from repro.streamrule.placement import ConsistentHashPlacement, PinnedPlacement, PlacementStrategy
 from repro.streamrule.reasoner import Reasoner, ReasonerResult
 from repro.streamrule.session import (
@@ -106,7 +98,6 @@ __all__ = [
     "DEFAULT_CEILING",
     "DEFAULT_MAX_INFLIGHT",
     "ExecutionBackend",
-    "ExecutionMode",
     "FleetAutoscaler",
     "FleetRegistry",
     "HandshakeError",
@@ -115,7 +106,6 @@ __all__ = [
     "LatencyBreakdown",
     "LoopbackSocketBackend",
     "PROTOCOL_VERSION",
-    "ParallelReasoner",
     "ParallelResult",
     "PendingWindow",
     "PinnedPlacement",
@@ -129,7 +119,6 @@ __all__ = [
     "ReasonerMetrics",
     "ReasonerResult",
     "StandingQuery",
-    "StreamRulePipeline",
     "StreamSession",
     "TcpBackend",
     "TenantStats",
@@ -142,8 +131,6 @@ __all__ = [
     "WorkerEndpoint",
     "WorkerFleet",
     "WorkerServer",
-    "backend_for_mode",
-    "reset_deprecation_warnings",
     "spawn_local_workers",
 ]
 

@@ -5,8 +5,8 @@ evaluation consumes a pickled fact batch and produces a
 :class:`~repro.streamrule.reasoner.ReasonerResult`.  An
 :class:`ExecutionBackend` encapsulates one transport behind a tiny protocol
 -- ``start(reasoner)`` / ``submit(WorkItem) -> Future[ReasonerResult]`` /
-``close()`` plus capability flags -- so the session/pipeline layers never
-branch on an execution mode again:
+``close()`` plus capability flags -- so the session never branches on a
+transport:
 
 * :class:`InlineBackend` -- evaluate in the calling thread.  With
   ``simulated=True`` (default) latency is *modelled* as the slowest
@@ -38,7 +38,7 @@ Lifecycle
 session before the first window; ``close`` releases every executor and
 socket and is safe to call repeatedly (a later ``start`` rebuilds the
 resources).  Every resource-owning backend also registers a
-:func:`weakref.finalize` backstop, so a backend (or a ``ParallelReasoner``)
+:func:`weakref.finalize` backstop, so a backend (or the session owning it)
 abandoned without ``close()`` no longer leaks executors until interpreter
 exit.
 """
@@ -46,7 +46,6 @@ exit.
 from __future__ import annotations
 
 import abc
-import enum
 import os
 import pickle
 import socket
@@ -81,29 +80,13 @@ __all__ = [
     "BackendConnectionError",
     "BackendError",
     "ExecutionBackend",
-    "ExecutionMode",
     "InlineBackend",
     "LoopbackSocketBackend",
     "ProcessPoolBackend",
     "SharedMemoryBackend",
     "TcpBackend",
     "ThreadPoolBackend",
-    "backend_for_mode",
 ]
-
-
-class ExecutionMode(enum.Enum):
-    """Deprecated mode switch of the pre-backend API.
-
-    Each member maps to an :class:`ExecutionBackend` via
-    :func:`backend_for_mode`; new code should construct the backend
-    directly.
-    """
-
-    SIMULATED_PARALLEL = "simulated_parallel"
-    THREADS = "threads"
-    PROCESSES = "processes"
-    SERIAL = "serial"
 
 
 # --------------------------------------------------------------------------- #
@@ -901,19 +884,3 @@ def _close_shm_resources(dispatchers, slots) -> None:
         dispatcher.shutdown(wait=True)
     for slot in slots:
         slot.close()
-
-
-# --------------------------------------------------------------------------- #
-# Mode mapping (legacy)
-# --------------------------------------------------------------------------- #
-def backend_for_mode(mode: ExecutionMode, max_workers: Optional[int] = None) -> ExecutionBackend:
-    """Map a deprecated :class:`ExecutionMode` to its backend equivalent."""
-    if mode is ExecutionMode.SERIAL:
-        return InlineBackend(simulated=False)
-    if mode is ExecutionMode.SIMULATED_PARALLEL:
-        return InlineBackend(simulated=True)
-    if mode is ExecutionMode.THREADS:
-        return ThreadPoolBackend(max_workers=max_workers)
-    if mode is ExecutionMode.PROCESSES:
-        return ProcessPoolBackend(max_workers=max_workers)
-    raise ValueError(f"unknown execution mode: {mode!r}")

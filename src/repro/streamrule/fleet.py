@@ -745,6 +745,12 @@ class FleetRegistry:
 
     def close(self) -> None:
         self._stop.set()
+        # Closing a listening socket does not wake a thread blocked in
+        # accept(); shutting it down does.
+        try:
+            self._listener.shutdown(socket.SHUT_RDWR)
+        except OSError:
+            pass
         try:
             self._listener.close()
         except OSError:

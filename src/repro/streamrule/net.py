@@ -1511,36 +1511,27 @@ def serve_worker_connection(
         # Answer in the encoding the HELLO arrived in: JSON peers get JSON
         # control frames, legacy pickle peers get pickled ones.
         reply_dumps: Callable[[Any], bytes] = dumps_json if payload[:1] == b"{" else _dumps
+
+        def reject(
+            reason: str, rejected: Optional[str] = None, dumps: Callable[[Any], bytes] = reply_dumps
+        ) -> ServedConnection:
+            record.rejected = rejected or reason
+            send_frame(connection, FrameKind.REJECT, dumps({"protocol": protocol_version, "reason": reason}))
+            return record
+
         try:
             hello = loads_control(payload, allow_pickle=not restricted_only)
         except ProtocolError:
-            record.rejected = "restricted codec required"
-            send_frame(
-                connection,
-                FrameKind.REJECT,
-                dumps_json({"protocol": protocol_version, "reason": "restricted codec required"}),
-            )
-            return record
+            # The peer's pickle is refused, so the refusal is JSON whatever it sent.
+            return reject("restricted codec required", dumps=dumps_json)
         if hello.get("protocol") != protocol_version:
-            record.rejected = f"protocol {hello.get('protocol')} != {protocol_version}"
-            send_frame(
-                connection,
-                FrameKind.REJECT,
-                reply_dumps({"protocol": protocol_version, "reason": "protocol version mismatch"}),
-            )
-            return record
+            return reject("protocol version mismatch", f"protocol {hello.get('protocol')} != {protocol_version}")
         accepted = {
             name: True for name, on in hello.get("capabilities", {}).items() if on and supported.get(name)
         }
         restricted = bool(accepted.get("restricted_codec"))
         if restricted_only and not restricted:
-            record.rejected = "restricted codec required"
-            send_frame(
-                connection,
-                FrameKind.REJECT,
-                reply_dumps({"protocol": protocol_version, "reason": "restricted codec required"}),
-            )
-            return record
+            return reject("restricted codec required")
         record.capabilities = accepted
         welcome: Dict[str, Any] = {"protocol": protocol_version, "capabilities": accepted}
         nonce: Optional[str] = None
@@ -1551,25 +1542,13 @@ def serve_worker_connection(
         kind, payload = recv_frame(connection)
         if nonce is not None:
             if kind is not FrameKind.AUTH:
-                record.rejected = "authentication required"
-                send_frame(
-                    connection,
-                    FrameKind.REJECT,
-                    reply_dumps({"protocol": protocol_version, "reason": "authentication required"}),
-                )
-                return record
+                return reject("authentication required")
             try:
                 mac = loads_control(payload, allow_pickle=False).get("mac")
             except ProtocolError:
                 mac = None
             if not isinstance(mac, str) or not hmac.compare_digest(mac, auth_mac(auth_token, nonce)):
-                record.rejected = "authentication failed"
-                send_frame(
-                    connection,
-                    FrameKind.REJECT,
-                    reply_dumps({"protocol": protocol_version, "reason": "authentication failed"}),
-                )
-                return record
+                return reject("authentication failed")
             kind, payload = recv_frame(connection)
         if kind is not FrameKind.REASONER:
             record.rejected = f"expected REASONER, got {kind.name}"

@@ -37,7 +37,6 @@ from repro.asp.syntax.program import Program
 from repro.streaming.format import DataFormatProcessor
 from repro.streaming.triples import Triple
 from repro.streaming.window import WindowDelta
-from repro.streamrule.compat import warn_once
 from repro.streamrule.metrics import LatencyBreakdown, ReasonerMetrics, Timer
 from repro.streamrule.work import WorkItem
 
@@ -46,7 +45,6 @@ __all__ = [
     "ReasonerResult",
     "initialize_worker_reasoner",
     "reason_item_task",
-    "reason_partition_task",
 ]
 
 AnswerSet = FrozenSet[Atom]
@@ -194,37 +192,14 @@ class Reasoner:
         )
         return ReasonerResult(answers=answers, metrics=metrics)
 
-    def reason(
-        self,
-        window: WindowInput,
-        *,
-        delta: Optional[WindowDelta] = None,
-        incremental: bool = False,
-        track: int = 0,
-    ) -> ReasonerResult:
-        """Evaluate one input window (shim over :meth:`reason_item`).
+    def reason(self, window: WindowInput, *, delta: Optional[WindowDelta] = None) -> ReasonerResult:
+        """Evaluate one input window as a single work item on track 0.
 
-        The ``incremental=``/``track=`` keyword cluster is deprecated in
-        favour of passing a typed :class:`~repro.streamrule.work.WorkItem`
-        to :meth:`reason_item` (or, one level up, of driving a
-        :class:`~repro.streamrule.session.StreamSession`).  Passing a
-        ``delta`` remains supported: it is how a single window annotated
-        with its slide record is evaluated directly.
+        The unpartitioned reference ``R``: the whole window, one reasoner
+        call.  ``delta`` annotates the window with its slide record, which
+        puts it on the per-track path when a grounding cache is attached.
         """
-        if incremental or track:
-            warn_once(
-                "reason-kwargs",
-                "Reasoner.reason(incremental=..., track=...) is deprecated; build a "
-                "WorkItem(facts, delta, track, epoch) and call Reasoner.reason_item "
-                "(or use StreamSession, which threads WorkItems end to end).",
-            )
-        item = WorkItem(
-            facts=tuple(window),
-            delta=delta,
-            track=track,
-            incremental=True if incremental else None,
-        )
-        return self.reason_item(item)
+        return self.reason_item(WorkItem(facts=tuple(window), delta=delta))
 
 
 # --------------------------------------------------------------------------- #
@@ -237,14 +212,14 @@ _WORKER_REASONER: Optional[Reasoner] = None
 def initialize_worker_reasoner(payload: bytes) -> None:
     """Process-pool initializer: unpickle the reasoner once per worker.
 
-    The payload is produced by the parallel reasoner (``pickle.dumps`` of its
-    underlying :class:`Reasoner`); every subsequent
-    :func:`reason_partition_task` in this process reuses the instance, so the
+    The payload is produced by the process-pool backend (``pickle.dumps`` of
+    the session's :class:`Reasoner`); every subsequent
+    :func:`reason_item_task` in this process reuses the instance, so the
     program is deserialized once per worker, not once per window.  The worker
     inherits the parent reasoner's grounding-cache *configuration*: a cached
     parent yields one fresh, equally-sized cache per worker (see
     :meth:`GroundingCache.__reduce__`), an uncached parent stays uncached --
-    so PROCESSES never caches more than the other execution modes would.
+    so worker processes never cache more than the other backends would.
     """
     global _WORKER_REASONER
     _WORKER_REASONER = pickle.loads(payload)
@@ -277,9 +252,3 @@ def reason_item_task(item: WorkItem) -> ReasonerResult:
         )
     return _WORKER_REASONER.reason_item(item)
 
-
-def reason_partition_task(batch: WindowInput, incremental: bool = False, track: int = 0) -> ReasonerResult:
-    """Legacy entry point of the pre-WorkItem worker protocol."""
-    return reason_item_task(
-        WorkItem(facts=tuple(batch), track=track, incremental=True if incremental else None)
-    )

@@ -17,13 +17,16 @@ or, for bounded streams, the streaming bulk form::
     for solution in session.process(triples):
         ...
 
-The session replaces the ``reason(delta=..., incremental=..., track=...)``
-keyword cluster with typed :class:`~repro.streamrule.work.WorkItem` dispatch
+or, for one externally cut window, :meth:`StreamSession.evaluate_window`
+-- the parallel reasoner ``PR`` of Figure 6: partition the window, evaluate
+the parts, combine the answers.
+
+Every partition travels as a typed :class:`~repro.streamrule.work.WorkItem`
 through a pluggable :class:`~repro.streamrule.backends.ExecutionBackend`,
-and makes worker placement an explicit
-:class:`~repro.streamrule.placement.PlacementStrategy`.  The legacy
-``ParallelReasoner.reason`` / ``StreamRulePipeline.process_stream`` entry
-points survive as thin deprecated shims over this class.
+and worker placement is an explicit
+:class:`~repro.streamrule.placement.PlacementStrategy`.  This class is the
+one way to run partitioned reasoning; the unpartitioned reference ``R`` is
+:meth:`Reasoner.reason <repro.streamrule.reasoner.Reasoner.reason>`.
 
 Windowing semantics of ``push``
 -------------------------------
@@ -719,16 +722,16 @@ class StreamSession:
     def process(self, items: Iterable[StreamItem]) -> Iterator[WindowSolution]:
         """Window a bounded stream lazily and yield one solution per window.
 
-        This is the one-shot form of the facade (and the engine of the
-        deprecated ``StreamRulePipeline.process_stream`` shim): it bypasses
-        the push buffer, so do not interleave it with :meth:`push`.  It
-        pipelines exactly like :meth:`push` -- up to ``max_inflight``
-        windows are dispatched ahead of the one being yielded, so on a
-        concurrent backend the next windows evaluate while the caller
-        consumes the current solution.
+        This is the one-shot form of the facade: it bypasses the push
+        buffer, so do not interleave it with :meth:`push`.  It pipelines
+        exactly like :meth:`push` -- up to ``max_inflight`` windows are
+        dispatched ahead of the one being yielded, so on a concurrent
+        backend the next windows evaluate while the caller consumes the
+        current solution.  Without a window policy the whole stream is one
+        window.
         """
         if self.window is None:
-            yield self._solve_window(0, items, delta=None)
+            yield self._gather_solution(self._dispatch_window(0, self._ingest_window(items), None))
             return
         deltas: Iterable[WindowDelta]
         if isinstance(self.window, TimeWindow):
@@ -770,12 +773,6 @@ class StreamSession:
     # split into a dispatch half and a gather half so ingestion can run
     # several windows ahead of the gather point.
     # ------------------------------------------------------------------ #
-    def _solve_window(
-        self, index: int, items: Iterable[StreamItem], delta: Optional[WindowDelta]
-    ) -> WindowSolution:
-        """Ingest, dispatch and immediately gather one externally cut window."""
-        return self._gather_solution(self._dispatch_window(index, self._ingest_window(items), delta))
-
     def _dispatch_window(
         self,
         index: int,

@@ -13,8 +13,6 @@ from repro.streamrule.backends import (
     LoopbackSocketBackend,
     ProcessPoolBackend,
     ThreadPoolBackend,
-    backend_for_mode,
-    ExecutionMode,
 )
 from repro.streamrule.placement import ConsistentHashPlacement, PinnedPlacement
 from repro.streamrule.reasoner import Reasoner
@@ -98,14 +96,6 @@ class TestProtocol:
         result = backend.submit(work_item()).result()
         assert result.answers
         backend.close()
-
-    def test_mode_mapping(self):
-        assert isinstance(backend_for_mode(ExecutionMode.SERIAL), InlineBackend)
-        assert backend_for_mode(ExecutionMode.SERIAL).concurrent is False
-        assert isinstance(backend_for_mode(ExecutionMode.SIMULATED_PARALLEL), InlineBackend)
-        assert backend_for_mode(ExecutionMode.SIMULATED_PARALLEL).concurrent is True
-        assert isinstance(backend_for_mode(ExecutionMode.THREADS, 2), ThreadPoolBackend)
-        assert isinstance(backend_for_mode(ExecutionMode.PROCESSES, 2), ProcessPoolBackend)
 
 
 class TestLifecycleBackstop:

@@ -161,6 +161,15 @@ class TestFleetRegistry:
             finally:
                 fleet.close()
 
+    def test_close_wakes_the_accept_thread(self):
+        """Closing the listener must unblock ``accept()`` at once, not after the join timeout."""
+        registry = FleetRegistry(None)
+        time.sleep(0.2)  # let the accept thread block in accept()
+        started = time.perf_counter()
+        registry.close()
+        assert time.perf_counter() - started < 1.0
+        assert not registry._thread.is_alive()
+
 
 # --------------------------------------------------------------------------- #
 # Autoscaler (injected spawner -- no subprocesses)

@@ -1,9 +1,9 @@
-"""Cross-mode equivalence under delta-grounding.
+"""Cross-backend equivalence under delta-grounding.
 
 Acceptance contract of the delta path: for every windowed stream, the
 answer sets produced with delta-grounding enabled (sliding-window deltas
 threaded down to per-partition incremental grounding) are identical to the
-ground-from-scratch answer sets, in all four execution modes.  The delta
+ground-from-scratch answer sets, on every execution backend.  The delta
 machinery may change *how* a window is grounded (exact hit or reground on
 the partition's track) but never *what* the window answers.
 """
@@ -25,21 +25,11 @@ from repro.streamrule.backends import (
     SharedMemoryBackend,
     ThreadPoolBackend,
 )
-from repro.streamrule.parallel import ExecutionMode, ParallelReasoner
-from repro.streamrule.pipeline import StreamRulePipeline
 from repro.streamrule.reasoner import Reasoner
 from repro.streamrule.session import StreamSession
 from tests.conftest import make_atom
 
-ALL_MODES = (
-    ExecutionMode.SERIAL,
-    ExecutionMode.SIMULATED_PARALLEL,
-    ExecutionMode.THREADS,
-    ExecutionMode.PROCESSES,
-)
-
-#: Direct-backend rows extending the mode matrix (notably the loopback
-#: socket, which has no ExecutionMode equivalent).
+#: The backends of the delta-equivalence matrix (name -> factory).
 BACKEND_FACTORIES = {
     "inline": lambda workers: InlineBackend(),
     "inline-serial": lambda workers: InlineBackend(simulated=False),
@@ -49,22 +39,25 @@ BACKEND_FACTORIES = {
     "shared-memory": lambda workers: SharedMemoryBackend(max_workers=workers),
 }
 
-#: Every runner of the delta-equivalence matrix: the four legacy modes plus
-#: the named backend factories.
-ALL_RUNNERS = list(ALL_MODES) + list(BACKEND_FACTORIES)
+#: Every row of the matrix: (entry point, backend name).  ``evaluate_window`` hands
+#: the session each window together with its delta; ``process`` lets the
+#: session cut the windows and thread their deltas itself (dispatching ahead
+#: of the gather point on pipelined backends).
+RUNNERS = [(entry, name) for entry in ("evaluate_window", "process") for name in BACKEND_FACTORIES]
 
 
 def runner_id(runner):
-    return runner.value if isinstance(runner, ExecutionMode) else f"backend:{runner}"
+    entry, name = runner
+    return f"backend:{name}" if entry == "evaluate_window" else f"process:{name}"
 
 
-def make_parallel(reasoner, partitioner, runner, max_workers=2):
-    """Build a ParallelReasoner for a mode enum or a backend-factory name."""
-    if isinstance(runner, ExecutionMode):
-        return ParallelReasoner(reasoner, partitioner, mode=runner, max_workers=max_workers)
-    return ParallelReasoner(
-        reasoner, partitioner, backend=BACKEND_FACTORIES[runner](max_workers)
-    )
+def make_session(reasoner, partitioner, name, window=None):
+    """A partitioned session on the named backend (two workers where it has any)."""
+    return StreamSession(reasoner, window=window, partitioner=partitioner, backend=BACKEND_FACTORIES[name](2))
+
+
+def answer_sets(answers):
+    return {frozenset(answer) for answer in answers}
 
 
 def traffic_stream(length, seed=23):
@@ -92,20 +85,24 @@ def scratch_answers_per_window(window_policy, stream, partitioner):
         ]
 
 
-def delta_answers_per_window(window_policy, stream, partitioner, runner, max_workers=2):
+def delta_answers_per_window(window_policy, stream, partitioner, runner, reasoner=None):
     """Delta path: every window evaluated with its slide delta and a cache."""
-    with make_parallel(cached_reasoner(), partitioner, runner, max_workers) as parallel:
-        session = parallel.session
+    entry, name = runner
+    reasoner = reasoner or cached_reasoner()
+    if entry == "process":
+        with make_session(reasoner, partitioner, name, window=window_policy) as session:
+            return [answer_sets(solution.answers) for solution in session.process(stream)]
+    with make_session(reasoner, partitioner, name) as session:
         return [
-            {frozenset(answer) for answer in session.evaluate_window(list(delta.window), delta=delta).answers}
+            answer_sets(session.evaluate_window(list(delta.window), delta=delta).answers)
             for delta in window_policy.deltas(stream)
         ]
 
 
 class TestSlidingWindowEquivalence:
-    pytestmark = pytest.mark.slow  # PROCESSES rows spin up worker pools
+    pytestmark = pytest.mark.slow  # the process-pool rows spin up worker pools
 
-    @pytest.mark.parametrize("runner", ALL_RUNNERS, ids=runner_id)
+    @pytest.mark.parametrize("runner", RUNNERS, ids=runner_id)
     def test_count_window_sliding(self, plan_p, runner):
         stream = traffic_stream(240)
         window_policy = CountWindow(size=80, slide=30)
@@ -114,7 +111,7 @@ class TestSlidingWindowEquivalence:
         actual = delta_answers_per_window(window_policy, stream, partitioner, runner)
         assert actual == expected
 
-    @pytest.mark.parametrize("runner", ALL_RUNNERS, ids=runner_id)
+    @pytest.mark.parametrize("runner", RUNNERS, ids=runner_id)
     def test_count_window_hash_partitioning(self, runner):
         stream = traffic_stream(180)
         window_policy = CountWindow(size=60, slide=20)
@@ -123,7 +120,7 @@ class TestSlidingWindowEquivalence:
         actual = delta_answers_per_window(window_policy, stream, partitioner, runner)
         assert actual == expected
 
-    @pytest.mark.parametrize("runner", ALL_RUNNERS, ids=runner_id)
+    @pytest.mark.parametrize("runner", RUNNERS, ids=runner_id)
     def test_time_window_sliding(self, plan_p, runner):
         stream = traffic_stream(150)
         window_policy = TimeWindow(duration=50.0, slide=20.0)
@@ -132,21 +129,23 @@ class TestSlidingWindowEquivalence:
         actual = delta_answers_per_window(window_policy, stream, partitioner, runner)
         assert actual == expected
 
-    def test_random_partitioner_ignores_delta_hint(self, ):
+    def test_random_partitioner_ignores_delta_hint(self):
         # Random layouts reshuffle between windows; the delta hint must be
         # ignored (no partition-level continuity) yet answers stay equal to
         # the same partitioner's non-delta evaluation under a fixed seed.
         stream = traffic_stream(120)
         window_policy = CountWindow(size=40, slide=15)
         reasoner = cached_reasoner()
-        with ParallelReasoner(reasoner, RandomPartitioner(3, seed=5), mode=ExecutionMode.SERIAL) as parallel:
-            results = [parallel.reason(list(delta.window), delta=delta) for delta in window_policy.deltas(stream)]
+        with make_session(reasoner, RandomPartitioner(3, seed=5), "inline-serial") as session:
+            results = [
+                session.evaluate_window(list(delta.window), delta=delta) for delta in window_policy.deltas(stream)
+            ]
         with_delta = [{frozenset(answer) for answer in result.answers} for result in results]
         assert reasoner.grounding_cache.statistics()["delta_states"] == 0.0  # no track was opened
         plain = Reasoner(traffic_program(), INPUT_PREDICATES, EVENT_PREDICATES)
-        with ParallelReasoner(plain, RandomPartitioner(3, seed=5), mode=ExecutionMode.SERIAL) as parallel:
+        with make_session(plain, RandomPartitioner(3, seed=5), "inline-serial") as session:
             without_delta = [
-                {frozenset(answer) for answer in parallel.reason(list(window)).answers}
+                {frozenset(answer) for answer in session.evaluate_window(list(window)).answers}
                 for window in window_policy.windows(stream)
             ]
         assert with_delta == without_delta
@@ -160,7 +159,7 @@ picked(X) :- item(X), not dropped(X).
 dropped(X) :- item(X), not picked(X).
 """
 
-    @pytest.mark.parametrize("runner", ALL_RUNNERS, ids=runner_id)
+    @pytest.mark.parametrize("runner", RUNNERS, ids=runner_id)
     def test_choice_program_sliding_windows(self, runner):
         stream = [make_atom("item", index % 5) for index in range(24)]
         window_policy = CountWindow(size=8, slide=3)
@@ -173,14 +172,7 @@ dropped(X) :- item(X), not picked(X).
         ]
 
         cached = Reasoner(program, input_predicates=["item"], grounding_cache=GroundingCache())
-        with make_parallel(cached, HashPartitioner(2), runner, max_workers=2) as parallel:
-            combined = [
-                {
-                    frozenset(answer)
-                    for answer in parallel.session.evaluate_window(list(delta.window), delta=delta).answers
-                }
-                for delta in window_policy.deltas(stream)
-            ]
+        combined = delta_answers_per_window(window_policy, stream, HashPartitioner(2), runner, reasoner=cached)
         # Partition-combined answers for a single-predicate choice program
         # coincide with the unpartitioned ones (no cross-partition joins).
         assert combined == expected
@@ -232,8 +224,8 @@ class TestDeltaMetricsFlow:
         reasoner = Reasoner(
             traffic_program(), INPUT_PREDICATES, EVENT_PREDICATES, grounding_cache=cache
         )
-        with StreamRulePipeline(reasoner, window=CountWindow(size=80, slide=20)) as pipeline:
-            solutions = list(pipeline.process_stream(stream))
+        with StreamSession(reasoner, window=CountWindow(size=80, slide=20)) as session:
+            solutions = list(session.process(stream))
         assert len(solutions) >= 5
         rebuilds = sum(solution.metrics.cache_misses for solution in solutions)
         hits = sum(solution.metrics.cache_hits for solution in solutions)
@@ -252,8 +244,8 @@ class TestDeltaMetricsFlow:
         reasoner = Reasoner(
             traffic_program(), INPUT_PREDICATES, EVENT_PREDICATES, grounding_cache=cache
         )
-        with StreamRulePipeline(reasoner, window=CountWindow(size=50)) as pipeline:
-            solutions = list(pipeline.process_stream(stream))
+        with StreamSession(reasoner, window=CountWindow(size=50)) as session:
+            solutions = list(session.process(stream))
         # Tumbling windows carry nothing over: no track is opened.
         assert all(solution.metrics.cache_misses + solution.metrics.cache_hits == 1 for solution in solutions)
         assert cache.statistics()["delta_states"] == 0.0
@@ -263,9 +255,9 @@ class TestDeltaMetricsFlow:
         stream = traffic_stream(200)
         window_policy = CountWindow(size=80, slide=20)
         reasoner = cached_reasoner()
-        with ParallelReasoner(reasoner, DependencyPartitioner(plan_p), mode=ExecutionMode.SERIAL) as parallel:
+        with make_session(reasoner, DependencyPartitioner(plan_p), "inline-serial") as session:
             results = [
-                parallel.reason(list(delta.window), delta=delta) for delta in window_policy.deltas(stream)
+                session.evaluate_window(list(delta.window), delta=delta) for delta in window_policy.deltas(stream)
             ]
         for result in results:
             # One outcome per evaluated partition, summed over the window's partitions.

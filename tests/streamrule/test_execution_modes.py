@@ -1,9 +1,9 @@
-"""Cross-mode equivalence: every execution mode returns the same answer sets.
+"""Cross-backend equivalence: every execution backend returns the same answer sets.
 
-The execution modes (and the pluggable backends they map to) differ only in
-*where* the partition reasoners run (inline, thread pool, process pool,
-loopback socket) and in how latency is reported; the answer sets must be
-identical.  This suite locks that contract in over a matrix of programs:
+The backends differ only in *where* the partition reasoners run (inline,
+thread pool, process pool, loopback socket) and in how latency is reported;
+the answer sets must be identical.  This suite locks that contract in over a
+matrix of programs:
 
 * the paper's stratified traffic programs ``P`` and ``P'``,
 * a non-stratified program with multiple answer sets per partition,
@@ -13,8 +13,6 @@ plus the empty-window and single-partition edge cases.
 """
 
 from __future__ import annotations
-
-import warnings
 
 import pytest
 
@@ -28,20 +26,12 @@ from repro.streamrule.backends import (
     ProcessPoolBackend,
     ThreadPoolBackend,
 )
-from repro.streamrule.parallel import ExecutionMode, ParallelReasoner
 from repro.streamrule.reasoner import Reasoner
 from repro.streamrule.session import StreamSession
 from tests.conftest import make_atom
 
-ALL_MODES = (
-    ExecutionMode.SERIAL,
-    ExecutionMode.SIMULATED_PARALLEL,
-    ExecutionMode.THREADS,
-    ExecutionMode.PROCESSES,
-)
-
-#: The direct-backend rows of the equivalence matrix (label -> factory);
-#: evaluated through StreamSession, the non-deprecated path.
+#: The rows of the equivalence matrix (label -> factory), each evaluated
+#: through a StreamSession.
 BACKEND_FACTORIES = {
     "backend:inline": lambda workers: InlineBackend(),
     "backend:inline-serial": lambda workers: InlineBackend(simulated=False),
@@ -75,17 +65,13 @@ class PredicateSplit(Partitioner):
         return partitions
 
 
-def answers_by_mode(reasoner, partitioner, window, max_workers=2, max_combinations=None):
-    """Evaluate ``window`` under every mode *and* backend; return {key: answers}."""
+#: The matrix's reference row: serial inline evaluation.
+REFERENCE = "backend:inline-serial"
+
+
+def answers_by_backend(reasoner, partitioner, window, max_workers=2, max_combinations=None):
+    """Evaluate ``window`` on every backend; return {label: answers}."""
     collected = {}
-    for mode in ALL_MODES:
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", DeprecationWarning)
-            with ParallelReasoner(
-                reasoner, partitioner, mode=mode, max_workers=max_workers, max_combinations=max_combinations
-            ) as parallel:
-                result = parallel.reason(window)
-        collected[mode] = {frozenset(answer) for answer in result.answers}
     for label, factory in BACKEND_FACTORIES.items():
         with StreamSession(
             reasoner, partitioner=partitioner, backend=factory(max_workers), max_combinations=max_combinations
@@ -95,10 +81,10 @@ def answers_by_mode(reasoner, partitioner, window, max_workers=2, max_combinatio
     return collected
 
 
-def assert_all_modes_equal(collected):
-    reference = collected[ExecutionMode.SERIAL]
-    for mode, answers in collected.items():
-        assert answers == reference, f"{mode} diverged from SERIAL"
+def assert_all_backends_equal(collected):
+    reference = collected[REFERENCE]
+    for label, answers in collected.items():
+        assert answers == reference, f"{label} diverged from {REFERENCE}"
 
 
 # --------------------------------------------------------------------------- #
@@ -108,27 +94,27 @@ class TestTrafficPrograms:
     pytestmark = pytest.mark.slow  # every test spins up a process pool
 
     def test_program_p_motivating_window(self, event_reasoner_p, plan_p, motivating_window):
-        collected = answers_by_mode(event_reasoner_p, DependencyPartitioner(plan_p), motivating_window)
-        assert_all_modes_equal(collected)
+        collected = answers_by_backend(event_reasoner_p, DependencyPartitioner(plan_p), motivating_window)
+        assert_all_backends_equal(collected)
         # The motivating example has exactly one answer: the dangan car fire.
-        [answer] = collected[ExecutionMode.PROCESSES]
+        [answer] = collected["backend:processes"]
         assert {str(atom) for atom in answer} == {"car_fire(dangan)", "give_notification(dangan)"}
 
     def test_program_p_prime_motivating_window(self, program_p_prime, plan_p_prime, motivating_window):
         reasoner = Reasoner(program_p_prime, INPUT_PREDICATES, EVENT_PREDICATES)
-        collected = answers_by_mode(reasoner, DependencyPartitioner(plan_p_prime), motivating_window)
-        assert_all_modes_equal(collected)
-        assert collected[ExecutionMode.SERIAL]
+        collected = answers_by_backend(reasoner, DependencyPartitioner(plan_p_prime), motivating_window)
+        assert_all_backends_equal(collected)
+        assert collected[REFERENCE]
 
     def test_program_p_synthetic_window(self, event_reasoner_p, plan_p, small_traffic_window):
-        collected = answers_by_mode(event_reasoner_p, DependencyPartitioner(plan_p), small_traffic_window)
-        assert_all_modes_equal(collected)
+        collected = answers_by_backend(event_reasoner_p, DependencyPartitioner(plan_p), small_traffic_window)
+        assert_all_backends_equal(collected)
 
     def test_program_p_hash_partitioning(self, event_reasoner_p, small_traffic_window):
         # Hash partitioning may split joins (lower accuracy than dependency
-        # partitioning) -- but whatever it answers must not depend on the mode.
-        collected = answers_by_mode(event_reasoner_p, HashPartitioner(3), small_traffic_window)
-        assert_all_modes_equal(collected)
+        # partitioning) -- but whatever it answers must not depend on the backend.
+        collected = answers_by_backend(event_reasoner_p, HashPartitioner(3), small_traffic_window)
+        assert_all_backends_equal(collected)
 
 
 # --------------------------------------------------------------------------- #
@@ -151,28 +137,28 @@ class TestNonStratifiedPrograms:
     def test_multiple_answer_sets_per_partition(self):
         reasoner = Reasoner(parse_program(CHOICE_PROGRAM), input_predicates=["item"])
         window = [make_atom("item", index) for index in range(3)]
-        collected = answers_by_mode(reasoner, HashPartitioner(2), window)
-        assert_all_modes_equal(collected)
+        collected = answers_by_backend(reasoner, HashPartitioner(2), window)
+        assert_all_backends_equal(collected)
         # Three two-way choices -> the combining handler unions picks from
         # both partitions; there must be more than one combined answer.
-        assert len(collected[ExecutionMode.SERIAL]) > 1
+        assert len(collected[REFERENCE]) > 1
 
-    def test_inconsistent_partition_is_skipped_in_every_mode(self):
+    def test_inconsistent_partition_is_skipped_on_every_backend(self):
         reasoner = Reasoner(parse_program(CONSTRAINED_PROGRAM), input_predicates=["item", "poison"])
         window = [make_atom("item", index) for index in range(4)] + [make_atom("poison", 99)]
         # The poison partition is unsatisfiable; the item partition survives.
         partitioner = PredicateSplit([("item",), ("poison",)])
-        collected = answers_by_mode(reasoner, partitioner, window)
-        assert_all_modes_equal(collected)
-        [answer] = collected[ExecutionMode.SERIAL]
+        collected = answers_by_backend(reasoner, partitioner, window)
+        assert_all_backends_equal(collected)
+        [answer] = collected[REFERENCE]
         assert {str(atom) for atom in answer} == {f"good({index})" for index in range(4)}
 
-    def test_fully_inconsistent_window_unsatisfiable_in_every_mode(self):
+    def test_fully_inconsistent_window_unsatisfiable_on_every_backend(self):
         reasoner = Reasoner(parse_program(CONSTRAINED_PROGRAM), input_predicates=["item", "poison"])
         window = [make_atom("poison", index) for index in range(4)]
-        collected = answers_by_mode(reasoner, HashPartitioner(2), window)
-        assert_all_modes_equal(collected)
-        assert collected[ExecutionMode.SERIAL] == set()
+        collected = answers_by_backend(reasoner, HashPartitioner(2), window)
+        assert_all_backends_equal(collected)
+        assert collected[REFERENCE] == set()
 
 
 # --------------------------------------------------------------------------- #
@@ -182,19 +168,19 @@ class TestEdgeCases:
     pytestmark = pytest.mark.slow  # every test spins up a process pool
 
     def test_empty_window(self, event_reasoner_p, plan_p):
-        collected = answers_by_mode(event_reasoner_p, DependencyPartitioner(plan_p), [])
-        assert_all_modes_equal(collected)
+        collected = answers_by_backend(event_reasoner_p, DependencyPartitioner(plan_p), [])
+        assert_all_backends_equal(collected)
         # An empty window degenerates to the program's own (single, eventless)
         # answer set -- the same thing the unpartitioned reasoner R returns.
         reference = {frozenset(a) for a in event_reasoner_p.reason([]).answers}
-        assert collected[ExecutionMode.SERIAL] == reference
+        assert collected[REFERENCE] == reference
 
     def test_single_partition(self, event_reasoner_p, motivating_window):
-        collected = answers_by_mode(event_reasoner_p, HashPartitioner(1), motivating_window)
-        assert_all_modes_equal(collected)
+        collected = answers_by_backend(event_reasoner_p, HashPartitioner(1), motivating_window)
+        assert_all_backends_equal(collected)
         # One partition means PR degenerates to R exactly.
         reference = {frozenset(a) for a in event_reasoner_p.reason(motivating_window).answers}
-        assert collected[ExecutionMode.SERIAL] == reference
+        assert collected[REFERENCE] == reference
 
     def test_empty_partitions_are_filtered(self, event_reasoner_p, motivating_window):
         # 6 atoms into 12 hash buckets: some partitions are necessarily empty
@@ -202,7 +188,7 @@ class TestEdgeCases:
         partitioner = HashPartitioner(12)
         non_empty = sum(1 for part in partitioner.partition(motivating_window) if part)
         assert non_empty < 12
-        result = ParallelReasoner(event_reasoner_p, partitioner).reason(motivating_window)
+        result = StreamSession(event_reasoner_p, partitioner=partitioner).evaluate_window(motivating_window)
         assert len(result.partition_results) == non_empty
         # The metrics still record the partitioner's full layout.
         assert len(result.metrics.partition_sizes) == 12
@@ -213,52 +199,56 @@ class TestEdgeCases:
         reasoner = Reasoner(
             program_p, INPUT_PREDICATES, EVENT_PREDICATES, grounding_cache=GroundingCache()
         )
-        with ParallelReasoner(
-            reasoner, DependencyPartitioner(plan_p), mode=ExecutionMode.PROCESSES, max_workers=1
-        ) as parallel:
-            first = parallel.reason(motivating_window)
-            pools = parallel._process_pools
+        backend = ProcessPoolBackend(max_workers=1)
+        with StreamSession(reasoner, partitioner=DependencyPartitioner(plan_p), backend=backend) as session:
+            first = session.evaluate_window(motivating_window)
+            pools = backend.pools
             assert pools is not None and len(pools) == 1
-            second = parallel.reason(motivating_window)
-            assert parallel._process_pools is pools  # reused, not rebuilt
+            second = session.evaluate_window(motivating_window)
+            assert backend.pools is pools  # reused, not rebuilt
             assert {frozenset(a) for a in first.answers} == {frozenset(a) for a in second.answers}
             # The single worker's grounding cache serves the repeated window.
             assert second.metrics.cache_hits == len(second.partition_results)
-        assert parallel._process_pools is None  # context exit shut the pools down
+        assert backend.pools is None  # context exit shut the pools down
 
     def test_uncached_reasoner_stays_uncached_in_workers(self, event_reasoner_p, plan_p, motivating_window):
         # Workers inherit the parent's cache *configuration*: no cache on the
-        # parent means no hidden caching in PROCESSES mode either, keeping
-        # cross-mode latency comparisons honest.
-        with ParallelReasoner(
-            event_reasoner_p, DependencyPartitioner(plan_p), mode=ExecutionMode.PROCESSES, max_workers=1
-        ) as parallel:
-            parallel.reason(motivating_window)
-            repeat = parallel.reason(motivating_window)
+        # parent means no hidden caching in worker processes either, keeping
+        # cross-backend latency comparisons honest.
+        with StreamSession(
+            event_reasoner_p, partitioner=DependencyPartitioner(plan_p), backend=ProcessPoolBackend(max_workers=1)
+        ) as session:
+            session.evaluate_window(motivating_window)
+            repeat = session.evaluate_window(motivating_window)
         assert repeat.metrics.cache_hits == 0
         assert repeat.metrics.cache_misses == 0
 
     def test_close_is_idempotent_and_pool_recreates(self, event_reasoner_p, plan_p, motivating_window):
-        parallel = ParallelReasoner(
-            event_reasoner_p, DependencyPartitioner(plan_p), mode=ExecutionMode.PROCESSES, max_workers=1
+        session = StreamSession(
+            event_reasoner_p, partitioner=DependencyPartitioner(plan_p), backend=ProcessPoolBackend(max_workers=1)
         )
-        parallel.close()  # never started: no-op
-        first = parallel.reason(motivating_window)
-        parallel.close()
-        parallel.close()
-        second = parallel.reason(motivating_window)  # lazily recreated pool
-        parallel.close()
+        session.close()  # never started: no-op
+        first = session.evaluate_window(motivating_window)
+        session.close()
+        session.close()
+        second = session.evaluate_window(motivating_window)  # lazily recreated pool
+        session.close()
         assert {frozenset(a) for a in first.answers} == {frozenset(a) for a in second.answers}
 
 
 # --------------------------------------------------------------------------- #
 # Wall-clock latency reporting (docstring contract)
 # --------------------------------------------------------------------------- #
+def evaluate_dependency_partitioned(reasoner, plan, backend, window):
+    with StreamSession(reasoner, partitioner=DependencyPartitioner(plan), backend=backend) as session:
+        return session.evaluate_window(window)
+
+
 class TestLatencyReporting:
     def test_threads_latency_is_measured_wall_clock(self, event_reasoner_p, plan_p, motivating_window):
-        result = ParallelReasoner(
-            event_reasoner_p, DependencyPartitioner(plan_p), mode=ExecutionMode.THREADS, max_workers=2
-        ).reason(motivating_window)
+        result = evaluate_dependency_partitioned(
+            event_reasoner_p, plan_p, ThreadPoolBackend(max_workers=2), motivating_window
+        )
         wall = result.metrics.evaluation_wall_seconds
         assert wall is not None and wall > 0.0
         breakdown = result.metrics.breakdown
@@ -266,26 +256,24 @@ class TestLatencyReporting:
         assert result.metrics.latency_seconds == pytest.approx(expected)
 
     def test_simulated_parallel_latency_is_slowest_partition(self, event_reasoner_p, plan_p, motivating_window):
-        result = ParallelReasoner(
-            event_reasoner_p, DependencyPartitioner(plan_p), mode=ExecutionMode.SIMULATED_PARALLEL
-        ).reason(motivating_window)
+        result = evaluate_dependency_partitioned(event_reasoner_p, plan_p, InlineBackend(), motivating_window)
         slowest = max(r.metrics.breakdown.total_seconds for r in result.partition_results)
         breakdown = result.metrics.breakdown
         expected = slowest + breakdown.partitioning_seconds + breakdown.combining_seconds
         assert result.metrics.latency_seconds == pytest.approx(expected)
 
     def test_serial_latency_sums_partitions(self, event_reasoner_p, plan_p, motivating_window):
-        result = ParallelReasoner(
-            event_reasoner_p, DependencyPartitioner(plan_p), mode=ExecutionMode.SERIAL
-        ).reason(motivating_window)
+        result = evaluate_dependency_partitioned(
+            event_reasoner_p, plan_p, InlineBackend(simulated=False), motivating_window
+        )
         summed = sum(r.metrics.breakdown.total_seconds for r in result.partition_results)
         breakdown = result.metrics.breakdown
         expected = summed + breakdown.partitioning_seconds + breakdown.combining_seconds
         assert result.metrics.latency_seconds == pytest.approx(expected)
 
     def test_worker_wall_seconds_recorded_per_partition(self, event_reasoner_p, plan_p, motivating_window):
-        result = ParallelReasoner(
-            event_reasoner_p, DependencyPartitioner(plan_p), mode=ExecutionMode.THREADS, max_workers=2
-        ).reason(motivating_window)
+        result = evaluate_dependency_partitioned(
+            event_reasoner_p, plan_p, ThreadPoolBackend(max_workers=2), motivating_window
+        )
         assert len(result.metrics.worker_wall_seconds) == len(result.partition_results)
         assert all(seconds >= 0.0 for seconds in result.metrics.worker_wall_seconds)

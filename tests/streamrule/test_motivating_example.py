@@ -15,8 +15,8 @@ from repro.core.accuracy import accuracy_of_answer
 from repro.core.combining import combine_answer_sets
 from repro.core.partitioner import DependencyPartitioner
 from repro.programs.traffic import EVENT_PREDICATES, INPUT_PREDICATES
-from repro.streamrule.parallel import ParallelReasoner
 from repro.streamrule.reasoner import Reasoner
+from repro.streamrule.session import StreamSession
 from tests.conftest import make_atom
 
 
@@ -64,8 +64,8 @@ class TestMotivatingExample:
     def test_dependency_partitioning_gives_the_correct_answer(
         self, event_reasoner_p, plan_p, motivating_window
     ):
-        parallel = ParallelReasoner(event_reasoner_p, DependencyPartitioner(plan_p))
-        [answer] = parallel.reason(motivating_window).answers
+        session = StreamSession(event_reasoner_p, partitioner=DependencyPartitioner(plan_p))
+        [answer] = session.evaluate_window(motivating_window).answers
         assert {str(atom) for atom in answer} == {"car_fire(dangan)", "give_notification(dangan)"}
 
     def test_dependency_partitioning_on_p_prime_also_correct(
@@ -73,6 +73,6 @@ class TestMotivatingExample:
     ):
         reasoner = Reasoner(program_p_prime, INPUT_PREDICATES, EVENT_PREDICATES)
         reference = reasoner.reason(motivating_window).answers
-        parallel = ParallelReasoner(reasoner, DependencyPartitioner(plan_p_prime))
-        [answer] = parallel.reason(motivating_window).answers
+        session = StreamSession(reasoner, partitioner=DependencyPartitioner(plan_p_prime))
+        [answer] = session.evaluate_window(motivating_window).answers
         assert accuracy_of_answer(answer, reference) == 1.0

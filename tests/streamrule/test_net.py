@@ -10,6 +10,7 @@ degrades to inline evaluation.
 
 from __future__ import annotations
 
+import json
 import pickle
 import socket
 import threading
@@ -32,6 +33,7 @@ from repro.streamrule.net import (
     DeltaDecoder,
     DeltaShipper,
     FrameKind,
+    FrameParser,
     IdFactDelta,
     IdWorkItem,
     WorkerClient,
@@ -40,10 +42,12 @@ from repro.streamrule.net import (
     connect_with_backoff,
     diff_facts,
     diff_id_runs,
+    frame_bytes,
     overlap_length,
     recv_exactly,
     recv_frame,
     send_frame,
+    serve_worker_connection,
 )
 from repro.streamrule.reasoner import Reasoner
 from repro.streamrule.session import StreamSession
@@ -442,6 +446,102 @@ class TestHandshake:
                 assert latency >= 0.0
                 assert client.stats.pings == 1
                 assert client.try_ping()
+
+
+def _compact_json(value):
+    return json.dumps(value, separators=(",", ":")).encode()
+
+
+def _pickled(value):
+    return pickle.dumps(value, protocol=pickle.HIGHEST_PROTOCOL)
+
+
+def _json_hello(**capabilities):
+    return _compact_json({"protocol": PROTOCOL_VERSION, "capabilities": capabilities})
+
+
+def _reject_payload(reason, dumps=_compact_json):
+    return dumps({"protocol": PROTOCOL_VERSION, "reason": reason})
+
+
+#: The server's refusals: (client bytes, serve_worker_connection keywords,
+#: ServedConnection.rejected, kinds of the frames the server sends before it
+#: closes, the REJECT payload or None for a silent close).
+REFUSALS = {
+    "bad magic": (b"XXXX", {}, "bad magic", [], None),
+    "non-HELLO first frame": (
+        MAGIC + frame_bytes(FrameKind.PING), {}, "expected HELLO, got PING", [], None,
+    ),
+    "pickled HELLO to a restricted-only daemon": (
+        MAGIC + frame_bytes(FrameKind.HELLO, _pickled({"protocol": PROTOCOL_VERSION, "capabilities": {}})),
+        {"codec": "restricted"},
+        "restricted codec required",
+        [FrameKind.REJECT],
+        _reject_payload("restricted codec required"),
+    ),
+    "protocol mismatch": (
+        # A pickled HELLO is answered in pickle: the REJECT follows the peer's encoding.
+        MAGIC + frame_bytes(FrameKind.HELLO, _pickled({"protocol": 99, "capabilities": {}})),
+        {},
+        f"protocol 99 != {PROTOCOL_VERSION}",
+        [FrameKind.REJECT],
+        _reject_payload("protocol version mismatch", dumps=_pickled),
+    ),
+    "pickle peer to a restricted-only daemon": (
+        MAGIC + frame_bytes(FrameKind.HELLO, _json_hello(delta_shipping=True)),
+        {"codec": "restricted"},
+        "restricted codec required",
+        [FrameKind.REJECT],
+        _reject_payload("restricted codec required"),
+    ),
+    "missing AUTH": (
+        MAGIC + frame_bytes(FrameKind.HELLO, _json_hello()) + frame_bytes(FrameKind.REASONER, b"not-a-reasoner"),
+        {"auth_token": "secret"},
+        "authentication required",
+        [FrameKind.WELCOME, FrameKind.REJECT],
+        _reject_payload("authentication required"),
+    ),
+    "bad MAC": (
+        MAGIC + frame_bytes(FrameKind.HELLO, _json_hello()) + frame_bytes(FrameKind.AUTH, b'{"mac":"00"}'),
+        {"auth_token": "secret"},
+        "authentication failed",
+        [FrameKind.WELCOME, FrameKind.REJECT],
+        _reject_payload("authentication failed"),
+    ),
+    "non-REASONER frame": (
+        MAGIC + frame_bytes(FrameKind.HELLO, _json_hello()) + frame_bytes(FrameKind.PING),
+        {},
+        "expected REASONER, got PING",
+        [FrameKind.WELCOME],
+        None,
+    ),
+}
+
+
+class TestServerRefusals:
+    """Every way ``serve_worker_connection`` refuses a peer, pinned to the byte."""
+
+    @pytest.mark.parametrize("case", sorted(REFUSALS))
+    def test_refusal(self, case):
+        sent, keywords, rejected, kinds, reject_payload = REFUSALS[case]
+        client, server = socket.socketpair()
+        try:
+            client.settimeout(10.0)
+            client.sendall(sent)
+            with ThreadPoolExecutor(max_workers=1) as pool:
+                served = pool.submit(serve_worker_connection, server, **keywords)
+                received = b""
+                while chunk := client.recv(65536):
+                    received += chunk
+                record = served.result(timeout=10.0)
+        finally:
+            client.close()
+            server.close()
+        frames = list(FrameParser().feed(received))
+        assert record.rejected == rejected
+        assert [kind for kind, _ in frames] == kinds
+        if reject_payload is not None:
+            assert frames[-1] == (FrameKind.REJECT, reject_payload)
 
 
 # --------------------------------------------------------------------------- #

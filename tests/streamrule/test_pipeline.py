@@ -1,4 +1,4 @@
-"""Unit tests for the end-to-end StreamRule pipeline."""
+"""Unit tests for the end-to-end StreamRule pipeline: triples in, solution triples out."""
 
 import pytest
 
@@ -7,8 +7,7 @@ from repro.programs.traffic import INPUT_PREDICATES
 from repro.streaming.processor import StreamQueryProcessor
 from repro.streaming.triples import Triple
 from repro.streaming.window import CountWindow
-from repro.streamrule.parallel import ParallelReasoner
-from repro.streamrule.pipeline import StreamRulePipeline
+from repro.streamrule.session import StreamSession
 
 
 @pytest.fixture
@@ -25,12 +24,12 @@ def motivating_triples():
 
 class TestPipeline:
     def test_single_window_produces_solution_triples(self, event_reasoner_p, motivating_triples):
-        pipeline = StreamRulePipeline(
+        session = StreamSession(
             event_reasoner_p,
             query_processor=StreamQueryProcessor(set(INPUT_PREDICATES)),
             window=CountWindow(size=6),
         )
-        solutions = pipeline.process_all(motivating_triples)
+        solutions = session.process_all(motivating_triples)
         assert len(solutions) == 1
         rendered = {triple.as_tuple() for triple in solutions[0].solution_triples}
         assert ("dangan", "car_fire", "true") in rendered
@@ -38,37 +37,34 @@ class TestPipeline:
 
     def test_noise_is_filtered_by_query_processor(self, event_reasoner_p, motivating_triples):
         noisy = motivating_triples + [Triple("x", "humidity", 10, timestamp=6.0)]
-        pipeline = StreamRulePipeline(
+        session = StreamSession(
             event_reasoner_p,
             query_processor=StreamQueryProcessor(set(INPUT_PREDICATES)),
             window=CountWindow(size=7),
         )
-        [solution] = pipeline.process_all(noisy)
+        [solution] = session.process_all(noisy)
         assert solution.window_size == 6  # the humidity triple was dropped
 
     def test_multiple_windows(self, event_reasoner_p, motivating_triples):
-        pipeline = StreamRulePipeline(
+        session = StreamSession(
             event_reasoner_p,
             query_processor=StreamQueryProcessor(set(INPUT_PREDICATES)),
             window=CountWindow(size=3),
         )
-        solutions = pipeline.process_all(motivating_triples)
+        solutions = session.process_all(motivating_triples)
         assert len(solutions) == 2
         assert [solution.window_index for solution in solutions] == [0, 1]
 
     def test_parallel_reasoner_in_pipeline(self, event_reasoner_p, plan_p, motivating_triples):
-        parallel = ParallelReasoner(event_reasoner_p, DependencyPartitioner(plan_p))
-        pipeline = StreamRulePipeline(parallel, window=CountWindow(size=6))
-        [solution] = pipeline.process_all(motivating_triples)
+        session = StreamSession(event_reasoner_p, window=CountWindow(size=6), partitioner=DependencyPartitioner(plan_p))
+        [solution] = session.process_all(motivating_triples)
         rendered = {triple.as_tuple() for triple in solution.solution_triples}
         assert ("dangan", "car_fire", "true") in rendered
 
     def test_without_query_processor(self, event_reasoner_p, motivating_triples):
-        pipeline = StreamRulePipeline(event_reasoner_p, window=CountWindow(size=6))
-        [solution] = pipeline.process_all(motivating_triples)
+        [solution] = StreamSession(event_reasoner_p, window=CountWindow(size=6)).process_all(motivating_triples)
         assert solution.window_size == 6
 
     def test_metrics_are_propagated(self, event_reasoner_p, motivating_triples):
-        pipeline = StreamRulePipeline(event_reasoner_p, window=CountWindow(size=6))
-        [solution] = pipeline.process_all(motivating_triples)
+        [solution] = StreamSession(event_reasoner_p, window=CountWindow(size=6)).process_all(motivating_triples)
         assert solution.metrics.latency_seconds > 0

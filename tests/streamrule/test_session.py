@@ -74,6 +74,30 @@ class TestPushResults:
             [tail] = list(session.results())
         assert tail.window_size == 10
 
+    def test_pipelined_process_matches_synchronous_reference(self):
+        stream = traffic_stream(120)
+        window = CountWindow(size=40)
+        with StreamSession(
+            traffic_reasoner(),
+            window=window,
+            partitioner=HashPartitioner(2),
+            backend=ThreadPoolBackend(max_workers=2),
+            max_inflight=4,
+        ) as pipelined:
+            collected = list(pipelined.process(stream))
+        with StreamSession(traffic_reasoner(), window=window, partitioner=HashPartitioner(2)) as reference:
+            expected = list(reference.process(stream))
+        assert [solution.window_index for solution in collected] == [0, 1, 2]
+        assert [answer_sets(solution) for solution in collected] == [answer_sets(solution) for solution in expected]
+
+    def test_windowless_process_is_one_window(self):
+        stream = traffic_stream(50)
+        with StreamSession(traffic_reasoner(), window=None) as session:
+            [solution] = list(session.process(stream))
+            expected = session.evaluate_window(stream)
+        assert (solution.window_index, solution.window_size) == (0, 50)
+        assert answer_sets(solution) == {frozenset(answer) for answer in expected.answers}
+
     def test_windowless_session_evaluates_each_push(self):
         with StreamSession(traffic_reasoner()) as session:
             session.push(traffic_stream(30))

@@ -17,9 +17,8 @@ from repro.programs.traffic import EVENT_PREDICATES, INPUT_PREDICATES, traffic_p
 from repro.streaming.generator import SyntheticStreamConfig, generate_window
 from repro.streaming.processor import StreamQueryProcessor
 from repro.streaming.window import CountWindow
-from repro.streamrule.parallel import ParallelReasoner
-from repro.streamrule.pipeline import StreamRulePipeline
 from repro.streamrule.reasoner import Reasoner
+from repro.streamrule.session import StreamSession
 
 
 def traffic_window(size, seed=2017):
@@ -41,10 +40,10 @@ class TestDesignTimeToRunTime:
         program = traffic_program()
         reasoner = Reasoner(program, INPUT_PREDICATES, EVENT_PREDICATES)
         plan = decompose(build_input_dependency_graph(program, INPUT_PREDICATES)).plan
-        parallel = ParallelReasoner(reasoner, DependencyPartitioner(plan))
+        session = StreamSession(reasoner, partitioner=DependencyPartitioner(plan))
 
         reference = reasoner.reason(window_600)
-        partitioned = parallel.reason(window_600)
+        partitioned = session.evaluate_window(window_600)
 
         assert mean_accuracy(partitioned.answers, reference.answers) == 1.0
         # The slowest partition is strictly smaller than the whole window, so
@@ -52,17 +51,17 @@ class TestDesignTimeToRunTime:
         # Best-of-three on both sides keeps scheduler noise (e.g. a busy CI
         # core) from inverting a single-shot wall-clock comparison.
         best_reference = min(reasoner.reason(window_600).metrics.latency_seconds for _ in range(3))
-        best_partitioned = min(parallel.reason(window_600).metrics.latency_seconds for _ in range(3))
+        best_partitioned = min(session.evaluate_window(window_600).metrics.latency_seconds for _ in range(3))
         assert best_partitioned < best_reference
 
     def test_program_p_prime_flow_with_duplication(self, window_600):
         program = traffic_program_prime()
         reasoner = Reasoner(program, INPUT_PREDICATES, EVENT_PREDICATES)
         decomposition = decompose(build_input_dependency_graph(program, INPUT_PREDICATES))
-        parallel = ParallelReasoner(reasoner, DependencyPartitioner(decomposition.plan))
+        session = StreamSession(reasoner, partitioner=DependencyPartitioner(decomposition.plan))
 
         reference = reasoner.reason(window_600)
-        partitioned = parallel.reason(window_600)
+        partitioned = session.evaluate_window(window_600)
 
         assert decomposition.duplicated_predicates == frozenset({"car_number"})
         assert partitioned.metrics.duplication_ratio > 0
@@ -72,8 +71,8 @@ class TestDesignTimeToRunTime:
         program = traffic_program()
         reasoner = Reasoner(program, INPUT_PREDICATES, EVENT_PREDICATES)
         reference = reasoner.reason(window_600)
-        random_parallel = ParallelReasoner(reasoner, RandomPartitioner(4, seed=11))
-        result = random_parallel.reason(window_600)
+        random_session = StreamSession(reasoner, partitioner=RandomPartitioner(4, seed=11))
+        result = random_session.evaluate_window(window_600)
         accuracy = mean_accuracy(result.answers, reference.answers)
         assert accuracy < 1.0
 
@@ -124,14 +123,14 @@ class TestFullPipelineOverAStream:
         program = traffic_program()
         reasoner = Reasoner(program, INPUT_PREDICATES, EVENT_PREDICATES)
         plan = decompose(build_input_dependency_graph(program, INPUT_PREDICATES)).plan
-        parallel = ParallelReasoner(reasoner, DependencyPartitioner(plan))
-        pipeline = StreamRulePipeline(
-            parallel,
+        session = StreamSession(
+            reasoner,
+            partitioner=DependencyPartitioner(plan),
             query_processor=StreamQueryProcessor(set(INPUT_PREDICATES)),
             window=CountWindow(size=300),
         )
         stream = traffic_window(900, seed=5)
-        solutions = pipeline.process_all(stream)
+        solutions = session.process_all(stream)
         assert len(solutions) == 3
         assert all(solution.metrics.latency_seconds > 0 for solution in solutions)
         # Some events should have been detected across the stream.
