@@ -196,13 +196,14 @@ class RulePlan:
 
     def __init__(self, program: Program):
         check_safety(program)
-        proper_rules = [rule for rule in program.rules if not rule.is_fact]
+        numbered = [(number, rule) for number, rule in enumerate(program.rules, 1) if not rule.is_fact]
+        proper_rules = [rule for _, rule in numbered]
         #: The program's own facts: part of every fact set grounded under it.
         self.facts: Tuple[Atom, ...] = tuple(rule.head[0] for rule in program.rules if rule.is_fact)
         #: Rendered proper rules: identifies the rule set in cache keys.
         self.rules_key: Tuple[str, ...] = tuple(str(rule) for rule in proper_rules)
         #: Proper rule or constraint -> its compiled joins.
-        self.joins: Dict[Rule, RuleJoins] = {rule: RuleJoins(rule, GroundRule) for rule in proper_rules}
+        self.joins: Dict[Rule, RuleJoins] = {rule: RuleJoins(rule, GroundRule, number) for number, rule in numbered}
 
         # Component evaluation order.  Tarjan emits sink components first;
         # reverse for bottom-up evaluation (predicates a rule depends on must

@@ -12,7 +12,8 @@ derived atoms only):
   literal;
 * per literal the **access path** into the :class:`_AtomStore`: the argument
   positions bound on entry (constants, variables of earlier literals) form
-  the key of a hash index; all positions bound is one membership probe; none
+  the key of a hash index; all positions bound is one membership probe of
+  the live atom with those arguments, if any (nothing is built); none
   bound is a scan of the predicate's population list, iterated live so a
   recursive rule sees the atoms it appends; the seed scans the delta and
   checks every position itself;
@@ -41,9 +42,9 @@ from itertools import chain, count
 from typing import Callable, Collection, Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
 from repro.asp.errors import GroundingError
-from repro.asp.syntax.atoms import _COMPARISON_OPERATORS, Atom, Comparison, Literal, Signature, _comparison_key
+from repro.asp.syntax.atoms import _ATOMS, _COMPARISON_OPERATORS, Atom, Comparison, Literal, Signature
 from repro.asp.syntax.rules import Rule
-from repro.asp.syntax.terms import Constant, FunctionTerm, Term, Variable
+from repro.asp.syntax.terms import _ABSENT, Constant, FunctionTerm, Term, Variable
 
 __all__ = ["RuleJoins", "group_by_signature"]
 
@@ -162,11 +163,15 @@ class RuleJoins:
     """One proper rule or constraint, compiled: a join per seed position.
 
     Ground instances are built as ``instance_type(head, positive, negative)``.
+    ``number`` (the rule's 1-based position in its program) names the
+    generated code: the join of seed ``i`` is compiled as file
+    ``<join plan: rule N / seed i>``, the full evaluation as
+    ``<join plan: rule N / full>``, so profiles and tracebacks tell the rules apart.
     """
 
     __slots__ = ("rule", "positive_predicates", "full", "seeded", "orders", "sources")
 
-    def __init__(self, rule: Rule, instance_type: type):
+    def __init__(self, rule: Rule, instance_type: type, number: int):
         self.rule = rule
         positive = tuple(e.atom for e in rule.body if isinstance(e, Literal) and e.positive)
         #: Predicate of each positive body literal, by literal position.
@@ -178,9 +183,11 @@ class RuleJoins:
         #: Seed position -> generated source (for inspection; never re-read).
         self.sources: Dict[Optional[int], str] = {seed: c.source for seed, c in compiled.items()}
         #: Full evaluation of the rule against the store.
-        self.full: Join = compiled[None].function()
+        self.full: Join = compiled[None].function(f"<join plan: rule {number} / full>")
         #: ``seeded[i]``: the join whose literal ``i`` ranges over the delta only.
-        self.seeded: Tuple[Join, ...] = tuple(compiled[seed].function() for seed in seeds)
+        self.seeded: Tuple[Join, ...] = tuple(
+            compiled[seed].function(f"<join plan: rule {number} / seed {seed}>") for seed in seeds
+        )
 
 
 def _join_order(positive: Sequence[Atom], seed: Optional[int]) -> Tuple[int, ...]:
@@ -239,7 +246,8 @@ class _JoinCompiler:
             "Atom": Atom,
             "FunctionTerm": FunctionTerm,
             "GroundRule": instance_type,
-            "ckey": _comparison_key,
+            "atoms": _ATOMS.get,
+            "absent": _ABSENT,
         }
         self.prologue: List[str] = ["slots = store._slots"]
         self.outer = self.block = _Block("def join(store, delta, certain, out, seen, new):")
@@ -248,8 +256,8 @@ class _JoinCompiler:
         self._generate()
         self.source = "\n".join(self.outer.render(self.prologue)) + "\n"
 
-    def function(self) -> Join:
-        exec(compile(self.source, "<join plan>", "exec"), self.namespace)
+    def function(self, filename: str) -> Join:
+        exec(compile(self.source, filename, "exec"), self.namespace)
         return self.namespace["join"]  # type: ignore[return-value]
 
     # ------------------------------------------------------------------ #
@@ -324,8 +332,8 @@ class _JoinCompiler:
 
     def _key(self, term: Term) -> str:
         if _has_variables(term):
-            return f"ckey({self.ref(term)})"
-        return self.bind(_comparison_key(term))
+            return f"{self.ref(term)}.order_key"
+        return self.bind(term.order_key)
 
     def _match_literal(self, index: int) -> None:
         atom = self.positive[index]
@@ -342,7 +350,9 @@ class _JoinCompiler:
                 self.prologue.append(f"p{index} = store.population({signature})")
                 self.loop(f"for {name} in p{index}:")
             elif len(keyed) == len(atom.arguments):
-                self.emit(f"{name} = Atom({self.bind(atom.predicate)}, {_tuple_source(key)})")
+                # An atom that was never built is in no store: probe the
+                # table of live atoms under Atom's key instead of building one.
+                self.emit(f"{name} = atoms(({self.bind(atom.predicate)}, {_tuple_source(key)}), absent)()")
                 self.emit(f"if {name} not in slots: {self.skip}")
             else:
                 self.prologue.append(f"l{index} = store.index({signature}, {self.bind(tuple(keyed))}).lookup")

@@ -10,48 +10,45 @@
 from __future__ import annotations
 
 import operator
-from dataclasses import dataclass, field
-from typing import Callable, Dict, Iterator, Tuple
+from dataclasses import dataclass
+from typing import Callable, Dict, Iterable, Iterator, Tuple
 
 from repro.asp.errors import GroundingError
-from repro.asp.syntax.terms import Constant, Term, Variable
+from repro.asp.syntax.terms import _ABSENT, Term, Variable, _canonical_table, _Canonical, _new, _set
 
 __all__ = ["Atom", "Comparison", "Literal", "Signature"]
 
 Signature = Tuple[str, int]
 
 
-@dataclass(frozen=True, slots=True)
-class Atom:
-    """A (possibly non-ground) atom ``predicate(t1, ..., tn)``."""
+#: The live atoms: ``(predicate, arguments)`` -> weak reference to the atom.
+#: A compiled join probes it directly for an atom it need not build (see
+#: :mod:`repro.asp.grounding.joinplan`).
+_ATOMS, _file_atom = _canonical_table()
+
+
+class Atom(_Canonical):
+    """A (possibly non-ground) atom ``predicate(t1, ..., tn)``; canonical, like every term."""
+
+    __slots__ = ("predicate", "arguments")
+    __match_args__ = ("predicate", "arguments")
 
     predicate: str
-    arguments: Tuple[Term, ...] = ()
-    # Lazily cached hash (0 = not yet computed).  Atoms live in the hash-heavy
-    # inner loops of grounding and solving; recomputing the
-    # recursive tuple hash on every set operation dominates those loops.
-    _hash: int = field(default=0, init=False, repr=False, compare=False)
+    arguments: Tuple[Term, ...]
 
-    def __post_init__(self) -> None:
-        if not self.predicate:
+    def __new__(cls, predicate: str, arguments: Iterable[Term] = ()) -> "Atom":
+        if arguments.__class__ is not tuple:
+            arguments = tuple(arguments)
+        key = (predicate, arguments)
+        atom = _ATOMS.get(key, _ABSENT)()
+        if atom is not None:
+            return atom
+        if not predicate:
             raise ValueError("predicate name must be non-empty")
-        object.__setattr__(self, "arguments", tuple(self.arguments))
-
-    def __hash__(self) -> int:
-        cached = self._hash
-        if cached == 0:
-            cached = hash((self.predicate, self.arguments)) or 1
-            object.__setattr__(self, "_hash", cached)
-        return cached
-
-    def __reduce__(self):
-        # Unpickle through the normal constructor so __post_init__ validation
-        # runs on the receiving side, and never ship the cached hash across a
-        # pickle boundary: string hashing is randomized per interpreter
-        # (PYTHONHASHSEED), so a hash cached in the parent would disagree with
-        # hashes computed in a spawn-started worker process, silently breaking
-        # set/dict membership there.  The constructor leaves _hash at 0.
-        return (Atom, (self.predicate, self.arguments))
+        atom = _new(cls)
+        _set(atom, "predicate", predicate)
+        _set(atom, "arguments", arguments)
+        return _file_atom(key, atom)
 
     @property
     def arity(self) -> int:
@@ -166,20 +163,8 @@ class Comparison:
         """Evaluate a ground comparison; raise :class:`GroundingError` otherwise."""
         if not self.is_ground():
             raise GroundingError(f"cannot evaluate non-ground comparison {self}")
-        left_key = _comparison_key(self.left)
-        right_key = _comparison_key(self.right)
-        relation = _COMPARISON_OPERATORS[self.operator]
-        return relation(left_key, right_key)
+        return _COMPARISON_OPERATORS[self.operator](self.left.order_key, self.right.order_key)
 
     def __str__(self) -> str:
         return f"{self.left}{self.operator}{self.right}"
 
-
-def _comparison_key(term: Term):
-    """Map a ground term to a comparable key (ints first, then strings)."""
-    if isinstance(term, Constant):
-        if term.is_integer:
-            return (0, term.value)
-        return (1, str(term.value))
-    # Ground function terms compare structurally after constants.
-    return (2, str(term))

@@ -1,15 +1,13 @@
 """Interned symbol ids: dense integer names for ground symbols.
 
-Ground atoms (and any other hashable ground symbols: constants, RDF
-triples) are heavy to compare and hash -- an :class:`~repro.asp.syntax.atoms.Atom`
-hash walks its whole term tree on first use, and every pickle boundary
-drops the cached hash on purpose (string hashing is randomized per
-interpreter).  A :class:`SymbolTable` interns each distinct symbol once
-and hands out a dense integer id ``0..n-1``; the solver's inner loops
-and the wire then key on machine ints instead of
-re-hashing object graphs, and a window's fact set becomes a flat id
-array (:func:`pack_ids`) that crosses process boundaries without
-pickling.
+Ground atoms are canonical objects (:mod:`repro.asp.syntax.terms`), so
+within one interpreter they hash and compare by identity -- but an
+identity means nothing in another process, and an object is no index
+into an array.  A :class:`SymbolTable` interns each distinct symbol
+(atoms, constants, RDF triples: anything hashable) once and hands out a
+dense integer id ``0..n-1``; the solver's inner loops index flat arrays
+by those ids, and a window's fact set becomes a flat id array
+(:func:`pack_ids`) that crosses process boundaries without pickling.
 
 The table is *append-only*: an id, once assigned, never changes and is
 never reused.  That gives three properties the rest of the stack leans

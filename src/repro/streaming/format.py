@@ -81,7 +81,7 @@ class DataFormatProcessor:
     # ------------------------------------------------------------------ #
     @staticmethod
     def _to_term(value: Union[str, int]) -> Term:
-        if isinstance(value, int):
+        if isinstance(value, (str, int)):
             return Constant(value)
         return Constant(str(value))
 

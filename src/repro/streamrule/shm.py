@@ -43,10 +43,12 @@ message order defined by ring order) and the body through a duplex
 windows correct without sizing every ring for the worst case.
 
 Workers are started with the ``spawn`` context deliberately: a spawned
-child has a *different* ``PYTHONHASHSEED``, which is exactly the condition
-under which shipping cached hashes (see :meth:`Atom.__reduce__
-<repro.asp.syntax.atoms.Atom>`) or relying on hash-ordered iteration would
-break -- the backend doubles as a continuous regression test for both.
+child is a fresh interpreter with a *different* ``PYTHONHASHSEED`` and its
+own canonical terms, which is exactly the condition under which shipping
+object identities or hashes, or relying on hash-ordered iteration, would
+break.  Unpickling goes through the term constructors (see
+:mod:`repro.asp.syntax.terms`), so the child holds its own canonical
+objects; the backend doubles as a continuous regression test for that.
 """
 
 from __future__ import annotations

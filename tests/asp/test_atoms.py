@@ -4,7 +4,7 @@ import pytest
 
 from repro.asp.errors import GroundingError
 from repro.asp.syntax.atoms import Atom, Comparison, Literal
-from repro.asp.syntax.terms import Constant, Variable
+from repro.asp.syntax.terms import Constant, FunctionTerm, Variable
 
 
 class TestAtom:
@@ -13,26 +13,28 @@ class TestAtom:
         assert hash(atom) == hash(Atom("p", (Constant(1), Constant("a"))))
         assert atom in {Atom("p", (Constant(1), Constant("a")))}
 
-    def test_pickle_does_not_ship_cached_hash(self):
-        # String hashing is randomized per interpreter: a cached hash carried
-        # across a pickle boundary would disagree with hashes computed in a
-        # spawn-started worker, silently breaking set membership there.
+    def test_pickle_and_copies_return_the_canonical_object(self):
+        # Terms are canonical: a term rebuilt by unpickling or copying is the
+        # live object with its value, not a second, equal one.
+        import copy
         import pickle
 
-        atom = Atom("p", (Constant(1),))
-        hash(atom)  # populate the cache
-        clone = pickle.loads(pickle.dumps(atom))
-        assert clone._hash == 0  # recomputed lazily in the target interpreter
-        assert clone == atom and hash(clone) == hash(atom)
+        atom = Atom("p", (Constant(1), FunctionTerm("f", (Constant("a", quoted=True), Variable("X")))))
+        assert pickle.loads(pickle.dumps(atom)) is atom
+        assert copy.copy(atom) is atom
+        assert copy.deepcopy(atom) is atom
+        function_term = atom.arguments[1]
+        copied = copy.deepcopy([atom, function_term])
+        assert copied[0] is atom and copied[1] is function_term
 
     def test_reduce_goes_through_the_constructor(self):
         # __reduce__ must rebuild via Atom(predicate, arguments) -- not via
-        # state restoration -- so __post_init__ validation runs on unpickle.
+        # state restoration -- so validation runs on unpickle and the result
+        # is the receiving interpreter's canonical atom.
         atom = Atom("p", (Constant(1), Constant("a")))
-        hash(atom)
         callable_, args = atom.__reduce__()
         assert callable_ is Atom
-        assert args == ("p", (Constant(1), Constant("a")))  # no cached hash shipped
+        assert args == ("p", (Constant(1), Constant("a")))
 
     def test_cached_hash_invariant_across_hash_seeds(self):
         # The end-to-end PYTHONHASHSEED regression: a pickled atom must keep

@@ -95,6 +95,16 @@ def test_r4_access_paths():
     assert source.count(".lookup") == 2 and source.count("not in slots: continue") == 1
     assert "store.population" in source  # only the head's population: no scan
     assert source.count("for ") == 2
+    assert source.count("Atom(") == 1  # the head; the membership probe builds no atom
+
+
+def test_each_join_is_compiled_under_its_rule_and_seed():
+    """Profiles and tracebacks attribute a join to its rule: r4 is the 4th rule of P."""
+    [joins] = [j for j in traffic_program().derived(RulePlan).joins.values() if "car_speed" in j.positive_predicates]
+    assert joins.full.__code__.co_filename == "<join plan: rule 4 / full>"
+    assert [join.__code__.co_filename for join in joins.seeded] == [
+        f"<join plan: rule 4 / seed {seed}>" for seed in range(3)
+    ]
 
 
 # --------------------------------------------------------------------------- #
