@@ -5,11 +5,11 @@ The paper's premise is sustained input rates: the producer must keep feeding
 the stream while the reasoners work.  Before pipelining, ``StreamSession.push``
 blocked on every completed window -- the producer idled for exactly as long
 as the slowest partition reasoned, wasting the concurrency the thread /
-process / TCP backends provide.  With pipelined ingestion
+TCP backends provide.  With pipelined ingestion
 (``max_inflight > 1``) push dispatches the window and returns; this
 benchmark prices the difference on the paper's synthetic traffic workload:
 
-* per backend (thread pool, pinned process pool, TCP worker fleet), the
+* per backend (thread pool, TCP worker fleet), the
   same tumbling window stream is pushed item by item twice -- once with
   ``max_inflight=1`` (the pre-pipelining synchronous loop) and once
   pipelined -- and both the *producer-side* throughput (items/s of the push
@@ -77,7 +77,6 @@ from repro.streaming.window import CountWindow  # noqa: E402
 from repro.streamrule.aio import AsyncStreamSession  # noqa: E402
 from repro.streamrule.backends import (  # noqa: E402
     ExecutionBackend,
-    ProcessPoolBackend,
     TcpBackend,
     ThreadPoolBackend,
 )
@@ -400,12 +399,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     lines += backend_comparison(
         "threads",
         lambda: ThreadPoolBackend(max_workers=workers),
-        windows, window_size, arguments.max_inflight, partitions, metrics,
-    )
-    lines.append("")
-    lines += backend_comparison(
-        "processes",
-        lambda: ProcessPoolBackend(max_workers=workers),
         windows, window_size, arguments.max_inflight, partitions, metrics,
     )
 

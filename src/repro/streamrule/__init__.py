@@ -15,9 +15,9 @@
   mapping placement slots onto worker endpoints, with dead-worker
   rerouting.
 * :mod:`repro.streamrule.backends` -- the pluggable :class:`ExecutionBackend`
-  protocol and its transports: inline, thread pool, pinned process pool,
-  the loopback-socket backend, the shared-memory backend, and the TCP
-  backend dispatching to a remote worker fleet.
+  protocol and its transports: inline, thread pool, the shared-memory
+  backend on same-host worker processes, and the TCP backend dispatching
+  to a remote worker fleet.
 * :mod:`repro.streamrule.shm` -- the shared-memory rings behind
   :class:`SharedMemoryBackend`: same-host worker processes reached through
   ``/dev/shm`` with facts travelling as packed symbol-id arrays.
@@ -59,8 +59,6 @@ from repro.streamrule.aio import (
 from repro.streamrule.backends import (
     ExecutionBackend,
     InlineBackend,
-    LoopbackSocketBackend,
-    ProcessPoolBackend,
     SharedMemoryBackend,
     TcpBackend,
     ThreadPoolBackend,
@@ -104,13 +102,11 @@ __all__ = [
     "IngestionStats",
     "InlineBackend",
     "LatencyBreakdown",
-    "LoopbackSocketBackend",
     "PROTOCOL_VERSION",
     "ParallelResult",
     "PendingWindow",
     "PinnedPlacement",
     "PlacementStrategy",
-    "ProcessPoolBackend",
     "ProtocolError",
     "QueryResult",
     "QueryServer",

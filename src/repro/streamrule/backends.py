@@ -14,15 +14,10 @@ transport:
   ``simulated=False`` latencies sum (the pessimistic serial bound).
 * :class:`ThreadPoolBackend` -- a persistent thread pool; useful when the
   solver releases the GIL or for I/O-bound format processing.
-* :class:`ProcessPoolBackend` -- true multi-core execution on persistent
-  pinned worker processes (one single-worker executor per slot); the
-  placement strategy chooses the slot, so worker-local grounding caches
-  keep seeing the same track.
-* :class:`LoopbackSocketBackend` -- pickles every ``WorkItem`` /
-  ``ReasonerResult`` over a real local socket pair to a peer holding its own
-  unpickled copy of the reasoner.  Functionally it proves the
-  partition/combine protocol survives a wire byte-for-byte, and it is the
-  backend the fault-injection tests drop connections on.
+* :class:`SharedMemoryBackend` -- true multi-core execution on persistent
+  pinned same-host worker processes reached through shared-memory rings;
+  the placement strategy chooses the slot, so worker-local grounding
+  caches keep seeing the same track.
 * :class:`TcpBackend` -- the multi-machine transport: dispatches to remote
   worker daemons (``python -m repro.streamrule.worker``) over the versioned
   wire protocol of :mod:`repro.streamrule.net`, through a
@@ -31,6 +26,9 @@ transport:
   survivors, and ships steady-state sliding windows as fact *deltas*
   instead of full fact sets.  See ``docs/deployment.md`` for running a
   fleet.
+
+:class:`~repro.streamrule.aio.AioTcpBackend` drives the same fleet protocol
+from an asyncio event loop.
 
 Lifecycle
 ---------
@@ -48,31 +46,17 @@ from __future__ import annotations
 import abc
 import os
 import pickle
-import socket
 import ssl
 import threading
 import weakref
-from concurrent.futures import Future, ProcessPoolExecutor, ThreadPoolExecutor
+from concurrent.futures import Future, ThreadPoolExecutor
 from typing import Any, Dict, List, Optional, Sequence, Tuple, Union
 
 from repro.streamrule.errors import BackendConnectionError, BackendError
 from repro.streamrule.fleet import EndpointLike, FleetRegistry, WorkerEndpoint, WorkerFleet
-from repro.streamrule.net import (
-    ConnectionSettings,
-    FrameKind,
-    RemoteFailure,
-    encode_reasoner_payload,
-    recv_frame,
-    send_frame,
-)
+from repro.streamrule.net import ConnectionSettings, encode_reasoner_payload
 from repro.streamrule.placement import PinnedPlacement, PlacementStrategy
-from repro.streamrule.reasoner import (
-    Reasoner,
-    ReasonerResult,
-    initialize_worker_reasoner,
-    ping_worker,
-    reason_item_task,
-)
+from repro.streamrule.reasoner import Reasoner, ReasonerResult
 from repro.streamrule.shm import DEFAULT_RING_CAPACITY, ShmSlot, ShmSlotStats
 from repro.streamrule.work import WorkItem
 
@@ -81,8 +65,6 @@ __all__ = [
     "BackendError",
     "ExecutionBackend",
     "InlineBackend",
-    "LoopbackSocketBackend",
-    "ProcessPoolBackend",
     "SharedMemoryBackend",
     "TcpBackend",
     "ThreadPoolBackend",
@@ -97,14 +79,6 @@ class ExecutionBackend(abc.ABC):
 
     Capability flags (class attributes, overridable per instance):
 
-    ``supports_delta``
-        Whether dispatch preserves per-track continuity, i.e. consecutive
-        items of one track reach the same cache state in order -- the
-        precondition for delta (incremental) grounding.
-    ``is_remote``
-        Whether items cross a process/wire boundary (payloads are pickled
-        and the session should be ready to fall back inline on connection
-        loss).
     ``uses_placement``
         Whether the backend has pinned worker slots and consults its
         :attr:`placement` strategy to route items to them; configuring a
@@ -113,10 +87,6 @@ class ExecutionBackend(abc.ABC):
         Whether partitions run (actually or notionally) at the same time;
         decides if per-window latency aggregates as ``max`` or as ``sum``
         over partitions.
-    ``measures_wall_clock``
-        Whether reported window latency is the measured wall-clock of the
-        evaluation phase (real pools) rather than the modelled aggregate
-        (inline evaluation).
     ``pipelined``
         Whether :meth:`submit` is genuinely non-blocking -- the returned
         future makes progress while the caller does something else, so
@@ -124,15 +94,15 @@ class ExecutionBackend(abc.ABC):
         concurrency.  The session uses this to pick its default
         ``max_inflight``: pipelined backends default to dispatch-ahead
         ingestion, non-pipelined ones (inline evaluation, whose ``submit``
-        *is* the evaluation) stay synchronous.
+        *is* the evaluation) stay synchronous.  It also picks the reported
+        window latency: the measured wall-clock of the evaluation phase on a
+        pipelined backend, the modelled aggregate of the per-partition
+        latencies on inline evaluation.
     """
 
     name: str = "abstract"
-    supports_delta: bool = True
-    is_remote: bool = False
     uses_placement: bool = False
     concurrent: bool = True
-    measures_wall_clock: bool = False
     pipelined: bool = False
 
     def __init__(self, placement: Optional[PlacementStrategy] = None):
@@ -285,7 +255,6 @@ class ThreadPoolBackend(ExecutionBackend):
     """A persistent thread pool sharing the bound reasoner (and its cache)."""
 
     name = "threads"
-    measures_wall_clock = True
     pipelined = True
 
     def __init__(self, max_workers: Optional[int] = None, placement: Optional[PlacementStrategy] = None):
@@ -310,68 +279,6 @@ class ThreadPoolBackend(ExecutionBackend):
             finalizer()
 
 
-# --------------------------------------------------------------------------- #
-# Process-pool backend
-# --------------------------------------------------------------------------- #
-class ProcessPoolBackend(ExecutionBackend):
-    """Persistent pinned worker processes (true multi-core execution).
-
-    One single-worker :class:`ProcessPoolExecutor` per slot makes placement
-    deterministic: submitting to slot ``s`` always runs in slot ``s``'s
-    process, so that worker's grounding cache sees every window of the
-    tracks placed there.  Workers are initialized exactly once with the
-    pickled reasoner; per-item dispatch ships only the thinned
-    :class:`WorkItem`.
-    """
-
-    name = "processes"
-    is_remote = True
-    uses_placement = True
-    measures_wall_clock = True
-    pipelined = True
-
-    def __init__(self, max_workers: Optional[int] = None, placement: Optional[PlacementStrategy] = None):
-        super().__init__(placement)
-        self.max_workers = max_workers
-        self._pools: Optional[List[ProcessPoolExecutor]] = None
-        self._finalizer: Optional[weakref.finalize] = None
-
-    @property
-    def pools(self) -> Optional[List[ProcessPoolExecutor]]:
-        """The live per-slot executors (``None`` while closed)."""
-        return self._pools
-
-    def _start(self, reasoner: Reasoner) -> None:
-        workers = self.max_workers or os.cpu_count() or 1
-        payload = pickle.dumps(reasoner)
-        pools = [
-            ProcessPoolExecutor(
-                max_workers=1,
-                initializer=initialize_worker_reasoner,
-                initargs=(payload,),
-            )
-            for _ in range(workers)
-        ]
-        # Executors fork their worker lazily on the first submit; ping every
-        # slot so all spawns + reasoner unpickling happen here (backend
-        # start) rather than inside the first window's measured evaluation.
-        for ping in [pool.submit(ping_worker) for pool in pools]:
-            ping.result()
-        self._pools = pools
-        self._finalizer = weakref.finalize(self, _shutdown_executors, list(pools))
-
-    def _submit(self, item: WorkItem) -> "Future[ReasonerResult]":
-        self._require_started()
-        assert self._pools is not None
-        slot = self.placement.slot(item, len(self._pools))
-        return self._pools[slot].submit(reason_item_task, item.thinned())
-
-    def _close(self) -> None:
-        finalizer, self._finalizer, self._pools = self._finalizer, None, None
-        if finalizer is not None:
-            finalizer()
-
-
 def _shutdown_executors(executors) -> None:
     """Finalizer backstop: shut down abandoned executors.
 
@@ -381,149 +288,6 @@ def _shutdown_executors(executors) -> None:
     """
     for executor in executors:
         executor.shutdown(wait=True)
-
-
-# --------------------------------------------------------------------------- #
-# Loopback-socket backend
-# --------------------------------------------------------------------------- #
-def _serve_loopback_worker(connection: socket.socket, payload: bytes) -> None:
-    """Peer loop: unpickle the reasoner once, then serve framed work items.
-
-    Uses the shared frame grammar of :mod:`repro.streamrule.net` (``WORK``
-    in, ``RESULT`` out) but skips the TCP handshake: both ends of the
-    socket pair live in this process, so there is no version skew to
-    negotiate.
-    """
-    reasoner: Reasoner = pickle.loads(payload)
-    try:
-        while True:
-            try:
-                kind, frame = recv_frame(connection)
-            except (EOFError, OSError, BackendError):
-                break
-            if kind is not FrameKind.WORK:
-                break
-            item: WorkItem = pickle.loads(frame)
-            try:
-                response: object = reasoner.reason_item(item)
-            except BaseException as error:  # noqa: BLE001 - shipped back to the caller
-                response = RemoteFailure(error)
-            try:
-                payload_out = pickle.dumps(response, protocol=pickle.HIGHEST_PROTOCOL)
-            except Exception as error:  # noqa: BLE001 - pickling raises Type/Attribute errors too
-                # Never let an unpicklable response kill the slot: report it
-                # as a wrapped failure so the caller sees the real problem
-                # instead of a dead connection.
-                payload_out = pickle.dumps(
-                    RemoteFailure(BackendError(f"unpicklable worker response ({error!r}): {response!r}")),
-                    protocol=pickle.HIGHEST_PROTOCOL,
-                )
-            try:
-                send_frame(connection, FrameKind.RESULT, payload_out)
-            except (OSError, BrokenPipeError):
-                break
-    finally:
-        try:
-            connection.close()
-        except OSError:
-            pass
-
-
-class _LoopbackSlot:
-    """One pinned loopback peer: socket pair, server thread, serializing dispatcher."""
-
-    def __init__(self, index: int, payload: bytes):
-        self.client, server = socket.socketpair()
-        self.thread = threading.Thread(
-            target=_serve_loopback_worker,
-            args=(server, payload),
-            name=f"loopback-worker-{index}",
-            daemon=True,
-        )
-        self.thread.start()
-        # A single-thread dispatcher serializes the request/response pairs on
-        # this slot's socket, preserving per-track ordering (and with it the
-        # per-track continuity of the pinned tracks).
-        self.dispatcher = ThreadPoolExecutor(max_workers=1, thread_name_prefix=f"loopback-dispatch-{index}")
-
-    def close(self) -> None:
-        try:
-            self.client.close()
-        except OSError:
-            pass
-        self.dispatcher.shutdown(wait=True)
-        self.thread.join(timeout=5.0)
-
-
-def _close_loopback_slots(slots) -> None:
-    """Finalizer backstop mirroring :func:`_shutdown_executors`."""
-    for slot in slots:
-        slot.close()
-
-
-class LoopbackSocketBackend(ExecutionBackend):
-    """Evaluate items on peers behind a real local socket pair.
-
-    Every slot holds its *own* reasoner, reconstructed by unpickling the
-    bound reasoner's bytes -- exactly what a remote shard would do -- and
-    every dispatch round-trips ``pickle(WorkItem)`` / ``pickle(ReasonerResult)``
-    through the kernel's socket layer.  The peers run as daemon threads, so
-    there is no cross-machine speed-up to be had here; the backend exists to
-    prove (and continuously test) that the partition/combine protocol
-    survives a wire, and to exercise connection-loss handling
-    (:meth:`drop_connection` + the session's inline fallback).
-    """
-
-    name = "loopback"
-    is_remote = True
-    uses_placement = True
-    measures_wall_clock = True
-    pipelined = True
-
-    def __init__(self, max_workers: Optional[int] = None, placement: Optional[PlacementStrategy] = None):
-        super().__init__(placement)
-        self.max_workers = max_workers
-        self._slots: Optional[List[_LoopbackSlot]] = None
-        self._finalizer: Optional[weakref.finalize] = None
-
-    def _start(self, reasoner: Reasoner) -> None:
-        workers = self.max_workers or os.cpu_count() or 1
-        payload = pickle.dumps(reasoner)
-        self._slots = [_LoopbackSlot(index, payload) for index in range(workers)]
-        self._finalizer = weakref.finalize(self, _close_loopback_slots, list(self._slots))
-
-    def _submit(self, item: WorkItem) -> "Future[ReasonerResult]":
-        self._require_started()
-        assert self._slots is not None
-        slot = self._slots[self.placement.slot(item, len(self._slots))]
-        return slot.dispatcher.submit(self._roundtrip, slot, item.thinned())
-
-    @staticmethod
-    def _roundtrip(slot: _LoopbackSlot, item: WorkItem) -> ReasonerResult:
-        try:
-            send_frame(slot.client, FrameKind.WORK, pickle.dumps(item, protocol=pickle.HIGHEST_PROTOCOL))
-            _, frame = recv_frame(slot.client)
-        except (OSError, EOFError) as error:
-            raise BackendConnectionError(f"loopback worker connection lost: {error!r}") from error
-        response = pickle.loads(frame)
-        if isinstance(response, RemoteFailure):
-            raise response.rebuild()
-        return response
-
-    def drop_connection(self, slot: int = 0) -> None:
-        """Fault injection: sever one slot's socket (tests the inline fallback)."""
-        self._require_started()
-        assert self._slots is not None
-        try:
-            self._slots[slot].client.shutdown(socket.SHUT_RDWR)
-        except OSError:
-            pass
-        self._slots[slot].client.close()
-
-    def _close(self) -> None:
-        finalizer, self._finalizer, self._slots = self._finalizer, None, None
-        if finalizer is not None:
-            finalizer()
 
 
 # --------------------------------------------------------------------------- #
@@ -540,9 +304,7 @@ class FleetBackend(ExecutionBackend):
     close.
     """
 
-    is_remote = True
     uses_placement = True
-    measures_wall_clock = True
     pipelined = True
 
     def __init__(
@@ -623,7 +385,7 @@ class TcpBackend(FleetBackend):
     raises :class:`BackendConnectionError` once no worker survives -- at
     which point the session evaluates inline and counts a fallback.  A
     single-thread dispatcher per slot preserves per-track ordering, exactly
-    like the process-pool and loopback backends.
+    like the shared-memory backend.
 
     Parameters
     ----------
@@ -775,17 +537,17 @@ class TcpBackend(FleetBackend):
 class SharedMemoryBackend(ExecutionBackend):
     """Dispatch to pinned same-host worker processes over shared memory.
 
-    The zero-copy sibling of :class:`ProcessPoolBackend`: workers are still
-    separate (``spawn``-started) processes evaluating thinned
-    :class:`WorkItem`\\ s, but dispatch crosses the process boundary through
-    a pair of shared-memory rings per slot instead of a pickled-object pipe
-    (see :mod:`repro.streamrule.shm`).  Facts travel as packed u32 symbol
-    ids against per-direction synced
+    True multi-core execution on one host: workers are separate
+    (``spawn``-started) processes, each holding its own unpickled copy of the
+    reasoner and evaluating thinned :class:`WorkItem`\\ s, and dispatch
+    crosses the process boundary through a pair of shared-memory rings per
+    slot (see :mod:`repro.streamrule.shm`).  Facts travel as packed u32
+    symbol ids against per-direction synced
     :class:`~repro.asp.syntax.symbols.SymbolTable` replicas -- in steady
     state a window costs ``4 bytes x |window|`` written straight into
     ``/dev/shm``, with no pickling of atoms in either direction.
 
-    Same capability surface as the other remote backends: one single-thread
+    Same capability surface as the TCP backend: one single-thread
     dispatcher per slot preserves per-track ordering (so the per-track
     caches keep working), the placement strategy routes items to slots, and a
     dead worker raises :class:`BackendConnectionError` at the caller -- the
@@ -794,9 +556,7 @@ class SharedMemoryBackend(ExecutionBackend):
     """
 
     name = "shared-memory"
-    is_remote = True
     uses_placement = True
-    measures_wall_clock = True
     pipelined = True
 
     def __init__(

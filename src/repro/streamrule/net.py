@@ -4,8 +4,8 @@ This module is the single source of truth for how StreamRule work travels
 between machines.  Everything here is transport mechanics; *what* gets
 evaluated is still a :class:`~repro.streamrule.work.WorkItem` and *what*
 comes back is still a :class:`~repro.streamrule.reasoner.ReasonerResult` --
-the same partition/combine protocol the loopback backend proved survives a
-wire, now behind a versioned handshake on a real TCP socket.
+the partition/combine protocol behind a versioned handshake on a real TCP
+socket.
 
 The frame grammar, the handshake sequence, capability negotiation and the
 failure semantics are specified once, in ``docs/wire-protocol.md``; this
@@ -335,8 +335,8 @@ def auth_mac(token: str, nonce: str) -> str:
 class RemoteFailure:
     """Wire wrapper distinguishing a worker-side exception from a result.
 
-    Shared by the loopback and TCP transports: an evaluation error on the
-    worker is pickled inside this wrapper, shipped back as a ``RESULT``
+    Shared by the TCP and shared-memory transports: an evaluation error on
+    the worker is pickled inside this wrapper, shipped back as a ``RESULT``
     frame, and re-raised at the caller -- the connection itself survives.
     """
 
@@ -600,13 +600,6 @@ class DeltaShipper:
                     return frames
         frames.append((FrameKind.WORK, full_payload))
         return frames
-
-    def encode(self, item: WorkItem) -> Tuple[FrameKind, bytes]:
-        """Encode ``item`` as a single work frame (legacy, pre-``symbol_ids``)."""
-        frames = self.encode_frames(item)
-        if len(frames) != 1:
-            raise RuntimeError("a symbol-id shipper may emit SYMBOLS frames; use encode_frames")
-        return frames[0]
 
     def _encode_facts(self, item: WorkItem, thin: WorkItem) -> Tuple[FrameKind, bytes]:
         previous = self._previous.get(item.track)

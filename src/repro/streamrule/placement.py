@@ -1,7 +1,7 @@
 """Placement strategies: which worker slot evaluates a work item.
 
-Backends with pinned slots (one grounding cache per worker process,
-loopback peer, or remote worker) ask a :class:`PlacementStrategy` to map
+Backends with pinned slots (one grounding cache per same-host worker
+process or remote worker) ask a :class:`PlacementStrategy` to map
 every :class:`~repro.streamrule.work.WorkItem` to a slot.  Placement
 decides cache locality, not correctness: all strategies yield identical
 answer sets.  Slots are deliberately *abstract*: on the TCP backend the

@@ -15,17 +15,14 @@ so recurring window content skips the instantiation phase entirely
 (window-to-window grounding reuse); the per-window hit/miss outcome is
 recorded in the returned metrics.
 
-The module also defines the worker protocol shared by the process-pool and
-loopback-socket execution backends: :func:`initialize_worker_reasoner`
-unpickles the reasoner *once* per worker process and :func:`reason_item_task`
-evaluates one :class:`~repro.streamrule.work.WorkItem` against it, so the
-program is serialized once per pool rather than once per window.  Both must
-be module-level functions to be picklable by :mod:`concurrent.futures`.
+Every execution backend evaluates a
+:class:`~repro.streamrule.work.WorkItem` through :meth:`Reasoner.reason_item`;
+the worker-process backends unpickle the reasoner once per worker and call
+it there.
 """
 
 from __future__ import annotations
 
-import pickle
 from dataclasses import dataclass
 from typing import FrozenSet, Iterable, List, Optional, Sequence, Set, Tuple, Union
 
@@ -40,12 +37,7 @@ from repro.streaming.window import WindowDelta
 from repro.streamrule.metrics import LatencyBreakdown, ReasonerMetrics, Timer
 from repro.streamrule.work import WorkItem
 
-__all__ = [
-    "Reasoner",
-    "ReasonerResult",
-    "initialize_worker_reasoner",
-    "reason_item_task",
-]
+__all__ = ["Reasoner", "ReasonerResult"]
 
 AnswerSet = FrozenSet[Atom]
 WindowInput = Sequence[Union[Triple, Atom]]
@@ -200,55 +192,4 @@ class Reasoner:
         puts it on the per-track path when a grounding cache is attached.
         """
         return self.reason_item(WorkItem(facts=tuple(window), delta=delta))
-
-
-# --------------------------------------------------------------------------- #
-# Worker protocol (process-pool and loopback-socket backends)
-# --------------------------------------------------------------------------- #
-#: The per-process reasoner installed by :func:`initialize_worker_reasoner`.
-_WORKER_REASONER: Optional[Reasoner] = None
-
-
-def initialize_worker_reasoner(payload: bytes) -> None:
-    """Process-pool initializer: unpickle the reasoner once per worker.
-
-    The payload is produced by the process-pool backend (``pickle.dumps`` of
-    the session's :class:`Reasoner`); every subsequent
-    :func:`reason_item_task` in this process reuses the instance, so the
-    program is deserialized once per worker, not once per window.  The worker
-    inherits the parent reasoner's grounding-cache *configuration*: a cached
-    parent yields one fresh, equally-sized cache per worker (see
-    :meth:`GroundingCache.__reduce__`), an uncached parent stays uncached --
-    so worker processes never cache more than the other backends would.
-    """
-    global _WORKER_REASONER
-    _WORKER_REASONER = pickle.loads(payload)
-
-
-def ping_worker() -> bool:
-    """Warm-up probe: forces worker spawn and reports initialization state.
-
-    The executor spawns a process per submit while none is idle, and a
-    burst of back-to-back pings completes long before any worker could
-    finish spawning and go idle -- so one ping per worker spawns the whole
-    pool.  This moves worker fork + reasoner unpickling out of the first
-    window's measured evaluation phase.
-    """
-    return _WORKER_REASONER is not None
-
-
-def reason_item_task(item: WorkItem) -> ReasonerResult:
-    """Evaluate one :class:`WorkItem` against the per-process reasoner.
-
-    The execution backends pin each partition track to a fixed worker slot
-    (see :mod:`repro.streamrule.placement`), so the worker-local grounding
-    caches see consecutive windows of the same track and can carry their
-    per-track state from one to the next.
-    """
-    if _WORKER_REASONER is None:
-        raise RuntimeError(
-            "worker process not initialized: reason_item_task requires a pool "
-            "created with initializer=initialize_worker_reasoner"
-        )
-    return _WORKER_REASONER.reason_item(item)
 

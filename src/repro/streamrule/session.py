@@ -6,7 +6,7 @@ combining handler, data format processor -- behind a push/pull API::
 
     with StreamSession(program, window=CountWindow(size=80, slide=20),
                        partitioner=DependencyPartitioner(plan),
-                       backend=ProcessPoolBackend(max_workers=4)) as session:
+                       backend=SharedMemoryBackend(max_workers=4)) as session:
         session.push(triples)            # feed the stream; full windows evaluate
         session.finish()                 # flush the trailing partial window
         for solution in session.results():
@@ -63,7 +63,7 @@ format processor as part of the reasoner's latency, wherever it runs.
 Pipelined ingestion
 -------------------
 On a backend whose futures make progress concurrently (``backend.pipelined``:
-thread pool, process pool, loopback, TCP fleet), :meth:`push` does not wait
+thread pool, shared memory, TCP fleet), :meth:`push` does not wait
 for a completed window's answers: the window's partitions are *dispatched*
 to the backend and push returns immediately, so the producer keeps feeding
 while workers reason.  A bounded in-flight queue (``max_inflight``) applies
@@ -288,7 +288,7 @@ class StreamSession:
                 raise ValueError(
                     f"backend {self.backend.name!r} has no pinned worker slots and never "
                     "consults a placement strategy; pass a slot-owning backend "
-                    "(ProcessPoolBackend, LoopbackSocketBackend) together with placement="
+                    "(SharedMemoryBackend, TcpBackend) together with placement="
                 )
             self.backend.placement = placement
         self.window = window
@@ -830,8 +830,7 @@ class StreamSession:
 
         ``delta`` signals that this window is the next slide of an
         overlapping stream.  When the partitioner is *deterministic* (the
-        same item always lands in the same partitions) and the backend
-        preserves per-track continuity (``supports_delta``), every partition
+        same item always lands in the same partitions), every partition
         is evaluated incrementally on its own track: partition ``i``'s
         solver state carries over from partition ``i``'s previous window,
         and an unchanged partition is not even regrounded.
@@ -883,7 +882,6 @@ class StreamSession:
             delta is not None
             and delta.carries_over
             and getattr(self.partitioner, "deterministic", False)
-            and self.backend.supports_delta
         )
 
         with Timer() as partitioning_timer:
@@ -957,7 +955,7 @@ class StreamSession:
         breakdown.partitioning_seconds += pending.partitioning_seconds
         breakdown.combining_seconds += combining_timer.seconds
 
-        if self.backend.measures_wall_clock:
+        if self.backend.pipelined:
             # Real pools report what a stopwatch around the evaluation phase
             # actually measured (conversion happened before it, at ingestion).
             latency_seconds = (

@@ -2,8 +2,7 @@
 
 The :class:`~repro.streamrule.backends.SharedMemoryBackend` transport: one
 pinned worker *process* per slot, reached not through a pickled-object pipe
-(the :class:`~concurrent.futures.ProcessPoolExecutor` path) but through a
-pair of one-writer/one-reader byte rings in a single
+but through a pair of one-writer/one-reader byte rings in a single
 :class:`multiprocessing.shared_memory.SharedMemory` segment -- the request
 ring carries coordinator -> worker messages, the response ring the reverse.
 
@@ -493,9 +492,3 @@ class ShmSlot:
             self._shm.unlink()
         except (OSError, FileNotFoundError):
             pass
-
-
-def close_slots(slots) -> None:
-    """Finalizer backstop mirroring the other backends' close helpers."""
-    for slot in slots:
-        slot.close()

@@ -4,9 +4,8 @@ A :class:`WorkItem` bundles everything one partition (or whole-window)
 evaluation needs -- the facts, the slide delta, the partition *track*, and
 the window *epoch* -- into a single picklable value.  It is the unit that
 crosses execution boundaries: the inline backend hands it to the local
-reasoner, the process backend ships it to a pinned worker, the
-loopback-socket backend pickles it over a local socket pair, and the TCP
-backend frames it to remote worker daemons --
+reasoner, the shared-memory backend writes it into a pinned worker's ring,
+and the TCP backend frames it to remote worker daemons --
 either whole (:meth:`WorkItem.thinned`) or, on delta-capable connections,
 as a :class:`~repro.streamrule.net.FactDelta` that re-ships only what
 changed since the track's previous window (see ``docs/wire-protocol.md``).

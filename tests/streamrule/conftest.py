@@ -17,13 +17,61 @@ Tests pass ``**worker_security_kwargs()`` wherever they build a
 ``TcpBackend`` / ``AioTcpBackend`` / ``WorkerClient`` against the
 ``worker_endpoints`` fixture; on a plain local run both variables are
 unset and the call collapses to ``{}``.
+
+Suites that want a real wire without daemons use :class:`InThreadTcpBackend`.
 """
 
 from __future__ import annotations
 
 import os
 import ssl
-from typing import Any, Dict
+import weakref
+from typing import Any, Dict, List
+
+from repro.streamrule.backends import TcpBackend
+from repro.streamrule.fleet import WorkerEndpoint
+from repro.streamrule.worker import WorkerServer
+
+
+def _stop_servers(servers: List[WorkerServer]) -> None:
+    for server in servers:
+        server.stop()
+
+
+class InThreadTcpBackend(TcpBackend):
+    """A :class:`TcpBackend` over ``workers`` in-thread :class:`WorkerServer`\\ s.
+
+    ``start`` binds one server per slot on an ephemeral localhost port and
+    connects to them, so every round trip runs the real SRW1 handshake and
+    framing in this process, with no daemons to spawn; ``close`` stops them.
+    :meth:`drop_connection` is the fault injection of the inline-fallback
+    tests: a single-worker backend whose server is gone has no survivor to
+    reroute to, so its next item raises ``BackendConnectionError``.
+    """
+
+    def __init__(self, workers: int = 1, **kwargs: Any):
+        super().__init__([], **kwargs)
+        self.workers = workers
+        self.servers: List[WorkerServer] = []
+        self._server_finalizer: weakref.finalize | None = None
+
+    def _start(self, reasoner) -> None:
+        self.servers = [WorkerServer(port=0) for _ in range(self.workers)]
+        self.endpoints = [WorkerEndpoint.parse(server.start()) for server in self.servers]
+        self._server_finalizer = weakref.finalize(self, _stop_servers, list(self.servers))
+        super()._start(reasoner)
+
+    def _close(self) -> None:
+        try:
+            super()._close()
+        finally:
+            finalizer, self._server_finalizer, self.servers = self._server_finalizer, None, []
+            if finalizer is not None:
+                finalizer()
+
+    def drop_connection(self, slot: int = 0) -> None:
+        """Stop ``slot``'s server: its listener and every live connection."""
+        self.servers[slot].stop()
 
 
 def client_ssl_context(ca_file: str) -> ssl.SSLContext:

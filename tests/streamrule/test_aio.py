@@ -28,8 +28,6 @@ from repro.streaming.window import CountWindow
 from repro.streamrule.aio import AioTcpBackend, AsyncStreamSession
 from repro.streamrule.backends import (
     InlineBackend,
-    LoopbackSocketBackend,
-    ProcessPoolBackend,
     SharedMemoryBackend,
     ThreadPoolBackend,
 )
@@ -37,7 +35,7 @@ from repro.streamrule.errors import BackendError
 from repro.streamrule.reasoner import Reasoner
 from repro.streamrule.session import StreamSession
 from repro.streamrule.worker import spawn_local_workers
-from tests.streamrule.conftest import worker_security_kwargs
+from tests.streamrule.conftest import InThreadTcpBackend, worker_security_kwargs
 
 
 def traffic_stream(length, seed=23):
@@ -173,11 +171,11 @@ CANONICAL_DRAINS = (False, True, True, False)
 LIGHT_BACKENDS = {
     "inline": lambda: InlineBackend(simulated=False),
     "threads": lambda: ThreadPoolBackend(max_workers=2),
-    "loopback": lambda: LoopbackSocketBackend(max_workers=2),
+    "tcp": lambda: InThreadTcpBackend(2),
+    "tcp-full-frames": lambda: InThreadTcpBackend(2, delta_shipping=False, symbol_ids=False),
 }
 
 HEAVY_BACKENDS = {
-    "processes": lambda: ProcessPoolBackend(max_workers=2),
     "shared-memory": lambda: SharedMemoryBackend(max_workers=2),
 }
 

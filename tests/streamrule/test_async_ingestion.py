@@ -23,11 +23,11 @@ from repro.streaming.generator import SyntheticStreamConfig, generate_window
 from repro.streaming.window import CountWindow
 from repro.streamrule.backends import (
     InlineBackend,
-    LoopbackSocketBackend,
     ThreadPoolBackend,
 )
 from repro.streamrule.reasoner import Reasoner
 from repro.streamrule.session import DEFAULT_MAX_INFLIGHT, StreamSession
+from tests.streamrule.conftest import InThreadTcpBackend
 
 
 def traffic_stream(length, seed=23):
@@ -292,7 +292,7 @@ class TestDeferredOutcomes:
             healthy.push(stream)
             healthy.finish()
             expected = [fingerprint(solution) for solution in healthy.results()]
-        backend = LoopbackSocketBackend(max_workers=1)
+        backend = InThreadTcpBackend(1)
         with StreamSession(
             traffic_reasoner(),
             window=WINDOW,

@@ -1,4 +1,4 @@
-"""Unit tests for the ExecutionBackend protocol and its four transports."""
+"""Unit tests for the ExecutionBackend protocol and its in-process and TCP transports."""
 
 from __future__ import annotations
 
@@ -10,14 +10,15 @@ from repro.asp.syntax.parser import parse_program
 from repro.streamrule.backends import (
     BackendError,
     InlineBackend,
-    LoopbackSocketBackend,
-    ProcessPoolBackend,
+    SharedMemoryBackend,
+    TcpBackend,
     ThreadPoolBackend,
 )
 from repro.streamrule.placement import ConsistentHashPlacement, PinnedPlacement
 from repro.streamrule.reasoner import Reasoner
 from repro.streamrule.work import WorkItem
 from tests.conftest import make_atom
+from tests.streamrule.conftest import InThreadTcpBackend
 
 CHOICE_PROGRAM = """\
 picked(X) :- item(X), not dropped(X).
@@ -37,19 +38,17 @@ class TestProtocol:
     def test_capability_flags(self):
         assert InlineBackend().concurrent is True
         assert InlineBackend(simulated=False).concurrent is False
-        assert InlineBackend().is_remote is False
-        assert InlineBackend().measures_wall_clock is False
-        assert ThreadPoolBackend().measures_wall_clock is True
-        assert ProcessPoolBackend().is_remote is True
-        assert LoopbackSocketBackend().is_remote is True
-        for backend_class in (InlineBackend, ThreadPoolBackend, ProcessPoolBackend, LoopbackSocketBackend):
-            assert backend_class.supports_delta is True
+        assert InlineBackend.uses_placement is False
+        assert ThreadPoolBackend.uses_placement is False
+        for backend_class in (SharedMemoryBackend, TcpBackend):
+            assert backend_class.uses_placement is True
+            assert backend_class.concurrent is True
 
     def test_pipelined_capability_flags(self):
         # Inline evaluation resolves the future inside submit, so dispatching
         # ahead buys nothing; every pool/wire transport is pipelined.
         assert InlineBackend.pipelined is False
-        for backend_class in (ThreadPoolBackend, ProcessPoolBackend, LoopbackSocketBackend):
+        for backend_class in (ThreadPoolBackend, SharedMemoryBackend, TcpBackend):
             assert backend_class.pipelined is True
 
     def test_queue_depth_counts_unfinished_submissions(self):
@@ -109,33 +108,27 @@ class TestLifecycleBackstop:
         with pytest.raises(RuntimeError):
             pool.submit(lambda: None)
 
-    @pytest.mark.slow
-    def test_abandoned_process_backend_is_finalized(self):
-        backend = ProcessPoolBackend(max_workers=1)
+    def test_abandoned_tcp_backend_is_finalized(self):
+        backend = InThreadTcpBackend(1)
         backend.start(choice_reasoner())
-        pools = list(backend.pools)
+        fleet, dispatchers, servers = backend.fleet, list(backend._dispatchers), list(backend.servers)
         del backend
         gc.collect()
+        # The weakref.finalize backstops closed the fleet's connections,
+        # shut the dispatchers down and stopped the servers.
+        assert fleet.alive_endpoints == []
         with pytest.raises(RuntimeError):
-            pools[0].submit(lambda: None)
-
-    def test_abandoned_loopback_backend_is_finalized(self):
-        backend = LoopbackSocketBackend(max_workers=1)
-        backend.start(choice_reasoner())
-        slots = list(backend._slots)
-        del backend
-        gc.collect()
-        assert all(slot.client.fileno() == -1 for slot in slots)  # sockets closed
-        assert all(not slot.thread.is_alive() for slot in slots)
+            dispatchers[0].submit(lambda: None)
+        assert not any(server.running for server in servers)
 
 
-class TestLoopbackTransport:
+class TestTcpTransport:
     def test_round_trip_matches_inline(self):
         reasoner = choice_reasoner()
         item = work_item()
-        with LoopbackSocketBackend(max_workers=2) as loopback:
-            loopback.start(reasoner)
-            over_the_wire = loopback.submit(item).result()
+        with InThreadTcpBackend(2) as tcp:
+            tcp.start(reasoner)
+            over_the_wire = tcp.submit(item).result()
         inline = InlineBackend()
         inline.start(reasoner)
         local = inline.submit(item).result()
@@ -143,20 +136,31 @@ class TestLoopbackTransport:
 
     def test_worker_side_exception_propagates(self):
         reasoner = choice_reasoner()
-        with LoopbackSocketBackend(max_workers=1) as loopback:
-            loopback.start(reasoner)
+        with InThreadTcpBackend(1) as tcp:
+            tcp.start(reasoner)
             bad = WorkItem(facts=("not a triple",))  # type: ignore[arg-type]
             with pytest.raises(TypeError):
-                loopback.submit(bad).result()
+                tcp.submit(bad).result()
             # The connection survives a worker-side error.
-            assert loopback.submit(work_item()).result().answers
+            assert tcp.submit(work_item()).result().answers
 
     def test_per_slot_reasoners_are_isolated_copies(self):
         reasoner = choice_reasoner()
-        with LoopbackSocketBackend(max_workers=2) as loopback:
-            loopback.start(reasoner)
-            results = [loopback.submit(work_item(track=track)).result() for track in (0, 1)]
+        with InThreadTcpBackend(2) as tcp:
+            tcp.start(reasoner)
+            results = [tcp.submit(work_item(track=track)).result() for track in (0, 1)]
         assert all(result.answers for result in results)
+
+    def test_dropped_server_with_a_survivor_is_a_reroute(self):
+        reasoner = choice_reasoner()
+        with InThreadTcpBackend(2) as tcp:
+            tcp.start(reasoner)
+            expected = tcp.submit(work_item(track=0)).result().answers
+            tcp.drop_connection(0)
+            # Slot 0's worker is gone; the fleet moves the slot to slot 1's.
+            assert set(tcp.submit(work_item(track=0)).result().answers) == set(expected)
+            assert tcp.fleet.reroutes >= 1
+            assert tcp.fleet.alive_endpoints == [tcp.endpoints[1]]
 
 
 class TestPlacement:
@@ -201,6 +205,6 @@ class TestPlacement:
             def slot(self, item, slots):
                 return 1 % slots
 
-        with LoopbackSocketBackend(max_workers=2, placement=EverythingToSlotOne()) as loopback:
-            loopback.start(reasoner)
-            assert loopback.submit(work_item(track=0)).result().answers
+        with InThreadTcpBackend(2, placement=EverythingToSlotOne()) as tcp:
+            tcp.start(reasoner)
+            assert tcp.submit(work_item(track=0)).result().answers

@@ -20,23 +20,24 @@ from repro.streaming.generator import SyntheticStreamConfig, generate_window
 from repro.streaming.window import CountWindow, TimeWindow
 from repro.streamrule.backends import (
     InlineBackend,
-    LoopbackSocketBackend,
-    ProcessPoolBackend,
     SharedMemoryBackend,
     ThreadPoolBackend,
 )
 from repro.streamrule.reasoner import Reasoner
 from repro.streamrule.session import StreamSession
 from tests.conftest import make_atom
+from tests.streamrule.conftest import InThreadTcpBackend
 
-#: The backends of the delta-equivalence matrix (name -> factory).
+#: The backends of the delta-equivalence matrix (name -> factory).  ``tcp``
+#: ships slide deltas as interned symbol ids; ``tcp-full-frames`` turns both
+#: off, so every item crosses the wire as a whole pickled window partition.
 BACKEND_FACTORIES = {
     "inline": lambda workers: InlineBackend(),
     "inline-serial": lambda workers: InlineBackend(simulated=False),
     "threads": lambda workers: ThreadPoolBackend(max_workers=workers),
-    "processes": lambda workers: ProcessPoolBackend(max_workers=workers),
-    "loopback-socket": lambda workers: LoopbackSocketBackend(max_workers=workers),
     "shared-memory": lambda workers: SharedMemoryBackend(max_workers=workers),
+    "tcp": lambda workers: InThreadTcpBackend(workers),
+    "tcp-full-frames": lambda workers: InThreadTcpBackend(workers, delta_shipping=False, symbol_ids=False),
 }
 
 #: Every row of the matrix: (entry point, backend name).  ``evaluate_window`` hands
@@ -100,7 +101,7 @@ def delta_answers_per_window(window_policy, stream, partitioner, runner, reasone
 
 
 class TestSlidingWindowEquivalence:
-    pytestmark = pytest.mark.slow  # the process-pool rows spin up worker pools
+    pytestmark = pytest.mark.slow  # the shared-memory rows spawn worker processes
 
     @pytest.mark.parametrize("runner", RUNNERS, ids=runner_id)
     def test_count_window_sliding(self, plan_p, runner):
@@ -182,8 +183,8 @@ class TestBackendWindowKindEquivalence:
     """Acceptance matrix: backends x {tumbling, sliding, hopping} x delta on/off.
 
     Identical answer sets for inline (serial and simulated), threads,
-    processes, and loopback-socket backends on every window kind, with the
-    delta path enabled and disabled.
+    shared-memory and TCP backends on every window kind, with the delta
+    path enabled and disabled.
     """
 
     pytestmark = pytest.mark.slow

@@ -1,9 +1,9 @@
 """Cross-backend equivalence: every execution backend returns the same answer sets.
 
 The backends differ only in *where* the partition reasoners run (inline,
-thread pool, process pool, loopback socket) and in how latency is reported;
-the answer sets must be identical.  This suite locks that contract in over a
-matrix of programs:
+thread pool, shared-memory worker processes, TCP worker servers) and in how
+latency is reported; the answer sets must be identical.  This suite locks
+that contract in over a matrix of programs:
 
 * the paper's stratified traffic programs ``P`` and ``P'``,
 * a non-stratified program with multiple answer sets per partition,
@@ -22,13 +22,13 @@ from repro.core.partitioner import DependencyPartitioner, HashPartitioner, Parti
 from repro.programs.traffic import EVENT_PREDICATES, INPUT_PREDICATES
 from repro.streamrule.backends import (
     InlineBackend,
-    LoopbackSocketBackend,
-    ProcessPoolBackend,
+    SharedMemoryBackend,
     ThreadPoolBackend,
 )
 from repro.streamrule.reasoner import Reasoner
 from repro.streamrule.session import StreamSession
 from tests.conftest import make_atom
+from tests.streamrule.conftest import InThreadTcpBackend
 
 #: The rows of the equivalence matrix (label -> factory), each evaluated
 #: through a StreamSession.
@@ -36,8 +36,8 @@ BACKEND_FACTORIES = {
     "backend:inline": lambda workers: InlineBackend(),
     "backend:inline-serial": lambda workers: InlineBackend(simulated=False),
     "backend:threads": lambda workers: ThreadPoolBackend(max_workers=workers),
-    "backend:processes": lambda workers: ProcessPoolBackend(max_workers=workers),
-    "backend:loopback-socket": lambda workers: LoopbackSocketBackend(max_workers=workers),
+    "backend:shared-memory": lambda workers: SharedMemoryBackend(max_workers=workers),
+    "backend:tcp": lambda workers: InThreadTcpBackend(workers),
 }
 
 
@@ -91,13 +91,13 @@ def assert_all_backends_equal(collected):
 # The paper's stratified traffic programs
 # --------------------------------------------------------------------------- #
 class TestTrafficPrograms:
-    pytestmark = pytest.mark.slow  # every test spins up a process pool
+    pytestmark = pytest.mark.slow  # every test spawns shared-memory workers
 
     def test_program_p_motivating_window(self, event_reasoner_p, plan_p, motivating_window):
         collected = answers_by_backend(event_reasoner_p, DependencyPartitioner(plan_p), motivating_window)
         assert_all_backends_equal(collected)
         # The motivating example has exactly one answer: the dangan car fire.
-        [answer] = collected["backend:processes"]
+        [answer] = collected["backend:shared-memory"]
         assert {str(atom) for atom in answer} == {"car_fire(dangan)", "give_notification(dangan)"}
 
     def test_program_p_prime_motivating_window(self, program_p_prime, plan_p_prime, motivating_window):
@@ -132,7 +132,7 @@ good(X) :- item(X).
 
 
 class TestNonStratifiedPrograms:
-    pytestmark = pytest.mark.slow  # every test spins up a process pool
+    pytestmark = pytest.mark.slow  # every test spawns shared-memory workers
 
     def test_multiple_answer_sets_per_partition(self):
         reasoner = Reasoner(parse_program(CHOICE_PROGRAM), input_predicates=["item"])
@@ -165,7 +165,7 @@ class TestNonStratifiedPrograms:
 # Edge cases
 # --------------------------------------------------------------------------- #
 class TestEdgeCases:
-    pytestmark = pytest.mark.slow  # every test spins up a process pool
+    pytestmark = pytest.mark.slow  # every test spawns shared-memory workers
 
     def test_empty_window(self, event_reasoner_p, plan_p):
         collected = answers_by_backend(event_reasoner_p, DependencyPartitioner(plan_p), [])
@@ -193,30 +193,32 @@ class TestEdgeCases:
         # The metrics still record the partitioner's full layout.
         assert len(result.metrics.partition_sizes) == 12
 
-    def test_processes_pool_persists_across_windows(self, program_p, plan_p, motivating_window):
+    def test_shared_memory_workers_persist_across_windows(self, program_p, plan_p, motivating_window):
         # A *cached* reasoner: each worker inherits its own fresh cache, so
         # the repeated window must be served from worker-side cache hits.
         reasoner = Reasoner(
             program_p, INPUT_PREDICATES, EVENT_PREDICATES, grounding_cache=GroundingCache()
         )
-        backend = ProcessPoolBackend(max_workers=1)
+        backend = SharedMemoryBackend(max_workers=1)
         with StreamSession(reasoner, partitioner=DependencyPartitioner(plan_p), backend=backend) as session:
             first = session.evaluate_window(motivating_window)
-            pools = backend.pools
-            assert pools is not None and len(pools) == 1
+            slots = backend.slots
+            assert slots is not None and len(slots) == 1
+            pids = [slot.process.pid for slot in slots]
             second = session.evaluate_window(motivating_window)
-            assert backend.pools is pools  # reused, not rebuilt
+            assert backend.slots is slots  # reused, not rebuilt
+            assert [slot.process.pid for slot in slots] == pids  # same worker processes
             assert {frozenset(a) for a in first.answers} == {frozenset(a) for a in second.answers}
             # The single worker's grounding cache serves the repeated window.
             assert second.metrics.cache_hits == len(second.partition_results)
-        assert backend.pools is None  # context exit shut the pools down
+        assert backend.slots is None  # context exit shut the workers down
 
     def test_uncached_reasoner_stays_uncached_in_workers(self, event_reasoner_p, plan_p, motivating_window):
         # Workers inherit the parent's cache *configuration*: no cache on the
         # parent means no hidden caching in worker processes either, keeping
         # cross-backend latency comparisons honest.
         with StreamSession(
-            event_reasoner_p, partitioner=DependencyPartitioner(plan_p), backend=ProcessPoolBackend(max_workers=1)
+            event_reasoner_p, partitioner=DependencyPartitioner(plan_p), backend=SharedMemoryBackend(max_workers=1)
         ) as session:
             session.evaluate_window(motivating_window)
             repeat = session.evaluate_window(motivating_window)
@@ -225,13 +227,13 @@ class TestEdgeCases:
 
     def test_close_is_idempotent_and_pool_recreates(self, event_reasoner_p, plan_p, motivating_window):
         session = StreamSession(
-            event_reasoner_p, partitioner=DependencyPartitioner(plan_p), backend=ProcessPoolBackend(max_workers=1)
+            event_reasoner_p, partitioner=DependencyPartitioner(plan_p), backend=SharedMemoryBackend(max_workers=1)
         )
         session.close()  # never started: no-op
         first = session.evaluate_window(motivating_window)
         session.close()
         session.close()
-        second = session.evaluate_window(motivating_window)  # lazily recreated pool
+        second = session.evaluate_window(motivating_window)  # lazily recreated workers
         session.close()
         assert {frozenset(a) for a in first.answers} == {frozenset(a) for a in second.answers}
 
@@ -245,10 +247,13 @@ def evaluate_dependency_partitioned(reasoner, plan, backend, window):
 
 
 class TestLatencyReporting:
-    def test_threads_latency_is_measured_wall_clock(self, event_reasoner_p, plan_p, motivating_window):
-        result = evaluate_dependency_partitioned(
-            event_reasoner_p, plan_p, ThreadPoolBackend(max_workers=2), motivating_window
-        )
+    @pytest.mark.parametrize(
+        "make_backend", [lambda: ThreadPoolBackend(max_workers=2), lambda: InThreadTcpBackend(2)], ids=["threads", "tcp"]
+    )
+    def test_pipelined_latency_is_measured_wall_clock(self, event_reasoner_p, plan_p, motivating_window, make_backend):
+        # A pipelined backend reports the stopwatch, never the modelled
+        # aggregate of the workers' own latencies.
+        result = evaluate_dependency_partitioned(event_reasoner_p, plan_p, make_backend(), motivating_window)
         wall = result.metrics.evaluation_wall_seconds
         assert wall is not None and wall > 0.0
         breakdown = result.metrics.breakdown

@@ -23,9 +23,10 @@ from repro.programs.traffic import EVENT_PREDICATES, INPUT_PREDICATES, traffic_p
 from repro.streaming.processor import StreamQueryProcessor
 from repro.streaming.triples import Triple
 from repro.streaming.window import CountWindow, TimeWindow
-from repro.streamrule.backends import InlineBackend, LoopbackSocketBackend, ThreadPoolBackend
+from repro.streamrule.backends import InlineBackend, ThreadPoolBackend
 from repro.streamrule.reasoner import Reasoner
 from repro.streamrule.session import StreamSession
+from tests.streamrule.conftest import InThreadTcpBackend
 
 LOCATIONS = ["a", "b", "c"]
 CARS = ["c1", "c2"]
@@ -122,10 +123,10 @@ def test_thread_pool_session_matches_the_sliced_stream(window_kind, stream, chun
 
 @pytest.mark.slow
 @pytest.mark.parametrize("window_kind", sorted(WINDOWS))
-def test_loopback_session_matches_the_sliced_stream(window_kind):
-    """One worker process serves every generated stream: stale track state must only ever cost a rebuild."""
+def test_tcp_session_matches_the_sliced_stream(window_kind):
+    """One worker connection serves every generated stream: stale track state must only ever cost a rebuild."""
     policy = WINDOWS[window_kind]
-    backend = LoopbackSocketBackend(max_workers=1)
+    backend = InThreadTcpBackend(1)
     session = make_session(policy, backend)
 
     @settings(max_examples=8, deadline=None)

@@ -198,7 +198,7 @@ class TestDeltaCodec:
         shipper, decoder = DeltaShipper(), DeltaDecoder()
         for delta in CountWindow(size=40, slide=10).deltas(stream):
             item = WorkItem(facts=tuple(delta.window), delta=delta, track=2, epoch=delta.index)
-            kind, payload = shipper.encode(item)
+            kind, payload = shipper.encode_frames(item)[-1]
             rebuilt = decoder.decode(kind, payload)
             assert rebuilt.facts == item.facts
             assert rebuilt.track == 2 and rebuilt.epoch == delta.index
@@ -211,7 +211,7 @@ class TestDeltaCodec:
         sizes = {FrameKind.WORK: [], FrameKind.DELTA: []}
         for delta in CountWindow(size=150, slide=25).deltas(stream):
             item = WorkItem(facts=tuple(delta.window), delta=delta, track=0, epoch=delta.index)
-            kind, payload = shipper.encode(item)
+            kind, payload = shipper.encode_frames(item)[-1]
             sizes[kind].append(len(payload))
         assert len(sizes[FrameKind.WORK]) == 1  # only the first window ships full
         assert len(sizes[FrameKind.DELTA]) >= 8  # every slide after that is a delta
@@ -225,15 +225,15 @@ class TestDeltaCodec:
         kinds = []
         for delta in CountWindow(size=40).deltas(stream):
             item = WorkItem(facts=tuple(delta.window), delta=delta, track=0, epoch=delta.index)
-            kinds.append(shipper.encode(item)[0])
+            kinds.append(shipper.encode_frames(item)[-1][0])
         assert all(kind is FrameKind.WORK for kind in kinds)
 
     def test_decoder_rejects_delta_without_previous_window(self):
         shipper, decoder = DeltaShipper(), DeltaDecoder()
         first = work_item(count=10, track=7)
-        shipper.encode(first)
+        shipper.encode_frames(first)
         overlapping = WorkItem(facts=first.facts[2:] + (make_atom("item", 99),), track=7, epoch=1)
-        kind, payload = shipper.encode(overlapping)
+        kind, payload = shipper.encode_frames(overlapping)[-1]
         assert kind is FrameKind.DELTA
         with pytest.raises(ProtocolError):
             decoder.decode(kind, payload)
@@ -241,9 +241,9 @@ class TestDeltaCodec:
     def test_forget_resets_to_full_shipping(self):
         shipper = DeltaShipper()
         item = work_item(count=10)
-        shipper.encode(item)
+        shipper.encode_frames(item)
         shipper.forget()
-        kind, _ = shipper.encode(item)
+        kind, _ = shipper.encode_frames(item)[-1]
         assert kind is FrameKind.WORK
 
 
@@ -335,21 +335,13 @@ class TestSymbolIdCodec:
             facts = list(universe)
             shuffler.shuffle(facts)
             item = WorkItem(facts=tuple(facts), track=0, epoch=epoch)
-            legacy_bytes += len(legacy.encode(item)[1])
+            legacy_bytes += len(legacy.encode_frames(item)[-1][1])
             interned_bytes += sum(len(payload) for _, payload in interned.encode_frames(item))
         assert interned_bytes < legacy_bytes / 2
 
     def test_plain_delta_shipper_never_emits_symbol_frames(self):
         item = work_item(count=5)
         assert [kind for kind, _ in DeltaShipper().encode_frames(item)] == [FrameKind.WORK]
-        # encode() stays valid for the legacy single-frame configuration.
-        kind, _ = DeltaShipper().encode(item)
-        assert kind is FrameKind.WORK
-
-    def test_encode_refuses_multi_frame_configurations(self):
-        shipper = DeltaShipper(symbol_ids=True)
-        with pytest.raises(RuntimeError):
-            shipper.encode(work_item(count=3))
 
     def test_decoder_rejects_a_symbol_gap(self):
         shipper, decoder = DeltaShipper(symbol_ids=True), DeltaDecoder()

@@ -5,7 +5,7 @@ The load-bearing assertions mirror the subsystem's contract:
 * two queries sharing rules map onto ONE lane evaluation per window (shared
   grounding-cache track), with *fewer grounding operations* than the same
   queries in isolated sessions and *identical* projected answer sets;
-* the backend matrix (inline / threads / loopback socket / processes)
+* the backend matrix (inline / threads / TCP / shared memory)
   answers identically through the server;
 * mid-stream unregister narrows the fan-out without disturbing the
   surviving tenants;
@@ -33,8 +33,7 @@ from repro.streaming.generator import SyntheticStreamConfig, generate_window
 from repro.streaming.window import CountWindow
 from repro.streamrule.backends import (
     InlineBackend,
-    LoopbackSocketBackend,
-    ProcessPoolBackend,
+    SharedMemoryBackend,
     ThreadPoolBackend,
 )
 from repro.streamrule.server import (
@@ -44,6 +43,7 @@ from repro.streamrule.server import (
     render_prometheus,
 )
 from repro.streamrule.session import StreamSession
+from tests.streamrule.conftest import InThreadTcpBackend
 
 
 def traffic_stream(length, seed=11):
@@ -268,7 +268,7 @@ class TestSharedLane:
 BACKEND_FACTORIES = {
     "inline": lambda: InlineBackend(),
     "threads": lambda: ThreadPoolBackend(max_workers=2),
-    "loopback-socket": lambda: LoopbackSocketBackend(max_workers=2),
+    "tcp": lambda: InThreadTcpBackend(2),
 }
 
 
@@ -299,10 +299,10 @@ class TestBackendMatrix:
                 assert got == isolated_answers(query, stream), (backend_name, query.key)
 
     @pytest.mark.slow
-    def test_server_matches_isolated_sessions_processes(self):
+    def test_server_matches_isolated_sessions_shared_memory(self):
         queries = [traffic_query("city", size=30), traffic_query("ops", size=30)]
         stream = traffic_stream(90)
-        with QueryServer(backend=ProcessPoolBackend(max_workers=2)) as server:
+        with QueryServer(backend=SharedMemoryBackend(max_workers=2)) as server:
             subs = {q.key: server.register(q) for q in queries}
             server.push(stream)
             server.finish()

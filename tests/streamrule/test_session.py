@@ -14,13 +14,14 @@ from repro.streaming.window import CountWindow, TimeWindow
 from repro.streamrule.backends import (
     BackendConnectionError,
     InlineBackend,
-    LoopbackSocketBackend,
+    SharedMemoryBackend,
     ThreadPoolBackend,
 )
 from repro.streamrule.placement import ConsistentHashPlacement
 from repro.streamrule.reasoner import Reasoner
 from repro.streamrule.session import StreamSession
 from tests.conftest import make_atom
+from tests.streamrule.conftest import InThreadTcpBackend
 
 
 def traffic_stream(length, seed=31):
@@ -163,7 +164,7 @@ class TestSessionConfiguration:
 
     def test_placement_overrides_slot_owning_backend(self):
         placement = ConsistentHashPlacement()
-        backend = LoopbackSocketBackend(max_workers=1)
+        backend = SharedMemoryBackend(max_workers=1)
         session = StreamSession(traffic_reasoner(), backend=backend, placement=placement)
         assert backend.placement is placement
         session.close()
@@ -171,7 +172,7 @@ class TestSessionConfiguration:
     def test_placement_on_slotless_backend_rejected(self):
         # InlineBackend/ThreadPoolBackend never consult a placement; a
         # silently ignored strategy would fake content-based routing.
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=r"\(SharedMemoryBackend, TcpBackend\)"):
             StreamSession(traffic_reasoner(), placement=ConsistentHashPlacement())
         with pytest.raises(ValueError):
             StreamSession(
@@ -184,6 +185,28 @@ class TestSessionConfiguration:
             session.evaluate_window(traffic_stream(20))
             assert backend.started
         assert not backend.started
+
+    def test_sliding_windows_dispatch_incremental_items(self, plan_p):
+        # Only the window and the partitioner decide the incremental intent;
+        # every backend keeps per-track order, so none can veto it.
+        submitted = []
+
+        class RecordingBackend(InlineBackend):
+            def _submit(self, item):
+                submitted.append(item)
+                return super()._submit(item)
+
+        window = CountWindow(size=40, slide=10, emit_partial=False)
+        with StreamSession(
+            traffic_reasoner(cache=True), window=window, partitioner=DependencyPartitioner(plan_p),
+            backend=RecordingBackend(),
+        ) as session:
+            list(session.process(traffic_stream(80)))
+        by_epoch = {}
+        for item in submitted:
+            by_epoch.setdefault(item.epoch, set()).add(item.wants_incremental)
+        assert by_epoch[min(by_epoch)] == {False}  # the first window carries nothing over
+        assert all(intents == {True} for epoch, intents in by_epoch.items() if epoch != min(by_epoch))
 
     def test_epochs_are_monotonic(self):
         session = StreamSession(traffic_reasoner())
@@ -203,7 +226,7 @@ dropped(X) :- item(X), not picked(X).
         return StreamSession(
             reasoner,
             partitioner=HashPartitioner(2),
-            backend=LoopbackSocketBackend(max_workers=1),
+            backend=InThreadTcpBackend(1),
             **kwargs,
         )
 

@@ -7,6 +7,7 @@ equivalence, crash-fallback, and traffic-accounting contracts.
 
 from __future__ import annotations
 
+import gc
 import multiprocessing
 import pickle
 import threading
@@ -149,9 +150,8 @@ class TestShmSlot:
 class TestSharedMemoryBackend:
     def test_capability_flags(self):
         backend = SharedMemoryBackend()
-        assert backend.is_remote is True
         assert backend.uses_placement is True
-        assert backend.supports_delta is True
+        assert backend.concurrent is True
         assert backend.pipelined is True
 
     def test_submit_round_trip(self):
@@ -169,6 +169,16 @@ class TestSharedMemoryBackend:
         assert live["items"] == 1.0
         assert backend.shm_statistics()["items"] == 1.0
         assert backend.slots is None
+
+    @pytest.mark.slow
+    def test_abandoned_backend_is_finalized(self):
+        backend = SharedMemoryBackend(max_workers=1)
+        backend.start(choice_reasoner())
+        slots = list(backend.slots)
+        del backend
+        gc.collect()
+        # The weakref.finalize backstop shut every worker down.
+        assert all(not slot.process.is_alive() for slot in slots)
 
     def test_worker_crash_falls_back_inline(self):
         reasoner = choice_reasoner()

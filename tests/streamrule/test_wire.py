@@ -1,7 +1,6 @@
 """Wire-protocol guarantees: WorkItem/ReasonerResult survive pickling.
 
-The loopback-socket backend (and, later, real multi-machine sharding)
-depends on three properties of the partition/combine protocol:
+The TCP and shared-memory backends depend on three properties of the partition/combine protocol:
 
 1. round-trip fidelity -- a pickled ``WorkItem`` / ``ReasonerResult``
    deserializes to an equivalent value,
