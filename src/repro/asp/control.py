@@ -96,9 +96,9 @@ class Control:
     to the track's previous one for free and regrounds any other.
 
     Alternatively a typed :class:`~repro.streamrule.work.WorkItem` can be
-    passed as ``work``: its track/epoch/incremental intent then drive the
-    same delta path (``delta_track = work.track`` when the item wants
-    incremental grounding and a cache is attached), and the item stays
+    passed as ``work``: its track/epoch/incremental flag then drive the
+    same delta path (``delta_track = work.track`` when the item is
+    incremental and a cache is attached), and the item stays
     available as :attr:`work` / :attr:`epoch` for downstream bookkeeping.
 
     ``solver_track`` (with a ``solver_cache``) does for solving what
@@ -123,21 +123,11 @@ class Control:
         self._facts: List[Atom] = []
         self._grounding_cache = grounding_cache
         self._work = work
-        if (
-            delta_track is None
-            and work is not None
-            and grounding_cache is not None
-            and work.wants_incremental
-        ):
+        if delta_track is None and work is not None and grounding_cache is not None and work.incremental:
             delta_track = work.track
         self._delta_track = delta_track
         self._solver_cache = solver_cache
-        if (
-            solver_track is None
-            and work is not None
-            and solver_cache is not None
-            and work.wants_incremental
-        ):
+        if solver_track is None and work is not None and solver_cache is not None and work.incremental:
             solver_track = work.track
         self._solver_track = solver_track
         self._ground_program: Optional[GroundProgram] = None

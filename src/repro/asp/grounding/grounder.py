@@ -32,7 +32,7 @@ recurring window skips the whole instantiation.
 Tracks
 ------
 Exact recurrence is rare under *overlapping* sliding windows: window
-``W_{i+1}`` is ``W_i`` minus the expired facts plus the arrived ones, so the
+``W_{i+1}`` is ``W_i`` minus its oldest facts plus the new ones, so the
 signature changes on every slide.  :meth:`GroundingCache.ground_incremental`
 therefore memoizes nothing per window: per *track* (one track per
 consecutive window stream, e.g. a partition index) it holds the last fact

@@ -33,7 +33,6 @@ from repro.streaming.window import (
     TimeWindow,
     TimeWindowStepper,
     WindowDelta,
-    WindowedStream,
 )
 
 __all__ = [
@@ -51,6 +50,5 @@ __all__ = [
     "TrafficScenarioGenerator",
     "Triple",
     "UniformTripleGenerator",
-    "WindowedStream",
     "generate_window",
 ]

@@ -28,14 +28,16 @@ window.  ``False`` suppresses partial windows entirely.
 Delta iteration
 ---------------
 :meth:`CountWindow.deltas` / :meth:`TimeWindow.deltas` yield
-:class:`WindowDelta` records pairing every window with the items that
-*expired* (present in the previous window, gone now) and *arrived* (new in
-this window).  The invariant, exploited by the delta-shipping tests, is::
+:class:`WindowDelta` records pairing every window with ``arrived_count``,
+the number of its items that were not in the previous emitted window.
+Over a stream of distinct items the invariant is::
 
-    previous_window[len(expired):] + arrived == window
+    arrived_count == len(window) - len(set(window) & set(previous_window))
 
-i.e. expired items form a prefix of the previous window, arrived items a
-suffix of the current one, and the two reconstruct each slide exactly.
+and the shared items are the window's oldest ones.  A window *carries
+over* (:attr:`WindowDelta.carries_over`) exactly when
+``arrived_count < len(window)``: that one bit is what the per-track caches
+use to carry state across a slide.
 
 What a window holds
 -------------------
@@ -64,7 +66,6 @@ __all__ = [
     "TimeWindow",
     "TimeWindowStepper",
     "WindowDelta",
-    "WindowedStream",
 ]
 
 
@@ -81,19 +82,17 @@ class LateArrivalError(ValueError):
 
 @dataclass(frozen=True)
 class WindowDelta:
-    """One window of a stream together with its slide-to-slide delta.
+    """One window of a stream together with the size of its slide.
 
-    ``expired`` are the items of the *previous* emitted window that are no
-    longer in this one (always a prefix of the previous window); ``arrived``
-    are the items new in this window (always a suffix of it).  For the first
-    window ``expired`` is empty and ``arrived`` equals the whole window.
-    ``partial`` marks a trailing partial window emitted at stream end.
+    ``arrived_count`` is how many of the window's items were not in the
+    *previous* emitted window (they are its newest ones); for the first
+    window it is the whole window.  ``partial`` marks a trailing partial
+    window emitted at stream end.
     """
 
     index: int
     window: Tuple[Triple, ...]
-    expired: Tuple[Triple, ...]
-    arrived: Tuple[Triple, ...]
+    arrived_count: int
     partial: bool = False
 
     def __len__(self) -> int:
@@ -107,9 +106,9 @@ class WindowDelta:
         partition's track (grounding cache, solver cache, delta shipping)
         can carry state from the previous window.  Tumbling and
         hopping windows (and the first window of any stream) share no
-        content with their predecessor, so ``arrived`` is the whole window.
+        content with their predecessor: every item arrived.
         """
-        return len(self.arrived) < len(self.window)
+        return self.arrived_count < len(self.window)
 
 
 @dataclass(frozen=True)
@@ -136,7 +135,7 @@ class CountWindow:
             yield list(delta.window)
 
     def deltas(self, triples: Iterable[Triple]) -> Iterator[WindowDelta]:
-        """Iterate windows annotated with their expired/arrived deltas.
+        """Iterate windows annotated with their arrived counts.
 
         The windowing state machine lives in :class:`CountWindowStepper`
         (the push-based form); this batch generator simply drives it, so
@@ -150,19 +149,6 @@ class CountWindow:
         tail = stepper.flush()
         if tail is not None:
             yield tail
-
-    @staticmethod
-    def _delta(
-        index: int, buffer: List[Triple], previous: List[Triple], pending: int, partial: bool
-    ) -> WindowDelta:
-        overlap = len(buffer) - pending
-        return WindowDelta(
-            index=index,
-            window=tuple(buffer),
-            expired=tuple(previous[: len(previous) - overlap]),
-            arrived=tuple(buffer[overlap:]),
-            partial=partial,
-        )
 
     def stepper(self) -> "CountWindowStepper":
         """An incremental (push-based) driver equivalent to :meth:`deltas`."""
@@ -186,7 +172,6 @@ class CountWindowStepper:
         self._policy = policy
         self._slide = policy.slide or policy.size
         self._buffer: List[Triple] = []
-        self._previous: List[Triple] = []
         self._pending = 0  # buffered items not yet emitted in any window
         self._skip = 0  # hopping: items to drop before buffering resumes
         self._index = 0
@@ -205,9 +190,8 @@ class CountWindowStepper:
         self._pending += 1
         if len(self._buffer) < self._policy.size:
             return None
-        delta = CountWindow._delta(self._index, self._buffer, self._previous, self._pending, partial=False)
+        delta = WindowDelta(self._index, tuple(self._buffer), self._pending)
         self._index += 1
-        self._previous = list(self._buffer)
         self._pending = 0
         if self._slide >= self._policy.size:
             self._buffer = []
@@ -219,7 +203,7 @@ class CountWindowStepper:
     def flush(self) -> Optional[WindowDelta]:
         """End of stream: emit the trailing partial window, if the policy does."""
         if self._buffer and self._pending and self._policy.emit_partial:
-            delta = CountWindow._delta(self._index, self._buffer, self._previous, self._pending, partial=True)
+            delta = WindowDelta(self._index, tuple(self._buffer), self._pending, partial=True)
             self._pending = 0  # the tail is now seen; a second flush is a no-op
             return delta
         return None
@@ -272,7 +256,7 @@ class TimeWindow:
             yield list(delta.window)
 
     def deltas(self, triples: Iterable[Triple]) -> Iterator[WindowDelta]:
-        """Iterate non-empty windows annotated with expired/arrived deltas."""
+        """Iterate non-empty windows annotated with their arrived counts."""
         return self.deltas_stamped((triple.timestamp, triple) for triple in triples)
 
     def deltas_stamped(self, stamped: Iterable[Tuple[Optional[float], Any]]) -> Iterator[WindowDelta]:
@@ -343,7 +327,6 @@ class TimeWindowStepper:
         self._window_start: Optional[float] = None
         self._watermark = float("-inf")
         self._closed_end = float("-inf")  # largest end of any closed window
-        self._previous: List[Tuple[float, int, Triple]] = []
         self._index = 0
         #: Items discarded under the ``late="drop"`` policy.
         self.late_dropped = 0
@@ -431,29 +414,17 @@ class TimeWindowStepper:
         """Build the delta of the window at ``_window_start`` (None if empty)."""
         window_start = self._window_start
         assert window_start is not None
-        window_end = window_start + self._policy.duration
-        cut = 0
-        while cut < len(self._pending) and self._pending[cut][0] < window_start:
-            cut += 1
-        if cut:
-            del self._pending[:cut]
-        take = 0
-        while take < len(self._pending) and self._pending[take][0] < window_end:
-            take += 1
+        # ``(stamp,)`` sorts before every entry stamped ``stamp``, so each
+        # bisection counts the entries stamped strictly before it.
+        del self._pending[: bisect.bisect_left(self._pending, (window_start,))]
+        take = bisect.bisect_left(self._pending, (window_start + self._policy.duration,))
         if not take:
             return None
-        entries = self._pending[:take]
-        expired_count = 0
-        while expired_count < len(self._previous) and self._previous[expired_count][0] < window_start:
-            expired_count += 1
-        overlap = len(self._previous) - expired_count
-        delta = WindowDelta(
-            index=self._index,
-            window=tuple(triple for _, _, triple in entries),
-            expired=tuple(triple for _, _, triple in self._previous[:expired_count]),
-            arrived=tuple(triple for _, _, triple in entries[overlap:]),
-        )
-        self._previous = entries
+        # An item stamped before the last closed window's end was in that
+        # window (a later one would have been late), and any item of the
+        # previous emitted window that is still pending is stamped before it.
+        overlap = bisect.bisect_left(self._pending, (self._closed_end,), 0, take)
+        delta = WindowDelta(self._index, tuple(entry[2] for entry in self._pending[:take]), take - overlap)
         self._index += 1
         return delta
 
@@ -461,17 +432,3 @@ class TimeWindowStepper:
         assert self._window_start is not None
         self._closed_end = max(self._closed_end, self._window_start + self._policy.duration)
         self._window_start += self._slide
-
-
-class WindowedStream:
-    """Convenience wrapper pairing a triple source with a window policy."""
-
-    def __init__(self, triples: Iterable[Triple], window: "CountWindow | TimeWindow"):
-        self._triples = triples
-        self._window = window
-
-    def __iter__(self) -> Iterator[List[Triple]]:
-        return self._window.windows(self._triples)
-
-    def deltas(self) -> Iterator[WindowDelta]:
-        return self._window.deltas(self._triples)

@@ -373,7 +373,7 @@ class TcpBackend(FleetBackend):
     length-prefixed, versioned wire protocol of
     :mod:`repro.streamrule.net` (see ``docs/wire-protocol.md``).  ``start``
     pickles the bound reasoner once and ships it to every worker during the
-    handshake; per-item dispatch then ships either a thinned
+    handshake; per-item dispatch then ships either the whole
     :class:`WorkItem` or -- when the ``delta_shipping`` capability was
     negotiated and the window overlaps its predecessor -- a
     :class:`~repro.streamrule.net.FactDelta` frame carrying only the slide.
@@ -539,7 +539,7 @@ class SharedMemoryBackend(ExecutionBackend):
 
     True multi-core execution on one host: workers are separate
     (``spawn``-started) processes, each holding its own unpickled copy of the
-    reasoner and evaluating thinned :class:`WorkItem`\\ s, and dispatch
+    reasoner and evaluating :class:`WorkItem`\\ s, and dispatch
     crosses the process boundary through a pair of shared-memory rings per
     slot (see :mod:`repro.streamrule.shm`).  Facts travel as packed u32
     symbol ids against per-direction synced
@@ -596,7 +596,7 @@ class SharedMemoryBackend(ExecutionBackend):
         self._require_started()
         assert self._slots is not None and self._dispatchers is not None
         slot = self.placement.slot(item, len(self._slots))
-        return self._dispatchers[slot].submit(self._slots[slot].roundtrip, item.thinned())
+        return self._dispatchers[slot].submit(self._slots[slot].roundtrip, item)
 
     def drop_worker(self, slot: int = 0) -> None:
         """Fault injection: hard-kill one slot's worker process."""

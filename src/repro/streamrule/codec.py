@@ -303,7 +303,6 @@ class RestrictedShipper:
     def encode_frames(self, item: WorkItem) -> List[Tuple[Any, bytes]]:
         from repro.streamrule.net import FrameKind, diff_id_runs
 
-        thin = item.thinned()
         frames: List[Tuple[Any, bytes]] = []
         ids = tuple(self._table.intern_many(item.facts))
         sync = self._table.diff_since(self._synced)
@@ -312,7 +311,7 @@ class RestrictedShipper:
             self._synced = sync.stop
         previous = self._prev_ids.get(item.track)
         self._prev_ids[item.track] = ids
-        envelope = {"track": item.track, "epoch": item.epoch, "incremental": thin.incremental}
+        envelope = {"track": item.track, "epoch": item.epoch, "incremental": item.incremental}
         full_payload = _dumps(dict(envelope, ids=_b64(pack_ids(ids))))
         if self._delta_shipping and previous is not None:
             runs = diff_id_runs(previous, ids)
@@ -321,9 +320,7 @@ class RestrictedShipper:
                     ["lit", _b64(run)] if isinstance(run, bytes) else ["copy", run[0], run[1]]
                     for run in runs
                 ]
-                delta_payload = _dumps(
-                    dict(envelope, incremental=item.wants_incremental, ops=ops)
-                )
+                delta_payload = _dumps(dict(envelope, ops=ops))
                 if len(delta_payload) < len(full_payload):
                     frames.append((FrameKind.DELTA, delta_payload))
                     return frames
@@ -411,6 +408,7 @@ class RestrictedServerCodec:
             raise ProtocolError(f"malformed restricted work frame: {record!r}")
         if incremental is not None and not isinstance(incremental, bool):
             raise ProtocolError(f"malformed restricted work frame: {record!r}")
+        incremental = bool(incremental)  # older peers may send null
         if kind is FrameKind.WORK:
             ids = unpack_ids(_unb64(record.get("ids")))
             self._prev_ids[track] = ids

@@ -57,11 +57,9 @@ each remember the previous fact tuple per track, and steady-state items
 travel as :class:`FactDelta` frames -- copy-runs over the previous window
 plus the literal arrivals (see :func:`diff_facts`) -- instead of full fact
 sets.  The overlap between consecutive windows of a track lets the
-coordinator skip re-sending the overlapping facts, so a
-``WindowDelta``-sized frame replaces a window-sized one (and
-:meth:`WorkItem.thinned`'s "never ship the delta twice" concern disappears
-entirely on this transport).  Delta frames diff *fact sequences*: how the
-worker then grounds the window is its own business.
+coordinator skip re-sending the overlapping facts, so a frame sized by the
+slide replaces a window-sized one.  Delta frames diff *fact sequences*: how
+the worker then grounds the window is its own business.
 
 Both peers update their per-track state in lockstep -- the client when it
 encodes, the server when it decodes -- and a transport error closes the
@@ -128,7 +126,7 @@ import struct
 import threading
 import time
 from collections import deque
-from dataclasses import astuple, dataclass, field
+from dataclasses import astuple, dataclass, field, replace
 from typing import Any, Callable, Deque, Dict, Iterator, List, Mapping, Optional, Tuple, Union
 
 from repro.asp.syntax.symbols import SymbolDelta, SymbolTable, pack_ids, unpack_ids
@@ -204,7 +202,7 @@ class FrameKind(enum.IntEnum):
     REJECT = 3  #: server -> client: ``{protocol, reason}``; connection closes
     REASONER = 4  #: client -> server: pickled :class:`Reasoner`
     READY = 5  #: server -> client: reasoner installed, work may flow
-    WORK = 6  #: client -> server: pickled thinned :class:`WorkItem` (or :class:`IdWorkItem`)
+    WORK = 6  #: client -> server: pickled :class:`WorkItem` (or :class:`IdWorkItem`)
     DELTA = 7  #: client -> server: pickled :class:`FactDelta` (or :class:`IdFactDelta`)
     RESULT = 8  #: server -> client: pickled :class:`ReasonerResult` or :class:`RemoteFailure`
     PING = 9  #: either direction: heartbeat probe (empty payload)
@@ -375,7 +373,7 @@ class FactDelta:
 
     track: int
     epoch: int
-    incremental: Optional[bool]
+    incremental: bool
     ops: Tuple[FactDeltaOp, ...]
 
 
@@ -386,13 +384,13 @@ def _is_copy_op(op: FactDeltaOp) -> bool:
 def overlap_length(previous: Tuple[WorkFact, ...], current: Tuple[WorkFact, ...]) -> int:
     """Largest ``k`` with ``previous[-k:] == current[:k]`` (0 when disjoint).
 
-    This is exactly the sliding-window overlap structure
-    (:class:`~repro.streaming.window.WindowDelta`): expired facts are a
-    prefix of the previous window, arrived facts a suffix of the current
-    one.  Kept as the reference model (and test oracle) of the overlap the
-    shipper exploits; the production encoder is :func:`diff_facts`, which
-    generalizes this to partitioners that regroup facts, so this helper is
-    deliberately not part of the module's ``__all__`` surface.
+    This is exactly the sliding-window overlap structure: the facts that
+    left form a prefix of the previous window, the new ones a suffix of
+    the current one.  Kept as the reference model (and test oracle) of the
+    overlap the shipper exploits; the production encoder is
+    :func:`diff_facts`, which generalizes this to partitioners that regroup
+    facts, so this helper is deliberately not part of the module's
+    ``__all__`` surface.
     """
     if not previous or not current:
         return 0
@@ -500,7 +498,7 @@ class IdWorkItem:
 
     track: int
     epoch: int
-    incremental: Optional[bool]
+    incremental: bool
     id_data: bytes
 
 
@@ -510,7 +508,7 @@ class IdFactDelta:
 
     track: int
     epoch: int
-    incremental: Optional[bool]
+    incremental: bool
     ops: Tuple[IdRunOp, ...]
 
 
@@ -570,9 +568,8 @@ class DeltaShipper:
         the synced-table watermark) advances exactly as the peer's decoder
         will on receipt.
         """
-        thin = item.thinned()
         if self._table is None:
-            return [self._encode_facts(item, thin)]
+            return [self._encode_facts(item)]
         frames: List[Tuple[FrameKind, bytes]] = []
         ids = tuple(self._table.intern_many(item.facts))
         sync = self._table.diff_since(self._synced)
@@ -582,18 +579,13 @@ class DeltaShipper:
         previous = self._prev_ids.get(item.track)
         self._prev_ids[item.track] = ids
         full_payload = _dumps(
-            IdWorkItem(track=item.track, epoch=item.epoch, incremental=thin.incremental, id_data=pack_ids(ids))
+            IdWorkItem(track=item.track, epoch=item.epoch, incremental=item.incremental, id_data=pack_ids(ids))
         )
         if self._delta_shipping and previous is not None:
             ops = diff_id_runs(previous, ids)
             if any(not isinstance(op, bytes) for op in ops):
                 delta_payload = _dumps(
-                    IdFactDelta(
-                        track=item.track,
-                        epoch=item.epoch,
-                        incremental=item.wants_incremental,
-                        ops=ops,
-                    )
+                    IdFactDelta(track=item.track, epoch=item.epoch, incremental=item.incremental, ops=ops)
                 )
                 if len(delta_payload) < len(full_payload):
                     frames.append((FrameKind.DELTA, delta_payload))
@@ -601,20 +593,15 @@ class DeltaShipper:
         frames.append((FrameKind.WORK, full_payload))
         return frames
 
-    def _encode_facts(self, item: WorkItem, thin: WorkItem) -> Tuple[FrameKind, bytes]:
+    def _encode_facts(self, item: WorkItem) -> Tuple[FrameKind, bytes]:
         previous = self._previous.get(item.track)
         self._previous[item.track] = item.facts
-        full_payload = _dumps(thin)
+        full_payload = _dumps(item)
         if self._delta_shipping and previous is not None:
             ops = diff_facts(previous, item.facts)
             if any(_is_copy_op(op) for op in ops):
                 delta_payload = _dumps(
-                    FactDelta(
-                        track=item.track,
-                        epoch=item.epoch,
-                        incremental=item.wants_incremental,
-                        ops=ops,
-                    )
+                    FactDelta(track=item.track, epoch=item.epoch, incremental=item.incremental, ops=ops)
                 )
                 if len(delta_payload) < len(full_payload):
                     return FrameKind.DELTA, delta_payload
@@ -651,18 +638,22 @@ class DeltaDecoder:
         return self._table.apply(delta)
 
     def decode(self, kind: FrameKind, payload: bytes) -> WorkItem:
-        """Rebuild the :class:`WorkItem` of a ``WORK`` or ``DELTA`` frame."""
+        """Rebuild the :class:`WorkItem` of a ``WORK`` or ``DELTA`` frame.
+
+        Older peers may send ``incremental=None`` (their "unset"); it
+        decodes as ``False``.
+        """
         value = pickle.loads(payload)
         if kind is FrameKind.WORK:
             if isinstance(value, IdWorkItem):
                 ids = unpack_ids(value.id_data)
                 facts = self._table.resolve_many(ids)
                 self._prev_ids[value.track] = ids
-                return WorkItem(
-                    facts=facts, track=value.track, epoch=value.epoch, incremental=value.incremental
-                )
+                return WorkItem(facts=facts, track=value.track, epoch=value.epoch, incremental=bool(value.incremental))
             item: WorkItem = value
             self._previous[item.track] = item.facts
+            if item.incremental is None:
+                item = replace(item, incremental=False)
             return item
         if isinstance(value, IdFactDelta):
             previous_ids = self._prev_ids.get(value.track)
@@ -671,14 +662,14 @@ class DeltaDecoder:
             ids = apply_id_runs(previous_ids, value.ops)
             self._prev_ids[value.track] = ids
             facts = self._table.resolve_many(ids)
-            return WorkItem(facts=facts, track=value.track, epoch=value.epoch, incremental=value.incremental)
+            return WorkItem(facts=facts, track=value.track, epoch=value.epoch, incremental=bool(value.incremental))
         delta: FactDelta = value
         previous = self._previous.get(delta.track)
         if previous is None:
             raise ProtocolError(f"DELTA frame for track {delta.track} without a previous full window")
         facts = apply_facts_diff(previous, delta.ops)
         self._previous[delta.track] = facts
-        return WorkItem(facts=facts, track=delta.track, epoch=delta.epoch, incremental=delta.incremental)
+        return WorkItem(facts=facts, track=delta.track, epoch=delta.epoch, incremental=bool(delta.incremental))
 
 
 # --------------------------------------------------------------------------- #
@@ -1101,7 +1092,7 @@ class ClientConnection:
             self._decode_result = RestrictedResultDecoder().decode
         else:
             # With neither capability this still emits exactly one WORK
-            # frame holding the thinned item.
+            # frame holding the pickled item.
             self.shipper = DeltaShipper(
                 delta_shipping=use_delta, symbol_ids=bool(self.capabilities.get("symbol_ids"))
             )

@@ -134,15 +134,15 @@ class Reasoner:
         """Evaluate one :class:`~repro.streamrule.work.WorkItem`.
 
         This is the core evaluation path every execution backend dispatches
-        to.  The item's delta/incremental intent selects the grounding
-        route: when a grounding cache is attached and the item wants the
-        incremental path, the window goes through the item's track -- free
+        to.  The item's ``incremental`` flag selects the grounding
+        route: when a grounding cache is attached and the flag is set,
+        the window goes through the item's track -- free
         when its fact set equals the track's last one, a reground otherwise
         (see :meth:`GroundingCache.ground_incremental`) -- and a solver
         cache re-solves on the track's persistent state.  An item that
         carries nothing over (tumbling/hopping windows, the first window of
         a stream) takes the plain path, the LRU memo of whole ground
-        programs.  Without a cache the intent is inert.
+        programs.  Without a cache the flag is inert.
         """
         with Timer() as transformation_timer:
             facts = self.to_atoms(item.facts)
@@ -188,8 +188,9 @@ class Reasoner:
         """Evaluate one input window as a single work item on track 0.
 
         The unpartitioned reference ``R``: the whole window, one reasoner
-        call.  ``delta`` annotates the window with its slide record, which
-        puts it on the per-track path when a grounding cache is attached.
+        call.  ``delta`` is the window's slide record; when the window
+        continues its predecessor, it takes the per-track path (with a
+        grounding cache attached).
         """
-        return self.reason_item(WorkItem(facts=tuple(window), delta=delta))
+        return self.reason_item(WorkItem(facts=tuple(window), incremental=delta is not None and delta.carries_over))
 

@@ -124,7 +124,9 @@ __all__ = ["DEFAULT_MAX_INFLIGHT", "ParallelResult", "PendingWindow", "StreamSes
 AnswerSet = frozenset
 StreamItem = Union[Triple, Atom]
 WindowPolicy = Union[CountWindow, TimeWindow]
-#: One window cut from the ingested stream: (index, its atoms, its delta).
+#: One window cut from the ingested stream: (index, its atoms, its stepper
+#: record -- ``None`` for an unwindowed batch).  Only the record's
+#: ``arrived_count`` and ``carries_over`` are read downstream.
 CutWindow = Tuple[int, List[Atom], Optional[WindowDelta]]
 
 #: Default in-flight bound of pipelined ingestion: how many windows may be
@@ -328,6 +330,11 @@ class StreamSession:
         self._unbilled_seconds = 0.0  # ... and what converting them took
         self._stepper: Optional[CountWindowStepper] = None  # count-window incremental driver
         self._time_stepper: Optional[TimeWindowStepper] = None  # eager time-window driver
+        #: The atoms of the last window this session cut.  Atoms live in weak
+        #: canonical tables, so holding them lets the next window's
+        #: ingestion find the facts that recur across a tumbling boundary
+        #: instead of building them again.
+        self._last_cut: List[Atom] = []
         self._push_index = 0  # next window index of the pushed stream
         self._epoch = 0  # monotonic evaluation counter (cache bookkeeping)
         self._ready: Deque[WindowSolution] = deque()
@@ -634,9 +641,8 @@ class StreamSession:
         self, inflight: "Deque[PendingWindow]", index: int, items: List[Atom], delta: Optional[WindowDelta]
     ) -> None:
         """Dispatch a window the session cut itself: it newly covers its arrived items."""
-        self._dispatch_into(
-            inflight, index, items, delta, billed_items=None if delta is None else len(delta.arrived)
-        )
+        self._last_cut = items
+        self._dispatch_into(inflight, index, items, delta, billed_items=None if delta is None else delta.arrived_count)
 
     def _enqueue_window(self, index: int, items: List[Atom], delta: Optional[WindowDelta]) -> None:
         """Dispatch one completed window, applying the in-flight bound.

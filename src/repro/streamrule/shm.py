@@ -88,7 +88,7 @@ K_OVERSIZE = 6  #: marker: real kind in byte 2, body follows on the pipe
 _CURSORS = struct.Struct("<QQ")  # (tail, head) absolute monotonic counters
 _LENGTH = struct.Struct("<I")  # per-frame length prefix
 #: ``K_WORK`` body header: track (i64), epoch (i64), incremental flag
-#: (-1 unset / 0 false / 1 true); the packed id array follows.
+#: (0 false / 1 true); the packed id array follows.
 _WORK_HEADER = struct.Struct("<qqb")
 
 #: How long each blocking ring wait sleeps before re-checking the ring and
@@ -247,14 +247,13 @@ class _SlotWiring:
 
 
 def _encode_work(item: WorkItem, ids: Tuple[int, ...]) -> bytes:
-    flag = -1 if item.incremental is None else int(bool(item.incremental))
-    return _WORK_HEADER.pack(item.track, item.epoch, flag) + pack_ids(ids)
+    return _WORK_HEADER.pack(item.track, item.epoch, item.incremental) + pack_ids(ids)
 
 
 def _decode_work(body: bytes, table: SymbolTable) -> WorkItem:
     track, epoch, flag = _WORK_HEADER.unpack_from(body)
     facts = table.resolve_many(unpack_ids(body[_WORK_HEADER.size :]))
-    return WorkItem(facts=facts, track=track, epoch=epoch, incremental=None if flag < 0 else bool(flag))
+    return WorkItem(facts=facts, track=track, epoch=epoch, incremental=bool(flag))
 
 
 def _serve_shm_worker(wiring: _SlotWiring, payload: bytes) -> None:
@@ -424,7 +423,7 @@ class ShmSlot:
 
     # -- dispatch (single dispatcher thread per slot) -------------------- #
     def roundtrip(self, item: WorkItem) -> ReasonerResult:
-        """Ship one (already thinned) work item and await its result."""
+        """Ship one work item and await its result."""
         if self._closed or not self.process.is_alive():
             raise BackendConnectionError(f"shared-memory worker {self.index} is gone")
         ids = tuple(self._table.intern_many(item.facts))

@@ -67,14 +67,27 @@ class TestInOrderEquivalence:
         assert pushed == batch
         assert len(pushed) == 1 and len(pushed[0].window) == 5
 
-    def test_window_invariant_holds_per_slide(self):
+    def test_arrived_counts_per_slide(self):
+        # [0, 8) [4, 12) [8, 16) [12, 20) [16, 24) [20, 28): the last window
+        # holds only stamp 21, which [16, 24) already had.
         stream = stamped([0, 1, 2, 5, 6, 9, 12, 13, 17, 21])
-        policy = TimeWindow(duration=8.0, slide=4.0)
-        previous = None
-        for delta in feed_all(policy.stepper(), stream):
-            if previous is not None:
-                assert previous[len(delta.expired):] + list(delta.arrived) == list(delta.window)
-            previous = list(delta.window)
+        deltas = feed_all(TimeWindow(duration=8.0, slide=4.0).stepper(), stream)
+        assert [delta.arrived_count for delta in deltas] == [5, 1, 2, 1, 1, 0]
+        assert [delta.carries_over for delta in deltas] == [False, True, True, True, True, True]
+
+    def test_arrived_counts_after_disorder_within_open_windows(self):
+        # Stamp 11 arrives after 12, while [5, 15) is still open: both are
+        # arrivals of [5, 15), and [10, 20) holds nothing new.
+        stream = stamped([0.0, 6.0, 12.0, 11.0, 21.0])
+        deltas = feed_all(TimeWindow(duration=10.0, slide=5.0).stepper(), stream)
+        assert [sorted(t.timestamp for t in d.window) for d in deltas] == [
+            [0.0, 6.0],
+            [6.0, 11.0, 12.0],
+            [11.0, 12.0],
+            [21.0],
+            [21.0],
+        ]
+        assert [delta.arrived_count for delta in deltas] == [2, 2, 0, 1, 0]
 
 
 class TestToleratedDisorder:

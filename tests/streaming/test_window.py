@@ -3,7 +3,7 @@
 import pytest
 
 from repro.streaming.triples import Triple
-from repro.streaming.window import CountWindow, TimeWindow, WindowedStream
+from repro.streaming.window import CountWindow, TimeWindow
 
 
 def triples(count, step=1.0):
@@ -73,28 +73,30 @@ class TestCountWindowDeltas:
     def test_first_window_is_all_arrived(self):
         [delta] = CountWindow(size=3).deltas(triples(3))
         assert delta.index == 0
-        assert delta.expired == ()
-        assert delta.arrived == delta.window
+        assert delta.arrived_count == len(delta.window) == 3
         assert not delta.carries_over
 
-    def test_sliding_deltas_reconstruct_windows(self):
+    def test_sliding_deltas_count_the_slide(self):
         deltas = list(CountWindow(size=3, slide=1).deltas(triples(6)))
-        for previous, current in zip(deltas, deltas[1:]):
-            reconstructed = previous.window[len(current.expired) :] + current.arrived
-            assert reconstructed == current.window
-            assert current.carries_over
+        assert [delta.arrived_count for delta in deltas] == [3, 1, 1, 1]
+        assert [delta.carries_over for delta in deltas] == [False, True, True, True]
 
-    def test_hopping_deltas_expire_everything(self):
+    def test_hopping_deltas_share_nothing(self):
         deltas = list(CountWindow(size=2, slide=3).deltas(triples(8)))
         assert [objects(delta.window) for delta in deltas] == [[0, 1], [3, 4], [6, 7]]
-        assert all(delta.arrived == delta.window for delta in deltas)
-        assert objects(deltas[1].expired) == [0, 1]
-        assert not deltas[1].carries_over
+        assert all(delta.arrived_count == len(delta.window) for delta in deltas)
+        assert not any(delta.carries_over for delta in deltas)
 
     def test_partial_delta_flagged(self):
         deltas = list(CountWindow(size=3).deltas(triples(7)))
         assert [delta.partial for delta in deltas] == [False, False, True]
-        assert objects(deltas[-1].arrived) == [6]
+        assert deltas[-1].arrived_count == 1
+
+    def test_sliding_partial_counts_only_its_new_items(self):
+        # The tail [2, 3] shares item 2 with the last full window [0, 1, 2].
+        deltas = list(CountWindow(size=3, slide=2).deltas(triples(4)))
+        assert [(objects(delta.window), delta.arrived_count) for delta in deltas] == [([0, 1, 2], 3), ([2, 3], 1)]
+        assert deltas[-1].partial and deltas[-1].carries_over
 
 
 class TestTimeWindow:
@@ -129,12 +131,12 @@ class TestTimeWindow:
         windows = list(TimeWindow(duration=2.0).windows(data))
         assert [sorted(t.subject for t in window) for window in windows] == [["a"], ["b", "c"]]
 
-    def test_sliding_deltas_reconstruct_windows(self):
+    def test_sliding_deltas_count_the_slide(self):
+        # [0, 4) [2, 6) [4, 8) [6, 10) [8, 12): the last window holds only
+        # items 8 and 9, both already in [6, 10).
         deltas = list(TimeWindow(duration=4.0, slide=2.0).deltas(triples(10)))
-        assert len(deltas) >= 3
-        for previous, current in zip(deltas, deltas[1:]):
-            reconstructed = previous.window[len(current.expired) :] + current.arrived
-            assert reconstructed == current.window
+        assert [delta.arrived_count for delta in deltas] == [4, 2, 2, 2, 0]
+        assert [delta.carries_over for delta in deltas] == [False, True, True, True, True]
 
     def test_invalid_parameters(self):
         with pytest.raises(ValueError):
@@ -145,13 +147,3 @@ class TestTimeWindow:
     def test_empty_stream(self):
         assert list(TimeWindow(duration=5.0).windows([])) == []
 
-
-class TestWindowedStream:
-    def test_iterates_windows(self):
-        stream = WindowedStream(triples(6), CountWindow(size=2))
-        assert [len(window) for window in stream] == [2, 2, 2]
-
-    def test_deltas_passthrough(self):
-        stream = WindowedStream(triples(6), CountWindow(size=2, slide=1))
-        deltas = list(stream.deltas())
-        assert [delta.index for delta in deltas] == list(range(len(deltas)))

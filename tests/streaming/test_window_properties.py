@@ -10,7 +10,9 @@ derive the classic coverage corollaries:
 * every *interior* item of a sliding stream appears in exactly
   ``ceil(size / slide)`` full windows,
 * hopping windows honour their gaps (skipped items appear in no window),
-* the delta API's expired+arrived records reconstruct each window exactly.
+* the delta API's ``arrived_count`` is the number of items the window does
+  not share with the previous emitted window, and ``carries_over`` holds
+  exactly when that is fewer than the whole window.
 """
 
 from __future__ import annotations
@@ -110,23 +112,27 @@ class TestCountWindowSpecification:
                 assert position not in seen, position
 
 
-class TestDeltaReconstruction:
-    @given(window_parameters)
+def assert_arrived_counts(deltas):
+    """Over distinct items: arrived = window minus what the previous window held."""
+    previous = set()
+    for delta in deltas:
+        current = {triple.object for triple in delta.window}
+        assert delta.arrived_count == len(delta.window) - len(current & previous)
+        assert delta.carries_over == (delta.arrived_count < len(delta.window))
+        previous = current
+
+
+class TestArrivedCount:
+    @given(window_parameters, st.booleans())
     @settings(max_examples=200, deadline=None)
-    def test_count_deltas_reconstruct_every_window(self, parameters):
+    def test_count_deltas_count_what_arrived(self, parameters, emit_partial):
         size, slide, length = parameters
         items = stream_of(length)
-        deltas = list(CountWindow(size=size, slide=slide).deltas(items))
-        previous = ()
-        for delta in deltas:
-            # expired is a prefix of the previous window, arrived a suffix of
-            # the current one, and together they reconstruct the slide.
-            assert previous[: len(delta.expired)] == delta.expired
-            assert delta.window[len(delta.window) - len(delta.arrived) :] == delta.arrived
-            assert previous[len(delta.expired) :] + delta.arrived == delta.window
-            previous = delta.window
+        policy = CountWindow(size=size, slide=slide, emit_partial=emit_partial)
+        deltas = list(policy.deltas(items))
+        assert_arrived_counts(deltas)
         # The deltas agree with the plain window iteration.
-        assert [list(d.window) for d in deltas] == list(CountWindow(size=size, slide=slide).windows(items))
+        assert [list(d.window) for d in deltas] == list(policy.windows(items))
 
     @given(
         st.integers(min_value=1, max_value=8),  # duration
@@ -134,17 +140,43 @@ class TestDeltaReconstruction:
         st.integers(min_value=0, max_value=40),  # stream length
     )
     @settings(max_examples=200, deadline=None)
-    def test_time_deltas_reconstruct_every_window(self, duration, slide, length):
+    def test_time_deltas_count_what_arrived(self, duration, slide, length):
         items = stream_of(length)
         policy = TimeWindow(duration=float(duration), slide=float(slide))
         deltas = list(policy.deltas(items))
-        previous = ()
-        for delta in deltas:
-            assert previous[: len(delta.expired)] == delta.expired
-            assert previous[len(delta.expired) :] + delta.arrived == delta.window
-            previous = delta.window
+        assert_arrived_counts(deltas)
         assert [list(d.window) for d in deltas] == list(policy.windows(items))
 
+    @given(
+        stamps=st.lists(st.floats(min_value=0.0, max_value=60.0, allow_nan=False), max_size=40),
+        duration=st.floats(min_value=0.5, max_value=20.0),
+        slide=st.one_of(st.none(), st.floats(min_value=0.5, max_value=25.0)),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_time_deltas_count_what_arrived_under_irregular_stamps(self, stamps, duration, slide):
+        # Shuffled and repeated stamps: the batch path sorts, empty windows
+        # are skipped, and the count still compares against the previous
+        # *emitted* window.
+        items = [Triple(f"s{i}", "p", i, timestamp=stamp) for i, stamp in enumerate(stamps)]
+        assert_arrived_counts(TimeWindow(duration=duration, slide=slide).deltas(items))
+
+    @given(
+        stamps=st.lists(st.floats(min_value=0.0, max_value=60.0, allow_nan=False), max_size=40),
+        duration=st.floats(min_value=0.5, max_value=20.0),
+        slide=st.one_of(st.none(), st.floats(min_value=0.5, max_value=25.0)),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_pushed_time_deltas_count_what_arrived_under_disorder(self, stamps, duration, slide):
+        # Unsorted pushes: items landing in a closed window are dropped, the
+        # rest back-fill open windows, and the count still holds.
+        stepper = TimeWindow(duration=duration, slide=slide).stepper(late="drop")
+        deltas = []
+        for i, stamp in enumerate(stamps):
+            deltas.extend(stepper.feed(Triple(f"s{i}", "p", i, timestamp=stamp)))
+        assert_arrived_counts(deltas + stepper.flush())
+
+
+class TestTimeWindowCoverage:
     @given(
         st.integers(min_value=1, max_value=8),
         st.integers(min_value=1, max_value=10),

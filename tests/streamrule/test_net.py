@@ -197,20 +197,20 @@ class TestDeltaCodec:
         stream = traffic_stream(120)
         shipper, decoder = DeltaShipper(), DeltaDecoder()
         for delta in CountWindow(size=40, slide=10).deltas(stream):
-            item = WorkItem(facts=tuple(delta.window), delta=delta, track=2, epoch=delta.index)
+            item = WorkItem(facts=tuple(delta.window), incremental=delta.carries_over, track=2, epoch=delta.index)
             kind, payload = shipper.encode_frames(item)[-1]
             rebuilt = decoder.decode(kind, payload)
             assert rebuilt.facts == item.facts
             assert rebuilt.track == 2 and rebuilt.epoch == delta.index
-            assert rebuilt.wants_incremental == item.wants_incremental
+            assert rebuilt.incremental == item.incremental
 
     def test_sliding_delta_frames_are_measurably_smaller(self):
-        """Acceptance: steady-state sliding windows ship WindowDelta-sized frames."""
+        """Acceptance: steady-state sliding windows ship slide-sized frames."""
         stream = traffic_stream(400)
         shipper = DeltaShipper()
         sizes = {FrameKind.WORK: [], FrameKind.DELTA: []}
         for delta in CountWindow(size=150, slide=25).deltas(stream):
-            item = WorkItem(facts=tuple(delta.window), delta=delta, track=0, epoch=delta.index)
+            item = WorkItem(facts=tuple(delta.window), incremental=delta.carries_over, track=0, epoch=delta.index)
             kind, payload = shipper.encode_frames(item)[-1]
             sizes[kind].append(len(payload))
         assert len(sizes[FrameKind.WORK]) == 1  # only the first window ships full
@@ -224,7 +224,7 @@ class TestDeltaCodec:
         shipper = DeltaShipper()
         kinds = []
         for delta in CountWindow(size=40).deltas(stream):
-            item = WorkItem(facts=tuple(delta.window), delta=delta, track=0, epoch=delta.index)
+            item = WorkItem(facts=tuple(delta.window), incremental=delta.carries_over, track=0, epoch=delta.index)
             kinds.append(shipper.encode_frames(item)[-1][0])
         assert all(kind is FrameKind.WORK for kind in kinds)
 
@@ -307,12 +307,12 @@ class TestSymbolIdCodec:
         stream = traffic_stream(120)
         shipper, decoder = DeltaShipper(symbol_ids=True), DeltaDecoder()
         for delta in CountWindow(size=40, slide=10).deltas(stream):
-            item = WorkItem(facts=tuple(delta.window), delta=delta, track=2, epoch=delta.index)
+            item = WorkItem(facts=tuple(delta.window), incremental=delta.carries_over, track=2, epoch=delta.index)
             kinds, rebuilt = self.pump(shipper, decoder, item)
             assert kinds[-1] in (FrameKind.WORK, FrameKind.DELTA)
             assert rebuilt.facts == item.facts
             assert rebuilt.track == 2 and rebuilt.epoch == delta.index
-            assert rebuilt.wants_incremental == item.wants_incremental
+            assert rebuilt.incremental == item.incremental
 
     def test_id_frames_beat_pickles_on_a_recurring_universe(self):
         """Acceptance: known facts cross the wire as 4-byte ids.
@@ -368,7 +368,7 @@ class TestSymbolIdWire:
                 assert client.capabilities.get("symbol_ids") is True
                 inline = Reasoner(traffic_program(), INPUT_PREDICATES, EVENT_PREDICATES)
                 for delta in CountWindow(size=30, slide=10).deltas(stream):
-                    item = WorkItem(facts=tuple(delta.window), delta=delta, epoch=delta.index)
+                    item = WorkItem(facts=tuple(delta.window), incremental=delta.carries_over, epoch=delta.index)
                     over_the_wire = client.submit_item(item)
                     local = inline.reason_item(item)
                     assert set(over_the_wire.answers) == set(local.answers)
@@ -416,7 +416,7 @@ class TestHandshake:
             with WorkerClient(server.address, pickle.dumps(reasoner)) as client:
                 assert "delta_shipping" not in client.capabilities
                 for delta in CountWindow(size=30, slide=10).deltas(stream):
-                    item = WorkItem(facts=tuple(delta.window), delta=delta, epoch=delta.index)
+                    item = WorkItem(facts=tuple(delta.window), incremental=delta.carries_over, epoch=delta.index)
                     client.submit_item(item)
                 assert client.stats.items_delta == 0
                 assert client.stats.items_full > 0

@@ -326,7 +326,7 @@ class TestTicketQueue:
         connection = open_connection()
         item = sliding_items(1)[0]
         ((kind, payload),) = FrameParser().feed(b"".join(connection.encode_item(item)))
-        assert kind is FrameKind.WORK and pickle.loads(payload) == item.thinned()
+        assert kind is FrameKind.WORK and pickle.loads(payload) == item
 
 
 # --------------------------------------------------------------------------- #

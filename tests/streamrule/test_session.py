@@ -204,7 +204,7 @@ class TestSessionConfiguration:
             list(session.process(traffic_stream(80)))
         by_epoch = {}
         for item in submitted:
-            by_epoch.setdefault(item.epoch, set()).add(item.wants_incremental)
+            by_epoch.setdefault(item.epoch, set()).add(item.incremental)
         assert by_epoch[min(by_epoch)] == {False}  # the first window carries nothing over
         assert all(intents == {True} for epoch, intents in by_epoch.items() if epoch != min(by_epoch))
 

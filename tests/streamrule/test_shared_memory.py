@@ -88,7 +88,7 @@ class TestShmSlot:
         item = work_item()
         slot = ShmSlot(0, pickle.dumps(choice_reasoner()))
         try:
-            over_shm = slot.roundtrip(item.thinned())
+            over_shm = slot.roundtrip(item)
         finally:
             slot.close()
         inline = InlineBackend()
@@ -99,9 +99,9 @@ class TestShmSlot:
     def test_steady_state_windows_sync_no_new_symbols(self):
         slot = ShmSlot(0, pickle.dumps(choice_reasoner()))
         try:
-            slot.roundtrip(work_item().thinned())
+            slot.roundtrip(work_item())
             first_syncs = slot.stats.symbols_out
-            slot.roundtrip(work_item().thinned())  # identical facts: all interned
+            slot.roundtrip(work_item())  # identical facts: all interned
             assert first_syncs == 1
             assert slot.stats.symbols_out == 1
             assert slot.stats.items == 2
@@ -114,7 +114,7 @@ class TestShmSlot:
             bad = WorkItem(facts=("not a fact",))  # type: ignore[arg-type]
             with pytest.raises(TypeError):
                 slot.roundtrip(bad)
-            assert slot.roundtrip(work_item().thinned()).answers
+            assert slot.roundtrip(work_item()).answers
         finally:
             slot.close()
 
@@ -123,7 +123,7 @@ class TestShmSlot:
         # result) forces the oversize path; results must still be correct.
         slot = ShmSlot(0, pickle.dumps(choice_reasoner()), capacity=64)
         try:
-            result = slot.roundtrip(work_item(count=4).thinned())
+            result = slot.roundtrip(work_item(count=4))
             assert result.answers
             assert slot.stats.oversizes > 0
         finally:
@@ -134,7 +134,7 @@ class TestShmSlot:
         try:
             slot.kill()
             with pytest.raises(BackendConnectionError):
-                slot.roundtrip(work_item().thinned())
+                slot.roundtrip(work_item())
         finally:
             slot.close()
 
