@@ -9,12 +9,14 @@ This example is the end-to-end demo of the distributed execution tier (see
 2. streams the paper's synthetic traffic workload through a
    :class:`StreamSession` whose :class:`TcpBackend` partitions every sliding
    window with Algorithm 1 and ships the partitions to the workers over the
-   versioned wire protocol -- steady-state windows travel as *fact deltas*,
-   not full fact sets,
+   versioned wire protocol -- facts travel as interned ids, and
+   steady-state windows copy the ids they share with their predecessor
+   instead of re-sending them,
 3. kills one worker halfway through the stream to show the fleet rerouting
    its placement slots to the survivor without losing a window,
-4. and prints the wire statistics: how many frames went out as deltas, and
-   the payload saving against full-fact shipping.
+4. and prints the wire statistics: how many work frames copied ids from
+   their track's previous window (delta frames), and the payload saving
+   against frames that ship every id.
 
 Run with:  python examples/distributed_fleet.py [--windows 6] [--window-size 600]
 

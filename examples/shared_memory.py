@@ -88,7 +88,7 @@ def main() -> None:
     print("ring statistics:")
     print(f"  items through the rings: {int(stats['items'])}")
     print(
-        f"  symbol syncs: {int(stats['symbols_out'])} out, {int(stats['symbols_in'])} in "
+        f"  symbol syncs: {int(stats['symbols_out'])} "
         "(steady-state windows ship ids only)"
     )
     print(f"  ring bytes: {stats['bytes_out'] / 1024:.1f} KiB out, {stats['bytes_in'] / 1024:.1f} KiB in")

@@ -88,12 +88,8 @@ __all__ = [
 ]
 
 
-def _rebuild_cache(max_entries: int, max_delta_states: int, _retired: float) -> "GroundingCache":
-    """Unpickle helper: rebuild an (empty) cache from its configuration.
-
-    The third argument is the retired repair budget: caches pickled by older
-    versions still send it, and older versions still expect it.
-    """
+def _rebuild_cache(max_entries: int, max_delta_states: int) -> "GroundingCache":
+    """Unpickle helper: rebuild an (empty) cache from its configuration."""
     return GroundingCache(max_entries, max_delta_states=max_delta_states)
 
 
@@ -397,9 +393,8 @@ class GroundingCache:
         # Pickling ships the configuration, not the contents: the lock is
         # unpicklable and cached entries are only useful to the process that
         # produced them, so an unpickled cache (e.g. in a fresh worker
-        # process) starts empty at the same capacity.  The constant third
-        # item keeps the shape older versions' _rebuild_cache expects.
-        return (_rebuild_cache, (self.max_entries, self.max_delta_states, 1.0))
+        # process) starts empty at the same capacity.
+        return (_rebuild_cache, (self.max_entries, self.max_delta_states))
 
     def __len__(self) -> int:
         return len(self._entries)

@@ -7,8 +7,9 @@
   items to worker slots (track-pinned, consistent-hash-over-content).
 * :mod:`repro.streamrule.errors` -- the execution-layer exception hierarchy.
 * :mod:`repro.streamrule.net` -- the wire layer of the distributed tier:
-  framed messages, the versioned handshake with capability negotiation,
-  shard-side fact-delta shipping, and bounded-backoff connects.
+  framed messages, the versioned handshake, the data plane every
+  transport shares (interned-id work and result frames), and
+  bounded-backoff connects.
 * :mod:`repro.streamrule.worker` -- the remote worker daemon
   (``python -m repro.streamrule.worker --listen HOST:PORT``).
 * :mod:`repro.streamrule.fleet` -- the :class:`WorkerFleet` coordinator

@@ -148,8 +148,6 @@ class AsyncWorkerClient:
         address: Tuple[str, int],
         reasoner_payload: bytes,
         *,
-        delta_shipping: bool = True,
-        symbol_ids: bool = True,
         attempts: int = 5,
         base_delay: float = 0.05,
         max_delay: float = 2.0,
@@ -202,7 +200,7 @@ class AsyncWorkerClient:
         client = cls(address, reader, writer, auth_token=auth_token, codec=codec)
         connection = client._connection
         try:
-            chunks = connection.open(reasoner_payload, delta_shipping=delta_shipping, symbol_ids=symbol_ids)
+            chunks = connection.open(reasoner_payload)
             while not connection.is_open:
                 # Only the transport and the framing are guarded: what the
                 # frame *says* is the connection's to judge, with its own
@@ -288,7 +286,7 @@ class AsyncWorkerClient:
 
     # -- request/response ------------------------------------------------ #
     async def submit_item(self, item: WorkItem) -> ReasonerResult:
-        """Ship one work item (full or delta form) and await its result.
+        """Ship one work item and await its result.
 
         The send completes as soon as the frames are written; the coroutine
         then awaits the FIFO ticket, so concurrent callers keep multiple
@@ -335,8 +333,6 @@ class AsyncWorkerFleet(FleetView):
         endpoints: Sequence[EndpointLike],
         *,
         slots: Optional[int] = None,
-        delta_shipping: bool = True,
-        symbol_ids: bool = True,
         connect_attempts: int = 5,
         base_delay: float = 0.05,
         max_delay: float = 2.0,
@@ -454,8 +450,6 @@ class AioTcpBackend(FleetBackend):
         *,
         slots: Optional[int] = None,
         placement: Optional[PlacementStrategy] = None,
-        delta_shipping: bool = True,
-        symbol_ids: bool = True,
         connect_attempts: int = 5,
         base_delay: float = 0.05,
         max_delay: float = 2.0,

@@ -373,10 +373,10 @@ class TcpBackend(FleetBackend):
     length-prefixed, versioned wire protocol of
     :mod:`repro.streamrule.net` (see ``docs/wire-protocol.md``).  ``start``
     pickles the bound reasoner once and ships it to every worker during the
-    handshake; per-item dispatch then ships either the whole
-    :class:`WorkItem` or -- when the ``delta_shipping`` capability was
-    negotiated and the window overlaps its predecessor -- a
-    :class:`~repro.streamrule.net.FactDelta` frame carrying only the slide.
+    handshake; per-item dispatch then ships the item's facts as interned
+    ids -- copy runs over the same track's previous window plus the new
+    ids, so an overlapping window costs about its slide (see
+    :class:`~repro.streamrule.net.DeltaShipper`).
 
     Slot routing and fault tolerance live in the
     :class:`~repro.streamrule.fleet.WorkerFleet`: the placement strategy
@@ -397,12 +397,6 @@ class TcpBackend(FleetBackend):
         ``len(endpoints)``).
     placement:
         Slot-choosing strategy (default :class:`PinnedPlacement`).
-    delta_shipping:
-        Offer shard-side fact-delta shipping in the handshake.
-    symbol_ids:
-        Offer interned-id fact shipping in the handshake: facts travel as
-        packed u32 id arrays against per-connection synced symbol tables
-        instead of pickled atoms.
     heartbeat_interval:
         Seconds between background heartbeats; ``None`` disables the
         heartbeat thread (liveness is then discovered on submit).
@@ -434,8 +428,6 @@ class TcpBackend(FleetBackend):
         *,
         slots: Optional[int] = None,
         placement: Optional[PlacementStrategy] = None,
-        delta_shipping: bool = True,
-        symbol_ids: bool = True,
         heartbeat_interval: Optional[float] = None,
         connect_attempts: int = 5,
         reconnect_attempts: int = 2,
@@ -541,11 +533,12 @@ class SharedMemoryBackend(ExecutionBackend):
     (``spawn``-started) processes, each holding its own unpickled copy of the
     reasoner and evaluating :class:`WorkItem`\\ s, and dispatch
     crosses the process boundary through a pair of shared-memory rings per
-    slot (see :mod:`repro.streamrule.shm`).  Facts travel as packed u32
-    symbol ids against per-direction synced
-    :class:`~repro.asp.syntax.symbols.SymbolTable` replicas -- in steady
-    state a window costs ``4 bytes x |window|`` written straight into
-    ``/dev/shm``, with no pickling of atoms in either direction.
+    slot (see :mod:`repro.streamrule.shm`), carrying the TCP wire's own
+    ``SYMBOLS``/``WORK``/``RESULT`` messages: facts and answers travel as
+    interned u32 ids against per-direction synced
+    :class:`~repro.asp.syntax.symbols.SymbolTable` replicas, written
+    straight into ``/dev/shm``, with no pickling of atoms in either
+    direction.
 
     Same capability surface as the TCP backend: one single-thread
     dispatcher per slot preserves per-track ordering (so the per-track
@@ -622,7 +615,6 @@ class SharedMemoryBackend(ExecutionBackend):
         return {
             "items": float(totals.items),
             "symbols_out": float(totals.symbols_out),
-            "symbols_in": float(totals.symbols_in),
             "bytes_out": float(totals.bytes_out),
             "bytes_in": float(totals.bytes_in),
             "oversizes": float(totals.oversizes),

@@ -1,62 +1,60 @@
-"""The restricted (non-pickle) wire codec for untrusted peers.
+"""Structural (non-pickle) encodings for the wire.
 
-The default SRW1 payloads are pickles, and unpickling executes arbitrary
-code by design -- fine inside one trust domain, unacceptable across one.
-This module is the other dialect: under the ``restricted_codec``
-capability every payload after the handshake is JSON plus packed u32 id
-arrays, built from the same schema the typed-frame layer already proved
-out (``diff_facts`` copy-run deltas, ``symbol_ids`` interning):
+Every data frame of the wire protocol -- ``SYMBOLS``, ``WORK`` and the
+answers of a ``RESULT`` -- is pickle-free under both codecs (see
+:mod:`repro.streamrule.net`); this module holds the validated structural
+pieces those frames are built from, plus the one payload that tells the
+two codecs apart:
 
-* the **reasoner** ships as *text* -- the ASP program rendered by
+* **facts and symbol-table tails** travel as structural JSON encodings
+  (:func:`encode_fact` / :func:`decode_fact`,
+  :func:`encode_symbol_delta` / :func:`decode_symbol_delta`), never as
+  pickled objects;
+* **metrics** travel as a whitelisted numeric record
+  (:func:`encode_metrics` / :func:`decode_metrics`), never an object
+  graph;
+* under the ``restricted_codec`` capability the **reasoner** ships as
+  *text* -- the ASP program rendered by
   :meth:`~repro.asp.syntax.program.Program.to_text` and re-parsed by
   :func:`~repro.asp.syntax.parser.parse_program` on the worker, plus the
   predicate sets and cache flags (:func:`encode_reasoner_spec` /
-  :func:`reasoner_from_spec`);
-* **facts** travel as structural encodings interned into a
-  request-direction :class:`~repro.asp.syntax.symbols.SymbolTable`
-  (client masters, worker replicates via ``SYMBOLS`` frames), so work
-  frames are base64 id arrays and steady-state deltas are
-  ``["copy", start, len]`` / ``["lit", <b64 ids>]`` runs;
-* **results** travel as packed ids against a *response-direction* table
-  the worker masters and the client replicates -- each ``RESULT`` frame
-  carries the table's new tail plus one id blob per answer set -- and a
-  whitelisted numeric metrics record;
-* **errors** travel as ``{"error": {kind, message}}`` envelopes raised as
-  plain :class:`~repro.streamrule.errors.BackendError` at the caller --
-  no exception reconstruction, because rebuilding arbitrary exception
-  types is pickle by another name.
+  :func:`reasoner_from_spec`), and worker **errors** travel as
+  ``{"error": {kind, message}}`` envelopes raised as plain
+  :class:`~repro.streamrule.errors.BackendError` at the caller -- no
+  exception reconstruction, because rebuilding arbitrary exception types
+  is pickle by another name.
 
-A restricted peer never calls ``pickle.loads`` on network bytes; anything
-it cannot express in this schema is a protocol error, and the handshake
-``REJECT``\\ s peers that would need pickle (see
+A restricted peer therefore never calls ``pickle.loads`` on network bytes;
+anything it cannot express in this schema is a protocol error, and the
+handshake ``REJECT``\\ s peers that would need pickle (see
 :func:`~repro.streamrule.net.serve_worker_connection`).
 """
 
 from __future__ import annotations
 
-import base64
 import json
-from typing import Any, Dict, FrozenSet, List, Optional, Tuple
+from typing import Any, Dict, List
 
 from repro.asp.grounding.grounder import GroundingCache
 from repro.asp.solving.incremental import SolverCache
 from repro.asp.syntax.atoms import Atom
 from repro.asp.syntax.parser import parse_program
-from repro.asp.syntax.symbols import SymbolDelta, SymbolTable, pack_ids, unpack_ids
+from repro.asp.syntax.symbols import SymbolDelta
 from repro.asp.syntax.terms import Constant, FunctionTerm, Term, Variable
 from repro.streaming.triples import Triple
-from repro.streamrule.errors import BackendError, ProtocolError
+from repro.streamrule.errors import ProtocolError
 from repro.streamrule.metrics import LatencyBreakdown, ReasonerMetrics
-from repro.streamrule.reasoner import Reasoner, ReasonerResult
-from repro.streamrule.work import WorkFact, WorkItem
+from repro.streamrule.reasoner import Reasoner
+from repro.streamrule.work import WorkFact
 
 __all__ = [
-    "RestrictedResultDecoder",
-    "RestrictedServerCodec",
-    "RestrictedShipper",
     "decode_fact",
+    "decode_metrics",
+    "decode_symbol_delta",
     "encode_fact",
+    "encode_metrics",
     "encode_reasoner_spec",
+    "encode_symbol_delta",
     "reasoner_from_spec",
 ]
 
@@ -69,90 +67,87 @@ def _loads(payload: bytes) -> Dict[str, Any]:
     try:
         value = json.loads(payload.decode("utf-8"))
     except (UnicodeDecodeError, json.JSONDecodeError) as error:
-        raise ProtocolError(f"undecodable restricted-codec payload: {error!r}") from error
+        raise ProtocolError(f"undecodable JSON payload: {error!r}") from error
     if not isinstance(value, dict):
-        raise ProtocolError(f"restricted-codec payload must be a mapping, got {type(value).__name__}")
+        raise ProtocolError(f"JSON payload must be a mapping, got {type(value).__name__}")
     return value
-
-
-def _b64(blob: bytes) -> str:
-    return base64.b64encode(blob).decode("ascii")
-
-
-def _unb64(text: Any) -> bytes:
-    if not isinstance(text, str):
-        raise ProtocolError(f"expected a base64 string, got {type(text).__name__}")
-    try:
-        return base64.b64decode(text.encode("ascii"), validate=True)
-    except (ValueError, UnicodeEncodeError) as error:
-        raise ProtocolError(f"invalid base64 id blob: {error!r}") from error
 
 
 # --------------------------------------------------------------------------- #
 # Structural fact / term encodings
 # --------------------------------------------------------------------------- #
-def _encode_term(term: Term) -> List[Any]:
+def _encode_term(term: Term) -> Any:
     if isinstance(term, Constant):
-        return ["c", term.value, term.quoted]
+        # The common case, an unquoted constant, is its bare JSON scalar.
+        return ["c", term.value, True] if term.quoted else term.value
     if isinstance(term, FunctionTerm):
         return ["f", term.name, [_encode_term(argument) for argument in term.arguments]]
     if isinstance(term, Variable):
         return ["v", term.name]
-    raise ProtocolError(f"term {term!r} has no restricted-codec encoding")
+    raise TypeError(f"term {term!r} has no wire encoding")
 
 
 def _decode_term(value: Any) -> Term:
-    if not isinstance(value, list) or not value:
-        raise ProtocolError(f"malformed term encoding: {value!r}")
-    tag = value[0]
-    if tag == "c" and len(value) == 3 and isinstance(value[1], (int, str)) and isinstance(value[2], bool):
-        return Constant(value[1], value[2])
-    if tag == "f" and len(value) == 3 and isinstance(value[1], str) and isinstance(value[2], list):
-        return FunctionTerm(value[1], tuple(_decode_term(argument) for argument in value[2]))
-    if tag == "v" and len(value) == 2 and isinstance(value[1], str):
-        return Variable(value[1])
+    # Exact class checks: JSON yields exact ints and strings, and a JSON
+    # ``true`` is a bool, which must not pass for the integer 1.
+    kind = value.__class__
+    if kind is str or kind is int:  # an unquoted constant
+        return Constant(value)
+    if kind is list and len(value) in (2, 3):
+        tag, name = value[0], value[1]
+        if tag == "c" and len(value) == 3 and name.__class__ in (int, str) and value[2].__class__ is bool:
+            return Constant(name, value[2])
+        if tag == "f" and len(value) == 3 and name.__class__ is str and value[2].__class__ is list:
+            return FunctionTerm(name, tuple([_decode_term(argument) for argument in value[2]]))
+        if tag == "v" and len(value) == 2 and name.__class__ is str:
+            return Variable(name)
     raise ProtocolError(f"malformed term encoding: {value!r}")
 
 
 def encode_fact(fact: WorkFact) -> List[Any]:
-    """Structural JSON encoding of one wire fact (:class:`Triple` or :class:`Atom`)."""
+    """Structural JSON encoding of one wire fact (:class:`Triple` or :class:`Atom`).
+
+    Anything else is a caller error (:class:`TypeError`): only these two
+    kinds of fact cross the wire.
+    """
     if isinstance(fact, Triple):
         return ["t", fact.subject, fact.predicate, fact.object, fact.timestamp]
     if isinstance(fact, Atom):
         return ["a", fact.predicate, [_encode_term(argument) for argument in fact.arguments]]
-    raise ProtocolError(f"fact {fact!r} has no restricted-codec encoding")
+    raise TypeError(f"fact {fact!r} has no wire encoding")
 
 
 def decode_fact(value: Any) -> WorkFact:
     """Rebuild a wire fact from :func:`encode_fact`'s encoding (validating)."""
-    if not isinstance(value, list) or not value:
-        raise ProtocolError(f"malformed fact encoding: {value!r}")
-    tag = value[0]
-    if tag == "t" and len(value) == 5:
+    if value.__class__ is list and len(value) == 3 and value[0] == "a":
+        predicate, arguments = value[1], value[2]
+        if predicate.__class__ is str and arguments.__class__ is list:
+            return Atom(predicate, tuple([_decode_term(argument) for argument in arguments]))
+    if value.__class__ is list and len(value) == 5 and value[0] == "t":
         _, subject, predicate, obj, timestamp = value
         if (
-            isinstance(subject, (int, str))
-            and isinstance(predicate, str)
-            and isinstance(obj, (int, str))
-            and (timestamp is None or isinstance(timestamp, (int, float)))
+            subject.__class__ in (int, str)
+            and predicate.__class__ is str
+            and obj.__class__ in (int, str)
+            and (timestamp is None or timestamp.__class__ in (int, float))
         ):
             return Triple(subject, predicate, obj, None if timestamp is None else float(timestamp))
-    if tag == "a" and len(value) == 3 and isinstance(value[1], str) and isinstance(value[2], list):
-        return Atom(value[1], tuple(_decode_term(argument) for argument in value[2]))
     raise ProtocolError(f"malformed fact encoding: {value!r}")
 
 
-def _encode_symbol_delta(delta: SymbolDelta) -> Dict[str, Any]:
+def encode_symbol_delta(delta: SymbolDelta) -> Dict[str, Any]:
+    """A symbol-table tail as ``{"start", "symbols"}`` with structural facts."""
     return {"start": delta.start, "symbols": [encode_fact(symbol) for symbol in delta.symbols]}
 
 
-def _decode_symbol_delta(fields: Any) -> SymbolDelta:
-    if not isinstance(fields, dict) or not isinstance(fields.get("start"), int):
+def decode_symbol_delta(fields: Any) -> SymbolDelta:
+    """Inverse of :func:`encode_symbol_delta` (validating)."""
+    if not isinstance(fields, dict):
         raise ProtocolError(f"malformed symbol delta: {fields!r}")
-    symbols = fields.get("symbols")
-    if not isinstance(symbols, list):
+    start, symbols = fields.get("start"), fields.get("symbols")
+    if start.__class__ is not int or start < 0 or symbols.__class__ is not list:
         raise ProtocolError(f"malformed symbol delta: {fields!r}")
-    return SymbolDelta(start=fields["start"], symbols=tuple(decode_fact(symbol) for symbol in symbols))
+    return SymbolDelta(start=start, symbols=tuple([decode_fact(symbol) for symbol in symbols]))
 
 
 # --------------------------------------------------------------------------- #
@@ -217,10 +212,6 @@ _COUNTER_FIELDS = (
     "answer_count",
     "cache_hits",
     "cache_misses",
-    # Retired (always 0), kept so peers of older versions decode what they expect.
-    "delta_repairs",
-    "repair_size",
-    "repair_rules_changed",
     "assumption_resolves",
     "solver_full_solves",
     "encoding_repairs",
@@ -237,7 +228,8 @@ _BREAKDOWN_FIELDS = (
 )
 
 
-def _encode_metrics(metrics: ReasonerMetrics) -> Dict[str, Any]:
+def encode_metrics(metrics: ReasonerMetrics) -> Dict[str, Any]:
+    """The wire record of one evaluation's metrics (plain numbers and lists)."""
     record: Dict[str, Any] = {name: getattr(metrics, name) for name in _COUNTER_FIELDS}
     record["latency_seconds"] = metrics.latency_seconds
     record["duplication_ratio"] = metrics.duplication_ratio
@@ -254,7 +246,8 @@ def _number(value: Any, context: str) -> float:
     return float(value)
 
 
-def _decode_metrics(record: Any) -> ReasonerMetrics:
+def decode_metrics(record: Any) -> ReasonerMetrics:
+    """Inverse of :func:`encode_metrics` (validating every field's type)."""
     if not isinstance(record, dict):
         raise ProtocolError(f"malformed metrics record: {record!r}")
     counters = {name: int(_number(record.get(name, 0), name)) for name in _COUNTER_FIELDS}
@@ -280,175 +273,3 @@ def _decode_metrics(record: Any) -> ReasonerMetrics:
         worker_wall_seconds=[_number(wall, "worker_wall_seconds") for wall in walls],
         **counters,
     )
-
-
-# --------------------------------------------------------------------------- #
-# Client side: work-frame encoder + result decoder
-# --------------------------------------------------------------------------- #
-class RestrictedShipper:
-    """Restricted-codec sibling of :class:`~repro.streamrule.net.DeltaShipper`.
-
-    Same contract (``encode_frames`` returns the frames to send, the last
-    one being the work frame) and the same per-track delta heuristics, but
-    every payload is JSON: symbol syncs carry structural fact encodings,
-    work frames base64 packed-id arrays, deltas tagged copy/literal runs.
-    """
-
-    def __init__(self, *, delta_shipping: bool = True) -> None:
-        self._delta_shipping = delta_shipping
-        self._table = SymbolTable()
-        self._synced = 0
-        self._prev_ids: Dict[int, Tuple[int, ...]] = {}
-
-    def encode_frames(self, item: WorkItem) -> List[Tuple[Any, bytes]]:
-        from repro.streamrule.net import FrameKind, diff_id_runs
-
-        frames: List[Tuple[Any, bytes]] = []
-        ids = tuple(self._table.intern_many(item.facts))
-        sync = self._table.diff_since(self._synced)
-        if sync:
-            frames.append((FrameKind.SYMBOLS, _dumps(_encode_symbol_delta(sync))))
-            self._synced = sync.stop
-        previous = self._prev_ids.get(item.track)
-        self._prev_ids[item.track] = ids
-        envelope = {"track": item.track, "epoch": item.epoch, "incremental": item.incremental}
-        full_payload = _dumps(dict(envelope, ids=_b64(pack_ids(ids))))
-        if self._delta_shipping and previous is not None:
-            runs = diff_id_runs(previous, ids)
-            if any(not isinstance(run, bytes) for run in runs):
-                ops = [
-                    ["lit", _b64(run)] if isinstance(run, bytes) else ["copy", run[0], run[1]]
-                    for run in runs
-                ]
-                delta_payload = _dumps(dict(envelope, ops=ops))
-                if len(delta_payload) < len(full_payload):
-                    frames.append((FrameKind.DELTA, delta_payload))
-                    return frames
-        frames.append((FrameKind.WORK, full_payload))
-        return frames
-
-    def forget(self, track: Optional[int] = None) -> None:
-        if track is None:
-            self._prev_ids.clear()
-        else:
-            self._prev_ids.pop(track, None)
-
-
-class RestrictedResultDecoder:
-    """Client-side replica of the worker's response-direction symbol table."""
-
-    def __init__(self) -> None:
-        self._table = SymbolTable()
-
-    def decode(self, payload: bytes, address: Tuple[str, int]) -> ReasonerResult:
-        """Decode one restricted ``RESULT`` payload.
-
-        Raises :class:`BackendError` for worker-side evaluation failures
-        (the error envelope carries only the kind and message -- nothing is
-        executed or reconstructed) and :class:`ProtocolError` on a
-        malformed payload, which the caller answers by aborting the
-        connection like any other desync.
-        """
-        record = _loads(payload)
-        failure = record.get("error")
-        if failure is not None:
-            if not isinstance(failure, dict):
-                raise ProtocolError(f"malformed error envelope from {address}: {failure!r}")
-            raise BackendError(
-                f"worker {address[0]}:{address[1]} failed: "
-                f"{failure.get('kind', 'Error')}: {failure.get('message', '')}"
-            )
-        symbols = record.get("symbols")
-        if symbols is not None:
-            self._table.apply(_decode_symbol_delta(symbols))
-        answers = record.get("answers")
-        if not isinstance(answers, list):
-            raise ProtocolError(f"malformed restricted RESULT from {address}: {record!r}")
-        decoded: List[FrozenSet[Atom]] = []
-        for blob in answers:
-            atoms = self._table.resolve_many(unpack_ids(_unb64(blob)))
-            if not all(isinstance(atom, Atom) for atom in atoms):
-                raise ProtocolError(f"restricted answer from {address} resolved to non-atoms")
-            decoded.append(frozenset(atoms))
-        return ReasonerResult(answers=tuple(decoded), metrics=_decode_metrics(record.get("metrics")))
-
-
-# --------------------------------------------------------------------------- #
-# Server side: work-frame decoder + result encoder
-# --------------------------------------------------------------------------- #
-class RestrictedServerCodec:
-    """Worker-side half: replicates the request table, masters the response one.
-
-    Drop-in for :class:`~repro.streamrule.net.DeltaDecoder` in the serve
-    loop (``apply_symbols`` / ``decode``), plus the result direction:
-    ``encode_result`` interns every answer atom in the response-direction
-    table and ships the new tail with the packed answers, so a recurring
-    derived atom costs 4 result bytes after its first appearance --
-    mirroring what ``symbol_ids`` did for the request direction.
-    """
-
-    def __init__(self) -> None:
-        self._request_table = SymbolTable()
-        self._prev_ids: Dict[int, Tuple[int, ...]] = {}
-        self._response_table = SymbolTable()
-        self._response_synced = 0
-
-    # -- request direction ------------------------------------------------ #
-    def apply_symbols(self, payload: bytes) -> int:
-        delta = _decode_symbol_delta(_loads(payload))
-        return self._request_table.apply(delta)
-
-    def decode(self, kind: Any, payload: bytes) -> WorkItem:
-        from repro.streamrule.net import FrameKind, apply_id_runs
-
-        record = _loads(payload)
-        track, epoch = record.get("track"), record.get("epoch")
-        incremental = record.get("incremental")
-        if not isinstance(track, int) or not isinstance(epoch, int):
-            raise ProtocolError(f"malformed restricted work frame: {record!r}")
-        if incremental is not None and not isinstance(incremental, bool):
-            raise ProtocolError(f"malformed restricted work frame: {record!r}")
-        incremental = bool(incremental)  # older peers may send null
-        if kind is FrameKind.WORK:
-            ids = unpack_ids(_unb64(record.get("ids")))
-            self._prev_ids[track] = ids
-            facts = self._request_table.resolve_many(ids)
-            return WorkItem(facts=facts, track=track, epoch=epoch, incremental=incremental)
-        previous = self._prev_ids.get(track)
-        if previous is None:
-            raise ProtocolError(f"DELTA frame for track {track} without a previous full window")
-        ops = record.get("ops")
-        if not isinstance(ops, list):
-            raise ProtocolError(f"malformed restricted delta frame: {record!r}")
-        runs: List[Any] = []
-        for op in ops:
-            if not isinstance(op, list) or not op:
-                raise ProtocolError(f"malformed restricted delta op: {op!r}")
-            if op[0] == "copy" and len(op) == 3 and isinstance(op[1], int) and isinstance(op[2], int):
-                runs.append((op[1], op[2]))
-            elif op[0] == "lit" and len(op) == 2:
-                runs.append(_unb64(op[1]))
-            else:
-                raise ProtocolError(f"malformed restricted delta op: {op!r}")
-        ids = apply_id_runs(previous, tuple(runs))
-        self._prev_ids[track] = ids
-        facts = self._request_table.resolve_many(ids)
-        return WorkItem(facts=facts, track=track, epoch=epoch, incremental=incremental)
-
-    # -- response direction ------------------------------------------------ #
-    def encode_result(self, result: ReasonerResult) -> bytes:
-        packed: List[str] = []
-        for answer in result.answers:
-            # Sorted for a deterministic wire image; sets have no order.
-            ids = self._response_table.intern_many(sorted(answer, key=str))
-            packed.append(_b64(pack_ids(ids)))
-        record: Dict[str, Any] = {"answers": packed, "metrics": _encode_metrics(result.metrics)}
-        sync = self._response_table.diff_since(self._response_synced)
-        if sync:
-            record["symbols"] = _encode_symbol_delta(sync)
-            self._response_synced = sync.stop
-        return _dumps(record)
-
-    @staticmethod
-    def encode_error(error: BaseException) -> bytes:
-        return _dumps({"error": {"kind": type(error).__name__, "message": str(error)}})

@@ -428,9 +428,6 @@ class WorkerFleet(FleetView):
         ``len(endpoints)``.  More slots than endpoints is legitimate (slots
         are the unit of rerouting granularity, endpoints the unit of
         failure).
-    delta_shipping / symbol_ids:
-        Offer the ``delta_shipping`` / ``symbol_ids`` capabilities in the
-        handshake (the worker may still decline either).
     connect_attempts / reconnect_attempts:
         Backoff budgets for the initial connect and for reviving a dead
         endpoint mid-stream.
@@ -443,7 +440,7 @@ class WorkerFleet(FleetView):
         the daemons were started with one.
     codec:
         ``"pickle"`` (default, trusted networks) or ``"restricted"``
-        (JSON/packed-id codec; the fleet refuses workers that do not
+        (program as text, no pickle; the fleet refuses workers that do not
         accept it).
     """
 
@@ -452,8 +449,6 @@ class WorkerFleet(FleetView):
         endpoints: Sequence["EndpointLike"],
         *,
         slots: Optional[int] = None,
-        delta_shipping: bool = True,
-        symbol_ids: bool = True,
         connect_attempts: int = 5,
         reconnect_attempts: int = 2,
         base_delay: float = 0.05,

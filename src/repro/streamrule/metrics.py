@@ -234,9 +234,8 @@ class ReasonerMetrics:
     cache_hits: int = 0
     cache_misses: int = 0
     #: Retired, always 0: windows are no longer repaired, only served as a
-    #: hit or regrounded.  The fields stay because the restricted wire codec
-    #: whitelists them (peers of older versions send and expect all three)
-    #: and the repository benchmark still reads two of them.
+    #: hit or regrounded.  The fields stay only because the repository
+    #: benchmark still reads two of them; the wire does not carry them.
     delta_repairs: int = 0
     repair_size: int = 0
     repair_rules_changed: int = 0

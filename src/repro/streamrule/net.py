@@ -1,37 +1,40 @@
 """The wire layer shared by the TCP backend and the worker daemon.
 
 This module is the single source of truth for how StreamRule work travels
-between machines.  Everything here is transport mechanics; *what* gets
+between processes.  Everything here is transport mechanics; *what* gets
 evaluated is still a :class:`~repro.streamrule.work.WorkItem` and *what*
 comes back is still a :class:`~repro.streamrule.reasoner.ReasonerResult` --
 the partition/combine protocol behind a versioned handshake on a real TCP
 socket.
 
-The frame grammar, the handshake sequence, capability negotiation and the
-failure semantics are specified once, in ``docs/wire-protocol.md``; this
-docstring only says where each part lives and why.
+The frame grammar, the byte layouts of the data frames, the handshake
+sequence and the failure semantics are specified once, in
+``docs/wire-protocol.md``; this docstring only says where each part lives
+and why.
 
 Layout
 ------
 * **Framing and control payloads** -- :class:`FrameKind`,
   :func:`frame_bytes` / :func:`parse_frame_header` (the one header
   validation, behind the blocking :func:`recv_frame` and the incremental
-  :class:`FrameParser`), JSON-or-pickle control frames.
-* **Wire forms of a work item** -- :class:`DeltaShipper` /
-  :class:`DeltaDecoder` and the classes they pickle (which must keep this
-  module path: a peer from another build looks them up here).
+  :class:`FrameParser`), JSON control frames.
+* **The data plane** -- :class:`DeltaShipper` / :class:`DeltaDecoder` for
+  ``SYMBOLS`` + ``WORK`` frames and :class:`ResultEncoder` /
+  :class:`ResultDecoder` for ``RESULT`` frames.  Both TCP codecs and the
+  shared-memory rings (:mod:`repro.streamrule.shm`) send exactly these
+  messages.
 * **The client as a state machine** -- :class:`ClientConnection`:
   everything a coordinator must *know* to talk SRW1 (handshake and its
-  error taxonomy, capability intersection, shipper and result-decoder
-  choice, the frames of an item with their :class:`WireStats`, the ticket
-  FIFO), with no socket, lock, thread or event loop in it.
+  error taxonomy, the codec, the frames of an item with their
+  :class:`WireStats`, the ticket FIFO), with no socket, lock, thread or
+  event loop in it.
 * **Two I/O drivers of that state machine** -- :class:`WorkerClient` here
   (blocking sockets, threads) and ``AsyncWorkerClient`` in
   :mod:`repro.streamrule.aio` (asyncio streams).  They dial, move bytes
   and wait; neither knows a frame kind beyond ``PING``.
 * **The server half** -- :func:`serve_worker_connection`.
 
-A new frame kind or capability is therefore added in :class:`FrameKind`,
+A new frame kind is therefore added in :class:`FrameKind`,
 :class:`ClientConnection` and :func:`serve_worker_connection` (plus
 ``docs/wire-protocol.md``) and nowhere else; where a slot is *routed* is
 the business of :class:`repro.streamrule.fleet.SlotTable`.
@@ -39,54 +42,44 @@ the business of :class:`repro.streamrule.fleet.SlotTable`.
 Pipelined frames
 ----------------
 The connection is *not* strict request/response: a coordinator may have
-several ``WORK``/``DELTA`` (and ``PING``) frames outstanding at once.  The
-server always answers strictly in request order, which is what lets the
-client match responses to callers with a plain FIFO ticket queue
+several ``WORK`` (and ``PING``) frames outstanding at once.  The server
+always answers strictly in request order, which is what lets the client
+match responses to callers with a plain FIFO ticket queue
 (:class:`ClientConnection`) and lets the worker read and decode ahead of its
 evaluation loop (``read_ahead`` in :func:`serve_worker_connection`).  Any
 transport error still kills the whole connection -- in-flight frames are
 failed at the client and resubmitted elsewhere by the fleet.
 
-Delta shipping
+The data plane
 --------------
-On a sliding window, consecutive work items of one track share most of
-their facts: the window drops its ``slide`` oldest items and appends the
-new arrivals.  When the ``delta_shipping`` capability is negotiated, the
-client-side :class:`DeltaShipper` and the server-side :class:`DeltaDecoder`
-each remember the previous fact tuple per track, and steady-state items
-travel as :class:`FactDelta` frames -- copy-runs over the previous window
-plus the literal arrivals (see :func:`diff_facts`) -- instead of full fact
-sets.  The overlap between consecutive windows of a track lets the
-coordinator skip re-sending the overlapping facts, so a frame sized by the
-slide replaces a window-sized one.  Delta frames diff *fact sequences*: how
-the worker then grounds the window is its own business.
+Each direction of a connection has one writer, and that writer masters an
+append-only :class:`~repro.asp.syntax.symbols.SymbolTable` the reader
+replicates.  The client interns every fact and sends the table's new tail
+ahead of the work as a one-way ``SYMBOLS`` frame (no response, so the FIFO
+response order is undisturbed).  The ``WORK`` frame is a ``struct`` header
+``(track, epoch, incremental)`` followed by id runs: copy runs over the
+same track's previous ids and packed u32 literal runs.  On a sliding window
+consecutive items of one track share most of their facts, so a frame sized
+by the slide replaces a window-sized one; in steady state every fact has
+been interned by an earlier window and no fact is encoded at all.  The
+worker answers with a ``RESULT`` frame holding the new tail of the
+response table it masters, one packed id blob per answer set and the
+fixed metrics record.  Symbol tails and metrics are structural JSON
+(:mod:`repro.streamrule.codec`); no data frame is ever a pickle.
 
-Both peers update their per-track state in lockstep -- the client when it
-encodes, the server when it decodes -- and a transport error closes the
-connection, so the states can never silently diverge: a reconnected client
-starts from an empty shipper and re-sends full facts.
-
-Interned symbol ids
--------------------
-Under the ``symbol_ids`` capability the peers additionally maintain a
-per-connection replica pair of append-only
-:class:`~repro.asp.syntax.symbols.SymbolTable`\\ s.  The shipper interns
-every fact and sends the table's new tail ahead of the work frame as a
-one-way ``SYMBOLS`` frame (a pickled
-:class:`~repro.asp.syntax.symbols.SymbolDelta`; no response, so the FIFO
-response order is undisturbed); work frames then carry flat u32 id arrays
-(:class:`IdWorkItem`, or :class:`IdFactDelta` copy-runs on a sliding
-window) instead of pickled atoms.  In steady state every fact in a window
-has already been interned by an earlier window, so the wire cost of a
-window collapses to ``4 bytes x |window|`` -- and, like delta shipping,
-any desync kills the connection and both sides restart from empty tables.
+Both peers advance their per-track and table state in lockstep -- the
+client when it encodes, the server when it decodes -- and a malformed
+frame or a transport error closes the connection, so the states can never
+silently diverge: a reconnected client starts from empty tables.
 
 Security
 --------
-In the default (``pickle``) codec the payloads are **pickles**: unpickling
-executes arbitrary code by design, so run pickle-codec workers only on
-trusted networks.  Three hardening layers are available for everything
-else (see ``docs/deployment-security.md``):
+In the default (``pickle``) codec two payloads are **pickles**: the
+``REASONER`` frame and the ``RESULT`` of a failed evaluation (the original
+exception, in a :class:`RemoteFailure`).  Unpickling executes arbitrary
+code by design, so run pickle-codec workers only on trusted networks.
+Three hardening layers are available for everything else (see
+``docs/deployment-security.md``):
 
 * **TLS** -- pass an :class:`ssl.SSLContext` to the client
   (``ssl_context=``) and the daemon (``--tls-cert/--tls-key``); the TCP
@@ -96,19 +89,14 @@ else (see ``docs/deployment-security.md``):
   containing ``HMAC-SHA256(token, nonce)`` before the reasoner is
   accepted; a bad or missing MAC is ``REJECT``\\ ed (a loud
   :class:`HandshakeError` at the client, never a hang).
-* **Restricted codec** -- the ``restricted_codec`` capability switches
-  every payload after the handshake to a JSON/packed-id schema
-  (:mod:`repro.streamrule.codec`): the program ships as *text*, facts as
-  structural encodings + u32 id arrays, results as packed ids against a
-  worker-mastered response table.  A restricted peer never calls
-  ``pickle.loads`` on network bytes; anything that would require pickle is
-  ``REJECT``\\ ed instead.
+* **Restricted codec** -- the ``restricted_codec`` capability ships the
+  program as *text* (:mod:`repro.streamrule.codec`) and a worker failure
+  as an ``{"error": ...}`` envelope, so a restricted peer never calls
+  ``pickle.loads`` on network bytes.
 
-Control frames (``HELLO``/``WELCOME``/``REJECT``) are self-describing:
-new peers send compact JSON (first byte ``{``), old peers pickled dicts
-(first byte ``\\x80``), and each side answers in the encoding it was
-addressed in -- so the two generations interoperate without a protocol
-version bump.
+Control frames (``HELLO``/``WELCOME``/``REJECT``/``AUTH``/``ANNOUNCE``)
+are JSON on every peer; a control frame that is not JSON is refused and
+never unpickled.
 """
 
 from __future__ import annotations
@@ -126,10 +114,20 @@ import struct
 import threading
 import time
 from collections import deque
-from dataclasses import astuple, dataclass, field, replace
-from typing import Any, Callable, Deque, Dict, Iterator, List, Mapping, Optional, Tuple, Union
+from contextlib import contextmanager
+from dataclasses import astuple, dataclass, field
+from typing import Any, Callable, Deque, Dict, Iterator, List, Mapping, Optional, Sequence, Tuple, Union
 
-from repro.asp.syntax.symbols import SymbolDelta, SymbolTable, pack_ids, unpack_ids
+from repro.asp.syntax.atoms import Atom
+from repro.asp.syntax.symbols import SymbolTable, pack_ids, unpack_ids
+from repro.streamrule.codec import (
+    decode_metrics,
+    decode_symbol_delta,
+    encode_metrics,
+    encode_reasoner_spec,
+    encode_symbol_delta,
+    reasoner_from_spec,
+)
 from repro.streamrule.errors import (
     BackendConnectionError,
     BackendError,
@@ -137,30 +135,25 @@ from repro.streamrule.errors import (
     ProtocolError,
 )
 from repro.streamrule.reasoner import Reasoner, ReasonerResult
-from repro.streamrule.work import WorkFact, WorkItem
+from repro.streamrule.work import WorkItem
 
 __all__ = [
-    "DEFAULT_CAPABILITIES",
     "DeltaDecoder",
     "DeltaShipper",
-    "FactDelta",
     "FrameKind",
-    "IdFactDelta",
-    "IdWorkItem",
     "MAGIC",
     "PROTOCOL_VERSION",
     "RemoteFailure",
+    "ResultDecoder",
+    "ResultEncoder",
     "WireStats",
     "WorkerClient",
     "announce_endpoint",
-    "apply_facts_diff",
     "apply_id_runs",
     "auth_mac",
     "build_announce",
     "build_hello",
     "connect_with_backoff",
-    "decode_result",
-    "diff_facts",
     "diff_id_runs",
     "encode_reasoner_payload",
     "parse_announce",
@@ -171,21 +164,14 @@ __all__ = [
 ]
 
 #: First bytes of every connection; lets a worker reject stray connections
-#: (port scanners, misdirected HTTP) before touching pickle.
+#: (port scanners, misdirected HTTP) before reading a frame.
 MAGIC = b"SRW1"
 
 #: Version of the frame grammar + handshake.  Bumped on incompatible
 #: changes; peers with different versions refuse each other in the
-#: handshake (``REJECT``) rather than misparsing frames.  Backwards-
-#: compatible extensions (new optional capabilities) do NOT bump this.
-PROTOCOL_VERSION = 1
-
-#: Capabilities this build can negotiate (name -> default offer).
-#: ``delta_shipping``: steady-state windows travel as copy-run deltas.
-#: ``symbol_ids``: facts are interned per connection (``SYMBOLS`` frames
-#: sync the table) and work items carry flat id arrays instead of
-#: pickled atom graphs.
-DEFAULT_CAPABILITIES: Dict[str, bool] = {"delta_shipping": True, "symbol_ids": True}
+#: handshake (``REJECT``) rather than misparsing frames.  Version 2 is the
+#: one data plane (id-run ``WORK``, id-blob ``RESULT``, JSON ``SYMBOLS``).
+PROTOCOL_VERSION = 2
 
 _FRAME_HEADER = struct.Struct(">IB")
 
@@ -195,19 +181,18 @@ MAX_FRAME_BYTES = 1 << 30
 
 
 class FrameKind(enum.IntEnum):
-    """Discriminator byte of every frame on the wire."""
+    """Discriminator byte of every frame on the wire (7 was version 1's ``DELTA``)."""
 
-    HELLO = 1  #: client -> server: ``{protocol, capabilities}``
-    WELCOME = 2  #: server -> client: ``{protocol, capabilities}`` (accepted)
-    REJECT = 3  #: server -> client: ``{protocol, reason}``; connection closes
-    REASONER = 4  #: client -> server: pickled :class:`Reasoner`
+    HELLO = 1  #: client -> server: JSON ``{protocol, capabilities}``
+    WELCOME = 2  #: server -> client: JSON ``{protocol, capabilities}`` (accepted)
+    REJECT = 3  #: server -> client: JSON ``{protocol, reason}``; connection closes
+    REASONER = 4  #: client -> server: pickled :class:`Reasoner`, or its text spec (restricted)
     READY = 5  #: server -> client: reasoner installed, work may flow
-    WORK = 6  #: client -> server: pickled :class:`WorkItem` (or :class:`IdWorkItem`)
-    DELTA = 7  #: client -> server: pickled :class:`FactDelta` (or :class:`IdFactDelta`)
-    RESULT = 8  #: server -> client: pickled :class:`ReasonerResult` or :class:`RemoteFailure`
+    WORK = 6  #: client -> server: ``(track, epoch, incremental)`` header + id runs
+    RESULT = 8  #: server -> client: response-table tail + answer id blobs + metrics, or a failure
     PING = 9  #: either direction: heartbeat probe (empty payload)
     PONG = 10  #: heartbeat reply (empty payload)
-    SYMBOLS = 11  #: client -> server: pickled :class:`SymbolDelta`; one-way, no response
+    SYMBOLS = 11  #: client -> server: JSON request-table tail; one-way, no response
     ANNOUNCE = 12  #: worker -> registry: JSON ``{host, port, protocol}``; answered with ``PONG``
     AUTH = 13  #: client -> server: JSON ``{mac}`` proving knowledge of the shared token
 
@@ -289,33 +274,25 @@ def _dumps(value: Any) -> bytes:
 
 
 # --------------------------------------------------------------------------- #
-# Control-frame encoding (HELLO / WELCOME / REJECT / AUTH / ANNOUNCE)
+# JSON payloads (control frames and the heads of data frames)
 # --------------------------------------------------------------------------- #
 def dumps_json(value: Any) -> bytes:
-    """Compact JSON control payload (first byte is always ``{``)."""
+    """Compact JSON payload (first byte is always ``{`` for a mapping)."""
     return json.dumps(value, separators=(",", ":")).encode("utf-8")
 
 
-def loads_control(payload: bytes, *, allow_pickle: bool = True) -> Dict[str, Any]:
-    """Decode a control payload, sniffing JSON (``{``) vs pickle (``\\x80``).
+def loads_json(payload: bytes) -> Dict[str, Any]:
+    """Decode a JSON object payload (control frames, data-frame heads).
 
-    JSON is what current peers send; pickled dicts are the pre-auth
-    spelling and stay accepted in the default trust model.  A restricted
-    peer passes ``allow_pickle=False`` and never touches ``pickle.loads``
-    for network bytes: a pickled control frame raises
-    :class:`ProtocolError` instead of being decoded.
+    Anything else -- a pickle, invalid UTF-8, malformed or non-object
+    JSON -- raises :class:`ProtocolError`; nothing here ever unpickles.
     """
-    if payload[:1] == b"{":
-        try:
-            value = json.loads(payload.decode("utf-8"))
-        except (UnicodeDecodeError, json.JSONDecodeError) as error:
-            raise ProtocolError(f"undecodable JSON control payload: {error!r}") from error
-    elif allow_pickle:
-        value = pickle.loads(payload)
-    else:
-        raise ProtocolError("pickled control frame refused (restricted codec)")
+    try:
+        value = json.loads(payload.decode("utf-8"))
+    except (UnicodeDecodeError, json.JSONDecodeError, RecursionError) as error:
+        raise ProtocolError(f"undecodable JSON payload: {error!r}") from error
     if not isinstance(value, dict):
-        raise ProtocolError(f"control payload must be a mapping, got {type(value).__name__}")
+        raise ProtocolError(f"JSON payload must be an object, got {type(value).__name__}")
     return value
 
 
@@ -331,11 +308,12 @@ def auth_mac(token: str, nonce: str) -> str:
 
 @dataclass
 class RemoteFailure:
-    """Wire wrapper distinguishing a worker-side exception from a result.
+    """How a worker-side exception travels under the pickle codec.
 
-    Shared by the TCP and shared-memory transports: an evaluation error on
-    the worker is pickled inside this wrapper, shipped back as a ``RESULT``
-    frame, and re-raised at the caller -- the connection itself survives.
+    Shared by pickle-codec TCP connections and the shared-memory rings: an
+    evaluation error on the worker is pickled inside this wrapper, shipped
+    back as a failed ``RESULT`` frame (:class:`ResultEncoder`), and
+    re-raised at the caller -- the connection itself survives.
     """
 
     error: BaseException
@@ -345,77 +323,75 @@ class RemoteFailure:
 
 
 # --------------------------------------------------------------------------- #
-# Shard-side fact-delta shipping
+# The data plane: id-run WORK frames, id-blob RESULT frames
 # --------------------------------------------------------------------------- #
-#: An encoded delta operation: either ``(start, length)`` -- copy that run
-#: from the previous fact tuple -- or a tuple of literal facts to insert.
-FactDeltaOp = Union[Tuple[int, int], Tuple[WorkFact, ...]]
+#: ``WORK`` header: track (i64), epoch (i64), incremental flag (u8, 0 or 1).
+_WORK_HEADER = struct.Struct("<qqB")
+#: One id run of a ``WORK`` frame: kind (u8) and length in ids (u32).  A
+#: literal run is followed by its ``length`` packed u32 ids, a copy run by
+#: its start (u32) in the track's previous id tuple.
+_RUN = struct.Struct("<BI")
+_COPY_RUN = struct.Struct("<BII")
+_LITERAL, _COPY = 0, 1
+_U32 = struct.Struct("<I")
+#: ``RESULT`` header: status (u8) and the length (u32) of the JSON head
+#: after it -- ``{"metrics": record, "symbols": response-table tail}``,
+#: the tail only when new -- then one ``count (u32) | count packed ids``
+#: blob per answer set.  A failed evaluation is the status byte followed
+#: by the codec's error form.
+_RESULT_HEADER = struct.Struct("<BI")
+_ANSWERS, _FAILED = 0, 1
 
-#: Minimum matched run worth encoding as a copy op; shorter matches travel
-#: as literals (a copy op costs ~20 pickled bytes).
+#: Minimum matched run worth a copy run (9 bytes); shorter matches travel
+#: as literal ids (4 bytes each).
 MIN_COPY_RUN = 4
 
 #: Duplicate-fact bound: at most this many candidate positions are probed
-#: per fact when matching, so degenerate streams (one fact repeated
+#: per id when matching, so degenerate streams (one fact repeated
 #: thousands of times) stay linear.
 MAX_MATCH_CANDIDATES = 8
 
+#: An id run: ``(start, length)`` copies that run from the previous id
+#: tuple; a ``bytes`` value is a packed literal run
+#: (:func:`repro.asp.syntax.symbols.pack_ids`).
+IdRunOp = Union[Tuple[int, int], bytes]
 
-@dataclass(frozen=True)
-class FactDelta:
-    """The wire form of a steady-state sliding-window work item.
 
-    ``ops`` reconstructs the fact tuple against the track's previous facts
-    -- copy runs for the content both windows share, literals for the
-    arrivals -- so the frame size scales with the *change*, not the window;
-    all other :class:`WorkItem` coordinates travel verbatim.
+@contextmanager
+def _malformed(what: str) -> Iterator[None]:
+    """Turn any failure to decode a data payload into :class:`ProtocolError`.
+
+    A peer's bytes may be short, overrun their own lengths, name ids no
+    ``SYMBOLS`` frame introduced or hold JSON of the wrong shape; every
+    such failure must reach the caller as the one error that aborts the
+    connection, never as a stray ``struct.error`` or ``IndexError``.
     """
-
-    track: int
-    epoch: int
-    incremental: bool
-    ops: Tuple[FactDeltaOp, ...]
-
-
-def _is_copy_op(op: FactDeltaOp) -> bool:
-    return len(op) == 2 and isinstance(op[0], int) and isinstance(op[1], int)
+    try:
+        yield
+    except (ValueError, TypeError, LookupError, struct.error, RecursionError, OverflowError) as error:
+        raise ProtocolError(f"malformed {what} payload: {error!r}") from error
 
 
-def overlap_length(previous: Tuple[WorkFact, ...], current: Tuple[WorkFact, ...]) -> int:
-    """Largest ``k`` with ``previous[-k:] == current[:k]`` (0 when disjoint).
+def diff_id_runs(previous: Tuple[int, ...], current: Tuple[int, ...]) -> Tuple[IdRunOp, ...]:
+    """Encode ``current`` as copy runs over ``previous`` plus packed literal runs.
 
-    This is exactly the sliding-window overlap structure: the facts that
-    left form a prefix of the previous window, the new ones a suffix of
-    the current one.  Kept as the reference model (and test oracle) of the
-    overlap the shipper exploits; the production encoder is
-    :func:`diff_facts`, which generalizes this to partitioners that regroup
-    facts, so this helper is deliberately not part of the module's
-    ``__all__`` surface.
+    A greedy longest-run matcher (the delta-compression classic): for every
+    position of ``current`` it probes where that id occurs in ``previous``
+    and extends the longest contiguous match; runs of at least
+    :data:`MIN_COPY_RUN` become ``(start, length)`` copies, everything else
+    stays literal.  Cost is linear in practice (each probe either consumes
+    a run or one literal).  This handles both overlap shapes the execution
+    layer produces: order-preserving partitions (one long copy run -- the
+    pure sliding window) and predicate-regrouping partitions (one copy run
+    per predicate group straddling the slide).
     """
-    if not previous or not current:
-        return 0
-    first = current[0]
-    for index, fact in enumerate(previous):
-        if fact == first:
-            length = len(previous) - index
-            if length <= len(current) and previous[index:] == current[:length]:
-                return length
-    return 0
-
-
-def _diff_runs(previous: Tuple, current: Tuple) -> List[Tuple[bool, Tuple]]:
-    """Greedy longest-run matcher shared by the fact and id delta forms.
-
-    Returns tagged runs ``(is_copy, payload)``: copies carry ``(start,
-    length)`` into ``previous``, literal runs carry the items themselves.
-    Tagging matters for the id form, where a two-int literal run would be
-    indistinguishable from a copy op.
-    """
-    index: Dict[Any, List[int]] = {}
-    for position, fact in enumerate(previous):
-        index.setdefault(fact, []).append(position)
-    runs: List[Tuple[bool, Tuple]] = []
-    literals: List[Any] = []
+    if not previous:
+        return (pack_ids(current),) if current else ()
+    index: Dict[int, List[int]] = {}
+    for position, symbol_id in enumerate(previous):
+        index.setdefault(symbol_id, []).append(position)
+    runs: List[IdRunOp] = []
+    literals: List[int] = []
     cursor = 0
     total = len(current)
     while cursor < total:
@@ -433,94 +409,19 @@ def _diff_runs(previous: Tuple, current: Tuple) -> List[Tuple[bool, Tuple]]:
                 best_length, best_position = length, position
         if best_length >= MIN_COPY_RUN:
             if literals:
-                runs.append((False, tuple(literals)))
+                runs.append(pack_ids(literals))
                 literals = []
-            runs.append((True, (best_position, best_length)))
+            runs.append((best_position, best_length))
             cursor += best_length
         else:
             literals.append(current[cursor])
             cursor += 1
     if literals:
-        runs.append((False, tuple(literals)))
-    return runs
+        runs.append(pack_ids(literals))
+    return tuple(runs)
 
 
-def diff_facts(previous: Tuple[WorkFact, ...], current: Tuple[WorkFact, ...]) -> Tuple[FactDeltaOp, ...]:
-    """Encode ``current`` as copy-runs over ``previous`` plus literal facts.
-
-    A greedy longest-run matcher (the delta-compression classic): for every
-    position of ``current`` it probes where that fact occurs in
-    ``previous`` and extends the longest contiguous match; runs of at least
-    :data:`MIN_COPY_RUN` become ``(start, length)`` copy ops, everything
-    else stays literal.  Cost is linear in practice (each probe either
-    consumes a run or one literal).  This handles both overlap shapes the
-    execution layer produces: order-preserving partitions (one long copy
-    run -- the pure sliding window) and predicate-regrouping partitions
-    (one copy run per predicate group straddling the slide).
-    """
-    return tuple(payload for _is_copy, payload in _diff_runs(previous, current))
-
-
-def apply_facts_diff(previous: Tuple[WorkFact, ...], ops: Tuple[FactDeltaOp, ...]) -> Tuple[WorkFact, ...]:
-    """Reconstruct the fact tuple :func:`diff_facts` encoded (exact order)."""
-    parts: List[WorkFact] = []
-    for op in ops:
-        if _is_copy_op(op):
-            start, length = op  # type: ignore[misc]
-            if not (0 <= start and length >= 0 and start + length <= len(previous)):
-                raise ProtocolError(
-                    f"copy op ({start}, {length}) out of range for a {len(previous)}-fact window"
-                )
-            parts.extend(previous[start : start + length])
-        else:
-            parts.extend(op)  # type: ignore[arg-type]
-    return tuple(parts)
-
-
-# --------------------------------------------------------------------------- #
-# Interned-id wire forms (the ``symbol_ids`` capability)
-# --------------------------------------------------------------------------- #
-#: An id delta operation: ``(start, length)`` copies that run from the
-#: previous id tuple; a ``bytes`` value is a packed literal id run
-#: (:func:`repro.asp.syntax.symbols.pack_ids`).  The two are structurally
-#: distinct, unlike int facts in :data:`FactDeltaOp` tuples.
-IdRunOp = Union[Tuple[int, int], bytes]
-
-
-@dataclass(frozen=True)
-class IdWorkItem:
-    """Full wire form of a work item under the ``symbol_ids`` capability.
-
-    ``id_data`` is the window's fact tuple as a packed u32 id array against
-    the connection's synced symbol table -- any symbol it references was
-    shipped in an earlier (or the immediately preceding) ``SYMBOLS`` frame.
-    """
-
-    track: int
-    epoch: int
-    incremental: bool
-    id_data: bytes
-
-
-@dataclass(frozen=True)
-class IdFactDelta:
-    """Delta wire form of a steady-state work item under ``symbol_ids``."""
-
-    track: int
-    epoch: int
-    incremental: bool
-    ops: Tuple[IdRunOp, ...]
-
-
-def diff_id_runs(previous: Tuple[int, ...], current: Tuple[int, ...]) -> Tuple[IdRunOp, ...]:
-    """Encode an id tuple as copy runs over the previous one (id form of
-    :func:`diff_facts`); literal runs are packed to bytes."""
-    return tuple(
-        payload if is_copy else pack_ids(payload) for is_copy, payload in _diff_runs(previous, current)
-    )
-
-
-def apply_id_runs(previous: Tuple[int, ...], ops: Tuple[IdRunOp, ...]) -> Tuple[int, ...]:
+def apply_id_runs(previous: Tuple[int, ...], ops: Sequence[IdRunOp]) -> Tuple[int, ...]:
     """Reconstruct the id tuple :func:`diff_id_runs` encoded."""
     parts: List[int] = []
     for op in ops:
@@ -536,140 +437,233 @@ def apply_id_runs(previous: Tuple[int, ...], ops: Tuple[IdRunOp, ...]) -> Tuple[
     return tuple(parts)
 
 
-class DeltaShipper:
-    """Client-side per-track encoder choosing full vs. delta wire forms.
+def _work_payload(item: WorkItem, ops: Tuple[IdRunOp, ...]) -> bytes:
+    parts = [_WORK_HEADER.pack(item.track, item.epoch, item.incremental)]
+    for op in ops:
+        if isinstance(op, bytes):
+            parts.append(_RUN.pack(_LITERAL, len(op) // 4))
+            parts.append(op)
+        else:
+            parts.append(_COPY_RUN.pack(_COPY, op[1], op[0]))
+    return b"".join(parts)
 
-    A delta frame is sent only when its encoded payload is actually smaller
-    than the full fact set's -- so disjoint (tumbling/hopping) windows, and
-    any window the matcher cannot compress, automatically travel full.
 
-    With ``symbol_ids`` on, the shipper additionally interns every fact in
-    a connection-scoped :class:`SymbolTable` and emits the table's new tail
-    as a ``SYMBOLS`` frame ahead of the work frame
-    (:meth:`encode_frames`); the work frames themselves then carry flat id
-    arrays (:class:`IdWorkItem` / :class:`IdFactDelta`), so a steady-state
-    window whose facts are all known to the peer crosses the wire without
-    pickling a single atom.
+def _decode_runs(payload: bytes, offset: int) -> List[IdRunOp]:
+    ops: List[IdRunOp] = []
+    end = len(payload)
+    while offset < end:
+        kind, length = _RUN.unpack_from(payload, offset)
+        offset += _RUN.size
+        if kind == _COPY:
+            ops.append((_U32.unpack_from(payload, offset)[0], length))
+            offset += _U32.size
+        elif kind == _LITERAL:
+            stop = offset + 4 * length
+            if stop > end:
+                raise ProtocolError(f"literal run of {length} ids overruns the payload")
+            ops.append(payload[offset:stop])
+            offset = stop
+        else:
+            raise ProtocolError(f"unknown id-run kind {kind}")
+    return ops
+
+
+class _MasterTable:
+    """The writing side of one direction's symbol table.
+
+    Interns symbols and hands out the structural encoding of the tail the
+    peer has not seen yet, exactly once.  A tail with a symbol that has no
+    wire encoding raises :class:`TypeError` and is forgotten, so the table
+    still matches what the peer holds.
     """
 
-    def __init__(self, *, delta_shipping: bool = True, symbol_ids: bool = False) -> None:
-        self._delta_shipping = delta_shipping
-        self._previous: Dict[int, Tuple[WorkFact, ...]] = {}
-        self._prev_ids: Dict[int, Tuple[int, ...]] = {}
-        self._table: Optional[SymbolTable] = SymbolTable() if symbol_ids else None
-        self._synced = 0
+    def __init__(self) -> None:
+        self.table = SymbolTable()
+        self.synced = 0
+
+    def tail(self) -> Optional[Dict[str, Any]]:
+        if len(self.table) == self.synced:
+            return None
+        sync = self.table.diff_since(self.synced)
+        try:
+            encoded = encode_symbol_delta(sync)
+        except TypeError:
+            self.table = SymbolTable(self.table.diff_since(0).symbols[: self.synced])
+            raise
+        self.synced = sync.stop
+        return encoded
+
+
+class DeltaShipper:
+    """Client-side encoder of ``SYMBOLS`` and ``WORK`` frames.
+
+    Interns every fact in a connection-scoped :class:`SymbolTable`, sends
+    the table's new tail ahead of the work as a ``SYMBOLS`` frame, and
+    ships the item as one ``WORK`` frame: the ``(track, epoch,
+    incremental)`` header, then the window's ids as copy runs over the
+    same track's previous ids plus packed literal runs
+    (:func:`diff_id_runs`).  A steady-state sliding window whose facts the
+    peer already knows therefore costs a few copy runs plus its arrivals'
+    ids; a tumbling window costs ``4 bytes x |window|``.
+    """
+
+    def __init__(self) -> None:
+        self._master = _MasterTable()
+        self._previous: Dict[int, Tuple[int, ...]] = {}
+        #: Whether the last item encoded reused ids of its track's previous
+        #: window (at least one copy run) -- a *delta* item in
+        #: :class:`WireStats`.
+        self.copied = False
 
     def encode_frames(self, item: WorkItem) -> List[Tuple[FrameKind, bytes]]:
         """Encode ``item`` into the frames to send, in order.
 
-        The last frame is always the work frame (``WORK`` or ``DELTA``);
-        under ``symbol_ids`` it may be preceded by one ``SYMBOLS`` frame
-        carrying the symbols the peer has not seen yet.  Track state (and
-        the synced-table watermark) advances exactly as the peer's decoder
-        will on receipt.
+        The last frame is always the ``WORK`` frame; it may be preceded by
+        one ``SYMBOLS`` frame carrying the symbols the peer has not seen
+        yet.  Track state and the synced-table watermark advance exactly as
+        the peer's :class:`DeltaDecoder` will on receipt.  A fact with no
+        wire encoding raises :class:`TypeError` and leaves that state as it
+        was.
         """
-        if self._table is None:
-            return [self._encode_facts(item)]
         frames: List[Tuple[FrameKind, bytes]] = []
-        ids = tuple(self._table.intern_many(item.facts))
-        sync = self._table.diff_since(self._synced)
-        if sync:
-            frames.append((FrameKind.SYMBOLS, _dumps(sync)))
-            self._synced = sync.stop
-        previous = self._prev_ids.get(item.track)
-        self._prev_ids[item.track] = ids
-        full_payload = _dumps(
-            IdWorkItem(track=item.track, epoch=item.epoch, incremental=item.incremental, id_data=pack_ids(ids))
-        )
-        if self._delta_shipping and previous is not None:
-            ops = diff_id_runs(previous, ids)
-            if any(not isinstance(op, bytes) for op in ops):
-                delta_payload = _dumps(
-                    IdFactDelta(track=item.track, epoch=item.epoch, incremental=item.incremental, ops=ops)
-                )
-                if len(delta_payload) < len(full_payload):
-                    frames.append((FrameKind.DELTA, delta_payload))
-                    return frames
-        frames.append((FrameKind.WORK, full_payload))
+        ids = tuple(self._master.table.intern_many(item.facts))
+        tail = self._master.tail()
+        if tail is not None:
+            frames.append((FrameKind.SYMBOLS, dumps_json(tail)))
+        ops = diff_id_runs(self._previous.get(item.track, ()), ids)
+        self._previous[item.track] = ids
+        self.copied = not all(isinstance(op, bytes) for op in ops)
+        frames.append((FrameKind.WORK, _work_payload(item, ops)))
         return frames
-
-    def _encode_facts(self, item: WorkItem) -> Tuple[FrameKind, bytes]:
-        previous = self._previous.get(item.track)
-        self._previous[item.track] = item.facts
-        full_payload = _dumps(item)
-        if self._delta_shipping and previous is not None:
-            ops = diff_facts(previous, item.facts)
-            if any(_is_copy_op(op) for op in ops):
-                delta_payload = _dumps(
-                    FactDelta(track=item.track, epoch=item.epoch, incremental=item.incremental, ops=ops)
-                )
-                if len(delta_payload) < len(full_payload):
-                    return FrameKind.DELTA, delta_payload
-        return FrameKind.WORK, full_payload
-
-    def forget(self, track: Optional[int] = None) -> None:
-        """Drop the remembered facts (all tracks, or one)."""
-        if track is None:
-            self._previous.clear()
-            self._prev_ids.clear()
-        else:
-            self._previous.pop(track, None)
-            self._prev_ids.pop(track, None)
 
 
 class DeltaDecoder:
-    """Server-side per-track decoder mirroring :class:`DeltaShipper`.
+    """Server-side decoder of ``SYMBOLS`` and ``WORK`` frames, mirroring :class:`DeltaShipper`.
 
-    Holds the replica :class:`SymbolTable` of the connection: ``SYMBOLS``
-    frames append to it (:meth:`apply_symbols`), and id-form work frames
-    resolve their id arrays against it.  An id the table cannot resolve
-    means a lost ``SYMBOLS`` frame -- the error propagates and kills the
-    connection, exactly like a desynced fact delta.
+    Holds the connection's replica :class:`SymbolTable` and each track's
+    previous ids.  A malformed payload -- short, overrunning its own run
+    lengths, copying outside the previous window, naming an id no
+    ``SYMBOLS`` frame introduced -- raises :class:`ProtocolError`, and the
+    connection dies: both sides restart from empty, in-sync state.
     """
 
     def __init__(self) -> None:
-        self._previous: Dict[int, Tuple[WorkFact, ...]] = {}
-        self._prev_ids: Dict[int, Tuple[int, ...]] = {}
         self._table = SymbolTable()
+        self._previous: Dict[int, Tuple[int, ...]] = {}
 
     def apply_symbols(self, payload: bytes) -> int:
         """Apply a ``SYMBOLS`` frame; returns the number of new symbols."""
-        delta: SymbolDelta = pickle.loads(payload)
-        return self._table.apply(delta)
+        with _malformed("SYMBOLS"):
+            return self._table.apply(decode_symbol_delta(loads_json(payload)))
 
-    def decode(self, kind: FrameKind, payload: bytes) -> WorkItem:
-        """Rebuild the :class:`WorkItem` of a ``WORK`` or ``DELTA`` frame.
-
-        Older peers may send ``incremental=None`` (their "unset"); it
-        decodes as ``False``.
-        """
-        value = pickle.loads(payload)
-        if kind is FrameKind.WORK:
-            if isinstance(value, IdWorkItem):
-                ids = unpack_ids(value.id_data)
-                facts = self._table.resolve_many(ids)
-                self._prev_ids[value.track] = ids
-                return WorkItem(facts=facts, track=value.track, epoch=value.epoch, incremental=bool(value.incremental))
-            item: WorkItem = value
-            self._previous[item.track] = item.facts
-            if item.incremental is None:
-                item = replace(item, incremental=False)
-            return item
-        if isinstance(value, IdFactDelta):
-            previous_ids = self._prev_ids.get(value.track)
-            if previous_ids is None:
-                raise ProtocolError(f"DELTA frame for track {value.track} without a previous full window")
-            ids = apply_id_runs(previous_ids, value.ops)
-            self._prev_ids[value.track] = ids
+    def decode(self, payload: bytes) -> WorkItem:
+        """Rebuild the :class:`WorkItem` of a ``WORK`` frame."""
+        with _malformed("WORK"):
+            track, epoch, flag = _WORK_HEADER.unpack_from(payload)
+            if flag > 1:
+                raise ProtocolError(f"incremental flag {flag} is neither 0 nor 1")
+            ids = apply_id_runs(self._previous.get(track, ()), _decode_runs(payload, _WORK_HEADER.size))
             facts = self._table.resolve_many(ids)
-            return WorkItem(facts=facts, track=value.track, epoch=value.epoch, incremental=bool(value.incremental))
-        delta: FactDelta = value
-        previous = self._previous.get(delta.track)
-        if previous is None:
-            raise ProtocolError(f"DELTA frame for track {delta.track} without a previous full window")
-        facts = apply_facts_diff(previous, delta.ops)
-        self._previous[delta.track] = facts
-        return WorkItem(facts=facts, track=delta.track, epoch=delta.epoch, incremental=bool(delta.incremental))
+        self._previous[track] = ids
+        return WorkItem(facts=facts, track=track, epoch=epoch, incremental=bool(flag))
+
+
+class ResultEncoder:
+    """Worker-side encoder of ``RESULT`` frames; masters the response table.
+
+    Interns every answer atom in a connection-scoped table and ships the
+    table's new tail inside the frame, so a recurring derived atom costs 4
+    result bytes after its first appearance.  ``restricted`` picks how a
+    worker failure travels: an ``{"error": {kind, message}}`` envelope, or
+    (pickle codec) a pickled :class:`RemoteFailure`.
+    """
+
+    def __init__(self, *, restricted: bool = False) -> None:
+        self._master = _MasterTable()
+        self._restricted = restricted
+
+    def encode(self, result: ReasonerResult) -> bytes:
+        answers = [self._master.table.intern_many(answer) for answer in result.answers]
+        head: Dict[str, Any] = {"metrics": encode_metrics(result.metrics)}
+        tail = self._master.tail()
+        if tail is not None:
+            head["symbols"] = tail
+        head_bytes = dumps_json(head)
+        parts = [_RESULT_HEADER.pack(_ANSWERS, len(head_bytes)), head_bytes]
+        for ids in answers:
+            parts.append(_U32.pack(len(ids)))
+            parts.append(pack_ids(ids))
+        return b"".join(parts)
+
+    def encode_failure(self, error: BaseException) -> bytes:
+        failed = bytes((_FAILED,))
+        if self._restricted:
+            return failed + dumps_json({"error": {"kind": type(error).__name__, "message": str(error)}})
+        try:
+            return failed + _dumps(RemoteFailure(error))
+        except Exception as pickling_error:  # noqa: BLE001 - pickling raises Type/Attribute errors too
+            return failed + _dumps(
+                RemoteFailure(BackendError(f"unpicklable worker failure ({pickling_error!r}): {error!r}"))
+            )
+
+
+class ResultDecoder:
+    """Client-side decoder of ``RESULT`` frames; replicates the response table.
+
+    Frames must be decoded in receive order: a table tail arrives with the
+    first answer that uses it.  :meth:`decode` returns the
+    :class:`ReasonerResult`, or the worker-side failure for the caller to
+    raise -- a :class:`BackendError` built from the restricted envelope
+    (nothing is reconstructed), or the unpickled original under the pickle
+    codec.  A malformed payload raises :class:`ProtocolError`.
+    """
+
+    def __init__(self, peer: str, *, restricted: bool = False) -> None:
+        self._table = SymbolTable()
+        self._peer = peer
+        self._restricted = restricted
+
+    def decode(self, payload: bytes) -> Union[ReasonerResult, BaseException]:
+        with _malformed(f"RESULT from {self._peer}"):
+            if payload[0] == _FAILED:
+                return self._failure(payload[1:])
+            status, head_length = _RESULT_HEADER.unpack_from(payload)
+            if status != _ANSWERS:
+                raise ProtocolError(f"unknown RESULT status {status}")
+            offset = _RESULT_HEADER.size + head_length
+            if offset > len(payload):
+                raise ProtocolError(f"RESULT head of {head_length} bytes overruns the payload")
+            head = loads_json(payload[_RESULT_HEADER.size : offset])
+            if head.get("symbols") is not None:
+                self._table.apply(decode_symbol_delta(head["symbols"]))
+            metrics = decode_metrics(head.get("metrics"))
+            answers = []
+            while offset < len(payload):
+                (count,) = _U32.unpack_from(payload, offset)
+                start, offset = offset + _U32.size, offset + _U32.size + 4 * count
+                if offset > len(payload):
+                    raise ProtocolError(f"answer of {count} ids overruns the payload")
+                atoms = self._table.resolve_many(unpack_ids(payload[start:offset]))
+                if not all(isinstance(atom, Atom) for atom in atoms):
+                    raise ProtocolError(f"answer from {self._peer} resolved to non-atoms")
+                answers.append(frozenset(atoms))
+        return ReasonerResult(answers=tuple(answers), metrics=metrics)
+
+    def _failure(self, body: bytes) -> BaseException:
+        if self._restricted:
+            failure = loads_json(body).get("error")
+            if not isinstance(failure, dict):
+                raise ProtocolError(f"malformed error envelope from {self._peer}: {failure!r}")
+            return BackendError(
+                f"{self._peer} failed: {failure.get('kind', 'Error')}: {failure.get('message', '')}"
+            )
+        try:
+            value = pickle.loads(body)
+        except Exception as error:  # noqa: BLE001 - unpickling raises anything
+            raise ProtocolError(f"undecodable RESULT failure from {self._peer}: {error!r}") from error
+        if not isinstance(value, RemoteFailure):
+            raise ProtocolError(f"RESULT failure from {self._peer} is a {type(value).__name__}")
+        return value.rebuild()
 
 
 # --------------------------------------------------------------------------- #
@@ -679,8 +673,8 @@ class DeltaDecoder:
 class WireStats:
     """Per-connection traffic counters (payload bytes, excluding headers)."""
 
-    items_full: int = 0  #: work items shipped as full fact sets
-    items_delta: int = 0  #: work items shipped as :class:`FactDelta` frames
+    items_full: int = 0  #: ``WORK`` frames of literal runs only (a track's first or a disjoint window)
+    items_delta: int = 0  #: ``WORK`` frames with at least one copy run over the track's previous ids
     bytes_full: int = 0  #: payload bytes of the full items
     bytes_delta: int = 0  #: payload bytes of the delta items
     symbol_frames: int = 0  #: ``SYMBOLS`` table-sync frames sent
@@ -703,44 +697,41 @@ class WireStats:
 # --------------------------------------------------------------------------- #
 # Handshake grammar shared by the sync and asyncio clients
 # --------------------------------------------------------------------------- #
-def build_hello(
-    delta_shipping: bool, symbol_ids: bool, *, restricted: bool = False
-) -> Tuple[bytes, Dict[str, bool]]:
+def build_hello(*, restricted: bool = False) -> Tuple[bytes, Dict[str, bool]]:
     """Build the ``HELLO`` payload; returns ``(payload, offered)``.
 
-    One spelling of the capability offer for every client implementation
+    One spelling of the offer for every client implementation
     (:class:`WorkerClient` and the asyncio client in
-    :mod:`repro.streamrule.aio`), so the two cannot drift.  ``restricted``
-    additionally offers the ``restricted_codec`` capability -- the client
-    must then refuse the connection (:class:`HandshakeError`) if the
-    server's ``WELCOME`` does not accept it.
+    :mod:`repro.streamrule.aio`), so the two cannot drift.  The one
+    capability is ``restricted_codec``, offered when ``restricted`` -- the
+    client must then refuse the connection (:class:`HandshakeError`) if
+    the server's ``WELCOME`` does not accept it.
     """
-    offered = dict(DEFAULT_CAPABILITIES)
-    offered["delta_shipping"] = delta_shipping
-    offered["symbol_ids"] = symbol_ids
-    if restricted:
-        offered["restricted_codec"] = True
+    offered = {"restricted_codec": True} if restricted else {}
     return dumps_json({"protocol": PROTOCOL_VERSION, "capabilities": offered}), offered
 
 
+def _accepted(offered: Dict[str, bool], answer: Any) -> Dict[str, bool]:
+    """The capabilities both sides named (``answer`` is the peer's, unvalidated)."""
+    if not isinstance(answer, dict):
+        return {}
+    return {name: True for name, on in answer.items() if on is True and offered.get(name)}
+
+
 def parse_welcome_fields(
-    kind: FrameKind,
-    payload: bytes,
-    offered: Dict[str, bool],
-    address: Tuple[str, int],
-    *,
-    allow_pickle: bool = True,
+    kind: FrameKind, payload: bytes, offered: Dict[str, bool], address: Tuple[str, int]
 ) -> Tuple[Dict[str, bool], Dict[str, Any]]:
     """Validate the server's handshake answer.
 
     Returns ``(accepted capabilities, raw welcome fields)`` -- the raw
     fields carry handshake extensions such as the auth ``nonce``.  Raises
     :class:`HandshakeError` on a ``REJECT`` or a protocol-version mismatch
-    and :class:`ProtocolError` on any other frame kind.  A capability is
-    active only when both the offer and the ``WELCOME`` named it.
+    (naming both versions) and :class:`ProtocolError` on any other frame
+    kind.  A capability is active only when both the offer and the
+    ``WELCOME`` named it.
     """
     if kind is FrameKind.REJECT:
-        reject = loads_control(payload, allow_pickle=allow_pickle)
+        reject = loads_json(payload)
         raise HandshakeError(
             f"worker {address[0]}:{address[1]} rejected the handshake: "
             f"{reject.get('reason', 'unspecified')} "
@@ -748,16 +739,13 @@ def parse_welcome_fields(
         )
     if kind is not FrameKind.WELCOME:
         raise ProtocolError(f"expected WELCOME, got {kind.name}")
-    welcome = loads_control(payload, allow_pickle=allow_pickle)
+    welcome = loads_json(payload)
     if welcome.get("protocol") != PROTOCOL_VERSION:
         raise HandshakeError(
             f"worker {address[0]}:{address[1]} speaks protocol "
             f"{welcome.get('protocol')}, this client speaks {PROTOCOL_VERSION}"
         )
-    accepted = {
-        name: True for name, on in welcome.get("capabilities", {}).items() if on and offered.get(name)
-    }
-    return accepted, welcome
+    return _accepted(offered, welcome.get("capabilities")), welcome
 
 
 def encode_reasoner_payload(reasoner: Reasoner, codec: str = "pickle") -> bytes:
@@ -770,27 +758,8 @@ def encode_reasoner_payload(reasoner: Reasoner, codec: str = "pickle") -> bytes:
     call this so the two cannot drift.
     """
     if codec == "restricted":
-        from repro.streamrule.codec import encode_reasoner_spec
-
         return encode_reasoner_spec(reasoner)
     return pickle.dumps(reasoner, protocol=pickle.HIGHEST_PROTOCOL)
-
-
-def decode_result(payload: bytes, address: Tuple[str, int]) -> ReasonerResult:
-    """Unpickle a ``RESULT`` payload, re-raising wrapped worker failures.
-
-    Raises :class:`ProtocolError` on an undecodable payload (the caller
-    must then abort the connection -- the stream can no longer be trusted)
-    and the original worker-side exception when the payload is a
-    :class:`RemoteFailure`.
-    """
-    try:
-        value = pickle.loads(payload)
-    except Exception as error:
-        raise ProtocolError(f"undecodable RESULT payload from {address}: {error!r}") from error
-    if isinstance(value, RemoteFailure):
-        raise value.rebuild()
-    return value
 
 
 # --------------------------------------------------------------------------- #
@@ -880,7 +849,7 @@ def parse_announce(payload: bytes) -> Tuple[str, int]:
     its codec, because announces arrive from the *unauthenticated* edge of
     the fleet (the whole point is hearing from workers we lost).
     """
-    fields = loads_control(payload, allow_pickle=False)
+    fields = loads_json(payload)
     if fields.get("protocol") != PROTOCOL_VERSION:
         raise ProtocolError(f"ANNOUNCE speaks protocol {fields.get('protocol')}, not {PROTOCOL_VERSION}")
     host, port = fields.get("host"), fields.get("port")
@@ -939,8 +908,6 @@ class ConnectionSettings:
     constructor signatures themselves.
     """
 
-    delta_shipping: bool = True
-    symbol_ids: bool = True
     connect_attempts: int = 5
     base_delay: float = 0.05
     max_delay: float = 2.0
@@ -966,20 +933,22 @@ class ConnectionSettings:
 class Ticket:
     """One in-flight request awaiting its FIFO-ordered response frame.
 
-    Plain data: a response fills ``kind``/``payload``, a broken connection
-    fills ``error``, and either calls ``wake`` (if the driver gave one) --
-    exactly once, whatever happens afterwards.
+    Plain data: a response fills ``kind``/``value`` (a ``RESULT`` already
+    decoded, in receive order: the result or the worker-side failure; any
+    other frame its payload), a broken connection fills ``error``, and
+    either calls ``wake`` (if the driver gave one) -- exactly once,
+    whatever happens afterwards.
     """
 
     wake: Optional[Callable[[], None]] = None
     kind: Optional[FrameKind] = None
-    payload: Optional[bytes] = None
+    value: Any = None
     error: Optional[BaseException] = None
     done: bool = False
 
-    def _settle(self, kind: Optional[FrameKind], payload: Optional[bytes], error: Optional[BaseException]) -> None:
+    def _settle(self, kind: Optional[FrameKind], value: Any, error: Optional[BaseException]) -> None:
         if not self.done:
-            self.kind, self.payload, self.error = kind, payload, error
+            self.kind, self.value, self.error = kind, value, error
             self.done = True  # last: a threaded driver polls this flag without a lock
             if self.wake is not None:
                 self.wake()
@@ -993,10 +962,10 @@ class ClientConnection:
     out; no socket, lock, thread or event loop.  It owns what both I/O
     drivers -- the blocking :class:`WorkerClient` and the asyncio client in
     :mod:`repro.streamrule.aio` -- must agree on: the ``MAGIC`` ..
-    ``READY`` handshake and its error taxonomy, the capability
-    intersection, the choice of shipper and result decoder, the ordered
-    frames of a work item with their :class:`WireStats` accounting, and the
-    FIFO of outstanding tickets.  A driver moves the returned chunks to its
+    ``READY`` handshake and its error taxonomy, the codec, the data-plane
+    encoder and decoder of the connection, the ordered frames of a work
+    item with their :class:`WireStats` accounting, and the FIFO of
+    outstanding tickets.  A driver moves the returned chunks to its
     transport *in order, one write per chunk*, feeds what arrives back in,
     and waits on tickets however its world waits.  When its transport fails
     (:meth:`connection_lost` says what that means) or a method here raises
@@ -1021,8 +990,8 @@ class ClientConnection:
         self.stats = WireStats()
         self.capabilities: Dict[str, bool] = {}
         self.closed = False
-        self.shipper: Any = None
-        self._decode_result: Callable[[bytes, Tuple[str, int]], ReasonerResult] = decode_result
+        self.shipper = DeltaShipper()
+        self._results = ResultDecoder(self._worker(), restricted=codec == "restricted")
         self._auth_token = auth_token
         self._offered: Dict[str, bool] = {}
         #: ``"welcome"`` / ``"ready"`` while that handshake answer is
@@ -1045,22 +1014,19 @@ class ClientConnection:
         return f"worker {self.address[0]}:{self.address[1]}"
 
     # -- handshake ------------------------------------------------------- #
-    def open(self, reasoner_payload: bytes, *, delta_shipping: bool = True, symbol_ids: bool = True) -> List[bytes]:
-        """The opening chunks: ``MAGIC``, then a ``HELLO`` offering the capabilities.
+    def open(self, reasoner_payload: bytes) -> List[bytes]:
+        """The opening chunks: ``MAGIC``, then a ``HELLO`` naming the protocol and codec.
 
         ``reasoner_payload`` follows in the ``REASONER`` frame once the
         ``WELCOME`` (and its auth challenge, if any) has been answered.
         """
         self._reasoner_payload = reasoner_payload
-        hello, self._offered = build_hello(delta_shipping, symbol_ids, restricted=self.codec == "restricted")
+        hello, self._offered = build_hello(restricted=self.codec == "restricted")
         return [MAGIC, frame_bytes(FrameKind.HELLO, hello)]
 
     def _on_welcome(self, kind: FrameKind, payload: bytes) -> List[bytes]:
-        restricted = self.codec == "restricted"
-        accepted, welcome = parse_welcome_fields(
-            kind, payload, self._offered, self.address, allow_pickle=not restricted
-        )
-        if restricted and not accepted.get("restricted_codec"):
+        accepted, welcome = parse_welcome_fields(kind, payload, self._offered, self.address)
+        if self.codec == "restricted" and not accepted.get("restricted_codec"):
             raise HandshakeError(
                 f"{self._worker()} did not accept the restricted codec; refusing to fall back to pickle"
             )
@@ -1078,24 +1044,12 @@ class ClientConnection:
 
     def _on_ready(self, kind: FrameKind, payload: bytes) -> List[bytes]:
         if kind is FrameKind.REJECT:
-            reject = loads_control(payload, allow_pickle=self.codec != "restricted")
+            reject = loads_json(payload)
             raise HandshakeError(
                 f"{self._worker()} rejected the handshake: {reject.get('reason', 'unspecified')}"
             )
         if kind is not FrameKind.READY:
             raise ProtocolError(f"expected READY, got {kind.name}")
-        use_delta = bool(self.capabilities.get("delta_shipping"))
-        if self.capabilities.get("restricted_codec"):
-            from repro.streamrule.codec import RestrictedResultDecoder, RestrictedShipper
-
-            self.shipper = RestrictedShipper(delta_shipping=use_delta)
-            self._decode_result = RestrictedResultDecoder().decode
-        else:
-            # With neither capability this still emits exactly one WORK
-            # frame holding the pickled item.
-            self.shipper = DeltaShipper(
-                delta_shipping=use_delta, symbol_ids=bool(self.capabilities.get("symbol_ids"))
-            )
         self._stage = "open"
         return []
 
@@ -1106,8 +1060,10 @@ class ClientConnection:
         During the handshake the answer is its next step (``AUTH`` +
         ``REASONER`` after ``WELCOME``).  Once open, a frame is the
         response to the oldest outstanding request -- the worker answers
-        strictly in request order -- and settles that ticket; a frame
-        nobody asked for is a :class:`ProtocolError`.
+        strictly in request order -- and settles that ticket; a ``RESULT``
+        is decoded here, so the response table advances in receive order.
+        A frame nobody asked for, or a malformed ``RESULT``, is a
+        :class:`ProtocolError` (the latter also fails its ticket).
         """
         if self._stage == "welcome":
             return self._on_welcome(kind, payload)
@@ -1116,7 +1072,15 @@ class ClientConnection:
         self.stats.bytes_in += len(payload)
         if not self._pending:
             raise ProtocolError(f"unsolicited {kind.name} frame from {self.address}")
-        self._pending.popleft()._settle(kind, payload, None)
+        ticket = self._pending.popleft()
+        value: Any = payload
+        if kind is FrameKind.RESULT:
+            try:
+                value = self._results.decode(payload)
+            except ProtocolError as error:
+                ticket._settle(None, None, error)
+                raise
+        ticket._settle(kind, value, None)
         return []
 
     # -- failure ---------------------------------------------------------- #
@@ -1159,10 +1123,10 @@ class ClientConnection:
     def encode_item(self, item: WorkItem) -> List[bytes]:
         """The chunks that ship ``item``, counted in :attr:`stats`.
 
-        The last one is the ``WORK``/``DELTA`` frame whose response
-        :meth:`expect` queues a ticket for; ``SYMBOLS`` frames ahead of it
-        are one-way (no response, so no ticket).  The shipper's per-track
-        state advances here, so calls must happen in wire order.
+        The last one is the ``WORK`` frame whose response :meth:`expect`
+        queues a ticket for; a ``SYMBOLS`` frame ahead of it is one-way (no
+        response, so no ticket).  The shipper's per-track state advances
+        here, so calls must happen in wire order.
         """
         if self.closed:
             raise self.closed_error()
@@ -1171,7 +1135,7 @@ class ClientConnection:
             if kind is FrameKind.SYMBOLS:
                 self.stats.symbol_frames += 1
                 self.stats.bytes_symbols += len(payload)
-            elif kind is FrameKind.DELTA:
+            elif self.shipper.copied:
                 self.stats.items_delta += 1
                 self.stats.bytes_delta += len(payload)
             else:
@@ -1186,23 +1150,26 @@ class ClientConnection:
             raise self.closed_error()
         self._pending.append(ticket)
 
-    def _response(self, ticket: Ticket, expected: FrameKind) -> bytes:
+    def _response(self, ticket: Ticket, expected: FrameKind) -> Any:
         if ticket.error is not None:
             raise ticket.error
-        assert ticket.kind is not None and ticket.payload is not None
+        assert ticket.kind is not None
         if ticket.kind is not expected:
             raise ProtocolError(f"expected {expected.name}, got {ticket.kind.name}")
-        return ticket.payload
+        return ticket.value
 
     def take_result(self, ticket: Ticket) -> ReasonerResult:
         """The evaluated result a settled work ticket carries.
 
-        Raises the ticket's failure, the worker-side exception a
-        ``RESULT`` wraps (the connection survives that), or
-        :class:`ProtocolError` for any other frame kind or an undecodable
-        payload.
+        Raises the ticket's failure (a malformed ``RESULT`` is a
+        :class:`ProtocolError`), the worker-side exception a ``RESULT``
+        carries (the connection survives that), or :class:`ProtocolError`
+        for any other frame kind.
         """
-        return self._decode_result(self._response(ticket, FrameKind.RESULT), self.address)
+        value = self._response(ticket, FrameKind.RESULT)
+        if isinstance(value, BaseException):
+            raise value
+        return value
 
     def take_pong(self, ticket: Ticket) -> None:
         """Check a settled ``PING`` ticket (counts the completed heartbeat)."""
@@ -1217,8 +1184,8 @@ class WorkerClient:
     """One handshaken connection to a worker daemon.
 
     The blocking-socket driver of a :class:`ClientConnection` (which holds
-    the negotiated capabilities, the per-track shipper and the
-    :class:`WireStats` record): this class only dials, moves bytes and
+    the negotiated codec, the data-plane state and the :class:`WireStats`
+    record): this class only dials, moves bytes and
     waits.  The connection is *pipelined*: sends and receives are
     serialized separately, so several dispatcher threads (and the
     heartbeat) may each have a frame outstanding on the one socket at the
@@ -1241,8 +1208,6 @@ class WorkerClient:
         address: Tuple[str, int],
         reasoner_payload: bytes,
         *,
-        delta_shipping: bool = True,
-        symbol_ids: bool = True,
         attempts: int = 5,
         base_delay: float = 0.05,
         max_delay: float = 2.0,
@@ -1277,7 +1242,7 @@ class WorkerClient:
         )
         self._sock: Optional[socket.socket] = sock
         try:
-            chunks = self._connection.open(reasoner_payload, delta_shipping=delta_shipping, symbol_ids=symbol_ids)
+            chunks = self._connection.open(reasoner_payload)
             while not self._connection.is_open:
                 # Only the transport and the framing are guarded: what the
                 # frame *says* is the connection's to judge, with its own
@@ -1292,7 +1257,6 @@ class WorkerClient:
             self.close()
             raise
         self.capabilities = self._connection.capabilities
-        self._shipper = self._connection.shipper
 
     # -- lifecycle ------------------------------------------------------- #
     @property
@@ -1379,7 +1343,7 @@ class WorkerClient:
             raise self.abort(self._connection.connection_lost(error)) from error
 
     def submit_item(self, item: WorkItem) -> ReasonerResult:
-        """Ship one work item (full or delta form) and await its result.
+        """Ship one work item and await its result.
 
         The send returns as soon as the frames are on the wire; the calling
         thread then waits on the FIFO ticket queue, so concurrent callers
@@ -1429,7 +1393,6 @@ class ServedConnection:
     """Outcome record of one served connection (returned for logging/tests)."""
 
     items: int = 0
-    deltas: int = 0
     symbols: int = 0  #: SYMBOLS table-sync frames applied
     pings: int = 0
     rejected: Optional[str] = None
@@ -1439,7 +1402,6 @@ class ServedConnection:
 def serve_worker_connection(
     connection: socket.socket,
     *,
-    capabilities: Optional[Dict[str, bool]] = None,
     protocol_version: int = PROTOCOL_VERSION,
     reasoner_factory: Callable[[bytes], Reasoner] = pickle.loads,
     read_ahead: int = 8,
@@ -1449,17 +1411,17 @@ def serve_worker_connection(
     """Serve one coordinator connection until it closes.
 
     The server half of the protocol: validate magic, negotiate the
-    handshake, install the shipped reasoner, then answer ``WORK`` /
-    ``DELTA`` / ``PING`` frames until EOF.  Worker-side evaluation errors
-    are wrapped in :class:`RemoteFailure` result frames; only transport
-    errors end the loop.  Used by the daemon in
-    :mod:`repro.streamrule.worker` (one call per accepted connection) and
-    by in-process servers in the tests.
+    handshake, install the shipped reasoner, then answer ``WORK`` and
+    ``PING`` frames (applying ``SYMBOLS`` frames as they come) until EOF.
+    Worker-side evaluation errors travel back as failed ``RESULT`` frames;
+    only transport errors and malformed frames end the loop.  Used by the
+    daemon in :mod:`repro.streamrule.worker` (one call per accepted
+    connection) and by in-process servers in the tests.
 
     ``read_ahead`` is the server half of connection pipelining: a reader
     thread receives and decodes up to that many frames ahead of the
     evaluation loop, so a pipelining coordinator's next window is already
-    unpickled when the current evaluation finishes, and responses still go
+    decoded when the current evaluation finishes, and responses still go
     out strictly in request order (the invariant the client's FIFO ticket
     queue relies on).  The bound matters: once the queue is full the reader
     stops reading, the kernel's receive window fills, and the coordinator's
@@ -1472,14 +1434,12 @@ def serve_worker_connection(
     ``restricted_codec`` capability (rejecting pickle peers outright) and
     never unpickles a network byte; ``codec="pickle"`` still *speaks*
     restricted when the peer asks for it -- the capability decides the
-    connection's dialect.
+    connection's dialect.  Control frames are JSON on every daemon: a
+    ``HELLO`` that is not is refused with a JSON ``REJECT``, unread.
     """
     if codec not in ("pickle", "restricted"):
         raise ValueError(f"codec must be 'pickle' or 'restricted', got {codec!r}")
     record = ServedConnection()
-    restricted_only = codec == "restricted"
-    supported = dict(DEFAULT_CAPABILITIES) if capabilities is None else dict(capabilities)
-    supported.setdefault("restricted_codec", True)
     try:
         try:
             magic = recv_exactly(connection, len(MAGIC))
@@ -1492,29 +1452,21 @@ def serve_worker_connection(
         if kind is not FrameKind.HELLO:
             record.rejected = f"expected HELLO, got {kind.name}"
             return record
-        # Answer in the encoding the HELLO arrived in: JSON peers get JSON
-        # control frames, legacy pickle peers get pickled ones.
-        reply_dumps: Callable[[Any], bytes] = dumps_json if payload[:1] == b"{" else _dumps
 
-        def reject(
-            reason: str, rejected: Optional[str] = None, dumps: Callable[[Any], bytes] = reply_dumps
-        ) -> ServedConnection:
+        def reject(reason: str, rejected: Optional[str] = None) -> ServedConnection:
             record.rejected = rejected or reason
-            send_frame(connection, FrameKind.REJECT, dumps({"protocol": protocol_version, "reason": reason}))
+            send_frame(connection, FrameKind.REJECT, dumps_json({"protocol": protocol_version, "reason": reason}))
             return record
 
         try:
-            hello = loads_control(payload, allow_pickle=not restricted_only)
+            hello = loads_json(payload)
         except ProtocolError:
-            # The peer's pickle is refused, so the refusal is JSON whatever it sent.
-            return reject("restricted codec required", dumps=dumps_json)
+            return reject("control frames must be JSON")
         if hello.get("protocol") != protocol_version:
             return reject("protocol version mismatch", f"protocol {hello.get('protocol')} != {protocol_version}")
-        accepted = {
-            name: True for name, on in hello.get("capabilities", {}).items() if on and supported.get(name)
-        }
-        restricted = bool(accepted.get("restricted_codec"))
-        if restricted_only and not restricted:
+        accepted = _accepted({"restricted_codec": True}, hello.get("capabilities"))
+        restricted = bool(accepted)
+        if codec == "restricted" and not restricted:
             return reject("restricted codec required")
         record.capabilities = accepted
         welcome: Dict[str, Any] = {"protocol": protocol_version, "capabilities": accepted}
@@ -1522,13 +1474,13 @@ def serve_worker_connection(
         if auth_token is not None:
             nonce = secrets.token_hex(16)
             welcome["nonce"] = nonce
-        send_frame(connection, FrameKind.WELCOME, reply_dumps(welcome))
+        send_frame(connection, FrameKind.WELCOME, dumps_json(welcome))
         kind, payload = recv_frame(connection)
         if nonce is not None:
             if kind is not FrameKind.AUTH:
                 return reject("authentication required")
             try:
-                mac = loads_control(payload, allow_pickle=False).get("mac")
+                mac = loads_json(payload).get("mac")
             except ProtocolError:
                 mac = None
             if not isinstance(mac, str) or not hmac.compare_digest(mac, auth_mac(auth_token, nonce)):
@@ -1537,34 +1489,11 @@ def serve_worker_connection(
         if kind is not FrameKind.REASONER:
             record.rejected = f"expected REASONER, got {kind.name}"
             return record
-        if restricted:
-            from repro.streamrule.codec import RestrictedServerCodec, reasoner_from_spec
-
-            server_codec: Optional["RestrictedServerCodec"] = RestrictedServerCodec()
-            reasoner = reasoner_from_spec(payload)
-        else:
-            server_codec = None
-            reasoner = reasoner_factory(payload)
+        reasoner = reasoner_from_spec(payload) if restricted else reasoner_factory(payload)
         send_frame(connection, FrameKind.READY)
 
-        def encode_response(response: object) -> bytes:
-            if server_codec is not None:
-                if isinstance(response, RemoteFailure):
-                    return server_codec.encode_error(response.error)
-                try:
-                    return server_codec.encode_result(response)  # type: ignore[arg-type]
-                except Exception as error:  # noqa: BLE001 - encoding failures ship as errors
-                    return server_codec.encode_error(
-                        BackendError(f"unencodable worker response ({error!r})")
-                    )
-            try:
-                return _dumps(response)
-            except Exception as error:  # noqa: BLE001 - pickling raises Type/Attribute errors too
-                return _dumps(
-                    RemoteFailure(BackendError(f"unpicklable worker response ({error!r}): {response!r}"))
-                )
-
-        decoder: Any = server_codec if server_codec is not None else DeltaDecoder()
+        decoder = DeltaDecoder()
+        results = ResultEncoder(restricted=restricted)
         frames: "queue.Queue[Tuple[Optional[FrameKind], Any]]" = queue.Queue(maxsize=max(1, read_ahead))
         done = threading.Event()
 
@@ -1581,8 +1510,8 @@ def serve_worker_connection(
 
         def _read_ahead() -> None:
             # Receive and decode ahead of the evaluation loop.  Decoding
-            # happens here, in receive order, so the delta decoder's
-            # per-track state advances exactly as the shipper's did.
+            # happens here, in receive order, so the decoder's table and
+            # per-track state advance exactly as the shipper's did.
             while True:
                 try:
                     kind, payload = recv_frame(connection)
@@ -1593,27 +1522,23 @@ def serve_worker_connection(
                     if not _offer((kind, None)):
                         return
                     continue
-                if kind is FrameKind.SYMBOLS:
-                    # One-way table sync: apply in receive order, no queue
-                    # entry (so no response frame -- the FIFO order the
-                    # client's ticket queue relies on is undisturbed).
-                    try:
-                        decoder.apply_symbols(payload)
-                    except BaseException as error:  # noqa: BLE001 - reported, then the connection dies
-                        _offer((None, ProtocolError(f"undecodable SYMBOLS frame: {error!r}")))
-                        return
-                    record.symbols += 1
-                    continue
-                if kind not in (FrameKind.WORK, FrameKind.DELTA):
+                if kind not in (FrameKind.SYMBOLS, FrameKind.WORK):
                     _offer((None, None))  # protocol violation: drop the connection
                     return
                 try:
-                    item = decoder.decode(kind, payload)
+                    if kind is FrameKind.SYMBOLS:
+                        # One-way table sync: no queue entry, so no response
+                        # frame -- the FIFO order the client's ticket queue
+                        # relies on is undisturbed.
+                        decoder.apply_symbols(payload)
+                        record.symbols += 1
+                        continue
+                    item = decoder.decode(payload)
                 except BaseException as error:  # noqa: BLE001 - reported, then the connection dies
                     # A frame that cannot be decoded leaves the decoder's
-                    # per-track state behind the shipper's; the connection
-                    # must die so both sides restart from empty, in-sync
-                    # state (the module invariant).
+                    # state behind the shipper's; the connection must die so
+                    # both sides restart from empty, in-sync state (the
+                    # module invariant).
                     _offer((None, ProtocolError(f"undecodable {kind.name} frame: {error!r}")))
                     return
                 if not _offer((kind, item)):
@@ -1628,24 +1553,20 @@ def serve_worker_connection(
                     if item is not None:
                         # Decode failure: best-effort error report first.
                         try:
-                            send_frame(connection, FrameKind.RESULT, encode_response(RemoteFailure(item)))
-                        except (OSError, TypeError, ValueError, pickle.PicklingError):
+                            send_frame(connection, FrameKind.RESULT, results.encode_failure(item))
+                        except OSError:
                             pass
                     return record
                 if kind is FrameKind.PING:
                     record.pings += 1
                     send_frame(connection, FrameKind.PONG)
                     continue
-                response: object
                 try:
-                    response = reasoner.reason_item(item)
+                    response = results.encode(reasoner.reason_item(item))
                 except BaseException as error:  # noqa: BLE001 - shipped back to the caller
-                    response = RemoteFailure(error)
-                response_payload = encode_response(response)
+                    response = results.encode_failure(error)
                 record.items += 1
-                if kind is FrameKind.DELTA:
-                    record.deltas += 1
-                send_frame(connection, FrameKind.RESULT, response_payload)
+                send_frame(connection, FrameKind.RESULT, response)
         finally:
             done.set()
     except (EOFError, OSError):

@@ -6,22 +6,19 @@ but through a pair of one-writer/one-reader byte rings in a single
 :class:`multiprocessing.shared_memory.SharedMemory` segment -- the request
 ring carries coordinator -> worker messages, the response ring the reverse.
 
-What crosses the rings is the interned-id representation of the work, not
-pickled atoms.  Each direction has exactly one writer, and that writer owns
-the master :class:`~repro.asp.syntax.symbols.SymbolTable` of the direction:
-
-* the coordinator interns the window's facts into the slot's *request*
-  table and prepends a ``K_SYMBOLS`` message (a pickled
-  :class:`~repro.asp.syntax.symbols.SymbolDelta` of the unsynced tail)
-  whenever new symbols appeared; the ``K_WORK`` message itself is a fixed
-  12-byte header plus a packed u32 id array -- no pickling of facts;
-* the worker resolves the ids against its replica, evaluates, and answers
-  symmetrically: answer atoms are interned into the *response* table, the
-  unsynced tail travels as ``K_SYMBOLS`` ahead of the ``K_RESULT`` message,
-  and the answer sets themselves are packed id arrays.
-
-In steady state (a sliding window whose facts were all seen before) a
-window therefore crosses the process boundary as ``4 bytes x |window|``
+What crosses the rings are the TCP wire's own data-plane messages
+(:mod:`repro.streamrule.net`), as ``(FrameKind, payload)`` pairs: the
+coordinator's :class:`~repro.streamrule.net.DeltaShipper` interns the
+window's facts and sends a ``SYMBOLS`` message with the request table's
+new tail (when there is one) and a ``WORK`` message of id runs; the
+worker's :class:`~repro.streamrule.net.DeltaDecoder` resolves them,
+evaluates, and answers with one ``RESULT`` message
+(:class:`~repro.streamrule.net.ResultEncoder`): the response table's new
+tail, one packed id blob per answer set and the metrics record.  A
+failed evaluation travels as a pickled
+:class:`~repro.streamrule.net.RemoteFailure`, as on a pickle-codec TCP
+connection.  In steady state (a sliding window whose facts were all seen
+before) a window therefore crosses the process boundary as a few id runs
 written straight into shared memory: no pickling, no kernel socket copy.
 
 Layout and flow control
@@ -38,8 +35,9 @@ signal the session answers with its inline fallback.
 A message larger than the ring cannot ever fit; it takes the *oversize*
 side door: a two-byte ``K_OVERSIZE`` marker goes through the ring (keeping
 message order defined by ring order) and the body through a duplex
-:func:`multiprocessing.Pipe` -- the pickling fallback that keeps rare huge
-windows correct without sizing every ring for the worst case.
+:func:`multiprocessing.Pipe` -- the fallback that keeps rare huge windows
+correct without sizing every ring for the worst case.  ``K_OVERSIZE`` and
+``K_SHUTDOWN`` are the only kinds the rings add to the wire's.
 
 Workers are started with the ``spawn`` context deliberately: a spawned
 child is a fresh interpreter with a *different* ``PYTHONHASHSEED`` and its
@@ -59,9 +57,8 @@ from dataclasses import dataclass
 from multiprocessing.shared_memory import SharedMemory
 from typing import Any, Callable, Optional, Tuple
 
-from repro.asp.syntax.symbols import SymbolTable, pack_ids, unpack_ids
 from repro.streamrule.errors import BackendConnectionError, ProtocolError
-from repro.streamrule.net import RemoteFailure
+from repro.streamrule.net import DeltaDecoder, DeltaShipper, FrameKind, ResultDecoder, ResultEncoder
 from repro.streamrule.reasoner import Reasoner, ReasonerResult
 from repro.streamrule.work import WorkItem
 
@@ -72,24 +69,18 @@ __all__ = [
     "ShmSlotStats",
 ]
 
-#: Default per-ring data capacity in bytes.  A steady-state window costs
-#: ``4 x |window|`` bytes, so 256 KiB rings absorb ~64k-fact windows
-#: without touching the oversize path.
+#: Default per-ring data capacity in bytes.  A window of all-new facts
+#: costs ``4 x |window|`` bytes of ids, so 256 KiB rings absorb ~64k-fact
+#: windows without touching the oversize path.
 DEFAULT_RING_CAPACITY = 256 * 1024
 
-# Message kinds (first payload byte).  Both directions share the numbering.
-K_SYMBOLS = 1  #: pickled SymbolDelta extending the direction's table
-K_WORK = 2  #: coordinator -> worker: work header + packed fact ids
-K_RESULT = 3  #: worker -> coordinator: pickled (answer id blobs, metrics)
-K_FAILURE = 4  #: worker -> coordinator: pickled RemoteFailure
-K_SHUTDOWN = 5  #: coordinator -> worker: clean exit request
-K_OVERSIZE = 6  #: marker: real kind in byte 2, body follows on the pipe
+# Message kinds (first payload byte): a :class:`FrameKind`, or one of the
+# two transport markers, which lie outside its range.
+K_SHUTDOWN = 0  #: coordinator -> worker: clean exit request
+K_OVERSIZE = 255  #: marker: real kind in byte 2, body follows on the pipe
 
 _CURSORS = struct.Struct("<QQ")  # (tail, head) absolute monotonic counters
 _LENGTH = struct.Struct("<I")  # per-frame length prefix
-#: ``K_WORK`` body header: track (i64), epoch (i64), incremental flag
-#: (0 false / 1 true); the packed id array follows.
-_WORK_HEADER = struct.Struct("<qqb")
 
 #: How long each blocking ring wait sleeps before re-checking the ring and
 #: the peer's liveness.
@@ -246,22 +237,14 @@ class _SlotWiring:
     pipe: Any
 
 
-def _encode_work(item: WorkItem, ids: Tuple[int, ...]) -> bytes:
-    return _WORK_HEADER.pack(item.track, item.epoch, item.incremental) + pack_ids(ids)
-
-
-def _decode_work(body: bytes, table: SymbolTable) -> WorkItem:
-    track, epoch, flag = _WORK_HEADER.unpack_from(body)
-    facts = table.resolve_many(unpack_ids(body[_WORK_HEADER.size :]))
-    return WorkItem(facts=facts, track=track, epoch=epoch, incremental=bool(flag))
-
-
 def _serve_shm_worker(wiring: _SlotWiring, payload: bytes) -> None:
-    """Worker-process loop: resolve ids, evaluate, answer in ids.
+    """Worker-process loop: decode the wire's messages, evaluate, answer.
 
     Module-level so the ``spawn`` context can pickle the target.  Holds the
-    replica of the coordinator's request table and the *master* response
-    table (this process is the response ring's only writer).
+    replica of the coordinator's request table (in its
+    :class:`DeltaDecoder`) and the *master* response table (in its
+    :class:`ResultEncoder`; this process is the response ring's only
+    writer).
     """
     # Attaching registers the segment with the resource tracker a second
     # time; the tracker's cache is a set, so the duplicate collapses into
@@ -288,46 +271,25 @@ def _serve_shm_worker(wiring: _SlotWiring, payload: bytes) -> None:
         peer="coordinator",
     )
     reasoner: Reasoner = pickle.loads(payload)
-    request_table = SymbolTable()  # replica of the coordinator's master
-    response_table = SymbolTable()  # master; the coordinator replicates
-    synced = 0
+    decoder = DeltaDecoder()
+    results = ResultEncoder()
     try:
         while True:
             kind, body = request.receive()
-            if kind == K_SHUTDOWN:
-                return
-            if kind == K_SYMBOLS:
-                request_table.apply(pickle.loads(body))
-                continue
-            if kind != K_WORK:
-                return  # protocol violation: die; the coordinator reroutes
             try:
-                item = _decode_work(body, request_table)
-                result = reasoner.reason_item(item)
-                answer_blobs = tuple(
-                    pack_ids(tuple(response_table.intern_many(answer))) for answer in result.answers
-                )
-                sync = response_table.diff_since(synced)
-                if sync:
-                    response.send(K_SYMBOLS, pickle.dumps(sync, protocol=pickle.HIGHEST_PROTOCOL))
-                    synced = sync.stop
-                response.send(
-                    K_RESULT,
-                    pickle.dumps((answer_blobs, result.metrics), protocol=pickle.HIGHEST_PROTOCOL),
-                )
+                if kind == FrameKind.SYMBOLS:
+                    decoder.apply_symbols(body)
+                    continue
+                if kind != FrameKind.WORK:
+                    return  # shutdown, or a protocol violation: die; the coordinator falls back
+                item = decoder.decode(body)
+            except ProtocolError:
+                return
+            try:
+                answer = results.encode(reasoner.reason_item(item))
             except BaseException as error:  # noqa: BLE001 - shipped back to the caller
-                try:
-                    failure = pickle.dumps(RemoteFailure(error), protocol=pickle.HIGHEST_PROTOCOL)
-                except Exception as pickling_error:  # noqa: BLE001 - unpicklable exceptions too
-                    failure = pickle.dumps(
-                        RemoteFailure(
-                            BackendConnectionError(
-                                f"unpicklable worker failure ({pickling_error!r}): {error!r}"
-                            )
-                        ),
-                        protocol=pickle.HIGHEST_PROTOCOL,
-                    )
-                response.send(K_FAILURE, failure)
+                answer = results.encode_failure(error)
+            response.send(FrameKind.RESULT, answer)
     finally:
         shm.close()
 
@@ -337,8 +299,7 @@ class ShmSlotStats:
     """Per-slot traffic counters (ring payload bytes, excluding framing)."""
 
     items: int = 0  #: work round trips completed
-    symbols_out: int = 0  #: request-table sync messages sent
-    symbols_in: int = 0  #: response-table sync messages received
+    symbols_out: int = 0  #: request-table ``SYMBOLS`` messages sent
     bytes_out: int = 0  #: request-direction message bytes
     bytes_in: int = 0  #: response-direction message bytes
     oversizes: int = 0  #: messages that took the pipe side door
@@ -347,7 +308,6 @@ class ShmSlotStats:
         return ShmSlotStats(
             items=self.items + other.items,
             symbols_out=self.symbols_out + other.symbols_out,
-            symbols_in=self.symbols_in + other.symbols_in,
             bytes_out=self.bytes_out + other.bytes_out,
             bytes_in=self.bytes_in + other.bytes_in,
             oversizes=self.oversizes + other.oversizes,
@@ -355,7 +315,7 @@ class ShmSlotStats:
 
 
 class ShmSlot:
-    """One pinned shared-memory worker: segment, rings, process, tables.
+    """One pinned shared-memory worker: segment, rings, process, data plane.
 
     The coordinator side of a slot.  :meth:`roundtrip` is *not* thread-safe
     -- the backend serializes calls through a single-thread dispatcher per
@@ -416,9 +376,8 @@ class ShmSlot:
             alive=alive,
             peer=f"worker {index}",
         )
-        self._table = SymbolTable()  # master; the worker replicates
-        self._synced = 0
-        self._answer_table = SymbolTable()  # replica of the worker's master
+        self._shipper = DeltaShipper()
+        self._results = ResultDecoder(f"shared-memory worker {index}")
         self._closed = False
 
     # -- dispatch (single dispatcher thread per slot) -------------------- #
@@ -426,32 +385,19 @@ class ShmSlot:
         """Ship one work item and await its result."""
         if self._closed or not self.process.is_alive():
             raise BackendConnectionError(f"shared-memory worker {self.index} is gone")
-        ids = tuple(self._table.intern_many(item.facts))
-        sync = self._table.diff_since(self._synced)
-        if sync:
-            sync_body = pickle.dumps(sync, protocol=pickle.HIGHEST_PROTOCOL)
-            self._send(K_SYMBOLS, sync_body)
-            self._synced = sync.stop
-            self.stats.symbols_out += 1
-        self._send(K_WORK, _encode_work(item, ids))
-        while True:
-            kind, body = self._response.receive()
-            self.stats.bytes_in += 1 + len(body)
-            if kind == K_SYMBOLS:
-                self._answer_table.apply(pickle.loads(body))
-                self.stats.symbols_in += 1
-                continue
-            if kind == K_FAILURE:
-                self.stats.items += 1
-                raise pickle.loads(body).rebuild()
-            if kind != K_RESULT:
-                raise ProtocolError(f"unexpected shared-memory message kind {kind}")
-            self.stats.items += 1
-            answer_blobs, metrics = pickle.loads(body)
-            answers = tuple(
-                frozenset(self._answer_table.resolve_many(unpack_ids(blob))) for blob in answer_blobs
-            )
-            return ReasonerResult(answers=answers, metrics=metrics)
+        for kind, body in self._shipper.encode_frames(item):
+            if kind is FrameKind.SYMBOLS:
+                self.stats.symbols_out += 1
+            self._send(kind, body)
+        kind, body = self._response.receive()
+        self.stats.bytes_in += 1 + len(body)
+        if kind != FrameKind.RESULT:
+            raise ProtocolError(f"unexpected shared-memory message kind {kind}")
+        self.stats.items += 1
+        outcome = self._results.decode(body)
+        if isinstance(outcome, BaseException):
+            raise outcome
+        return outcome
 
     def _send(self, kind: int, body: bytes) -> None:
         if not self._request._ring.fits(1 + len(body)):

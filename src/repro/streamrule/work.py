@@ -6,9 +6,9 @@ predecessor, the partition *track*, and the window *epoch* -- into a single
 picklable value.  It is the unit that crosses execution boundaries: the
 inline backend hands it to the local reasoner, the shared-memory backend
 writes it into a pinned worker's ring, and the TCP backend frames it to
-remote worker daemons -- whole or, on delta-capable connections, as a
-:class:`~repro.streamrule.net.FactDelta` that re-ships only what changed
-since the track's previous window (see ``docs/wire-protocol.md``).
+remote worker daemons -- both as the same ``WORK`` frame, whose id runs
+re-ship only what changed since the track's previous window (see
+``docs/wire-protocol.md``).
 """
 
 from __future__ import annotations

@@ -5,7 +5,7 @@ the coordinator side: :class:`~repro.streamrule.fleet.WorkerFleet` driving
 :class:`~repro.streamrule.backends.TcpBackend`).  It listens on a TCP
 address, and serves every accepted coordinator connection with the protocol
 loop of :func:`repro.streamrule.net.serve_worker_connection`: versioned
-handshake, pickled-reasoner installation, then ``WORK``/``DELTA`` frames in,
+handshake, reasoner installation, then ``SYMBOLS``/``WORK`` frames in,
 ``RESULT`` frames out, with ``PING`` heartbeats answered in between.
 
 Each connection holds its *own* reasoner (the coordinator ships it during
@@ -21,16 +21,17 @@ importable.  Run it like::
 ``examples/distributed_fleet.py`` use to stand up a local fleet -- waits
 for.  See ``docs/deployment.md`` for the operational guide.
 
-By default the wire protocol ships pickles, so a plain daemon must only
-listen on trusted networks.  Three hardening flags change that posture
-(see ``docs/deployment-security.md``): ``--tls-cert``/``--tls-key`` wrap
-every connection in TLS, ``--auth-token`` (or ``$STREAMRULE_AUTH_TOKEN``)
-demands an HMAC challenge/response in the handshake, and ``--restricted``
-refuses pickle entirely -- programs arrive as text and facts as typed
-frames, so even an authenticated coordinator cannot execute code on the
-worker.  ``--announce HOST:PORT`` makes the daemon call home to a
-coordinator's :class:`~repro.streamrule.fleet.FleetRegistry` so a revived
-worker rejoins its fleet the moment it boots.
+By default a coordinator ships its reasoner as a pickle, so a plain
+daemon must only listen on trusted networks.  Three hardening flags change
+that posture (see ``docs/deployment-security.md``):
+``--tls-cert``/``--tls-key`` wrap every connection in TLS,
+``--auth-token`` (or ``$STREAMRULE_AUTH_TOKEN``) demands an HMAC
+challenge/response in the handshake, and ``--restricted`` refuses pickle
+entirely -- programs arrive as text, so even an authenticated coordinator
+cannot execute code on the worker.  ``--announce HOST:PORT`` makes the
+daemon call home to a coordinator's
+:class:`~repro.streamrule.fleet.FleetRegistry` so a revived worker rejoins
+its fleet the moment it boots.
 """
 
 from __future__ import annotations
@@ -47,7 +48,7 @@ import sys
 import threading
 import time
 from pathlib import Path
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 from repro.streamrule.fleet import WorkerEndpoint
 from repro.streamrule.net import announce_endpoint, serve_worker_connection
@@ -79,10 +80,7 @@ class WorkerServer:
             host, port = server.address
             ...
 
-    ``capabilities`` restricts what the server negotiates (e.g.
-    ``{"delta_shipping": False}`` forces full-fact shipping -- the knob the
-    capability-negotiation tests and the benchmark's delta-vs-full sweep
-    turn), ``protocol_version`` can be overridden to simulate a mismatched
+    ``protocol_version`` can be overridden to simulate a mismatched
     deployment in tests, and ``read_ahead`` bounds how many frames each
     connection receives and decodes ahead of its evaluation loop (the
     server half of connection pipelining -- see
@@ -93,8 +91,7 @@ class WorkerServer:
     client then fails its handshake instead of talking to the reasoner),
     ``auth_token`` demands the HMAC ``AUTH`` response after ``WELCOME``,
     and ``codec="restricted"`` refuses pickle entirely -- programs arrive
-    as text and facts as typed frames, so an untrusted coordinator cannot
-    execute code here.
+    as text, so an untrusted coordinator cannot execute code here.
     """
 
     def __init__(
@@ -102,7 +99,6 @@ class WorkerServer:
         host: str = "127.0.0.1",
         port: int = 0,
         *,
-        capabilities: Optional[Dict[str, bool]] = None,
         protocol_version: Optional[int] = None,
         read_ahead: int = 8,
         ssl_context: Optional[ssl.SSLContext] = None,
@@ -111,7 +107,6 @@ class WorkerServer:
     ):
         self.host = host
         self.port = port
-        self.capabilities = capabilities
         self.protocol_version = protocol_version
         self.read_ahead = read_ahead
         self.ssl_context = ssl_context
@@ -232,7 +227,6 @@ class WorkerServer:
                         self._connections[self._connections.index(accepted)] = connection
             record = serve_worker_connection(
                 connection,
-                capabilities=self.capabilities,
                 read_ahead=self.read_ahead,
                 auth_token=self.auth_token,
                 codec=self.codec,
@@ -242,8 +236,8 @@ class WorkerServer:
                 logger.warning("connection from %s:%s rejected: %s", peer[0], peer[1], record.rejected)
             else:
                 logger.info(
-                    "connection from %s:%s closed after %d items (%d delta frames, %d pings)",
-                    peer[0], peer[1], record.items, record.deltas, record.pings,
+                    "connection from %s:%s closed after %d items (%d symbol frames, %d pings)",
+                    peer[0], peer[1], record.items, record.symbols, record.pings,
                 )
         finally:
             with self._lock:
@@ -375,16 +369,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         help="address to listen on (port 0 binds an ephemeral port; default 127.0.0.1:0)",
     )
     parser.add_argument(
-        "--no-delta",
-        action="store_true",
-        help="refuse the delta_shipping capability (coordinators fall back to full fact sets)",
-    )
-    parser.add_argument(
-        "--no-symbol-ids",
-        action="store_true",
-        help="refuse the symbol_ids capability (coordinators ship pickled atoms instead of interned ids)",
-    )
-    parser.add_argument(
         "--read-ahead",
         type=int,
         default=8,
@@ -409,7 +393,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         "--restricted",
         action="store_true",
         help="refuse pickle entirely: only restricted-codec coordinators (program as text, "
-        "facts as typed frames) are accepted",
+        "worker errors as JSON envelopes) are accepted",
     )
     parser.add_argument(
         "--announce",
@@ -445,14 +429,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             ssl_context.load_cert_chain(arguments.tls_cert, arguments.tls_key)
         except (OSError, ssl.SSLError) as error:
             parser.error(f"cannot load TLS certificate: {error}")
-    capabilities = {
-        "delta_shipping": not arguments.no_delta,
-        "symbol_ids": not arguments.no_symbol_ids,
-    }
     server = WorkerServer(
         arguments.listen[0],
         arguments.listen[1],
-        capabilities=capabilities,
         read_ahead=arguments.read_ahead,
         ssl_context=ssl_context,
         auth_token=arguments.auth_token,

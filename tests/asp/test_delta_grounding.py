@@ -222,29 +222,10 @@ class TestGroundIncremental:
         assert len(clone) == 0
         assert clone.statistics()["delta_states"] == 0.0
 
-    def test_older_versions_pickled_cache_loads(self):
-        """Older versions pickle a third item, their repair budget; it is ignored."""
-
-        class OlderCache:
-            def __reduce__(self):
-                return (_rebuild_cache, (7, 3, 0.5))
-
-        clone = pickle.loads(pickle.dumps(OlderCache()))
-        assert isinstance(clone, GroundingCache)
-        assert (clone.max_entries, clone.max_delta_states) == (7, 3)
-
-    def test_pickled_cache_loads_with_the_older_signature(self):
-        """Older versions rebuild with (max_entries, max_delta_states,
-        max_repair_fraction) and reject a budget outside (0, 1]."""
-
-        def older_rebuild(max_entries, max_delta_states, max_repair_fraction):
-            if not 0.0 < max_repair_fraction <= 1.0:
-                raise ValueError("max_repair_fraction must be in (0, 1]")
-            return max_entries, max_delta_states
-
+    def test_reduce_ships_exactly_the_configuration(self):
         rebuild, arguments = GroundingCache(max_entries=7, max_delta_states=3).__reduce__()
         assert rebuild is _rebuild_cache
-        assert older_rebuild(*arguments) == (7, 3)
+        assert arguments == (7, 3)
 
 
 # --------------------------------------------------------------------------- #

@@ -172,7 +172,7 @@ LIGHT_BACKENDS = {
     "inline": lambda: InlineBackend(simulated=False),
     "threads": lambda: ThreadPoolBackend(max_workers=2),
     "tcp": lambda: InThreadTcpBackend(2),
-    "tcp-full-frames": lambda: InThreadTcpBackend(2, delta_shipping=False, symbol_ids=False),
+    "tcp-restricted": lambda: InThreadTcpBackend(2, codec="restricted"),
 }
 
 HEAVY_BACKENDS = {

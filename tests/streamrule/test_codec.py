@@ -1,9 +1,11 @@
 """Restricted-codec tests: negotiation, rejection paths, answer equivalence.
 
 The restricted codec is the untrusted-peer dialect of the wire protocol
-(``docs/deployment-security.md``): programs travel as text, facts as typed
-JSON frames, results as packed symbol ids -- never a pickle byte in either
-direction.  These tests pin the three promises that make it safe to expose:
+(``docs/deployment-security.md``): programs travel as text and worker
+errors as JSON envelopes, on the data plane every codec shares (facts and
+answers as interned ids, symbol tails as structural JSON) -- never a
+pickle byte in either direction.  These tests pin the three promises that
+make it safe to expose:
 
 * **negotiation** -- a restricted client refuses to silently fall back to
   pickle, and a ``--restricted`` server refuses pickle peers outright;
@@ -30,10 +32,9 @@ from repro.streaming.generator import SyntheticStreamConfig, generate_window
 from repro.streaming.window import CountWindow
 from repro.streamrule.aio import AsyncWorkerClient
 from repro.streamrule.backends import InlineBackend, TcpBackend
+from repro.asp.syntax.atoms import Atom
+from repro.asp.syntax.terms import Variable
 from repro.streamrule.codec import (
-    RestrictedResultDecoder,
-    RestrictedServerCodec,
-    RestrictedShipper,
     decode_fact,
     encode_fact,
     encode_reasoner_spec,
@@ -43,7 +44,10 @@ from repro.streamrule.errors import BackendError, HandshakeError, ProtocolError
 from repro.streamrule.net import (
     MAGIC,
     PROTOCOL_VERSION,
+    DeltaShipper,
     FrameKind,
+    ResultDecoder,
+    ResultEncoder,
     WorkerClient,
     recv_frame,
     send_frame,
@@ -101,6 +105,10 @@ class TestFactEncoding:
         with pytest.raises(ProtocolError):
             decode_fact(["x", "no-such-tag"])
 
+    def test_a_non_fact_has_no_encoding(self):
+        with pytest.raises(TypeError, match="no wire encoding"):
+            encode_fact(object())
+
 
 class TestReasonerSpec:
     def test_round_trip_preserves_semantics(self):
@@ -122,53 +130,42 @@ class TestReasonerSpec:
             reasoner_from_spec(pickle.dumps(choice_reasoner()))
 
 
-class TestShipperDecoderPair:
-    def test_full_then_delta_round_trip(self):
-        shipper = RestrictedShipper(delta_shipping=True)
-        codec = RestrictedServerCodec()
-        first = work_item(5, epoch=0)
-        second = WorkItem(
-            facts=first.facts[1:] + (make_atom("item", 9),), track=0, epoch=1, incremental=True
-        )
-        for item in (first, second):
-            for kind, payload in shipper.encode_frames(item):
-                if kind is FrameKind.SYMBOLS:
-                    codec.apply_symbols(payload)
-                else:
-                    decoded = codec.decode(kind, payload)
-            assert decoded.facts == item.facts
-            assert decoded.track == item.track and decoded.epoch == item.epoch
-        # The steady-state frame really was a delta, not a resend.
-        kinds = [kind for kind, _ in shipper.encode_frames(
-            WorkItem(facts=second.facts, track=0, epoch=2, incremental=True)
-        )]
-        assert FrameKind.DELTA in kinds
+def non_ground_item():
+    """A window the worker cannot evaluate: grounding rejects a fact with a variable."""
+    return WorkItem(facts=(Atom("item", (Variable("X"),)),), track=0, epoch=0)
 
-    def test_result_round_trip(self):
+
+class TestResultCodec:
+    @pytest.mark.parametrize("restricted", [False, True], ids=["pickle", "restricted"])
+    def test_result_round_trip(self, restricted):
         reasoner = choice_reasoner()
-        result = reasoner.reason_item(work_item(3))
-        codec = RestrictedServerCodec()
-        decoded = RestrictedResultDecoder().decode(
-            codec.encode_result(result), ("127.0.0.1", 0)
-        )
-        assert {frozenset(a) for a in decoded.answers} == {frozenset(a) for a in result.answers}
-        assert decoded.metrics.window_size == result.metrics.window_size
+        encoder, decoder = ResultEncoder(restricted=restricted), ResultDecoder("worker w:1", restricted=restricted)
+        for count in (3, 4, 4):  # the last result needs no table tail
+            result = reasoner.reason_item(work_item(count))
+            decoded = decoder.decode(encoder.encode(result))
+            assert decoded.answers == result.answers
+            assert decoded.metrics == result.metrics
 
-    def test_retired_repair_counters_stay_in_the_metrics_record(self):
-        """Peers of older versions send and expect the three retired repair
-        counters: this version ships them as 0 and still decodes theirs."""
-        retired = ("delta_repairs", "repair_size", "repair_rules_changed")
-        payload = RestrictedServerCodec().encode_result(choice_reasoner().reason_item(work_item(3)))
-        record = json.loads(payload)
-        assert [record["metrics"][name] for name in retired] == [0, 0, 0]
-        record["metrics"].update(delta_repairs=1, repair_size=4, repair_rules_changed=2)
-        decoded = RestrictedResultDecoder().decode(json.dumps(record).encode(), ("127.0.0.1", 0))
-        assert [getattr(decoded.metrics, name) for name in retired] == [1, 4, 2]
+    def test_retired_repair_counters_leave_the_wire(self):
+        """The three retired repair counters are not on the wire; they decode as 0."""
+        payload = ResultEncoder(restricted=True).encode(choice_reasoner().reason_item(work_item(3)))
+        for name in ("delta_repairs", "repair_size", "repair_rules_changed"):
+            assert name.encode() not in payload
+        decoded = ResultDecoder("worker w:1", restricted=True).decode(payload)
+        metrics = decoded.metrics
+        assert (metrics.delta_repairs, metrics.repair_size, metrics.repair_rules_changed) == (0, 0, 0)
 
     def test_error_decodes_as_backend_error(self):
-        payload = RestrictedServerCodec.encode_error(ValueError("worker-side boom"))
-        with pytest.raises(BackendError, match="worker-side boom"):
-            RestrictedResultDecoder().decode(payload, ("127.0.0.1", 0))
+        payload = ResultEncoder(restricted=True).encode_failure(ValueError("worker-side boom"))
+        assert b"\x80" not in payload  # an envelope, not a pickle
+        failure = ResultDecoder("worker w:1", restricted=True).decode(payload)
+        assert type(failure) is BackendError
+        assert str(failure) == "worker w:1 failed: ValueError: worker-side boom"
+
+    def test_pickle_codec_failure_is_the_original_exception(self):
+        payload = ResultEncoder().encode_failure(ValueError("worker-side boom"))
+        failure = ResultDecoder("worker w:1").decode(payload)
+        assert type(failure) is ValueError and str(failure) == "worker-side boom"
 
 
 # --------------------------------------------------------------------------- #
@@ -191,15 +188,7 @@ class TestNegotiation:
             with pytest.raises(HandshakeError, match="restricted codec required"):
                 WorkerClient(server.address, pickle.dumps(choice_reasoner()), codec="pickle")
 
-    def test_restricted_client_against_refusing_server(self):
-        """A server that declines the capability gets no pickle fallback."""
-        with WorkerServer(port=0, capabilities={"restricted_codec": False}) as server:
-            with pytest.raises(HandshakeError, match="did not accept the restricted codec"):
-                WorkerClient(
-                    server.address, encode_reasoner_spec(choice_reasoner()), codec="restricted"
-                )
-
-    def test_legacy_pickle_hello_against_restricted_server_is_rejected(self):
+    def test_pickled_hello_against_restricted_server_is_rejected(self):
         """A restricted server refuses even to unpickle the HELLO frame."""
         with WorkerServer(port=0, codec="restricted") as server:
             with socket.create_connection(server.address, timeout=5.0) as raw:
@@ -211,22 +200,22 @@ class TestNegotiation:
                 )
                 kind, payload = recv_frame(raw)
             assert kind is FrameKind.REJECT
-            assert b"restricted codec required" in payload
+            assert json.loads(payload) == {"protocol": PROTOCOL_VERSION, "reason": "control frames must be JSON"}
 
     def test_restricted_client_work_never_ships_pickle(self):
-        """Every frame a restricted client sends is JSON or packed ids."""
+        """Every frame a client sends after the handshake is JSON or packed ids."""
         with WorkerServer(port=0) as server:
             with WorkerClient(
                 server.address, encode_reasoner_spec(choice_reasoner()), codec="restricted"
             ) as client:
-                assert isinstance(client._shipper, RestrictedShipper)
                 client.submit_item(work_item(4))
         # Inspect the same frame sequence on a fresh shipper (poking the
-        # client's own shipper would desync its per-track delta state).
-        shipper = RestrictedShipper(delta_shipping=True)
+        # client's own shipper would desync its per-track state).
+        shipper = DeltaShipper()
         for item in (work_item(4, epoch=0), work_item(5, epoch=1)):
-            for _kind, payload in shipper.encode_frames(item):
-                assert not payload.startswith(b"\x80")  # no pickle opcodes
+            for kind, payload in shipper.encode_frames(item):
+                assert b"\x80" not in payload[:2]  # no pickle protocol header
+                assert kind is FrameKind.WORK or json.loads(payload)["symbols"]
 
 
 # --------------------------------------------------------------------------- #
@@ -282,11 +271,11 @@ class TestCrossCodecEquivalence:
 
     def test_restricted_worker_errors_surface_without_pickle(self):
         """A worker-side failure crosses the restricted wire as BackendError."""
-        bad = Reasoner(parse_program("q :- p."), input_predicates=["p"])
         with WorkerServer(port=0) as server:
             with WorkerClient(
-                server.address, encode_reasoner_spec(bad), codec="restricted"
+                server.address, encode_reasoner_spec(choice_reasoner()), codec="restricted"
             ) as client:
-                poisoned = WorkItem(facts=(object(),), track=0, epoch=0)  # unencodable fact
-                with pytest.raises((BackendError, ProtocolError)):
-                    client.submit_item(poisoned)
+                with pytest.raises(BackendError, match="failed: GroundingError: non-ground fact") as raised:
+                    client.submit_item(non_ground_item())
+                assert type(raised.value) is BackendError  # not a connection error: no reroute
+                assert client.submit_item(work_item(3)).answers

@@ -29,15 +29,16 @@ from tests.conftest import make_atom
 from tests.streamrule.conftest import InThreadTcpBackend
 
 #: The backends of the delta-equivalence matrix (name -> factory).  ``tcp``
-#: ships slide deltas as interned symbol ids; ``tcp-full-frames`` turns both
-#: off, so every item crosses the wire as a whole pickled window partition.
+#: and ``tcp-restricted`` ship the same id-run work frames through the two
+#: codecs (pickled reasoner vs. program text); shared memory ships them
+#: through its rings.
 BACKEND_FACTORIES = {
     "inline": lambda workers: InlineBackend(),
     "inline-serial": lambda workers: InlineBackend(simulated=False),
     "threads": lambda workers: ThreadPoolBackend(max_workers=workers),
     "shared-memory": lambda workers: SharedMemoryBackend(max_workers=workers),
     "tcp": lambda workers: InThreadTcpBackend(workers),
-    "tcp-full-frames": lambda workers: InThreadTcpBackend(workers, delta_shipping=False, symbol_ids=False),
+    "tcp-restricted": lambda workers: InThreadTcpBackend(workers, codec="restricted"),
 }
 
 #: Every row of the matrix: (entry point, backend name).  ``evaluate_window`` hands

@@ -1,8 +1,8 @@
-"""Wire-layer tests: framing, handshake, delta shipping, failure semantics.
+"""Wire-layer tests: framing, handshake, the data plane, failure semantics.
 
 The unhappy paths of the distributed tier, as specified in
 ``docs/wire-protocol.md``: handshake version mismatches refuse cleanly,
-delta frames are measurably smaller than full fact sets on sliding windows,
+copy-run work frames are measurably smaller than full ones on sliding windows,
 reconnects back off exponentially, a worker dying mid-window gets its slots
 rerouted without losing or duplicating a window, and an empty fleet
 degrades to inline evaluation.
@@ -13,19 +13,24 @@ from __future__ import annotations
 import json
 import pickle
 import socket
+import struct
 import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
 
 import pytest
 
+from repro.asp.errors import GroundingError
+from repro.asp.syntax.atoms import Atom
 from repro.asp.syntax.parser import parse_program
+from repro.asp.syntax.terms import Variable
 from repro.core.partitioner import HashPartitioner
 from repro.programs.traffic import EVENT_PREDICATES, INPUT_PREDICATES, traffic_program
 from repro.streaming.generator import SyntheticStreamConfig, generate_window
 from repro.streaming.window import CountWindow
 from repro.streamrule.backends import InlineBackend, TcpBackend
-from repro.streamrule.errors import BackendConnectionError, HandshakeError, ProtocolError
+from repro.streamrule.codec import encode_reasoner_spec
+from repro.streamrule.errors import BackendConnectionError, BackendError, HandshakeError, ProtocolError
 from repro.streamrule.fleet import WorkerEndpoint, WorkerFleet
 from repro.streamrule.net import (
     MAGIC,
@@ -34,16 +39,12 @@ from repro.streamrule.net import (
     DeltaShipper,
     FrameKind,
     FrameParser,
-    IdFactDelta,
-    IdWorkItem,
+    ResultDecoder,
     WorkerClient,
-    apply_facts_diff,
     apply_id_runs,
     connect_with_backoff,
-    diff_facts,
     diff_id_runs,
     frame_bytes,
-    overlap_length,
     recv_exactly,
     recv_frame,
     send_frame,
@@ -126,130 +127,20 @@ class TestFraming:
 
 
 # --------------------------------------------------------------------------- #
-# Delta shipping codec
+# The data plane: SYMBOLS + id-run WORK frames
 # --------------------------------------------------------------------------- #
-class TestOverlap:
-    def test_sliding_overlap(self):
-        previous = tuple(range(10))
-        current = tuple(range(3, 13))
-        assert overlap_length(previous, current) == 7
-
-    def test_disjoint_windows(self):
-        assert overlap_length((1, 2, 3), (4, 5, 6)) == 0
-
-    def test_identical_windows(self):
-        facts = tuple(range(5))
-        assert overlap_length(facts, facts) == 5
-
-    def test_empty_sides(self):
-        assert overlap_length((), (1,)) == 0
-        assert overlap_length((1,), ()) == 0
-
-    def test_current_contained_in_previous_suffix(self):
-        assert overlap_length((1, 2, 3, 4), (3, 4)) == 2
+def pump(shipper, decoder, item):
+    """Ship one item through a shipper/decoder pair, returning (kinds, rebuilt)."""
+    kinds, rebuilt = [], None
+    for kind, payload in shipper.encode_frames(item):
+        kinds.append(kind)
+        if kind is FrameKind.SYMBOLS:
+            decoder.apply_symbols(payload)
+        else:
+            rebuilt = decoder.decode(payload)
+    return kinds, rebuilt
 
 
-class TestFactsDiff:
-    def test_sliding_shape_is_one_copy_run(self):
-        previous = tuple(make_atom("p", value) for value in range(20))
-        current = previous[5:] + tuple(make_atom("p", value) for value in range(100, 105))
-        ops = diff_facts(previous, current)
-        assert ops[0] == (5, 15)  # the shared suffix, one copy op
-        assert apply_facts_diff(previous, ops) == current
-
-    def test_regrouped_shape_copies_each_group(self):
-        # A predicate-regrouping partitioner keeps the shared content
-        # mid-sequence, per predicate group -- one copy run per group.
-        group_a = tuple(make_atom("a", value) for value in range(12))
-        group_b = tuple(make_atom("b", value) for value in range(12))
-        previous = group_a + group_b
-        current = (
-            group_a[4:] + tuple(make_atom("a", value) for value in range(100, 103))
-            + group_b[4:] + tuple(make_atom("b", value) for value in range(200, 203))
-        )
-        ops = diff_facts(previous, current)
-        copy_ops = [op for op in ops if isinstance(op[0], int)]
-        assert len(copy_ops) == 2
-        assert sum(length for _, length in copy_ops) == 16
-        assert apply_facts_diff(previous, ops) == current
-
-    def test_disjoint_content_is_all_literal(self):
-        previous = tuple(make_atom("p", value) for value in range(10))
-        current = tuple(make_atom("p", value) for value in range(100, 110))
-        ops = diff_facts(previous, current)
-        assert len(ops) == 1 and not isinstance(ops[0][0], int)
-        assert apply_facts_diff(previous, ops) == current
-
-    def test_duplicate_facts_round_trip(self):
-        repeated = make_atom("p", 1)
-        previous = (repeated,) * 10
-        current = (repeated,) * 7 + tuple(make_atom("q", value) for value in range(3))
-        ops = diff_facts(previous, current)
-        assert apply_facts_diff(previous, ops) == current
-
-    def test_out_of_range_copy_op_is_a_protocol_error(self):
-        with pytest.raises(ProtocolError):
-            apply_facts_diff((make_atom("p", 1),), ((0, 5),))
-
-
-class TestDeltaCodec:
-    def test_round_trip_reconstructs_every_window(self):
-        stream = traffic_stream(120)
-        shipper, decoder = DeltaShipper(), DeltaDecoder()
-        for delta in CountWindow(size=40, slide=10).deltas(stream):
-            item = WorkItem(facts=tuple(delta.window), incremental=delta.carries_over, track=2, epoch=delta.index)
-            kind, payload = shipper.encode_frames(item)[-1]
-            rebuilt = decoder.decode(kind, payload)
-            assert rebuilt.facts == item.facts
-            assert rebuilt.track == 2 and rebuilt.epoch == delta.index
-            assert rebuilt.incremental == item.incremental
-
-    def test_sliding_delta_frames_are_measurably_smaller(self):
-        """Acceptance: steady-state sliding windows ship slide-sized frames."""
-        stream = traffic_stream(400)
-        shipper = DeltaShipper()
-        sizes = {FrameKind.WORK: [], FrameKind.DELTA: []}
-        for delta in CountWindow(size=150, slide=25).deltas(stream):
-            item = WorkItem(facts=tuple(delta.window), incremental=delta.carries_over, track=0, epoch=delta.index)
-            kind, payload = shipper.encode_frames(item)[-1]
-            sizes[kind].append(len(payload))
-        assert len(sizes[FrameKind.WORK]) == 1  # only the first window ships full
-        assert len(sizes[FrameKind.DELTA]) >= 8  # every slide after that is a delta
-        full = sizes[FrameKind.WORK][0]
-        assert max(sizes[FrameKind.DELTA]) < full / 2  # slide is 1/6 of the window
-        assert sum(sizes[FrameKind.DELTA]) / len(sizes[FrameKind.DELTA]) < full / 3
-
-    def test_tumbling_windows_ship_full(self):
-        stream = traffic_stream(120)
-        shipper = DeltaShipper()
-        kinds = []
-        for delta in CountWindow(size=40).deltas(stream):
-            item = WorkItem(facts=tuple(delta.window), incremental=delta.carries_over, track=0, epoch=delta.index)
-            kinds.append(shipper.encode_frames(item)[-1][0])
-        assert all(kind is FrameKind.WORK for kind in kinds)
-
-    def test_decoder_rejects_delta_without_previous_window(self):
-        shipper, decoder = DeltaShipper(), DeltaDecoder()
-        first = work_item(count=10, track=7)
-        shipper.encode_frames(first)
-        overlapping = WorkItem(facts=first.facts[2:] + (make_atom("item", 99),), track=7, epoch=1)
-        kind, payload = shipper.encode_frames(overlapping)[-1]
-        assert kind is FrameKind.DELTA
-        with pytest.raises(ProtocolError):
-            decoder.decode(kind, payload)
-
-    def test_forget_resets_to_full_shipping(self):
-        shipper = DeltaShipper()
-        item = work_item(count=10)
-        shipper.encode_frames(item)
-        shipper.forget()
-        kind, _ = shipper.encode_frames(item)[-1]
-        assert kind is FrameKind.WORK
-
-
-# --------------------------------------------------------------------------- #
-# Interned-id shipping (the symbol_ids capability)
-# --------------------------------------------------------------------------- #
 class TestIdRuns:
     def test_round_trip_with_overlap(self):
         previous = tuple(range(100, 140))
@@ -258,10 +149,37 @@ class TestIdRuns:
         assert any(isinstance(op, tuple) for op in ops)  # a copy run was found
         assert apply_id_runs(previous, ops) == current
 
+    def test_sliding_shape_is_one_copy_run(self):
+        previous = tuple(range(20))
+        current = previous[5:] + tuple(range(100, 105))
+        ops = diff_id_runs(previous, current)
+        assert ops[0] == (5, 15)  # the shared suffix, one copy op
+        assert apply_id_runs(previous, ops) == current
+
+    def test_regrouped_shape_copies_each_group(self):
+        # A predicate-regrouping partitioner keeps the shared content
+        # mid-sequence, per predicate group -- one copy run per group.
+        group_a, group_b = tuple(range(12)), tuple(range(50, 62))
+        current = group_a[4:] + (100, 101, 102) + group_b[4:] + (200, 201, 202)
+        ops = diff_id_runs(group_a + group_b, current)
+        copy_ops = [op for op in ops if isinstance(op, tuple)]
+        assert len(copy_ops) == 2
+        assert sum(length for _, length in copy_ops) == 16
+        assert apply_id_runs(group_a + group_b, ops) == current
+
+    def test_disjoint_content_is_all_literal(self):
+        ops = diff_id_runs(tuple(range(10)), tuple(range(100, 110)))
+        assert len(ops) == 1 and isinstance(ops[0], bytes)
+
+    def test_duplicate_ids_round_trip(self):
+        previous = (1,) * 10
+        current = (1,) * 7 + (2, 3, 4)
+        assert apply_id_runs(previous, diff_id_runs(previous, current)) == current
+
     def test_two_int_literal_run_is_not_mistaken_for_a_copy(self):
-        # The regression the tagged diff core exists for: over id tuples a
-        # two-int literal run is structurally identical to a (start, length)
-        # copy op; the id form disambiguates by packing literals to bytes.
+        # Over id tuples a two-int literal run would be structurally
+        # identical to a (start, length) copy op; literals are packed to
+        # bytes, so the two never collide.
         previous = ()
         current = (5, 7)
         ops = diff_id_runs(previous, current)
@@ -273,99 +191,126 @@ class TestIdRuns:
             apply_id_runs((1, 2), ((0, 5),))
 
 
-class TestSymbolIdCodec:
-    @staticmethod
-    def pump(shipper, decoder, item):
-        """Ship one item through the paired codec, returning (kinds, rebuilt)."""
-        kinds, rebuilt = [], None
-        for kind, payload in shipper.encode_frames(item):
-            kinds.append(kind)
-            if kind is FrameKind.SYMBOLS:
-                decoder.apply_symbols(payload)
-            else:
-                rebuilt = decoder.decode(kind, payload)
-        return kinds, rebuilt
-
-    def test_first_window_ships_symbols_then_id_work(self):
-        shipper = DeltaShipper(symbol_ids=True)
+class TestDataPlaneCodec:
+    def test_first_window_ships_symbols_then_work(self):
+        shipper = DeltaShipper()
         frames = shipper.encode_frames(work_item(count=5))
         assert [kind for kind, _ in frames] == [FrameKind.SYMBOLS, FrameKind.WORK]
-        assert isinstance(pickle.loads(frames[1][1]), IdWorkItem)
+        assert not shipper.copied
+        assert frames[0][1][:1] == b"{"  # the table tail is JSON, never a pickle
+        rebuilt = pump(DeltaShipper(), DeltaDecoder(), work_item(count=5))[1]
+        assert rebuilt == work_item(count=5)
 
-    def test_steady_state_window_ships_only_an_id_delta(self):
-        shipper, decoder = DeltaShipper(symbol_ids=True), DeltaDecoder()
+    def test_steady_state_window_ships_only_copy_runs(self):
+        shipper, decoder = DeltaShipper(), DeltaDecoder()
         first = work_item(count=10, track=3)
-        self.pump(shipper, decoder, first)
+        pump(shipper, decoder, first)
         overlapping = WorkItem(facts=first.facts[2:] + (make_atom("item", 99),), track=3, epoch=1)
-        self.pump(shipper, decoder, overlapping)  # interns item(99)
+        pump(shipper, decoder, overlapping)  # interns item(99)
         steady = WorkItem(facts=overlapping.facts, track=3, epoch=2)
-        kinds, rebuilt = self.pump(shipper, decoder, steady)
-        assert kinds == [FrameKind.DELTA]  # no new symbols, no full facts
-        assert rebuilt.facts == steady.facts
+        kinds, rebuilt = pump(shipper, decoder, steady)
+        assert kinds == [FrameKind.WORK] and shipper.copied  # no new symbols, no literal ids
+        assert rebuilt == steady
 
     def test_round_trip_reconstructs_every_window(self):
         stream = traffic_stream(120)
-        shipper, decoder = DeltaShipper(symbol_ids=True), DeltaDecoder()
+        shipper, decoder = DeltaShipper(), DeltaDecoder()
         for delta in CountWindow(size=40, slide=10).deltas(stream):
             item = WorkItem(facts=tuple(delta.window), incremental=delta.carries_over, track=2, epoch=delta.index)
-            kinds, rebuilt = self.pump(shipper, decoder, item)
-            assert kinds[-1] in (FrameKind.WORK, FrameKind.DELTA)
-            assert rebuilt.facts == item.facts
-            assert rebuilt.track == 2 and rebuilt.epoch == delta.index
-            assert rebuilt.incremental == item.incremental
+            kinds, rebuilt = pump(shipper, decoder, item)
+            assert kinds[-1] is FrameKind.WORK
+            assert rebuilt == item
+
+    def test_sliding_delta_frames_are_measurably_smaller(self):
+        """Acceptance: steady-state sliding windows ship slide-sized frames."""
+        stream = traffic_stream(400)
+        shipper = DeltaShipper()
+        sizes = {False: [], True: []}
+        for delta in CountWindow(size=150, slide=25).deltas(stream):
+            item = WorkItem(facts=tuple(delta.window), incremental=delta.carries_over, track=0, epoch=delta.index)
+            kind, payload = shipper.encode_frames(item)[-1]
+            sizes[shipper.copied].append(len(payload))
+        assert len(sizes[False]) == 1  # only the first window ships full
+        assert len(sizes[True]) >= 8  # every slide after that copies runs
+        full = sizes[False][0]
+        assert max(sizes[True]) < full / 2  # slide is 1/6 of the window
+        assert sum(sizes[True]) / len(sizes[True]) < full / 3
+
+    def test_tumbling_windows_ship_full(self):
+        stream = traffic_stream(120)
+        shipper = DeltaShipper()
+        copied = []
+        for delta in CountWindow(size=40).deltas(stream):
+            item = WorkItem(facts=tuple(delta.window), incremental=delta.carries_over, track=0, epoch=delta.index)
+            shipper.encode_frames(item)
+            copied.append(shipper.copied)
+        assert not any(copied)
+
+    def test_decoder_rejects_copy_runs_without_previous_window(self):
+        shipper, decoder = DeltaShipper(), DeltaDecoder()
+        first = work_item(count=10, track=7)
+        for kind, payload in shipper.encode_frames(first):
+            if kind is FrameKind.SYMBOLS:
+                decoder.apply_symbols(payload)  # the table syncs, the WORK frame is lost
+        overlapping = WorkItem(facts=first.facts[2:] + (make_atom("item", 99),), track=7, epoch=1)
+        frames = shipper.encode_frames(overlapping)
+        assert shipper.copied
+        decoder.apply_symbols(frames[0][1])
+        with pytest.raises(ProtocolError, match="out of range"):
+            decoder.decode(frames[-1][1])
 
     def test_id_frames_beat_pickles_on_a_recurring_universe(self):
         """Acceptance: known facts cross the wire as 4-byte ids.
 
-        The scenario delta shipping cannot compress: windows drawn from a
+        The scenario copy runs cannot compress: windows drawn from a
         recurring fact universe but *reordered* each time (a hash
-        partitioner regrouping facts, a shuffling source), which breaks the
-        copy-run matcher and forces legacy shipping back to full pickled
-        fact sets.  Interned shipping pickles each symbol once, in the
-        first sync, and re-ships it as 4 bytes forever after.
+        partitioner regrouping facts, a shuffling source).  Each symbol is
+        encoded once, in the first sync, and re-shipped as 4 bytes forever
+        after -- far below what pickling every window's atoms would cost.
         """
         import random
 
         universe = [make_atom("reading", index) for index in range(100)]
         shuffler = random.Random(11)
-        legacy = DeltaShipper()
-        interned = DeltaShipper(symbol_ids=True)
-        legacy_bytes = interned_bytes = 0
+        shipper = DeltaShipper()
+        pickled_bytes = interned_bytes = 0
         for epoch in range(10):
             facts = list(universe)
             shuffler.shuffle(facts)
             item = WorkItem(facts=tuple(facts), track=0, epoch=epoch)
-            legacy_bytes += len(legacy.encode_frames(item)[-1][1])
-            interned_bytes += sum(len(payload) for _, payload in interned.encode_frames(item))
-        assert interned_bytes < legacy_bytes / 2
-
-    def test_plain_delta_shipper_never_emits_symbol_frames(self):
-        item = work_item(count=5)
-        assert [kind for kind, _ in DeltaShipper().encode_frames(item)] == [FrameKind.WORK]
+            pickled_bytes += len(pickle.dumps(item, protocol=pickle.HIGHEST_PROTOCOL))
+            interned_bytes += sum(len(payload) for _, payload in shipper.encode_frames(item))
+        assert interned_bytes < pickled_bytes / 2
 
     def test_decoder_rejects_a_symbol_gap(self):
-        shipper, decoder = DeltaShipper(symbol_ids=True), DeltaDecoder()
+        shipper, decoder = DeltaShipper(), DeltaDecoder()
         frames = shipper.encode_frames(work_item(count=5))
         # Drop the SYMBOLS frame: the work frame's ids cannot resolve.
-        work_kind, work_payload = frames[-1]
-        with pytest.raises(IndexError):
-            decoder.decode(work_kind, work_payload)
+        with pytest.raises(ProtocolError, match="malformed WORK payload"):
+            decoder.decode(frames[-1][1])
 
     def test_symbol_sync_applies_idempotently(self):
-        shipper, decoder = DeltaShipper(symbol_ids=True), DeltaDecoder()
+        shipper, decoder = DeltaShipper(), DeltaDecoder()
         frames = shipper.encode_frames(work_item(count=4))
         sync_payload = frames[0][1]
         assert decoder.apply_symbols(sync_payload) == 4
         assert decoder.apply_symbols(sync_payload) == 0  # replay is a no-op
 
+    def test_unencodable_fact_raises_and_leaves_the_shipper_in_sync(self):
+        shipper, decoder = DeltaShipper(), DeltaDecoder()
+        pump(shipper, decoder, work_item(count=3))
+        with pytest.raises(TypeError, match="no wire encoding"):
+            shipper.encode_frames(WorkItem(facts=(make_atom("item", 7), "not a fact")))
+        kinds, rebuilt = pump(shipper, decoder, work_item(count=4, epoch=1))
+        assert kinds == [FrameKind.SYMBOLS, FrameKind.WORK] and rebuilt == work_item(count=4, epoch=1)
 
-class TestSymbolIdWire:
+
+class TestDataPlaneWire:
     def test_end_to_end_matches_inline(self):
         stream = traffic_stream(90)
         reasoner = Reasoner(traffic_program(), INPUT_PREDICATES, EVENT_PREDICATES)
         with WorkerServer() as server:
             with WorkerClient(server.address, pickle.dumps(reasoner)) as client:
-                assert client.capabilities.get("symbol_ids") is True
                 inline = Reasoner(traffic_program(), INPUT_PREDICATES, EVENT_PREDICATES)
                 for delta in CountWindow(size=30, slide=10).deltas(stream):
                     item = WorkItem(facts=tuple(delta.window), incremental=delta.carries_over, epoch=delta.index)
@@ -375,18 +320,13 @@ class TestSymbolIdWire:
                 assert client.stats.symbol_frames > 0
                 assert client.stats.bytes_symbols > 0
 
-    def test_client_can_decline_symbol_ids(self):
+    def test_worker_failure_is_reraised_and_the_connection_survives(self):
+        non_ground = WorkItem(facts=(Atom("item", (Variable("X"),)),))
         with WorkerServer() as server:
-            with WorkerClient(server.address, choice_payload(), symbol_ids=False) as client:
-                assert "symbol_ids" not in client.capabilities
-                assert client.submit_item(work_item()).answers
-                assert client.stats.symbol_frames == 0
-
-    def test_server_can_refuse_symbol_ids(self):
-        with WorkerServer(capabilities={"delta_shipping": True, "symbol_ids": False}) as server:
             with WorkerClient(server.address, choice_payload()) as client:
-                assert "symbol_ids" not in client.capabilities
-                assert client.submit_item(work_item()).answers
+                with pytest.raises(GroundingError, match="non-ground fact"):
+                    client.submit_item(non_ground)
+                assert client.alive and client.submit_item(work_item()).answers
 
 
 # --------------------------------------------------------------------------- #
@@ -398,7 +338,7 @@ class TestHandshake:
             with pytest.raises(HandshakeError) as outcome:
                 WorkerClient(server.address, choice_payload(), attempts=1)
             message = str(outcome.value)
-            assert "99" in message and "1" in message
+            assert "99" in message and str(PROTOCOL_VERSION) in message
 
     def test_mismatched_client_does_not_kill_the_server(self):
         with WorkerServer(protocol_version=99) as server:
@@ -409,27 +349,10 @@ class TestHandshake:
             with WorkerClient(server.address, choice_payload(), attempts=1) as client:
                 assert client.submit_item(work_item()).answers
 
-    def test_capability_negotiation_degrades_to_full_shipping(self):
-        stream = traffic_stream(90)
-        reasoner = Reasoner(traffic_program(), INPUT_PREDICATES, EVENT_PREDICATES)
-        with WorkerServer(capabilities={"delta_shipping": False}) as server:
-            with WorkerClient(server.address, pickle.dumps(reasoner)) as client:
-                assert "delta_shipping" not in client.capabilities
-                for delta in CountWindow(size=30, slide=10).deltas(stream):
-                    item = WorkItem(facts=tuple(delta.window), incremental=delta.carries_over, epoch=delta.index)
-                    client.submit_item(item)
-                assert client.stats.items_delta == 0
-                assert client.stats.items_full > 0
-
-    def test_delta_capability_negotiated_by_default(self):
+    def test_pickle_codec_negotiates_no_capability(self):
         with WorkerServer() as server:
             with WorkerClient(server.address, choice_payload()) as client:
-                assert client.capabilities.get("delta_shipping") is True
-
-    def test_client_can_decline_delta_shipping(self):
-        with WorkerServer() as server:
-            with WorkerClient(server.address, choice_payload(), delta_shipping=False) as client:
-                assert "delta_shipping" not in client.capabilities
+                assert client.capabilities == {}
 
     def test_heartbeat_ping(self):
         with WorkerServer() as server:
@@ -452,8 +375,8 @@ def _json_hello(**capabilities):
     return _compact_json({"protocol": PROTOCOL_VERSION, "capabilities": capabilities})
 
 
-def _reject_payload(reason, dumps=_compact_json):
-    return dumps({"protocol": PROTOCOL_VERSION, "reason": reason})
+def _reject_payload(reason):
+    return _compact_json({"protocol": PROTOCOL_VERSION, "reason": reason})
 
 
 #: The server's refusals: (client bytes, serve_worker_connection keywords,
@@ -464,23 +387,40 @@ REFUSALS = {
     "non-HELLO first frame": (
         MAGIC + frame_bytes(FrameKind.PING), {}, "expected HELLO, got PING", [], None,
     ),
+    "pickled HELLO": (
+        # Never unpickled, whatever the daemon's codec: the refusal is JSON.
+        MAGIC + frame_bytes(FrameKind.HELLO, _pickled({"protocol": PROTOCOL_VERSION, "capabilities": {}})),
+        {},
+        "control frames must be JSON",
+        [FrameKind.REJECT],
+        _reject_payload("control frames must be JSON"),
+    ),
     "pickled HELLO to a restricted-only daemon": (
         MAGIC + frame_bytes(FrameKind.HELLO, _pickled({"protocol": PROTOCOL_VERSION, "capabilities": {}})),
         {"codec": "restricted"},
-        "restricted codec required",
+        "control frames must be JSON",
         [FrameKind.REJECT],
-        _reject_payload("restricted codec required"),
+        _reject_payload("control frames must be JSON"),
     ),
     "protocol mismatch": (
-        # A pickled HELLO is answered in pickle: the REJECT follows the peer's encoding.
-        MAGIC + frame_bytes(FrameKind.HELLO, _pickled({"protocol": 99, "capabilities": {}})),
+        MAGIC + frame_bytes(FrameKind.HELLO, _compact_json({"protocol": 99, "capabilities": {}})),
         {},
         f"protocol 99 != {PROTOCOL_VERSION}",
         [FrameKind.REJECT],
-        _reject_payload("protocol version mismatch", dumps=_pickled),
+        _reject_payload("protocol version mismatch"),
+    ),
+    "version-1 peer": (
+        MAGIC + frame_bytes(
+            FrameKind.HELLO,
+            _compact_json({"protocol": 1, "capabilities": {"delta_shipping": True, "symbol_ids": True}}),
+        ),
+        {},
+        f"protocol 1 != {PROTOCOL_VERSION}",
+        [FrameKind.REJECT],
+        _reject_payload("protocol version mismatch"),
     ),
     "pickle peer to a restricted-only daemon": (
-        MAGIC + frame_bytes(FrameKind.HELLO, _json_hello(delta_shipping=True)),
+        MAGIC + frame_bytes(FrameKind.HELLO, _json_hello()),
         {"codec": "restricted"},
         "restricted codec required",
         [FrameKind.REJECT],
@@ -534,6 +474,55 @@ class TestServerRefusals:
         assert [kind for kind, _ in frames] == kinds
         if reject_payload is not None:
             assert frames[-1] == (FrameKind.REJECT, reject_payload)
+
+
+_NO_RUNS = struct.pack("<qqB", 0, 0, 0)  # track 0, epoch 0, not incremental
+
+#: Data frames a server must refuse after the handshake: (frame kind, payload).
+MALFORMED_FRAMES = {
+    "short WORK header": (FrameKind.WORK, b"\x00" * 5),
+    "unknown run kind": (FrameKind.WORK, _NO_RUNS + struct.pack("<BI", 7, 0)),
+    "literal run past the payload": (FrameKind.WORK, _NO_RUNS + struct.pack("<BI", 0, 3) + b"\x00" * 4),
+    "id no SYMBOLS frame introduced": (FrameKind.WORK, _NO_RUNS + struct.pack("<BII", 0, 1, 5)),
+    "copy run without a previous window": (FrameKind.WORK, _NO_RUNS + struct.pack("<BII", 1, 4, 0)),
+    "pickled SYMBOLS": (FrameKind.SYMBOLS, pickle.dumps({"start": 0, "symbols": []})),
+}
+
+
+class TestMalformedDataFrames:
+    """A malformed data frame gets one failed RESULT, then the server closes."""
+
+    @pytest.mark.parametrize("restricted", [False, True], ids=["pickle", "restricted"])
+    @pytest.mark.parametrize("case", sorted(MALFORMED_FRAMES))
+    def test_server_reports_and_closes(self, case, restricted):
+        capabilities = {"restricted_codec": True} if restricted else {}
+        reasoner = encode_reasoner_spec(choice_reasoner()) if restricted else choice_payload()
+        client, server = socket.socketpair()
+        try:
+            client.settimeout(10.0)
+            client.sendall(
+                MAGIC
+                + frame_bytes(FrameKind.HELLO, _json_hello(**capabilities))
+                + frame_bytes(FrameKind.REASONER, reasoner)
+                + frame_bytes(*MALFORMED_FRAMES[case])
+            )
+            with ThreadPoolExecutor(max_workers=1) as pool:
+                served = pool.submit(serve_worker_connection, server)
+                received = b""
+                while chunk := client.recv(65536):
+                    received += chunk
+                record = served.result(timeout=10.0)
+        finally:
+            client.close()
+            server.close()
+        frames = list(FrameParser().feed(received))
+        assert [kind for kind, _ in frames] == [FrameKind.WELCOME, FrameKind.READY, FrameKind.RESULT]
+        assert record.items == 0 and record.rejected is None
+        failure = ResultDecoder("worker", restricted=restricted).decode(frames[-1][1])
+        if restricted:
+            assert type(failure) is BackendError and "ProtocolError: undecodable" in str(failure)
+        else:
+            assert type(failure) is ProtocolError and str(failure).startswith("undecodable")
 
 
 # --------------------------------------------------------------------------- #
@@ -779,7 +768,7 @@ class TestFleetCoordinator:
 
 
 # --------------------------------------------------------------------------- #
-# Wire statistics: delta shipping visible end to end
+# Wire statistics: copy runs visible end to end
 # --------------------------------------------------------------------------- #
 class TestWireStatistics:
     def test_sliding_stream_ships_mostly_deltas(self):
@@ -795,11 +784,11 @@ class TestWireStatistics:
         assert stats["items_delta"] > stats["items_full"]
         assert stats["bytes_delta"] / stats["items_delta"] < stats["bytes_full"] / stats["items_full"]
 
-    def test_delta_shipping_disabled_ships_everything_full(self):
+    def test_tumbling_stream_ships_everything_full(self):
         stream = traffic_stream(120)
-        window = CountWindow(size=60, slide=20)
+        window = CountWindow(size=40)
         with WorkerServer() as server:
-            backend = TcpBackend([server.address], delta_shipping=False)
+            backend = TcpBackend([server.address])
             reasoner = Reasoner(traffic_program(), INPUT_PREDICATES, EVENT_PREDICATES)
             with StreamSession(reasoner, backend=backend) as session:
                 for delta in window.deltas(stream):
@@ -838,7 +827,7 @@ class _SilentServer:
             send_frame(
                 connection,
                 FrameKind.WELCOME,
-                pickle.dumps({"protocol": PROTOCOL_VERSION, "capabilities": {}}),
+                json.dumps({"protocol": PROTOCOL_VERSION, "capabilities": {}}).encode(),
             )
             recv_frame(connection)  # REASONER
             send_frame(connection, FrameKind.READY)

@@ -37,6 +37,7 @@ from repro.streamrule.net import (
     ClientConnection,
     FrameKind,
     FrameParser,
+    ResultEncoder,
     Ticket,
     WireStats,
     WorkerClient,
@@ -142,7 +143,7 @@ HANDSHAKE_FAILURES = [
         (FrameKind.REJECT, control(protocol=7, reason="protocol version mismatch")),
         None,
         HandshakeError,
-        "{worker} rejected the handshake: protocol version mismatch (worker protocol 7, ours 1)",
+        "{worker} rejected the handshake: protocol version mismatch (worker protocol 7, ours 2)",
     ),
     (
         "version-mismatch",
@@ -150,7 +151,16 @@ HANDSHAKE_FAILURES = [
         (FrameKind.WELCOME, control(protocol=99, capabilities={})),
         None,
         HandshakeError,
-        "{worker} speaks protocol 99, this client speaks 1",
+        "{worker} speaks protocol 99, this client speaks 2",
+    ),
+    (
+        # A version-1 daemon refuses a version-2 client.
+        "version-1-daemon",
+        {},
+        (FrameKind.REJECT, control(protocol=1, reason="protocol version mismatch")),
+        None,
+        HandshakeError,
+        "{worker} rejected the handshake: protocol version mismatch (worker protocol 1, ours 2)",
     ),
     ("wrong-kind-for-welcome", {}, (FrameKind.PONG, b""), None, ProtocolError, "expected WELCOME, got PONG"),
     (
@@ -162,9 +172,10 @@ HANDSHAKE_FAILURES = [
         "{worker} requires token auth and this client has no token",
     ),
     (
+        # A daemon that does not speak the restricted codec answers without it.
         "restricted-codec-declined",
         {"codec": "restricted"},
-        welcome({"delta_shipping": True}),
+        welcome(),
         None,
         HandshakeError,
         "{worker} did not accept the restricted codec; refusing to fall back to pickle",
@@ -197,19 +208,23 @@ def shake_hands(connection, hello_answer, reasoner_answer=(FrameKind.READY, b"")
 class TestHandshakeCore:
     def test_happy_path_frame_sequence(self):
         connection = ClientConnection(ADDRESS, auth_token="secret")
-        sent = shake_hands(connection, welcome({"delta_shipping": True, "symbol_ids": True}, nonce="abc"))
+        sent = shake_hands(connection, welcome(nonce="abc"))
         frames = list(FrameParser().feed(b"".join(sent[1:])))
         assert sent[0] == MAGIC
         assert [kind for kind, _ in frames] == [FrameKind.HELLO, FrameKind.AUTH, FrameKind.REASONER]
         assert frames[2][1] == b"reasoner-bytes"
         assert connection.is_open
-        assert connection.capabilities == {"delta_shipping": True, "symbol_ids": True}
+        assert connection.capabilities == {}
 
     def test_a_capability_is_active_only_when_both_sides_named_it(self):
         connection = ClientConnection(ADDRESS)
-        connection.open(b"r", delta_shipping=False, symbol_ids=True)
-        connection.receive_frame(*welcome({"delta_shipping": True, "symbol_ids": True, "from_the_future": True}))
-        assert connection.capabilities == {"symbol_ids": True}
+        connection.open(b"r")  # a pickle client offers nothing
+        connection.receive_frame(*welcome({"restricted_codec": True, "from_the_future": True}))
+        assert connection.capabilities == {}
+        restricted = ClientConnection(ADDRESS, codec="restricted")
+        restricted.open(b"r")
+        restricted.receive_frame(*welcome({"restricted_codec": True, "from_the_future": True}))
+        assert restricted.capabilities == {"restricted_codec": True}
 
     @pytest.mark.parametrize("case, keywords, hello, ready, failure, message", HANDSHAKE_FAILURES, ids=FAILURE_IDS)
     def test_failure_table(self, case, keywords, hello, ready, failure, message):
@@ -314,19 +329,38 @@ class TestTicketQueue:
         assert str(ticket.error) == f"connection to worker {ADDRESS} aborted: KeyboardInterrupt()"
 
     def test_item_frames_are_counted_as_they_are_encoded(self):
-        connection = open_connection(delta_shipping=True, symbol_ids=True)
-        first, second = sliding_items(2)
-        kinds = [[kind for kind, _ in FrameParser().feed(b"".join(connection.encode_item(item)))] for item in (first, second)]
-        assert kinds == [[FrameKind.SYMBOLS, FrameKind.WORK], [FrameKind.SYMBOLS, FrameKind.DELTA]]
-        stats = connection.stats
-        assert (stats.items_full, stats.items_delta, stats.symbol_frames) == (1, 1, 2)
-        assert stats.bytes_out == stats.bytes_full + stats.bytes_delta + stats.bytes_symbols > 0
-
-    def test_without_capabilities_an_item_is_one_pickled_work_frame(self):
+        """Per item: one chunk per frame (an optional SYMBOLS, then WORK), one RESULT back."""
         connection = open_connection()
-        item = sliding_items(1)[0]
-        ((kind, payload),) = FrameParser().feed(b"".join(connection.encode_item(item)))
-        assert kind is FrameKind.WORK and pickle.loads(payload) == item
+        first, second, third = sliding_items(3)
+        chunks = [connection.encode_item(item) for item in (first, second, third)]
+        kinds = [[kind for kind, _ in FrameParser().feed(b"".join(item_chunks))] for item_chunks in chunks]
+        assert kinds == [[FrameKind.SYMBOLS, FrameKind.WORK]] * 3
+        assert [len(item_chunks) for item_chunks in chunks] == [2, 2, 2]  # each frame its own write
+        stats = connection.stats
+        assert (stats.items_full, stats.items_delta, stats.symbol_frames) == (1, 2, 3)
+        assert stats.bytes_out == stats.bytes_full + stats.bytes_delta + stats.bytes_symbols > 0
+        # The steady state: the same facts again need no table sync and copy every id.
+        steady = WorkItem(facts=third.facts, epoch=3)
+        assert [kind for kind, _ in FrameParser().feed(b"".join(connection.encode_item(steady)))] == [FrameKind.WORK]
+        tickets = [Ticket() for _ in range(4)]
+        for ticket in tickets:
+            connection.expect(ticket)
+        results, expected = ResultEncoder(), []
+        for item in (first, second, third, steady):
+            expected.append(reasoner().reason_item(item))
+            connection.receive_frame(FrameKind.RESULT, results.encode(expected[-1]))
+        assert [connection.take_result(ticket).answers for ticket in tickets] == [e.answers for e in expected]
+        assert connection.pending_count == 0
+
+    def test_a_malformed_result_fails_its_ticket_and_is_a_protocol_error(self):
+        connection = open_connection()
+        ticket = Ticket()
+        connection.expect(ticket)
+        with pytest.raises(ProtocolError, match="malformed RESULT from worker 127.0.0.1:7000 payload"):
+            connection.receive_frame(FrameKind.RESULT, b"\x00\xff")
+        assert ticket.done and isinstance(ticket.error, ProtocolError)
+        with pytest.raises(ProtocolError):
+            connection.take_result(ticket)
 
 
 # --------------------------------------------------------------------------- #
@@ -417,12 +451,13 @@ class TestSlotTable:
 class ScriptedServer:
     """Speaks just enough SRW1 to answer a handshake from a script.
 
-    Each connection gets ``hello_answer`` after its ``HELLO`` and
-    ``reasoner_answer`` after its ``REASONER``; ``None`` hangs up instead.
+    Each connection gets ``hello_answer`` after its ``HELLO``,
+    ``reasoner_answer`` after its ``REASONER`` and ``work_answer`` after
+    its first ``WORK``; ``None`` hangs up instead.
     """
 
-    def __init__(self, hello_answer, reasoner_answer):
-        self._answers = (hello_answer, reasoner_answer)
+    def __init__(self, hello_answer, reasoner_answer, work_answer=None):
+        self._answers = (hello_answer, reasoner_answer, work_answer)
         self._listener = socket.create_server(("127.0.0.1", 0))
         self.address = self._listener.getsockname()[:2]
         self._thread = threading.Thread(target=self._serve, daemon=True)
@@ -437,9 +472,9 @@ class ScriptedServer:
             with connection:
                 try:
                     recv_exactly(connection, len(MAGIC))
-                    for awaited, answer in zip((FrameKind.HELLO, FrameKind.REASONER), self._answers):
+                    for awaited, answer in zip((FrameKind.HELLO, FrameKind.REASONER, FrameKind.WORK), self._answers):
                         kind = None
-                        while kind is not awaited:  # an AUTH frame may precede the REASONER
+                        while kind is not awaited:  # AUTH may precede REASONER, SYMBOLS a WORK
                             kind, _ = recv_frame(connection)
                         if answer is None:
                             break
@@ -479,6 +514,28 @@ class TestDriversAgree:
             for raised in (sync_failure(server.address, keywords), async_failure(server.address, keywords)):
                 assert type(raised) is failure
                 assert str(raised) == expected_message(message, server.address)
+
+    @pytest.mark.parametrize("driver", ["sync", "async"])
+    def test_a_malformed_result_aborts_the_connection(self, driver):
+        item = sliding_items(1)[0]
+        with ScriptedServer(welcome(), (FrameKind.READY, b""), (FrameKind.RESULT, b"\x00\xff")) as server:
+            if driver == "sync":
+                client = WorkerClient(server.address, b"reasoner-bytes", attempts=1)
+                with pytest.raises(ProtocolError, match="malformed RESULT"):
+                    client.submit_item(item)
+            else:
+
+                async def submit():
+                    client = await AsyncWorkerClient.connect(server.address, b"reasoner-bytes", attempts=1)
+                    try:
+                        with pytest.raises(ProtocolError, match="malformed RESULT"):
+                            await client.submit_item(item)
+                    finally:
+                        await client.close()
+                    return client
+
+                client = asyncio.run(submit())
+        assert not client.alive and client.pending_count == 0
 
     @pytest.mark.parametrize("hello", [None, welcome()], ids=["after-hello", "after-reasoner"])
     def test_a_peer_that_hangs_up_mid_handshake_is_a_handshake_error(self, hello):
@@ -541,8 +598,7 @@ def drive_async(address, reasoner_payload, keywords):
 
 
 WIRE_DIALECTS = {
-    "pickle": ({"symbol_ids": False}, pickle.dumps),
-    "symbol_ids": ({}, pickle.dumps),
+    "pickle": ({}, pickle.dumps),
     "restricted": ({"codec": "restricted"}, encode_reasoner_spec),
 }
 
@@ -558,9 +614,8 @@ class TestDifferentialWire:
         assert blocking.startswith(MAGIC)
         kinds = [kind for kind, _ in FrameParser().feed(blocking[len(MAGIC) :])]
         assert kinds[:2] == [FrameKind.HELLO, FrameKind.REASONER]
-        assert kinds.count(FrameKind.WORK) + kinds.count(FrameKind.DELTA) == 6
-        assert kinds.count(FrameKind.DELTA) >= 4  # sliding windows travel as deltas once warm
-        assert (FrameKind.SYMBOLS in kinds) == (dialect != "pickle")
+        assert kinds.count(FrameKind.WORK) == 6
+        assert FrameKind.SYMBOLS in kinds
 
 
 # --------------------------------------------------------------------------- #

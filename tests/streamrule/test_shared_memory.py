@@ -15,12 +15,16 @@ from multiprocessing.shared_memory import SharedMemory
 
 import pytest
 
+from repro.asp.errors import GroundingError
+from repro.asp.syntax.atoms import Atom
 from repro.asp.syntax.parser import parse_program
+from repro.asp.syntax.terms import Variable
 from repro.streamrule.backends import InlineBackend, SharedMemoryBackend
 from repro.streamrule.errors import BackendConnectionError
 from repro.streamrule.reasoner import Reasoner
 from repro.streamrule.session import StreamSession
-from repro.streamrule.shm import DEFAULT_RING_CAPACITY, ShmRing, ShmSlot
+from repro.streamrule.net import DeltaShipper, FrameKind
+from repro.streamrule.shm import DEFAULT_RING_CAPACITY, K_SHUTDOWN, ShmRing, ShmSlot
 from repro.streamrule.work import WorkItem
 from tests.conftest import make_atom
 
@@ -111,16 +115,42 @@ class TestShmSlot:
     def test_worker_side_exception_propagates_and_slot_survives(self):
         slot = ShmSlot(0, pickle.dumps(choice_reasoner()))
         try:
-            bad = WorkItem(facts=("not a fact",))  # type: ignore[arg-type]
-            with pytest.raises(TypeError):
-                slot.roundtrip(bad)
+            non_ground = WorkItem(facts=(Atom("item", (Variable("X"),)),))
+            with pytest.raises(GroundingError, match="non-ground fact"):
+                slot.roundtrip(non_ground)  # raised in the worker, re-raised here
+            unencodable = WorkItem(facts=("not a fact",))  # type: ignore[arg-type]
+            with pytest.raises(TypeError, match="no wire encoding"):
+                slot.roundtrip(unencodable)  # refused before it reaches the ring
             assert slot.roundtrip(work_item()).answers
+            assert slot.stats.items == 2
         finally:
             slot.close()
 
+    def test_ring_messages_are_the_wire_frames(self):
+        """The request ring carries exactly the frames a TCP client would send."""
+        slot = ShmSlot(0, pickle.dumps(choice_reasoner()))
+        sent = []
+        ring_send = slot._request.send
+
+        def recording_send(kind, body=b""):
+            sent.append((kind, body))
+            ring_send(kind, body)
+
+        slot._request.send = recording_send
+        items = [work_item(count=6), WorkItem(facts=work_item(count=8).facts[2:], epoch=1)]
+        try:
+            for item in items:
+                slot.roundtrip(item)
+        finally:
+            slot.close()
+        shipper = DeltaShipper()
+        expected = [frame for item in items for frame in shipper.encode_frames(item)]
+        assert [kind for kind, _ in expected] == [FrameKind.SYMBOLS, FrameKind.WORK] * 2
+        assert sent == expected + [(K_SHUTDOWN, b"")]
+
     def test_oversize_message_takes_the_pipe_side_door(self):
-        # A ring too small for the pickled symbol sync (and the pickled
-        # result) forces the oversize path; results must still be correct.
+        # A ring too small for the symbol sync (and the result) forces the
+        # oversize path; results must still be correct.
         slot = ShmSlot(0, pickle.dumps(choice_reasoner()), capacity=64)
         try:
             result = slot.roundtrip(work_item(count=4))

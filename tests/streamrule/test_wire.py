@@ -1,36 +1,29 @@
-"""Wire-protocol guarantees: WorkItem/ReasonerResult survive pickling.
+"""Work items and results survive pickling, deterministically.
 
-The TCP and shared-memory backends depend on three properties of the partition/combine protocol:
+Pickling is how a reasoner reaches a spawned shared-memory worker and how
+sessions copy work between threads; these tests pin three properties of
+the partition/combine protocol's values:
 
 1. round-trip fidelity -- a pickled ``WorkItem`` / ``ReasonerResult``
    deserializes to an equivalent value,
-2. bounded payloads -- the wire form grows linearly in the fact count,
+2. bounded payloads -- the pickled form grows linearly in the fact count,
 3. determinism across interpreters -- pickle bytes and placement decisions
    must not depend on ``PYTHONHASHSEED``, or a parent and a spawned worker
-   would disagree about routing,
-4. compatibility with version-1 peers -- a pickled ``WorkItem`` that still
-   carries the retired ``delta`` attribute, and work frames whose
-   ``incremental`` is unset (``None``), decode to a two-valued item.
+   would disagree about routing.
 """
 
 from __future__ import annotations
 
-import copyreg
 import hashlib
-import io
-import json
 import pickle
 import subprocess
 import sys
-from dataclasses import replace
 from pathlib import Path
 
 import pytest
 
 from repro.programs.traffic import EVENT_PREDICATES, INPUT_PREDICATES, traffic_program
 from repro.streaming.generator import SyntheticStreamConfig, generate_window
-from repro.streamrule.codec import RestrictedServerCodec, RestrictedShipper
-from repro.streamrule.net import DeltaDecoder, DeltaShipper, FrameKind
 from repro.streamrule.reasoner import Reasoner
 from repro.streamrule.work import WorkItem
 from tests.conftest import make_atom
@@ -141,64 +134,3 @@ class TestHashSeedDeterminism:
         assert item.signature == "a|b"  # sorted distinct predicates, no hashing
         digest = hashlib.sha256(item.signature.encode()).hexdigest()
         assert digest == hashlib.sha256(b"a|b").hexdigest()
-
-
-class _VersionOnePickler(pickle.Pickler):
-    """Pickles a ``WorkItem`` as a version-1 peer did: its state keeps ``delta``."""
-
-    def reducer_override(self, obj):
-        if type(obj) is WorkItem:
-            return copyreg.__newobj__, (WorkItem,), dict(vars(obj), delta=None)
-        return NotImplemented
-
-
-def version_one_pickle(value):
-    buffer = io.BytesIO()
-    _VersionOnePickler(buffer, protocol=pickle.HIGHEST_PROTOCOL).dump(value)
-    return buffer.getvalue()
-
-
-def unset_pickled(payload):
-    """A pickled work frame as a version-1 peer may send it: ``incremental=None``."""
-    return version_one_pickle(replace(pickle.loads(payload), incremental=None))
-
-
-def unset_json(payload):
-    """A restricted work frame with ``"incremental": null``."""
-    return json.dumps(dict(json.loads(payload), incremental=None)).encode()
-
-
-class TestVersionOnePeers:
-    def test_work_item_pickle_with_a_delta_key_unpickles_and_evaluates(self):
-        reasoner = Reasoner(traffic_program(), INPUT_PREDICATES, EVENT_PREDICATES)
-        item = WorkItem(facts=tuple(reasoner.to_atoms(traffic_stream(60))), track=2, epoch=5, incremental=True)
-        payload = version_one_pickle(item)
-        assert b"delta" in payload
-        clone = pickle.loads(payload)
-        assert clone == item and clone.incremental is True
-        assert set(reasoner.reason_item(clone).answers) == set(reasoner.reason_item(item).answers)
-
-    @pytest.mark.parametrize(
-        "make_pair, unset",
-        [
-            (lambda: (DeltaShipper(), DeltaDecoder()), unset_pickled),  # WorkItem, FactDelta
-            (lambda: (DeltaShipper(symbol_ids=True), DeltaDecoder()), unset_pickled),  # IdWorkItem, IdFactDelta
-            (lambda: (RestrictedShipper(), RestrictedServerCodec()), unset_json),
-        ],
-        ids=["facts", "symbol-ids", "restricted"],
-    )
-    def test_unset_incremental_decodes_as_false(self, make_pair, unset):
-        shipper, decoder = make_pair()
-        first = WorkItem(facts=tuple(make_atom("item", index) for index in range(10)), incremental=True)
-        second = WorkItem(facts=first.facts[2:] + (make_atom("item", 99),), epoch=1, incremental=True)
-        kinds = []
-        for item in (first, second):
-            for kind, payload in shipper.encode_frames(item):
-                if kind is FrameKind.SYMBOLS:
-                    decoder.apply_symbols(payload)
-                    continue
-                kinds.append(kind)
-                decoded = decoder.decode(kind, unset(payload))
-                assert decoded.facts == item.facts
-                assert decoded.incremental is False
-        assert kinds == [FrameKind.WORK, FrameKind.DELTA]

@@ -18,10 +18,7 @@ import pytest
 from bench_e2e import streams, workloads
 from bench_e2e.trace import TARGETS, Tracer
 from bench_e2e.workloads import WORKLOADS, Deployment
-from repro.asp.syntax.symbols import SymbolDelta
-from repro.streamrule.metrics import ReasonerMetrics
-from repro.streamrule.net import FactDelta, IdFactDelta, IdWorkItem, RemoteFailure
-from repro.streamrule.reasoner import ReasonerResult
+from repro.streamrule.net import RemoteFailure
 from repro.streamrule.worker import WorkerServer
 
 #: Span names an inline session must record for every window it evaluates.
@@ -113,12 +110,7 @@ def test_tcp_hot_path_runs_through_the_wire_entry_points_and_counters(monkeypatc
 #: an already-deployed peer will look it up under.  Moving one silently breaks
 #: a mixed-version fleet without a protocol bump.
 PICKLED_ON_THE_WIRE = [
-    (FactDelta(track=0, epoch=0, incremental=None, ops=()), "repro.streamrule.net"),
-    (IdWorkItem(track=0, epoch=0, incremental=None, id_data=b""), "repro.streamrule.net"),
-    (IdFactDelta(track=0, epoch=0, incremental=None, ops=()), "repro.streamrule.net"),
     (RemoteFailure(ValueError("boom")), "repro.streamrule.net"),
-    (SymbolDelta(start=0, symbols=()), "repro.asp.syntax.symbols"),
-    (ReasonerResult(answers=(), metrics=ReasonerMetrics(window_size=0, latency_seconds=0.0)), "repro.streamrule.reasoner"),
 ]
 
 
