@@ -9,9 +9,9 @@ This example is the end-to-end demo of the distributed execution tier (see
 2. streams the paper's synthetic traffic workload through a
    :class:`StreamSession` whose :class:`TcpBackend` partitions every sliding
    window with Algorithm 1 and ships the partitions to the workers over the
-   versioned wire protocol -- facts travel as interned ids, and
-   steady-state windows copy the ids they share with their predecessor
-   instead of re-sending them,
+   versioned wire protocol -- the program travels once per connection as
+   text, facts travel as interned ids, and steady-state windows copy the
+   ids they share with their predecessor instead of re-sending them,
 3. kills one worker halfway through the stream to show the fleet rerouting
    its placement slots to the survivor without losing a window,
 4. and prints the wire statistics: how many work frames copied ids from
@@ -20,7 +20,8 @@ This example is the end-to-end demo of the distributed execution tier (see
 
 Run with:  python examples/distributed_fleet.py [--windows 6] [--window-size 600]
 
-Against an already-running fleet (e.g. two machines on a trusted network)::
+Against an already-running fleet (e.g. two machines on a private network;
+see ``docs/deployment-security.md`` for TLS and token auth)::
 
     python examples/distributed_fleet.py --workers host-a:7700,host-b:7700
 """

@@ -88,11 +88,6 @@ __all__ = [
 ]
 
 
-def _rebuild_cache(max_entries: int, max_delta_states: int) -> "GroundingCache":
-    """Unpickle helper: rebuild an (empty) cache from its configuration."""
-    return GroundingCache(max_entries, max_delta_states=max_delta_states)
-
-
 # --------------------------------------------------------------------------- #
 # Ground program representation
 # --------------------------------------------------------------------------- #
@@ -389,13 +384,6 @@ class GroundingCache:
         return ground, "full"
 
     # ------------------------------------------------------------------ #
-    def __reduce__(self):
-        # Pickling ships the configuration, not the contents: the lock is
-        # unpicklable and cached entries are only useful to the process that
-        # produced them, so an unpickled cache (e.g. in a fresh worker
-        # process) starts empty at the same capacity.
-        return (_rebuild_cache, (self.max_entries, self.max_delta_states))
-
     def __len__(self) -> int:
         return len(self._entries)
 

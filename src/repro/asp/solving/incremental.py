@@ -36,9 +36,8 @@ from-scratch solving of the same ground program.
 
 :class:`SolverCache` wraps one :class:`IncrementalSolver` per delta track,
 mirroring how `GroundingCache` keys its per-track pairs: LRU eviction
-beyond ``max_states``, per-track locks for thread backends, and a
-``__reduce__`` that ships an empty cache across process boundaries (worker
-processes warm their own solver state).
+beyond ``max_states`` and per-track locks for thread backends.  Worker
+processes build their own empty cache and warm their own solver state.
 """
 
 from __future__ import annotations
@@ -664,10 +663,6 @@ class IncrementalSolver:
             encoding._learned_keys.add(key)
 
 
-def _rebuild_solver_cache(max_states: int) -> "SolverCache":
-    return SolverCache(max_states=max_states)
-
-
 class SolverCache:
     """Per-track incremental solver states with LRU eviction.
 
@@ -758,8 +753,3 @@ class SolverCache:
         with self._lock:
             self._states.clear()
             self._state_locks.clear()
-
-    def __reduce__(self):
-        # Solver state is per-process by design: worker processes receive an
-        # empty cache and warm their own track states (mirrors GroundingCache).
-        return (_rebuild_solver_cache, (self.max_states,))

@@ -39,10 +39,6 @@ class Program:
     def __post_init__(self) -> None:
         self.rules = list(self.rules)
 
-    def __getstate__(self) -> dict:
-        # The derived analysis is rebuilt on demand wherever the program lands.
-        return {"rules": self.rules, "name": self.name}
-
     def derived(self, build: Callable[["Program"], Derived]) -> Derived:
         """``build(self)``, computed once and reused until the rule list changes.
 

@@ -25,10 +25,8 @@ on:
   backing list without one (CPython list appends are atomic with respect
   to reads of already-present slots).
 
-Like :class:`~repro.asp.grounding.grounder.GroundingCache` and
-:class:`~repro.asp.solving.incremental.SolverCache`, a pickled table
-ships *empty*: id assignments are interpreter-local, and cross-boundary
-sync is explicit via snapshot/diff, never implicit via pickle.
+Id assignments are interpreter-local: cross-boundary sync is explicit via
+snapshot/diff, and a table itself never crosses a boundary.
 """
 
 from __future__ import annotations
@@ -205,16 +203,6 @@ class SymbolTable:
                 size += 1
                 added += 1
             return added
-
-    # ------------------------------------------------------------------ #
-    # Pickling
-    # ------------------------------------------------------------------ #
-    def __reduce__(self):
-        # Ship an *empty* table: ids are interpreter-local names, and the
-        # explicit snapshot/diff protocol is the only sanctioned way to
-        # replicate them.  This mirrors GroundingCache/SolverCache, which
-        # ship configuration, not contents.
-        return (SymbolTable, ())
 
 
 # --------------------------------------------------------------------------- #

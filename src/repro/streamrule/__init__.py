@@ -32,9 +32,9 @@
 * :mod:`repro.streamrule.autoscale` -- the backpressure-driven
   :class:`FleetAutoscaler` growing/shrinking a live TCP fleet from
   sustained stall and AIMD-backoff streaks.
-* :mod:`repro.streamrule.codec` -- the restricted (non-pickle) wire
-  dialect for untrusted peers: programs as text, facts and results as
-  typed JSON + packed-id frames.
+* :mod:`repro.streamrule.codec` -- the structural (non-pickle) encodings
+  every peer uses: programs as text, facts, symbol-table tails and metrics
+  as typed JSON.
 * :mod:`repro.streamrule.adaptive` -- the AIMD
   :class:`AdaptiveInflightController` deriving the session's in-flight
   bound from observed stalls, queue depth, and gather latency

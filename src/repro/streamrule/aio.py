@@ -65,9 +65,10 @@ import contextlib
 import ssl
 from collections import deque
 from concurrent.futures import Future
-from typing import Any, Deque, Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Any, Deque, Iterable, List, Optional, Sequence, Tuple
 
 from repro.streamrule.backends import ExecutionBackend, FleetBackend
+from repro.streamrule.codec import encode_reasoner_spec
 from repro.streamrule.errors import BackendConnectionError, BackendError, HandshakeError, ProtocolError
 from repro.streamrule.fleet import EndpointLike, FleetView, WorkerEndpoint
 from repro.streamrule.metrics import Timer
@@ -78,7 +79,6 @@ from repro.streamrule.net import (
     FrameParser,
     Ticket,
     dial_failure,
-    encode_reasoner_payload,
     tls_failure,
 )
 from repro.streamrule.placement import PlacementStrategy
@@ -107,9 +107,9 @@ class AsyncWorkerClient:
     The asyncio driver of a :class:`~repro.streamrule.net.ClientConnection`
     -- the same protocol state machine the blocking
     :class:`~repro.streamrule.net.WorkerClient` drives, so handshake,
-    capabilities, frame sequence and ticket FIFO cannot differ between
-    the two.  This class only dials, moves bytes and waits: instead of the
-    sync client's elevator pattern (whichever waiter holds the receive lock
+    frame sequence and ticket FIFO cannot differ between the two.  This
+    class only dials, moves bytes and waits: instead of the sync client's
+    elevator pattern (whichever waiter holds the receive lock
     reads for everyone), a single long-lived reader task feeds arriving
     bytes to the connection, which settles the tickets; a transport error
     fails every in-flight ticket with :class:`BackendConnectionError` and
@@ -126,11 +126,9 @@ class AsyncWorkerClient:
         writer: asyncio.StreamWriter,
         *,
         auth_token: Optional[str] = None,
-        codec: str = "pickle",
     ):
-        self._connection = ClientConnection(address, auth_token=auth_token, codec=codec)
+        self._connection = ClientConnection(address, auth_token=auth_token)
         self.address = address
-        self.codec = codec
         self.stats = self._connection.stats
         self._reader = reader
         self._writer = writer
@@ -155,15 +153,13 @@ class AsyncWorkerClient:
         ssl_context: Optional[ssl.SSLContext] = None,
         server_hostname: Optional[str] = None,
         auth_token: Optional[str] = None,
-        codec: str = "pickle",
     ) -> "AsyncWorkerClient":
         """Connect with bounded exponential backoff and run the handshake.
 
         Mirrors the sync client's security surface: ``ssl_context`` wraps
         the connection in TLS (``server_hostname`` overrides the
-        SNI/verification name), ``auth_token`` answers the worker's
-        ``AUTH`` challenge, and ``codec="restricted"`` requires the
-        restricted (non-pickle) dialect.  An :class:`ssl.SSLError` during
+        SNI/verification name) and ``auth_token`` answers the worker's
+        ``AUTH`` challenge.  An :class:`ssl.SSLError` during
         the TLS handshake is a :class:`HandshakeError` immediately -- a
         certificate or protocol mismatch is a deployment bug that retrying
         cannot fix.
@@ -197,7 +193,7 @@ class AsyncWorkerClient:
                 failure = error
         if reader is None or writer is None:
             raise dial_failure(address, attempts, failure) from failure
-        client = cls(address, reader, writer, auth_token=auth_token, codec=codec)
+        client = cls(address, reader, writer, auth_token=auth_token)
         connection = client._connection
         try:
             chunks = connection.open(reasoner_payload)
@@ -219,10 +215,6 @@ class AsyncWorkerClient:
         return client
 
     # -- lifecycle ------------------------------------------------------- #
-    @property
-    def capabilities(self) -> Dict[str, bool]:
-        return self._connection.capabilities
-
     @property
     def alive(self) -> bool:
         return not self._connection.closed
@@ -340,7 +332,6 @@ class AsyncWorkerFleet(FleetView):
         ssl_context: Optional[ssl.SSLContext] = None,
         server_hostname: Optional[str] = None,
         auth_token: Optional[str] = None,
-        codec: str = "pickle",
     ):
         super().__init__(endpoints, slots, ConnectionSettings.of(locals()), contextlib.nullcontext())
 
@@ -457,7 +448,6 @@ class AioTcpBackend(FleetBackend):
         ssl_context: Optional[ssl.SSLContext] = None,
         server_hostname: Optional[str] = None,
         auth_token: Optional[str] = None,
-        codec: str = "pickle",
     ):
         super().__init__(endpoints, slots, placement, ConnectionSettings.of(locals()))
         self._loop: Optional[asyncio.AbstractEventLoop] = None
@@ -471,7 +461,7 @@ class AioTcpBackend(FleetBackend):
         if self._reasoner is not None:
             await self.aclose()
         fleet = AsyncWorkerFleet(self.endpoints, slots=self.slots, **vars(self.settings))
-        await fleet.start(encode_reasoner_payload(reasoner, self.settings.codec))
+        await fleet.start(encode_reasoner_spec(reasoner))
         self._fleet = fleet
         self._loop = asyncio.get_running_loop()
         self._slot_tails = [None] * fleet.slot_count

@@ -1,7 +1,7 @@
 """Pluggable execution backends: *where* partition work items run.
 
 The paper's partition/combine protocol is transport-agnostic: a partition
-evaluation consumes a pickled fact batch and produces a
+evaluation consumes a fact batch and produces a
 :class:`~repro.streamrule.reasoner.ReasonerResult`.  An
 :class:`ExecutionBackend` encapsulates one transport behind a tiny protocol
 -- ``start(reasoner)`` / ``submit(WorkItem) -> Future[ReasonerResult]`` /
@@ -45,7 +45,6 @@ from __future__ import annotations
 
 import abc
 import os
-import pickle
 import ssl
 import threading
 import weakref
@@ -54,7 +53,8 @@ from typing import Any, Dict, List, Optional, Sequence, Tuple, Union
 
 from repro.streamrule.errors import BackendConnectionError, BackendError
 from repro.streamrule.fleet import EndpointLike, FleetRegistry, WorkerEndpoint, WorkerFleet
-from repro.streamrule.net import ConnectionSettings, encode_reasoner_payload
+from repro.streamrule.codec import encode_reasoner_spec
+from repro.streamrule.net import ConnectionSettings
 from repro.streamrule.placement import PinnedPlacement, PlacementStrategy
 from repro.streamrule.reasoner import Reasoner, ReasonerResult
 from repro.streamrule.shm import DEFAULT_RING_CAPACITY, ShmSlot, ShmSlotStats
@@ -127,7 +127,7 @@ class ExecutionBackend(abc.ABC):
 
         Idempotent while bound to the same reasoner instance; binding a
         different reasoner closes and rebuilds the resources (workers hold
-        pickled copies of the reasoner, so they must match it).
+        their own copies of the reasoner, so they must match it).
         """
         if self._reasoner is reasoner:
             return
@@ -372,7 +372,9 @@ class TcpBackend(FleetBackend):
     ``python -m repro.streamrule.worker`` daemon, reached over the
     length-prefixed, versioned wire protocol of
     :mod:`repro.streamrule.net` (see ``docs/wire-protocol.md``).  ``start``
-    pickles the bound reasoner once and ships it to every worker during the
+    renders the bound reasoner's program as text once
+    (:func:`~repro.streamrule.codec.encode_reasoner_spec`, which refuses a
+    program the text cannot carry) and ships it to every worker during the
     handshake; per-item dispatch then ships the item's facts as interned
     ids -- copy runs over the same track's previous window plus the new
     ids, so an overlapping window costs about its slide (see
@@ -404,11 +406,10 @@ class TcpBackend(FleetBackend):
         Bounded-exponential-backoff budgets for the initial connect and for
         mid-stream reconnects (see
         :func:`~repro.streamrule.net.connect_with_backoff`).
-    ssl_context / server_hostname / auth_token / codec:
+    ssl_context / server_hostname / auth_token:
         Security surface, threaded through to the fleet's
         :class:`~repro.streamrule.net.WorkerClient` connections: TLS
-        wrapping, the shared-token ``AUTH`` response, and the
-        pickle-vs-restricted wire dialect (see
+        wrapping and the shared-token ``AUTH`` response (see
         ``docs/deployment-security.md``).
     registry:
         Push rediscovery: ``True`` starts a
@@ -437,7 +438,6 @@ class TcpBackend(FleetBackend):
         ssl_context: Optional[ssl.SSLContext] = None,
         server_hostname: Optional[str] = None,
         auth_token: Optional[str] = None,
-        codec: str = "pickle",
         registry: Union[bool, str, Tuple[str, int]] = False,
     ):
         super().__init__(endpoints, slots, placement, ConnectionSettings.of(locals()))
@@ -459,7 +459,7 @@ class TcpBackend(FleetBackend):
         fleet = WorkerFleet(
             self.endpoints, slots=self.slots, reconnect_attempts=self.reconnect_attempts, **vars(self.settings)
         )
-        fleet.start(encode_reasoner_payload(reasoner, self.settings.codec))
+        fleet.start(encode_reasoner_spec(reasoner))
         if self._registry_spec:
             if self._registry_spec is True:
                 registry_host, registry_port = "127.0.0.1", 0
@@ -530,8 +530,8 @@ class SharedMemoryBackend(ExecutionBackend):
     """Dispatch to pinned same-host worker processes over shared memory.
 
     True multi-core execution on one host: workers are separate
-    (``spawn``-started) processes, each holding its own unpickled copy of the
-    reasoner and evaluating :class:`WorkItem`\\ s, and dispatch
+    (``spawn``-started) processes, each rebuilding the reasoner from its text
+    spec (as a TCP worker does) and evaluating :class:`WorkItem`\\ s, and dispatch
     crosses the process boundary through a pair of shared-memory rings per
     slot (see :mod:`repro.streamrule.shm`), carrying the TCP wire's own
     ``SYMBOLS``/``WORK``/``RESULT`` messages: facts and answers travel as
@@ -574,7 +574,7 @@ class SharedMemoryBackend(ExecutionBackend):
 
     def _start(self, reasoner: Reasoner) -> None:
         workers = self.max_workers or os.cpu_count() or 1
-        payload = pickle.dumps(reasoner)
+        payload = encode_reasoner_spec(reasoner)
         slots = [ShmSlot(index, payload, capacity=self.ring_capacity) for index in range(workers)]
         self._slots = slots
         self._dispatchers = [

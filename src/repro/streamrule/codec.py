@@ -1,10 +1,7 @@
 """Structural (non-pickle) encodings for the wire.
 
-Every data frame of the wire protocol -- ``SYMBOLS``, ``WORK`` and the
-answers of a ``RESULT`` -- is pickle-free under both codecs (see
-:mod:`repro.streamrule.net`); this module holds the validated structural
-pieces those frames are built from, plus the one payload that tells the
-two codecs apart:
+Every frame of the wire protocol is built from the validated structural
+pieces this module holds (see :mod:`repro.streamrule.net`):
 
 * **facts and symbol-table tails** travel as structural JSON encodings
   (:func:`encode_fact` / :func:`decode_fact`,
@@ -13,20 +10,18 @@ two codecs apart:
 * **metrics** travel as a whitelisted numeric record
   (:func:`encode_metrics` / :func:`decode_metrics`), never an object
   graph;
-* under the ``restricted_codec`` capability the **reasoner** ships as
-  *text* -- the ASP program rendered by
+* the **reasoner** ships as *text* -- the ASP program rendered by
   :meth:`~repro.asp.syntax.program.Program.to_text` and re-parsed by
   :func:`~repro.asp.syntax.parser.parse_program` on the worker, plus the
   predicate sets and cache flags (:func:`encode_reasoner_spec` /
-  :func:`reasoner_from_spec`), and worker **errors** travel as
-  ``{"error": {kind, message}}`` envelopes raised as plain
-  :class:`~repro.streamrule.errors.BackendError` at the caller -- no
-  exception reconstruction, because rebuilding arbitrary exception types
-  is pickle by another name.
+  :func:`reasoner_from_spec`).  The coordinator refuses a program whose
+  text does not parse back to the same rules before anything is dialled
+  or spawned, so a worker never evaluates a different program than the
+  one it was sent.
 
-A restricted peer therefore never calls ``pickle.loads`` on network bytes;
-anything it cannot express in this schema is a protocol error, and the
-handshake ``REJECT``\\ s peers that would need pickle (see
+No peer therefore ever calls ``pickle.loads`` on network bytes; anything
+that does not fit this schema is a protocol error, and a reasoner spec the
+daemon cannot rebuild is ``REJECT``\\ ed in the handshake (see
 :func:`~repro.streamrule.net.serve_worker_connection`).
 """
 
@@ -35,10 +30,12 @@ from __future__ import annotations
 import json
 from typing import Any, Dict, List
 
+from repro.asp.errors import ParseError
 from repro.asp.grounding.grounder import GroundingCache
 from repro.asp.solving.incremental import SolverCache
 from repro.asp.syntax.atoms import Atom
 from repro.asp.syntax.parser import parse_program
+from repro.asp.syntax.program import Program
 from repro.asp.syntax.symbols import SymbolDelta
 from repro.asp.syntax.terms import Constant, FunctionTerm, Term, Variable
 from repro.streaming.triples import Triple
@@ -156,16 +153,21 @@ def decode_symbol_delta(fields: Any) -> SymbolDelta:
 def encode_reasoner_spec(reasoner: Reasoner) -> bytes:
     """Serialize a reasoner as a JSON spec the worker rebuilds from text.
 
-    Cache *contents* never travel (exactly like the pickle path, where
-    ``__reduce__`` ships empty caches); only the presence flags do, so the
-    worker warms its own.  A custom ``format_processor`` cannot be
+    Raises :class:`ValueError`, naming the first rule that differs, when
+    the program's text does not parse back to the same rules (a constant
+    built in code as ``Constant("two words")`` renders as unparseable
+    ``two words``, an unquoted ``Constant("Abc")`` would come back as a
+    variable).  Cache *contents* never travel; only the presence flags do,
+    so the worker warms its own.  A custom ``format_processor`` cannot be
     expressed -- the worker always builds the default one, matching what
     every production configuration uses.
     """
+    program = reasoner.program
+    _require_round_trip(program)
     return _dumps(
         {
-            "program": reasoner.program.to_text(),
-            "name": reasoner.program.name,
+            "program": program.to_text(),
+            "name": program.name,
             "input_predicates": sorted(reasoner.input_predicates),
             "output_predicates": sorted(reasoner.output_predicates),
             "max_models": reasoner.max_models,
@@ -173,6 +175,21 @@ def encode_reasoner_spec(reasoner: Reasoner) -> bytes:
             "solver_cache": reasoner.solver_cache is not None,
         }
     )
+
+
+def _require_round_trip(program: Program) -> None:
+    # The program's text is its rules' texts, one per line, and a rule's
+    # text holds no comment and no open string; so when every rule parses
+    # back to itself, the whole text parses back to the rule list.
+    for rule in program.rules:
+        try:
+            same = parse_program(str(rule)).rules == [rule]
+        except ParseError:
+            same = False
+        if not same:
+            raise ValueError(
+                f"program {program.name!r} cannot ship as text: rule {str(rule)!r} does not parse back to itself"
+            )
 
 
 def reasoner_from_spec(payload: bytes) -> Reasoner:

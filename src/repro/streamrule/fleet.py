@@ -438,10 +438,6 @@ class WorkerFleet(FleetView):
     auth_token:
         Shared token for the ``AUTH`` challenge/response; required when
         the daemons were started with one.
-    codec:
-        ``"pickle"`` (default, trusted networks) or ``"restricted"``
-        (program as text, no pickle; the fleet refuses workers that do not
-        accept it).
     """
 
     def __init__(
@@ -458,7 +454,6 @@ class WorkerFleet(FleetView):
         ssl_context: Optional[ssl.SSLContext] = None,
         server_hostname: Optional[str] = None,
         auth_token: Optional[str] = None,
-        codec: str = "pickle",
     ):
         super().__init__(endpoints, slots, ConnectionSettings.of(locals()), threading.Lock())
         self.reconnect_attempts = reconnect_attempts
@@ -478,7 +473,8 @@ class WorkerFleet(FleetView):
         Endpoints that cannot be reached within the connect budget are
         marked dead and their slots rerouted immediately; if *no* endpoint
         answers, the start fails with :class:`BackendConnectionError`.
-        A :class:`HandshakeError` (version mismatch) always propagates --
+        A :class:`HandshakeError` (version mismatch, a reasoner the worker
+        cannot rebuild) always propagates --
         that is a deployment bug, not a transient fault -- after closing
         every connection opened so far, so a failed start never leaks
         sockets.

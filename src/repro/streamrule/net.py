@@ -20,12 +20,12 @@ Layout
   :class:`FrameParser`), JSON control frames.
 * **The data plane** -- :class:`DeltaShipper` / :class:`DeltaDecoder` for
   ``SYMBOLS`` + ``WORK`` frames and :class:`ResultEncoder` /
-  :class:`ResultDecoder` for ``RESULT`` frames.  Both TCP codecs and the
+  :class:`ResultDecoder` for ``RESULT`` frames.  TCP and the
   shared-memory rings (:mod:`repro.streamrule.shm`) send exactly these
   messages.
 * **The client as a state machine** -- :class:`ClientConnection`:
   everything a coordinator must *know* to talk SRW1 (handshake and its
-  error taxonomy, the codec, the frames of an item with their
+  error taxonomy, the frames of an item with their
   :class:`WireStats`, the ticket FIFO), with no socket, lock, thread or
   event loop in it.
 * **Two I/O drivers of that state machine** -- :class:`WorkerClient` here
@@ -65,7 +65,7 @@ been interned by an earlier window and no fact is encoded at all.  The
 worker answers with a ``RESULT`` frame holding the new tail of the
 response table it masters, one packed id blob per answer set and the
 fixed metrics record.  Symbol tails and metrics are structural JSON
-(:mod:`repro.streamrule.codec`); no data frame is ever a pickle.
+(:mod:`repro.streamrule.codec`).
 
 Both peers advance their per-track and table state in lockstep -- the
 client when it encodes, the server when it decodes -- and a malformed
@@ -74,11 +74,14 @@ silently diverge: a reconnected client starts from empty tables.
 
 Security
 --------
-In the default (``pickle``) codec two payloads are **pickles**: the
-``REASONER`` frame and the ``RESULT`` of a failed evaluation (the original
-exception, in a :class:`RemoteFailure`).  Unpickling executes arbitrary
-code by design, so run pickle-codec workers only on trusted networks.
-Three hardening layers are available for everything else (see
+No byte a peer sends is ever unpickled.  The ``REASONER`` frame carries the
+program as *text* plus its predicate sets and cache flags
+(:func:`~repro.streamrule.codec.encode_reasoner_spec`), which the worker
+rebuilds by parsing; a failed evaluation comes back as an ``{"error":
+{kind, message}}`` envelope, raised at the caller as a plain
+:class:`BackendError`.  Control frames (``HELLO``/``WELCOME``/``REJECT``/
+``AUTH``/``ANNOUNCE``) are JSON; anything else in their place is refused.
+Two hardening layers are available on top (see
 ``docs/deployment-security.md``):
 
 * **TLS** -- pass an :class:`ssl.SSLContext` to the client
@@ -89,14 +92,6 @@ Three hardening layers are available for everything else (see
   containing ``HMAC-SHA256(token, nonce)`` before the reasoner is
   accepted; a bad or missing MAC is ``REJECT``\\ ed (a loud
   :class:`HandshakeError` at the client, never a hang).
-* **Restricted codec** -- the ``restricted_codec`` capability ships the
-  program as *text* (:mod:`repro.streamrule.codec`) and a worker failure
-  as an ``{"error": ...}`` envelope, so a restricted peer never calls
-  ``pickle.loads`` on network bytes.
-
-Control frames (``HELLO``/``WELCOME``/``REJECT``/``AUTH``/``ANNOUNCE``)
-are JSON on every peer; a control frame that is not JSON is refused and
-never unpickled.
 """
 
 from __future__ import annotations
@@ -105,7 +100,6 @@ import enum
 import hashlib
 import hmac
 import json
-import pickle
 import queue
 import secrets
 import socket
@@ -115,7 +109,7 @@ import threading
 import time
 from collections import deque
 from contextlib import contextmanager
-from dataclasses import astuple, dataclass, field
+from dataclasses import astuple, dataclass
 from typing import Any, Callable, Deque, Dict, Iterator, List, Mapping, Optional, Sequence, Tuple, Union
 
 from repro.asp.syntax.atoms import Atom
@@ -124,7 +118,6 @@ from repro.streamrule.codec import (
     decode_metrics,
     decode_symbol_delta,
     encode_metrics,
-    encode_reasoner_spec,
     encode_symbol_delta,
     reasoner_from_spec,
 )
@@ -134,7 +127,7 @@ from repro.streamrule.errors import (
     HandshakeError,
     ProtocolError,
 )
-from repro.streamrule.reasoner import Reasoner, ReasonerResult
+from repro.streamrule.reasoner import ReasonerResult
 from repro.streamrule.work import WorkItem
 
 __all__ = [
@@ -143,7 +136,6 @@ __all__ = [
     "FrameKind",
     "MAGIC",
     "PROTOCOL_VERSION",
-    "RemoteFailure",
     "ResultDecoder",
     "ResultEncoder",
     "WireStats",
@@ -152,10 +144,8 @@ __all__ = [
     "apply_id_runs",
     "auth_mac",
     "build_announce",
-    "build_hello",
     "connect_with_backoff",
     "diff_id_runs",
-    "encode_reasoner_payload",
     "parse_announce",
     "parse_welcome_fields",
     "recv_frame",
@@ -169,9 +159,11 @@ MAGIC = b"SRW1"
 
 #: Version of the frame grammar + handshake.  Bumped on incompatible
 #: changes; peers with different versions refuse each other in the
-#: handshake (``REJECT``) rather than misparsing frames.  Version 2 is the
-#: one data plane (id-run ``WORK``, id-blob ``RESULT``, JSON ``SYMBOLS``).
-PROTOCOL_VERSION = 2
+#: handshake (``REJECT``) rather than misparsing frames.  Version 2 made
+#: the one data plane (id-run ``WORK``, id-blob ``RESULT``, JSON
+#: ``SYMBOLS``); version 3 the one codec (the ``REASONER`` frame is always
+#: the program text, a failed ``RESULT`` always the JSON error envelope).
+PROTOCOL_VERSION = 3
 
 _FRAME_HEADER = struct.Struct(">IB")
 
@@ -183,13 +175,13 @@ MAX_FRAME_BYTES = 1 << 30
 class FrameKind(enum.IntEnum):
     """Discriminator byte of every frame on the wire (7 was version 1's ``DELTA``)."""
 
-    HELLO = 1  #: client -> server: JSON ``{protocol, capabilities}``
-    WELCOME = 2  #: server -> client: JSON ``{protocol, capabilities}`` (accepted)
+    HELLO = 1  #: client -> server: JSON ``{protocol}``
+    WELCOME = 2  #: server -> client: JSON ``{protocol}``, plus ``nonce`` when auth is armed
     REJECT = 3  #: server -> client: JSON ``{protocol, reason}``; connection closes
-    REASONER = 4  #: client -> server: pickled :class:`Reasoner`, or its text spec (restricted)
+    REASONER = 4  #: client -> server: the reasoner's JSON spec, its program as text
     READY = 5  #: server -> client: reasoner installed, work may flow
     WORK = 6  #: client -> server: ``(track, epoch, incremental)`` header + id runs
-    RESULT = 8  #: server -> client: response-table tail + answer id blobs + metrics, or a failure
+    RESULT = 8  #: server -> client: response-table tail + answer id blobs + metrics, or an error envelope
     PING = 9  #: either direction: heartbeat probe (empty payload)
     PONG = 10  #: heartbeat reply (empty payload)
     SYMBOLS = 11  #: client -> server: JSON request-table tail; one-way, no response
@@ -269,10 +261,6 @@ def recv_frame(connection: socket.socket) -> Tuple[FrameKind, bytes]:
     return kind, recv_exactly(connection, length)
 
 
-def _dumps(value: Any) -> bytes:
-    return pickle.dumps(value, protocol=pickle.HIGHEST_PROTOCOL)
-
-
 # --------------------------------------------------------------------------- #
 # JSON payloads (control frames and the heads of data frames)
 # --------------------------------------------------------------------------- #
@@ -306,22 +294,6 @@ def auth_mac(token: str, nonce: str) -> str:
     return hmac.new(token.encode("utf-8"), nonce.encode("utf-8"), hashlib.sha256).hexdigest()
 
 
-@dataclass
-class RemoteFailure:
-    """How a worker-side exception travels under the pickle codec.
-
-    Shared by pickle-codec TCP connections and the shared-memory rings: an
-    evaluation error on the worker is pickled inside this wrapper, shipped
-    back as a failed ``RESULT`` frame (:class:`ResultEncoder`), and
-    re-raised at the caller -- the connection itself survives.
-    """
-
-    error: BaseException
-
-    def rebuild(self) -> BaseException:
-        return self.error
-
-
 # --------------------------------------------------------------------------- #
 # The data plane: id-run WORK frames, id-blob RESULT frames
 # --------------------------------------------------------------------------- #
@@ -338,7 +310,7 @@ _U32 = struct.Struct("<I")
 #: after it -- ``{"metrics": record, "symbols": response-table tail}``,
 #: the tail only when new -- then one ``count (u32) | count packed ids``
 #: blob per answer set.  A failed evaluation is the status byte followed
-#: by the codec's error form.
+#: by the JSON error envelope ``{"error": {"kind", "message"}}``.
 _RESULT_HEADER = struct.Struct("<BI")
 _ANSWERS, _FAILED = 0, 1
 
@@ -573,14 +545,12 @@ class ResultEncoder:
 
     Interns every answer atom in a connection-scoped table and ships the
     table's new tail inside the frame, so a recurring derived atom costs 4
-    result bytes after its first appearance.  ``restricted`` picks how a
-    worker failure travels: an ``{"error": {kind, message}}`` envelope, or
-    (pickle codec) a pickled :class:`RemoteFailure`.
+    result bytes after its first appearance.  A worker failure travels as
+    an ``{"error": {kind, message}}`` envelope.
     """
 
-    def __init__(self, *, restricted: bool = False) -> None:
+    def __init__(self) -> None:
         self._master = _MasterTable()
-        self._restricted = restricted
 
     def encode(self, result: ReasonerResult) -> bytes:
         answers = [self._master.table.intern_many(answer) for answer in result.answers]
@@ -595,16 +565,10 @@ class ResultEncoder:
             parts.append(pack_ids(ids))
         return b"".join(parts)
 
-    def encode_failure(self, error: BaseException) -> bytes:
-        failed = bytes((_FAILED,))
-        if self._restricted:
-            return failed + dumps_json({"error": {"kind": type(error).__name__, "message": str(error)}})
-        try:
-            return failed + _dumps(RemoteFailure(error))
-        except Exception as pickling_error:  # noqa: BLE001 - pickling raises Type/Attribute errors too
-            return failed + _dumps(
-                RemoteFailure(BackendError(f"unpicklable worker failure ({pickling_error!r}): {error!r}"))
-            )
+    @staticmethod
+    def encode_failure(error: BaseException) -> bytes:
+        envelope = {"error": {"kind": type(error).__name__, "message": str(error)}}
+        return bytes((_FAILED,)) + dumps_json(envelope)
 
 
 class ResultDecoder:
@@ -613,17 +577,17 @@ class ResultDecoder:
     Frames must be decoded in receive order: a table tail arrives with the
     first answer that uses it.  :meth:`decode` returns the
     :class:`ReasonerResult`, or the worker-side failure for the caller to
-    raise -- a :class:`BackendError` built from the restricted envelope
-    (nothing is reconstructed), or the unpickled original under the pickle
-    codec.  A malformed payload raises :class:`ProtocolError`.
+    raise: a :class:`BackendError` naming the peer and the envelope's kind
+    and message (no exception is reconstructed -- rebuilding arbitrary
+    exception types is pickle by another name).  A malformed payload
+    raises :class:`ProtocolError`.
     """
 
-    def __init__(self, peer: str, *, restricted: bool = False) -> None:
+    def __init__(self, peer: str) -> None:
         self._table = SymbolTable()
         self._peer = peer
-        self._restricted = restricted
 
-    def decode(self, payload: bytes) -> Union[ReasonerResult, BaseException]:
+    def decode(self, payload: bytes) -> Union[ReasonerResult, BackendError]:
         with _malformed(f"RESULT from {self._peer}"):
             if payload[0] == _FAILED:
                 return self._failure(payload[1:])
@@ -649,21 +613,11 @@ class ResultDecoder:
                 answers.append(frozenset(atoms))
         return ReasonerResult(answers=tuple(answers), metrics=metrics)
 
-    def _failure(self, body: bytes) -> BaseException:
-        if self._restricted:
-            failure = loads_json(body).get("error")
-            if not isinstance(failure, dict):
-                raise ProtocolError(f"malformed error envelope from {self._peer}: {failure!r}")
-            return BackendError(
-                f"{self._peer} failed: {failure.get('kind', 'Error')}: {failure.get('message', '')}"
-            )
-        try:
-            value = pickle.loads(body)
-        except Exception as error:  # noqa: BLE001 - unpickling raises anything
-            raise ProtocolError(f"undecodable RESULT failure from {self._peer}: {error!r}") from error
-        if not isinstance(value, RemoteFailure):
-            raise ProtocolError(f"RESULT failure from {self._peer} is a {type(value).__name__}")
-        return value.rebuild()
+    def _failure(self, body: bytes) -> BackendError:
+        failure = loads_json(body).get("error")
+        if not isinstance(failure, dict):
+            raise ProtocolError(f"malformed error envelope from {self._peer}: {failure!r}")
+        return BackendError(f"{self._peer} failed: {failure.get('kind', 'Error')}: {failure.get('message', '')}")
 
 
 # --------------------------------------------------------------------------- #
@@ -697,38 +651,13 @@ class WireStats:
 # --------------------------------------------------------------------------- #
 # Handshake grammar shared by the sync and asyncio clients
 # --------------------------------------------------------------------------- #
-def build_hello(*, restricted: bool = False) -> Tuple[bytes, Dict[str, bool]]:
-    """Build the ``HELLO`` payload; returns ``(payload, offered)``.
+def parse_welcome_fields(kind: FrameKind, payload: bytes, address: Tuple[str, int]) -> Dict[str, Any]:
+    """Validate the server's handshake answer; returns the ``WELCOME`` fields.
 
-    One spelling of the offer for every client implementation
-    (:class:`WorkerClient` and the asyncio client in
-    :mod:`repro.streamrule.aio`), so the two cannot drift.  The one
-    capability is ``restricted_codec``, offered when ``restricted`` -- the
-    client must then refuse the connection (:class:`HandshakeError`) if
-    the server's ``WELCOME`` does not accept it.
-    """
-    offered = {"restricted_codec": True} if restricted else {}
-    return dumps_json({"protocol": PROTOCOL_VERSION, "capabilities": offered}), offered
-
-
-def _accepted(offered: Dict[str, bool], answer: Any) -> Dict[str, bool]:
-    """The capabilities both sides named (``answer`` is the peer's, unvalidated)."""
-    if not isinstance(answer, dict):
-        return {}
-    return {name: True for name, on in answer.items() if on is True and offered.get(name)}
-
-
-def parse_welcome_fields(
-    kind: FrameKind, payload: bytes, offered: Dict[str, bool], address: Tuple[str, int]
-) -> Tuple[Dict[str, bool], Dict[str, Any]]:
-    """Validate the server's handshake answer.
-
-    Returns ``(accepted capabilities, raw welcome fields)`` -- the raw
-    fields carry handshake extensions such as the auth ``nonce``.  Raises
-    :class:`HandshakeError` on a ``REJECT`` or a protocol-version mismatch
-    (naming both versions) and :class:`ProtocolError` on any other frame
-    kind.  A capability is active only when both the offer and the
-    ``WELCOME`` named it.
+    The fields carry handshake extensions such as the auth ``nonce``.
+    Raises :class:`HandshakeError` on a ``REJECT`` or a protocol-version
+    mismatch (naming both versions) and :class:`ProtocolError` on any
+    other frame kind.
     """
     if kind is FrameKind.REJECT:
         reject = loads_json(payload)
@@ -745,21 +674,7 @@ def parse_welcome_fields(
             f"worker {address[0]}:{address[1]} speaks protocol "
             f"{welcome.get('protocol')}, this client speaks {PROTOCOL_VERSION}"
         )
-    return _accepted(offered, welcome.get("capabilities")), welcome
-
-
-def encode_reasoner_payload(reasoner: Reasoner, codec: str = "pickle") -> bytes:
-    """Build the ``REASONER`` frame payload for the given codec.
-
-    The one place the pickle/restricted fork of the reasoner-shipping path
-    lives: ``"pickle"`` ships the object itself, ``"restricted"`` ships
-    the textual spec (:func:`repro.streamrule.codec.encode_reasoner_spec`)
-    the worker rebuilds by *parsing*.  Both backends (sync and asyncio)
-    call this so the two cannot drift.
-    """
-    if codec == "restricted":
-        return encode_reasoner_spec(reasoner)
-    return pickle.dumps(reasoner, protocol=pickle.HIGHEST_PROTOCOL)
+    return welcome
 
 
 # --------------------------------------------------------------------------- #
@@ -845,8 +760,8 @@ def build_announce(host: str, port: int) -> bytes:
 def parse_announce(payload: bytes) -> Tuple[str, int]:
     """Validate an ``ANNOUNCE`` payload; returns ``(host, port)``.
 
-    Announce frames are always JSON -- a registry never unpickles, whatever
-    its codec, because announces arrive from the *unauthenticated* edge of
+    Announce frames are always JSON -- a registry never unpickles,
+    because announces arrive from the *unauthenticated* edge of
     the fleet (the whole point is hearing from workers we lost).
     """
     fields = loads_json(payload)
@@ -915,7 +830,6 @@ class ConnectionSettings:
     ssl_context: Optional[ssl.SSLContext] = None
     server_hostname: Optional[str] = None
     auth_token: Optional[str] = None
-    codec: str = "pickle"
 
     @classmethod
     def of(cls, arguments: Mapping[str, Any]) -> "ConnectionSettings":
@@ -962,7 +876,7 @@ class ClientConnection:
     out; no socket, lock, thread or event loop.  It owns what both I/O
     drivers -- the blocking :class:`WorkerClient` and the asyncio client in
     :mod:`repro.streamrule.aio` -- must agree on: the ``MAGIC`` ..
-    ``READY`` handshake and its error taxonomy, the codec, the data-plane
+    ``READY`` handshake and its error taxonomy, the data-plane
     encoder and decoder of the connection, the ordered frames of a work
     item with their :class:`WireStats` accounting, and the FIFO of
     outstanding tickets.  A driver moves the returned chunks to its
@@ -976,24 +890,13 @@ class ClientConnection:
     ticket queue (:meth:`expect`, :meth:`receive_frame`, :meth:`abort`).
     """
 
-    def __init__(
-        self,
-        address: Tuple[str, int],
-        *,
-        auth_token: Optional[str] = None,
-        codec: str = "pickle",
-    ) -> None:
-        if codec not in ("pickle", "restricted"):
-            raise ValueError(f"codec must be 'pickle' or 'restricted', got {codec!r}")
+    def __init__(self, address: Tuple[str, int], *, auth_token: Optional[str] = None) -> None:
         self.address = address
-        self.codec = codec
         self.stats = WireStats()
-        self.capabilities: Dict[str, bool] = {}
         self.closed = False
         self.shipper = DeltaShipper()
-        self._results = ResultDecoder(self._worker(), restricted=codec == "restricted")
+        self._results = ResultDecoder(self._worker())
         self._auth_token = auth_token
-        self._offered: Dict[str, bool] = {}
         #: ``"welcome"`` / ``"ready"`` while that handshake answer is
         #: awaited, ``"open"`` once work frames may flow.
         self._stage = "welcome"
@@ -1015,21 +918,16 @@ class ClientConnection:
 
     # -- handshake ------------------------------------------------------- #
     def open(self, reasoner_payload: bytes) -> List[bytes]:
-        """The opening chunks: ``MAGIC``, then a ``HELLO`` naming the protocol and codec.
+        """The opening chunks: ``MAGIC``, then a ``HELLO`` naming the protocol.
 
         ``reasoner_payload`` follows in the ``REASONER`` frame once the
         ``WELCOME`` (and its auth challenge, if any) has been answered.
         """
         self._reasoner_payload = reasoner_payload
-        hello, self._offered = build_hello(restricted=self.codec == "restricted")
-        return [MAGIC, frame_bytes(FrameKind.HELLO, hello)]
+        return [MAGIC, frame_bytes(FrameKind.HELLO, dumps_json({"protocol": PROTOCOL_VERSION}))]
 
     def _on_welcome(self, kind: FrameKind, payload: bytes) -> List[bytes]:
-        accepted, welcome = parse_welcome_fields(kind, payload, self._offered, self.address)
-        if self.codec == "restricted" and not accepted.get("restricted_codec"):
-            raise HandshakeError(
-                f"{self._worker()} did not accept the restricted codec; refusing to fall back to pickle"
-            )
+        welcome = parse_welcome_fields(kind, payload, self.address)
         chunks = []
         nonce = welcome.get("nonce")
         if nonce is not None:
@@ -1038,7 +936,6 @@ class ClientConnection:
             mac = auth_mac(self._auth_token, str(nonce))
             chunks.append(frame_bytes(FrameKind.AUTH, dumps_json({"mac": mac})))
         chunks.append(frame_bytes(FrameKind.REASONER, self._reasoner_payload))
-        self.capabilities = accepted
         self._stage = "ready"
         return chunks
 
@@ -1184,9 +1081,8 @@ class WorkerClient:
     """One handshaken connection to a worker daemon.
 
     The blocking-socket driver of a :class:`ClientConnection` (which holds
-    the negotiated codec, the data-plane state and the :class:`WireStats`
-    record): this class only dials, moves bytes and
-    waits.  The connection is *pipelined*: sends and receives are
+    the data-plane state and the :class:`WireStats` record): this class
+    only dials, moves bytes and waits.  The connection is *pipelined*: sends and receives are
     serialized separately, so several dispatcher threads (and the
     heartbeat) may each have a frame outstanding on the one socket at the
     same time -- the worker answers strictly in request order, so responses
@@ -1216,11 +1112,9 @@ class WorkerClient:
         ssl_context: Optional[ssl.SSLContext] = None,
         server_hostname: Optional[str] = None,
         auth_token: Optional[str] = None,
-        codec: str = "pickle",
     ):
-        self._connection = ClientConnection(address, auth_token=auth_token, codec=codec)
+        self._connection = ClientConnection(address, auth_token=auth_token)
         self.address = address
-        self.codec = codec
         self.stats = self._connection.stats
         #: Serializes frame *sends* (and the shipper state, which must
         #: advance in wire order).
@@ -1256,7 +1150,6 @@ class WorkerClient:
         except BaseException:
             self.close()
             raise
-        self.capabilities = self._connection.capabilities
 
     # -- lifecycle ------------------------------------------------------- #
     @property
@@ -1396,22 +1289,19 @@ class ServedConnection:
     symbols: int = 0  #: SYMBOLS table-sync frames applied
     pings: int = 0
     rejected: Optional[str] = None
-    capabilities: Dict[str, bool] = field(default_factory=dict)
 
 
 def serve_worker_connection(
     connection: socket.socket,
     *,
     protocol_version: int = PROTOCOL_VERSION,
-    reasoner_factory: Callable[[bytes], Reasoner] = pickle.loads,
     read_ahead: int = 8,
     auth_token: Optional[str] = None,
-    codec: str = "pickle",
 ) -> ServedConnection:
     """Serve one coordinator connection until it closes.
 
-    The server half of the protocol: validate magic, negotiate the
-    handshake, install the shipped reasoner, then answer ``WORK`` and
+    The server half of the protocol: validate magic, run the handshake,
+    rebuild the shipped reasoner from its text spec, then answer ``WORK`` and
     ``PING`` frames (applying ``SYMBOLS`` frames as they come) until EOF.
     Worker-side evaluation errors travel back as failed ``RESULT`` frames;
     only transport errors and malformed frames end the loop.  Used by the
@@ -1430,15 +1320,13 @@ def serve_worker_connection(
 
     ``auth_token`` arms the challenge/response: the ``WELCOME`` carries a
     fresh nonce and the peer must answer with a valid ``AUTH`` MAC before
-    its ``REASONER`` is looked at.  ``codec="restricted"`` *requires* the
-    ``restricted_codec`` capability (rejecting pickle peers outright) and
-    never unpickles a network byte; ``codec="pickle"`` still *speaks*
-    restricted when the peer asks for it -- the capability decides the
-    connection's dialect.  Control frames are JSON on every daemon: a
-    ``HELLO`` that is not is refused with a JSON ``REJECT``, unread.
+    its ``REASONER`` is looked at.  Control frames are JSON: a ``HELLO``
+    that is not is refused with a JSON ``REJECT``, unread.  A ``REASONER``
+    payload :func:`~repro.streamrule.codec.reasoner_from_spec` cannot
+    rebuild -- not JSON, wrong field types, program text that does not
+    parse, a pickle -- is refused with ``REJECT "invalid reasoner: Kind:
+    message"``, so the coordinator's handshake fails naming the cause.
     """
-    if codec not in ("pickle", "restricted"):
-        raise ValueError(f"codec must be 'pickle' or 'restricted', got {codec!r}")
     record = ServedConnection()
     try:
         try:
@@ -1464,12 +1352,7 @@ def serve_worker_connection(
             return reject("control frames must be JSON")
         if hello.get("protocol") != protocol_version:
             return reject("protocol version mismatch", f"protocol {hello.get('protocol')} != {protocol_version}")
-        accepted = _accepted({"restricted_codec": True}, hello.get("capabilities"))
-        restricted = bool(accepted)
-        if codec == "restricted" and not restricted:
-            return reject("restricted codec required")
-        record.capabilities = accepted
-        welcome: Dict[str, Any] = {"protocol": protocol_version, "capabilities": accepted}
+        welcome: Dict[str, Any] = {"protocol": protocol_version}
         nonce: Optional[str] = None
         if auth_token is not None:
             nonce = secrets.token_hex(16)
@@ -1489,11 +1372,14 @@ def serve_worker_connection(
         if kind is not FrameKind.REASONER:
             record.rejected = f"expected REASONER, got {kind.name}"
             return record
-        reasoner = reasoner_from_spec(payload) if restricted else reasoner_factory(payload)
+        try:
+            reasoner = reasoner_from_spec(payload)
+        except Exception as error:  # noqa: BLE001 - whatever the spec trips, the peer is told
+            return reject(f"invalid reasoner: {type(error).__name__}: {error}")
         send_frame(connection, FrameKind.READY)
 
         decoder = DeltaDecoder()
-        results = ResultEncoder(restricted=restricted)
+        results = ResultEncoder()
         frames: "queue.Queue[Tuple[Optional[FrameKind], Any]]" = queue.Queue(maxsize=max(1, read_ahead))
         done = threading.Event()
 

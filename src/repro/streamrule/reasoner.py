@@ -17,8 +17,8 @@ recorded in the returned metrics.
 
 Every execution backend evaluates a
 :class:`~repro.streamrule.work.WorkItem` through :meth:`Reasoner.reason_item`;
-the worker-process backends unpickle the reasoner once per worker and call
-it there.
+the worker-process backends rebuild the reasoner once per worker from its
+text spec (:mod:`repro.streamrule.codec`) and call it there.
 """
 
 from __future__ import annotations
@@ -104,7 +104,7 @@ class Reasoner:
             strata and a selector-guarded completion encoding -- and
             re-solve under assumptions instead of solving from scratch.
             Thread-safe with per-track locks; worker processes each warm
-            their own (see :meth:`SolverCache.__reduce__`).
+            their own.
         """
         self.program = program
         self.input_predicates: Set[str] = (

@@ -880,7 +880,7 @@ class StreamSession:
         if epoch is None:
             epoch = self._epoch
         self._epoch = max(self._epoch, epoch) + 1
-        # Backend start-up (pickling the reasoner, spawning workers) must
+        # Backend start-up (encoding the reasoner, spawning workers) must
         # not be billed to the first window's evaluation phase.
         self.backend.start(self.reasoner)
 

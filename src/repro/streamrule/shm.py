@@ -15,9 +15,9 @@ worker's :class:`~repro.streamrule.net.DeltaDecoder` resolves them,
 evaluates, and answers with one ``RESULT`` message
 (:class:`~repro.streamrule.net.ResultEncoder`): the response table's new
 tail, one packed id blob per answer set and the metrics record.  A
-failed evaluation travels as a pickled
-:class:`~repro.streamrule.net.RemoteFailure`, as on a pickle-codec TCP
-connection.  In steady state (a sliding window whose facts were all seen
+failed evaluation travels as the JSON error envelope and is raised at the
+caller as :class:`~repro.streamrule.errors.BackendError`, exactly as over
+TCP.  In steady state (a sliding window whose facts were all seen
 before) a window therefore crosses the process boundary as a few id runs
 written straight into shared memory: no pickling, no kernel socket copy.
 
@@ -43,23 +43,24 @@ Workers are started with the ``spawn`` context deliberately: a spawned
 child is a fresh interpreter with a *different* ``PYTHONHASHSEED`` and its
 own canonical terms, which is exactly the condition under which shipping
 object identities or hashes, or relying on hash-ordered iteration, would
-break.  Unpickling goes through the term constructors (see
-:mod:`repro.asp.syntax.terms`), so the child holds its own canonical
-objects; the backend doubles as a continuous regression test for that.
+break.  The child receives the reasoner as the TCP ``REASONER`` payload --
+its program as text (:func:`~repro.streamrule.codec.encode_reasoner_spec`)
+-- and parses it, so it holds its own canonical objects; the backend
+doubles as a continuous regression test for that.
 """
 
 from __future__ import annotations
 
 import multiprocessing
-import pickle
 import struct
 from dataclasses import dataclass
 from multiprocessing.shared_memory import SharedMemory
 from typing import Any, Callable, Optional, Tuple
 
+from repro.streamrule.codec import reasoner_from_spec
 from repro.streamrule.errors import BackendConnectionError, ProtocolError
 from repro.streamrule.net import DeltaDecoder, DeltaShipper, FrameKind, ResultDecoder, ResultEncoder
-from repro.streamrule.reasoner import Reasoner, ReasonerResult
+from repro.streamrule.reasoner import ReasonerResult
 from repro.streamrule.work import WorkItem
 
 __all__ = [
@@ -240,12 +241,14 @@ class _SlotWiring:
 def _serve_shm_worker(wiring: _SlotWiring, payload: bytes) -> None:
     """Worker-process loop: decode the wire's messages, evaluate, answer.
 
-    Module-level so the ``spawn`` context can pickle the target.  Holds the
+    ``payload`` is the reasoner's text spec, as a TCP daemon receives it.
+    Module-level so the ``spawn`` context can start the target.  Holds the
     replica of the coordinator's request table (in its
     :class:`DeltaDecoder`) and the *master* response table (in its
     :class:`ResultEncoder`; this process is the response ring's only
     writer).
     """
+    reasoner = reasoner_from_spec(payload)
     # Attaching registers the segment with the resource tracker a second
     # time; the tracker's cache is a set, so the duplicate collapses into
     # the coordinator's own registration and the coordinator's unlink
@@ -270,7 +273,6 @@ def _serve_shm_worker(wiring: _SlotWiring, payload: bytes) -> None:
         alive=lambda: True,
         peer="coordinator",
     )
-    reasoner: Reasoner = pickle.loads(payload)
     decoder = DeltaDecoder()
     results = ResultEncoder()
     try:

@@ -8,10 +8,10 @@ loop of :func:`repro.streamrule.net.serve_worker_connection`: versioned
 handshake, reasoner installation, then ``SYMBOLS``/``WORK`` frames in,
 ``RESULT`` frames out, with ``PING`` heartbeats answered in between.
 
-Each connection holds its *own* reasoner (the coordinator ships it during
-the handshake), so one daemon can serve several independent fleets, and a
-worker never needs the program pre-installed -- it only needs this package
-importable.  Run it like::
+Each connection holds its *own* reasoner (the coordinator ships the
+program as text during the handshake and the daemon parses it), so one
+daemon can serve several independent fleets, and a worker never needs the
+program pre-installed -- it only needs this package importable.  Run it like::
 
     PYTHONPATH=src python -m repro.streamrule.worker --listen 0.0.0.0:7700
 
@@ -21,15 +21,13 @@ importable.  Run it like::
 ``examples/distributed_fleet.py`` use to stand up a local fleet -- waits
 for.  See ``docs/deployment.md`` for the operational guide.
 
-By default a coordinator ships its reasoner as a pickle, so a plain
-daemon must only listen on trusted networks.  Three hardening flags change
-that posture (see ``docs/deployment-security.md``):
-``--tls-cert``/``--tls-key`` wrap every connection in TLS,
-``--auth-token`` (or ``$STREAMRULE_AUTH_TOKEN``) demands an HMAC
-challenge/response in the handshake, and ``--restricted`` refuses pickle
-entirely -- programs arrive as text, so even an authenticated coordinator
-cannot execute code on the worker.  ``--announce HOST:PORT`` makes the
-daemon call home to a coordinator's
+No byte a coordinator sends is ever unpickled: the program is parsed,
+facts and answers are interned ids, control frames are JSON.  Two
+hardening flags decide *who* may use the daemon (see
+``docs/deployment-security.md``): ``--tls-cert``/``--tls-key`` wrap every
+connection in TLS, and ``--auth-token`` (or ``$STREAMRULE_AUTH_TOKEN``)
+demands an HMAC challenge/response in the handshake.
+``--announce HOST:PORT`` makes the daemon call home to a coordinator's
 :class:`~repro.streamrule.fleet.FleetRegistry` so a revived worker rejoins
 its fleet the moment it boots.
 """
@@ -86,12 +84,10 @@ class WorkerServer:
     server half of connection pipelining -- see
     :func:`~repro.streamrule.net.serve_worker_connection`).
 
-    Hardening knobs (all optional, see ``docs/deployment-security.md``):
+    Hardening knobs (both optional, see ``docs/deployment-security.md``):
     ``ssl_context`` TLS-wraps every accepted connection (a plaintext
     client then fails its handshake instead of talking to the reasoner),
-    ``auth_token`` demands the HMAC ``AUTH`` response after ``WELCOME``,
-    and ``codec="restricted"`` refuses pickle entirely -- programs arrive
-    as text, so an untrusted coordinator cannot execute code here.
+    and ``auth_token`` demands the HMAC ``AUTH`` response after ``WELCOME``.
     """
 
     def __init__(
@@ -103,7 +99,6 @@ class WorkerServer:
         read_ahead: int = 8,
         ssl_context: Optional[ssl.SSLContext] = None,
         auth_token: Optional[str] = None,
-        codec: str = "pickle",
     ):
         self.host = host
         self.port = port
@@ -111,7 +106,6 @@ class WorkerServer:
         self.read_ahead = read_ahead
         self.ssl_context = ssl_context
         self.auth_token = auth_token
-        self.codec = codec
         self._listener: Optional[socket.socket] = None
         self._accept_thread: Optional[threading.Thread] = None
         self._connections: List[socket.socket] = []
@@ -229,7 +223,6 @@ class WorkerServer:
                 connection,
                 read_ahead=self.read_ahead,
                 auth_token=self.auth_token,
-                codec=self.codec,
                 **({"protocol_version": self.protocol_version} if self.protocol_version is not None else {}),
             )
             if record.rejected:
@@ -390,12 +383,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         "(defaults to $STREAMRULE_AUTH_TOKEN; prefer the variable -- argv leaks into `ps`)",
     )
     parser.add_argument(
-        "--restricted",
-        action="store_true",
-        help="refuse pickle entirely: only restricted-codec coordinators (program as text, "
-        "worker errors as JSON envelopes) are accepted",
-    )
-    parser.add_argument(
         "--announce",
         type=parse_listen_address,
         metavar="HOST:PORT",
@@ -435,7 +422,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         read_ahead=arguments.read_ahead,
         ssl_context=ssl_context,
         auth_token=arguments.auth_token,
-        codec="restricted" if arguments.restricted else "pickle",
     )
     host, port = server.start()
     print(f"listening on {host}:{port}", flush=True)

@@ -12,7 +12,6 @@ facts) -- and the cache keeps one pair per track, nothing per window.
 
 from __future__ import annotations
 
-import pickle
 import random
 import sys
 from collections import Counter
@@ -23,7 +22,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.asp.control import Control
-from repro.asp.grounding.grounder import Grounder, GroundingCache, RulePlan, _rebuild_cache
+from repro.asp.grounding.grounder import Grounder, GroundingCache, RulePlan
 from repro.asp.solving.solver import StableModelSolver
 from repro.asp.syntax.parser import parse_program
 from tests.conftest import make_atom
@@ -212,20 +211,6 @@ class TestGroundIncremental:
             GroundingCache(max_delta_states=0)
         with pytest.raises(ValueError):
             GroundingCache(max_entries=0)
-
-    def test_pickle_ships_configuration_only(self):
-        cache = GroundingCache(max_entries=7, max_delta_states=3)
-        cache.ground_incremental(self.make_program(1), track=0)
-        clone = pickle.loads(pickle.dumps(cache))
-        assert clone.max_entries == 7
-        assert clone.max_delta_states == 3
-        assert len(clone) == 0
-        assert clone.statistics()["delta_states"] == 0.0
-
-    def test_reduce_ships_exactly_the_configuration(self):
-        rebuild, arguments = GroundingCache(max_entries=7, max_delta_states=3).__reduce__()
-        assert rebuild is _rebuild_cache
-        assert arguments == (7, 3)
 
 
 # --------------------------------------------------------------------------- #

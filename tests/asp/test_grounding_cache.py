@@ -14,8 +14,6 @@ The cache contract (what makes it safe to drop into the streaming hot path):
 
 from __future__ import annotations
 
-import pickle
-
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -156,14 +154,6 @@ def test_hit_miss_accounting_and_clear():
     assert cache.hit_rate == 2 / 3
     cache.clear()
     assert (len(cache), cache.hits, cache.misses, cache.hit_rate) == (0, 0, 0, 0.0)
-
-
-def test_pickling_ships_configuration_not_contents():
-    cache = GroundingCache(max_entries=7)
-    cache.ground(parse_program(RULES).with_facts([make_atom("edge", 1)]))
-    clone = pickle.loads(pickle.dumps(cache))
-    assert clone.max_entries == 7
-    assert len(clone) == 0 and clone.hits == 0 and clone.misses == 0
 
 
 class TestControlIntegration:

@@ -6,8 +6,6 @@ the answer sets of from-scratch :func:`stable_models` on the same program --
 while its :class:`SolveStats` show that prior state actually got reused.
 """
 
-import pickle
-
 from hypothesis import given, settings, strategies as st
 
 from repro.asp.grounding.grounder import ground_program
@@ -186,14 +184,6 @@ class TestSolverCache:
         assert cache.statistics()["solver_states"] == 0.0
         _, stats = cache.solve_incremental(ground, track=0)
         assert stats.outcome == "full"
-
-    def test_pickling_ships_an_empty_cache(self):
-        cache = SolverCache(max_states=5)
-        ground = ground_window("q(X) :- p(X).", "p(1).")
-        cache.solve_incremental(ground, track=0)
-        clone = pickle.loads(pickle.dumps(cache))
-        assert clone.max_states == 5
-        assert clone.statistics()["solver_states"] == 0.0
 
     def test_rejects_nonpositive_max_states(self):
         import pytest

@@ -14,7 +14,6 @@ disjunctive heads.
 from __future__ import annotations
 
 import itertools
-import pickle
 import sys
 from concurrent.futures import ThreadPoolExecutor
 
@@ -42,6 +41,7 @@ from repro.asp.syntax.terms import Constant, FunctionTerm, Variable
 from repro.programs.fraud import fraud_program
 from repro.programs.iot import iot_program
 from repro.programs.traffic import motivating_example_window, traffic_program, traffic_program_prime
+from repro.streamrule.codec import encode_reasoner_spec, reasoner_from_spec
 from repro.streamrule.reasoner import Reasoner
 from tests.conftest import make_atom
 
@@ -168,21 +168,19 @@ class TestGeneratedSource:
 
 
 class TestSharedPlan:
-    def test_pickled_program_and_reasoner_carry_no_plan(self):
+    def test_a_reasoner_shipped_by_spec_carries_no_plan(self):
         program = traffic_program()
         program.derived(RulePlan)
         assert program._derived is not None
-        for carrier in (program, Reasoner(program)):
-            payload = pickle.dumps(carrier)
-            assert b"joinplan" not in payload and b"RulePlan" not in payload
-            clone = pickle.loads(payload)
-            clone_program = clone if isinstance(clone, Program) else clone.program
-            assert clone_program._derived is None
-            window = motivating_example_window()
-            assert Grounder(clone_program, window).ground() == Grounder(program, window).ground()
-            rebuilt = clone_program.derived(RulePlan)  # compiled where the program landed
-            assert rebuilt is not program.derived(RulePlan)
-            assert rebuilt.rules_key == program.derived(RulePlan).rules_key
+        payload = encode_reasoner_spec(Reasoner(program))
+        assert b"joinplan" not in payload and b"RulePlan" not in payload
+        clone = reasoner_from_spec(payload).program
+        assert clone._derived is None
+        window = motivating_example_window()
+        assert Grounder(clone, window).ground() == Grounder(program, window).ground()
+        rebuilt = clone.derived(RulePlan)  # compiled where the program landed
+        assert rebuilt is not program.derived(RulePlan)
+        assert rebuilt.rules_key == program.derived(RulePlan).rules_key
 
     def test_threads_grounding_the_first_window_of_one_program(self):
         facts = [make_atom("edge", i, (i * 7 + 3) % 23) for i in range(23)]

@@ -130,15 +130,6 @@ class TestPackedIds:
 
 
 class TestShipping:
-    def test_reduce_ships_an_empty_table(self):
-        # Like GroundingCache/SolverCache: pickling a table must not drag the
-        # interned universe across a process boundary -- replicas resync
-        # through SymbolDelta frames instead.
-        table = SymbolTable()
-        table.intern_many(["a", "b"])
-        clone = pickle.loads(pickle.dumps(table))
-        assert len(clone) == 0
-
     def test_delta_round_trips_through_pickle(self):
         master = SymbolTable()
         master.intern_many([Atom("p", (Constant(i),)) for i in range(4)])

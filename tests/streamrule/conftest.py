@@ -18,7 +18,9 @@ Tests pass ``**worker_security_kwargs()`` wherever they build a
 ``worker_endpoints`` fixture; on a plain local run both variables are
 unset and the call collapses to ``{}``.
 
-Suites that want a real wire without daemons use :class:`InThreadTcpBackend`.
+Suites that want a real wire without daemons use :class:`InThreadTcpBackend`;
+given an ``auth_token`` it arms its servers with the same token, so the
+``AUTH`` handshake runs without TLS material.
 """
 
 from __future__ import annotations
@@ -32,6 +34,9 @@ from repro.streamrule.backends import TcpBackend
 from repro.streamrule.fleet import WorkerEndpoint
 from repro.streamrule.worker import WorkerServer
 
+#: The shared token of the backend matrices' ``tcp-token`` rows.
+MATRIX_TOKEN = "streamrule-matrix-token"
+
 
 def _stop_servers(servers: List[WorkerServer]) -> None:
     for server in servers:
@@ -44,6 +49,7 @@ class InThreadTcpBackend(TcpBackend):
     ``start`` binds one server per slot on an ephemeral localhost port and
     connects to them, so every round trip runs the real SRW1 handshake and
     framing in this process, with no daemons to spawn; ``close`` stops them.
+    The servers demand the backend's ``auth_token``, if it has one.
     :meth:`drop_connection` is the fault injection of the inline-fallback
     tests: a single-worker backend whose server is gone has no survivor to
     reroute to, so its next item raises ``BackendConnectionError``.
@@ -56,7 +62,7 @@ class InThreadTcpBackend(TcpBackend):
         self._server_finalizer: weakref.finalize | None = None
 
     def _start(self, reasoner) -> None:
-        self.servers = [WorkerServer(port=0) for _ in range(self.workers)]
+        self.servers = [WorkerServer(port=0, auth_token=self.settings.auth_token) for _ in range(self.workers)]
         self.endpoints = [WorkerEndpoint.parse(server.start()) for server in self.servers]
         self._server_finalizer = weakref.finalize(self, _stop_servers, list(self.servers))
         super()._start(reasoner)

@@ -35,7 +35,7 @@ from repro.streamrule.errors import BackendError
 from repro.streamrule.reasoner import Reasoner
 from repro.streamrule.session import StreamSession
 from repro.streamrule.worker import spawn_local_workers
-from tests.streamrule.conftest import InThreadTcpBackend, worker_security_kwargs
+from tests.streamrule.conftest import MATRIX_TOKEN, InThreadTcpBackend, worker_security_kwargs
 
 
 def traffic_stream(length, seed=23):
@@ -172,7 +172,7 @@ LIGHT_BACKENDS = {
     "inline": lambda: InlineBackend(simulated=False),
     "threads": lambda: ThreadPoolBackend(max_workers=2),
     "tcp": lambda: InThreadTcpBackend(2),
-    "tcp-restricted": lambda: InThreadTcpBackend(2, codec="restricted"),
+    "tcp-token": lambda: InThreadTcpBackend(2, auth_token=MATRIX_TOKEN),
 }
 
 HEAVY_BACKENDS = {

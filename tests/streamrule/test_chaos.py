@@ -57,10 +57,10 @@ def traffic_stream(length, seed=67):
     return list(generate_window(config))
 
 
-def pickled_reasoner():
-    import pickle
+def reasoner_spec():
+    from repro.streamrule.codec import encode_reasoner_spec
 
-    return pickle.dumps(traffic_reasoner())
+    return encode_reasoner_spec(traffic_reasoner())
 
 
 def spawn_worker_on(host, port, extra_arguments=()):
@@ -98,7 +98,7 @@ def wait_until(predicate, timeout=20.0, interval=0.05):
 class TestFleetRegistry:
     def _fleet(self, server):
         fleet = WorkerFleet([f"{server.address[0]}:{server.address[1]}"])
-        fleet.start(pickled_reasoner())
+        fleet.start(reasoner_spec())
         return fleet
 
     def test_announce_readopts_a_dead_endpoint(self):

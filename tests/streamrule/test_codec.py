@@ -1,19 +1,18 @@
-"""Restricted-codec tests: negotiation, rejection paths, answer equivalence.
+"""Codec tests: the structural encodings, the reasoner spec, and its refusals.
 
-The restricted codec is the untrusted-peer dialect of the wire protocol
-(``docs/deployment-security.md``): programs travel as text and worker
-errors as JSON envelopes, on the data plane every codec shares (facts and
-answers as interned ids, symbol tails as structural JSON) -- never a
-pickle byte in either direction.  These tests pin the three promises that
-make it safe to expose:
+Every peer speaks one dialect (``docs/deployment-security.md``): programs
+travel as text and worker errors as JSON envelopes, on the data plane every
+transport shares (facts and answers as interned ids, symbol tails as
+structural JSON) -- never a pickle byte in either direction.  These tests
+pin the three promises that make it safe to expose:
 
-* **negotiation** -- a restricted client refuses to silently fall back to
-  pickle, and a ``--restricted`` server refuses pickle peers outright;
-* **rejection paths** -- every refusal is a loud ``HandshakeError`` born
-  from a ``REJECT`` frame, not a hang or a misparse;
-* **equivalence** -- the answers that come back through the restricted
-  dialect are exactly the pickle dialect's (and the inline oracle's),
-  across the sync and asyncio clients.
+* **round trip** -- structural encodings and the reasoner spec rebuild
+  exactly what was sent, and a program whose text would not parse back to
+  the same rules is refused at the coordinator, before anything is dialled;
+* **refusals** -- a pickled ``REASONER`` or ``HELLO`` is never unpickled:
+  the daemon answers with a loud ``REJECT``, not a hang or a misparse;
+* **equivalence** -- the answers that come back over the wire are exactly
+  the inline oracle's, across the sync and asyncio clients.
 """
 
 from __future__ import annotations
@@ -33,7 +32,9 @@ from repro.streaming.window import CountWindow
 from repro.streamrule.aio import AsyncWorkerClient
 from repro.streamrule.backends import InlineBackend, TcpBackend
 from repro.asp.syntax.atoms import Atom
-from repro.asp.syntax.terms import Variable
+from repro.asp.syntax.program import Program
+from repro.asp.syntax.rules import Rule
+from repro.asp.syntax.terms import Constant, Variable
 from repro.streamrule.codec import (
     decode_fact,
     encode_fact,
@@ -127,7 +128,22 @@ class TestReasonerSpec:
 
     def test_pickle_payload_is_rejected(self):
         with pytest.raises(ProtocolError):
-            reasoner_from_spec(pickle.dumps(choice_reasoner()))
+            reasoner_from_spec(pickle.dumps(choice_reasoner().input_predicates))
+
+    def test_a_program_text_cannot_carry_is_refused_naming_the_rule(self):
+        """``Constant("two words")`` renders as ``label(two words).``, which does not parse."""
+        program = Program(
+            [Rule(head=(Atom("label", (Constant("two words"),)),)), *parse_program(CHOICE_PROGRAM).rules],
+            name="labels",
+        )
+        with pytest.raises(ValueError, match=r"program 'labels' cannot ship as text: rule 'label\(two words\).'"):
+            encode_reasoner_spec(Reasoner(program, input_predicates=["item"]))
+
+    def test_a_rule_that_parses_differently_is_refused(self):
+        """An unquoted ``Constant("Item")`` would come back as the variable ``Item``."""
+        program = Program([*parse_program(CHOICE_PROGRAM).rules, Rule(head=(Atom("kind", (Constant("Item"),)),))])
+        with pytest.raises(ValueError, match=r"rule 'kind\(Item\).' does not parse back to itself"):
+            encode_reasoner_spec(Reasoner(program, input_predicates=["item"]))
 
 
 def non_ground_item():
@@ -136,10 +152,9 @@ def non_ground_item():
 
 
 class TestResultCodec:
-    @pytest.mark.parametrize("restricted", [False, True], ids=["pickle", "restricted"])
-    def test_result_round_trip(self, restricted):
+    def test_result_round_trip(self):
         reasoner = choice_reasoner()
-        encoder, decoder = ResultEncoder(restricted=restricted), ResultDecoder("worker w:1", restricted=restricted)
+        encoder, decoder = ResultEncoder(), ResultDecoder("worker w:1")
         for count in (3, 4, 4):  # the last result needs no table tail
             result = reasoner.reason_item(work_item(count))
             decoded = decoder.decode(encoder.encode(result))
@@ -148,66 +163,55 @@ class TestResultCodec:
 
     def test_retired_repair_counters_leave_the_wire(self):
         """The three retired repair counters are not on the wire; they decode as 0."""
-        payload = ResultEncoder(restricted=True).encode(choice_reasoner().reason_item(work_item(3)))
+        payload = ResultEncoder().encode(choice_reasoner().reason_item(work_item(3)))
         for name in ("delta_repairs", "repair_size", "repair_rules_changed"):
             assert name.encode() not in payload
-        decoded = ResultDecoder("worker w:1", restricted=True).decode(payload)
+        decoded = ResultDecoder("worker w:1").decode(payload)
         metrics = decoded.metrics
         assert (metrics.delta_repairs, metrics.repair_size, metrics.repair_rules_changed) == (0, 0, 0)
 
     def test_error_decodes_as_backend_error(self):
-        payload = ResultEncoder(restricted=True).encode_failure(ValueError("worker-side boom"))
-        assert b"\x80" not in payload  # an envelope, not a pickle
-        failure = ResultDecoder("worker w:1", restricted=True).decode(payload)
+        payload = ResultEncoder().encode_failure(ValueError("worker-side boom"))
+        assert payload[1:] == b'{"error":{"kind":"ValueError","message":"worker-side boom"}}'
+        failure = ResultDecoder("worker w:1").decode(payload)
         assert type(failure) is BackendError
         assert str(failure) == "worker w:1 failed: ValueError: worker-side boom"
 
-    def test_pickle_codec_failure_is_the_original_exception(self):
-        payload = ResultEncoder().encode_failure(ValueError("worker-side boom"))
-        failure = ResultDecoder("worker w:1").decode(payload)
-        assert type(failure) is ValueError and str(failure) == "worker-side boom"
-
 
 # --------------------------------------------------------------------------- #
-# Handshake negotiation
+# Handshake
 # --------------------------------------------------------------------------- #
-class TestNegotiation:
-    def test_restricted_client_against_default_server(self):
-        """A pickle-capable server still speaks restricted when asked."""
+class TestHandshake:
+    def test_text_spec_round_trip(self):
         with WorkerServer(port=0) as server:
-            client = WorkerClient(
-                server.address, encode_reasoner_spec(choice_reasoner()), codec="restricted"
-            )
-            with client:
-                assert client.capabilities.get("restricted_codec") is True
+            with WorkerClient(server.address, encode_reasoner_spec(choice_reasoner())) as client:
                 result = client.submit_item(work_item(3))
             assert len(result.answers) == 8  # 2^3 picked/dropped choices
 
-    def test_pickle_client_against_restricted_server_is_rejected(self):
-        with WorkerServer(port=0, codec="restricted") as server:
-            with pytest.raises(HandshakeError, match="restricted codec required"):
-                WorkerClient(server.address, pickle.dumps(choice_reasoner()), codec="pickle")
+    def test_pickled_reasoner_is_refused_as_invalid(self):
+        """A coordinator of the retired pickle dialect is told why, never unpickled."""
+        with WorkerServer(port=0) as server:
+            with pytest.raises(HandshakeError, match="rejected the handshake: invalid reasoner: ProtocolError"):
+                WorkerClient(server.address, pickle.dumps(choice_reasoner().output_predicates))
 
-    def test_pickled_hello_against_restricted_server_is_rejected(self):
-        """A restricted server refuses even to unpickle the HELLO frame."""
-        with WorkerServer(port=0, codec="restricted") as server:
+    def test_pickled_hello_is_rejected(self):
+        """The server refuses even to unpickle the HELLO frame."""
+        with WorkerServer(port=0) as server:
             with socket.create_connection(server.address, timeout=5.0) as raw:
                 raw.sendall(MAGIC)
                 send_frame(
                     raw,
                     FrameKind.HELLO,
-                    pickle.dumps({"protocol": PROTOCOL_VERSION, "capabilities": {}}),
+                    pickle.dumps({"protocol": PROTOCOL_VERSION}),
                 )
                 kind, payload = recv_frame(raw)
             assert kind is FrameKind.REJECT
             assert json.loads(payload) == {"protocol": PROTOCOL_VERSION, "reason": "control frames must be JSON"}
 
-    def test_restricted_client_work_never_ships_pickle(self):
+    def test_client_work_never_ships_pickle(self):
         """Every frame a client sends after the handshake is JSON or packed ids."""
         with WorkerServer(port=0) as server:
-            with WorkerClient(
-                server.address, encode_reasoner_spec(choice_reasoner()), codec="restricted"
-            ) as client:
+            with WorkerClient(server.address, encode_reasoner_spec(choice_reasoner())) as client:
                 client.submit_item(work_item(4))
         # Inspect the same frame sequence on a fresh shipper (poking the
         # client's own shipper would desync its per-track state).
@@ -219,7 +223,7 @@ class TestNegotiation:
 
 
 # --------------------------------------------------------------------------- #
-# Cross-codec answer equivalence over the backend matrix
+# Answer equivalence over the wire
 # --------------------------------------------------------------------------- #
 def inline_answers_per_window(window_policy, stream, partitioner):
     reasoner = Reasoner(traffic_program(), INPUT_PREDICATES, EVENT_PREDICATES)
@@ -230,15 +234,14 @@ def inline_answers_per_window(window_policy, stream, partitioner):
         ]
 
 
-class TestCrossCodecEquivalence:
-    @pytest.mark.parametrize("codec", ["pickle", "restricted"])
-    def test_tcp_backend_matches_inline(self, codec):
+class TestEquivalence:
+    def test_tcp_backend_matches_inline(self):
         stream = traffic_stream(120)
         window_policy = CountWindow(size=40, slide=20)
         partitioner = HashPartitioner(2)
         expected = inline_answers_per_window(window_policy, stream, partitioner)
         with WorkerServer(port=0) as server:
-            backend = TcpBackend([f"{server.address[0]}:{server.address[1]}"], codec=codec)
+            backend = TcpBackend([f"{server.address[0]}:{server.address[1]}"])
             reasoner = Reasoner(traffic_program(), INPUT_PREDICATES, EVENT_PREDICATES)
             with StreamSession(reasoner, partitioner=partitioner, backend=backend) as session:
                 actual = [
@@ -248,14 +251,11 @@ class TestCrossCodecEquivalence:
                 assert session.fallbacks == 0
         assert actual == expected
 
-    def test_async_client_restricted_round_trip(self):
+    def test_async_client_round_trip(self):
         async def run():
             with WorkerServer(port=0) as server:
-                client = await AsyncWorkerClient.connect(
-                    server.address, encode_reasoner_spec(choice_reasoner()), codec="restricted"
-                )
+                client = await AsyncWorkerClient.connect(server.address, encode_reasoner_spec(choice_reasoner()))
                 try:
-                    assert client.capabilities.get("restricted_codec") is True
                     first = await client.submit_item(work_item(3, epoch=0))
                     second = await client.submit_item(
                         WorkItem(facts=work_item(3).facts, track=0, epoch=1, incremental=True)
@@ -269,13 +269,25 @@ class TestCrossCodecEquivalence:
         assert {frozenset(a) for a in first.answers} == expected
         assert {frozenset(a) for a in second.answers} == expected
 
-    def test_restricted_worker_errors_surface_without_pickle(self):
-        """A worker-side failure crosses the restricted wire as BackendError."""
+    def test_worker_errors_surface_without_pickle(self):
+        """A worker-side failure crosses the wire as BackendError."""
         with WorkerServer(port=0) as server:
-            with WorkerClient(
-                server.address, encode_reasoner_spec(choice_reasoner()), codec="restricted"
-            ) as client:
+            with WorkerClient(server.address, encode_reasoner_spec(choice_reasoner())) as client:
                 with pytest.raises(BackendError, match="failed: GroundingError: non-ground fact") as raised:
                     client.submit_item(non_ground_item())
                 assert type(raised.value) is BackendError  # not a connection error: no reroute
                 assert client.submit_item(work_item(3)).answers
+
+    def test_worker_errors_surface_over_the_async_client(self):
+        async def run():
+            with WorkerServer(port=0) as server:
+                client = await AsyncWorkerClient.connect(server.address, encode_reasoner_spec(choice_reasoner()))
+                try:
+                    with pytest.raises(BackendError, match="failed: GroundingError: non-ground fact") as raised:
+                        await client.submit_item(non_ground_item())
+                    return type(raised.value), await client.submit_item(work_item(3))
+                finally:
+                    await client.close()
+
+        failure, result = asyncio.run(run())
+        assert failure is BackendError and result.answers

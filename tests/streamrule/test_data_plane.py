@@ -1,23 +1,27 @@
 """Properties of the one data plane every transport shares.
 
 ``SYMBOLS`` + ``WORK`` frames (``DeltaShipper`` -> ``DeltaDecoder``) and
-``RESULT`` frames (``ResultEncoder`` -> ``ResultDecoder``) are what both TCP
-codecs and the shared-memory rings send.  Two properties pin them down:
+``RESULT`` frames (``ResultEncoder`` -> ``ResultDecoder``) are what TCP and
+the shared-memory rings send.  Three properties pin them down:
 
 * **round trip** -- over generated window sequences on several tracks
   (triples, atoms with nested function terms, duplicates, windows that
   slide, regroup by predicate or reshuffle), the decoder rebuilds every
   ``WorkItem`` exactly, and the result pair rebuilds every
-  ``ReasonerResult`` exactly, under both codecs;
+  ``ReasonerResult`` exactly;
 * **hostile bytes** -- arbitrary or mutated payloads make the decoders
   raise ``ProtocolError`` and nothing else (never ``struct.error``,
   ``IndexError``, ``KeyError`` or ``UnicodeDecodeError``): the client
   aborts a connection only on ``ProtocolError``, so any other exception
-  would leave the stream desynced.
+  would leave the stream desynced;
+* **no unpickling** -- whole sessions over sync TCP, asyncio TCP and
+  shared memory, each with a worker failure, run with ``pickle.loads``
+  patched to raise.
 """
 
 from __future__ import annotations
 
+import asyncio
 import pickle
 
 import pytest
@@ -25,8 +29,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.asp.syntax.atoms import Atom
-from repro.asp.syntax.terms import Constant, FunctionTerm
+from repro.asp.syntax.terms import Constant, FunctionTerm, Variable
+from repro.programs.traffic import EVENT_PREDICATES, INPUT_PREDICATES, traffic_program
+from repro.streaming.generator import SyntheticStreamConfig, generate_window
 from repro.streaming.triples import Triple
+from repro.streaming.window import CountWindow
+from repro.streamrule.aio import AioTcpBackend, AsyncStreamSession
+from repro.streamrule.backends import InlineBackend, SharedMemoryBackend, TcpBackend
 from repro.streamrule.errors import BackendError, ProtocolError
 from repro.streamrule.metrics import LatencyBreakdown, ReasonerMetrics
 from repro.streamrule.net import (
@@ -38,8 +47,10 @@ from repro.streamrule.net import (
     loads_json,
     parse_welcome_fields,
 )
-from repro.streamrule.reasoner import ReasonerResult
+from repro.streamrule.reasoner import Reasoner, ReasonerResult
+from repro.streamrule.session import StreamSession
 from repro.streamrule.work import WorkItem
+from repro.streamrule.worker import WorkerServer
 
 # --------------------------------------------------------------------------- #
 # Strategies
@@ -132,10 +143,10 @@ class TestRoundTrip:
             assert rebuilt == item
             assert type(rebuilt.incremental) is bool
 
-    @given(sequence=st.lists(results, min_size=1, max_size=5), restricted=st.booleans())
+    @given(sequence=st.lists(results, min_size=1, max_size=5))
     @settings(max_examples=100, deadline=None)
-    def test_every_result_is_rebuilt_exactly(self, sequence, restricted):
-        encoder, decoder = ResultEncoder(restricted=restricted), ResultDecoder("worker w:1", restricted=restricted)
+    def test_every_result_is_rebuilt_exactly(self, sequence):
+        encoder, decoder = ResultEncoder(), ResultDecoder("worker w:1")
         for result in sequence:
             assert decoder.decode(encoder.encode(result)) == result
 
@@ -149,16 +160,15 @@ class TestRoundTrip:
         item = WorkItem(facts=(Atom("item", (Constant(1),)), Triple("s", "speed", 3, 1.0)), epoch=4)
         assert ship(DeltaShipper(), DeltaDecoder(), item) == item
         result = ReasonerResult(answers=(frozenset({Atom("seen", (Constant(1),))}),), metrics=ReasonerMetrics(1, 0.5))
-        for restricted in (False, True):
-            encoded = ResultEncoder(restricted=restricted).encode(result)
-            assert ResultDecoder("w", restricted=restricted).decode(encoded) == result
-        encoded = ResultEncoder(restricted=True).encode_failure(KeyError("k"))
-        failure = ResultDecoder("w", restricted=True).decode(encoded)
+        encoded = ResultEncoder().encode(result)
+        assert ResultDecoder("w").decode(encoded) == result
+        encoded = ResultEncoder().encode_failure(KeyError("k"))
+        failure = ResultDecoder("w").decode(encoded)
         assert type(failure) is BackendError
-        welcome = b'{"protocol": 2, "capabilities": {"restricted_codec": true}}'
-        assert parse_welcome_fields(FrameKind.WELCOME, welcome, {"restricted_codec": True}, ("h", 1))[0]
+        welcome = b'{"protocol": 3, "nonce": "abc"}'
+        assert parse_welcome_fields(FrameKind.WELCOME, welcome, ("h", 1)) == {"protocol": 3, "nonce": "abc"}
         with pytest.raises(ProtocolError):
-            loads_json(pickle.dumps({"protocol": 2}))
+            loads_json(pickle.dumps({"protocol": 3}))
 
 
 # --------------------------------------------------------------------------- #
@@ -177,7 +187,12 @@ def valid_frames():
     frames = shipper.encode_frames(WorkItem(facts=tuple(Atom("item", (Constant(index),)) for index in range(2, 12))))
     symbols, work = (payload for _, payload in frames)
     result = ReasonerResult(answers=(frozenset({Atom("seen", (Constant(1),))}),), metrics=ReasonerMetrics(1, 0.5))
-    return {"symbols": symbols, "work": work, "result": ResultEncoder().encode(result)}
+    return {
+        "symbols": symbols,
+        "work": work,
+        "result": ResultEncoder().encode(result),
+        "failure": ResultEncoder.encode_failure(ValueError("worker-side boom")),
+    }
 
 
 VALID = valid_frames()
@@ -225,18 +240,102 @@ class TestHostileBytes:
 
     @given(payload=st.one_of(st.binary(max_size=64), mutations(VALID["result"])))
     @settings(max_examples=400, deadline=None)
-    def test_restricted_result_decoder_raises_only_protocol_errors(self, payload):
-        try:
-            outcome = ResultDecoder("worker w:1", restricted=True).decode(payload)
-        except ProtocolError:
-            return
-        assert isinstance(outcome, (ReasonerResult, BackendError))
-
-    @given(payload=st.one_of(st.binary(max_size=64), mutations(VALID["result"])).map(lambda data: b"\x00" + data[1:]))
-    @settings(max_examples=400, deadline=None)
-    def test_answer_results_raise_only_protocol_errors_under_the_pickle_codec(self, payload):
+    def test_result_decoder_raises_only_protocol_errors(self, payload):
         try:
             outcome = ResultDecoder("worker w:1").decode(payload)
         except ProtocolError:
             return
-        assert isinstance(outcome, ReasonerResult)
+        assert isinstance(outcome, (ReasonerResult, BackendError))
+
+    @given(payload=st.one_of(st.binary(max_size=64), mutations(VALID["failure"])).map(lambda data: b"\x01" + data[1:]))
+    @settings(max_examples=400, deadline=None)
+    def test_failure_envelopes_raise_only_protocol_errors(self, payload):
+        try:
+            outcome = ResultDecoder("worker w:1").decode(payload)
+        except ProtocolError:
+            return
+        assert type(outcome) is BackendError and str(outcome).startswith("worker w:1 failed: ")
+
+
+# --------------------------------------------------------------------------- #
+# No unpickling: whole sessions, a worker failure included
+# --------------------------------------------------------------------------- #
+WINDOW = CountWindow(size=30, slide=15)
+#: A fact grounding refuses: the worker-side failure every session below hits.
+NON_GROUND = Atom("car_speed", (Variable("C"), Constant(0)))
+
+
+def traffic_reasoner():
+    return Reasoner(traffic_program(), INPUT_PREDICATES, EVENT_PREDICATES)
+
+
+def traffic_stream():
+    config = SyntheticStreamConfig(window_size=75, input_predicates=INPUT_PREDICATES, scheme="traffic", seed=43)
+    return list(generate_window(config))
+
+
+def stream_windows():
+    return [list(window) for window in WINDOW.windows(traffic_stream())]
+
+
+def inline_answers():
+    with StreamSession(traffic_reasoner(), backend=InlineBackend()) as session:
+        return [set(session.evaluate_window(window).answers) for window in stream_windows()]
+
+
+@pytest.fixture
+def no_unpickling(monkeypatch):
+    def forbidden(*args, **kwargs):
+        raise AssertionError("pickle.loads reached from a coordinator or in-process worker")
+
+    monkeypatch.setattr(pickle, "loads", forbidden)
+
+
+def run_sync_session(backend):
+    """Every window, then the failing one, then one more: answers and the failure."""
+    with StreamSession(traffic_reasoner(), backend=backend) as session:
+        windows = stream_windows()
+        answers = [set(session.evaluate_window(window).answers) for window in windows]
+        with pytest.raises(BackendError) as failure:
+            session.evaluate_window([NON_GROUND])
+        assert set(session.evaluate_window(windows[0]).answers) == answers[0]  # the worker survived
+        assert session.fallbacks == 0
+    return answers, failure.value
+
+
+class TestNoUnpickling:
+    """The coordinator, and a worker in this process, never call ``pickle.loads``."""
+
+    def test_sync_tcp_session(self, no_unpickling):
+        with WorkerServer(port=0) as server:
+            host, port = server.address
+            answers, failure = run_sync_session(TcpBackend([server.address]))
+        assert answers == inline_answers()
+        assert type(failure) is BackendError
+        assert str(failure).startswith(f"worker {host}:{port} failed: GroundingError: ")
+
+    def test_asyncio_session(self, no_unpickling):
+        async def run():
+            with WorkerServer(port=0) as server:
+                async with AsyncStreamSession(
+                    traffic_reasoner(), window=WINDOW, backend=AioTcpBackend([server.address]), max_inflight=2
+                ) as session:
+                    await session.push(traffic_stream())
+                    await session.finish()
+                    answers = [set(solution.answers) for solution in await session.results_list()]
+                    await session.push_window([NON_GROUND])
+                    with pytest.raises(BackendError) as failure:
+                        await session.results_list()
+                    assert session.fallbacks == 0
+                return answers, failure.value
+
+        answers, failure = asyncio.run(run())
+        assert answers == inline_answers()
+        assert type(failure) is BackendError and "failed: GroundingError: " in str(failure)
+
+    @pytest.mark.slow  # spawns a shared-memory worker process
+    def test_shared_memory_session(self, no_unpickling):
+        answers, failure = run_sync_session(SharedMemoryBackend(max_workers=1))
+        assert answers == inline_answers()
+        assert type(failure) is BackendError
+        assert str(failure).startswith("shared-memory worker 0 failed: GroundingError: ")

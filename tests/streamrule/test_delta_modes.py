@@ -26,19 +26,19 @@ from repro.streamrule.backends import (
 from repro.streamrule.reasoner import Reasoner
 from repro.streamrule.session import StreamSession
 from tests.conftest import make_atom
-from tests.streamrule.conftest import InThreadTcpBackend
+from tests.streamrule.conftest import MATRIX_TOKEN, InThreadTcpBackend
 
 #: The backends of the delta-equivalence matrix (name -> factory).  ``tcp``
-#: and ``tcp-restricted`` ship the same id-run work frames through the two
-#: codecs (pickled reasoner vs. program text); shared memory ships them
-#: through its rings.
+#: and ``tcp-token`` ship the same id-run work frames, the latter behind the
+#: shared-token ``AUTH`` handshake; shared memory ships them through its
+#: rings.
 BACKEND_FACTORIES = {
     "inline": lambda workers: InlineBackend(),
     "inline-serial": lambda workers: InlineBackend(simulated=False),
     "threads": lambda workers: ThreadPoolBackend(max_workers=workers),
     "shared-memory": lambda workers: SharedMemoryBackend(max_workers=workers),
     "tcp": lambda workers: InThreadTcpBackend(workers),
-    "tcp-restricted": lambda workers: InThreadTcpBackend(workers, codec="restricted"),
+    "tcp-token": lambda workers: InThreadTcpBackend(workers, auth_token=MATRIX_TOKEN),
 }
 
 #: Every row of the matrix: (entry point, backend name).  ``evaluate_window`` hands

@@ -20,7 +20,6 @@ from concurrent.futures import ThreadPoolExecutor
 
 import pytest
 
-from repro.asp.errors import GroundingError
 from repro.asp.syntax.atoms import Atom
 from repro.asp.syntax.parser import parse_program
 from repro.asp.syntax.terms import Variable
@@ -67,7 +66,7 @@ def choice_reasoner():
 
 
 def choice_payload():
-    return pickle.dumps(choice_reasoner())
+    return encode_reasoner_spec(choice_reasoner())
 
 
 def work_item(count=3, track=0, epoch=0):
@@ -310,7 +309,7 @@ class TestDataPlaneWire:
         stream = traffic_stream(90)
         reasoner = Reasoner(traffic_program(), INPUT_PREDICATES, EVENT_PREDICATES)
         with WorkerServer() as server:
-            with WorkerClient(server.address, pickle.dumps(reasoner)) as client:
+            with WorkerClient(server.address, encode_reasoner_spec(reasoner)) as client:
                 inline = Reasoner(traffic_program(), INPUT_PREDICATES, EVENT_PREDICATES)
                 for delta in CountWindow(size=30, slide=10).deltas(stream):
                     item = WorkItem(facts=tuple(delta.window), incremental=delta.carries_over, epoch=delta.index)
@@ -320,11 +319,12 @@ class TestDataPlaneWire:
                 assert client.stats.symbol_frames > 0
                 assert client.stats.bytes_symbols > 0
 
-    def test_worker_failure_is_reraised_and_the_connection_survives(self):
+    def test_worker_failure_is_reported_and_the_connection_survives(self):
         non_ground = WorkItem(facts=(Atom("item", (Variable("X"),)),))
         with WorkerServer() as server:
             with WorkerClient(server.address, choice_payload()) as client:
-                with pytest.raises(GroundingError, match="non-ground fact"):
+                worker = f"worker {server.address[0]}:{server.address[1]}"
+                with pytest.raises(BackendError, match=f"^{worker} failed: GroundingError: non-ground fact"):
                     client.submit_item(non_ground)
                 assert client.alive and client.submit_item(work_item()).answers
 
@@ -349,10 +349,20 @@ class TestHandshake:
             with WorkerClient(server.address, choice_payload(), attempts=1) as client:
                 assert client.submit_item(work_item()).answers
 
-    def test_pickle_codec_negotiates_no_capability(self):
-        with WorkerServer() as server:
-            with WorkerClient(server.address, choice_payload()) as client:
-                assert client.capabilities == {}
+    def test_hello_and_welcome_name_only_the_protocol(self):
+        assert _json_hello() == b'{"protocol":3}'
+        client, server = socket.socketpair()
+        try:
+            client.settimeout(10.0)
+            client.sendall(MAGIC + frame_bytes(FrameKind.HELLO, _json_hello()))
+            with ThreadPoolExecutor(max_workers=1) as pool:
+                served = pool.submit(serve_worker_connection, server)
+                assert recv_frame(client) == (FrameKind.WELCOME, b'{"protocol":3}')
+                client.shutdown(socket.SHUT_WR)  # hang up before the REASONER
+                assert served.result(timeout=10.0).rejected is None
+        finally:
+            client.close()
+            server.close()
 
     def test_heartbeat_ping(self):
         with WorkerServer() as server:
@@ -371,12 +381,27 @@ def _pickled(value):
     return pickle.dumps(value, protocol=pickle.HIGHEST_PROTOCOL)
 
 
-def _json_hello(**capabilities):
-    return _compact_json({"protocol": PROTOCOL_VERSION, "capabilities": capabilities})
+def _json_hello():
+    return _compact_json({"protocol": PROTOCOL_VERSION})
 
 
 def _reject_payload(reason):
     return _compact_json({"protocol": PROTOCOL_VERSION, "reason": reason})
+
+
+def _reasoner_refusal(payload, reason):
+    """A REASONER the daemon cannot rebuild: WELCOME, then REJECT naming the cause."""
+    reason = f"invalid reasoner: {reason}"
+    return (
+        MAGIC + frame_bytes(FrameKind.HELLO, _json_hello()) + frame_bytes(FrameKind.REASONER, payload),
+        {},
+        reason,
+        [FrameKind.WELCOME, FrameKind.REJECT],
+        _reject_payload(reason),
+    )
+
+
+_PICKLED_REASONER = _pickled(["item"])
 
 
 #: The server's refusals: (client bytes, serve_worker_connection keywords,
@@ -388,22 +413,15 @@ REFUSALS = {
         MAGIC + frame_bytes(FrameKind.PING), {}, "expected HELLO, got PING", [], None,
     ),
     "pickled HELLO": (
-        # Never unpickled, whatever the daemon's codec: the refusal is JSON.
-        MAGIC + frame_bytes(FrameKind.HELLO, _pickled({"protocol": PROTOCOL_VERSION, "capabilities": {}})),
+        # Never unpickled: the refusal is JSON.
+        MAGIC + frame_bytes(FrameKind.HELLO, _pickled({"protocol": PROTOCOL_VERSION})),
         {},
         "control frames must be JSON",
         [FrameKind.REJECT],
         _reject_payload("control frames must be JSON"),
     ),
-    "pickled HELLO to a restricted-only daemon": (
-        MAGIC + frame_bytes(FrameKind.HELLO, _pickled({"protocol": PROTOCOL_VERSION, "capabilities": {}})),
-        {"codec": "restricted"},
-        "control frames must be JSON",
-        [FrameKind.REJECT],
-        _reject_payload("control frames must be JSON"),
-    ),
     "protocol mismatch": (
-        MAGIC + frame_bytes(FrameKind.HELLO, _compact_json({"protocol": 99, "capabilities": {}})),
+        MAGIC + frame_bytes(FrameKind.HELLO, _compact_json({"protocol": 99})),
         {},
         f"protocol 99 != {PROTOCOL_VERSION}",
         [FrameKind.REJECT],
@@ -419,12 +437,32 @@ REFUSALS = {
         [FrameKind.REJECT],
         _reject_payload("protocol version mismatch"),
     ),
-    "pickle peer to a restricted-only daemon": (
-        MAGIC + frame_bytes(FrameKind.HELLO, _json_hello()),
-        {"codec": "restricted"},
-        "restricted codec required",
+    "version-2 peer": (
+        # Version 2 shipped a pickled REASONER unless it offered the codec.
+        MAGIC + frame_bytes(
+            FrameKind.HELLO, _compact_json({"protocol": 2, "capabilities": {"restricted_codec": True}})
+        ),
+        {},
+        f"protocol 2 != {PROTOCOL_VERSION}",
         [FrameKind.REJECT],
-        _reject_payload("restricted codec required"),
+        _reject_payload("protocol version mismatch"),
+    ),
+    "non-JSON reasoner": _reasoner_refusal(
+        b"not-a-reasoner",
+        "ProtocolError: undecodable JSON payload: JSONDecodeError('Expecting value: line 1 column 1 (char 0)')",
+    ),
+    "reasoner field of the wrong type": _reasoner_refusal(
+        _compact_json({"program": "p.", "input_predicates": "item", "output_predicates": []}),
+        "ProtocolError: reasoner spec field 'input_predicates' must be a list of predicate names",
+    ),
+    "unparseable program text": _reasoner_refusal(
+        _compact_json({"program": "p(X :- q.", "input_predicates": [], "output_predicates": []}),
+        "ParseError: expected RPAREN, found IF (':-') at line 1, column 5",
+    ),
+    "pickled reasoner": _reasoner_refusal(
+        _PICKLED_REASONER,
+        "ProtocolError: undecodable JSON payload: "
+        f"UnicodeDecodeError('utf-8', {_PICKLED_REASONER!r}, 0, 1, 'invalid start byte')",
     ),
     "missing AUTH": (
         MAGIC + frame_bytes(FrameKind.HELLO, _json_hello()) + frame_bytes(FrameKind.REASONER, b"not-a-reasoner"),
@@ -492,18 +530,15 @@ MALFORMED_FRAMES = {
 class TestMalformedDataFrames:
     """A malformed data frame gets one failed RESULT, then the server closes."""
 
-    @pytest.mark.parametrize("restricted", [False, True], ids=["pickle", "restricted"])
     @pytest.mark.parametrize("case", sorted(MALFORMED_FRAMES))
-    def test_server_reports_and_closes(self, case, restricted):
-        capabilities = {"restricted_codec": True} if restricted else {}
-        reasoner = encode_reasoner_spec(choice_reasoner()) if restricted else choice_payload()
+    def test_server_reports_and_closes(self, case):
         client, server = socket.socketpair()
         try:
             client.settimeout(10.0)
             client.sendall(
                 MAGIC
-                + frame_bytes(FrameKind.HELLO, _json_hello(**capabilities))
-                + frame_bytes(FrameKind.REASONER, reasoner)
+                + frame_bytes(FrameKind.HELLO, _json_hello())
+                + frame_bytes(FrameKind.REASONER, choice_payload())
                 + frame_bytes(*MALFORMED_FRAMES[case])
             )
             with ThreadPoolExecutor(max_workers=1) as pool:
@@ -518,11 +553,8 @@ class TestMalformedDataFrames:
         frames = list(FrameParser().feed(received))
         assert [kind for kind, _ in frames] == [FrameKind.WELCOME, FrameKind.READY, FrameKind.RESULT]
         assert record.items == 0 and record.rejected is None
-        failure = ResultDecoder("worker", restricted=restricted).decode(frames[-1][1])
-        if restricted:
-            assert type(failure) is BackendError and "ProtocolError: undecodable" in str(failure)
-        else:
-            assert type(failure) is ProtocolError and str(failure).startswith("undecodable")
+        failure = ResultDecoder("worker").decode(frames[-1][1])
+        assert type(failure) is BackendError and str(failure).startswith("worker failed: ProtocolError: undecodable")
 
 
 # --------------------------------------------------------------------------- #
@@ -827,7 +859,7 @@ class _SilentServer:
             send_frame(
                 connection,
                 FrameKind.WELCOME,
-                json.dumps({"protocol": PROTOCOL_VERSION, "capabilities": {}}).encode(),
+                json.dumps({"protocol": PROTOCOL_VERSION}).encode(),
             )
             recv_frame(connection)  # REASONER
             send_frame(connection, FrameKind.READY)

@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import asyncio
 import json
-import pickle
 import socket
 import struct
 import sys
@@ -73,8 +72,8 @@ def control(**fields):
     return json.dumps(fields).encode("utf-8")
 
 
-def welcome(capabilities=None, **extra):
-    return FrameKind.WELCOME, control(protocol=PROTOCOL_VERSION, capabilities=capabilities or {}, **extra)
+def welcome(**extra):
+    return FrameKind.WELCOME, control(protocol=PROTOCOL_VERSION, **extra)
 
 
 # --------------------------------------------------------------------------- #
@@ -143,24 +142,33 @@ HANDSHAKE_FAILURES = [
         (FrameKind.REJECT, control(protocol=7, reason="protocol version mismatch")),
         None,
         HandshakeError,
-        "{worker} rejected the handshake: protocol version mismatch (worker protocol 7, ours 2)",
+        "{worker} rejected the handshake: protocol version mismatch (worker protocol 7, ours 3)",
     ),
     (
         "version-mismatch",
         {},
-        (FrameKind.WELCOME, control(protocol=99, capabilities={})),
+        (FrameKind.WELCOME, control(protocol=99)),
         None,
         HandshakeError,
-        "{worker} speaks protocol 99, this client speaks 2",
+        "{worker} speaks protocol 99, this client speaks 3",
     ),
     (
-        # A version-1 daemon refuses a version-2 client.
+        # A version-1 daemon refuses a version-3 client.
         "version-1-daemon",
         {},
         (FrameKind.REJECT, control(protocol=1, reason="protocol version mismatch")),
         None,
         HandshakeError,
-        "{worker} rejected the handshake: protocol version mismatch (worker protocol 1, ours 2)",
+        "{worker} rejected the handshake: protocol version mismatch (worker protocol 1, ours 3)",
+    ),
+    (
+        # So does a version-2 daemon, whichever codec it was started with.
+        "version-2-daemon",
+        {},
+        (FrameKind.REJECT, control(protocol=2, reason="protocol version mismatch")),
+        None,
+        HandshakeError,
+        "{worker} rejected the handshake: protocol version mismatch (worker protocol 2, ours 3)",
     ),
     ("wrong-kind-for-welcome", {}, (FrameKind.PONG, b""), None, ProtocolError, "expected WELCOME, got PONG"),
     (
@@ -172,13 +180,13 @@ HANDSHAKE_FAILURES = [
         "{worker} requires token auth and this client has no token",
     ),
     (
-        # A daemon that does not speak the restricted codec answers without it.
-        "restricted-codec-declined",
-        {"codec": "restricted"},
+        # The daemon could not rebuild the reasoner from its spec.
+        "invalid-reasoner",
+        {},
         welcome(),
-        None,
+        (FrameKind.REJECT, control(protocol=3, reason="invalid reasoner: ParseError: unexpected end of input")),
         HandshakeError,
-        "{worker} did not accept the restricted codec; refusing to fall back to pickle",
+        "{worker} rejected the handshake: invalid reasoner: ParseError: unexpected end of input",
     ),
     (
         "reject-instead-of-ready",
@@ -214,17 +222,13 @@ class TestHandshakeCore:
         assert [kind for kind, _ in frames] == [FrameKind.HELLO, FrameKind.AUTH, FrameKind.REASONER]
         assert frames[2][1] == b"reasoner-bytes"
         assert connection.is_open
-        assert connection.capabilities == {}
+        assert frames[0][1] == b'{"protocol":3}'
 
-    def test_a_capability_is_active_only_when_both_sides_named_it(self):
+    def test_unknown_welcome_fields_are_ignored(self):
         connection = ClientConnection(ADDRESS)
-        connection.open(b"r")  # a pickle client offers nothing
-        connection.receive_frame(*welcome({"restricted_codec": True, "from_the_future": True}))
-        assert connection.capabilities == {}
-        restricted = ClientConnection(ADDRESS, codec="restricted")
-        restricted.open(b"r")
-        restricted.receive_frame(*welcome({"restricted_codec": True, "from_the_future": True}))
-        assert restricted.capabilities == {"restricted_codec": True}
+        sent = shake_hands(connection, welcome(capabilities={"from_the_future": True}, extension=[1, 2]))
+        assert connection.is_open
+        assert [kind for kind, _ in FrameParser().feed(b"".join(sent[1:]))] == [FrameKind.HELLO, FrameKind.REASONER]
 
     @pytest.mark.parametrize("case, keywords, hello, ready, failure, message", HANDSHAKE_FAILURES, ids=FAILURE_IDS)
     def test_failure_table(self, case, keywords, hello, ready, failure, message):
@@ -249,17 +253,13 @@ class TestHandshakeCore:
         assert type(after_ready) is BackendConnectionError
         assert str(after_ready) == f"connection to worker {ADDRESS} lost: {eof!r}"
 
-    def test_unknown_codec_is_refused_before_anything_is_dialled(self):
-        with pytest.raises(ValueError, match="codec must be 'pickle' or 'restricted'"):
-            ClientConnection(ADDRESS, codec="msgpack")
-
 
 # --------------------------------------------------------------------------- #
 # After READY: the ticket FIFO
 # --------------------------------------------------------------------------- #
-def open_connection(**capabilities):
+def open_connection():
     connection = ClientConnection(ADDRESS)
-    shake_hands(connection, welcome(capabilities))
+    shake_hands(connection, welcome())
     return connection
 
 
@@ -562,13 +562,17 @@ class RecordingSocket:
 
 
 def record_wire(drive, reasoner_payload, keywords):
-    """Serve one connection with the real worker loop; return the client's bytes."""
+    """Serve one connection with the real worker loop; return the client's bytes.
+
+    With an ``auth_token`` among the client ``keywords`` the server demands
+    the same token.
+    """
     log = bytearray()
     listener = socket.create_server(("127.0.0.1", 0))
 
     def serve():
         connection, _ = listener.accept()
-        serve_worker_connection(RecordingSocket(connection, log))
+        serve_worker_connection(RecordingSocket(connection, log), auth_token=keywords.get("auth_token"))
 
     server = threading.Thread(target=serve, daemon=True)
     server.start()
@@ -597,23 +601,27 @@ def drive_async(address, reasoner_payload, keywords):
     return asyncio.run(run())
 
 
-WIRE_DIALECTS = {
-    "pickle": ({}, pickle.dumps),
-    "restricted": ({"codec": "restricted"}, encode_reasoner_spec),
-}
+#: Client keywords of the differential run: plain, and behind token auth
+#: (whose nonce, and so whose MAC, differs per connection).
+WIRE_SETUPS = {"plain": {}, "token": {"auth_token": "secret"}}
 
 
 class TestDifferentialWire:
-    @pytest.mark.parametrize("dialect", WIRE_DIALECTS)
-    def test_both_drivers_put_the_same_bytes_on_the_wire(self, dialect):
-        keywords, encode = WIRE_DIALECTS[dialect]
-        payload = encode(reasoner())
+    @pytest.mark.parametrize("setup", WIRE_SETUPS)
+    def test_both_drivers_put_the_same_bytes_on_the_wire(self, setup):
+        keywords = WIRE_SETUPS[setup]
+        payload = encode_reasoner_spec(reasoner())
         blocking = record_wire(drive_sync, payload, keywords)
         streams = record_wire(drive_async, payload, keywords)
-        assert blocking == streams
-        assert blocking.startswith(MAGIC)
-        kinds = [kind for kind, _ in FrameParser().feed(blocking[len(MAGIC) :])]
+        frames = [list(FrameParser().feed(wire[len(MAGIC) :])) for wire in (blocking, streams)]
+        assert blocking.startswith(MAGIC) and streams.startswith(MAGIC)
+        if keywords:  # the AUTH frames answer different nonces; everything else is equal
+            assert [kind for kind, _ in frames[0]] == [kind for kind, _ in frames[1]]
+            frames = [[frame for frame in sent if frame[0] is not FrameKind.AUTH] for sent in frames]
+        assert frames[0] == frames[1]
+        kinds = [kind for kind, _ in frames[0]]
         assert kinds[:2] == [FrameKind.HELLO, FrameKind.REASONER]
+        assert frames[0][1][1] == payload
         assert kinds.count(FrameKind.WORK) == 6
         assert FrameKind.SYMBOLS in kinds
 
@@ -682,7 +690,7 @@ class TestReadoptEndpoint:
     def test_only_a_dead_endpoint_of_this_fleet_is_readopted(self):
         with WorkerServer(port=0) as server:
             fleet = WorkerFleet([server.address])
-            fleet.start(pickle.dumps(reasoner()))
+            fleet.start(encode_reasoner_spec(reasoner()))
             try:
                 assert not fleet.readopt_endpoint(server.address)  # healthy
                 assert not fleet.readopt_endpoint("127.0.0.1:1")  # a stranger
@@ -699,7 +707,7 @@ class TestReadoptEndpoint:
         interval = sys.getswitchinterval()
         with WorkerServer(port=0) as server:
             fleet = WorkerFleet([server.address])
-            fleet.start(pickle.dumps(reasoner()))
+            fleet.start(encode_reasoner_spec(reasoner()))
             sys.setswitchinterval(1e-6)
             try:
                 with FleetRegistry(fleet) as registry:

@@ -12,7 +12,6 @@ module with the ``openssl`` binary (skipped where it is absent), with a
 from __future__ import annotations
 
 import asyncio
-import pickle
 import shutil
 import ssl
 import subprocess
@@ -52,7 +51,7 @@ def choice_reasoner():
 
 
 def choice_payload():
-    return pickle.dumps(choice_reasoner())
+    return encode_reasoner_spec(choice_reasoner())
 
 
 def work_item(count=3):
@@ -215,12 +214,12 @@ class TestAsyncHandshake:
 
 
 # --------------------------------------------------------------------------- #
-# Full hardened stack: CLI daemon + TcpBackend, TLS + token + restricted codec
+# Full hardened stack: CLI daemon + TcpBackend, TLS + token
 # --------------------------------------------------------------------------- #
 class TestHardenedEndToEnd:
     def test_cli_daemon_full_stack_matches_inline(self, tls_material):
-        """A ``--tls-cert --tls-key --auth-token --restricted`` daemon serves
-        a TLS+token+restricted ``TcpBackend`` the same answers as inline."""
+        """A ``--tls-cert --tls-key --auth-token`` daemon serves a TLS+token
+        ``TcpBackend`` the same answers as inline."""
         cert, key = tls_material
         stream = list(
             generate_window(
@@ -246,7 +245,7 @@ class TestHardenedEndToEnd:
         workers = spawn_local_workers(
             1,
             extra_arguments=[
-                "--tls-cert", cert, "--tls-key", key, "--auth-token", TOKEN, "--restricted",
+                "--tls-cert", cert, "--tls-key", key, "--auth-token", TOKEN,
             ],
         )
         try:
@@ -254,7 +253,6 @@ class TestHardenedEndToEnd:
                 [worker.endpoint for worker in workers],
                 ssl_context=client_ssl_context(cert),
                 auth_token=TOKEN,
-                codec="restricted",
             )
             with StreamSession(reasoner(), partitioner=partitioner, backend=backend) as session:
                 actual = [
@@ -284,15 +282,19 @@ class TestHardenedEndToEnd:
             for worker in workers:
                 worker.terminate()
 
-    def test_restricted_daemon_refuses_pickle_client(self, tls_material):
+    def test_daemon_refuses_a_reasoner_it_cannot_parse(self, tls_material):
+        """The retired ``--restricted`` flag is gone and a malformed spec is refused by name."""
         cert, key = tls_material
-        workers = spawn_local_workers(1, extra_arguments=["--restricted"])
+        workers = spawn_local_workers(1, extra_arguments=["--tls-cert", cert, "--tls-key", key])
         try:
-            with pytest.raises(HandshakeError, match="restricted codec required"):
-                WorkerClient(workers[0].address, choice_payload(), attempts=1)
-            with WorkerClient(
-                workers[0].address, encode_reasoner_spec(choice_reasoner()), codec="restricted"
-            ) as client:
+            with pytest.raises(HandshakeError, match="invalid reasoner: ParseError"):
+                WorkerClient(
+                    workers[0].address,
+                    b'{"program": "p(", "input_predicates": [], "output_predicates": []}',
+                    ssl_context=client_ssl_context(cert),
+                    attempts=1,
+                )
+            with WorkerClient(workers[0].address, choice_payload(), ssl_context=client_ssl_context(cert)) as client:
                 result = client.submit_item(work_item(2))
             assert len(result.answers) == 4
         finally:

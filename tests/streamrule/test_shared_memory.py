@@ -9,18 +9,17 @@ from __future__ import annotations
 
 import gc
 import multiprocessing
-import pickle
 import threading
 from multiprocessing.shared_memory import SharedMemory
 
 import pytest
 
-from repro.asp.errors import GroundingError
 from repro.asp.syntax.atoms import Atom
 from repro.asp.syntax.parser import parse_program
 from repro.asp.syntax.terms import Variable
 from repro.streamrule.backends import InlineBackend, SharedMemoryBackend
-from repro.streamrule.errors import BackendConnectionError
+from repro.streamrule.codec import encode_reasoner_spec
+from repro.streamrule.errors import BackendConnectionError, BackendError
 from repro.streamrule.reasoner import Reasoner
 from repro.streamrule.session import StreamSession
 from repro.streamrule.net import DeltaShipper, FrameKind
@@ -90,7 +89,7 @@ class TestShmRing:
 class TestShmSlot:
     def test_round_trip_matches_inline(self):
         item = work_item()
-        slot = ShmSlot(0, pickle.dumps(choice_reasoner()))
+        slot = ShmSlot(0, encode_reasoner_spec(choice_reasoner()))
         try:
             over_shm = slot.roundtrip(item)
         finally:
@@ -101,7 +100,7 @@ class TestShmSlot:
         assert set(over_shm.answers) == set(local.answers)
 
     def test_steady_state_windows_sync_no_new_symbols(self):
-        slot = ShmSlot(0, pickle.dumps(choice_reasoner()))
+        slot = ShmSlot(0, encode_reasoner_spec(choice_reasoner()))
         try:
             slot.roundtrip(work_item())
             first_syncs = slot.stats.symbols_out
@@ -113,11 +112,12 @@ class TestShmSlot:
             slot.close()
 
     def test_worker_side_exception_propagates_and_slot_survives(self):
-        slot = ShmSlot(0, pickle.dumps(choice_reasoner()))
+        slot = ShmSlot(0, encode_reasoner_spec(choice_reasoner()))
         try:
             non_ground = WorkItem(facts=(Atom("item", (Variable("X"),)),))
-            with pytest.raises(GroundingError, match="non-ground fact"):
-                slot.roundtrip(non_ground)  # raised in the worker, re-raised here
+            with pytest.raises(BackendError, match="worker 0 failed: GroundingError: non-ground fact") as raised:
+                slot.roundtrip(non_ground)  # raised in the worker, reported here
+            assert type(raised.value) is BackendError  # not a connection error: no fallback
             unencodable = WorkItem(facts=("not a fact",))  # type: ignore[arg-type]
             with pytest.raises(TypeError, match="no wire encoding"):
                 slot.roundtrip(unencodable)  # refused before it reaches the ring
@@ -128,7 +128,7 @@ class TestShmSlot:
 
     def test_ring_messages_are_the_wire_frames(self):
         """The request ring carries exactly the frames a TCP client would send."""
-        slot = ShmSlot(0, pickle.dumps(choice_reasoner()))
+        slot = ShmSlot(0, encode_reasoner_spec(choice_reasoner()))
         sent = []
         ring_send = slot._request.send
 
@@ -151,7 +151,7 @@ class TestShmSlot:
     def test_oversize_message_takes_the_pipe_side_door(self):
         # A ring too small for the symbol sync (and the result) forces the
         # oversize path; results must still be correct.
-        slot = ShmSlot(0, pickle.dumps(choice_reasoner()), capacity=64)
+        slot = ShmSlot(0, encode_reasoner_spec(choice_reasoner()), capacity=64)
         try:
             result = slot.roundtrip(work_item(count=4))
             assert result.answers
@@ -160,7 +160,7 @@ class TestShmSlot:
             slot.close()
 
     def test_dead_worker_raises_connection_error(self):
-        slot = ShmSlot(0, pickle.dumps(choice_reasoner()))
+        slot = ShmSlot(0, encode_reasoner_spec(choice_reasoner()))
         try:
             slot.kill()
             with pytest.raises(BackendConnectionError):
@@ -169,7 +169,7 @@ class TestShmSlot:
             slot.close()
 
     def test_close_is_idempotent_and_unlinks(self):
-        slot = ShmSlot(0, pickle.dumps(choice_reasoner()))
+        slot = ShmSlot(0, encode_reasoner_spec(choice_reasoner()))
         name = slot._shm.name
         slot.close()
         slot.close()

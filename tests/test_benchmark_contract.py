@@ -11,14 +11,9 @@ tier-1 instead.
 
 from __future__ import annotations
 
-import pickle
-
-import pytest
-
 from bench_e2e import streams, workloads
 from bench_e2e.trace import TARGETS, Tracer
 from bench_e2e.workloads import WORKLOADS, Deployment
-from repro.streamrule.net import RemoteFailure
 from repro.streamrule.worker import WorkerServer
 
 #: Span names an inline session must record for every window it evaluates.
@@ -104,19 +99,3 @@ def test_tcp_hot_path_runs_through_the_wire_entry_points_and_counters(monkeypatc
         assert tracer.worker_reason_seconds > 0
     finally:
         deployment.close()
-
-
-#: Every class that travels inside a pickle on the wire, with the module path
-#: an already-deployed peer will look it up under.  Moving one silently breaks
-#: a mixed-version fleet without a protocol bump.
-PICKLED_ON_THE_WIRE = [
-    (RemoteFailure(ValueError("boom")), "repro.streamrule.net"),
-]
-
-
-@pytest.mark.parametrize("value, module", PICKLED_ON_THE_WIRE, ids=lambda value: type(value).__name__)
-def test_wire_classes_pickle_under_their_deployed_module_path(value, module):
-    assert type(value).__module__ == module
-    payload = pickle.dumps(value, protocol=pickle.HIGHEST_PROTOCOL)
-    assert module.encode() in payload and type(value).__name__.encode() in payload
-    assert type(pickle.loads(payload)) is type(value)
