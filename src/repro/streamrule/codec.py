@@ -22,7 +22,7 @@ pieces this module holds (see :mod:`repro.streamrule.net`):
 No peer therefore ever calls ``pickle.loads`` on network bytes; anything
 that does not fit this schema is a protocol error, and a reasoner spec the
 daemon cannot rebuild is ``REJECT``\\ ed in the handshake (see
-:func:`~repro.streamrule.net.serve_worker_connection`).
+:class:`~repro.streamrule.net.ServerConnection`).
 """
 
 from __future__ import annotations

@@ -32,10 +32,13 @@ Layout
   (blocking sockets, threads) and ``AsyncWorkerClient`` in
   :mod:`repro.streamrule.aio` (asyncio streams).  They dial, move bytes
   and wait; neither knows a frame kind beyond ``PING``.
-* **The server half** -- :func:`serve_worker_connection`.
+* **The server as a state machine** -- :class:`ServerConnection` (the
+  handshake and its refusals, the data plane, ``PING``, the served
+  counters), driven by :func:`serve_worker_connection` here (blocking
+  socket) and by the shared-memory worker in :mod:`repro.streamrule.shm`.
 
 A new frame kind is therefore added in :class:`FrameKind`,
-:class:`ClientConnection` and :func:`serve_worker_connection` (plus
+:class:`ClientConnection` and :class:`ServerConnection` (plus
 ``docs/wire-protocol.md``) and nowhere else; where a slot is *routed* is
 the business of :class:`repro.streamrule.fleet.SlotTable`.
 
@@ -46,7 +49,7 @@ several ``WORK`` (and ``PING``) frames outstanding at once.  The server
 always answers strictly in request order, which is what lets the client
 match responses to callers with a plain FIFO ticket queue
 (:class:`ClientConnection`) and lets the worker read and decode ahead of its
-evaluation loop (``read_ahead`` in :func:`serve_worker_connection`).  Any
+evaluation loop (:data:`READ_AHEAD` in :func:`serve_worker_connection`).  Any
 transport error still kills the whole connection -- in-flight frames are
 failed at the client and resubmitted elsewhere by the fleet.
 
@@ -138,6 +141,7 @@ __all__ = [
     "PROTOCOL_VERSION",
     "ResultDecoder",
     "ResultEncoder",
+    "ServerConnection",
     "WireStats",
     "WorkerClient",
     "announce_endpoint",
@@ -1075,6 +1079,187 @@ class ClientConnection:
 
 
 # --------------------------------------------------------------------------- #
+# Server side, sans-IO: everything a worker must know to talk SRW1
+# --------------------------------------------------------------------------- #
+#: What the server sends: a frame, or the ``WorkItem`` whose evaluation
+#: becomes the next ``RESULT`` (see :meth:`ServerConnection.respond`).
+Reply = Union[Tuple[FrameKind, bytes], WorkItem]
+
+
+class ServerConnection:
+    """The server half of one SRW1 connection as a pure state machine.
+
+    Bytes (:meth:`receive_data`) or ready-cut frames (:meth:`receive_frame`)
+    in, :data:`Reply` values out; no socket, thread, queue or ring.  It owns
+    the ``MAGIC`` .. ``READY`` handshake and every refusal it can make, the
+    :class:`DeltaDecoder` (advanced in receive order), the
+    :class:`ResultEncoder` and failure envelope (advanced in evaluation
+    order, by :meth:`respond`), ``PING``/``PONG`` and the served counters.
+    A driver passes every reply to :meth:`respond` in the order it was
+    returned and sends the frame that comes back; once :attr:`closed` is
+    set it sends what it holds and closes.  The receiving side and
+    :meth:`respond` share no mutable state, so they may run on two threads.
+    """
+
+    def __init__(self, *, auth_token: Optional[str] = None) -> None:
+        self.items = 0  #: ``WORK`` frames evaluated (a failed evaluation included)
+        self.symbols = 0  #: ``SYMBOLS`` table-sync frames applied
+        self.pings = 0
+        #: Why the handshake refused the peer: with a ``REJECT`` frame, or
+        #: by a silent close on a frame that breaks the handshake grammar.
+        self.rejected: Optional[str] = None
+        #: Why an open connection was dropped, silently, on a frame the
+        #: protocol does not allow after ``READY``.
+        self.violation: Optional[str] = None
+        #: Nothing more will be read; the replies already returned are the last.
+        self.closed = False
+        self._auth_token = auth_token
+        self._mac = ""  #: the ``AUTH`` answer this connection's nonce demands
+        #: ``"magic"``, ``"hello"``, ``"auth"``, ``"reasoner"`` while that
+        #: handshake step is awaited, ``"open"`` once work frames may flow.
+        self._stage = "magic"
+        self._magic = b""
+        self._parser = FrameParser()
+        self._reasoner: Any = None
+        self._decoder = DeltaDecoder()
+        self._results = ResultEncoder()
+
+    @classmethod
+    def installed(cls, reasoner_payload: bytes) -> "ServerConnection":
+        """A connection with no handshake, its ``REASONER`` spec handed over out of band."""
+        connection = cls()
+        connection._stage = "reasoner"
+        connection.receive_frame(FrameKind.REASONER, reasoner_payload)
+        return connection
+
+    # -- bytes and frames in ---------------------------------------------- #
+    def receive_data(self, data: bytes) -> List[Reply]:
+        """Advance by bytes off a stream (``MAGIC`` first, then frames, however chunked).
+
+        Returns the replies, in order.  A header that does not frame drops
+        the connection; the frames ahead of it are still served.
+        """
+        replies: List[Reply] = []
+        if self.closed:
+            return replies
+        if self._stage == "magic":
+            data = self._magic + data
+            if len(data) < len(MAGIC):
+                self._magic = data
+                return replies
+            if not data.startswith(MAGIC):
+                return self._drop("bad magic")
+            self._stage, data = "hello", data[len(MAGIC) :]
+        try:
+            for kind, payload in self._parser.feed(data):
+                replies += self.receive_frame(kind, payload)
+                if self.closed:
+                    break  # before the parser reads, let alone judges, another header
+        except ProtocolError as error:
+            replies += self._drop(str(error))
+        return replies
+
+    def receive_frame(self, kind: FrameKind, payload: bytes) -> List[Reply]:
+        """Advance by one frame (a transport that frames messages itself calls this); not once closed."""
+        if self._stage == "open":
+            return self._on_open(kind, payload)
+        if self._stage == "hello":
+            return self._on_hello(kind, payload)
+        if self._stage == "auth":
+            return self._on_auth(kind, payload)
+        if kind is not FrameKind.REASONER:
+            return self._drop(f"expected REASONER, got {kind.name}")
+        try:
+            self._reasoner = reasoner_from_spec(payload)
+        except Exception as error:  # noqa: BLE001 - whatever the spec trips, the peer is told
+            return self._reject(f"invalid reasoner: {type(error).__name__}: {error}")
+        self._stage = "open"
+        return [(FrameKind.READY, b"")]
+
+    # -- the handshake ---------------------------------------------------- #
+    def _on_hello(self, kind: FrameKind, payload: bytes) -> List[Reply]:
+        if kind is not FrameKind.HELLO:
+            return self._drop(f"expected HELLO, got {kind.name}")
+        try:
+            hello = loads_json(payload)
+        except ProtocolError:
+            return self._reject("control frames must be JSON")
+        if hello.get("protocol") != PROTOCOL_VERSION:
+            return self._reject("protocol version mismatch", f"protocol {hello.get('protocol')} != {PROTOCOL_VERSION}")
+        welcome: Dict[str, Any] = {"protocol": PROTOCOL_VERSION}
+        self._stage = "reasoner"
+        if self._auth_token is not None:
+            welcome["nonce"] = secrets.token_hex(16)
+            self._mac = auth_mac(self._auth_token, welcome["nonce"])
+            self._stage = "auth"
+        return [(FrameKind.WELCOME, dumps_json(welcome))]
+
+    def _on_auth(self, kind: FrameKind, payload: bytes) -> List[Reply]:
+        if kind is not FrameKind.AUTH:
+            return self._reject("authentication required")
+        try:
+            mac = loads_json(payload).get("mac")
+        except ProtocolError:
+            mac = None
+        if not isinstance(mac, str) or not hmac.compare_digest(mac, self._mac):
+            return self._reject("authentication failed")
+        self._stage = "reasoner"
+        return []
+
+    def _reject(self, reason: str, rejected: Optional[str] = None) -> List[Reply]:
+        self.rejected = rejected or reason
+        self.closed = True
+        return [(FrameKind.REJECT, dumps_json({"protocol": PROTOCOL_VERSION, "reason": reason}))]
+
+    def _drop(self, reason: str) -> List[Reply]:
+        """A protocol violation: record it, answer nothing, close."""
+        if self._stage == "open":
+            self.violation = reason
+        else:
+            self.rejected = reason
+        self.closed = True
+        return []
+
+    # -- after READY ------------------------------------------------------ #
+    def _on_open(self, kind: FrameKind, payload: bytes) -> List[Reply]:
+        if kind is FrameKind.PING:
+            self.pings += 1
+            return [(FrameKind.PONG, b"")]
+        if kind not in (FrameKind.SYMBOLS, FrameKind.WORK):
+            return self._drop(f"unexpected {kind.name} frame after READY")
+        try:
+            if kind is FrameKind.WORK:
+                return [self._decoder.decode(payload)]
+            # One-way table sync: no reply, so the FIFO order the client's
+            # ticket queue relies on is undisturbed.
+            self._decoder.apply_symbols(payload)
+            self.symbols += 1
+            return []
+        except ProtocolError as error:
+            # The decoder's state is now behind the shipper's: report, then
+            # die, so both sides restart from empty, in-sync state.
+            self.closed = True
+            failure = ProtocolError(f"undecodable {kind.name} frame: {error!r}")
+            return [(FrameKind.RESULT, ResultEncoder.encode_failure(failure))]
+
+    # -- replies out ------------------------------------------------------ #
+    def respond(self, reply: Reply) -> Tuple[FrameKind, bytes]:
+        """The frame to send for ``reply``: a frame as is, a work item evaluated.
+
+        An evaluation error, or a result the wire cannot encode, is a failed
+        ``RESULT``; the connection survives it.
+        """
+        if not isinstance(reply, WorkItem):
+            return reply
+        try:
+            payload = self._results.encode(self._reasoner.reason_item(reply))
+        except Exception as error:  # noqa: BLE001 - shipped back to the caller
+            payload = self._results.encode_failure(error)
+        self.items += 1
+        return FrameKind.RESULT, payload
+
+
+# --------------------------------------------------------------------------- #
 # Client side, blocking sockets: the threaded driver of ClientConnection
 # --------------------------------------------------------------------------- #
 class WorkerClient:
@@ -1279,186 +1464,59 @@ class WorkerClient:
 
 
 # --------------------------------------------------------------------------- #
-# Server side: the per-connection protocol loop
+# Server side, blocking sockets: the threaded driver of ServerConnection
 # --------------------------------------------------------------------------- #
-@dataclass
-class ServedConnection:
-    """Outcome record of one served connection (returned for logging/tests)."""
-
-    items: int = 0
-    symbols: int = 0  #: SYMBOLS table-sync frames applied
-    pings: int = 0
-    rejected: Optional[str] = None
+#: Replies a connection decodes ahead of its evaluation loop: enough that a
+#: pipelining coordinator's next window is decoded when the current one is
+#: done, few enough that an overloaded worker stops reading -- so the
+#: coordinator's sends block and ``max_inflight`` stalls the producer.
+READ_AHEAD = 8
 
 
-def serve_worker_connection(
-    connection: socket.socket,
-    *,
-    protocol_version: int = PROTOCOL_VERSION,
-    read_ahead: int = 8,
-    auth_token: Optional[str] = None,
-) -> ServedConnection:
-    """Serve one coordinator connection until it closes.
+def serve_worker_connection(connection: socket.socket, *, auth_token: Optional[str] = None) -> ServerConnection:
+    """Serve one coordinator connection until it closes; returns its :class:`ServerConnection`.
 
-    The server half of the protocol: validate magic, run the handshake,
-    rebuild the shipped reasoner from its text spec, then answer ``WORK`` and
-    ``PING`` frames (applying ``SYMBOLS`` frames as they come) until EOF.
-    Worker-side evaluation errors travel back as failed ``RESULT`` frames;
-    only transport errors and malformed frames end the loop.  Used by the
-    daemon in :mod:`repro.streamrule.worker` (one call per accepted
-    connection) and by in-process servers in the tests.
-
-    ``read_ahead`` is the server half of connection pipelining: a reader
-    thread receives and decodes up to that many frames ahead of the
-    evaluation loop, so a pipelining coordinator's next window is already
-    decoded when the current evaluation finishes, and responses still go
-    out strictly in request order (the invariant the client's FIFO ticket
-    queue relies on).  The bound matters: once the queue is full the reader
-    stops reading, the kernel's receive window fills, and the coordinator's
-    sends block -- which is exactly how worker-side overload propagates back
-    through the session's ``max_inflight`` bound to stall the producer.
-
-    ``auth_token`` arms the challenge/response: the ``WELCOME`` carries a
-    fresh nonce and the peer must answer with a valid ``AUTH`` MAC before
-    its ``REASONER`` is looked at.  Control frames are JSON: a ``HELLO``
-    that is not is refused with a JSON ``REJECT``, unread.  A ``REASONER``
-    payload :func:`~repro.streamrule.codec.reasoner_from_spec` cannot
-    rebuild -- not JSON, wrong field types, program text that does not
-    parse, a pickle -- is refused with ``REJECT "invalid reasoner: Kind:
-    message"``, so the coordinator's handshake fails naming the cause.
+    The blocking-socket driver: a reader thread feeds the connection what
+    arrives and queues its replies, at most :data:`READ_AHEAD` ahead; this
+    thread answers them in order, one ``sendall`` per frame.  ``auth_token``
+    arms the ``AUTH`` challenge.
     """
-    record = ServedConnection()
-    try:
-        try:
-            magic = recv_exactly(connection, len(MAGIC))
-        except (EOFError, OSError):
-            return record
-        if magic != MAGIC:
-            record.rejected = "bad magic"
-            return record
-        kind, payload = recv_frame(connection)
-        if kind is not FrameKind.HELLO:
-            record.rejected = f"expected HELLO, got {kind.name}"
-            return record
+    server = ServerConnection(auth_token=auth_token)
+    replies: "queue.Queue[Optional[Reply]]" = queue.Queue(maxsize=READ_AHEAD)
+    done = threading.Event()
 
-        def reject(reason: str, rejected: Optional[str] = None) -> ServedConnection:
-            record.rejected = rejected or reason
-            send_frame(connection, FrameKind.REJECT, dumps_json({"protocol": protocol_version, "reason": reason}))
-            return record
-
-        try:
-            hello = loads_json(payload)
-        except ProtocolError:
-            return reject("control frames must be JSON")
-        if hello.get("protocol") != protocol_version:
-            return reject("protocol version mismatch", f"protocol {hello.get('protocol')} != {protocol_version}")
-        welcome: Dict[str, Any] = {"protocol": protocol_version}
-        nonce: Optional[str] = None
-        if auth_token is not None:
-            nonce = secrets.token_hex(16)
-            welcome["nonce"] = nonce
-        send_frame(connection, FrameKind.WELCOME, dumps_json(welcome))
-        kind, payload = recv_frame(connection)
-        if nonce is not None:
-            if kind is not FrameKind.AUTH:
-                return reject("authentication required")
+    def offer(reply: Optional[Reply]) -> bool:
+        # Never block forever on a full queue: once the evaluation loop is
+        # gone (done set), drop the reply and let the reader exit.
+        while not done.is_set():
             try:
-                mac = loads_json(payload).get("mac")
-            except ProtocolError:
-                mac = None
-            if not isinstance(mac, str) or not hmac.compare_digest(mac, auth_mac(auth_token, nonce)):
-                return reject("authentication failed")
-            kind, payload = recv_frame(connection)
-        if kind is not FrameKind.REASONER:
-            record.rejected = f"expected REASONER, got {kind.name}"
-            return record
+                replies.put(reply, timeout=0.1)
+                return True
+            except queue.Full:
+                continue
+        return False
+
+    def read_ahead() -> None:
         try:
-            reasoner = reasoner_from_spec(payload)
-        except Exception as error:  # noqa: BLE001 - whatever the spec trips, the peer is told
-            return reject(f"invalid reasoner: {type(error).__name__}: {error}")
-        send_frame(connection, FrameKind.READY)
-
-        decoder = DeltaDecoder()
-        results = ResultEncoder()
-        frames: "queue.Queue[Tuple[Optional[FrameKind], Any]]" = queue.Queue(maxsize=max(1, read_ahead))
-        done = threading.Event()
-
-        def _offer(entry: Tuple[Optional[FrameKind], Any]) -> bool:
-            # Never block forever on a full queue: if the evaluation loop is
-            # gone (done set), drop the entry and let the reader exit.
-            while not done.is_set():
-                try:
-                    frames.put(entry, timeout=0.1)
-                    return True
-                except queue.Full:
-                    continue
-            return False
-
-        def _read_ahead() -> None:
-            # Receive and decode ahead of the evaluation loop.  Decoding
-            # happens here, in receive order, so the decoder's table and
-            # per-track state advance exactly as the shipper's did.
-            while True:
-                try:
-                    kind, payload = recv_frame(connection)
-                except (EOFError, OSError, ProtocolError):
-                    _offer((None, None))
-                    return
-                if kind is FrameKind.PING:
-                    if not _offer((kind, None)):
+            while not server.closed and (data := connection.recv(1 << 16)):
+                for reply in server.receive_data(data):
+                    if not offer(reply):
                         return
-                    continue
-                if kind not in (FrameKind.SYMBOLS, FrameKind.WORK):
-                    _offer((None, None))  # protocol violation: drop the connection
-                    return
-                try:
-                    if kind is FrameKind.SYMBOLS:
-                        # One-way table sync: no queue entry, so no response
-                        # frame -- the FIFO order the client's ticket queue
-                        # relies on is undisturbed.
-                        decoder.apply_symbols(payload)
-                        record.symbols += 1
-                        continue
-                    item = decoder.decode(payload)
-                except BaseException as error:  # noqa: BLE001 - reported, then the connection dies
-                    # A frame that cannot be decoded leaves the decoder's
-                    # state behind the shipper's; the connection must die so
-                    # both sides restart from empty, in-sync state (the
-                    # module invariant).
-                    _offer((None, ProtocolError(f"undecodable {kind.name} frame: {error!r}")))
-                    return
-                if not _offer((kind, item)):
-                    return
-
-        reader = threading.Thread(target=_read_ahead, name="streamrule-conn-reader", daemon=True)
-        reader.start()
-        try:
-            while True:
-                kind, item = frames.get()
-                if kind is None:
-                    if item is not None:
-                        # Decode failure: best-effort error report first.
-                        try:
-                            send_frame(connection, FrameKind.RESULT, results.encode_failure(item))
-                        except OSError:
-                            pass
-                    return record
-                if kind is FrameKind.PING:
-                    record.pings += 1
-                    send_frame(connection, FrameKind.PONG)
-                    continue
-                try:
-                    response = results.encode(reasoner.reason_item(item))
-                except BaseException as error:  # noqa: BLE001 - shipped back to the caller
-                    response = results.encode_failure(error)
-                record.items += 1
-                send_frame(connection, FrameKind.RESULT, response)
+        except OSError:
+            pass
         finally:
-            done.set()
-    except (EOFError, OSError):
-        return record
+            offer(None)
+
+    threading.Thread(target=read_ahead, name="streamrule-conn-reader", daemon=True).start()
+    try:
+        while (reply := replies.get()) is not None:
+            send_frame(connection, *server.respond(reply))
+    except OSError:
+        pass
     finally:
+        done.set()
         try:
             connection.close()
         except OSError:
             pass
+    return server

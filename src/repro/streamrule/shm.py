@@ -10,16 +10,17 @@ What crosses the rings are the TCP wire's own data-plane messages
 (:mod:`repro.streamrule.net`), as ``(FrameKind, payload)`` pairs: the
 coordinator's :class:`~repro.streamrule.net.DeltaShipper` interns the
 window's facts and sends a ``SYMBOLS`` message with the request table's
-new tail (when there is one) and a ``WORK`` message of id runs; the
-worker's :class:`~repro.streamrule.net.DeltaDecoder` resolves them,
-evaluates, and answers with one ``RESULT`` message
-(:class:`~repro.streamrule.net.ResultEncoder`): the response table's new
-tail, one packed id blob per answer set and the metrics record.  A
-failed evaluation travels as the JSON error envelope and is raised at the
-caller as :class:`~repro.streamrule.errors.BackendError`, exactly as over
-TCP.  In steady state (a sliding window whose facts were all seen
-before) a window therefore crosses the process boundary as a few id runs
-written straight into shared memory: no pickling, no kernel socket copy.
+new tail (when there is one) and a ``WORK`` message of id runs.  The
+worker drives the TCP daemon's own
+:class:`~repro.streamrule.net.ServerConnection`, opened without a
+handshake, and answers with one ``RESULT`` message: the response table's
+new tail, one packed id blob per answer set and the metrics record.  A
+failed evaluation -- or an undecodable message, after which the worker
+exits -- travels as the JSON error envelope and is raised at the caller
+as :class:`~repro.streamrule.errors.BackendError`, exactly as over TCP.
+In steady state (a sliding window whose facts were all seen before) a
+window therefore crosses the process boundary as a few id runs written
+straight into shared memory: no pickling, no kernel socket copy.
 
 Layout and flow control
 -----------------------
@@ -57,9 +58,8 @@ from dataclasses import dataclass
 from multiprocessing.shared_memory import SharedMemory
 from typing import Any, Callable, Optional, Tuple
 
-from repro.streamrule.codec import reasoner_from_spec
 from repro.streamrule.errors import BackendConnectionError, ProtocolError
-from repro.streamrule.net import DeltaDecoder, DeltaShipper, FrameKind, ResultDecoder, ResultEncoder
+from repro.streamrule.net import DeltaShipper, FrameKind, ResultDecoder, ServerConnection
 from repro.streamrule.reasoner import ReasonerResult
 from repro.streamrule.work import WorkItem
 
@@ -162,6 +162,7 @@ class ShmRing:
         )
 
 
+@dataclass
 class _RingChannel:
     """Blocking message send/receive over one ring direction.
 
@@ -172,49 +173,40 @@ class _RingChannel:
     marker goes first so the ring alone defines message order.
     """
 
-    def __init__(
-        self,
-        ring: ShmRing,
-        data_event: Any,
-        space_event: Any,
-        pipe: Any,
-        alive: Callable[[], bool],
-        peer: str,
-    ):
-        self._ring = ring
-        self._data_event = data_event
-        self._space_event = space_event
-        self._pipe = pipe
-        self._alive = alive
-        self._peer = peer
+    ring: ShmRing
+    data_event: Any
+    space_event: Any
+    pipe: Any
+    alive: Callable[[], bool]
+    peer: str
 
     def send(self, kind: int, body: bytes = b"") -> None:
-        if not self._ring.fits(1 + len(body)):
+        if not self.ring.fits(1 + len(body)):
             self._ring_send(bytes((K_OVERSIZE, kind)))
-            self._pipe.send_bytes(body)
+            self.pipe.send_bytes(body)
             return
         self._ring_send(bytes((kind,)) + body)
 
     def receive(self) -> Tuple[int, bytes]:
         while True:
-            payload = self._ring.try_read()
+            payload = self.ring.try_read()
             if payload is not None:
-                self._space_event.set()
+                self.space_event.set()
                 if payload[0] == K_OVERSIZE:
-                    return payload[1], self._pipe.recv_bytes()
+                    return payload[1], self.pipe.recv_bytes()
                 return payload[0], payload[1:]
-            if not self._alive():
-                raise BackendConnectionError(f"shared-memory {self._peer} died mid-conversation")
-            self._data_event.wait(_POLL_INTERVAL)
-            self._data_event.clear()
+            if not self.alive():
+                raise BackendConnectionError(f"shared-memory {self.peer} died mid-conversation")
+            self.data_event.wait(_POLL_INTERVAL)
+            self.data_event.clear()
 
     def _ring_send(self, frame: bytes) -> None:
-        while not self._ring.try_write(frame):
-            if not self._alive():
-                raise BackendConnectionError(f"shared-memory {self._peer} died mid-conversation")
-            self._space_event.wait(_POLL_INTERVAL)
-            self._space_event.clear()
-        self._data_event.set()
+        while not self.ring.try_write(frame):
+            if not self.alive():
+                raise BackendConnectionError(f"shared-memory {self.peer} died mid-conversation")
+            self.space_event.wait(_POLL_INTERVAL)
+            self.space_event.clear()
+        self.data_event.set()
 
 
 @dataclass(frozen=True)
@@ -237,18 +229,27 @@ class _SlotWiring:
     response_space: Any
     pipe: Any
 
+    def channels(
+        self, shm: SharedMemory, pipe: Any, alive: Callable[[], bool], peer: str
+    ) -> Tuple[_RingChannel, _RingChannel]:
+        """The ``(request, response)`` channels over ``shm``, as seen from one side."""
+        request = ShmRing(shm, 0, self.capacity, self.request_lock)
+        response = ShmRing(shm, ShmRing.CURSOR_BYTES + self.capacity, self.capacity, self.response_lock)
+        return (
+            _RingChannel(request, self.request_data, self.request_space, pipe, alive, peer),
+            _RingChannel(response, self.response_data, self.response_space, pipe, alive, peer),
+        )
+
 
 def _serve_shm_worker(wiring: _SlotWiring, payload: bytes) -> None:
-    """Worker-process loop: decode the wire's messages, evaluate, answer.
+    """Worker-process loop: the ring driver of a :class:`ServerConnection`.
 
     ``payload`` is the reasoner's text spec, as a TCP daemon receives it.
-    Module-level so the ``spawn`` context can start the target.  Holds the
-    replica of the coordinator's request table (in its
-    :class:`DeltaDecoder`) and the *master* response table (in its
-    :class:`ResultEncoder`; this process is the response ring's only
-    writer).
+    Module-level so the ``spawn`` context can start the target.  Replies go
+    out on the response ring in order; the process exits on ``K_SHUTDOWN``
+    or once the connection closes (an undecodable message, once reported).
     """
-    reasoner = reasoner_from_spec(payload)
+    connection = ServerConnection.installed(payload)
     # Attaching registers the segment with the resource tracker a second
     # time; the tracker's cache is a set, so the duplicate collapses into
     # the coordinator's own registration and the coordinator's unlink
@@ -256,42 +257,15 @@ def _serve_shm_worker(wiring: _SlotWiring, payload: bytes) -> None:
     # way to attach untracked; unregistering here would instead steal the
     # coordinator's registration.)
     shm = SharedMemory(name=wiring.segment)
-    ring_span = ShmRing.CURSOR_BYTES + wiring.capacity
-    request = _RingChannel(
-        ShmRing(shm, 0, wiring.capacity, wiring.request_lock),
-        wiring.request_data,
-        wiring.request_space,
-        wiring.pipe,
-        alive=lambda: True,  # a dying coordinator takes this daemon with it
-        peer="coordinator",
-    )
-    response = _RingChannel(
-        ShmRing(shm, ring_span, wiring.capacity, wiring.response_lock),
-        wiring.response_data,
-        wiring.response_space,
-        wiring.pipe,
-        alive=lambda: True,
-        peer="coordinator",
-    )
-    decoder = DeltaDecoder()
-    results = ResultEncoder()
+    # A dying coordinator takes this daemon with it: no liveness probe.
+    request, response = wiring.channels(shm, wiring.pipe, lambda: True, "coordinator")
     try:
-        while True:
+        while not connection.closed:
             kind, body = request.receive()
-            try:
-                if kind == FrameKind.SYMBOLS:
-                    decoder.apply_symbols(body)
-                    continue
-                if kind != FrameKind.WORK:
-                    return  # shutdown, or a protocol violation: die; the coordinator falls back
-                item = decoder.decode(body)
-            except ProtocolError:
+            if kind == K_SHUTDOWN:
                 return
-            try:
-                answer = results.encode(reasoner.reason_item(item))
-            except BaseException as error:  # noqa: BLE001 - shipped back to the caller
-                answer = results.encode_failure(error)
-            response.send(FrameKind.RESULT, answer)
+            for reply in connection.receive_frame(FrameKind(kind), body):
+                response.send(*connection.respond(reply))
     finally:
         shm.close()
 
@@ -361,22 +335,8 @@ class ShmSlot:
         )
         self.process.start()
         worker_pipe.close()  # the child holds its own handle now
-        alive = self.process.is_alive
-        self._request = _RingChannel(
-            ShmRing(self._shm, 0, capacity, wiring.request_lock),
-            wiring.request_data,
-            wiring.request_space,
-            coordinator_pipe,
-            alive=alive,
-            peer=f"worker {index}",
-        )
-        self._response = _RingChannel(
-            ShmRing(self._shm, ring_span, capacity, wiring.response_lock),
-            wiring.response_data,
-            wiring.response_space,
-            coordinator_pipe,
-            alive=alive,
-            peer=f"worker {index}",
+        self._request, self._response = wiring.channels(
+            self._shm, coordinator_pipe, self.process.is_alive, f"worker {index}"
         )
         self._shipper = DeltaShipper()
         self._results = ResultDecoder(f"shared-memory worker {index}")
@@ -402,7 +362,7 @@ class ShmSlot:
         return outcome
 
     def _send(self, kind: int, body: bytes) -> None:
-        if not self._request._ring.fits(1 + len(body)):
+        if not self._request.ring.fits(1 + len(body)):
             self.stats.oversizes += 1
         self._request.send(kind, body)
         self.stats.bytes_out += 1 + len(body)

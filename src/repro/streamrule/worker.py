@@ -78,12 +78,6 @@ class WorkerServer:
             host, port = server.address
             ...
 
-    ``protocol_version`` can be overridden to simulate a mismatched
-    deployment in tests, and ``read_ahead`` bounds how many frames each
-    connection receives and decodes ahead of its evaluation loop (the
-    server half of connection pipelining -- see
-    :func:`~repro.streamrule.net.serve_worker_connection`).
-
     Hardening knobs (both optional, see ``docs/deployment-security.md``):
     ``ssl_context`` TLS-wraps every accepted connection (a plaintext
     client then fails its handshake instead of talking to the reasoner),
@@ -95,15 +89,11 @@ class WorkerServer:
         host: str = "127.0.0.1",
         port: int = 0,
         *,
-        protocol_version: Optional[int] = None,
-        read_ahead: int = 8,
         ssl_context: Optional[ssl.SSLContext] = None,
         auth_token: Optional[str] = None,
     ):
         self.host = host
         self.port = port
-        self.protocol_version = protocol_version
-        self.read_ahead = read_ahead
         self.ssl_context = ssl_context
         self.auth_token = auth_token
         self._listener: Optional[socket.socket] = None
@@ -219,18 +209,18 @@ class WorkerServer:
                 with self._lock:
                     if accepted in self._connections:
                         self._connections[self._connections.index(accepted)] = connection
-            record = serve_worker_connection(
-                connection,
-                read_ahead=self.read_ahead,
-                auth_token=self.auth_token,
-                **({"protocol_version": self.protocol_version} if self.protocol_version is not None else {}),
-            )
-            if record.rejected:
-                logger.warning("connection from %s:%s rejected: %s", peer[0], peer[1], record.rejected)
+            served = serve_worker_connection(connection, auth_token=self.auth_token)
+            if served.rejected:
+                logger.warning("connection from %s:%s rejected: %s", peer[0], peer[1], served.rejected)
+            elif served.violation:
+                logger.warning(
+                    "connection from %s:%s dropped after %d items on a protocol violation: %s",
+                    peer[0], peer[1], served.items, served.violation,
+                )
             else:
                 logger.info(
                     "connection from %s:%s closed after %d items (%d symbol frames, %d pings)",
-                    peer[0], peer[1], record.items, record.symbols, record.pings,
+                    peer[0], peer[1], served.items, served.symbols, served.pings,
                 )
         finally:
             with self._lock:
@@ -362,14 +352,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         help="address to listen on (port 0 binds an ephemeral port; default 127.0.0.1:0)",
     )
     parser.add_argument(
-        "--read-ahead",
-        type=int,
-        default=8,
-        metavar="N",
-        help="frames each connection receives and decodes ahead of its evaluation loop "
-        "(bounds per-connection memory; 1 disables read-ahead; default 8)",
-    )
-    parser.add_argument(
         "--tls-cert",
         metavar="PEM",
         help="serve TLS with this certificate chain (requires --tls-key unless the key is in the same file)",
@@ -403,8 +385,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         stream=sys.stderr,
         format="%(asctime)s %(name)s %(levelname)s %(message)s",
     )
-    if arguments.read_ahead < 1:
-        parser.error("--read-ahead must be at least 1")
     if arguments.tls_key and not arguments.tls_cert:
         parser.error("--tls-key requires --tls-cert")
     if arguments.announce_interval <= 0:
@@ -419,7 +399,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     server = WorkerServer(
         arguments.listen[0],
         arguments.listen[1],
-        read_ahead=arguments.read_ahead,
         ssl_context=ssl_context,
         auth_token=arguments.auth_token,
     )

@@ -17,8 +17,11 @@ import struct
 import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
+from unittest import mock
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.asp.syntax.atoms import Atom
 from repro.asp.syntax.parser import parse_program
@@ -33,12 +36,14 @@ from repro.streamrule.errors import BackendConnectionError, BackendError, Handsh
 from repro.streamrule.fleet import WorkerEndpoint, WorkerFleet
 from repro.streamrule.net import (
     MAGIC,
+    MAX_FRAME_BYTES,
     PROTOCOL_VERSION,
     DeltaDecoder,
     DeltaShipper,
     FrameKind,
     FrameParser,
     ResultDecoder,
+    ServerConnection,
     WorkerClient,
     apply_id_runs,
     connect_with_backoff,
@@ -54,6 +59,7 @@ from repro.streamrule.session import StreamSession
 from repro.streamrule.work import WorkItem
 from repro.streamrule.worker import WorkerServer, parse_listen_address
 from tests.conftest import make_atom
+from tests.streamrule.test_protocol_core import ScriptedServer
 
 CHOICE_PROGRAM = """\
 picked(X) :- item(X), not dropped(X).
@@ -334,18 +340,18 @@ class TestDataPlaneWire:
 # --------------------------------------------------------------------------- #
 class TestHandshake:
     def test_version_mismatch_is_refused_with_both_versions(self):
-        with WorkerServer(protocol_version=99) as server:
+        with ScriptedServer(_VERSION_99_REJECT, None) as server:
             with pytest.raises(HandshakeError) as outcome:
                 WorkerClient(server.address, choice_payload(), attempts=1)
             message = str(outcome.value)
             assert "99" in message and str(PROTOCOL_VERSION) in message
 
     def test_mismatched_client_does_not_kill_the_server(self):
-        with WorkerServer(protocol_version=99) as server:
-            with pytest.raises(HandshakeError):
-                WorkerClient(server.address, choice_payload(), attempts=1)
-            assert server.running
         with WorkerServer() as server:
+            with socket.create_connection(server.address, timeout=10.0) as version_99_client:
+                version_99_client.sendall(MAGIC + frame_bytes(FrameKind.HELLO, _compact_json({"protocol": 99})))
+                assert recv_frame(version_99_client) == (FrameKind.REJECT, _reject_payload("protocol version mismatch"))
+            assert server.running
             with WorkerClient(server.address, choice_payload(), attempts=1) as client:
                 assert client.submit_item(work_item()).answers
 
@@ -389,6 +395,10 @@ def _reject_payload(reason):
     return _compact_json({"protocol": PROTOCOL_VERSION, "reason": reason})
 
 
+#: What a protocol-99 daemon answers this client's ``HELLO`` with.
+_VERSION_99_REJECT = (FrameKind.REJECT, _compact_json({"protocol": 99, "reason": "protocol version mismatch"}))
+
+
 def _reasoner_refusal(payload, reason):
     """A REASONER the daemon cannot rebuild: WELCOME, then REJECT naming the cause."""
     reason = f"invalid reasoner: {reason}"
@@ -404,8 +414,8 @@ def _reasoner_refusal(payload, reason):
 _PICKLED_REASONER = _pickled(["item"])
 
 
-#: The server's refusals: (client bytes, serve_worker_connection keywords,
-#: ServedConnection.rejected, kinds of the frames the server sends before it
+#: The server's refusals: (client bytes, ServerConnection keywords,
+#: ServerConnection.rejected, kinds of the frames the server sends before it
 #: closes, the REJECT payload or None for a silent close).
 REFUSALS = {
     "bad magic": (b"XXXX", {}, "bad magic", [], None),
@@ -485,29 +495,59 @@ REFUSALS = {
         [FrameKind.WELCOME],
         None,
     ),
+    "unknown frame kind during the handshake": (
+        MAGIC + struct.pack(">IB", 0, 200), {}, "unknown frame kind 200", [], None,
+    ),
+    "oversized frame during the handshake": (
+        MAGIC + frame_bytes(FrameKind.HELLO, _json_hello()) + struct.pack(">IB", MAX_FRAME_BYTES + 1, FrameKind.REASONER),
+        {},
+        f"frame of {MAX_FRAME_BYTES + 1} bytes exceeds the {MAX_FRAME_BYTES}-byte bound",
+        [FrameKind.WELCOME],
+        None,
+    ),
 }
 
 
-class TestServerRefusals:
-    """Every way ``serve_worker_connection`` refuses a peer, pinned to the byte."""
+def serve_over_a_socket(sent, **keywords):
+    """Serve ``sent`` with the daemon's socket driver; returns (record, bytes the server sent)."""
+    client, server = socket.socketpair()
+    try:
+        client.settimeout(10.0)
+        client.sendall(sent)
+        with ThreadPoolExecutor(max_workers=1) as pool:
+            served = pool.submit(serve_worker_connection, server, **keywords)
+            received = b""
+            while chunk := client.recv(65536):
+                received += chunk
+            record = served.result(timeout=10.0)
+    finally:
+        client.close()
+        server.close()
+    return record, received
 
+
+def serve_without_a_socket(sent, **keywords):
+    """Feed ``sent`` to a bare ``ServerConnection``; returns it and the bytes of its replies."""
+    connection = ServerConnection(**keywords)
+    replies = connection.receive_data(sent)
+    return connection, b"".join(frame_bytes(*connection.respond(reply)) for reply in replies)
+
+
+#: The two ways a server test is run: through the TCP daemon's driver, and
+#: against the protocol core directly.
+SERVE = {"socket": serve_over_a_socket, "sans-io": serve_without_a_socket}
+
+
+class TestServerRefusals:
+    """Every way the server refuses a peer, pinned to the byte."""
+
+    @pytest.mark.parametrize("serve", sorted(SERVE))
     @pytest.mark.parametrize("case", sorted(REFUSALS))
-    def test_refusal(self, case):
+    def test_refusal(self, case, serve):
         sent, keywords, rejected, kinds, reject_payload = REFUSALS[case]
-        client, server = socket.socketpair()
-        try:
-            client.settimeout(10.0)
-            client.sendall(sent)
-            with ThreadPoolExecutor(max_workers=1) as pool:
-                served = pool.submit(serve_worker_connection, server, **keywords)
-                received = b""
-                while chunk := client.recv(65536):
-                    received += chunk
-                record = served.result(timeout=10.0)
-        finally:
-            client.close()
-            server.close()
+        record, received = SERVE[serve](sent, **keywords)
         frames = list(FrameParser().feed(received))
+        assert record.closed and record.violation is None
         assert record.rejected == rejected
         assert [kind for kind, _ in frames] == kinds
         if reject_payload is not None:
@@ -527,34 +567,125 @@ MALFORMED_FRAMES = {
 }
 
 
+def _handshake():
+    """A client's bytes up to ``READY``: magic, ``HELLO``, ``REASONER``."""
+    return MAGIC + frame_bytes(FrameKind.HELLO, _json_hello()) + frame_bytes(FrameKind.REASONER, choice_payload())
+
+
 class TestMalformedDataFrames:
     """A malformed data frame gets one failed RESULT, then the server closes."""
 
+    @pytest.mark.parametrize("serve", sorted(SERVE))
     @pytest.mark.parametrize("case", sorted(MALFORMED_FRAMES))
-    def test_server_reports_and_closes(self, case):
-        client, server = socket.socketpair()
-        try:
-            client.settimeout(10.0)
-            client.sendall(
-                MAGIC
-                + frame_bytes(FrameKind.HELLO, _json_hello())
-                + frame_bytes(FrameKind.REASONER, choice_payload())
-                + frame_bytes(*MALFORMED_FRAMES[case])
-            )
-            with ThreadPoolExecutor(max_workers=1) as pool:
-                served = pool.submit(serve_worker_connection, server)
-                received = b""
-                while chunk := client.recv(65536):
-                    received += chunk
-                record = served.result(timeout=10.0)
-        finally:
-            client.close()
-            server.close()
+    def test_server_reports_and_closes(self, case, serve):
+        record, received = SERVE[serve](_handshake() + frame_bytes(*MALFORMED_FRAMES[case]))
         frames = list(FrameParser().feed(received))
         assert [kind for kind, _ in frames] == [FrameKind.WELCOME, FrameKind.READY, FrameKind.RESULT]
         assert record.items == 0 and record.rejected is None
+        assert record.closed and record.violation is None
         failure = ResultDecoder("worker").decode(frames[-1][1])
         assert type(failure) is BackendError and str(failure).startswith("worker failed: ProtocolError: undecodable")
+
+
+#: Frames the protocol does not allow after ``READY``: (the frame's bytes,
+#: ServerConnection.violation).  The server drops the connection without a
+#: word, as during the handshake, but names the violation in its record.
+VIOLATIONS = {
+    "HELLO after READY": (frame_bytes(FrameKind.HELLO, _json_hello()), "unexpected HELLO frame after READY"),
+    "client-sent RESULT": (frame_bytes(FrameKind.RESULT, b"\x00"), "unexpected RESULT frame after READY"),
+    "kind 200": (struct.pack(">IB", 0, 200), "unknown frame kind 200"),
+}
+
+
+class TestViolationsAfterReady:
+    @pytest.mark.parametrize("serve", sorted(SERVE))
+    @pytest.mark.parametrize("case", sorted(VIOLATIONS))
+    def test_server_names_the_violation_and_closes(self, case, serve):
+        sent, violation = VIOLATIONS[case]
+        # A PING ahead of the violation is still answered.
+        record, received = SERVE[serve](_handshake() + frame_bytes(FrameKind.PING) + sent)
+        frames = list(FrameParser().feed(received))
+        assert [kind for kind, _ in frames] == [FrameKind.WELCOME, FrameKind.READY, FrameKind.PONG]
+        assert record.closed and record.pings == 1 and record.items == 0
+        assert record.violation == violation and record.rejected is None
+
+    @pytest.mark.parametrize(
+        "ready, message",
+        [
+            (False, "rejected: unknown frame kind 200"),
+            (True, "dropped after 0 items on a protocol violation: unknown frame kind 200"),
+        ],
+        ids=["handshake", "after-ready"],
+    )
+    def test_the_daemon_logs_a_violation_as_a_warning(self, ready, message, caplog):
+        sent = (_handshake() if ready else MAGIC) + struct.pack(">IB", 0, 200)
+        with caplog.at_level("INFO", logger="repro.streamrule.worker"), WorkerServer() as server:
+            with socket.create_connection(server.address, timeout=10.0) as client:
+                client.sendall(sent)
+                while client.recv(65536):
+                    pass
+            deadline = time.monotonic() + 10.0
+            while time.monotonic() < deadline and not any(message in r.getMessage() for r in caplog.records):
+                time.sleep(0.01)
+        [record] = [record for record in caplog.records if message in record.getMessage()]
+        assert record.levelname == "WARNING"
+        assert not any("closed after" in r.getMessage() for r in caplog.records)
+
+
+# --------------------------------------------------------------------------- #
+# The server core without a socket: any bytes, at any stage
+# --------------------------------------------------------------------------- #
+def _stages():
+    """(client bytes, keywords) bringing a server to each handshake stage, then the refusal table's."""
+    hello = MAGIC + frame_bytes(FrameKind.HELLO, _json_hello())
+    stages = [(b"", {}), (MAGIC, {}), (hello, {}), (hello, {"auth_token": "secret"}), (_handshake(), {})]
+    return stages + [(REFUSALS[case][0], REFUSALS[case][1]) for case in sorted(REFUSALS)]
+
+
+STAGES = _stages()
+
+hostile_frames = st.lists(
+    st.one_of(
+        st.tuples(st.sampled_from(list(FrameKind)), st.binary(max_size=48)).map(lambda frame: frame_bytes(*frame)),
+        st.sampled_from([frame_bytes(*frame) for frame in MALFORMED_FRAMES.values()]),
+        st.sampled_from([frame for frame, _ in VIOLATIONS.values()]),
+        st.sampled_from([frame_bytes(FrameKind.PING), frame_bytes(FrameKind.WORK, _NO_RUNS)]),  # an empty window
+        st.binary(max_size=16),  # torn headers, stray bytes
+    ),
+    max_size=8,
+)
+
+
+class TestServerCoreProperty:
+    @given(stage=st.sampled_from(range(len(STAGES))), tail=hostile_frames, cuts=st.lists(st.integers(0, 512), max_size=6))
+    @settings(max_examples=300, deadline=None)
+    def test_any_bytes_end_in_a_reject_a_failed_result_or_a_named_violation(self, stage, tail, cuts):
+        prefix, keywords = STAGES[stage]
+        stream = prefix + b"".join(tail)
+        bounds = sorted({0, len(stream), *(cut for cut in cuts if cut < len(stream))})
+        unpickled = []
+        with mock.patch.object(pickle, "loads", side_effect=lambda *a, **k: unpickled.append(a) or 1 / 0):
+            connection = ServerConnection(**keywords)
+            replies = []
+            for start, end in zip(bounds, bounds[1:]):
+                replies += [connection.respond(reply) for reply in connection.receive_data(stream[start:end])]
+        assert unpickled == []
+        # One reply per frame at most, each small: the peer cannot make the server amplify.
+        assert len(replies) <= len(stream) // 5
+        assert all(len(payload) <= 4096 for _, payload in replies)
+        kinds = [kind for kind, _ in replies]
+        failed = [payload[:1] == b"\x01" for kind, payload in replies if kind is FrameKind.RESULT]
+        if not connection.closed:  # a failed RESULT here is an evaluation error: the connection survives it
+            assert connection.rejected is None and connection.violation is None
+            assert set(kinds) <= {FrameKind.WELCOME, FrameKind.READY, FrameKind.RESULT, FrameKind.PONG}
+            return
+        if kinds and kinds[-1] is FrameKind.REJECT:
+            assert connection.rejected and FrameKind.REJECT not in kinds[:-1]
+        elif failed and failed[-1] and kinds[-1] is FrameKind.RESULT:
+            assert connection.rejected is None and connection.violation is None
+        else:
+            assert (connection.rejected is None) != (connection.violation is None)
+        assert connection.receive_data(b"".join(tail) or frame_bytes(FrameKind.PING)) == []  # closed stays closed
 
 
 # --------------------------------------------------------------------------- #
@@ -706,8 +837,7 @@ class TestWorkerDeath:
             with StreamSession(choice_reasoner(), backend=backend, inline_fallback=False) as session:
                 session.evaluate_window([make_atom("item", 1)])
                 first.stop()
-                imposter = WorkerServer(port=first_port, protocol_version=99)
-                imposter.start()
+                imposter = ScriptedServer(_VERSION_99_REJECT, None, port=first_port)
                 result = session.evaluate_window([make_atom("item", 2)])
                 assert result.answers  # rerouted to the survivor
                 assert [str(e) for e in backend.fleet.alive_endpoints] == [
@@ -717,7 +847,7 @@ class TestWorkerDeath:
             first.stop()
             second.stop()
             if imposter is not None:
-                imposter.stop()
+                imposter.__exit__()
 
     def test_heartbeat_discovers_a_dead_worker_between_windows(self):
         first, second = WorkerServer(), WorkerServer()

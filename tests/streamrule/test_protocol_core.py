@@ -453,12 +453,14 @@ class ScriptedServer:
 
     Each connection gets ``hello_answer`` after its ``HELLO``,
     ``reasoner_answer`` after its ``REASONER`` and ``work_answer`` after
-    its first ``WORK``; ``None`` hangs up instead.
+    its first ``WORK``; ``None`` hangs up instead.  ``port`` 0 binds an
+    ephemeral port; a given one lets the script stand in for a worker that
+    was restarted on its old address.
     """
 
-    def __init__(self, hello_answer, reasoner_answer, work_answer=None):
+    def __init__(self, hello_answer, reasoner_answer, work_answer=None, port=0):
         self._answers = (hello_answer, reasoner_answer, work_answer)
-        self._listener = socket.create_server(("127.0.0.1", 0))
+        self._listener = socket.create_server(("127.0.0.1", port))
         self.address = self._listener.getsockname()[:2]
         self._thread = threading.Thread(target=self._serve, daemon=True)
         self._thread.start()

@@ -222,5 +222,24 @@ class TestSharedMemoryBackend:
             assert session.fallbacks > 0
         assert {frozenset(a) for a in healthy.answers} == {frozenset(a) for a in degraded.answers}
 
+    def test_an_undecodable_message_is_reported_then_the_worker_exits(self):
+        """A malformed WORK message gets the TCP daemon's answer: a failed RESULT, then close."""
+        backend = SharedMemoryBackend(max_workers=1)
+        window = [make_atom("item", index) for index in range(4)]
+        with StreamSession(choice_reasoner(), backend=backend) as session:
+            healthy = session.evaluate_window(window)
+            slot = backend.slots[0]
+            slot._shipper.encode_frames = lambda item: [(FrameKind.WORK, b"\x00" * 5)]  # a short WORK header
+            with pytest.raises(BackendError) as raised:
+                session.evaluate_window(window)
+            assert type(raised.value) is BackendError  # reported, not a connection error
+            assert str(raised.value).startswith("shared-memory worker 0 failed: ProtocolError: undecodable WORK frame")
+            slot.process.join(timeout=10.0)
+            assert not slot.process.is_alive()
+            del slot._shipper.encode_frames
+            degraded = session.evaluate_window(window)
+            assert session.fallbacks == 1
+        assert {frozenset(a) for a in healthy.answers} == {frozenset(a) for a in degraded.answers}
+
     def test_default_ring_capacity_is_sensible(self):
         assert SharedMemoryBackend().ring_capacity == DEFAULT_RING_CAPACITY
