@@ -6,7 +6,8 @@ interned symbol ids (see ``docs/shared-memory.md``):
 
 1. it starts a :class:`SharedMemoryBackend` -- one spawned worker process
    per slot, each reached through a pair of byte rings in a
-   ``multiprocessing.shared_memory`` segment,
+   ``multiprocessing.shared_memory`` segment that carry the TCP wire's
+   byte stream, handshake included,
 2. streams the paper's synthetic traffic workload through a
    :class:`StreamSession` whose sliding windows are partitioned with
    Algorithm 1; after the first window the facts are all interned, so the
@@ -15,8 +16,9 @@ interned symbol ids (see ``docs/shared-memory.md``):
 3. kills one worker process halfway through the stream to show the
    session degrading that partition to inline evaluation (answers stay
    exact; ``session.fallbacks`` counts the windows that needed it),
-4. and prints the ring statistics: symbol syncs per direction, bytes
-   through the rings, and oversize side-door trips.
+4. and prints the ring statistics, under the TCP backend's key names:
+   work items, symbol-sync bytes, and the share of items shipped as a
+   delta over their track's previous window.
 
 Run with:  python examples/shared_memory.py [--windows 6] [--window-size 600]
 """
@@ -74,7 +76,7 @@ def main() -> None:
                 if kill_at is not None and produced == kill_at:
                     print("  !! killing worker process 0 mid-stream")
                     backend.drop_worker(0)
-                alive = int(backend.shm_statistics().get("alive_workers", 0))
+                alive = int(backend.transport_statistics().get("alive_workers", 0))
                 print(
                     f"{solution.window_index:>6}  {len(solution.solution_triples):>6}  "
                     f"{solution.metrics.latency_milliseconds:>10.1f}  "
@@ -83,16 +85,17 @@ def main() -> None:
         session.finish()
         fallbacks = session.fallbacks
 
-    stats = backend.shm_statistics()
+    stats = backend.transport_statistics()
+    items = int(stats["items_full"] + stats["items_delta"])
     print()
     print("ring statistics:")
-    print(f"  items through the rings: {int(stats['items'])}")
+    print(f"  items through the rings: {items}")
     print(
-        f"  symbol syncs: {int(stats['symbols_out'])} "
+        f"  symbol syncs: {int(stats['symbol_frames'])} frames, {stats['bytes_symbols'] / 1024:.1f} KiB "
         "(steady-state windows ship ids only)"
     )
+    print(f"  delta share: {stats['items_delta'] / max(items, 1):.0%} of items reused their track's previous ids")
     print(f"  ring bytes: {stats['bytes_out'] / 1024:.1f} KiB out, {stats['bytes_in'] / 1024:.1f} KiB in")
-    print(f"  oversize side-door trips: {int(stats['oversizes'])}")
     print(f"  inline fallbacks after the kill: {fallbacks}")
 
 

@@ -49,15 +49,16 @@ import ssl
 import threading
 import weakref
 from concurrent.futures import Future, ThreadPoolExecutor
+from dataclasses import asdict
 from typing import Any, Dict, List, Optional, Sequence, Tuple, Union
 
 from repro.streamrule.errors import BackendConnectionError, BackendError
 from repro.streamrule.fleet import EndpointLike, FleetRegistry, WorkerEndpoint, WorkerFleet
 from repro.streamrule.codec import encode_reasoner_spec
-from repro.streamrule.net import ConnectionSettings
+from repro.streamrule.net import ConnectionSettings, WireStats
 from repro.streamrule.placement import PinnedPlacement, PlacementStrategy
 from repro.streamrule.reasoner import Reasoner, ReasonerResult
-from repro.streamrule.shm import DEFAULT_RING_CAPACITY, ShmSlot, ShmSlotStats
+from repro.streamrule.shm import ShmSlot
 from repro.streamrule.work import WorkItem
 
 __all__ = [
@@ -205,10 +206,9 @@ class ExecutionBackend(abc.ABC):
 
         In-process backends have no transport and return ``{}``; the TCP
         backend answers with its :meth:`TcpBackend.wire_statistics` and the
-        shared-memory backend with its
-        :meth:`SharedMemoryBackend.shm_statistics`.  The uniform spelling is
-        what the query server's metrics endpoint exports, whatever backend
-        it happens to run on.
+        shared-memory backend with the same :class:`WireStats` keys.  The
+        uniform spelling is what the query server's metrics endpoint
+        exports, whatever backend it happens to run on.
         """
         return {}
 
@@ -533,9 +533,10 @@ class SharedMemoryBackend(ExecutionBackend):
     (``spawn``-started) processes, each rebuilding the reasoner from its text
     spec (as a TCP worker does) and evaluating :class:`WorkItem`\\ s, and dispatch
     crosses the process boundary through a pair of shared-memory rings per
-    slot (see :mod:`repro.streamrule.shm`), carrying the TCP wire's own
-    ``SYMBOLS``/``WORK``/``RESULT`` messages: facts and answers travel as
-    interned u32 ids against per-direction synced
+    slot (see :mod:`repro.streamrule.shm`), one byte stream carrying the TCP
+    wire itself -- a :class:`~repro.streamrule.net.WorkerClient` talks to
+    the daemon's own connection driver, handshake included: facts and
+    answers travel as interned u32 ids against per-direction synced
     :class:`~repro.asp.syntax.symbols.SymbolTable` replicas, written
     straight into ``/dev/shm``, with no pickling of atoms in either
     direction.
@@ -552,16 +553,9 @@ class SharedMemoryBackend(ExecutionBackend):
     uses_placement = True
     pipelined = True
 
-    def __init__(
-        self,
-        max_workers: Optional[int] = None,
-        placement: Optional[PlacementStrategy] = None,
-        *,
-        ring_capacity: int = DEFAULT_RING_CAPACITY,
-    ):
+    def __init__(self, max_workers: Optional[int] = None, placement: Optional[PlacementStrategy] = None):
         super().__init__(placement)
         self.max_workers = max_workers
-        self.ring_capacity = ring_capacity
         self._slots: Optional[List[ShmSlot]] = None
         self._dispatchers: Optional[List[ThreadPoolExecutor]] = None
         self._finalizer: Optional[weakref.finalize] = None
@@ -575,7 +569,15 @@ class SharedMemoryBackend(ExecutionBackend):
     def _start(self, reasoner: Reasoner) -> None:
         workers = self.max_workers or os.cpu_count() or 1
         payload = encode_reasoner_spec(reasoner)
-        slots = [ShmSlot(index, payload, capacity=self.ring_capacity) for index in range(workers)]
+        slots: List[ShmSlot] = []
+        try:
+            slots.extend(ShmSlot(index) for index in range(workers))
+            for slot in slots:  # every worker is spawned before the first handshake waits on one
+                slot.open(payload)
+        except BaseException:
+            for slot in slots:
+                slot.close()
+            raise
         self._slots = slots
         self._dispatchers = [
             ThreadPoolExecutor(max_workers=1, thread_name_prefix=f"shm-dispatch-{slot.index}")
@@ -589,7 +591,9 @@ class SharedMemoryBackend(ExecutionBackend):
         self._require_started()
         assert self._slots is not None and self._dispatchers is not None
         slot = self.placement.slot(item, len(self._slots))
-        return self._dispatchers[slot].submit(self._slots[slot].roundtrip, item)
+        client = self._slots[slot].client
+        assert client is not None
+        return self._dispatchers[slot].submit(client.submit_item, item)
 
     def drop_worker(self, slot: int = 0) -> None:
         """Fault injection: hard-kill one slot's worker process."""
@@ -598,31 +602,25 @@ class SharedMemoryBackend(ExecutionBackend):
         self._slots[slot].kill()
 
     def transport_statistics(self) -> Dict[str, float]:
-        """The ring counters (the uniform transport spelling)."""
-        return self.shm_statistics()
-
-    def shm_statistics(self) -> Dict[str, float]:
-        """Ring traffic counters summed over the slots.
+        """The slots' :class:`WireStats` summed, under the TCP fleet's key names, plus ``alive_workers``.
 
         After ``close`` this keeps answering with the final snapshot, so
         benchmarks can report traffic once the session is torn down.
         """
         if self._slots is None:
             return dict(self._final_stats)
-        totals = ShmSlotStats()
+        totals = WireStats()
         for slot in self._slots:
             totals = totals.merged_with(slot.stats)
-        return {
-            "items": float(totals.items),
-            "symbols_out": float(totals.symbols_out),
-            "bytes_out": float(totals.bytes_out),
-            "bytes_in": float(totals.bytes_in),
-            "oversizes": float(totals.oversizes),
-            "alive_workers": float(sum(1 for slot in self._slots if slot.process.is_alive())),
+        counters = {
+            **asdict(totals),
+            "bytes_out": totals.bytes_out,
+            "alive_workers": sum(1 for slot in self._slots if slot.process.is_alive()),
         }
+        return {name: float(value) for name, value in counters.items()}
 
     def _close(self) -> None:
-        self._final_stats = self.shm_statistics()
+        self._final_stats = self.transport_statistics()
         finalizer, self._finalizer = self._finalizer, None
         self._dispatchers = None
         self._slots = None

@@ -20,22 +20,25 @@ Layout
   :class:`FrameParser`), JSON control frames.
 * **The data plane** -- :class:`DeltaShipper` / :class:`DeltaDecoder` for
   ``SYMBOLS`` + ``WORK`` frames and :class:`ResultEncoder` /
-  :class:`ResultDecoder` for ``RESULT`` frames.  TCP and the
-  shared-memory rings (:mod:`repro.streamrule.shm`) send exactly these
-  messages.
+  :class:`ResultDecoder` for ``RESULT`` frames.
 * **The client as a state machine** -- :class:`ClientConnection`:
   everything a coordinator must *know* to talk SRW1 (handshake and its
   error taxonomy, the frames of an item with their
   :class:`WireStats`, the ticket FIFO), with no socket, lock, thread or
   event loop in it.
 * **Two I/O drivers of that state machine** -- :class:`WorkerClient` here
-  (blocking sockets, threads) and ``AsyncWorkerClient`` in
+  (blocking streams, threads) and ``AsyncWorkerClient`` in
   :mod:`repro.streamrule.aio` (asyncio streams).  They dial, move bytes
   and wait; neither knows a frame kind beyond ``PING``.
 * **The server as a state machine** -- :class:`ServerConnection` (the
   handshake and its refusals, the data plane, ``PING``, the served
-  counters), driven by :func:`serve_worker_connection` here (blocking
-  socket) and by the shared-memory worker in :mod:`repro.streamrule.shm`.
+  counters), driven by :func:`serve_worker_connection` (blocking stream).
+
+The blocking drivers need only a :class:`ByteStream` -- ``recv``,
+``sendall`` and ``close``, failing with :class:`OSError`.  A TCP socket is
+one; the shared-memory byte stream of :mod:`repro.streamrule.shm` is the
+other, so the same :class:`WorkerClient` and :func:`serve_worker_connection`
+run over both carriers, handshake included.
 
 A new frame kind is therefore added in :class:`FrameKind`,
 :class:`ClientConnection` and :class:`ServerConnection` (plus
@@ -113,7 +116,7 @@ import time
 from collections import deque
 from contextlib import contextmanager
 from dataclasses import astuple, dataclass
-from typing import Any, Callable, Deque, Dict, Iterator, List, Mapping, Optional, Sequence, Tuple, Union
+from typing import Any, Callable, Deque, Dict, Iterator, List, Mapping, Optional, Protocol, Sequence, Tuple, Union
 
 from repro.asp.syntax.atoms import Atom
 from repro.asp.syntax.symbols import SymbolTable, pack_ids, unpack_ids
@@ -134,6 +137,7 @@ from repro.streamrule.reasoner import ReasonerResult
 from repro.streamrule.work import WorkItem
 
 __all__ = [
+    "ByteStream",
     "DeltaDecoder",
     "DeltaShipper",
     "FrameKind",
@@ -196,6 +200,20 @@ class FrameKind(enum.IntEnum):
 # --------------------------------------------------------------------------- #
 # Framing primitives
 # --------------------------------------------------------------------------- #
+class ByteStream(Protocol):
+    """What the blocking drivers read and write: a connected socket, or any stream shaped like one.
+
+    ``recv`` blocks until it has at least one byte and returns ``b""`` at
+    end of stream; a broken stream raises :class:`OSError`.
+    """
+
+    def recv(self, __bufsize: int) -> bytes: ...
+
+    def sendall(self, __data: bytes) -> None: ...
+
+    def close(self) -> None: ...
+
+
 def frame_bytes(kind: FrameKind, payload: bytes = b"") -> bytes:
     """One ``length | kind | payload`` frame as it appears on the wire."""
     return _FRAME_HEADER.pack(len(payload), kind) + payload
@@ -242,12 +260,12 @@ class FrameParser:
             yield kind, payload
 
 
-def send_frame(connection: socket.socket, kind: FrameKind, payload: bytes = b"") -> None:
+def send_frame(connection: ByteStream, kind: FrameKind, payload: bytes = b"") -> None:
     """Write one frame with a single ``sendall``."""
     connection.sendall(frame_bytes(kind, payload))
 
 
-def recv_exactly(connection: socket.socket, count: int) -> bytes:
+def recv_exactly(connection: ByteStream, count: int) -> bytes:
     """Read exactly ``count`` bytes or raise :class:`EOFError` on a closed peer."""
     chunks = []
     while count:
@@ -259,7 +277,7 @@ def recv_exactly(connection: socket.socket, count: int) -> bytes:
     return b"".join(chunks)
 
 
-def recv_frame(connection: socket.socket) -> Tuple[FrameKind, bytes]:
+def recv_frame(connection: ByteStream) -> Tuple[FrameKind, bytes]:
     """Read one frame; returns ``(kind, payload)``."""
     length, kind = parse_frame_header(recv_exactly(connection, _FRAME_HEADER.size))
     return kind, recv_exactly(connection, length)
@@ -894,12 +912,16 @@ class ClientConnection:
     ticket queue (:meth:`expect`, :meth:`receive_frame`, :meth:`abort`).
     """
 
-    def __init__(self, address: Tuple[str, int], *, auth_token: Optional[str] = None) -> None:
+    def __init__(
+        self, address: Tuple[str, int], *, auth_token: Optional[str] = None, peer: Optional[str] = None
+    ) -> None:
         self.address = address
+        #: How failures name the worker (``worker HOST:PORT`` unless given).
+        self.peer = peer or f"worker {address[0]}:{address[1]}"
         self.stats = WireStats()
         self.closed = False
         self.shipper = DeltaShipper()
-        self._results = ResultDecoder(self._worker())
+        self._results = ResultDecoder(self.peer)
         self._auth_token = auth_token
         #: ``"welcome"`` / ``"ready"`` while that handshake answer is
         #: awaited, ``"open"`` once work frames may flow.
@@ -917,9 +939,6 @@ class ClientConnection:
         """Requests sent whose responses have not yet arrived."""
         return len(self._pending)
 
-    def _worker(self) -> str:
-        return f"worker {self.address[0]}:{self.address[1]}"
-
     # -- handshake ------------------------------------------------------- #
     def open(self, reasoner_payload: bytes) -> List[bytes]:
         """The opening chunks: ``MAGIC``, then a ``HELLO`` naming the protocol.
@@ -936,7 +955,7 @@ class ClientConnection:
         nonce = welcome.get("nonce")
         if nonce is not None:
             if not self._auth_token:
-                raise HandshakeError(f"{self._worker()} requires token auth and this client has no token")
+                raise HandshakeError(f"{self.peer} requires token auth and this client has no token")
             mac = auth_mac(self._auth_token, str(nonce))
             chunks.append(frame_bytes(FrameKind.AUTH, dumps_json({"mac": mac})))
         chunks.append(frame_bytes(FrameKind.REASONER, self._reasoner_payload))
@@ -947,7 +966,7 @@ class ClientConnection:
         if kind is FrameKind.REJECT:
             reject = loads_json(payload)
             raise HandshakeError(
-                f"{self._worker()} rejected the handshake: {reject.get('reason', 'unspecified')}"
+                f"{self.peer} rejected the handshake: {reject.get('reason', 'unspecified')}"
             )
         if kind is not FrameKind.READY:
             raise ProtocolError(f"expected READY, got {kind.name}")
@@ -1089,8 +1108,8 @@ Reply = Union[Tuple[FrameKind, bytes], WorkItem]
 class ServerConnection:
     """The server half of one SRW1 connection as a pure state machine.
 
-    Bytes (:meth:`receive_data`) or ready-cut frames (:meth:`receive_frame`)
-    in, :data:`Reply` values out; no socket, thread, queue or ring.  It owns
+    Bytes (:meth:`receive_data`) in, :data:`Reply` values out; no socket,
+    thread or queue.  It owns
     the ``MAGIC`` .. ``READY`` handshake and every refusal it can make, the
     :class:`DeltaDecoder` (advanced in receive order), the
     :class:`ResultEncoder` and failure envelope (advanced in evaluation
@@ -1124,15 +1143,7 @@ class ServerConnection:
         self._decoder = DeltaDecoder()
         self._results = ResultEncoder()
 
-    @classmethod
-    def installed(cls, reasoner_payload: bytes) -> "ServerConnection":
-        """A connection with no handshake, its ``REASONER`` spec handed over out of band."""
-        connection = cls()
-        connection._stage = "reasoner"
-        connection.receive_frame(FrameKind.REASONER, reasoner_payload)
-        return connection
-
-    # -- bytes and frames in ---------------------------------------------- #
+    # -- bytes in --------------------------------------------------------- #
     def receive_data(self, data: bytes) -> List[Reply]:
         """Advance by bytes off a stream (``MAGIC`` first, then frames, however chunked).
 
@@ -1152,15 +1163,14 @@ class ServerConnection:
             self._stage, data = "hello", data[len(MAGIC) :]
         try:
             for kind, payload in self._parser.feed(data):
-                replies += self.receive_frame(kind, payload)
+                replies += self._on_frame(kind, payload)
                 if self.closed:
                     break  # before the parser reads, let alone judges, another header
         except ProtocolError as error:
             replies += self._drop(str(error))
         return replies
 
-    def receive_frame(self, kind: FrameKind, payload: bytes) -> List[Reply]:
-        """Advance by one frame (a transport that frames messages itself calls this); not once closed."""
+    def _on_frame(self, kind: FrameKind, payload: bytes) -> List[Reply]:
         if self._stage == "open":
             return self._on_open(kind, payload)
         if self._stage == "hello":
@@ -1260,19 +1270,21 @@ class ServerConnection:
 
 
 # --------------------------------------------------------------------------- #
-# Client side, blocking sockets: the threaded driver of ClientConnection
+# Client side, blocking streams: the threaded driver of ClientConnection
 # --------------------------------------------------------------------------- #
 class WorkerClient:
-    """One handshaken connection to a worker daemon.
+    """One handshaken connection to a worker.
 
-    The blocking-socket driver of a :class:`ClientConnection` (which holds
+    The blocking-stream driver of a :class:`ClientConnection` (which holds
     the data-plane state and the :class:`WireStats` record): this class
-    only dials, moves bytes and waits.  The connection is *pipelined*: sends and receives are
+    only dials, moves bytes and waits.  It dials a TCP daemon, or
+    :meth:`over_stream` handshakes over a stream already connected (the
+    shared-memory byte stream).  The connection is *pipelined*: sends and receives are
     serialized separately, so several dispatcher threads (and the
-    heartbeat) may each have a frame outstanding on the one socket at the
+    heartbeat) may each have a frame outstanding on the one stream at the
     same time -- the worker answers strictly in request order, so responses
     are matched to callers by the FIFO ticket queue rather than by locking
-    the socket across the whole round trip.  While one caller waits out a
+    the stream across the whole round trip.  While one caller waits out a
     long evaluation, the next caller's frame is already in the worker's
     receive buffer (and, with server-side read-ahead, already decoded),
     which is what lets a pipelined session keep a remote worker saturated.
@@ -1298,17 +1310,6 @@ class WorkerClient:
         server_hostname: Optional[str] = None,
         auth_token: Optional[str] = None,
     ):
-        self._connection = ClientConnection(address, auth_token=auth_token)
-        self.address = address
-        self.stats = self._connection.stats
-        #: Serializes frame *sends* (and the shipper state, which must
-        #: advance in wire order).
-        self._send_lock = threading.Lock()
-        #: At most one thread reads the socket at a time; responses are
-        #: delivered to the head of the ticket queue.
-        self._recv_lock = threading.Lock()
-        #: Guards the ticket queue.
-        self._state_lock = threading.Lock()
         sock = connect_with_backoff(
             address,
             attempts=attempts,
@@ -1319,10 +1320,33 @@ class WorkerClient:
             ssl_context=ssl_context,
             server_hostname=server_hostname,
         )
-        self._sock: Optional[socket.socket] = sock
+        self._handshake(sock, ClientConnection(address, auth_token=auth_token), reasoner_payload)
+
+    @classmethod
+    def over_stream(
+        cls, stream: ByteStream, reasoner_payload: bytes, address: Tuple[str, int], *, peer: Optional[str] = None
+    ) -> "WorkerClient":
+        """Handshake over an already-connected ``stream``; ``peer`` names the worker in failures."""
+        client = cls.__new__(cls)
+        client._handshake(stream, ClientConnection(address, peer=peer), reasoner_payload)
+        return client
+
+    def _handshake(self, sock: ByteStream, connection: ClientConnection, reasoner_payload: bytes) -> None:
+        self._connection = connection
+        self.address = connection.address
+        self.stats = connection.stats
+        #: Serializes frame *sends* (and the shipper state, which must
+        #: advance in wire order).
+        self._send_lock = threading.Lock()
+        #: At most one thread reads the stream at a time; responses are
+        #: delivered to the head of the ticket queue.
+        self._recv_lock = threading.Lock()
+        #: Guards the ticket queue.
+        self._state_lock = threading.Lock()
+        self._sock: Optional[ByteStream] = sock
         try:
-            chunks = self._connection.open(reasoner_payload)
-            while not self._connection.is_open:
+            chunks = connection.open(reasoner_payload)
+            while not connection.is_open:
                 # Only the transport and the framing are guarded: what the
                 # frame *says* is the connection's to judge, with its own
                 # error classes.
@@ -1330,8 +1354,8 @@ class WorkerClient:
                     self._send(sock, chunks)
                     frame = recv_frame(sock)
                 except (OSError, EOFError) as error:
-                    raise self._connection.connection_lost(error) from error
-                chunks = self._connection.receive_frame(*frame)
+                    raise connection.connection_lost(error) from error
+                chunks = connection.receive_frame(*frame)
         except BaseException:
             self.close()
             raise
@@ -1345,7 +1369,7 @@ class WorkerClient:
         self.abort(self._connection.closed_error())
 
     def abort(self, cause: BaseException) -> Any:
-        """Close the socket and fail every in-flight ticket with ``cause``; returns it."""
+        """Close the stream and fail every in-flight ticket with ``cause``; returns it."""
         with self._state_lock:
             self._connection.abort(cause)
         sock, self._sock = self._sock, None
@@ -1370,7 +1394,7 @@ class WorkerClient:
             return self._connection.pending_count
 
     @staticmethod
-    def _send(sock: socket.socket, chunks: List[bytes]) -> None:
+    def _send(sock: ByteStream, chunks: List[bytes]) -> None:
         # One sendall per frame: the write pattern the tcp_fleet baseline
         # was measured with (coalescing belongs to the wire-gap change).
         for chunk in chunks:
@@ -1394,7 +1418,7 @@ class WorkerClient:
         """Block until ``ticket`` settles, receiving frames when it is our turn.
 
         The elevator pattern: whichever waiter holds the receive lock reads
-        response frames off the socket and delivers them to the head of the
+        response frames off the stream and delivers them to the head of the
         ticket queue until its own ticket settles; everyone else blocks on
         the lock and finds its ticket already settled when it gets in.
         """
@@ -1464,7 +1488,7 @@ class WorkerClient:
 
 
 # --------------------------------------------------------------------------- #
-# Server side, blocking sockets: the threaded driver of ServerConnection
+# Server side, blocking streams: the threaded driver of ServerConnection
 # --------------------------------------------------------------------------- #
 #: Replies a connection decodes ahead of its evaluation loop: enough that a
 #: pipelining coordinator's next window is decoded when the current one is
@@ -1473,13 +1497,14 @@ class WorkerClient:
 READ_AHEAD = 8
 
 
-def serve_worker_connection(connection: socket.socket, *, auth_token: Optional[str] = None) -> ServerConnection:
+def serve_worker_connection(connection: ByteStream, *, auth_token: Optional[str] = None) -> ServerConnection:
     """Serve one coordinator connection until it closes; returns its :class:`ServerConnection`.
 
-    The blocking-socket driver: a reader thread feeds the connection what
-    arrives and queues its replies, at most :data:`READ_AHEAD` ahead; this
-    thread answers them in order, one ``sendall`` per frame.  ``auth_token``
-    arms the ``AUTH`` challenge.
+    The blocking-stream driver, of a TCP daemon's socket and of a
+    shared-memory worker's byte stream alike: a reader thread feeds the
+    connection what arrives and queues its replies, at most
+    :data:`READ_AHEAD` ahead; this thread answers them in order, one
+    ``sendall`` per frame.  ``auth_token`` arms the ``AUTH`` challenge.
     """
     server = ServerConnection(auth_token=auth_token)
     replies: "queue.Queue[Optional[Reply]]" = queue.Queue(maxsize=READ_AHEAD)

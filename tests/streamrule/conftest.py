@@ -20,18 +20,21 @@ unset and the call collapses to ``{}``.
 
 Suites that want a real wire without daemons use :class:`InThreadTcpBackend`;
 given an ``auth_token`` it arms its servers with the same token, so the
-``AUTH`` handshake runs without TLS material.
+``AUTH`` handshake runs without TLS material.  Suites that want the
+shared-memory byte stream without a worker process use :func:`stream_pair`.
 """
 
 from __future__ import annotations
 
 import os
 import ssl
+import threading
 import weakref
-from typing import Any, Dict, List
+from typing import Any, Callable, Dict, List, Tuple
 
 from repro.streamrule.backends import TcpBackend
 from repro.streamrule.fleet import WorkerEndpoint
+from repro.streamrule.shm import ShmRing, ShmStream, peer_check
 from repro.streamrule.worker import WorkerServer
 
 #: The shared token of the backend matrices' ``tcp-token`` rows.
@@ -104,3 +107,23 @@ def worker_security_kwargs() -> Dict[str, Any]:
     if token:
         kwargs["auth_token"] = token
     return kwargs
+
+
+def stream_pair(capacity: int, alive: Callable[[], bool] = lambda: True) -> Tuple[ShmStream, ShmStream]:
+    """The ``(coordinator, worker)`` ends of a shared-memory byte stream, in this process.
+
+    Both rings live in one plain buffer with thread primitives: a ring does
+    not care who its writer is.  ``alive`` is each end's peer probe.
+    """
+    buffer = memoryview(bytearray(2 * (ShmRing.HEADER_BYTES + capacity)))
+    syncs = [(threading.Lock(), threading.Semaphore(0), threading.Semaphore(0)) for _ in range(2)]
+
+    def rings(peer: str) -> Tuple[ShmRing, ShmRing]:
+        check = peer_check(alive, peer)
+        return (
+            ShmRing(buffer, 0, capacity, syncs[0], check),
+            ShmRing(buffer, ShmRing.HEADER_BYTES + capacity, capacity, syncs[1], check),
+        )
+
+    (request, response), (worker_request, worker_response) = rings("worker"), rings("coordinator")
+    return ShmStream(response, request), ShmStream(worker_request, worker_response)

@@ -56,9 +56,11 @@ from repro.streamrule.net import (
 )
 from repro.streamrule.reasoner import Reasoner
 from repro.streamrule.session import StreamSession
+from repro.streamrule.shm import RING_BYTES
 from repro.streamrule.work import WorkItem
 from repro.streamrule.worker import WorkerServer, parse_listen_address
 from tests.conftest import make_atom
+from tests.streamrule.conftest import stream_pair
 from tests.streamrule.test_protocol_core import ScriptedServer
 
 CHOICE_PROGRAM = """\
@@ -536,6 +538,25 @@ def serve_without_a_socket(sent, **keywords):
 #: The two ways a server test is run: through the TCP daemon's driver, and
 #: against the protocol core directly.
 SERVE = {"socket": serve_over_a_socket, "sans-io": serve_without_a_socket}
+
+
+def serve_over_shared_memory(sent, **keywords):
+    """Serve ``sent`` with the daemon's driver over an in-process shared-memory ring pair."""
+    deadline = time.monotonic() + 10.0
+    client, server = stream_pair(RING_BYTES, alive=lambda: time.monotonic() < deadline)
+    client.sendall(sent)
+    with ThreadPoolExecutor(max_workers=1) as pool:
+        served = pool.submit(serve_worker_connection, server, **keywords)
+        received = b""
+        while chunk := client.recv(65536):
+            received += chunk
+        record = served.result(timeout=10.0)
+    client.close()
+    return record, received
+
+
+#: The third way: the same driver over the shared-memory carrier.
+SERVE["shm-stream"] = serve_over_shared_memory
 
 
 class TestServerRefusals:

@@ -67,6 +67,7 @@ class TestExamples:
         output = run_example("shared_memory.py", "--windows", "4", "--window-size", "300")
         assert "killing worker process 0 mid-stream" in output
         assert "ring statistics:" in output
+        assert "symbol syncs:" in output and "delta share:" in output  # the TCP backend's WireStats keys
         # The kill degrades partitions to inline evaluation, never wedges.
         assert "inline fallbacks after the kill: 0" not in output
         data_rows = [line for line in output.splitlines() if line.strip() and line.lstrip()[0].isdigit()]
