@@ -24,20 +24,10 @@ needs real cores, so the script prints the host's CPU count next to the
 verdict.  The acceptance bar (see ISSUE/CI): pipelined push >= 1.3x producer
 throughput over synchronous on a >= 2-worker backend.
 
-Two serving-layer sections ride along (see ``docs/async-serving.md``):
-
-* **adaptive vs fixed in-flight** -- the same stream through a deliberately
-  overloaded single-worker backend, once with ``max_inflight=4`` and once
-  with ``max_inflight="adaptive"``.  A fixed bound queues every window
-  behind up to 3 predecessors, so dispatch-to-gather latency is ~4x one
-  evaluation; the AIMD controller backs the bound off to the floor and the
-  p99 collapses toward ~1x while throughput stays worker-bound.  Gated as
-  ``adaptive_vs_fixed_p99`` (fixed p99 / adaptive p99, higher is better)
-  and ``adaptive_vs_fixed_throughput`` (must stay ~1.0).
-* **asyncio many-sessions** -- N ``AsyncStreamSession`` instances
-  multiplexed on one event loop over one shared backend, the serving
-  shape.  Reported as windows/s per core and gated as
-  ``async_sessions_throughput``.
+One serving-layer section rides along (see ``docs/async-serving.md``):
+**asyncio many-sessions** -- N ``AsyncStreamSession`` instances
+multiplexed on one event loop over one shared backend, the serving shape.
+Reported as windows/s per core and gated as ``async_sessions_throughput``.
 
 Usage::
 
@@ -58,7 +48,6 @@ from __future__ import annotations
 
 import argparse
 import asyncio
-import math
 import os
 import sys
 import time
@@ -81,7 +70,7 @@ from repro.streamrule.backends import (  # noqa: E402
     ThreadPoolBackend,
 )
 from repro.streamrule.reasoner import Reasoner  # noqa: E402
-from repro.streamrule.session import StreamSession  # noqa: E402
+from repro.streamrule.session import DEFAULT_MAX_INFLIGHT, StreamSession  # noqa: E402
 from repro.streamrule.worker import spawn_local_workers  # noqa: E402
 
 RESULTS_DIRECTORY = Path(__file__).parent / "results"
@@ -181,129 +170,6 @@ def backend_comparison(
     ]
 
 
-def percentile(values: Sequence[float], q: float) -> float:
-    """Linear-interpolation percentile (q in [0, 1]) of ``values``."""
-    ordered = sorted(values)
-    if not ordered:
-        return 0.0
-    position = (len(ordered) - 1) * q
-    low, high = math.floor(position), math.ceil(position)
-    if low == high:
-        return ordered[low]
-    return ordered[low] + (ordered[high] - ordered[low]) * (position - low)
-
-
-class _LatencyRecordingSession(StreamSession):
-    """A session that records each window's dispatch-to-gather latency."""
-
-    def __init__(self, *args, **kwargs):
-        super().__init__(*args, **kwargs)
-        self.window_latencies: List[float] = []
-
-    def _gather_solution(self, pending):
-        solution = super()._gather_solution(pending)
-        # Recorded after the gather completes: dispatch-to-solution time,
-        # including any blocking wait on the window's futures.
-        self.window_latencies.append(time.perf_counter() - pending.dispatched_at)
-        return solution
-
-
-class _OverloadedBackend(ThreadPoolBackend):
-    """A 1-worker backend padded to a fixed per-item service time.
-
-    The pad makes the overload decisive and machine-independent: the
-    producer generates windows faster than the worker can serve them on
-    any host, so the gated p99 ratio measures the *scheduling* difference
-    between a fixed bound and the AIMD controller, not solver speed.
-    """
-
-    name = "overloaded-threads"
-
-    def __init__(self, delay: float, **kwargs):
-        super().__init__(**kwargs)
-        self.delay = delay
-
-    def _submit(self, item):
-        reasoner = self._require_started()
-        assert self._pool is not None
-
-        def _evaluate():
-            time.sleep(self.delay)
-            return reasoner.reason_item(item)
-
-        return self._pool.submit(_evaluate)
-
-
-def adaptive_vs_fixed(
-    window_count: int,
-    window_size: int,
-    service_delay: float,
-    metrics: Dict[str, float],
-) -> List[str]:
-    """Fixed ``max_inflight=4`` vs AIMD on an overloaded 1-worker backend.
-
-    The stream is long enough for the pipe to reach steady state: with a
-    fixed bound every window then waits out ~``bound`` service times before
-    its gather, which is exactly the latency the AIMD controller trades
-    away by backing off to the floor.
-    """
-    windows = make_stream(window_count, window_size)
-    stream = [triple for window in windows for triple in window]
-
-    def run(max_inflight):
-        reasoner = Reasoner(
-            traffic_program(), INPUT_PREDICATES, EVENT_PREDICATES, grounding_cache=GroundingCache()
-        )
-        with _LatencyRecordingSession(
-            reasoner,
-            window=CountWindow(size=window_size, emit_partial=False),
-            backend=_OverloadedBackend(service_delay, max_workers=1),
-            max_inflight=max_inflight,
-        ) as session:
-            session.backend.start(reasoner)
-            started = time.perf_counter()
-            for triple in stream:
-                session.push([triple])
-            session.finish()
-            answers = [
-                {frozenset(answer) for answer in solution.answers} for solution in session.results()
-            ]
-            seconds = time.perf_counter() - started
-            latencies = list(session.window_latencies)
-            ingestion = session.ingestion
-        return answers, latencies, seconds, ingestion
-
-    fixed_answers, fixed_latencies, fixed_seconds, _ = run(4)
-    adaptive_answers, adaptive_latencies, adaptive_seconds, adaptive_ingestion = run("adaptive")
-    if fixed_answers != adaptive_answers:
-        raise AssertionError("adaptive answers diverged from the fixed-bound run")
-
-    # Steady-state percentiles: the first windows are warmup in both runs
-    # (pipe filling on the fixed bound; AIMD converging on the adaptive
-    # one) and would otherwise dominate the p99 of a short stream.
-    warmup = min(8, len(fixed_latencies) // 3)
-    fixed_steady = fixed_latencies[warmup:]
-    adaptive_steady = adaptive_latencies[warmup:]
-    fixed_p50, fixed_p99 = percentile(fixed_steady, 0.5), percentile(fixed_steady, 0.99)
-    adaptive_p50 = percentile(adaptive_steady, 0.5)
-    adaptive_p99 = percentile(adaptive_steady, 0.99)
-    p99_ratio = fixed_p99 / adaptive_p99 if adaptive_p99 else float("inf")
-    throughput_ratio = fixed_seconds / adaptive_seconds if adaptive_seconds else float("inf")
-    metrics["adaptive_vs_fixed_p99"] = p99_ratio
-    metrics["adaptive_vs_fixed_throughput"] = throughput_ratio
-    return [
-        "adaptive vs fixed in-flight (1 worker, overloaded; answers identical)",
-        f"{'mode':<16}{'p50 ms':>9}{'p99 ms':>9}{'total s':>9}{'backoffs':>10}{'target':>8}",
-        f"{'fixed (4)':<16}{fixed_p50 * 1e3:>9.1f}{fixed_p99 * 1e3:>9.1f}{fixed_seconds:>9.3f}"
-        f"{'-':>10}{'-':>8}",
-        f"{'adaptive':<16}{adaptive_p50 * 1e3:>9.1f}{adaptive_p99 * 1e3:>9.1f}"
-        f"{adaptive_seconds:>9.3f}{adaptive_ingestion.aimd_backoffs:>10}"
-        f"{adaptive_ingestion.inflight_target:>8}",
-        f"p99 latency: adaptive {p99_ratio:.2f}x better; "
-        f"throughput ratio (fixed/adaptive seconds): {throughput_ratio:.2f}",
-    ]
-
-
 def async_many_sessions(
     session_count: int,
     windows_per_session: int,
@@ -330,7 +196,7 @@ def async_many_sessions(
                 reasoner,
                 window=CountWindow(size=window_size, emit_partial=False),
                 backend=backend,
-                max_inflight="adaptive",
+                max_inflight=DEFAULT_MAX_INFLIGHT,
                 owns_backend=False,
                 track_base=1000 * index,
             )
@@ -415,10 +281,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         finally:
             for worker in fleet:
                 worker.terminate()
-
-    overload_windows = 24 if arguments.quick else 48
-    lines.append("")
-    lines += adaptive_vs_fixed(overload_windows, window_size, 0.01, metrics)
 
     session_count = 12 if arguments.quick else 48
     windows_per_session = 4 if arguments.quick else 8

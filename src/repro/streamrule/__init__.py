@@ -29,16 +29,9 @@
   facade: window policy -> partitioning handler -> backend dispatch ->
   combining handler -> solution triples.  A session with a partitioner is
   the parallel reasoner ``PR`` (the grey box of Figure 6).
-* :mod:`repro.streamrule.autoscale` -- the backpressure-driven
-  :class:`FleetAutoscaler` growing/shrinking a live TCP fleet from
-  sustained stall and AIMD-backoff streaks.
 * :mod:`repro.streamrule.codec` -- the structural (non-pickle) encodings
   every peer uses: programs as text, facts, symbol-table tails and metrics
   as typed JSON.
-* :mod:`repro.streamrule.adaptive` -- the AIMD
-  :class:`AdaptiveInflightController` deriving the session's in-flight
-  bound from observed stalls, queue depth, and gather latency
-  (``max_inflight="adaptive"``).
 * :mod:`repro.streamrule.aio` -- the asyncio-native serving surface:
   :class:`AsyncStreamSession` and :class:`AioTcpBackend` multiplex many
   sessions over one event loop and one worker fleet.
@@ -50,7 +43,6 @@ The architecture guide (``docs/architecture.md``) walks the full layer
 stack; ``docs/api.md`` is the annotated index of this public surface.
 """
 
-from repro.streamrule.adaptive import DEFAULT_CEILING, AdaptiveInflightController
 from repro.streamrule.aio import (
     AioTcpBackend,
     AsyncStreamSession,
@@ -86,7 +78,6 @@ from repro.streamrule.session import (
 from repro.streamrule.work import WorkItem
 
 __all__ = [
-    "AdaptiveInflightController",
     "AioTcpBackend",
     "AsyncStreamSession",
     "AsyncWorkerClient",
@@ -94,10 +85,8 @@ __all__ = [
     "BackendConnectionError",
     "BackendError",
     "ConsistentHashPlacement",
-    "DEFAULT_CEILING",
     "DEFAULT_MAX_INFLIGHT",
     "ExecutionBackend",
-    "FleetAutoscaler",
     "FleetRegistry",
     "HandshakeError",
     "IngestionStats",
@@ -136,10 +125,6 @@ __all__ = [
 #: already imported by this package (runpy would warn and re-execute it).
 _LAZY_WORKER_EXPORTS = ("LocalWorkerProcess", "WorkerServer", "spawn_local_workers")
 
-#: The autoscaler imports the worker module, so it is lazy for the same
-#: runpy reason.
-_LAZY_AUTOSCALE_EXPORTS = ("FleetAutoscaler",)
-
 #: Query-server names resolved lazily: the server package imports this
 #: package's session/backends modules, so eager re-export would cycle.
 _LAZY_SERVER_EXPORTS = ("QueryServer", "StandingQuery", "QueryResult")
@@ -150,10 +135,6 @@ def __getattr__(name: str):
         from repro.streamrule import worker
 
         return getattr(worker, name)
-    if name in _LAZY_AUTOSCALE_EXPORTS:
-        from repro.streamrule import autoscale
-
-        return getattr(autoscale, name)
     if name in _LAZY_SERVER_EXPORTS:
         from repro.streamrule import server
 

@@ -46,11 +46,6 @@ dead worker blocked the event loop on a local evaluation even though
 healthy survivors were sitting idle; the equivalence suite now pins the
 resubmission behaviour instead.
 
-Adaptive backpressure composes with both transports: construct the session
-with ``max_inflight="adaptive"`` and the shared gather seam feeds the AIMD
-controller (:mod:`repro.streamrule.adaptive`) the same stall/queue-depth/
-latency observations the sync facade would.
-
 Degraded-mode caveat: the inline fallback (and a submit-time refusal)
 evaluates partitions *on the event loop*, blocking it for the duration of
 those evaluations.  That is the deliberate trade -- on a degraded transport
@@ -542,11 +537,10 @@ class AsyncStreamSession:
 
     Wraps a :class:`~repro.streamrule.session.StreamSession` and reuses its
     windowing steppers, its ``_dispatch_evaluation`` / ``_gather_solution``
-    halves, its :class:`PendingWindow` bookkeeping, and its stall/adaptive
+    halves, its :class:`PendingWindow` bookkeeping, and its stall
     accounting -- the async facade adds *awaiting* where the sync facade
     blocks, nothing else, which is what the async/sync equivalence suite
-    relies on.  Accepts every :class:`StreamSession` constructor argument
-    (``max_inflight="adaptive"`` included)::
+    relies on.  Accepts every :class:`StreamSession` constructor argument::
 
         async with AsyncStreamSession(program, window=..., backend=...) as session:
             await session.push(triples)
@@ -585,10 +579,6 @@ class AsyncStreamSession:
     @property
     def fallbacks(self) -> int:
         return self._session.fallbacks
-
-    @property
-    def inflight_controller(self):
-        return self._session.inflight_controller
 
     @property
     def inflight_count(self) -> int:
@@ -715,8 +705,6 @@ class AsyncStreamSession:
     async def _enqueue(self, index: int, items: List, delta) -> None:
         session = self._session
         session._dispatch_cut(session._inflight, index, items, delta)
-        # Re-resolved every iteration, exactly like the sync facade: an
-        # adaptive controller may cut its target mid-drain.
         while len(session._inflight) >= session.effective_max_inflight():
             await self._gather_oldest(backpressure=True)
 
@@ -732,8 +720,7 @@ class AsyncStreamSession:
         session = self._session
         pending = session._inflight.popleft()
         try:
-            stalled = backpressure and not pending.done()
-            if stalled:
+            if backpressure and not pending.done():
                 session.ingestion.backpressure_stalls += 1
                 with Timer() as stall:
                     await self._await_pending(pending)
@@ -746,12 +733,7 @@ class AsyncStreamSession:
             # reorder windows.
             session._inflight.appendleft(pending)
             raise
-        fallbacks_before = session.fallbacks
-        solution = session._gather_solution(pending)
-        session._observe_gather(
-            pending, stalled=stalled, failed=session.fallbacks > fallbacks_before
-        )
-        session._ready.append(solution)
+        session._ready.append(session._gather_solution(pending))
 
     @staticmethod
     async def _await_pending(pending: PendingWindow) -> None:

@@ -189,9 +189,8 @@ class ExecutionBackend(abc.ABC):
         attribute is atomic in CPython.  The depth is an instantaneous
         observation that is stale the moment it returns anyway -- taking the
         lock here bought no extra consistency, only contention between the
-        observers (the adaptive in-flight controller reads this once per
-        gathered window, the metrics endpoint on every scrape) and the
-        dispatch hot path.
+        observers (the query server's dispatch budget on every pump, the
+        metrics endpoint on every scrape) and the dispatch hot path.
         """
         return self._inflight_items
 

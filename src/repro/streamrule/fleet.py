@@ -40,7 +40,7 @@ Endpoints marked dead are no longer dead forever: a revived worker is
   workers started with ``--announce`` and readopts the matching endpoint
   the moment it calls home (push rediscovery, no heartbeat latency).
 
-The fleet can also *grow and shrink* mid-stream for the autoscaler:
+An operator can also *grow and shrink* the fleet mid-stream:
 :meth:`WorkerFleet.adopt_endpoint` appends a brand-new endpoint and gives
 it the slots of the widened canonical layout, and
 :meth:`WorkerFleet.retire_endpoint` drains one back out (its slots
@@ -635,7 +635,7 @@ class WorkerFleet(FleetView):
             return self._table.adopt(parsed, client)
 
     def retire_endpoint(self, index: int) -> None:
-        """Drain endpoint ``index`` out of the fleet (autoscaler scale-down).
+        """Drain endpoint ``index`` out of the fleet.
 
         Its slots reroute over the survivors exactly as if it had died --
         in-flight items on the retired connection fail over through the

@@ -98,18 +98,8 @@ class IngestionStats:
     ``backpressure_wait_seconds``
         Wall-clock the producer spent inside those stalls.
 
-    With adaptive in-flight control (``max_inflight="adaptive"``, see
-    :class:`~repro.streamrule.adaptive.AdaptiveInflightController`) three
-    more fields mirror the controller after every gather: the current
-    ``inflight_target`` and the cumulative ``aimd_increases`` /
-    ``aimd_backoffs`` counters.  They stay 0 on fixed-bound sessions.
-
-    With a :class:`~repro.streamrule.autoscale.FleetAutoscaler` attached
-    (``StreamSession(autoscaler=...)``) three more fields mirror the
-    scaler after every gather: cumulative ``autoscale_ups`` /
-    ``autoscale_downs`` and the current ``fleet_size``.  They stay 0 on
-    fixed fleets -- and, through :meth:`as_dict`, flow into the Prometheus
-    endpoint like every other ingestion counter.
+    Through :meth:`as_dict` every field flows into the query server's
+    Prometheus endpoint.
     """
 
     windows_dispatched: int = 0
@@ -118,12 +108,6 @@ class IngestionStats:
     dispatched_ahead: int = 0
     backpressure_stalls: int = 0
     backpressure_wait_seconds: float = 0.0
-    inflight_target: int = 0
-    aimd_increases: int = 0
-    aimd_backoffs: int = 0
-    autoscale_ups: int = 0
-    autoscale_downs: int = 0
-    fleet_size: int = 0
 
     def as_dict(self) -> Dict[str, float]:
         return {
@@ -133,12 +117,6 @@ class IngestionStats:
             "dispatched_ahead": float(self.dispatched_ahead),
             "backpressure_stalls": float(self.backpressure_stalls),
             "backpressure_wait_seconds": self.backpressure_wait_seconds,
-            "inflight_target": float(self.inflight_target),
-            "aimd_increases": float(self.aimd_increases),
-            "aimd_backoffs": float(self.aimd_backoffs),
-            "autoscale_ups": float(self.autoscale_ups),
-            "autoscale_downs": float(self.autoscale_downs),
-            "fleet_size": float(self.fleet_size),
         }
 
 

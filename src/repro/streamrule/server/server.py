@@ -69,7 +69,7 @@ from repro.streamrule.server.subprogram import (
     shared_fraction,
     union_conflicts,
 )
-from repro.streamrule.session import StreamSession, WindowSolution
+from repro.streamrule.session import StreamSession, WindowSolution, check_max_inflight
 
 __all__ = ["QueryConflictError", "QueryServer"]
 
@@ -140,7 +140,7 @@ class QueryServer:
         grounding_cache: Optional[GroundingCache] = None,
         solver_cache=None,
         scheduler: Optional[FairScheduler] = None,
-        max_inflight: Union[int, str, None] = None,
+        max_inflight: Optional[int] = None,
         max_models: Optional[int] = None,
         max_combinations: Optional[int] = 64,
         track_stride: int = DEFAULT_TRACK_STRIDE,
@@ -154,14 +154,14 @@ class QueryServer:
         self.grounding_cache = grounding_cache if grounding_cache is not None else GroundingCache()
         self.solver_cache = solver_cache
         self.scheduler = scheduler if scheduler is not None else FairScheduler()
-        self.max_inflight = max_inflight
+        self.max_inflight = check_max_inflight(max_inflight)
         self.max_models = max_models
         self.max_combinations = max_combinations
         self.track_stride = track_stride
 
         self.registry = QueryRegistry()
         self.tenant_stats: Dict[str, TenantStats] = {}
-        #: Ready windows the adaptive budget refused to dispatch immediately
+        #: Ready windows the trimmed budget refused to dispatch immediately
         #: because the backend's queue ran deep (they dispatch later).
         self.budget_trims = 0
         #: Solutions whose lane disappeared before gather (late unregister).
@@ -187,7 +187,8 @@ class QueryServer:
         with the already-registered ones could change anyone's answers --
         the fix is namespacing the colliding derived predicates.  Mid-stream
         registration is allowed: the query's lane starts windowing at the
-        next pushed item.
+        next pushed item.  A registration that raises leaves the server as
+        it was.
         """
         with self._lock:
             self._require_open()
@@ -199,9 +200,18 @@ class QueryServer:
                 raise QueryConflictError(conflicts)
             subscription = self.registry.register(query)
             self._signatures[query.key] = signature
+            new_tenant = query.tenant not in self.tenant_stats
             self.tenant_stats.setdefault(query.tenant, TenantStats(tenant=query.tenant))
-            self._join_lane(query)
-            self._refresh_program()
+            try:
+                self._join_lane(query)
+                self._refresh_program()
+            except BaseException:
+                self.registry.unregister(query.key)
+                del self._signatures[query.key]
+                self._leave_lane(query)
+                if new_tenant:
+                    del self.tenant_stats[query.tenant]
+                raise
             return subscription
 
     def unregister(self, key: str) -> StandingQuery:
@@ -284,27 +294,34 @@ class QueryServer:
     # The union program and the shared session
     # ------------------------------------------------------------------ #
     def _refresh_program(self) -> None:
-        """Rebuild the combined session iff the effective rule set changed."""
+        """Rebuild the combined session iff the effective rule set changed.
+
+        The new session is built before the old one is drained and closed,
+        so a build that raises leaves the running session in place.
+        """
         fingerprints = frozenset(
             fingerprint for signature in self._signatures.values() for fingerprint in signature.fingerprints
         )
         if fingerprints == self._active_fingerprints:
             return
+        session = self._build_session(self._program_version + 1) if self._signatures else None
         if self._session is not None:
             # Gather (and route) everything in flight under the old program
             # before the reasoner changes underneath the backend.
             self._drain_session()
             self._session.close(drain=False)
-            self._session = None
+        self._session = session
         self._active_fingerprints = fingerprints
-        if not self._signatures:
-            return
-        self._program_version += 1
+        if session is not None:
+            self._program_version += 1
+
+    def _build_session(self, version: int) -> StreamSession:
+        """A session evaluating the union of the registered queries' rules."""
         rules: Dict[str, object] = {}
         for signature in self._signatures.values():
             for fingerprint, rule in signature.rules.items():
                 rules.setdefault(fingerprint, rule)
-        program = Program(tuple(rules.values()), name=f"union_v{self._program_version}")
+        program = Program(tuple(rules.values()), name=f"union_v{version}")
         inputs: set = set()
         outputs: set = set()
         for query in self.registry.list_queries():
@@ -320,7 +337,7 @@ class QueryServer:
             grounding_cache=self.grounding_cache,
             solver_cache=self.solver_cache,
         )
-        self._session = StreamSession(
+        return StreamSession(
             reasoner,
             window=None,
             backend=self.backend,
@@ -610,9 +627,6 @@ class QueryServer:
                     "dispatched_ahead": "counter",
                     "backpressure_stalls": "counter",
                     "backpressure_wait_seconds": "counter",
-                    "inflight_target": "gauge",
-                    "aimd_increases": "counter",
-                    "aimd_backoffs": "counter",
                 }
                 for stat, value in ingestion.items():
                     families.append(

@@ -112,7 +112,6 @@ from repro.streaming.format import DataFormatProcessor
 from repro.streaming.processor import StreamQueryProcessor
 from repro.streaming.triples import Triple
 from repro.streaming.window import CountWindow, CountWindowStepper, TimeWindow, TimeWindowStepper, WindowDelta
-from repro.streamrule.adaptive import AdaptiveInflightController
 from repro.streamrule.backends import BackendConnectionError, ExecutionBackend, InlineBackend
 from repro.streamrule.metrics import IngestionStats, LatencyBreakdown, ReasonerMetrics, Timer
 from repro.streamrule.placement import PlacementStrategy
@@ -135,6 +134,20 @@ CutWindow = Tuple[int, List[Atom], Optional[WindowDelta]]
 #: windows, large enough to keep every worker slot of a typical fleet busy
 #: while the producer windows the next batch.
 DEFAULT_MAX_INFLIGHT = 4
+
+
+def check_max_inflight(max_inflight: Optional[int]) -> Optional[int]:
+    """Return ``max_inflight`` if it is a valid in-flight bound, else raise.
+
+    The bound is an int of at least 1, or ``None`` for the backend's
+    default; anything else is a :class:`ValueError` naming those forms.
+    """
+    if max_inflight is None or (
+        isinstance(max_inflight, int) and not isinstance(max_inflight, bool) and max_inflight >= 1
+    ):
+        return max_inflight
+    raise ValueError(f"max_inflight must be an int of at least 1 or None, not {max_inflight!r}")
+
 
 _NO_ITEM = object()  # end-of-iteration marker that no stream item can be
 
@@ -217,10 +230,9 @@ class StreamSession:
         format_processor: Optional[DataFormatProcessor] = None,
         inline_fallback: bool = True,
         eager_time_windows: bool = False,
-        max_inflight: Union[int, str, AdaptiveInflightController, None] = None,
+        max_inflight: Optional[int] = None,
         owns_backend: bool = True,
         track_base: int = 0,
-        autoscaler=None,
     ):
         """Create a session for ``program``.
 
@@ -245,12 +257,8 @@ class StreamSession:
         (``None``) resolves to :data:`DEFAULT_MAX_INFLIGHT` on pipelined
         backends and to 1 (fully synchronous) on inline evaluation, and
         ``max_inflight=1`` always reproduces the synchronous behaviour
-        exactly.  Pass the string ``"adaptive"`` (or an
-        :class:`~repro.streamrule.adaptive.AdaptiveInflightController`
-        instance with custom knobs) to derive the bound from observed
-        stalls, queue depth, and latency instead of a constant (AIMD;
-        see :mod:`repro.streamrule.adaptive`) -- the controller's state is
-        mirrored into :attr:`ingestion` after every gather.  ``owns_backend=False`` detaches the backend's lifecycle
+        exactly; anything but an int of at least 1 (or ``None``) raises
+        :class:`ValueError`.  ``owns_backend=False`` detaches the backend's lifecycle
         from the session's: :meth:`close` still drains the in-flight
         windows but leaves the backend running, for callers (the
         multi-tenant :class:`~repro.streamrule.server.QueryServer`) that
@@ -259,13 +267,6 @@ class StreamSession:
         :meth:`push_window`): give each session multiplexed over one shared
         reasoner/backend its own base so their per-track grounding/solver
         states never collide (the asyncio serving layer assigns these).
-        ``autoscaler`` attaches a
-        :class:`~repro.streamrule.autoscale.FleetAutoscaler` to the gather
-        seam: every gathered window's stall/AIMD-backoff verdict feeds it,
-        and its counters are mirrored into :attr:`ingestion`
-        (``autoscale_ups`` / ``autoscale_downs`` / ``fleet_size``).  The
-        session observes but does not own it -- close the scaler yourself
-        (it terminates the workers it spawned).
         """
         if isinstance(program, Reasoner):
             if input_predicates is not None or output_predicates is not None:
@@ -301,29 +302,12 @@ class StreamSession:
         self.eager_time_windows = eager_time_windows
         self.owns_backend = owns_backend
         self.track_base = track_base
-        #: Optional FleetAutoscaler fed from the gather seam (not owned).
-        self.autoscaler = autoscaler
-        #: The AIMD controller driving the in-flight bound, ``None`` on
-        #: fixed-bound sessions.
-        self.inflight_controller: Optional[AdaptiveInflightController] = None
-        if isinstance(max_inflight, AdaptiveInflightController):
-            self.inflight_controller = max_inflight
-            max_inflight = None
-        elif isinstance(max_inflight, str):
-            if max_inflight != "adaptive":
-                raise ValueError(f"unknown max_inflight policy {max_inflight!r} (use 'adaptive')")
-            self.inflight_controller = AdaptiveInflightController()
-            max_inflight = None
-        elif max_inflight is not None and max_inflight < 1:
-            raise ValueError("max_inflight must be at least 1")
-        self.max_inflight = max_inflight
+        self.max_inflight = check_max_inflight(max_inflight)
         #: How many partition evaluations fell back inline after a backend
         #: connection loss.
         self.fallbacks = 0
         #: Producer-side pipelining record (dispatch-ahead, backpressure).
         self.ingestion = IngestionStats()
-        if self.inflight_controller is not None:
-            self.ingestion.inflight_target = self.inflight_controller.target
         #: Deferred time windows: (timestamp, ingested item) pairs staged until finish.
         self._buffer: List[Tuple[Optional[float], Optional[Atom]]] = []
         self._unbilled_items = 0  # ingested items no window has been charged for yet
@@ -559,11 +543,8 @@ class StreamSession:
     # Pipelined dispatch bookkeeping
     # ------------------------------------------------------------------ #
     def effective_max_inflight(self) -> int:
-        """The resolved in-flight bound: the adaptive controller's current
-        target when one is attached, else the explicit ``max_inflight``, else
+        """The resolved in-flight bound: the explicit ``max_inflight``, else
         :data:`DEFAULT_MAX_INFLIGHT` on a pipelined backend and 1 otherwise."""
-        if self.inflight_controller is not None:
-            return self.inflight_controller.target if self.backend.pipelined else 1
         if self.max_inflight is not None:
             return self.max_inflight
         return DEFAULT_MAX_INFLIGHT if self.backend.pipelined else 1
@@ -608,9 +589,6 @@ class StreamSession:
         self._dispatch_into(
             self._inflight, index, self._ingest_window(items), delta, tag=tag, track_base=track_base
         )
-        # Re-resolve the bound every iteration: an adaptive controller may
-        # cut its target mid-loop (a stalled gather is a congestion signal),
-        # and the loop must then drain down to the *new* bound.
         while len(self._inflight) >= self.effective_max_inflight():
             self._gather_oldest(backpressure=True)
 
@@ -659,9 +637,7 @@ class StreamSession:
     def _gather_oldest(self, backpressure: bool = False) -> None:
         """Gather the oldest in-flight window into the results queue."""
         pending = self._inflight.popleft()
-        stalled = backpressure and not pending.done()
-        fallbacks_before = self.fallbacks
-        if stalled:
+        if backpressure and not pending.done():
             # The bound was hit while the head window was still being
             # evaluated: the backend genuinely fell behind the producer.
             self.ingestion.backpressure_stalls += 1
@@ -670,34 +646,7 @@ class StreamSession:
             self.ingestion.backpressure_wait_seconds += stall.seconds
         else:
             solution = self._gather_solution(pending)
-        self._observe_gather(pending, stalled=stalled, failed=self.fallbacks > fallbacks_before)
         self._ready.append(solution)
-
-    def _observe_gather(self, pending: PendingWindow, *, stalled: bool, failed: bool) -> None:
-        """Feed one gathered window's record to the adaptive controller.
-
-        A no-op on fixed-bound sessions, so the gather path never probes the
-        backend's queue depth unless a controller is actually listening.
-        The asyncio surface calls this too -- adaptation is a property of
-        the shared gather seam, not of either facade.
-        """
-        controller = self.inflight_controller
-        if controller is not None and self.backend.pipelined:
-            controller.observe_gather(
-                latency_seconds=time.perf_counter() - pending.dispatched_at,
-                queue_depth=self.backend.queue_depth(),
-                stalled=stalled,
-                failed=failed,
-            )
-            self.ingestion.inflight_target = controller.target
-            self.ingestion.aimd_increases = controller.increases
-            self.ingestion.aimd_backoffs = controller.backoffs
-        if self.autoscaler is not None:
-            # Elasticity rides the same seam: the scaler differences the
-            # cumulative backoff counter itself, so fixed-bound sessions
-            # (aimd_backoffs pinned at 0) still feed it stall verdicts.
-            self.autoscaler.observe(stalled=stalled, aimd_backoffs=self.ingestion.aimd_backoffs)
-            self.autoscaler.mirror_into(self.ingestion)
 
     def _drain_inflight(self) -> None:
         """Gather every in-flight window into the results queue."""

@@ -2,7 +2,7 @@
 
 The contract (see ``docs/async-serving.md``): :class:`AsyncStreamSession`
 shares the dispatch/gather seam with the synchronous session, so whatever
-the backend, whatever the in-flight bound (fixed or ``"adaptive"``), and
+the backend, whatever the in-flight bound, and
 however ``await push`` calls interleave with ``results(wait=False)``
 drains, the async facade emits exactly the solutions of the synchronous
 inline path, in window order.  The hypothesis suite drives randomized
@@ -132,7 +132,7 @@ class TestAsyncInterleavings:
     @given(data=st.data())
     def test_any_async_schedule_matches_the_synchronous_path(self, data):
         """Random await/drain schedules, any bound: identical solutions."""
-        max_inflight = data.draw(st.sampled_from([1, 2, 8, "adaptive"]), label="max_inflight")
+        max_inflight = data.draw(st.sampled_from([1, 2, 4, 8]), label="max_inflight")
         chunk_sizes = data.draw(
             st.lists(st.integers(min_value=1, max_value=25), min_size=1, max_size=8),
             label="chunk_sizes",
@@ -151,10 +151,7 @@ class TestAsyncInterleavings:
                 max_inflight=max_inflight,
             ) as session:
                 collected = await drive_session(session, stream, chunk_sizes, drain_after)
-                if isinstance(max_inflight, int):
-                    assert session.ingestion.inflight_high_water <= max_inflight
-                else:
-                    assert session.inflight_controller is not None
+                assert session.ingestion.inflight_high_water <= max_inflight
             return collected
 
         collected = asyncio.run(scenario())
@@ -198,14 +195,14 @@ async def matrix_scenario(backend, max_inflight, owns_backend=True, reasoner=Non
 
 class TestBackendMatrix:
     @pytest.mark.parametrize("backend_kind", sorted(LIGHT_BACKENDS), ids=str)
-    @pytest.mark.parametrize("max_inflight", [2, "adaptive"], ids=["fixed", "adaptive"])
+    @pytest.mark.parametrize("max_inflight", [1, 2], ids=["synchronous", "fixed"])
     def test_light_backends(self, backend_kind, max_inflight):
         backend = LIGHT_BACKENDS[backend_kind]()
         assert asyncio.run(matrix_scenario(backend, max_inflight)) == reference_solutions()
 
     @pytest.mark.slow
     @pytest.mark.parametrize("backend_kind", sorted(HEAVY_BACKENDS), ids=str)
-    @pytest.mark.parametrize("max_inflight", [2, "adaptive"], ids=["fixed", "adaptive"])
+    @pytest.mark.parametrize("max_inflight", [1, 2], ids=["synchronous", "fixed"])
     def test_heavy_backends(self, backend_kind, max_inflight):
         backend = HEAVY_BACKENDS[backend_kind]()
         assert asyncio.run(matrix_scenario(backend, max_inflight)) == reference_solutions()
@@ -227,7 +224,7 @@ def worker_endpoints():
 
 
 class TestAioTcp:
-    @pytest.mark.parametrize("max_inflight", [1, 2, 8, "adaptive"], ids=str)
+    @pytest.mark.parametrize("max_inflight", [1, 2, 4, 8], ids=str)
     def test_aio_tcp_matches_the_synchronous_path(self, worker_endpoints, max_inflight):
         backend = AioTcpBackend(worker_endpoints, **worker_security_kwargs())
         result = asyncio.run(matrix_scenario(backend, max_inflight))
@@ -337,7 +334,7 @@ class TestManySessionsOneLoop:
                     reasoner,
                     window=WINDOW,
                     backend=backend,
-                    max_inflight="adaptive",
+                    max_inflight=4,
                     owns_backend=False,
                     track_base=1000 * index,
                 )

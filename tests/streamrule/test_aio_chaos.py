@@ -12,9 +12,7 @@ fallback -- which would run solver work synchronously on the event loop
 * no session loses, duplicates, or reorders a window -- every one of the
   200 emits exactly the reference solution trajectory;
 * zero inline fallbacks (the kill was absorbed *on the wire*), with the
-  fleet rerouting the dead worker's slots onto the lone survivor;
-* the AIMD controllers keep increasing on clean gathers and no controller
-  ever leaves the [floor, ceiling] band.
+  fleet rerouting the dead worker's slots onto the lone survivor.
 
 The fleet is always self-spawned (never ``STREAMRULE_WORKERS``): this test
 kills one of its daemons, so it must own them.
@@ -89,7 +87,7 @@ def test_worker_kill_mid_stream_loses_nothing():
                     reasoner,
                     window=WINDOW,
                     backend=backend,
-                    max_inflight="adaptive",
+                    max_inflight=4,
                     owns_backend=False,
                     track_base=100 * index,
                 )
@@ -97,7 +95,7 @@ def test_worker_kill_mid_stream_loses_nothing():
             ]
             try:
                 # Wave 1: every session dispatches one window; nothing is
-                # gathered (the adaptive bound starts above 1), so 200
+                # gathered (the bound of 4 is above 1), so 200
                 # windows sit in flight across both workers.
                 await asyncio.gather(
                     *(session.push(stream[:FIRST_WAVE]) for session in sessions)
@@ -117,11 +115,7 @@ def test_worker_kill_mid_stream_loses_nothing():
                 for session in sessions:
                     solutions = await session.results_list()
                     per_session.append(
-                        (
-                            [fingerprint(solution) for solution in solutions],
-                            session.fallbacks,
-                            session.inflight_controller,
-                        )
+                        ([fingerprint(solution) for solution in solutions], session.fallbacks)
                     )
                 stats = backend.wire_statistics()
             finally:
@@ -136,23 +130,14 @@ def test_worker_kill_mid_stream_loses_nothing():
             worker.terminate()
 
     # No session lost, duplicated, or reordered a window.
-    for solutions, _fallbacks, _controller in per_session:
+    for solutions, _fallbacks in per_session:
         assert solutions == reference
 
     # The kill was absorbed on the wire, not dodged and not degraded:
     # every in-flight window of the dead worker was resubmitted on the
     # survivor (regression guard for the old fall-back-inline behaviour,
     # which blocked the event loop on solver work).
-    total_fallbacks = sum(fallbacks for _s, fallbacks, _c in per_session)
+    total_fallbacks = sum(fallbacks for _s, fallbacks in per_session)
     assert total_fallbacks == 0
     assert stats["alive_workers"] == 1.0
     assert stats["reroutes"] > 0
-
-    # AIMD: resubmission means the kill produces no failed gathers, so
-    # backoffs are stall-driven only (possibly zero on a fast machine);
-    # clean gathers keep increasing targets and every target stays
-    # inside its band.
-    total_increases = sum(controller.increases for _s, _f, controller in per_session)
-    assert total_increases > 0
-    for _solutions, _fallbacks, controller in per_session:
-        assert controller.floor <= controller.target <= controller.ceiling

@@ -1,14 +1,14 @@
-"""Chaos, rejoin, and elasticity: the fleet under worker churn.
+"""Chaos, rejoin, and operator-driven fleet changes: the fleet under worker churn.
 
 Three layers, cheapest first:
 
 * :class:`TestFleetRegistry` -- the ANNOUNCE listener in isolation: a
   revived worker's announce flips its dead slot back to live, strangers
   and garbage are ignored, and the listener never unpickles anything.
-* :class:`TestFleetAutoscaler` -- the backpressure-driven scaler against
-  an injected spawner: streak thresholds, cooldown, the ``max_workers``
-  ceiling, calm-streak retirement, and the ``IngestionStats`` mirror.
-* :class:`TestChaos` -- the acceptance scenario (ISSUE 10): a live
+* :class:`TestOperatorAdoption` -- ``adopt_endpoint``/``retire_endpoint``
+  on a live fleet: an adopted daemon serves its slots of the widened
+  layout, a retired one hands them back, and no window is lost.
+* :class:`TestChaos` -- the acceptance scenario: a live
   4-worker fleet loses half its daemons mid-stream, keeps answering
   correctly off the survivors (reroutes, zero inline fallbacks), then
   re-adopts the revived daemons on the *same* ports -- via both the
@@ -27,14 +27,14 @@ from pathlib import Path
 
 import pytest
 
-from repro.core.partitioner import HashPartitioner
+from repro.core.decomposition import decompose
+from repro.core.input_dependency import build_input_dependency_graph
+from repro.core.partitioner import DependencyPartitioner, HashPartitioner
 from repro.programs.traffic import EVENT_PREDICATES, INPUT_PREDICATES, traffic_program
 from repro.streaming.generator import SyntheticStreamConfig, generate_window
 from repro.streaming.window import CountWindow
-from repro.streamrule.autoscale import FleetAutoscaler
 from repro.streamrule.backends import InlineBackend, TcpBackend
 from repro.streamrule.fleet import FleetRegistry, WorkerEndpoint, WorkerFleet
-from repro.streamrule.metrics import IngestionStats
 from repro.streamrule.net import announce_endpoint
 from repro.streamrule.reasoner import Reasoner
 from repro.streamrule.session import StreamSession
@@ -172,159 +172,57 @@ class TestFleetRegistry:
 
 
 # --------------------------------------------------------------------------- #
-# Autoscaler (injected spawner -- no subprocesses)
+# Operator-driven adoption and retirement
 # --------------------------------------------------------------------------- #
-class FakeWorker:
-    def __init__(self, endpoint):
-        self.endpoint = endpoint
-        self.terminated = False
-
-    def terminate(self, timeout=5.0):
-        self.terminated = True
-
-
-class FakeFleet:
-    def __init__(self):
-        self.endpoints = [WorkerEndpoint("127.0.0.1", 7001)]
-        self.dead = []
-
-    @property
-    def dead_endpoints(self):
-        return list(self.dead)
-
-    def adopt_endpoint(self, endpoint, *, attempts=None):
-        self.endpoints.append(WorkerEndpoint.parse(endpoint))
-        return len(self.endpoints) - 1
-
-    def retire_endpoint(self, index):
-        del self.endpoints[index]
-
-
-class FakeBackend:
-    def __init__(self):
-        self.fleet = FakeFleet()
-
-
-class TestFleetAutoscaler:
-    def make(self, **kwargs):
-        backend = FakeBackend()
-        spawned = []
-
-        def spawner(count=1, **_ignored):
-            workers = [FakeWorker(f"127.0.0.1:{7100 + len(spawned) + i}") for i in range(count)]
-            spawned.extend(workers)
-            return workers
-
-        defaults = dict(
-            max_workers=2,
-            scale_up_stall_streak=3,
-            scale_up_backoff_streak=2,
-            scale_down_calm_streak=4,
-            cooldown=2,
-            spawner=spawner,
+@pytest.mark.slow
+class TestOperatorAdoption:
+    def test_an_adopted_worker_serves_its_slots_until_retired(self):
+        """Adopt a second daemon mid-stream, see its slots' work reach it,
+        retire it again: every window still answers exactly as inline."""
+        # Three segments and three cars: dense enough that most windows
+        # raise events, so the comparison below is not between empty sets.
+        config = SyntheticStreamConfig(
+            window_size=240, input_predicates=INPUT_PREDICATES, scheme="traffic", seed=67,
+            location_count=3, car_count=3,
         )
-        defaults.update(kwargs)
-        scaler = FleetAutoscaler(backend, **defaults)
-        return scaler, backend, spawned
+        stream = list(generate_window(config))
+        window_policy = CountWindow(size=40, slide=20, emit_partial=False)
+        partitioner = DependencyPartitioner(
+            decompose(build_input_dependency_graph(traffic_program(), INPUT_PREDICATES)).plan
+        )
+        with StreamSession(
+            traffic_reasoner(), window=window_policy, partitioner=partitioner, backend=InlineBackend()
+        ) as session:
+            expected = [{frozenset(a) for a in s.answers} for s in session.process(stream)]
 
-    def test_stall_streak_triggers_scale_up_and_adoption(self):
-        scaler, backend, spawned = self.make()
-        for _ in range(2):
-            scaler.observe(stalled=True)
-        assert scaler.scale_ups == 0  # streak not yet at threshold
-        scaler.observe(stalled=True)
-        assert scaler.scale_ups == 1
-        assert len(spawned) == 1
-        assert WorkerEndpoint.parse(spawned[0].endpoint) in backend.fleet.endpoints
-
-    def test_backoff_streak_triggers_scale_up(self):
-        scaler, _backend, spawned = self.make()
-        scaler.observe(stalled=False, aimd_backoffs=1)
-        scaler.observe(stalled=False, aimd_backoffs=2)
-        assert scaler.scale_ups == 1 and len(spawned) == 1
-
-    def test_cooldown_and_max_workers_bound_scale_ups(self):
-        scaler, _backend, spawned = self.make(cooldown=3)
-        for _ in range(3):
-            scaler.observe(stalled=True)
-        assert scaler.scale_ups == 1
-        # Stalls during cooldown do not spawn...
-        for _ in range(3):
-            scaler.observe(stalled=True)
-        assert scaler.scale_ups == 1
-        # ...but a sustained stall after cooldown spawns the second worker,
-        for _ in range(3):
-            scaler.observe(stalled=True)
-        assert scaler.scale_ups == 2
-        # and max_workers=2 is a hard ceiling from then on.
-        for _ in range(12):
-            scaler.observe(stalled=True)
-        assert scaler.scale_ups == 2 and len(spawned) == 2
-
-    def test_calm_streak_retires_youngest_spawned_worker_only(self):
-        scaler, backend, spawned = self.make(cooldown=0, scale_down_calm_streak=4)
-        for _ in range(3):
-            scaler.observe(stalled=True)
-        assert len(backend.fleet.endpoints) == 2
-        for _ in range(4):
-            scaler.observe(stalled=False)
-        assert scaler.scale_downs == 1
-        assert spawned[0].terminated
-        assert len(backend.fleet.endpoints) == 1
-        # A fully calm fleet never retires the operator's own workers.
-        for _ in range(20):
-            scaler.observe(stalled=False)
-        assert scaler.scale_downs == 1
-        assert backend.fleet.endpoints == [WorkerEndpoint("127.0.0.1", 7001)]
-
-    def test_mirror_into_ingestion_stats(self):
-        scaler, _backend, _spawned = self.make(cooldown=0)
-        for _ in range(3):
-            scaler.observe(stalled=True)
-        ingestion = IngestionStats()
-        scaler.mirror_into(ingestion)
-        assert ingestion.autoscale_ups == 1
-        assert ingestion.fleet_size == 2
-        assert ingestion.as_dict()["autoscale_ups"] == 1.0
-
-    def test_close_terminates_spawned_workers(self):
-        scaler, _backend, spawned = self.make(cooldown=0)
-        for _ in range(3):
-            scaler.observe(stalled=True)
-        scaler.close()
-        assert all(worker.terminated for worker in spawned)
-        scaler.close()  # idempotent
-
-    def test_real_spawner_scales_a_live_fleet(self):
-        """End to end with a real subprocess: a stall streak grows the
-        fleet by one adopted daemon, and close() reaps it."""
-        workers = spawn_local_workers(1)
+        workers = spawn_local_workers(2)
         try:
-            backend = TcpBackend([worker.endpoint for worker in workers])
-            reasoner = traffic_reasoner()
+            first, second = (WorkerEndpoint.parse(worker.endpoint) for worker in workers)
+            backend = TcpBackend([workers[0].endpoint], slots=2)
             with StreamSession(
-                reasoner, partitioner=HashPartitioner(2), backend=backend
+                traffic_reasoner(), window=window_policy, partitioner=partitioner, backend=backend
             ) as session:
-                with FleetAutoscaler(
-                    backend, max_workers=1, scale_up_stall_streak=2, cooldown=0
-                ) as scaler:
-                    session.autoscaler = scaler
-                    # First window forces the lazy backend start (fleet built).
-                    assert session.evaluate_window(traffic_stream(40)).answers
-                    before = len(backend.fleet.endpoints)
-                    scaler.observe(stalled=True)
-                    scaler.observe(stalled=True)
-                    assert scaler.scale_ups == 1
-                    assert len(backend.fleet.endpoints) == before + 1
-                    # The widened fleet actually answers work.
-                    result = session.evaluate_window(traffic_stream(40))
-                    assert result.answers
-                    assert session.fallbacks == 0
-                    daemon = scaler.spawned_workers[0]
-                assert not daemon.alive  # close() reaped it
+                session.push(stream[:80])
+                fleet = backend.fleet
+                index = fleet.adopt_endpoint(workers[1].endpoint)
+                assert fleet.slot_table() == {0: str(first), 1: str(second)}
+                session.push(stream[80:160])
+                actual = [{frozenset(a) for a in s.answers} for s in session.results()]
+                adopted = fleet._table.connections[index].stats
+                assert adopted.items_full + adopted.items_delta > 0
+                fleet.retire_endpoint(index)
+                assert set(fleet.slot_table().values()) == {str(first)}
+                session.push(stream[160:])
+                session.finish()
+                actual += [{frozenset(a) for a in s.answers} for s in session.results()]
+                assert session.fallbacks == 0
+                statistics = backend.transport_statistics()
         finally:
             for worker in workers:
                 worker.terminate()
+        assert statistics["adoptions"] == 1.0 and statistics["retirements"] == 1.0
+        assert any(any(answers) for answers in expected)
+        assert actual == expected
 
 
 # --------------------------------------------------------------------------- #

@@ -1,10 +1,11 @@
 """Unit tests for the latency/metrics records."""
 
+import dataclasses
 import time
 
 import pytest
 
-from repro.streamrule.metrics import LatencyBreakdown, ReasonerMetrics, Timer
+from repro.streamrule.metrics import IngestionStats, LatencyBreakdown, ReasonerMetrics, Timer
 
 
 class TestTimer:
@@ -65,3 +66,19 @@ class TestReasonerMetrics:
         assert record["latency_ms"] == pytest.approx(250.0)
         assert record["grounding_ms"] == pytest.approx(100.0)
         assert record["duplication_ratio"] == pytest.approx(0.2)
+
+
+class TestIngestionStats:
+    def test_as_dict_exports_every_field_and_nothing_else(self):
+        # The query server turns each key into a streamrule_session_* family.
+        stats = IngestionStats(windows_dispatched=3, backpressure_stalls=1, backpressure_wait_seconds=0.5)
+        exported = stats.as_dict()
+        assert set(exported) == {field.name for field in dataclasses.fields(IngestionStats)} == {
+            "windows_dispatched",
+            "windows_gathered",
+            "inflight_high_water",
+            "dispatched_ahead",
+            "backpressure_stalls",
+            "backpressure_wait_seconds",
+        }
+        assert exported["windows_dispatched"] == 3.0 and exported["backpressure_wait_seconds"] == 0.5

@@ -149,6 +149,87 @@ class TestRegistry:
             server.register(traffic_query("city"))
 
 
+def fraud_query(tenant, size=30):
+    return StandingQuery(
+        tenant=tenant,
+        name="alerts",
+        program=fraud_module.fraud_program(),
+        window=CountWindow(size=size),
+        input_predicates=fraud_module.INPUT_PREDICATES,
+    )
+
+
+def server_state(server):
+    """What a failed registration must leave as it found it."""
+    return (
+        [query.key for query in server.queries()],
+        {key: (lane.lane_id, list(lane.members)) for key, lane in server._lanes.items()},
+        server.scheduler.keys(),
+        sorted(server.tenant_stats),
+        server.program_version,
+        server.combined_program,
+    )
+
+
+class TestFailedRegistration:
+    @pytest.mark.parametrize("bound", [0, -1, "adaptive"], ids=repr)
+    def test_construction_rejects_a_bad_bound(self, bound):
+        with pytest.raises(ValueError, match=r"max_inflight must be an int of at least 1 or None"):
+            QueryServer(max_inflight=bound)
+
+    @pytest.mark.parametrize("step", ["_join_lane", "_refresh_program"])
+    def test_a_register_that_raises_leaves_the_server_unchanged(self, step, monkeypatch):
+        with QueryServer() as server:
+            server.register(traffic_query("city"))
+            before = server_state(server)
+            original = getattr(server, step)
+
+            def fail_after(query=None):
+                # Let the step do its mutations first, then fail.
+                if step == "_join_lane":
+                    original(query)
+                raise RuntimeError("injected failure")
+
+            monkeypatch.setattr(server, step, fail_after)
+            with pytest.raises(RuntimeError, match="injected failure"):
+                server.register(fraud_query("desk"))
+            assert server_state(server) == before
+
+    def test_a_later_register_delivers_every_window(self, monkeypatch):
+        stream = traffic_stream(200)
+        query = traffic_query("city", size=40)
+        with QueryServer() as server:
+            monkeypatch.setattr(server, "_refresh_program", lambda: 1 / 0)
+            with pytest.raises(ZeroDivisionError):
+                server.register(query)
+            monkeypatch.undo()
+            subscription = server.register(query)
+            assert server.push(stream) == 5
+            server.finish()
+            delivered = [result.answers for result in subscription.drain()]
+        assert delivered == isolated_answers(query, stream)
+
+    def test_a_failed_rebuild_keeps_the_running_session(self, monkeypatch):
+        stream = traffic_stream(120)
+        query = traffic_query("city")
+        with QueryServer() as server:
+            subscription = server.register(query)
+            server.push(stream[:60])
+            session = server._session
+
+            def refuse(*args, **kwargs):
+                raise ValueError("injected failure")
+
+            monkeypatch.setattr("repro.streamrule.server.server.StreamSession", refuse)
+            with pytest.raises(ValueError, match="injected failure"):
+                server.register(fraud_query("desk"))
+            assert server._session is session
+            server.push(stream[60:])
+            server.finish()
+            delivered = [result.answers for result in subscription.drain()]
+        assert delivered == isolated_answers(query, stream)
+
+
 class TestConflictGate:
     def test_p_prime_alongside_p_is_rejected(self):
         with QueryServer() as server:

@@ -215,6 +215,60 @@ class TestSessionConfiguration:
         assert session._epoch == 2
 
 
+class _ProbeCountingBackend(ThreadPoolBackend):
+    """A pipelined backend that counts ``queue_depth`` probes."""
+
+    name = "probe-counting"
+
+    def __init__(self, **kwargs):
+        super().__init__(**kwargs)
+        self.depth_probes = 0
+
+    def queue_depth(self) -> int:
+        self.depth_probes += 1
+        return super().queue_depth()
+
+
+class TestIdleDrainFastPath:
+    """``results(wait=False)`` with nothing to gather is free of side effects."""
+
+    def test_idle_drain_touches_no_gather_machinery(self):
+        backend = _ProbeCountingBackend(max_workers=2)
+        with StreamSession(
+            traffic_reasoner(),
+            window=CountWindow(size=10, slide=10),
+            backend=backend,
+        ) as session:
+            session.push(traffic_stream(40))
+            session.finish()
+            emitted = list(session.results())
+            assert emitted
+            stalls_before = session.ingestion.backpressure_stalls
+            probes_before = backend.depth_probes
+            # An idle poll loop -- the serving shape between bursts -- must
+            # not enter the gather path: no stall accounting, no backend
+            # probes.
+            for _ in range(50):
+                assert list(session.results(wait=False)) == []
+            assert session.ingestion.backpressure_stalls == stalls_before
+            assert backend.depth_probes == probes_before
+
+    def test_nonblocking_drain_stops_at_the_first_unfinished_window(self):
+        backend = _ProbeCountingBackend(max_workers=1)
+        reasoner = traffic_reasoner()
+        with StreamSession(
+            reasoner, window=CountWindow(size=10, slide=10), backend=backend, max_inflight=8
+        ) as session:
+            session.push(traffic_stream(40))
+            drained = list(session.results(wait=False))
+            finished = len(drained)
+            session.finish()
+            rest = list(session.results())
+            indexes = [s.window_index for s in drained + rest]
+            assert indexes == sorted(indexes)
+            assert finished + len(rest) == len(indexes)
+
+
 class TestInlineFallback:
     CHOICE_PROGRAM = """\
 picked(X) :- item(X), not dropped(X).

@@ -7,7 +7,7 @@ import repro.streamrule
 
 
 def test_every_streamrule_export_resolves():
-    # Includes the lazily resolved worker, autoscaler and query-server names.
+    # Includes the lazily resolved worker and query-server names.
     unresolved = [name for name in repro.streamrule.__all__ if getattr(repro.streamrule, name, None) is None]
     assert unresolved == []
 
