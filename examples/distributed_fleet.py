@@ -75,7 +75,7 @@ def main() -> None:
     print(f"worker fleet: {', '.join(endpoints)}")
 
     kill_at = None if (arguments.keep_fleet or not spawned) else arguments.windows // 2
-    backend = TcpBackend(endpoints, reconnect_attempts=1, base_delay=0.05)
+    backend = TcpBackend(endpoints)
     try:
         header = f"{'window':>6}  {'events':>6}  {'latency ms':>10}  {'fleet':>5}  {'reroutes':>8}"
         print(header)
@@ -99,7 +99,7 @@ def main() -> None:
                     )
             session.finish()
 
-        stats = backend.wire_statistics()
+        stats = backend.transport_statistics()
         print()
         print("wire statistics:")
         print(f"  work frames: {int(stats['items_full'])} full, {int(stats['items_delta'])} delta")

@@ -57,7 +57,7 @@ from repro.streamrule.backends import (
     ThreadPoolBackend,
 )
 from repro.streamrule.errors import BackendConnectionError, BackendError, HandshakeError, ProtocolError
-from repro.streamrule.fleet import FleetRegistry, WorkerEndpoint, WorkerFleet
+from repro.streamrule.fleet import WorkerEndpoint, WorkerFleet
 from repro.streamrule.metrics import (
     IngestionStats,
     LatencyBreakdown,
@@ -87,7 +87,6 @@ __all__ = [
     "ConsistentHashPlacement",
     "DEFAULT_MAX_INFLIGHT",
     "ExecutionBackend",
-    "FleetRegistry",
     "HandshakeError",
     "IngestionStats",
     "InlineBackend",

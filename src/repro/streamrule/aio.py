@@ -68,11 +68,14 @@ from repro.streamrule.errors import BackendConnectionError, BackendError, Handsh
 from repro.streamrule.fleet import EndpointLike, FleetView, WorkerEndpoint
 from repro.streamrule.metrics import Timer
 from repro.streamrule.net import (
+    CONNECT_ATTEMPTS,
+    CONNECT_TIMEOUT,
     ClientConnection,
     ConnectionSettings,
     FrameKind,
     FrameParser,
     Ticket,
+    backoff_delays,
     dial_failure,
     tls_failure,
 )
@@ -141,15 +144,15 @@ class AsyncWorkerClient:
         address: Tuple[str, int],
         reasoner_payload: bytes,
         *,
-        attempts: int = 5,
-        base_delay: float = 0.05,
-        max_delay: float = 2.0,
-        connect_timeout: float = 5.0,
+        attempts: int = CONNECT_ATTEMPTS,
         ssl_context: Optional[ssl.SSLContext] = None,
         server_hostname: Optional[str] = None,
         auth_token: Optional[str] = None,
     ) -> "AsyncWorkerClient":
         """Connect with bounded exponential backoff and run the handshake.
+
+        The pauses between attempts are the blocking dialer's own
+        (:func:`~repro.streamrule.net.backoff_delays`).
 
         Mirrors the sync client's security surface: ``ssl_context`` wraps
         the connection in TLS (``server_hostname`` overrides the
@@ -159,21 +162,17 @@ class AsyncWorkerClient:
         certificate or protocol mismatch is a deployment bug that retrying
         cannot fix.
         """
-        if attempts < 1:
-            raise ValueError("at least one connection attempt is required")
-        delay = base_delay
         failure: Optional[Exception] = None
         reader = writer = None
-        for attempt in range(attempts):
-            if attempt:
+        for delay in backoff_delays(attempts):
+            if delay:
                 await asyncio.sleep(delay)
-                delay = min(max_delay, delay * 2)
             try:
                 # asyncio refuses a server_hostname without ssl.
                 dial = asyncio.open_connection(
                     *address, ssl=ssl_context, server_hostname=server_hostname if ssl_context else None
                 )
-                reader, writer = await asyncio.wait_for(dial, timeout=connect_timeout)
+                reader, writer = await asyncio.wait_for(dial, timeout=CONNECT_TIMEOUT)
                 break
             except ssl.SSLError as error:
                 raise tls_failure(address, error) from error
@@ -320,10 +319,6 @@ class AsyncWorkerFleet(FleetView):
         endpoints: Sequence[EndpointLike],
         *,
         slots: Optional[int] = None,
-        connect_attempts: int = 5,
-        base_delay: float = 0.05,
-        max_delay: float = 2.0,
-        connect_timeout: float = 5.0,
         ssl_context: Optional[ssl.SSLContext] = None,
         server_hostname: Optional[str] = None,
         auth_token: Optional[str] = None,
@@ -360,9 +355,7 @@ class AsyncWorkerFleet(FleetView):
             raise self._table.unreachable()
 
     async def _dial(self, endpoint: WorkerEndpoint, payload: bytes) -> AsyncWorkerClient:
-        return await AsyncWorkerClient.connect(
-            (endpoint.host, endpoint.port), payload, **self.settings.client_keywords()
-        )
+        return await AsyncWorkerClient.connect((endpoint.host, endpoint.port), payload, **vars(self.settings))
 
     def abort(self) -> None:
         """Synchronous teardown: abort every connection, fail their tickets."""
@@ -436,10 +429,6 @@ class AioTcpBackend(FleetBackend):
         *,
         slots: Optional[int] = None,
         placement: Optional[PlacementStrategy] = None,
-        connect_attempts: int = 5,
-        base_delay: float = 0.05,
-        max_delay: float = 2.0,
-        connect_timeout: float = 5.0,
         ssl_context: Optional[ssl.SSLContext] = None,
         server_hostname: Optional[str] = None,
         auth_token: Optional[str] = None,

@@ -50,10 +50,10 @@ import threading
 import weakref
 from concurrent.futures import Future, ThreadPoolExecutor
 from dataclasses import asdict
-from typing import Any, Dict, List, Optional, Sequence, Tuple, Union
+from typing import Any, Dict, List, Optional, Sequence
 
 from repro.streamrule.errors import BackendConnectionError, BackendError
-from repro.streamrule.fleet import EndpointLike, FleetRegistry, WorkerEndpoint, WorkerFleet
+from repro.streamrule.fleet import EndpointLike, WorkerEndpoint, WorkerFleet
 from repro.streamrule.codec import encode_reasoner_spec
 from repro.streamrule.net import ConnectionSettings, WireStats
 from repro.streamrule.placement import PinnedPlacement, PlacementStrategy
@@ -203,8 +203,8 @@ class ExecutionBackend(abc.ABC):
     def transport_statistics(self) -> Dict[str, float]:
         """Transport-level traffic counters, uniformly named.
 
-        In-process backends have no transport and return ``{}``; the TCP
-        backend answers with its :meth:`TcpBackend.wire_statistics` and the
+        In-process backends have no transport and return ``{}``; the
+        fleet-backed backends answer with their fleet's counters and the
         shared-memory backend with the same :class:`WireStats` keys.  The
         uniform spelling is what the query server's metrics endpoint
         exports, whatever backend it happens to run on.
@@ -341,10 +341,6 @@ class FleetBackend(ExecutionBackend):
         return self._fleet.pending_items()
 
     def transport_statistics(self) -> Dict[str, float]:
-        """The fleet's wire counters (the uniform transport spelling)."""
-        return self.wire_statistics()
-
-    def wire_statistics(self) -> Dict[str, float]:
         """Fleet traffic counters: frames, payload bytes, reroutes, liveness.
 
         The same keys whichever fleet runs underneath (a counter the
@@ -400,24 +396,18 @@ class TcpBackend(FleetBackend):
         Slot-choosing strategy (default :class:`PinnedPlacement`).
     heartbeat_interval:
         Seconds between background heartbeats; ``None`` disables the
-        heartbeat thread (liveness is then discovered on submit).
-    connect_attempts / reconnect_attempts / base_delay / max_delay:
-        Bounded-exponential-backoff budgets for the initial connect and for
-        mid-stream reconnects (see
-        :func:`~repro.streamrule.net.connect_with_backoff`).
+        heartbeat thread (liveness is then discovered on submit).  Each
+        beat also re-probes the dead endpoints, which is how a worker
+        restarted on its old address gets its slots back.
     ssl_context / server_hostname / auth_token:
         Security surface, threaded through to the fleet's
         :class:`~repro.streamrule.net.WorkerClient` connections: TLS
         wrapping and the shared-token ``AUTH`` response (see
         ``docs/deployment-security.md``).
-    registry:
-        Push rediscovery: ``True`` starts a
-        :class:`~repro.streamrule.fleet.FleetRegistry` on an ephemeral
-        localhost port (``backend.registry.address`` tells workers where
-        to ``--announce``); a ``"host:port"`` string or address pair binds
-        it there.  Dead endpoints are also re-probed on every heartbeat,
-        so the registry is an optimization (instant rejoin), not a
-        requirement.
+
+    Connect and reconnect budgets and their backoff are the constants of
+    :mod:`repro.streamrule.net` (see
+    :func:`~repro.streamrule.net.connect_with_backoff`).
     """
 
     name = "tcp"
@@ -429,43 +419,20 @@ class TcpBackend(FleetBackend):
         slots: Optional[int] = None,
         placement: Optional[PlacementStrategy] = None,
         heartbeat_interval: Optional[float] = None,
-        connect_attempts: int = 5,
-        reconnect_attempts: int = 2,
-        base_delay: float = 0.05,
-        max_delay: float = 2.0,
-        connect_timeout: float = 5.0,
         ssl_context: Optional[ssl.SSLContext] = None,
         server_hostname: Optional[str] = None,
         auth_token: Optional[str] = None,
-        registry: Union[bool, str, Tuple[str, int]] = False,
     ):
         super().__init__(endpoints, slots, placement, ConnectionSettings.of(locals()))
         self.heartbeat_interval = heartbeat_interval
-        self.reconnect_attempts = reconnect_attempts
-        self._registry_spec = registry
-        self._registry: Optional[FleetRegistry] = None
         self._dispatchers: Optional[List[ThreadPoolExecutor]] = None
         self._finalizer: Optional[weakref.finalize] = None
         self._heartbeat_stop: Optional[threading.Event] = None
         self._heartbeat_thread: Optional[threading.Thread] = None
 
-    @property
-    def registry(self) -> Optional[FleetRegistry]:
-        """The live announce listener (``None`` unless started with one)."""
-        return self._registry
-
     def _start(self, reasoner: Reasoner) -> None:
-        fleet = WorkerFleet(
-            self.endpoints, slots=self.slots, reconnect_attempts=self.reconnect_attempts, **vars(self.settings)
-        )
+        fleet = WorkerFleet(self.endpoints, slots=self.slots, **vars(self.settings))
         fleet.start(encode_reasoner_spec(reasoner))
-        if self._registry_spec:
-            if self._registry_spec is True:
-                registry_host, registry_port = "127.0.0.1", 0
-            else:
-                bind = WorkerEndpoint.parse(self._registry_spec)
-                registry_host, registry_port = bind.host, bind.port
-            self._registry = FleetRegistry(fleet, registry_host, registry_port)
         dispatchers = [
             ThreadPoolExecutor(max_workers=1, thread_name_prefix=f"tcp-dispatch-{slot}")
             for slot in range(fleet.slot_count)
@@ -488,10 +455,9 @@ class TcpBackend(FleetBackend):
         while not stop.wait(interval):
             try:
                 fleet.ping()
-                # Pull rediscovery: probe every dead endpoint once per
+                # Rediscovery: probe every dead, unretired endpoint once per
                 # beat, so a worker restarted on the same address rejoins
-                # (and gets its canonical slots back) within one interval
-                # even without an announce registry.
+                # (and gets its canonical slots back) within one interval.
                 fleet.readopt_dead()
             except BackendError:
                 # Liveness probing must never die: whatever a probe hit
@@ -506,9 +472,6 @@ class TcpBackend(FleetBackend):
         return self._dispatchers[slot].submit(self._fleet.roundtrip, slot, item)
 
     def _close(self) -> None:
-        registry, self._registry = self._registry, None
-        if registry is not None:
-            registry.close()
         stop, self._heartbeat_stop = self._heartbeat_stop, None
         thread, self._heartbeat_thread = self._heartbeat_thread, None
         if stop is not None:

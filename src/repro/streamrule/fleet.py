@@ -6,12 +6,12 @@ is a :class:`SlotTable` -- pure routing state (slot ``i`` starts on endpoint
 ``i % n``) that decides every reroute, readoption, adoption and retirement
 and counts them -- and a fleet is a *driver* of one: :class:`WorkerFleet`
 (below: blocking :class:`~repro.streamrule.net.WorkerClient` connections,
-locks, reconnects, a heartbeat, the announce registry) or the asyncio
+locks, reconnects, a heartbeat) or the asyncio
 fleet in :mod:`repro.streamrule.aio`.  :class:`FleetView` is the read side
 they share.  When a worker dies mid-stream the fleet
 
 1. retries the endpoint with bounded exponential backoff
-   (:func:`~repro.streamrule.net.connect_with_backoff` semantics -- a
+   (:func:`~repro.streamrule.net.connect_with_backoff` -- a
    worker restarted by its supervisor picks its slots straight back up),
 2. failing that, marks the endpoint dead and *reroutes* its slots
    round-robin over the survivors (the in-flight item is resubmitted there,
@@ -29,51 +29,37 @@ delta-shipping state per connection) and grounds from scratch, after which
 delta shipping and the per-track caches resume on the new worker.
 
 Endpoints marked dead are no longer dead forever: a revived worker is
-**re-adopted** without a backend restart, through any of three doors --
-
-* :meth:`WorkerFleet.readopt` reconnects one named dead endpoint and hands
-  it back the slots of its canonical layout (``slot % n``);
-* :meth:`WorkerFleet.readopt_dead` probes every dead endpoint once (the
-  TCP backend's heartbeat thread calls this each beat, so a worker
-  restarted on the same address rejoins within one heartbeat interval);
-* a :class:`FleetRegistry` listener accepts ``ANNOUNCE`` frames from
-  workers started with ``--announce`` and readopts the matching endpoint
-  the moment it calls home (push rediscovery, no heartbeat latency).
+**re-adopted** without a backend restart.  :meth:`WorkerFleet.readopt`
+reconnects one named dead endpoint and hands it back the slots of its
+canonical layout (``slot % n``), and :meth:`WorkerFleet.readopt_dead`
+probes every dead endpoint once -- the TCP backend's heartbeat thread
+calls it each beat, so a worker restarted on the same address rejoins
+within one heartbeat interval.  That pull is the only way back in: the
+fleet never listens for workers calling home.
 
 An operator can also *grow and shrink* the fleet mid-stream:
 :meth:`WorkerFleet.adopt_endpoint` appends a brand-new endpoint and gives
 it the slots of the widened canonical layout, and
 :meth:`WorkerFleet.retire_endpoint` drains one back out (its slots
-reroute exactly like a death, minus the corpse).
+reroute exactly like a death, minus the corpse).  A retired endpoint is
+not probed by the heartbeat; only an explicit :meth:`WorkerFleet.readopt`
+brings it back.
 """
 
 from __future__ import annotations
 
-import socket
 import ssl
 import threading
-import time
 from dataclasses import asdict, dataclass
-from typing import Any, Callable, ContextManager, Dict, List, Optional, Sequence, Tuple, Union
+from typing import Any, ContextManager, Dict, List, Optional, Sequence, Set, Tuple, Union
 
-from repro.streamrule.errors import BackendConnectionError, HandshakeError, ProtocolError
-from repro.streamrule.net import (
-    MAGIC,
-    ConnectionSettings,
-    FrameKind,
-    WireStats,
-    WorkerClient,
-    parse_announce,
-    recv_exactly,
-    recv_frame,
-    send_frame,
-)
+from repro.streamrule.errors import BackendConnectionError, HandshakeError
+from repro.streamrule.net import CONNECT_ATTEMPTS, RECONNECT_ATTEMPTS, ConnectionSettings, WireStats, WorkerClient
 from repro.streamrule.reasoner import ReasonerResult
 from repro.streamrule.work import WorkItem
 
 __all__ = [
     "EndpointLike",
-    "FleetRegistry",
     "WorkerEndpoint",
     "WorkerFleet",
     "initial_slot_owners",
@@ -147,9 +133,9 @@ class SlotTable:
     :mod:`repro.streamrule.aio` route a slot identically and differ only
     in how they dial, close and wait.  Per endpoint the table holds the
     installed connection (anything with ``alive``, ``stats`` and
-    ``pending_count``; ``None`` while there is none) and a *dead* mark;
-    methods that take a connection out of service hand it back for the
-    driver to close.
+    ``pending_count``; ``None`` while there is none), a *dead* mark, and
+    whether an operator *retired* it; methods that take a connection out
+    of service hand it back for the driver to close.
     """
 
     def __init__(self, endpoints: Sequence["EndpointLike"], slots: Optional[int] = None):
@@ -180,6 +166,7 @@ class SlotTable:
         released = [self.release(index) for index in range(len(self.connections))]
         self.connections = [None] * len(self.endpoints)
         self.dead: List[bool] = [False] * len(self.endpoints)
+        self.retired: Set[int] = set()
         self.owners: List[int] = initial_slot_owners(self.slot_count, len(self.endpoints))
         return [connection for connection in released if connection is not None]
 
@@ -238,6 +225,7 @@ class SlotTable:
         if not self.dead[index]:
             return False
         self.dead[index] = False
+        self.retired.discard(index)
         self.connections[index] = connection
         for slot in range(index, self.slot_count, len(self.endpoints)):
             self.owners[slot] = index
@@ -261,7 +249,8 @@ class SlotTable:
         return index
 
     def retire(self, index: int) -> Optional[Any]:
-        """Drain endpoint ``index`` out: a death without the corpse."""
+        """Drain endpoint ``index`` out: a death without the corpse, kept until a :meth:`readopt`."""
+        self.retired.add(index)
         if self.connections[index] is None and self.dead[index]:
             return None
         self.retirements += 1
@@ -298,6 +287,10 @@ class SlotTable:
 
     def dead_indexes(self) -> List[int]:
         return [index for index, dead in enumerate(self.dead) if dead]
+
+    def probe_indexes(self) -> List[int]:
+        """Dead endpoints a heartbeat may try to revive: every one an operator did not retire."""
+        return [index for index in self.dead_indexes() if index not in self.retired]
 
     def wire_statistics(self) -> WireStats:
         merged = self.retired_stats
@@ -375,11 +368,6 @@ class FleetView:
                 for endpoint, connection in zip(self.endpoints, self._table.connections)
             }
 
-    def wire_statistics(self) -> WireStats:
-        """Aggregate :class:`WireStats` over all connections, live and retired."""
-        with self._lock:
-            return self._table.wire_statistics()
-
     def _mark_dead(self, index: int) -> None:
         """Retire endpoint ``index`` and reroute its slots (guard held)."""
         client = self._table.mark_dead(index)
@@ -428,9 +416,6 @@ class WorkerFleet(FleetView):
         ``len(endpoints)``.  More slots than endpoints is legitimate (slots
         are the unit of rerouting granularity, endpoints the unit of
         failure).
-    connect_attempts / reconnect_attempts:
-        Backoff budgets for the initial connect and for reviving a dead
-        endpoint mid-stream.
     ssl_context / server_hostname:
         TLS-wrap every worker connection (``server_hostname`` overrides
         the SNI/verification name, for certs not issued to the literal
@@ -438,6 +423,10 @@ class WorkerFleet(FleetView):
     auth_token:
         Shared token for the ``AUTH`` challenge/response; required when
         the daemons were started with one.
+
+    The dial policy is fixed: ``net.CONNECT_ATTEMPTS`` dials per endpoint
+    at start, ``net.RECONNECT_ATTEMPTS`` to revive one mid-stream, with
+    the backoff of :func:`~repro.streamrule.net.backoff_delays` between.
     """
 
     def __init__(
@@ -445,19 +434,11 @@ class WorkerFleet(FleetView):
         endpoints: Sequence["EndpointLike"],
         *,
         slots: Optional[int] = None,
-        connect_attempts: int = 5,
-        reconnect_attempts: int = 2,
-        base_delay: float = 0.05,
-        max_delay: float = 2.0,
-        connect_timeout: float = 5.0,
-        sleep: Callable[[float], None] = time.sleep,
         ssl_context: Optional[ssl.SSLContext] = None,
         server_hostname: Optional[str] = None,
         auth_token: Optional[str] = None,
     ):
         super().__init__(endpoints, slots, ConnectionSettings.of(locals()), threading.Lock())
-        self.reconnect_attempts = reconnect_attempts
-        self._sleep = sleep
         #: One lock per endpoint serializing reconnect attempts, so a slow
         #: reconnect never blocks dispatch on slots of *other* endpoints
         #: (the fleet lock only ever guards table mutations, never I/O
@@ -561,7 +542,7 @@ class WorkerFleet(FleetView):
     # ------------------------------------------------------------------ #
     # Elasticity: readoption, adoption, retirement
     # ------------------------------------------------------------------ #
-    def readopt(self, index: int, *, attempts: Optional[int] = None) -> bool:
+    def readopt(self, index: int, *, attempts: int = RECONNECT_ATTEMPTS) -> bool:
         """Re-adopt dead endpoint ``index`` if it answers; returns success.
 
         On success the endpoint gets back every slot of its canonical
@@ -571,7 +552,9 @@ class WorkerFleet(FleetView):
         connection), so the first window per track ships full and grounds
         from scratch, after which the steady-state paths resume.  A still-
         unreachable endpoint stays dead and the probe cost is one bounded
-        connect.  Never raises on an unreachable or version-skewed peer.
+        connect.  This is also the way back for a retired endpoint, which
+        the heartbeat leaves alone.  Never raises on an unreachable or
+        version-skewed peer.
         """
         self._table.check_index(index)
         with self._endpoint_locks[index]:
@@ -579,9 +562,8 @@ class WorkerFleet(FleetView):
                 if not self._table.dead[index] or self._payload is None:
                     return False
                 payload = self._payload
-            budget = attempts if attempts is not None else self.reconnect_attempts
             try:
-                revived = self._dial(self.endpoints[index], payload, budget)
+                revived = self._dial(self.endpoints[index], payload, attempts)
             except (HandshakeError, BackendConnectionError):
                 return False
             with self._lock:
@@ -590,30 +572,20 @@ class WorkerFleet(FleetView):
                 revived.close()
             return adopted
 
-    def readopt_endpoint(self, endpoint: "EndpointLike") -> bool:
-        """Re-adopt ``endpoint`` if it is one of this fleet's and dead.
-
-        The door a :class:`FleetRegistry` announce comes through: strangers
-        and healthy endpoints are a no-op (``False``).
-        """
-        parsed = WorkerEndpoint.parse(endpoint)
-        with self._lock:
-            dead = [index for index in self._table.dead_indexes() if self.endpoints[index] == parsed]
-        return bool(dead) and self.readopt(dead[0])
-
-    def readopt_dead(self, *, attempts: int = 1) -> List[WorkerEndpoint]:
-        """Probe every dead endpoint once; returns the ones revived.
+    def readopt_dead(self) -> List[WorkerEndpoint]:
+        """Probe every dead endpoint once, except the retired; returns the ones revived.
 
         The heartbeat thread's rediscovery hook: one cheap connect attempt
         per dead endpoint per beat, so a worker restarted on its old
-        address rejoins within a heartbeat interval even without a
-        registry.
+        address rejoins within a heartbeat interval.  An endpoint drained
+        by :meth:`retire_endpoint` is not probed: retired means retired
+        until an explicit :meth:`readopt`.
         """
         with self._lock:
-            dead = self._table.dead_indexes()
-        return [self.endpoints[index] for index in dead if self.readopt(index, attempts=attempts)]
+            dead = self._table.probe_indexes()
+        return [self.endpoints[index] for index in dead if self.readopt(index, attempts=1)]
 
-    def adopt_endpoint(self, endpoint: "EndpointLike", *, attempts: Optional[int] = None) -> int:
+    def adopt_endpoint(self, endpoint: "EndpointLike") -> int:
         """Grow the fleet by one endpoint mid-stream; returns its index.
 
         The new endpoint receives the slots of the *widened* canonical
@@ -629,7 +601,7 @@ class WorkerFleet(FleetView):
             payload = self._payload
             if parsed in self.endpoints:
                 raise ValueError(f"endpoint {parsed} is already part of the fleet")
-        client = self._dial(parsed, payload, attempts)
+        client = self._dial(parsed, payload)
         with self._lock:
             self._endpoint_locks.append(threading.Lock())
             return self._table.adopt(parsed, client)
@@ -640,8 +612,8 @@ class WorkerFleet(FleetView):
         Its slots reroute over the survivors exactly as if it had died --
         in-flight items on the retired connection fail over through the
         normal resubmission path -- but the retirement is counted apart,
-        and a later :meth:`readopt` (or announce) can bring the endpoint
-        back.
+        the heartbeat does not probe the endpoint, and only an explicit
+        :meth:`readopt` brings it back.
         """
         self._table.check_index(index)
         with self._lock:
@@ -652,11 +624,9 @@ class WorkerFleet(FleetView):
     # ------------------------------------------------------------------ #
     # Internals
     # ------------------------------------------------------------------ #
-    def _dial(self, endpoint: WorkerEndpoint, payload: bytes, attempts: Optional[int] = None) -> WorkerClient:
-        """Connect and handshake one client (``attempts`` defaults to the connect budget)."""
-        return WorkerClient(
-            (endpoint.host, endpoint.port), payload, sleep=self._sleep, **self.settings.client_keywords(attempts)
-        )
+    def _dial(self, endpoint: WorkerEndpoint, payload: bytes, attempts: int = CONNECT_ATTEMPTS) -> WorkerClient:
+        """Connect and handshake one client."""
+        return WorkerClient((endpoint.host, endpoint.port), payload, attempts=attempts, **vars(self.settings))
 
     def _handle_connection_loss(self, index: int) -> None:
         """A connection died: try a bounded reconnect, else retire the endpoint.
@@ -686,7 +656,7 @@ class WorkerFleet(FleetView):
                 payload = self._payload
                 self._table.release(index)
             try:
-                revived = self._dial(self.endpoints[index], payload, self.reconnect_attempts)
+                revived = self._dial(self.endpoints[index], payload, RECONNECT_ATTEMPTS)
             except (HandshakeError, BackendConnectionError):
                 with self._lock:
                     self._mark_dead(index)
@@ -696,93 +666,3 @@ class WorkerFleet(FleetView):
                     revived.close()
                 else:
                     self._table.connections[index] = revived
-
-
-# --------------------------------------------------------------------------- #
-# The announce registry: push rediscovery for revived workers
-# --------------------------------------------------------------------------- #
-class FleetRegistry:
-    """A lightweight listener workers ``ANNOUNCE`` themselves to.
-
-    The pull half of rediscovery is the heartbeat probe
-    (:meth:`WorkerFleet.readopt_dead`); this is the push half.  A worker
-    daemon started with ``--announce HOST:PORT`` calls home every few
-    seconds (``MAGIC`` + one ``ANNOUNCE`` frame, answered with ``PONG``),
-    and an announce matching a *dead* fleet endpoint triggers an immediate
-    :meth:`WorkerFleet.readopt` -- so a revived worker rejoins as soon as
-    it boots instead of waiting out a heartbeat interval.  Announces for
-    unknown or healthy endpoints are acknowledged and ignored; the frame
-    is JSON-only and nothing from it is ever unpickled or executed.
-
-    The registry holds the fleet by reference and runs one daemon thread
-    per accepted connection (announces are one-frame conversations, so
-    the thread count is bounded by announce concurrency, not fleet size).
-    """
-
-    def __init__(self, fleet: WorkerFleet, host: str = "127.0.0.1", port: int = 0):
-        self._fleet = fleet
-        self._listener = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
-        self._listener.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
-        self._listener.bind((host, port))
-        self._listener.listen(16)
-        self.address: Tuple[str, int] = self._listener.getsockname()[:2]
-        #: Announce frames accepted (readopted or not), for tests/metrics;
-        #: bumped by one handler thread per connection, hence the lock.
-        self.announces = 0
-        self._announce_lock = threading.Lock()
-        self._stop = threading.Event()
-        self._thread = threading.Thread(target=self._accept_loop, name="streamrule-registry", daemon=True)
-        self._thread.start()
-
-    def close(self) -> None:
-        self._stop.set()
-        # Closing a listening socket does not wake a thread blocked in
-        # accept(); shutting it down does.
-        try:
-            self._listener.shutdown(socket.SHUT_RDWR)
-        except OSError:
-            pass
-        try:
-            self._listener.close()
-        except OSError:
-            pass
-        self._thread.join(timeout=5.0)
-
-    def __enter__(self) -> "FleetRegistry":
-        return self
-
-    def __exit__(self, *exc_info) -> None:
-        self.close()
-
-    # ------------------------------------------------------------------ #
-    def _accept_loop(self) -> None:
-        while not self._stop.is_set():
-            try:
-                connection, _ = self._listener.accept()
-            except OSError:
-                return
-            handler = threading.Thread(
-                target=self._handle, args=(connection,), name="streamrule-registry-conn", daemon=True
-            )
-            handler.start()
-
-    def _handle(self, connection: socket.socket) -> None:
-        try:
-            connection.settimeout(5.0)
-            if recv_exactly(connection, len(MAGIC)) != MAGIC:
-                return
-            kind, payload = recv_frame(connection)
-            if kind is not FrameKind.ANNOUNCE:
-                return
-            host, port = parse_announce(payload)
-            with self._announce_lock:
-                self.announces += 1
-            send_frame(connection, FrameKind.PONG)
-        except (OSError, EOFError, ProtocolError):
-            return
-        finally:
-            try:
-                connection.close()
-            except OSError:
-                pass
-        self._fleet.readopt_endpoint(WorkerEndpoint(host, port))

@@ -86,7 +86,7 @@ program as *text* plus its predicate sets and cache flags
 rebuilds by parsing; a failed evaluation comes back as an ``{"error":
 {kind, message}}`` envelope, raised at the caller as a plain
 :class:`BackendError`.  Control frames (``HELLO``/``WELCOME``/``REJECT``/
-``AUTH``/``ANNOUNCE``) are JSON; anything else in their place is refused.
+``AUTH``) are JSON; anything else in their place is refused.
 Two hardening layers are available on top (see
 ``docs/deployment-security.md``):
 
@@ -137,24 +137,27 @@ from repro.streamrule.reasoner import ReasonerResult
 from repro.streamrule.work import WorkItem
 
 __all__ = [
+    "BASE_DELAY",
     "ByteStream",
+    "CONNECT_ATTEMPTS",
+    "CONNECT_TIMEOUT",
     "DeltaDecoder",
     "DeltaShipper",
     "FrameKind",
     "MAGIC",
+    "MAX_DELAY",
     "PROTOCOL_VERSION",
+    "RECONNECT_ATTEMPTS",
     "ResultDecoder",
     "ResultEncoder",
     "ServerConnection",
     "WireStats",
     "WorkerClient",
-    "announce_endpoint",
     "apply_id_runs",
     "auth_mac",
-    "build_announce",
+    "backoff_delays",
     "connect_with_backoff",
     "diff_id_runs",
-    "parse_announce",
     "parse_welcome_fields",
     "recv_frame",
     "send_frame",
@@ -181,7 +184,12 @@ MAX_FRAME_BYTES = 1 << 30
 
 
 class FrameKind(enum.IntEnum):
-    """Discriminator byte of every frame on the wire (7 was version 1's ``DELTA``)."""
+    """Discriminator byte of every frame on the wire.
+
+    Retired kinds stay unassigned, so a peer still sending one is refused
+    as an unknown kind: 7 was version 1's ``DELTA``, 12 a worker's push
+    rejoin notice to its coordinator.
+    """
 
     HELLO = 1  #: client -> server: JSON ``{protocol}``
     WELCOME = 2  #: server -> client: JSON ``{protocol}``, plus ``nonce`` when auth is armed
@@ -193,7 +201,6 @@ class FrameKind(enum.IntEnum):
     PING = 9  #: either direction: heartbeat probe (empty payload)
     PONG = 10  #: heartbeat reply (empty payload)
     SYMBOLS = 11  #: client -> server: JSON request-table tail; one-way, no response
-    ANNOUNCE = 12  #: worker -> registry: JSON ``{host, port, protocol}``; answered with ``PONG``
     AUTH = 13  #: client -> server: JSON ``{mac}`` proving knowledge of the shared token
 
 
@@ -702,6 +709,32 @@ def parse_welcome_fields(kind: FrameKind, payload: bytes, address: Tuple[str, in
 # --------------------------------------------------------------------------- #
 # Connecting with bounded exponential backoff
 # --------------------------------------------------------------------------- #
+#: Dials a coordinator makes to a worker before giving up on it: at start,
+#: and when reconnecting to a worker that failed mid-stream.
+CONNECT_ATTEMPTS = 5
+RECONNECT_ATTEMPTS = 2
+#: The pause before a retry starts at ``BASE_DELAY`` seconds and doubles up to ``MAX_DELAY``.
+BASE_DELAY = 0.05
+MAX_DELAY = 2.0
+#: Seconds one TCP connect (plus its TLS handshake) may take.
+CONNECT_TIMEOUT = 5.0
+
+
+def backoff_delays(attempts: int) -> Iterator[float]:
+    """The pause before each of ``attempts`` dials: none before the first.
+
+    The one backoff schedule, behind the blocking :func:`connect_with_backoff`
+    and the asyncio ``AsyncWorkerClient.connect`` alike: ``BASE_DELAY``,
+    doubling up to ``MAX_DELAY``.
+    """
+    if attempts < 1:
+        raise ValueError("at least one connection attempt is required")
+    delay = 0.0
+    for _ in range(attempts):
+        yield delay
+        delay = min(MAX_DELAY, delay * 2) if delay else BASE_DELAY
+
+
 def tls_failure(address: Tuple[str, int], error: BaseException) -> HandshakeError:
     """A failed TLS negotiation: permanent, so not a retriable connection error."""
     return HandshakeError(f"TLS handshake with worker {address[0]}:{address[1]} failed: {error!r}")
@@ -717,38 +750,31 @@ def dial_failure(address: Tuple[str, int], attempts: int, failure: Optional[Base
 def connect_with_backoff(
     address: Tuple[str, int],
     *,
-    attempts: int = 5,
-    base_delay: float = 0.05,
-    max_delay: float = 2.0,
-    connect_timeout: float = 5.0,
+    attempts: int = CONNECT_ATTEMPTS,
     sleep: Callable[[float], None] = time.sleep,
     ssl_context: Optional[ssl.SSLContext] = None,
     server_hostname: Optional[str] = None,
 ) -> socket.socket:
     """TCP-connect to ``address``, retrying with exponential backoff.
 
-    Makes up to ``attempts`` attempts; attempt ``i`` (0-based) is preceded
-    by a ``min(max_delay, base_delay * 2**(i-1))`` pause.  Raises
-    :class:`BackendConnectionError` once the budget is exhausted.  ``sleep``
-    is injectable so tests can assert the schedule without waiting it out.
+    Makes up to ``attempts`` attempts, paused by :func:`backoff_delays`.
+    Raises :class:`BackendConnectionError` once the budget is exhausted.
+    ``sleep`` is injectable so tests can assert the schedule without
+    waiting it out.
 
     With ``ssl_context`` the socket is TLS-wrapped (and the TLS handshake
-    completed, still under ``connect_timeout``) before it is returned.  A
+    completed, still under ``CONNECT_TIMEOUT``) before it is returned.  A
     TLS *negotiation* failure -- certificate rejected, or the peer is
     speaking plaintext SRW1 -- is permanent, not transient, so it raises
     :class:`HandshakeError` immediately instead of burning the retry
     budget.
     """
-    if attempts < 1:
-        raise ValueError("at least one connection attempt is required")
-    delay = base_delay
     failure: Optional[Exception] = None
-    for attempt in range(attempts):
-        if attempt:
+    for delay in backoff_delays(attempts):
+        if delay:
             sleep(delay)
-            delay = min(max_delay, delay * 2)
         try:
-            connection = socket.create_connection(address, timeout=connect_timeout)
+            connection = socket.create_connection(address, timeout=CONNECT_TIMEOUT)
         except OSError as error:
             failure = error
             continue
@@ -772,83 +798,18 @@ def connect_with_backoff(
 
 
 # --------------------------------------------------------------------------- #
-# Worker announce (registry rejoin)
-# --------------------------------------------------------------------------- #
-def build_announce(host: str, port: int) -> bytes:
-    """The ``ANNOUNCE`` payload a worker sends to a fleet registry."""
-    return dumps_json({"host": host, "port": int(port), "protocol": PROTOCOL_VERSION})
-
-
-def parse_announce(payload: bytes) -> Tuple[str, int]:
-    """Validate an ``ANNOUNCE`` payload; returns ``(host, port)``.
-
-    Announce frames are always JSON -- a registry never unpickles,
-    because announces arrive from the *unauthenticated* edge of
-    the fleet (the whole point is hearing from workers we lost).
-    """
-    fields = loads_json(payload)
-    if fields.get("protocol") != PROTOCOL_VERSION:
-        raise ProtocolError(f"ANNOUNCE speaks protocol {fields.get('protocol')}, not {PROTOCOL_VERSION}")
-    host, port = fields.get("host"), fields.get("port")
-    if not isinstance(host, str) or not isinstance(port, int) or not (0 < port < 65536):
-        raise ProtocolError(f"malformed ANNOUNCE fields: host={host!r} port={port!r}")
-    return host, port
-
-
-def announce_endpoint(
-    registry_address: Tuple[str, int],
-    worker_address: Tuple[str, int],
-    *,
-    timeout: float = 2.0,
-    ssl_context: Optional[ssl.SSLContext] = None,
-    server_hostname: Optional[str] = None,
-) -> bool:
-    """One worker->registry announce round trip; ``True`` when acknowledged.
-
-    Best-effort by design: the registry may not be up (yet, or anymore),
-    so every failure is swallowed into ``False`` and the worker's announce
-    loop simply tries again next interval.
-    """
-    try:
-        connection = socket.create_connection(registry_address, timeout=timeout)
-    except OSError:
-        return False
-    try:
-        if ssl_context is not None:
-            connection = ssl_context.wrap_socket(
-                connection, server_hostname=server_hostname or registry_address[0]
-            )
-        connection.sendall(MAGIC)
-        send_frame(connection, FrameKind.ANNOUNCE, build_announce(*worker_address))
-        kind, _ = recv_frame(connection)
-        return kind is FrameKind.PONG
-    except (OSError, EOFError, ProtocolError):
-        return False
-    finally:
-        try:
-            connection.close()
-        except OSError:
-            pass
-
-
-# --------------------------------------------------------------------------- #
 # Client side, sans-IO: everything a coordinator must know to talk SRW1
 # --------------------------------------------------------------------------- #
 @dataclass(frozen=True)
 class ConnectionSettings:
-    """How a coordinator reaches and addresses its workers.
+    """How a coordinator reaches and addresses its workers: the deployment settings.
 
     The one value a backend builds from its constructor arguments and hands
-    down: ``vars(settings)`` are the connection keywords of both fleets,
-    :meth:`client_keywords` those of both clients.  The field list below is
-    the only place those keywords are enumerated outside the public
-    constructor signatures themselves.
+    down: ``vars(settings)`` are the connection keywords of both fleets and
+    both clients.  The dial policy is not among them; it is the module
+    constants above.
     """
 
-    connect_attempts: int = 5
-    base_delay: float = 0.05
-    max_delay: float = 2.0
-    connect_timeout: float = 5.0
     ssl_context: Optional[ssl.SSLContext] = None
     server_hostname: Optional[str] = None
     auth_token: Optional[str] = None
@@ -857,12 +818,6 @@ class ConnectionSettings:
     def of(cls, arguments: Mapping[str, Any]) -> "ConnectionSettings":
         """Pick the settings, by name, out of a constructor's ``locals()``."""
         return cls(**{name: arguments[name] for name in cls.__dataclass_fields__})
-
-    def client_keywords(self, attempts: Optional[int] = None) -> Dict[str, Any]:
-        """The clients spell the dial budget ``attempts`` (default: ``connect_attempts``)."""
-        keywords = dict(vars(self), attempts=self.connect_attempts if attempts is None else attempts)
-        del keywords["connect_attempts"]
-        return keywords
 
 
 @dataclass(eq=False)
@@ -1301,25 +1256,12 @@ class WorkerClient:
         address: Tuple[str, int],
         reasoner_payload: bytes,
         *,
-        attempts: int = 5,
-        base_delay: float = 0.05,
-        max_delay: float = 2.0,
-        connect_timeout: float = 5.0,
-        sleep: Callable[[float], None] = time.sleep,
+        attempts: int = CONNECT_ATTEMPTS,
         ssl_context: Optional[ssl.SSLContext] = None,
         server_hostname: Optional[str] = None,
         auth_token: Optional[str] = None,
     ):
-        sock = connect_with_backoff(
-            address,
-            attempts=attempts,
-            base_delay=base_delay,
-            max_delay=max_delay,
-            connect_timeout=connect_timeout,
-            sleep=sleep,
-            ssl_context=ssl_context,
-            server_hostname=server_hostname,
-        )
+        sock = connect_with_backoff(address, attempts=attempts, ssl_context=ssl_context, server_hostname=server_hostname)
         self._handshake(sock, ClientConnection(address, auth_token=auth_token), reasoner_payload)
 
     @classmethod

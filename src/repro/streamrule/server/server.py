@@ -187,8 +187,9 @@ class QueryServer:
         with the already-registered ones could change anyone's answers --
         the fix is namespacing the colliding derived predicates.  Mid-stream
         registration is allowed: the query's lane starts windowing at the
-        next pushed item.  A registration that raises leaves the server as
-        it was.
+        next pushed item, and a window already dispatched to the lane's
+        other members is not delivered to it.  A registration that raises
+        leaves the server as it was.
         """
         with self._lock:
             self._require_open()
@@ -454,11 +455,14 @@ class QueryServer:
             if member in self.registry:
                 stats = self.tenant_stats[self.registry.get(member).tenant]
                 stats.windows_dispatched += 1
+        # The tag names the members the window is evaluated for: a query
+        # that joins while it is in flight gets it from the union program
+        # of before its rules, so it is not theirs to receive.
         self._session.push_window(
             delta.window,
             delta=delta,
             index=delta.index,
-            tag=lane_key,
+            tag=(lane_key, tuple(lane.members)),
             track_base=lane.lane_id * self.track_stride,
         )
 
@@ -480,11 +484,12 @@ class QueryServer:
             self._route(solution)
 
     def _route(self, solution: WindowSolution) -> None:
-        """Fan one evaluated lane window out to its member subscriptions."""
-        lane_key = solution.tag
+        """Fan one evaluated lane window out to the members it was dispatched for that are still registered."""
+        lane_key, dispatched_for = solution.tag
         self.scheduler.complete(lane_key)
         lane = self._lanes.get(lane_key)
-        members = [key for key in (lane.members if lane is not None else []) if key in self.registry]
+        current = lane.members if lane is not None else []
+        members = [key for key in dispatched_for if key in current and key in self.registry]
         if not members:
             self.orphaned_windows += 1
             return

@@ -26,10 +26,9 @@ facts and answers are interned ids, control frames are JSON.  Two
 hardening flags decide *who* may use the daemon (see
 ``docs/deployment-security.md``): ``--tls-cert``/``--tls-key`` wrap every
 connection in TLS, and ``--auth-token`` (or ``$STREAMRULE_AUTH_TOKEN``)
-demands an HMAC challenge/response in the handshake.
-``--announce HOST:PORT`` makes the daemon call home to a coordinator's
-:class:`~repro.streamrule.fleet.FleetRegistry` so a revived worker rejoins
-its fleet the moment it boots.
+demands an HMAC challenge/response in the handshake.  A worker restarted
+on its old address needs no flag to rejoin: the coordinator's heartbeat
+re-probes dead endpoints and hands a revived one its slots back.
 """
 
 from __future__ import annotations
@@ -49,7 +48,7 @@ from pathlib import Path
 from typing import List, Optional, Sequence, Tuple
 
 from repro.streamrule.fleet import WorkerEndpoint
-from repro.streamrule.net import announce_endpoint, serve_worker_connection
+from repro.streamrule.net import serve_worker_connection
 
 __all__ = ["LocalWorkerProcess", "WorkerServer", "main", "parse_listen_address", "spawn_local_workers"]
 
@@ -312,7 +311,7 @@ def spawn_local_workers(
 
 
 def _await_listening_line(process: subprocess.Popen, timeout: float) -> Tuple[str, int]:
-    """Block until the daemon announces its address (or dies, or times out).
+    """Block until the daemon prints its address (or dies, or times out).
 
     ``select`` guards every read so a daemon that hangs *without* printing
     (import deadlock, swallowed stdout) still trips the timeout instead of
@@ -332,7 +331,7 @@ def _await_listening_line(process: subprocess.Popen, timeout: float) -> Tuple[st
         if line.startswith("listening on "):
             return parse_listen_address(line[len("listening on "):].strip())
     process.kill()
-    raise RuntimeError("worker did not announce its address in time")
+    raise RuntimeError("worker did not print its address in time")
 
 
 # --------------------------------------------------------------------------- #
@@ -364,19 +363,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         help="require HMAC token auth in the handshake "
         "(defaults to $STREAMRULE_AUTH_TOKEN; prefer the variable -- argv leaks into `ps`)",
     )
-    parser.add_argument(
-        "--announce",
-        type=parse_listen_address,
-        metavar="HOST:PORT",
-        help="periodically announce this worker to a coordinator FleetRegistry at HOST:PORT",
-    )
-    parser.add_argument(
-        "--announce-interval",
-        type=float,
-        default=2.0,
-        metavar="SECONDS",
-        help="seconds between --announce attempts (default 2.0)",
-    )
     parser.add_argument("--verbose", "-v", action="store_true", help="log connections and handshakes to stderr")
     arguments = parser.parse_args(argv)
 
@@ -387,8 +373,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     )
     if arguments.tls_key and not arguments.tls_cert:
         parser.error("--tls-key requires --tls-cert")
-    if arguments.announce_interval <= 0:
-        parser.error("--announce-interval must be positive")
     ssl_context: Optional[ssl.SSLContext] = None
     if arguments.tls_cert:
         ssl_context = ssl.SSLContext(ssl.PROTOCOL_TLS_SERVER)
@@ -406,24 +390,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     print(f"listening on {host}:{port}", flush=True)
 
     stop = threading.Event()
-
-    if arguments.announce is not None:
-        registry_address = arguments.announce
-
-        def announce_loop() -> None:
-            # Announce immediately (a revived worker should rejoin the
-            # fleet now, not an interval from now), then keep calling
-            # home; announce_endpoint swallows every failure into False,
-            # so a registry that is not up yet just means "try again".
-            while not stop.is_set():
-                acknowledged = announce_endpoint(registry_address, (host, port))
-                logger.info(
-                    "announce to %s:%s %s", registry_address[0], registry_address[1],
-                    "acknowledged" if acknowledged else "unanswered",
-                )
-                stop.wait(arguments.announce_interval)
-
-        threading.Thread(target=announce_loop, name="streamrule-worker-announce", daemon=True).start()
 
     def handle_signal(signum, frame) -> None:
         stop.set()

@@ -241,14 +241,14 @@ class TestAioTcp:
                 await session.finish()
                 collected = await session.results_list()
                 assert session.fallbacks == 0
-                stats = backend.wire_statistics()
+                stats = backend.transport_statistics()
             return collected, stats
 
         collected, stats = asyncio.run(scenario())
         assert [fingerprint(solution) for solution in collected] == reference_solutions()
         assert stats["items_full"] + stats["items_delta"] >= len(collected)
         # The wire stats snapshot survives the (owned) backend's close.
-        assert backend.wire_statistics() == stats
+        assert backend.transport_statistics() == stats
 
     def test_sync_start_is_rejected_with_guidance(self, worker_endpoints):
         backend = AioTcpBackend(worker_endpoints, **worker_security_kwargs())

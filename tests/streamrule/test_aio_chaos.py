@@ -34,14 +34,17 @@ from repro.streamrule.session import StreamSession
 from repro.streamrule.worker import spawn_local_workers
 
 SESSIONS = 200
-WINDOW = CountWindow(size=10, slide=10)
-STREAM_LENGTH = 30  # three windows per session
-FIRST_WAVE = 10  # one window in flight when the worker dies
+WINDOW = CountWindow(size=30, slide=30)
+STREAM_LENGTH = 90  # three windows per session
+FIRST_WAVE = 30  # one window in flight when the worker dies
 
 
 def traffic_stream():
+    # One segment and one car: every window holds enough readings of them
+    # to raise events, so the comparison is not between empty answers.
     config = SyntheticStreamConfig(
-        window_size=STREAM_LENGTH, input_predicates=INPUT_PREDICATES, scheme="traffic", seed=23
+        window_size=STREAM_LENGTH, input_predicates=INPUT_PREDICATES, scheme="traffic", seed=23,
+        location_count=1, car_count=1,
     )
     return generate_window(config)
 
@@ -67,6 +70,7 @@ def reference_solutions(stream):
         session.finish()
         reference = [fingerprint(solution) for solution in session.results()]
     assert len(reference) == 3
+    assert any(any(answers) for _index, _size, answers, _triples in reference)
     return reference
 
 
@@ -117,7 +121,7 @@ def test_worker_kill_mid_stream_loses_nothing():
                     per_session.append(
                         ([fingerprint(solution) for solution in solutions], session.fallbacks)
                     )
-                stats = backend.wire_statistics()
+                stats = backend.transport_statistics()
             finally:
                 for session in sessions:
                     await session.close(drain=False)

@@ -2,24 +2,23 @@
 
 Three layers, cheapest first:
 
-* :class:`TestFleetRegistry` -- the ANNOUNCE listener in isolation: a
-  revived worker's announce flips its dead slot back to live, strangers
-  and garbage are ignored, and the listener never unpickles anything.
+* :class:`TestHeartbeatRejoin` -- the heartbeat against in-thread daemons:
+  a daemon restarted on its old port gets its slots back with no other
+  help, and an endpoint the operator retired stays retired.
 * :class:`TestOperatorAdoption` -- ``adopt_endpoint``/``retire_endpoint``
   on a live fleet: an adopted daemon serves its slots of the widened
   layout, a retired one hands them back, and no window is lost.
 * :class:`TestChaos` -- the acceptance scenario: a live
   4-worker fleet loses half its daemons mid-stream, keeps answering
   correctly off the survivors (reroutes, zero inline fallbacks), then
-  re-adopts the revived daemons on the *same* ports -- via both the
-  heartbeat re-probe and the ANNOUNCE push path -- without the backend
-  ever restarting.  CI runs this as the ``chaos`` job.
+  re-adopts the revived daemons on the *same* ports through the heartbeat
+  re-probe without the backend ever restarting.  CI runs this as the
+  ``chaos`` job.
 """
 
 from __future__ import annotations
 
 import os
-import socket
 import subprocess
 import sys
 import time
@@ -29,13 +28,12 @@ import pytest
 
 from repro.core.decomposition import decompose
 from repro.core.input_dependency import build_input_dependency_graph
-from repro.core.partitioner import DependencyPartitioner, HashPartitioner
+from repro.core.partitioner import DependencyPartitioner
 from repro.programs.traffic import EVENT_PREDICATES, INPUT_PREDICATES, traffic_program
 from repro.streaming.generator import SyntheticStreamConfig, generate_window
 from repro.streaming.window import CountWindow
 from repro.streamrule.backends import InlineBackend, TcpBackend
-from repro.streamrule.fleet import FleetRegistry, WorkerEndpoint, WorkerFleet
-from repro.streamrule.net import announce_endpoint
+from repro.streamrule.fleet import WorkerEndpoint
 from repro.streamrule.reasoner import Reasoner
 from repro.streamrule.session import StreamSession
 from repro.streamrule.worker import (
@@ -51,19 +49,25 @@ def traffic_reasoner():
 
 
 def traffic_stream(length, seed=67):
+    # Three segments and three cars: dense enough that many windows raise
+    # events, so comparing answers is not comparing empty sets.
     config = SyntheticStreamConfig(
-        window_size=length, input_predicates=INPUT_PREDICATES, scheme="traffic", seed=seed
+        window_size=length, input_predicates=INPUT_PREDICATES, scheme="traffic", seed=seed,
+        location_count=3, car_count=3,
     )
     return list(generate_window(config))
 
 
-def reasoner_spec():
-    from repro.streamrule.codec import encode_reasoner_spec
+def dependency_partitioner():
+    """The paper's exact partitioner: any answer lost or invented is the fleet's doing."""
+    return DependencyPartitioner(decompose(build_input_dependency_graph(traffic_program(), INPUT_PREDICATES)).plan)
 
-    return encode_reasoner_spec(traffic_reasoner())
+
+def answer_sets(solution):
+    return {frozenset(answer) for answer in solution.answers}
 
 
-def spawn_worker_on(host, port, extra_arguments=()):
+def spawn_worker_on(host, port):
     """Spawn one worker daemon bound to a *specific* port (for revivals)."""
     source_root = str(Path(__file__).resolve().parents[2] / "src")
     environment = dict(os.environ)
@@ -73,7 +77,7 @@ def spawn_worker_on(host, port, extra_arguments=()):
         source_root if not python_path else source_root + os.pathsep + python_path
     )
     process = subprocess.Popen(
-        [sys.executable, "-m", "repro.streamrule.worker", "--listen", f"{host}:{port}", *extra_arguments],
+        [sys.executable, "-m", "repro.streamrule.worker", "--listen", f"{host}:{port}"],
         stdout=subprocess.PIPE,
         stderr=subprocess.STDOUT,
         text=True,
@@ -93,82 +97,67 @@ def wait_until(predicate, timeout=20.0, interval=0.05):
 
 
 # --------------------------------------------------------------------------- #
-# ANNOUNCE / registry
+# The heartbeat: the one way back into the fleet
 # --------------------------------------------------------------------------- #
-class TestFleetRegistry:
-    def _fleet(self, server):
-        fleet = WorkerFleet([f"{server.address[0]}:{server.address[1]}"])
-        fleet.start(reasoner_spec())
-        return fleet
+class TestHeartbeatRejoin:
+    INTERVAL = 0.05
 
-    def test_announce_readopts_a_dead_endpoint(self):
-        with WorkerServer(port=0) as server:
-            fleet = self._fleet(server)
-            try:
-                with FleetRegistry(fleet) as registry:
-                    fleet._mark_dead(0)
-                    assert fleet.dead_endpoints
-                    assert announce_endpoint(registry.address, server.address)
-                    assert wait_until(lambda: not fleet.dead_endpoints)
-                    assert fleet.readoptions == 1
-                    assert registry.announces == 1
-            finally:
-                fleet.close()
+    @staticmethod
+    def _pings(backend):
+        return backend.transport_statistics()["pings"]
 
-    def test_announce_for_a_live_endpoint_is_a_noop(self):
-        with WorkerServer(port=0) as server:
-            fleet = self._fleet(server)
-            try:
-                with FleetRegistry(fleet) as registry:
-                    assert announce_endpoint(registry.address, server.address)
-                    assert wait_until(lambda: registry.announces == 1)
-                    assert fleet.readoptions == 0
-            finally:
-                fleet.close()
+    def test_a_daemon_restarted_on_its_port_is_readopted_by_the_heartbeat(self):
+        stream = traffic_stream(80)
+        partitioner = dependency_partitioner()
+        halves = (stream[:40], stream[40:])
+        with StreamSession(traffic_reasoner(), partitioner=partitioner, backend=InlineBackend()) as session:
+            expected = [answer_sets(session.evaluate_window(half)) for half in halves]
+        assert any(any(answers) for answers in expected)
 
-    def test_announce_from_a_stranger_is_ignored(self):
-        """An endpoint the operator never configured cannot announce its
-        way into the fleet."""
-        with WorkerServer(port=0) as server:
-            fleet = self._fleet(server)
-            try:
-                with FleetRegistry(fleet) as registry:
-                    assert announce_endpoint(registry.address, ("127.0.0.1", 1))
-                    assert wait_until(lambda: registry.announces == 1)
-                    assert len(fleet.endpoints) == 1
-                    assert fleet.adoptions == 0 and fleet.readoptions == 0
-            finally:
-                fleet.close()
+        first, second = WorkerServer(port=0), WorkerServer(port=0)
+        first.start()
+        second.start()
+        port = first.address[1]
+        restarted = WorkerServer(port=port)
+        try:
+            backend = TcpBackend([first.address, second.address], heartbeat_interval=self.INTERVAL)
+            with StreamSession(traffic_reasoner(), partitioner=partitioner, backend=backend) as session:
+                actual = [answer_sets(session.evaluate_window(halves[0]))]
+                fleet = backend.fleet
+                layout = fleet.slot_table()
+                first.stop()
+                assert wait_until(lambda: len(fleet.dead_endpoints) == 1, timeout=10.0)
+                assert set(fleet.slot_table().values()) == {str(WorkerEndpoint.parse(second.address))}
+                restarted.start()
+                assert wait_until(lambda: not fleet.dead_endpoints, timeout=10.0)
+                assert fleet.readoptions == 1 and fleet.slot_table() == layout
+                actual.append(answer_sets(session.evaluate_window(halves[1])))
+                assert session.fallbacks == 0
+                assert backend.fleet is fleet
+        finally:
+            for server in (first, second, restarted):
+                server.stop()
+        assert actual == expected
 
-    def test_garbage_and_pickle_frames_are_dropped(self):
-        """The registry neither crashes on nor unpickles hostile bytes."""
-        import pickle
-
-        from repro.streamrule.net import MAGIC, FrameKind, send_frame
-
-        with WorkerServer(port=0) as server:
-            fleet = self._fleet(server)
-            try:
-                with FleetRegistry(fleet) as registry:
-                    with socket.create_connection(registry.address, timeout=5.0) as raw:
-                        raw.sendall(b"JUNKJUNK")
-                    with socket.create_connection(registry.address, timeout=5.0) as raw:
-                        raw.sendall(MAGIC)
-                        send_frame(raw, FrameKind.ANNOUNCE, pickle.dumps({"host": "x", "port": 1}))
-                    # Still alive and still counting real announces:
-                    assert announce_endpoint(registry.address, server.address)
-                    assert wait_until(lambda: registry.announces == 1)
-            finally:
-                fleet.close()
-
-    def test_close_wakes_the_accept_thread(self):
-        """Closing the listener must unblock ``accept()`` at once, not after the join timeout."""
-        registry = FleetRegistry(None)
-        time.sleep(0.2)  # let the accept thread block in accept()
-        started = time.perf_counter()
-        registry.close()
-        assert time.perf_counter() - started < 1.0
-        assert not registry._thread.is_alive()
+    def test_a_retired_endpoint_stays_retired_across_heartbeats(self):
+        with WorkerServer(port=0) as first, WorkerServer(port=0) as second:
+            backend = TcpBackend([first.address, second.address], heartbeat_interval=self.INTERVAL)
+            with StreamSession(traffic_reasoner(), backend=backend) as session:
+                session.evaluate_window(traffic_stream(40))
+                fleet = backend.fleet
+                retired, survivor = (str(endpoint) for endpoint in fleet.endpoints)
+                fleet.retire_endpoint(0)
+                # Each beat pings the survivor, then probes the dead: six
+                # more pings mean at least five whole beats since the retire.
+                pings = self._pings(backend)
+                assert wait_until(lambda: self._pings(backend) >= pings + 6, timeout=10.0)
+                assert [str(endpoint) for endpoint in fleet.dead_endpoints] == [retired]
+                assert fleet.readoptions == 0
+                assert set(fleet.slot_table().values()) == {survivor}
+                # The operator's explicit readopt is the way back.
+                assert fleet.readopt(0)
+                assert not fleet.dead_endpoints and fleet.slot_table()[0] == retired
+                assert fleet.readoptions == 1 and fleet.retirements == 1
 
 
 # --------------------------------------------------------------------------- #
@@ -179,17 +168,9 @@ class TestOperatorAdoption:
     def test_an_adopted_worker_serves_its_slots_until_retired(self):
         """Adopt a second daemon mid-stream, see its slots' work reach it,
         retire it again: every window still answers exactly as inline."""
-        # Three segments and three cars: dense enough that most windows
-        # raise events, so the comparison below is not between empty sets.
-        config = SyntheticStreamConfig(
-            window_size=240, input_predicates=INPUT_PREDICATES, scheme="traffic", seed=67,
-            location_count=3, car_count=3,
-        )
-        stream = list(generate_window(config))
+        stream = traffic_stream(240)
         window_policy = CountWindow(size=40, slide=20, emit_partial=False)
-        partitioner = DependencyPartitioner(
-            decompose(build_input_dependency_graph(traffic_program(), INPUT_PREDICATES)).plan
-        )
+        partitioner = dependency_partitioner()
         with StreamSession(
             traffic_reasoner(), window=window_policy, partitioner=partitioner, backend=InlineBackend()
         ) as session:
@@ -233,7 +214,7 @@ class TestChaos:
     def test_fleet_loses_and_regains_half_its_workers_mid_stream(self):
         stream = traffic_stream(240)
         window_policy = CountWindow(size=40, slide=20)
-        partitioner = HashPartitioner(4)
+        partitioner = dependency_partitioner()  # two tracks: slots 0 and 1, on the two workers killed below
 
         with StreamSession(
             traffic_reasoner(), partitioner=partitioner, backend=InlineBackend(simulated=False)
@@ -242,6 +223,7 @@ class TestChaos:
                 {frozenset(a) for a in session.evaluate_window(list(window)).answers}
                 for window in window_policy.windows(stream)
             ]
+        assert any(any(answers) for answers in expected)  # the comparison below is not between empty sets
 
         workers = spawn_local_workers(4)
         revived = []
@@ -249,7 +231,6 @@ class TestChaos:
             backend = TcpBackend(
                 [worker.endpoint for worker in workers],
                 heartbeat_interval=0.2,
-                registry=True,
             )
             with StreamSession(
                 traffic_reasoner(), partitioner=partitioner, backend=backend
@@ -272,20 +253,11 @@ class TestChaos:
                 assert fleet.reroutes > 0
                 assert wait_until(lambda: len(fleet.dead_endpoints) == 2, timeout=10.0)
 
-                # --- revive on the SAME ports: one worker rejoins via the
-                # ANNOUNCE push path, the other via the heartbeat re-probe.
-                registry = backend.registry
-                assert registry is not None
-                host, port = registry.address
-                revived.append(
-                    spawn_worker_on(*workers[0].address, extra_arguments=[
-                        "--announce", f"{host}:{port}", "--announce-interval", "0.2",
-                    ])
-                )
-                revived.append(spawn_worker_on(*workers[1].address))
+                # --- revive on the SAME ports: the heartbeat re-probe
+                # hands both their slots back.
+                revived += [spawn_worker_on(*worker.address) for worker in workers[:2]]
                 assert wait_until(lambda: not fleet.dead_endpoints, timeout=20.0)
                 assert fleet.readoptions >= 2
-                assert registry.announces >= 1
 
                 # --- the regained workers serve the rest of the stream
                 actual += [
@@ -294,7 +266,7 @@ class TestChaos:
                 ]
                 assert session.fallbacks == 0  # inline never ran
                 assert backend.fleet is fleet  # the backend never restarted
-                stats = backend.wire_statistics()
+                stats = backend.transport_statistics()
             # Every window, across the kill and the rejoin, answered exactly
             # as the uninterrupted inline run: nothing lost, nothing doubled.
             assert len(actual) == len(expected)

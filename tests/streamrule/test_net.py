@@ -10,6 +10,7 @@ degrades to inline evaluation.
 
 from __future__ import annotations
 
+import asyncio
 import json
 import pickle
 import socket
@@ -30,14 +31,21 @@ from repro.core.partitioner import HashPartitioner
 from repro.programs.traffic import EVENT_PREDICATES, INPUT_PREDICATES, traffic_program
 from repro.streaming.generator import SyntheticStreamConfig, generate_window
 from repro.streaming.window import CountWindow
+from repro.streamrule.aio import AsyncWorkerClient
 from repro.streamrule.backends import InlineBackend, TcpBackend
 from repro.streamrule.codec import encode_reasoner_spec
 from repro.streamrule.errors import BackendConnectionError, BackendError, HandshakeError, ProtocolError
 from repro.streamrule.fleet import WorkerEndpoint, WorkerFleet
 from repro.streamrule.net import (
+    BASE_DELAY,
+    CONNECT_ATTEMPTS,
+    CONNECT_TIMEOUT,
     MAGIC,
+    MAX_DELAY,
     MAX_FRAME_BYTES,
     PROTOCOL_VERSION,
+    RECONNECT_ATTEMPTS,
+    ConnectionSettings,
     DeltaDecoder,
     DeltaShipper,
     FrameKind,
@@ -46,6 +54,7 @@ from repro.streamrule.net import (
     ServerConnection,
     WorkerClient,
     apply_id_runs,
+    backoff_delays,
     connect_with_backoff,
     diff_id_runs,
     frame_bytes,
@@ -58,7 +67,7 @@ from repro.streamrule.reasoner import Reasoner
 from repro.streamrule.session import StreamSession
 from repro.streamrule.shm import RING_BYTES
 from repro.streamrule.work import WorkItem
-from repro.streamrule.worker import WorkerServer, parse_listen_address
+from repro.streamrule.worker import WorkerServer, main as worker_main, parse_listen_address
 from tests.conftest import make_atom
 from tests.streamrule.conftest import stream_pair
 from tests.streamrule.test_protocol_core import ScriptedServer
@@ -724,15 +733,10 @@ class TestBackoff:
     def test_exhausted_budget_raises_connection_error(self):
         sleeps = []
         with pytest.raises(BackendConnectionError):
-            connect_with_backoff(
-                ("127.0.0.1", self._free_port()),
-                attempts=4,
-                base_delay=0.05,
-                max_delay=0.15,
-                sleep=sleeps.append,
-            )
-        # attempts - 1 pauses, doubling up to the cap: 0.05, 0.1, 0.15.
-        assert sleeps == [0.05, 0.1, 0.15]
+            connect_with_backoff(("127.0.0.1", self._free_port()), attempts=8, sleep=sleeps.append)
+        # attempts - 1 pauses, doubling from BASE_DELAY up to the MAX_DELAY cap.
+        assert sleeps == [0.05, 0.1, 0.2, 0.4, 0.8, 1.6, 2.0]
+        assert list(backoff_delays(8)) == [0.0, *sleeps]  # the schedule the asyncio dialer sleeps too
 
     def test_connects_once_the_worker_comes_back(self):
         port = self._free_port()
@@ -745,9 +749,7 @@ class TestBackoff:
                 server.start()  # the worker "restarts" during the backoff
 
         try:
-            connection = connect_with_backoff(
-                ("127.0.0.1", port), attempts=5, base_delay=0.01, sleep=sleep_then_start
-            )
+            connection = connect_with_backoff(("127.0.0.1", port), attempts=5, sleep=sleep_then_start)
             connection.close()
             assert attempts["count"] >= 2
         finally:
@@ -756,6 +758,29 @@ class TestBackoff:
     def test_at_least_one_attempt_required(self):
         with pytest.raises(ValueError):
             connect_with_backoff(("127.0.0.1", 1), attempts=0)
+
+    def test_the_asyncio_dialer_sleeps_the_same_schedule(self, monkeypatch):
+        sleeps = []
+
+        async def record(delay):
+            sleeps.append(delay)
+
+        monkeypatch.setattr(asyncio, "sleep", record)
+        address = ("127.0.0.1", self._free_port())
+        with pytest.raises(BackendConnectionError):
+            asyncio.run(AsyncWorkerClient.connect(address, choice_payload(), attempts=8))
+        assert [0.0, *sleeps] == list(backoff_delays(8))
+
+    def test_the_dial_policy_keeps_the_former_defaults(self):
+        assert (CONNECT_ATTEMPTS, RECONNECT_ATTEMPTS) == (5, 2)
+        assert (BASE_DELAY, MAX_DELAY, CONNECT_TIMEOUT) == (0.05, 2.0, 5.0)
+
+    def test_connection_settings_are_the_deployment_settings_only(self):
+        assert list(ConnectionSettings.__dataclass_fields__) == ["ssl_context", "server_hostname", "auth_token"]
+        arguments = {"ssl_context": None, "server_hostname": "worker", "auth_token": "t", "slots": 4}
+        assert vars(ConnectionSettings.of(arguments)) == {
+            "ssl_context": None, "server_hostname": "worker", "auth_token": "t"
+        }
 
 
 # --------------------------------------------------------------------------- #
@@ -777,7 +802,7 @@ class TestWorkerDeath:
         first.start()
         second.start()
         try:
-            backend = TcpBackend([first.address, second.address], reconnect_attempts=1, base_delay=0.01)
+            backend = TcpBackend([first.address, second.address])
             reasoner = Reasoner(traffic_program(), INPUT_PREDICATES, EVENT_PREDICATES)
             solutions = []
             with StreamSession(reasoner, partitioner=partitioner, backend=backend) as session:
@@ -807,9 +832,7 @@ class TestWorkerDeath:
         for server in servers:
             server.start()
         try:
-            backend = TcpBackend(
-                [server.address for server in servers], reconnect_attempts=1, base_delay=0.01
-            )
+            backend = TcpBackend([server.address for server in servers])
             reasoner = Reasoner(traffic_program(), INPUT_PREDICATES, EVENT_PREDICATES)
             with StreamSession(reasoner, partitioner=partitioner, backend=backend) as session:
                 deltas = list(window.deltas(stream))
@@ -832,7 +855,7 @@ class TestWorkerDeath:
     def test_fleet_refuses_without_fallback_when_disabled(self):
         server = WorkerServer()
         server.start()
-        backend = TcpBackend([server.address], reconnect_attempts=1, base_delay=0.01)
+        backend = TcpBackend([server.address])
         reasoner = choice_reasoner()
         try:
             with StreamSession(reasoner, backend=backend, inline_fallback=False) as session:
@@ -854,7 +877,7 @@ class TestWorkerDeath:
         first_port = first.address[1]
         imposter = None
         try:
-            backend = TcpBackend([first.address, second.address], reconnect_attempts=1, base_delay=0.01)
+            backend = TcpBackend([first.address, second.address])
             with StreamSession(choice_reasoner(), backend=backend, inline_fallback=False) as session:
                 session.evaluate_window([make_atom("item", 1)])
                 first.stop()
@@ -878,8 +901,6 @@ class TestWorkerDeath:
             backend = TcpBackend(
                 [first.address, second.address],
                 heartbeat_interval=0.05,
-                reconnect_attempts=1,
-                base_delay=0.01,
             )
             with StreamSession(choice_reasoner(), backend=backend) as session:
                 session.evaluate_window([make_atom("item", 1)])
@@ -914,11 +935,27 @@ class TestFleetCoordinator:
         dead_address = dead_port_probe.getsockname()[:2]
         dead_port_probe.close()
         with WorkerServer() as alive:
-            fleet = WorkerFleet([dead_address, alive.address], connect_attempts=1, base_delay=0.01)
+            fleet = WorkerFleet([dead_address, alive.address])
             fleet.start(choice_payload())
             try:
                 assert [str(e) for e in fleet.alive_endpoints] == [f"{alive.address[0]}:{alive.address[1]}"]
                 assert fleet.roundtrip(0, work_item()).answers  # slot 0 rerouted
+            finally:
+                fleet.close()
+
+    def test_readopt_revives_only_a_dead_endpoint(self):
+        with WorkerServer() as server:
+            fleet = WorkerFleet([server.address])
+            fleet.start(choice_payload())
+            try:
+                assert not fleet.readopt(0)  # healthy: nothing to do
+                with pytest.raises(ValueError):
+                    fleet.readopt(1)  # not an endpoint of this fleet
+                fleet.retire_endpoint(0)
+                assert fleet.dead_endpoints and fleet.readoptions == 0
+                assert fleet.readopt(0)
+                assert not fleet.dead_endpoints and fleet.readoptions == 1
+                assert fleet.roundtrip(0, work_item()).answers
             finally:
                 fleet.close()
 
@@ -927,7 +964,7 @@ class TestFleetCoordinator:
         probe.bind(("127.0.0.1", 0))
         address = probe.getsockname()[:2]
         probe.close()
-        fleet = WorkerFleet([address], connect_attempts=1, base_delay=0.01)
+        fleet = WorkerFleet([address])
         with pytest.raises(BackendConnectionError):
             fleet.start(choice_payload())
 
@@ -950,6 +987,22 @@ class TestFleetCoordinator:
             parse_listen_address("host:70000")
 
 
+class TestNoPushRejoin:
+    """A revived worker rejoins by the heartbeat alone; nothing listens for it."""
+
+    def test_the_worker_cli_refuses_the_announce_flag(self, capsys):
+        with pytest.raises(SystemExit) as exit_status:
+            worker_main(["--announce", "127.0.0.1:1"])
+        assert exit_status.value.code == 2
+        assert "unrecognized arguments: --announce" in capsys.readouterr().err
+
+    def test_a_frame_of_the_retired_kind_12_is_refused(self):
+        assert 12 not in {kind.value for kind in FrameKind}
+        record, received = serve_over_a_socket(MAGIC + struct.pack(">IB", 0, 12))
+        assert record.closed and received == b""
+        assert record.rejected == "unknown frame kind 12"
+
+
 # --------------------------------------------------------------------------- #
 # Wire statistics: copy runs visible end to end
 # --------------------------------------------------------------------------- #
@@ -963,7 +1016,7 @@ class TestWireStatistics:
             with StreamSession(reasoner, partitioner=HashPartitioner(2), backend=backend) as session:
                 for delta in window.deltas(stream):
                     session.evaluate_window(list(delta.window), delta=delta)
-            stats = backend.wire_statistics()  # final snapshot survives close
+            stats = backend.transport_statistics()  # final snapshot survives close
         assert stats["items_delta"] > stats["items_full"]
         assert stats["bytes_delta"] / stats["items_delta"] < stats["bytes_full"] / stats["items_full"]
 
@@ -976,7 +1029,7 @@ class TestWireStatistics:
             with StreamSession(reasoner, backend=backend) as session:
                 for delta in window.deltas(stream):
                     session.evaluate_window(list(delta.window), delta=delta)
-            stats = backend.wire_statistics()
+            stats = backend.transport_statistics()
         assert stats["items_delta"] == 0
         assert stats["items_full"] > 0
 

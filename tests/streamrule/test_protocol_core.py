@@ -15,7 +15,6 @@ import asyncio
 import json
 import socket
 import struct
-import sys
 import threading
 from types import SimpleNamespace
 
@@ -28,7 +27,7 @@ from repro.streamrule.aio import AioTcpBackend, AsyncWorkerClient
 from repro.streamrule.backends import TcpBackend
 from repro.streamrule.codec import encode_reasoner_spec
 from repro.streamrule.errors import BackendConnectionError, HandshakeError, ProtocolError
-from repro.streamrule.fleet import FleetRegistry, SlotTable, WorkerEndpoint, WorkerFleet
+from repro.streamrule.fleet import SlotTable, WorkerEndpoint
 from repro.streamrule.net import (
     MAGIC,
     MAX_FRAME_BYTES,
@@ -40,7 +39,6 @@ from repro.streamrule.net import (
     Ticket,
     WireStats,
     WorkerClient,
-    announce_endpoint,
     frame_bytes,
     parse_frame_header,
     recv_exactly,
@@ -682,49 +680,3 @@ def test_transport_statistics_keys_do_not_depend_on_the_backend(statistics_of):
     assert all(isinstance(value, float) for value in live.values())
     final = backend.transport_statistics()  # the final snapshot survives close
     assert set(final) == TRANSPORT_KEYS and final["items_full"] == 1.0
-    assert backend.wire_statistics() == final
-
-
-# --------------------------------------------------------------------------- #
-# The announce registry goes through the fleet's public door
-# --------------------------------------------------------------------------- #
-class TestReadoptEndpoint:
-    def test_only_a_dead_endpoint_of_this_fleet_is_readopted(self):
-        with WorkerServer(port=0) as server:
-            fleet = WorkerFleet([server.address])
-            fleet.start(encode_reasoner_spec(reasoner()))
-            try:
-                assert not fleet.readopt_endpoint(server.address)  # healthy
-                assert not fleet.readopt_endpoint("127.0.0.1:1")  # a stranger
-                fleet.retire_endpoint(0)
-                assert fleet.dead_endpoints
-                assert fleet.readopt_endpoint(f"{server.address[0]}:{server.address[1]}")
-                assert not fleet.dead_endpoints and fleet.readoptions == 1
-            finally:
-                fleet.close()
-
-    def test_concurrent_announces_are_all_counted(self):
-        """One handler thread per connection bumps the counter: no update may be lost."""
-        threads, rounds = 8, 20
-        interval = sys.getswitchinterval()
-        with WorkerServer(port=0) as server:
-            fleet = WorkerFleet([server.address])
-            fleet.start(encode_reasoner_spec(reasoner()))
-            sys.setswitchinterval(1e-6)
-            try:
-                with FleetRegistry(fleet) as registry:
-
-                    def announce():
-                        for _ in range(rounds):
-                            assert announce_endpoint(registry.address, ("127.0.0.1", 1), timeout=10.0)
-
-                    announcers = [threading.Thread(target=announce) for _ in range(threads)]
-                    for announcer in announcers:
-                        announcer.start()
-                    for announcer in announcers:
-                        announcer.join(timeout=60.0)
-                    assert not any(announcer.is_alive() for announcer in announcers)
-                    assert registry.announces == threads * rounds
-            finally:
-                sys.setswitchinterval(interval)
-                fleet.close()

@@ -8,7 +8,8 @@ The load-bearing assertions mirror the subsystem's contract:
 * the backend matrix (inline / threads / TCP / shared memory)
   answers identically through the server;
 * mid-stream unregister narrows the fan-out without disturbing the
-  surviving tenants;
+  surviving tenants, and a mid-stream register receives no window the
+  union program evaluated without its rules;
 * the Prometheus endpoint serves every counter family in valid text
   exposition format.
 """
@@ -16,11 +17,13 @@ The load-bearing assertions mirror the subsystem's contract:
 from __future__ import annotations
 
 import json
+import time
 import urllib.request
 
 import pytest
 
 from repro.asp.grounding.grounder import GroundingCache
+from repro.asp.syntax.parser import parse_program
 from repro.programs import fraud as fraud_module
 from repro.programs import iot as iot_module
 from repro.programs.traffic import (
@@ -424,6 +427,44 @@ class TestUnregisterMidStream:
             server.unregister("city/jams")
             assert server.sharing_summary()["lanes"] == 0.0
             assert server.push(traffic_stream(40)) == 0  # no lanes accept
+
+
+class SlowThreadPoolBackend(ThreadPoolBackend):
+    """A thread pool whose every item takes 50 ms longer: windows stay in flight while a query joins."""
+
+    def _submit(self, item):
+        reasoner = self._require_started()
+        assert self._pool is not None
+
+        def evaluate():
+            time.sleep(0.05)
+            return reasoner.reason_item(item)
+
+        return self._pool.submit(evaluate)
+
+
+class TestRegisterMidStream:
+    def test_a_joining_query_receives_only_windows_evaluated_with_its_rules(self):
+        slow = StandingQuery(
+            tenant="roads",
+            name="slow",
+            program=parse_program("slow(X) :- average_speed(X, Y), Y < 30."),
+            window=CountWindow(size=30),
+            input_predicates=INPUT_PREDICATES,
+            output_predicates=("slow",),
+        )
+        stream = list(traffic_stream(150))
+        expected = isolated_answers(slow, stream)
+        assert all(expected)  # every window has slow segments: an empty delivery is a wrong one
+        with QueryServer(backend=SlowThreadPoolBackend(max_workers=2), max_inflight=4) as server:
+            server.register(traffic_query("city"))
+            server.push(stream[:60])  # windows 0 and 1 go out to the P lane and stay in flight
+            subscription = server.register(slow)  # same window and inputs: it joins that lane
+            server.push(stream[60:])
+            server.finish()
+            delivered = subscription.drain()
+        assert [result.window_index for result in delivered] == [2, 3, 4]
+        assert [result.answers for result in delivered] == expected[2:]
 
 
 class TestFairnessIntegration:

@@ -128,7 +128,7 @@ class TestSyncHandshake:
         """No silent downgrade: a cleartext client errors out, fast."""
         with WorkerServer(port=0, ssl_context=server_context) as server:
             with pytest.raises(HandshakeError):
-                WorkerClient(server.address, choice_payload(), attempts=1, connect_timeout=5.0)
+                WorkerClient(server.address, choice_payload(), attempts=1)
 
     def test_tls_client_against_plaintext_server(self, client_context):
         with WorkerServer(port=0) as server:

@@ -45,6 +45,19 @@ def traffic_stream(length, seed=47):
     return generate_window(config)
 
 
+def dense_traffic_stream(length, seed=47):
+    """Three segments and three cars: windows raise events, so an exact match is not a match of empty sets.
+
+    The events are car fires, which P's dependency plan puts on track 1
+    (slot 1, the second worker): the kill tests kill that worker.
+    """
+    config = SyntheticStreamConfig(
+        window_size=length, input_predicates=INPUT_PREDICATES, scheme="traffic", seed=seed,
+        location_count=3, car_count=3,
+    )
+    return generate_window(config)
+
+
 @pytest.fixture(scope="module")
 def worker_endpoints():
     """Two live worker daemons: from ``STREAMRULE_WORKERS`` or self-spawned."""
@@ -127,33 +140,32 @@ class TestTcpEquivalenceMatrix:
 class TestKillAWorker:
     """A worker subprocess SIGKILLed mid-stream: slots reroute, windows exact."""
 
-    def test_killed_worker_subprocess_reroutes_without_losing_windows(self):
-        stream = traffic_stream(220)
+    def test_killed_worker_subprocess_reroutes_without_losing_windows(self, plan_p):
+        stream = dense_traffic_stream(220)
         window_policy = CountWindow(size=80, slide=20)
-        partitioner = HashPartitioner(3)
+        partitioner = DependencyPartitioner(plan_p)
         expected = scratch_answers_per_window(window_policy, stream, partitioner)
+        assert any(any(answers) for answers in expected)
         workers = spawn_local_workers(2)
         try:
-            backend = TcpBackend(
-                [worker.endpoint for worker in workers], reconnect_attempts=1, base_delay=0.01
-            )
+            backend = TcpBackend([worker.endpoint for worker in workers])
             reasoner = Reasoner(traffic_program(), INPUT_PREDICATES, EVENT_PREDICATES)
             solutions = []
             with StreamSession(reasoner, partitioner=partitioner, backend=backend) as session:
                 for index, delta in enumerate(window_policy.deltas(stream)):
                     if index == 2:
-                        workers[0].kill()  # SIGKILL: no goodbye, no flush
+                        workers[1].kill()  # SIGKILL: no goodbye, no flush
                     result = session.evaluate_window(list(delta.window), delta=delta)
                     solutions.append({frozenset(answer) for answer in result.answers})
                 assert len(solutions) == len(expected)  # no lost/duplicated windows
                 assert solutions == expected
                 assert backend.fleet.reroutes >= 1
-                assert [str(e) for e in backend.fleet.alive_endpoints] == [workers[1].endpoint]
+                assert [str(e) for e in backend.fleet.alive_endpoints] == [workers[0].endpoint]
         finally:
             for worker in workers:
                 worker.terminate()
 
-    def test_killed_worker_with_pending_pipelined_dispatches_resubmits(self):
+    def test_killed_worker_with_pending_pipelined_dispatches_resubmits(self, plan_p):
         """Regression: a reroute must also resubmit *pending* dispatches.
 
         Under pipelined ingestion a slot can have several windows in flight
@@ -162,15 +174,14 @@ class TestKillAWorker:
         resubmitted on the rerouted slot (not lost, not duplicated, and not
         silently degraded to the inline fallback).
         """
-        stream = traffic_stream(260)
+        stream = dense_traffic_stream(260)
         window_policy = CountWindow(size=60, slide=20)
-        partitioner = HashPartitioner(3)
+        partitioner = DependencyPartitioner(plan_p)
         expected = scratch_answers_per_window(window_policy, stream, partitioner)
+        assert any(any(answers) for answers in expected)
         workers = spawn_local_workers(2)
         try:
-            backend = TcpBackend(
-                [worker.endpoint for worker in workers], reconnect_attempts=1, base_delay=0.01
-            )
+            backend = TcpBackend([worker.endpoint for worker in workers])
             reasoner = Reasoner(traffic_program(), INPUT_PREDICATES, EVENT_PREDICATES)
             with StreamSession(
                 reasoner,
@@ -182,14 +193,14 @@ class TestKillAWorker:
                 # Fill the pipe: several windows dispatched, none gathered.
                 session.push(stream[: len(stream) // 2])
                 assert session.ingestion.inflight_high_water > 1
-                workers[0].kill()  # SIGKILL with the victim's slot mid-burst
+                workers[1].kill()  # SIGKILL with the victim's slot mid-burst
                 session.push(stream[len(stream) // 2 :])
                 session.finish()
                 actual = [{frozenset(a) for a in solution.answers} for solution in session.results()]
                 assert actual == expected  # no lost/duplicated/reordered windows
                 assert session.fallbacks == 0  # resubmitted on the survivor, not inline
                 assert backend.fleet.reroutes >= 1
-                assert [str(e) for e in backend.fleet.alive_endpoints] == [workers[1].endpoint]
+                assert [str(e) for e in backend.fleet.alive_endpoints] == [workers[0].endpoint]
         finally:
             for worker in workers:
                 worker.terminate()
