@@ -1,13 +1,12 @@
 #!/usr/bin/env python3
-"""The traffic-monitoring workload on the shared-memory backend.
+"""The traffic-monitoring workload on the process backend.
 
 This example is the end-to-end demo of same-host multi-core dispatch over
-interned symbol ids (see ``docs/shared-memory.md``):
+interned symbol ids (see ``docs/processes.md``):
 
-1. it starts a :class:`SharedMemoryBackend` -- one spawned worker process
-   per slot, each reached through a pair of byte rings in a
-   ``multiprocessing.shared_memory`` segment that carry the TCP wire's
-   byte stream, handshake included,
+1. it starts a :class:`ProcessBackend` -- one spawned worker process per
+   slot, each reached through a Unix socket pair that carries the TCP
+   wire's byte stream, handshake included,
 2. streams the paper's synthetic traffic workload through a
    :class:`StreamSession` whose sliding windows are partitioned with
    Algorithm 1; after the first window the facts are all interned, so the
@@ -16,11 +15,11 @@ interned symbol ids (see ``docs/shared-memory.md``):
 3. kills one worker process halfway through the stream to show the
    session degrading that partition to inline evaluation (answers stay
    exact; ``session.fallbacks`` counts the windows that needed it),
-4. and prints the ring statistics, under the TCP backend's key names:
+4. and prints the wire statistics, under the TCP backend's key names:
    work items, symbol-sync bytes, and the share of items shipped as a
    delta over their track's previous window.
 
-Run with:  python examples/shared_memory.py [--windows 6] [--window-size 600]
+Run with:  python examples/processes.py [--windows 6] [--window-size 600]
 """
 
 import argparse
@@ -28,7 +27,7 @@ import argparse
 from repro.core import DependencyPartitioner, build_input_dependency_graph, decompose
 from repro.programs import EVENT_PREDICATES, INPUT_PREDICATES, traffic_program
 from repro.streaming import CountWindow, SyntheticStreamConfig, generate_window
-from repro.streamrule import Reasoner, SharedMemoryBackend, StreamSession
+from repro.streamrule import ProcessBackend, Reasoner, StreamSession
 
 
 def build_arguments() -> argparse.Namespace:
@@ -36,7 +35,7 @@ def build_arguments() -> argparse.Namespace:
     parser.add_argument("--windows", type=int, default=6, help="number of sliding windows to process")
     parser.add_argument("--window-size", type=int, default=600, help="triples per window")
     parser.add_argument("--seed", type=int, default=2017, help="random seed for the synthetic stream")
-    parser.add_argument("--workers", type=int, default=2, help="worker processes (one shm segment each)")
+    parser.add_argument("--workers", type=int, default=2, help="worker processes (one socket pair each)")
     parser.add_argument("--keep-fleet", action="store_true", help="do not kill a worker mid-stream")
     return parser.parse_args()
 
@@ -59,10 +58,10 @@ def main() -> None:
         )
     )
 
-    backend = SharedMemoryBackend(max_workers=arguments.workers)
+    backend = ProcessBackend(max_workers=arguments.workers)
     kill_at = None if arguments.keep_fleet else arguments.windows // 2
     header = f"{'window':>6}  {'events':>6}  {'latency ms':>10}  {'workers':>7}  {'fallbacks':>9}"
-    print(f"shared-memory backend: {arguments.workers} spawned worker process(es)")
+    print(f"process backend: {arguments.workers} spawned worker process(es)")
     print(header)
     print("-" * len(header))
     with StreamSession(
@@ -88,14 +87,14 @@ def main() -> None:
     stats = backend.transport_statistics()
     items = int(stats["items_full"] + stats["items_delta"])
     print()
-    print("ring statistics:")
-    print(f"  items through the rings: {items}")
+    print("wire statistics:")
+    print(f"  items through the socket pairs: {items}")
     print(
         f"  symbol syncs: {int(stats['symbol_frames'])} frames, {stats['bytes_symbols'] / 1024:.1f} KiB "
         "(steady-state windows ship ids only)"
     )
     print(f"  delta share: {stats['items_delta'] / max(items, 1):.0%} of items reused their track's previous ids")
-    print(f"  ring bytes: {stats['bytes_out'] / 1024:.1f} KiB out, {stats['bytes_in'] / 1024:.1f} KiB in")
+    print(f"  wire bytes: {stats['bytes_out'] / 1024:.1f} KiB out, {stats['bytes_in'] / 1024:.1f} KiB in")
     print(f"  inline fallbacks after the kill: {fallbacks}")
 
 

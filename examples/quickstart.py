@@ -42,7 +42,7 @@ def main() -> None:
 
     # The session is the parallel reasoner PR: partitioning handler ->
     # execution backend (inline by default; swap in ThreadPoolBackend,
-    # SharedMemoryBackend, or TcpBackend) -> combining handler.
+    # ProcessBackend, or TcpBackend) -> combining handler.
     with StreamSession(reasoner, partitioner=DependencyPartitioner(decomposition.plan)) as session:
         partitioned = session.evaluate_window(window)
 

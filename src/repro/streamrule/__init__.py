@@ -16,12 +16,9 @@
   mapping placement slots onto worker endpoints, with dead-worker
   rerouting.
 * :mod:`repro.streamrule.backends` -- the pluggable :class:`ExecutionBackend`
-  protocol and its transports: inline, thread pool, the shared-memory
-  backend on same-host worker processes, and the TCP backend dispatching
-  to a remote worker fleet.
-* :mod:`repro.streamrule.shm` -- the shared-memory rings behind
-  :class:`SharedMemoryBackend`: same-host worker processes reached through
-  ``/dev/shm`` with facts travelling as packed symbol-id arrays.
+  protocol and its transports: inline, thread pool, the process backend
+  on same-host worker processes (each reached through a Unix socket pair),
+  and the TCP backend dispatching to a remote worker fleet.
 * :mod:`repro.streamrule.reasoner` -- the reasoner ``R``: data format
   processor plus the ASP solver, evaluating one work item per call
   (the dashed box of Figure 1).
@@ -52,7 +49,7 @@ from repro.streamrule.aio import (
 from repro.streamrule.backends import (
     ExecutionBackend,
     InlineBackend,
-    SharedMemoryBackend,
+    ProcessBackend,
     TcpBackend,
     ThreadPoolBackend,
 )
@@ -96,10 +93,10 @@ __all__ = [
     "PendingWindow",
     "PinnedPlacement",
     "PlacementStrategy",
+    "ProcessBackend",
     "ProtocolError",
     "QueryResult",
     "QueryServer",
-    "SharedMemoryBackend",
     "Reasoner",
     "ReasonerMetrics",
     "ReasonerResult",

@@ -14,9 +14,9 @@ transport:
   ``simulated=False`` latencies sum (the pessimistic serial bound).
 * :class:`ThreadPoolBackend` -- a persistent thread pool; useful when the
   solver releases the GIL or for I/O-bound format processing.
-* :class:`SharedMemoryBackend` -- true multi-core execution on persistent
-  pinned same-host worker processes reached through shared-memory rings;
-  the placement strategy chooses the slot, so worker-local grounding
+* :class:`ProcessBackend` -- true multi-core execution on persistent
+  pinned same-host worker processes, each reached through a Unix socket
+  pair; the placement strategy chooses the slot, so worker-local grounding
   caches keep seeing the same track.
 * :class:`TcpBackend` -- the multi-machine transport: dispatches to remote
   worker daemons (``python -m repro.streamrule.worker``) over the versioned
@@ -44,7 +44,9 @@ exit.
 from __future__ import annotations
 
 import abc
+import multiprocessing
 import os
+import socket
 import ssl
 import threading
 import weakref
@@ -55,10 +57,9 @@ from typing import Any, Dict, List, Optional, Sequence
 from repro.streamrule.errors import BackendConnectionError, BackendError
 from repro.streamrule.fleet import EndpointLike, WorkerEndpoint, WorkerFleet
 from repro.streamrule.codec import encode_reasoner_spec
-from repro.streamrule.net import ConnectionSettings, WireStats
+from repro.streamrule.net import ConnectionSettings, WireStats, WorkerClient, serve_worker_connection
 from repro.streamrule.placement import PinnedPlacement, PlacementStrategy
 from repro.streamrule.reasoner import Reasoner, ReasonerResult
-from repro.streamrule.shm import ShmSlot
 from repro.streamrule.work import WorkItem
 
 __all__ = [
@@ -66,7 +67,7 @@ __all__ = [
     "BackendError",
     "ExecutionBackend",
     "InlineBackend",
-    "SharedMemoryBackend",
+    "ProcessBackend",
     "TcpBackend",
     "ThreadPoolBackend",
 ]
@@ -189,8 +190,7 @@ class ExecutionBackend(abc.ABC):
         attribute is atomic in CPython.  The depth is an instantaneous
         observation that is stale the moment it returns anyway -- taking the
         lock here bought no extra consistency, only contention between the
-        observers (the query server's dispatch budget on every pump, the
-        metrics endpoint on every scrape) and the dispatch hot path.
+        metrics endpoint's scrapes and the dispatch hot path.
         """
         return self._inflight_items
 
@@ -205,7 +205,7 @@ class ExecutionBackend(abc.ABC):
 
         In-process backends have no transport and return ``{}``; the
         fleet-backed backends answer with their fleet's counters and the
-        shared-memory backend with the same :class:`WireStats` keys.  The
+        process backend with the same :class:`WireStats` keys.  The
         uniform spelling is what the query server's metrics endpoint
         exports, whatever backend it happens to run on.
         """
@@ -382,7 +382,7 @@ class TcpBackend(FleetBackend):
     raises :class:`BackendConnectionError` once no worker survives -- at
     which point the session evaluates inline and counts a fallback.  A
     single-thread dispatcher per slot preserves per-track ordering, exactly
-    like the shared-memory backend.
+    like the process backend.
 
     Parameters
     ----------
@@ -486,22 +486,90 @@ class TcpBackend(FleetBackend):
 
 
 # --------------------------------------------------------------------------- #
-# Shared-memory backend: same-host processes, zero-pickle dispatch
+# Process backend: same-host worker processes over socket pairs
 # --------------------------------------------------------------------------- #
-class SharedMemoryBackend(ExecutionBackend):
-    """Dispatch to pinned same-host worker processes over shared memory.
+class ProcessSlot:
+    """One pinned same-host worker: a spawned process and the coordinator's end of a socket pair.
+
+    The constructor spawns the worker and returns at once; :meth:`open`
+    then runs the handshake over :attr:`stream`, as :attr:`client`.  A
+    backend spawns every slot before it opens any, so the workers'
+    start-ups overlap.  The worker runs
+    :func:`~repro.streamrule.net.serve_worker_connection`, the TCP daemon's
+    own driver, on the other end, so the pair carries the TCP wire byte for
+    byte.  Once the worker has started each end has one holder, so a dead
+    peer shows up at once as end of stream or a reset -- a dead worker as
+    :class:`BackendConnectionError`, a killed coordinator as the worker's
+    cue to exit.
+
+    Workers are started with the ``spawn`` context deliberately: a spawned
+    child is a fresh interpreter with a *different* ``PYTHONHASHSEED`` and
+    its own canonical terms, which is exactly the condition under which
+    shipping object identities or hashes, or relying on hash-ordered
+    iteration, would break; the backend doubles as a continuous regression
+    test for that.
+    """
+
+    def __init__(self, index: int):
+        self.index = index
+        self.peer = f"process worker {index}"
+        self.stream, theirs = socket.socketpair()
+        self.process = multiprocessing.get_context("spawn").Process(
+            target=serve_worker_connection, args=(theirs,), name=f"process-worker-{index}", daemon=True
+        )
+        try:
+            self.process.start()
+        except BaseException:
+            self.stream.close()
+            raise
+        finally:
+            theirs.close()  # the worker holds its own copy
+        self.client: Optional[WorkerClient] = None
+        self._closed = False
+
+    def open(self, reasoner_payload: bytes) -> None:
+        """Handshake with the worker; the slot's traffic then goes through :attr:`client`."""
+        self.client = WorkerClient.over_stream(
+            self.stream, reasoner_payload, ("processes", self.index), peer=self.peer
+        )
+
+    @property
+    def stats(self) -> WireStats:
+        """The slot's traffic counters (zero until :meth:`open`)."""
+        return self.client.stats if self.client is not None else WireStats()
+
+    def kill(self) -> None:
+        """Fault injection: hard-kill the worker process (tests the fallback)."""
+        if self.process.is_alive():
+            self.process.terminate()
+            self.process.join(timeout=5.0)
+
+    def close(self) -> None:
+        """Close the stream (the worker's cue to exit) and reap the worker."""
+        if self._closed:
+            return
+        self._closed = True
+        if self.client is not None:
+            self.client.close()
+        self.stream.close()
+        self.process.join(timeout=2.0)
+        if self.process.is_alive():
+            self.process.terminate()
+            self.process.join(timeout=5.0)
+
+
+class ProcessBackend(ExecutionBackend):
+    """Dispatch to pinned same-host worker processes.
 
     True multi-core execution on one host: workers are separate
-    (``spawn``-started) processes, each rebuilding the reasoner from its text
-    spec (as a TCP worker does) and evaluating :class:`WorkItem`\\ s, and dispatch
-    crosses the process boundary through a pair of shared-memory rings per
-    slot (see :mod:`repro.streamrule.shm`), one byte stream carrying the TCP
-    wire itself -- a :class:`~repro.streamrule.net.WorkerClient` talks to
-    the daemon's own connection driver, handshake included: facts and
-    answers travel as interned u32 ids against per-direction synced
-    :class:`~repro.asp.syntax.symbols.SymbolTable` replicas, written
-    straight into ``/dev/shm``, with no pickling of atoms in either
-    direction.
+    (``spawn``-started) processes, each rebuilding the reasoner from its
+    text spec (as a TCP worker does) and evaluating :class:`WorkItem`\\ s.
+    Each slot is a :class:`ProcessSlot`: a
+    :class:`~repro.streamrule.net.WorkerClient` talking the TCP wire over a
+    Unix socket pair to the daemon's own connection driver, handshake
+    included -- facts and answers travel as interned u32 ids against
+    per-direction synced :class:`~repro.asp.syntax.symbols.SymbolTable`
+    replicas, with no pickling of atoms in either direction.
 
     Same capability surface as the TCP backend: one single-thread
     dispatcher per slot preserves per-track ordering (so the per-track
@@ -511,29 +579,29 @@ class SharedMemoryBackend(ExecutionBackend):
     fault-injection hook the crash tests (and the example) use.
     """
 
-    name = "shared-memory"
+    name = "processes"
     uses_placement = True
     pipelined = True
 
     def __init__(self, max_workers: Optional[int] = None, placement: Optional[PlacementStrategy] = None):
         super().__init__(placement)
         self.max_workers = max_workers
-        self._slots: Optional[List[ShmSlot]] = None
+        self._slots: Optional[List[ProcessSlot]] = None
         self._dispatchers: Optional[List[ThreadPoolExecutor]] = None
         self._finalizer: Optional[weakref.finalize] = None
         self._final_stats: Dict[str, float] = {}
 
     @property
-    def slots(self) -> Optional[List[ShmSlot]]:
+    def slots(self) -> Optional[List[ProcessSlot]]:
         """The live worker slots (``None`` while closed)."""
         return self._slots
 
     def _start(self, reasoner: Reasoner) -> None:
         workers = self.max_workers or os.cpu_count() or 1
         payload = encode_reasoner_spec(reasoner)
-        slots: List[ShmSlot] = []
+        slots: List[ProcessSlot] = []
         try:
-            slots.extend(ShmSlot(index) for index in range(workers))
+            slots.extend(ProcessSlot(index) for index in range(workers))
             for slot in slots:  # every worker is spawned before the first handshake waits on one
                 slot.open(payload)
         except BaseException:
@@ -542,11 +610,11 @@ class SharedMemoryBackend(ExecutionBackend):
             raise
         self._slots = slots
         self._dispatchers = [
-            ThreadPoolExecutor(max_workers=1, thread_name_prefix=f"shm-dispatch-{slot.index}")
+            ThreadPoolExecutor(max_workers=1, thread_name_prefix=f"process-dispatch-{slot.index}")
             for slot in slots
         ]
         self._finalizer = weakref.finalize(
-            self, _close_shm_resources, list(self._dispatchers), list(slots)
+            self, _close_process_resources, list(self._dispatchers), list(slots)
         )
 
     def _submit(self, item: WorkItem) -> "Future[ReasonerResult]":
@@ -590,7 +658,7 @@ class SharedMemoryBackend(ExecutionBackend):
             finalizer()
 
 
-def _close_shm_resources(dispatchers, slots) -> None:
+def _close_process_resources(dispatchers, slots) -> None:
     """Finalizer backstop mirroring :func:`_close_tcp_resources`."""
     for dispatcher in dispatchers:
         dispatcher.shutdown(wait=True)

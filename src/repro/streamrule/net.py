@@ -36,9 +36,10 @@ Layout
 
 The blocking drivers need only a :class:`ByteStream` -- ``recv``,
 ``sendall`` and ``close``, failing with :class:`OSError`.  A TCP socket is
-one; the shared-memory byte stream of :mod:`repro.streamrule.shm` is the
-other, so the same :class:`WorkerClient` and :func:`serve_worker_connection`
-run over both carriers, handshake included.
+one, and so is each end of the Unix socket pair behind a
+:class:`~repro.streamrule.backends.ProcessBackend` slot, so the same
+:class:`WorkerClient` and :func:`serve_worker_connection` serve the daemon
+and the same-host worker processes, handshake included.
 
 A new frame kind is therefore added in :class:`FrameKind`,
 :class:`ClientConnection` and :class:`ServerConnection` (plus
@@ -960,7 +961,7 @@ class ClientConnection:
 
     # -- failure ---------------------------------------------------------- #
     def closed_error(self) -> BackendConnectionError:
-        return BackendConnectionError(f"connection to worker {self.address} is closed")
+        return BackendConnectionError(f"connection to {self.peer} is closed")
 
     def connection_lost(self, error: BaseException) -> BackendError:
         """What a transport failure (``OSError``, EOF) means at this stage.
@@ -973,7 +974,7 @@ class ClientConnection:
         """
         if not self.is_open:
             return HandshakeError(f"handshake with {self.address} failed: {error!r}")
-        return BackendConnectionError(f"connection to worker {self.address} lost: {error!r}")
+        return BackendConnectionError(f"connection to {self.peer} lost: {error!r}")
 
     def abort(self, cause: BaseException) -> Any:
         """Mark the connection closed and fail every outstanding ticket.
@@ -988,7 +989,7 @@ class ClientConnection:
             failure = (
                 cause
                 if isinstance(cause, BackendConnectionError)
-                else BackendConnectionError(f"connection to worker {self.address} aborted: {cause!r}")
+                else BackendConnectionError(f"connection to {self.peer} aborted: {cause!r}")
             )
             while self._pending:
                 self._pending.popleft()._settle(None, None, failure)
@@ -1233,8 +1234,8 @@ class WorkerClient:
     The blocking-stream driver of a :class:`ClientConnection` (which holds
     the data-plane state and the :class:`WireStats` record): this class
     only dials, moves bytes and waits.  It dials a TCP daemon, or
-    :meth:`over_stream` handshakes over a stream already connected (the
-    shared-memory byte stream).  The connection is *pipelined*: sends and receives are
+    :meth:`over_stream` handshakes over a stream already connected (a
+    process worker's socket pair).  The connection is *pipelined*: sends and receives are
     serialized separately, so several dispatcher threads (and the
     heartbeat) may each have a frame outstanding on the one stream at the
     same time -- the worker answers strictly in request order, so responses
@@ -1443,7 +1444,7 @@ def serve_worker_connection(connection: ByteStream, *, auth_token: Optional[str]
     """Serve one coordinator connection until it closes; returns its :class:`ServerConnection`.
 
     The blocking-stream driver, of a TCP daemon's socket and of a
-    shared-memory worker's byte stream alike: a reader thread feeds the
+    process worker's end of its socket pair alike: a reader thread feeds the
     connection what arrives and queues its replies, at most
     :data:`READ_AHEAD` ahead; this thread answers them in order, one
     ``sendall`` per frame.  ``auth_token`` arms the ``AUTH`` challenge.

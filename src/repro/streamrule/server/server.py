@@ -26,9 +26,8 @@ per-track grounding / incremental-solver states.
 :class:`~repro.streamrule.server.scheduler.FairScheduler`: weighted
 round-robin over lanes (a lane weighs the sum of its member tenants'
 weights) with per-lane quotas on the bounded in-flight budget and a
-starvation guard.  The budget itself adapts to the backend's observed
-``queue_depth()`` -- a congested fleet halves the dispatch budget until it
-drains.
+starvation guard.  The budget is the session's fixed in-flight bound
+(:meth:`~repro.streamrule.session.StreamSession.effective_max_inflight`).
 
 *Ops.*  :meth:`QueryServer.metric_families` assembles per-tenant counters
 (:class:`~repro.streamrule.metrics.TenantStats`), the session's
@@ -161,9 +160,6 @@ class QueryServer:
 
         self.registry = QueryRegistry()
         self.tenant_stats: Dict[str, TenantStats] = {}
-        #: Ready windows the trimmed budget refused to dispatch immediately
-        #: because the backend's queue ran deep (they dispatch later).
-        self.budget_trims = 0
         #: Solutions whose lane disappeared before gather (late unregister).
         self.orphaned_windows = 0
 
@@ -403,15 +399,6 @@ class QueryServer:
                 lane.stepper = lane.window.stepper()
             self._pump(block=True)
 
-    def _budget(self) -> int:
-        """The dispatch budget this round, trimmed under backend congestion."""
-        assert self._session is not None
-        budget = self._session.effective_max_inflight()
-        if self.backend.queue_depth() >= 2 * budget and budget > 1:
-            self.budget_trims += 1
-            return max(1, budget // 2)
-        return budget
-
     def _pump(self, block: bool) -> None:
         """Move ready windows into the backend and route finished ones out."""
         if self._session is None:
@@ -427,7 +414,7 @@ class QueryServer:
             self._route_ready()
             if not self.scheduler.has_pending() and (not block or session.inflight_count == 0):
                 return
-            budget = self._budget()
+            budget = session.effective_max_inflight()
             if session.inflight_count < budget:
                 picked = self.scheduler.select(budget)
                 if picked is not None:
@@ -616,12 +603,6 @@ class QueryServer:
                 evaluated.add(float(lane.windows_evaluated), lane=label)
             families.append(pending)
             families.append(evaluated)
-            trims = MetricFamily(
-                "streamrule_scheduler_budget_trims_total", "counter",
-                "Dispatch rounds the in-flight budget was halved under backend congestion",
-            )
-            trims.add(float(self.budget_trims))
-            families.append(trims)
 
             if self._session is not None:
                 ingestion = self._session.ingestion.as_dict()

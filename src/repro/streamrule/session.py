@@ -6,7 +6,7 @@ combining handler, data format processor -- behind a push/pull API::
 
     with StreamSession(program, window=CountWindow(size=80, slide=20),
                        partitioner=DependencyPartitioner(plan),
-                       backend=SharedMemoryBackend(max_workers=4)) as session:
+                       backend=ProcessBackend(max_workers=4)) as session:
         session.push(triples)            # feed the stream; full windows evaluate
         session.finish()                 # flush the trailing partial window
         for solution in session.results():
@@ -291,7 +291,7 @@ class StreamSession:
                 raise ValueError(
                     f"backend {self.backend.name!r} has no pinned worker slots and never "
                     "consults a placement strategy; pass a slot-owning backend "
-                    "(SharedMemoryBackend, TcpBackend) together with placement="
+                    "(ProcessBackend, TcpBackend) together with placement="
                 )
             self.backend.placement = placement
         self.window = window

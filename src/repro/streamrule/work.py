@@ -4,9 +4,9 @@ A :class:`WorkItem` bundles everything one partition (or whole-window)
 evaluation needs -- the facts, whether the window continues its
 predecessor, the partition *track*, and the window *epoch* -- into a single
 picklable value.  It is the unit that crosses execution boundaries: the
-inline backend hands it to the local reasoner, the shared-memory backend
-writes it into a pinned worker's ring, and the TCP backend frames it to
-remote worker daemons -- both as the same ``WORK`` frame, whose id runs
+inline backend hands it to the local reasoner, and the process and TCP
+backends frame it to a pinned worker process or a remote worker daemon --
+both as the same ``WORK`` frame, whose id runs
 re-ship only what changed since the track's previous window (see
 ``docs/wire-protocol.md``).
 """

@@ -20,25 +20,42 @@ unset and the call collapses to ``{}``.
 
 Suites that want a real wire without daemons use :class:`InThreadTcpBackend`;
 given an ``auth_token`` it arms its servers with the same token, so the
-``AUTH`` handshake runs without TLS material.  Suites that want the
-shared-memory byte stream without a worker process use :func:`stream_pair`.
+``AUTH`` handshake runs without TLS material.  Suites that compare
+answers across backends draw their stream from
+:func:`eventful_traffic_stream`, whose windows raise events.
 """
 
 from __future__ import annotations
 
 import os
 import ssl
-import threading
 import weakref
-from typing import Any, Callable, Dict, List, Tuple
+from typing import Any, Dict, List
 
+from repro.programs.traffic import INPUT_PREDICATES
+from repro.streaming.generator import SyntheticStreamConfig, generate_window
+from repro.streaming.triples import Triple
 from repro.streamrule.backends import TcpBackend
 from repro.streamrule.fleet import WorkerEndpoint
-from repro.streamrule.shm import ShmRing, ShmStream, peer_check
 from repro.streamrule.worker import WorkerServer
 
 #: The shared token of the backend matrices' ``tcp-token`` rows.
 MATRIX_TOKEN = "streamrule-matrix-token"
+
+
+def eventful_traffic_stream(length: int, seed: int = 7) -> List[Triple]:
+    """A traffic stream whose windows raise both ``car_fire`` and ``traffic_jam``.
+
+    Seven segments and three cars: few enough cars that a smoking, stopped
+    car's readings meet inside an 80-triple window, enough segments that
+    some segment has no ``traffic_light`` reading in it.  An exact match
+    on these windows is therefore not a match of empty answer sets.
+    """
+    config = SyntheticStreamConfig(
+        window_size=length, input_predicates=INPUT_PREDICATES, scheme="traffic", seed=seed,
+        location_count=7, car_count=3,
+    )
+    return generate_window(config)
 
 
 def _stop_servers(servers: List[WorkerServer]) -> None:
@@ -108,22 +125,3 @@ def worker_security_kwargs() -> Dict[str, Any]:
         kwargs["auth_token"] = token
     return kwargs
 
-
-def stream_pair(capacity: int, alive: Callable[[], bool] = lambda: True) -> Tuple[ShmStream, ShmStream]:
-    """The ``(coordinator, worker)`` ends of a shared-memory byte stream, in this process.
-
-    Both rings live in one plain buffer with thread primitives: a ring does
-    not care who its writer is.  ``alive`` is each end's peer probe.
-    """
-    buffer = memoryview(bytearray(2 * (ShmRing.HEADER_BYTES + capacity)))
-    syncs = [(threading.Lock(), threading.Semaphore(0), threading.Semaphore(0)) for _ in range(2)]
-
-    def rings(peer: str) -> Tuple[ShmRing, ShmRing]:
-        check = peer_check(alive, peer)
-        return (
-            ShmRing(buffer, 0, capacity, syncs[0], check),
-            ShmRing(buffer, ShmRing.HEADER_BYTES + capacity, capacity, syncs[1], check),
-        )
-
-    (request, response), (worker_request, worker_response) = rings("worker"), rings("coordinator")
-    return ShmStream(response, request), ShmStream(worker_request, worker_response)

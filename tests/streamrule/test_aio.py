@@ -28,7 +28,7 @@ from repro.streaming.window import CountWindow
 from repro.streamrule.aio import AioTcpBackend, AsyncStreamSession
 from repro.streamrule.backends import (
     InlineBackend,
-    SharedMemoryBackend,
+    ProcessBackend,
     ThreadPoolBackend,
 )
 from repro.streamrule.errors import BackendError
@@ -173,7 +173,7 @@ LIGHT_BACKENDS = {
 }
 
 HEAVY_BACKENDS = {
-    "shared-memory": lambda: SharedMemoryBackend(max_workers=2),
+    "processes": lambda: ProcessBackend(max_workers=2),
 }
 
 

@@ -10,7 +10,7 @@ from repro.asp.syntax.parser import parse_program
 from repro.streamrule.backends import (
     BackendError,
     InlineBackend,
-    SharedMemoryBackend,
+    ProcessBackend,
     TcpBackend,
     ThreadPoolBackend,
 )
@@ -40,7 +40,7 @@ class TestProtocol:
         assert InlineBackend(simulated=False).concurrent is False
         assert InlineBackend.uses_placement is False
         assert ThreadPoolBackend.uses_placement is False
-        for backend_class in (SharedMemoryBackend, TcpBackend):
+        for backend_class in (ProcessBackend, TcpBackend):
             assert backend_class.uses_placement is True
             assert backend_class.concurrent is True
 
@@ -48,7 +48,7 @@ class TestProtocol:
         # Inline evaluation resolves the future inside submit, so dispatching
         # ahead buys nothing; every pool/wire transport is pipelined.
         assert InlineBackend.pipelined is False
-        for backend_class in (ThreadPoolBackend, SharedMemoryBackend, TcpBackend):
+        for backend_class in (ThreadPoolBackend, ProcessBackend, TcpBackend):
             assert backend_class.pipelined is True
 
     def test_queue_depth_counts_unfinished_submissions(self):

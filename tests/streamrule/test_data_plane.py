@@ -1,8 +1,8 @@
 """Properties of the one data plane every transport shares.
 
 ``SYMBOLS`` + ``WORK`` frames (``DeltaShipper`` -> ``DeltaDecoder``) and
-``RESULT`` frames (``ResultEncoder`` -> ``ResultDecoder``) are what TCP and
-the shared-memory rings send.  Three properties pin them down:
+``RESULT`` frames (``ResultEncoder`` -> ``ResultDecoder``) are what every
+worker connection sends, to a TCP daemon or a local worker process.  Three properties pin them down:
 
 * **round trip** -- over generated window sequences on several tracks
   (triples, atoms with nested function terms, duplicates, windows that
@@ -15,7 +15,7 @@ the shared-memory rings send.  Three properties pin them down:
   aborts a connection only on ``ProtocolError``, so any other exception
   would leave the stream desynced;
 * **no unpickling** -- whole sessions over sync TCP, asyncio TCP and
-  shared memory, each with a worker failure, run with ``pickle.loads``
+  local worker processes, each with a worker failure, run with ``pickle.loads``
   patched to raise.
 """
 
@@ -35,7 +35,7 @@ from repro.streaming.generator import SyntheticStreamConfig, generate_window
 from repro.streaming.triples import Triple
 from repro.streaming.window import CountWindow
 from repro.streamrule.aio import AioTcpBackend, AsyncStreamSession
-from repro.streamrule.backends import InlineBackend, SharedMemoryBackend, TcpBackend
+from repro.streamrule.backends import InlineBackend, ProcessBackend, TcpBackend
 from repro.streamrule.errors import BackendError, ProtocolError
 from repro.streamrule.metrics import LatencyBreakdown, ReasonerMetrics
 from repro.streamrule.net import (
@@ -333,9 +333,9 @@ class TestNoUnpickling:
         assert answers == inline_answers()
         assert type(failure) is BackendError and "failed: GroundingError: " in str(failure)
 
-    @pytest.mark.slow  # spawns a shared-memory worker process
-    def test_shared_memory_session(self, no_unpickling):
-        answers, failure = run_sync_session(SharedMemoryBackend(max_workers=1))
+    @pytest.mark.slow  # spawns a local worker process
+    def test_process_session(self, no_unpickling):
+        answers, failure = run_sync_session(ProcessBackend(max_workers=1))
         assert answers == inline_answers()
         assert type(failure) is BackendError
-        assert str(failure).startswith("shared-memory worker 0 failed: GroundingError: ")
+        assert str(failure).startswith("process worker 0 failed: GroundingError: ")

@@ -5,7 +5,9 @@ answer sets produced with delta-grounding enabled (sliding-window deltas
 threaded down to per-partition incremental grounding) are identical to the
 ground-from-scratch answer sets, on every execution backend.  The delta
 machinery may change *how* a window is grounded (exact hit or reground on
-the partition's track) but never *what* the window answers.
+the partition's track) but never *what* the window answers.  Every
+comparison first checks that the reference raises events, so a backend
+that loses answers fails.
 """
 
 from __future__ import annotations
@@ -15,28 +17,27 @@ import pytest
 from repro.asp.grounding.grounder import GroundingCache
 from repro.asp.syntax.parser import parse_program
 from repro.core.partitioner import DependencyPartitioner, HashPartitioner, RandomPartitioner
-from repro.programs.traffic import EVENT_PREDICATES, INPUT_PREDICATES, traffic_program
-from repro.streaming.generator import SyntheticStreamConfig, generate_window
+from repro.programs.traffic import EVENT_PREDICATES, INPUT_PREDICATES, traffic_program, traffic_program_prime
 from repro.streaming.window import CountWindow, TimeWindow
 from repro.streamrule.backends import (
     InlineBackend,
-    SharedMemoryBackend,
+    ProcessBackend,
     ThreadPoolBackend,
 )
 from repro.streamrule.reasoner import Reasoner
 from repro.streamrule.session import StreamSession
 from tests.conftest import make_atom
-from tests.streamrule.conftest import MATRIX_TOKEN, InThreadTcpBackend
+from tests.streamrule.conftest import MATRIX_TOKEN, InThreadTcpBackend, eventful_traffic_stream
 
 #: The backends of the delta-equivalence matrix (name -> factory).  ``tcp``
 #: and ``tcp-token`` ship the same id-run work frames, the latter behind the
-#: shared-token ``AUTH`` handshake; shared memory ships them through its
-#: rings.
+#: shared-token ``AUTH`` handshake; ``processes`` ships them to local worker
+#: processes over socket pairs.
 BACKEND_FACTORIES = {
     "inline": lambda workers: InlineBackend(),
     "inline-serial": lambda workers: InlineBackend(simulated=False),
     "threads": lambda workers: ThreadPoolBackend(max_workers=workers),
-    "shared-memory": lambda workers: SharedMemoryBackend(max_workers=workers),
+    "processes": lambda workers: ProcessBackend(max_workers=workers),
     "tcp": lambda workers: InThreadTcpBackend(workers),
     "tcp-token": lambda workers: InThreadTcpBackend(workers, auth_token=MATRIX_TOKEN),
 }
@@ -62,29 +63,29 @@ def answer_sets(answers):
     return {frozenset(answer) for answer in answers}
 
 
-def traffic_stream(length, seed=23):
-    config = SyntheticStreamConfig(
-        window_size=length, input_predicates=INPUT_PREDICATES, scheme="traffic", seed=seed
-    )
-    return generate_window(config)
-
-
-def cached_reasoner():
+def cached_reasoner(program=None):
     return Reasoner(
-        traffic_program(), INPUT_PREDICATES, EVENT_PREDICATES, grounding_cache=GroundingCache()
+        program or traffic_program(), INPUT_PREDICATES, EVENT_PREDICATES, grounding_cache=GroundingCache()
     )
 
 
-def scratch_answers_per_window(window_policy, stream, partitioner):
-    """Reference: every window evaluated serially inline without any cache."""
-    reasoner = Reasoner(traffic_program(), INPUT_PREDICATES, EVENT_PREDICATES)
+def scratch_answers_per_window(window_policy, stream, partitioner, program=None):
+    """Reference: every window evaluated serially inline without any cache.
+
+    Asserts that the reference raises both kinds of event, so the exact
+    match it is compared with is not a match of empty answer sets.
+    """
+    reasoner = Reasoner(program or traffic_program(), INPUT_PREDICATES, EVENT_PREDICATES)
     with StreamSession(
         reasoner, partitioner=partitioner, backend=InlineBackend(simulated=False)
     ) as session:
-        return [
+        expected = [
             {frozenset(answer) for answer in session.evaluate_window(list(window)).answers}
             for window in window_policy.windows(stream)
         ]
+    raised = {atom.predicate for answers in expected for answer in answers for atom in answer}
+    assert raised >= {"car_fire", "traffic_jam"}, f"the reference raises only {sorted(raised)}"
+    return expected
 
 
 def delta_answers_per_window(window_policy, stream, partitioner, runner, reasoner=None):
@@ -102,11 +103,11 @@ def delta_answers_per_window(window_policy, stream, partitioner, runner, reasone
 
 
 class TestSlidingWindowEquivalence:
-    pytestmark = pytest.mark.slow  # the shared-memory rows spawn worker processes
+    pytestmark = pytest.mark.slow  # the processes rows spawn worker processes
 
     @pytest.mark.parametrize("runner", RUNNERS, ids=runner_id)
     def test_count_window_sliding(self, plan_p, runner):
-        stream = traffic_stream(240)
+        stream = eventful_traffic_stream(240)
         window_policy = CountWindow(size=80, slide=30)
         partitioner = DependencyPartitioner(plan_p)
         expected = scratch_answers_per_window(window_policy, stream, partitioner)
@@ -114,17 +115,20 @@ class TestSlidingWindowEquivalence:
         assert actual == expected
 
     @pytest.mark.parametrize("runner", RUNNERS, ids=runner_id)
-    def test_count_window_hash_partitioning(self, runner):
-        stream = traffic_stream(180)
+    def test_count_window_overlapping_partitions(self, plan_p_prime, runner):
+        # The P' plan copies the atoms rule r7 joins across into both
+        # partitions, so one fact rides two tracks' deltas.
+        stream = eventful_traffic_stream(180)
         window_policy = CountWindow(size=60, slide=20)
-        partitioner = HashPartitioner(3)
-        expected = scratch_answers_per_window(window_policy, stream, partitioner)
-        actual = delta_answers_per_window(window_policy, stream, partitioner, runner)
+        partitioner = DependencyPartitioner(plan_p_prime)
+        program = traffic_program_prime()
+        expected = scratch_answers_per_window(window_policy, stream, partitioner, program)
+        actual = delta_answers_per_window(window_policy, stream, partitioner, runner, cached_reasoner(program))
         assert actual == expected
 
     @pytest.mark.parametrize("runner", RUNNERS, ids=runner_id)
     def test_time_window_sliding(self, plan_p, runner):
-        stream = traffic_stream(150)
+        stream = eventful_traffic_stream(150)
         window_policy = TimeWindow(duration=50.0, slide=20.0)
         partitioner = DependencyPartitioner(plan_p)
         expected = scratch_answers_per_window(window_policy, stream, partitioner)
@@ -135,7 +139,7 @@ class TestSlidingWindowEquivalence:
         # Random layouts reshuffle between windows; the delta hint must be
         # ignored (no partition-level continuity) yet answers stay equal to
         # the same partitioner's non-delta evaluation under a fixed seed.
-        stream = traffic_stream(120)
+        stream = eventful_traffic_stream(120)
         window_policy = CountWindow(size=40, slide=15)
         reasoner = cached_reasoner()
         with make_session(reasoner, RandomPartitioner(3, seed=5), "inline-serial") as session:
@@ -174,6 +178,7 @@ dropped(X) :- item(X), not picked(X).
         ]
 
         cached = Reasoner(program, input_predicates=["item"], grounding_cache=GroundingCache())
+        assert all(answers and all(answers) for answers in expected)  # picks in every window
         combined = delta_answers_per_window(window_policy, stream, HashPartitioner(2), runner, reasoner=cached)
         # Partition-combined answers for a single-predicate choice program
         # coincide with the unpartitioned ones (no cross-partition joins).
@@ -184,8 +189,8 @@ class TestBackendWindowKindEquivalence:
     """Acceptance matrix: backends x {tumbling, sliding, hopping} x delta on/off.
 
     Identical answer sets for inline (serial and simulated), threads,
-    shared-memory and TCP backends on every window kind, with the delta
-    path enabled and disabled.
+    local worker processes and TCP backends on every window kind, with the
+    delta path enabled and disabled.
     """
 
     pytestmark = pytest.mark.slow
@@ -199,10 +204,10 @@ class TestBackendWindowKindEquivalence:
     @pytest.mark.parametrize("backend_name", sorted(BACKEND_FACTORIES), ids=str)
     @pytest.mark.parametrize("window_kind", sorted(WINDOW_SCENARIOS), ids=str)
     @pytest.mark.parametrize("use_delta", [True, False], ids=["delta", "no-delta"])
-    def test_backend_equivalence(self, backend_name, window_kind, use_delta):
-        stream = traffic_stream(200)
+    def test_backend_equivalence(self, plan_p, backend_name, window_kind, use_delta):
+        stream = eventful_traffic_stream(200)
         window_policy = self.WINDOW_SCENARIOS[window_kind]
-        partitioner = HashPartitioner(3)
+        partitioner = DependencyPartitioner(plan_p)
         expected = scratch_answers_per_window(window_policy, stream, partitioner)
         backend = BACKEND_FACTORIES[backend_name](2)
         with StreamSession(cached_reasoner(), partitioner=partitioner, backend=backend) as session:
@@ -219,9 +224,40 @@ class TestBackendWindowKindEquivalence:
         assert actual == expected
 
 
+class TestEventfulTrafficStream:
+    """The streams of the equivalence matrices raise both kinds of event.
+
+    Each case is a (stream length, window policy, program) the matrices
+    compare answers on, with the reference's partitioner: the dependency
+    plan of P or of P'.  If the generator changes so that a case goes quiet,
+    this names the case, before the matrices' preconditions do.
+    """
+
+    CASES = {
+        "count 80/30 over 240, P": (240, CountWindow(size=80, slide=30), "P"),
+        "count 60/20 over 180, P'": (180, CountWindow(size=60, slide=20), "P'"),
+        "time 50/20 over 150, P": (150, TimeWindow(duration=50.0, slide=20.0), "P"),
+        "tumbling 60 over 200, P": (200, CountWindow(size=60), "P"),
+        "sliding 60/20 over 200, P": (200, CountWindow(size=60, slide=20), "P"),
+        "hopping 40/60 over 200, P": (200, CountWindow(size=40, slide=60), "P"),
+        "one 80-triple window, P": (80, CountWindow(size=80), "P"),
+        "one 80-triple window, P'": (80, CountWindow(size=80), "P'"),
+    }
+
+    @pytest.mark.parametrize("case", sorted(CASES), ids=str)
+    def test_the_reference_raises_both_events(self, case, plan_p, plan_p_prime):
+        length, window_policy, name = self.CASES[case]
+        program, plan = (traffic_program(), plan_p) if name == "P" else (traffic_program_prime(), plan_p_prime)
+        stream = eventful_traffic_stream(length)
+        expected = scratch_answers_per_window(window_policy, stream, DependencyPartitioner(plan), program)
+        events = [atom.predicate for answers in expected for answer in answers for atom in answer]
+        assert events.count("car_fire") >= 1 and events.count("traffic_jam") >= 1
+        assert sum(1 for answers in expected if any(answers)) * 2 >= len(expected)  # most windows raise one
+
+
 class TestDeltaMetricsFlow:
     def test_pipeline_reports_track_rebuilds_and_hits(self):
-        stream = traffic_stream(200)
+        stream = eventful_traffic_stream(200)
         cache = GroundingCache()
         reasoner = Reasoner(
             traffic_program(), INPUT_PREDICATES, EVENT_PREDICATES, grounding_cache=cache
@@ -241,7 +277,7 @@ class TestDeltaMetricsFlow:
         assert all(solution.metrics.delta_repairs == solution.metrics.repair_size == 0 for solution in solutions)
 
     def test_tumbling_pipeline_stays_on_exact_cache_path(self):
-        stream = traffic_stream(200)
+        stream = eventful_traffic_stream(200)
         cache = GroundingCache()
         reasoner = Reasoner(
             traffic_program(), INPUT_PREDICATES, EVENT_PREDICATES, grounding_cache=cache
@@ -254,7 +290,7 @@ class TestDeltaMetricsFlow:
         assert cache.statistics()["delta_rebuilds"] == 0.0
 
     def test_parallel_metrics_aggregate_track_outcomes(self, plan_p):
-        stream = traffic_stream(200)
+        stream = eventful_traffic_stream(200)
         window_policy = CountWindow(size=80, slide=20)
         reasoner = cached_reasoner()
         with make_session(reasoner, DependencyPartitioner(plan_p), "inline-serial") as session:

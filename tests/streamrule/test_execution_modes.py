@@ -1,7 +1,7 @@
 """Cross-backend equivalence: every execution backend returns the same answer sets.
 
 The backends differ only in *where* the partition reasoners run (inline,
-thread pool, shared-memory worker processes, TCP worker servers) and in how
+thread pool, local worker processes, TCP worker servers) and in how
 latency is reported; the answer sets must be identical.  This suite locks
 that contract in over a matrix of programs:
 
@@ -9,7 +9,10 @@ that contract in over a matrix of programs:
 * a non-stratified program with multiple answer sets per partition,
 * a program where one partition is inconsistent (skipped by combining),
 
-plus the empty-window and single-partition edge cases.
+plus the empty-window and single-partition edge cases.  Every comparison
+first checks that the reference raises events, so a backend that loses
+answers fails; the two tests whose reference is empty by design pin it
+exactly instead.
 """
 
 from __future__ import annotations
@@ -22,13 +25,13 @@ from repro.core.partitioner import DependencyPartitioner, HashPartitioner, Parti
 from repro.programs.traffic import EVENT_PREDICATES, INPUT_PREDICATES
 from repro.streamrule.backends import (
     InlineBackend,
-    SharedMemoryBackend,
+    ProcessBackend,
     ThreadPoolBackend,
 )
 from repro.streamrule.reasoner import Reasoner
 from repro.streamrule.session import StreamSession
 from tests.conftest import make_atom
-from tests.streamrule.conftest import InThreadTcpBackend
+from tests.streamrule.conftest import InThreadTcpBackend, eventful_traffic_stream
 
 #: The rows of the equivalence matrix (label -> factory), each evaluated
 #: through a StreamSession.
@@ -36,7 +39,7 @@ BACKEND_FACTORIES = {
     "backend:inline": lambda workers: InlineBackend(),
     "backend:inline-serial": lambda workers: InlineBackend(simulated=False),
     "backend:threads": lambda workers: ThreadPoolBackend(max_workers=workers),
-    "backend:shared-memory": lambda workers: SharedMemoryBackend(max_workers=workers),
+    "backend:processes": lambda workers: ProcessBackend(max_workers=workers),
     "backend:tcp": lambda workers: InThreadTcpBackend(workers),
 }
 
@@ -81,8 +84,15 @@ def answers_by_backend(reasoner, partitioner, window, max_workers=2, max_combina
     return collected
 
 
-def assert_all_backends_equal(collected):
+def raised_events(answers):
+    """The predicates of every atom in ``answers`` (a set of answer sets)."""
+    return {atom.predicate for answer in answers for atom in answer}
+
+
+def assert_all_backends_equal(collected, expect_events=True):
     reference = collected[REFERENCE]
+    if expect_events:
+        assert raised_events(reference), "the reference raises no event: an exact match would prove nothing"
     for label, answers in collected.items():
         assert answers == reference, f"{label} diverged from {REFERENCE}"
 
@@ -90,14 +100,19 @@ def assert_all_backends_equal(collected):
 # --------------------------------------------------------------------------- #
 # The paper's stratified traffic programs
 # --------------------------------------------------------------------------- #
+#: An 80-triple window raising both kinds of event: 3 ``car_fire`` and 1
+#: ``traffic_jam`` under P's dependency plan, 3 and 4 under the P' plan.
+EVENTFUL_WINDOW_SIZE = 80
+
+
 class TestTrafficPrograms:
-    pytestmark = pytest.mark.slow  # every test spawns shared-memory workers
+    pytestmark = pytest.mark.slow  # every test spawns local worker processes
 
     def test_program_p_motivating_window(self, event_reasoner_p, plan_p, motivating_window):
         collected = answers_by_backend(event_reasoner_p, DependencyPartitioner(plan_p), motivating_window)
         assert_all_backends_equal(collected)
         # The motivating example has exactly one answer: the dangan car fire.
-        [answer] = collected["backend:shared-memory"]
+        [answer] = collected["backend:processes"]
         assert {str(atom) for atom in answer} == {"car_fire(dangan)", "give_notification(dangan)"}
 
     def test_program_p_prime_motivating_window(self, program_p_prime, plan_p_prime, motivating_window):
@@ -106,15 +121,20 @@ class TestTrafficPrograms:
         assert_all_backends_equal(collected)
         assert collected[REFERENCE]
 
-    def test_program_p_synthetic_window(self, event_reasoner_p, plan_p, small_traffic_window):
-        collected = answers_by_backend(event_reasoner_p, DependencyPartitioner(plan_p), small_traffic_window)
+    def test_program_p_synthetic_window(self, event_reasoner_p, plan_p):
+        window = eventful_traffic_stream(EVENTFUL_WINDOW_SIZE)
+        collected = answers_by_backend(event_reasoner_p, DependencyPartitioner(plan_p), window)
         assert_all_backends_equal(collected)
+        assert raised_events(collected[REFERENCE]) >= {"car_fire", "traffic_jam"}
 
-    def test_program_p_hash_partitioning(self, event_reasoner_p, small_traffic_window):
-        # Hash partitioning may split joins (lower accuracy than dependency
-        # partitioning) -- but whatever it answers must not depend on the backend.
-        collected = answers_by_backend(event_reasoner_p, HashPartitioner(3), small_traffic_window)
+    def test_program_p_prime_synthetic_window(self, program_p_prime, plan_p_prime):
+        # The P' plan duplicates the atoms r7 joins across into both
+        # partitions: the overlapping layout must not depend on the backend.
+        reasoner = Reasoner(program_p_prime, INPUT_PREDICATES, EVENT_PREDICATES)
+        window = eventful_traffic_stream(EVENTFUL_WINDOW_SIZE)
+        collected = answers_by_backend(reasoner, DependencyPartitioner(plan_p_prime), window)
         assert_all_backends_equal(collected)
+        assert raised_events(collected[REFERENCE]) >= {"car_fire", "traffic_jam"}
 
 
 # --------------------------------------------------------------------------- #
@@ -132,7 +152,7 @@ good(X) :- item(X).
 
 
 class TestNonStratifiedPrograms:
-    pytestmark = pytest.mark.slow  # every test spawns shared-memory workers
+    pytestmark = pytest.mark.slow  # every test spawns local worker processes
 
     def test_multiple_answer_sets_per_partition(self):
         reasoner = Reasoner(parse_program(CHOICE_PROGRAM), input_predicates=["item"])
@@ -157,23 +177,23 @@ class TestNonStratifiedPrograms:
         reasoner = Reasoner(parse_program(CONSTRAINED_PROGRAM), input_predicates=["item", "poison"])
         window = [make_atom("poison", index) for index in range(4)]
         collected = answers_by_backend(reasoner, HashPartitioner(2), window)
-        assert_all_backends_equal(collected)
-        assert collected[REFERENCE] == set()
+        assert collected[REFERENCE] == set()  # unsatisfiable by design: pinned, not just compared
+        assert_all_backends_equal(collected, expect_events=False)
 
 
 # --------------------------------------------------------------------------- #
 # Edge cases
 # --------------------------------------------------------------------------- #
 class TestEdgeCases:
-    pytestmark = pytest.mark.slow  # every test spawns shared-memory workers
+    pytestmark = pytest.mark.slow  # every test spawns local worker processes
 
     def test_empty_window(self, event_reasoner_p, plan_p):
         collected = answers_by_backend(event_reasoner_p, DependencyPartitioner(plan_p), [])
-        assert_all_backends_equal(collected)
         # An empty window degenerates to the program's own (single, eventless)
         # answer set -- the same thing the unpartitioned reasoner R returns.
-        reference = {frozenset(a) for a in event_reasoner_p.reason([]).answers}
-        assert collected[REFERENCE] == reference
+        assert collected[REFERENCE] == {frozenset()}  # eventless by design: pinned, not just compared
+        assert collected[REFERENCE] == {frozenset(a) for a in event_reasoner_p.reason([]).answers}
+        assert_all_backends_equal(collected, expect_events=False)
 
     def test_single_partition(self, event_reasoner_p, motivating_window):
         collected = answers_by_backend(event_reasoner_p, HashPartitioner(1), motivating_window)
@@ -193,15 +213,16 @@ class TestEdgeCases:
         # The metrics still record the partitioner's full layout.
         assert len(result.metrics.partition_sizes) == 12
 
-    def test_shared_memory_workers_persist_across_windows(self, program_p, plan_p, motivating_window):
+    def test_process_workers_persist_across_windows(self, program_p, plan_p, motivating_window):
         # A *cached* reasoner: each worker inherits its own fresh cache, so
         # the repeated window must be served from worker-side cache hits.
         reasoner = Reasoner(
             program_p, INPUT_PREDICATES, EVENT_PREDICATES, grounding_cache=GroundingCache()
         )
-        backend = SharedMemoryBackend(max_workers=1)
+        backend = ProcessBackend(max_workers=1)
         with StreamSession(reasoner, partitioner=DependencyPartitioner(plan_p), backend=backend) as session:
             first = session.evaluate_window(motivating_window)
+            assert raised_events(first.answers) == {"car_fire", "give_notification"}
             slots = backend.slots
             assert slots is not None and len(slots) == 1
             pids = [slot.process.pid for slot in slots]
@@ -218,7 +239,7 @@ class TestEdgeCases:
         # parent means no hidden caching in worker processes either, keeping
         # cross-backend latency comparisons honest.
         with StreamSession(
-            event_reasoner_p, partitioner=DependencyPartitioner(plan_p), backend=SharedMemoryBackend(max_workers=1)
+            event_reasoner_p, partitioner=DependencyPartitioner(plan_p), backend=ProcessBackend(max_workers=1)
         ) as session:
             session.evaluate_window(motivating_window)
             repeat = session.evaluate_window(motivating_window)
@@ -227,10 +248,11 @@ class TestEdgeCases:
 
     def test_close_is_idempotent_and_pool_recreates(self, event_reasoner_p, plan_p, motivating_window):
         session = StreamSession(
-            event_reasoner_p, partitioner=DependencyPartitioner(plan_p), backend=SharedMemoryBackend(max_workers=1)
+            event_reasoner_p, partitioner=DependencyPartitioner(plan_p), backend=ProcessBackend(max_workers=1)
         )
         session.close()  # never started: no-op
         first = session.evaluate_window(motivating_window)
+        assert raised_events(first.answers) == {"car_fire", "give_notification"}
         session.close()
         session.close()
         second = session.evaluate_window(motivating_window)  # lazily recreated workers

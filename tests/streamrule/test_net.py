@@ -32,7 +32,7 @@ from repro.programs.traffic import EVENT_PREDICATES, INPUT_PREDICATES, traffic_p
 from repro.streaming.generator import SyntheticStreamConfig, generate_window
 from repro.streaming.window import CountWindow
 from repro.streamrule.aio import AsyncWorkerClient
-from repro.streamrule.backends import InlineBackend, TcpBackend
+from repro.streamrule.backends import InlineBackend, ProcessSlot, TcpBackend
 from repro.streamrule.codec import encode_reasoner_spec
 from repro.streamrule.errors import BackendConnectionError, BackendError, HandshakeError, ProtocolError
 from repro.streamrule.fleet import WorkerEndpoint, WorkerFleet
@@ -65,11 +65,9 @@ from repro.streamrule.net import (
 )
 from repro.streamrule.reasoner import Reasoner
 from repro.streamrule.session import StreamSession
-from repro.streamrule.shm import RING_BYTES
 from repro.streamrule.work import WorkItem
 from repro.streamrule.worker import WorkerServer, main as worker_main, parse_listen_address
 from tests.conftest import make_atom
-from tests.streamrule.conftest import stream_pair
 from tests.streamrule.test_protocol_core import ScriptedServer
 
 CHOICE_PROGRAM = """\
@@ -549,25 +547,6 @@ def serve_without_a_socket(sent, **keywords):
 SERVE = {"socket": serve_over_a_socket, "sans-io": serve_without_a_socket}
 
 
-def serve_over_shared_memory(sent, **keywords):
-    """Serve ``sent`` with the daemon's driver over an in-process shared-memory ring pair."""
-    deadline = time.monotonic() + 10.0
-    client, server = stream_pair(RING_BYTES, alive=lambda: time.monotonic() < deadline)
-    client.sendall(sent)
-    with ThreadPoolExecutor(max_workers=1) as pool:
-        served = pool.submit(serve_worker_connection, server, **keywords)
-        received = b""
-        while chunk := client.recv(65536):
-            received += chunk
-        record = served.result(timeout=10.0)
-    client.close()
-    return record, received
-
-
-#: The third way: the same driver over the shared-memory carrier.
-SERVE["shm-stream"] = serve_over_shared_memory
-
-
 class TestServerRefusals:
     """Every way the server refuses a peer, pinned to the byte."""
 
@@ -660,6 +639,47 @@ class TestViolationsAfterReady:
         [record] = [record for record in caplog.records if message in record.getMessage()]
         assert record.levelname == "WARNING"
         assert not any("closed after" in r.getMessage() for r in caplog.records)
+
+
+# --------------------------------------------------------------------------- #
+# A spawned process worker answers hostile bytes as the socket driver does
+# --------------------------------------------------------------------------- #
+def serve_in_a_worker_process(sent):
+    """Send ``sent`` to a spawned process worker; returns its exit code and the bytes it sent back."""
+    slot = ProcessSlot(0)  # the worker runs serve_worker_connection on the other end of the pair
+    try:
+        slot.stream.settimeout(30.0)
+        slot.stream.sendall(sent)
+        received = b""
+        while chunk := slot.stream.recv(65536):
+            received += chunk
+    finally:
+        slot.close()
+    return slot.process.exitcode, received
+
+
+#: Every refusal, malformed data frame and violation a process worker can
+#: meet (it never holds an auth token, so the two token refusals are out).
+HOSTILE_TO_A_PROCESS_WORKER = {
+    **{f"refusal: {case}": sent for case, (sent, keywords, *_) in REFUSALS.items() if not keywords},
+    **{f"malformed: {case}": _handshake() + frame_bytes(*frame) for case, frame in MALFORMED_FRAMES.items()},
+    **{
+        f"violation: {case}": _handshake() + frame_bytes(FrameKind.PING) + sent
+        for case, (sent, _) in VIOLATIONS.items()
+    },
+}
+
+
+@pytest.mark.slow  # every case spawns a worker process
+class TestHostileBytesToAProcessWorker:
+    @pytest.mark.parametrize("case", sorted(HOSTILE_TO_A_PROCESS_WORKER))
+    def test_same_reply_bytes_as_the_socket_driver_then_a_clean_exit(self, case):
+        sent = HOSTILE_TO_A_PROCESS_WORKER[case]
+        record, expected = serve_over_a_socket(sent)
+        assert record.closed
+        exit_code, received = serve_in_a_worker_process(sent)
+        assert received == expected
+        assert exit_code == 0  # the worker closed its end and returned; nothing was killed
 
 
 # --------------------------------------------------------------------------- #

@@ -30,7 +30,7 @@ from repro.asp.syntax.terms import Constant, FunctionTerm
 from repro.programs import fraud, iot
 from repro.programs.traffic import motivating_example_window, traffic_program, traffic_program_prime
 from repro.streaming.window import CountWindow
-from repro.streamrule.backends import InlineBackend, SharedMemoryBackend
+from repro.streamrule.backends import InlineBackend, ProcessBackend
 from repro.streamrule.codec import encode_reasoner_spec, reasoner_from_spec
 from repro.streamrule.reasoner import Reasoner
 from repro.streamrule.server import QueryServer, StandingQuery
@@ -165,8 +165,8 @@ def inexpressible_reasoner():
 EXPECTED_REFUSAL = r"program 'labelled' cannot ship as text: rule 'label\(two words\).' does not parse back"
 
 
-def test_a_shared_memory_backend_refuses_before_spawning():
-    backend = SharedMemoryBackend(max_workers=1)
+def test_a_process_backend_refuses_before_spawning():
+    backend = ProcessBackend(max_workers=1)
     with pytest.raises(ValueError, match=EXPECTED_REFUSAL):
         backend.start(inexpressible_reasoner())
     assert not backend.started and backend.slots is None  # no worker was spawned

@@ -249,7 +249,7 @@ class TestHandshakeCore:
         connection.receive_frame(FrameKind.READY, b"")
         after_ready = connection.connection_lost(eof)
         assert type(after_ready) is BackendConnectionError
-        assert str(after_ready) == f"connection to worker {ADDRESS} lost: {eof!r}"
+        assert str(after_ready) == f"connection to worker 127.0.0.1:7000 lost: {eof!r}"  # the peer's name
 
 
 # --------------------------------------------------------------------------- #
@@ -324,7 +324,7 @@ class TestTicketQueue:
         connection.expect(ticket)
         connection.abort(KeyboardInterrupt())  # anything else is wrapped into one
         assert type(ticket.error) is BackendConnectionError
-        assert str(ticket.error) == f"connection to worker {ADDRESS} aborted: KeyboardInterrupt()"
+        assert str(ticket.error) == "connection to worker 127.0.0.1:7000 aborted: KeyboardInterrupt()"
 
     def test_item_frames_are_counted_as_they_are_encoded(self):
         """Per item: one chunk per frame (an optional SYMBOLS, then WORK), one RESULT back."""

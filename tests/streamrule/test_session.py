@@ -14,7 +14,7 @@ from repro.streaming.window import CountWindow, TimeWindow
 from repro.streamrule.backends import (
     BackendConnectionError,
     InlineBackend,
-    SharedMemoryBackend,
+    ProcessBackend,
     ThreadPoolBackend,
 )
 from repro.streamrule.placement import ConsistentHashPlacement
@@ -164,7 +164,7 @@ class TestSessionConfiguration:
 
     def test_placement_overrides_slot_owning_backend(self):
         placement = ConsistentHashPlacement()
-        backend = SharedMemoryBackend(max_workers=1)
+        backend = ProcessBackend(max_workers=1)
         session = StreamSession(traffic_reasoner(), backend=backend, placement=placement)
         assert backend.placement is placement
         session.close()
@@ -172,7 +172,7 @@ class TestSessionConfiguration:
     def test_placement_on_slotless_backend_rejected(self):
         # InlineBackend/ThreadPoolBackend never consult a placement; a
         # silently ignored strategy would fake content-based routing.
-        with pytest.raises(ValueError, match=r"\(SharedMemoryBackend, TcpBackend\)"):
+        with pytest.raises(ValueError, match=r"\(ProcessBackend, TcpBackend\)"):
             StreamSession(traffic_reasoner(), placement=ConsistentHashPlacement())
         with pytest.raises(ValueError):
             StreamSession(

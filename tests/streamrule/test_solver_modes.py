@@ -16,17 +16,14 @@ import pytest
 from repro.asp.grounding.grounder import GroundingCache
 from repro.asp.solving.incremental import SolverCache
 from repro.asp.syntax.parser import parse_program
-from repro.core.partitioner import HashPartitioner
+from repro.core.partitioner import DependencyPartitioner, HashPartitioner
 from repro.programs.traffic import EVENT_PREDICATES, INPUT_PREDICATES, traffic_program
 from repro.streaming.window import CountWindow
 from repro.streamrule.reasoner import Reasoner
 from repro.streamrule.session import StreamSession
 from tests.conftest import make_atom
-from tests.streamrule.test_delta_modes import (
-    BACKEND_FACTORIES,
-    scratch_answers_per_window,
-    traffic_stream,
-)
+from tests.streamrule.conftest import eventful_traffic_stream
+from tests.streamrule.test_delta_modes import BACKEND_FACTORIES, scratch_answers_per_window
 
 
 def solver_cached_reasoner():
@@ -56,10 +53,10 @@ class TestBackendWindowKindSolverEquivalence:
 
     @pytest.mark.parametrize("backend_name", sorted(BACKEND_FACTORIES), ids=str)
     @pytest.mark.parametrize("window_kind", sorted(WINDOW_SCENARIOS), ids=str)
-    def test_backend_equivalence(self, backend_name, window_kind):
-        stream = traffic_stream(200)
+    def test_backend_equivalence(self, plan_p, backend_name, window_kind):
+        stream = eventful_traffic_stream(200)
         window_policy = self.WINDOW_SCENARIOS[window_kind]
-        partitioner = HashPartitioner(3)
+        partitioner = DependencyPartitioner(plan_p)
         expected = scratch_answers_per_window(window_policy, stream, partitioner)
         backend = BACKEND_FACTORIES[backend_name](2)
         with StreamSession(solver_cached_reasoner(), partitioner=partitioner, backend=backend) as session:
@@ -110,7 +107,7 @@ dropped(X) :- item(X), not picked(X).
 
 class TestSolverMetricsFlow:
     def test_session_reports_assumption_resolves(self):
-        stream = traffic_stream(200)
+        stream = eventful_traffic_stream(200)
         solver_cache = SolverCache()
         reasoner = Reasoner(
             traffic_program(),
@@ -138,7 +135,7 @@ class TestSolverMetricsFlow:
         assert stats["solver_states"] >= 1.0
 
     def test_tumbling_windows_keep_no_solver_state(self):
-        stream = traffic_stream(200)
+        stream = eventful_traffic_stream(200)
         solver_cache = SolverCache()
         reasoner = Reasoner(
             traffic_program(),
@@ -158,7 +155,7 @@ class TestSolverMetricsFlow:
         assert solver_cache.statistics()["solver_states"] == 0.0
 
     def test_metrics_flow_without_solver_cache_stays_zero(self):
-        stream = traffic_stream(120)
+        stream = eventful_traffic_stream(120)
         reasoner = Reasoner(
             traffic_program(), INPUT_PREDICATES, EVENT_PREDICATES, grounding_cache=GroundingCache()
         )

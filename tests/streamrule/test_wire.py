@@ -1,6 +1,6 @@
 """Work items and results survive pickling, deterministically.
 
-Pickling is how a reasoner reaches a spawned shared-memory worker and how
+Pickling is how a reasoner reaches a spawned worker process and how
 sessions copy work between threads; these tests pin three properties of
 the partition/combine protocol's values:
 

@@ -62,11 +62,11 @@ class TestExamples:
         assert 'streamrule_tenant_windows_dispatched_total{tenant="city"}' in output
         assert "# TYPE streamrule_queries_registered gauge" in output
 
-    @pytest.mark.slow  # spawns shared-memory worker processes
-    def test_shared_memory_survives_a_worker_kill(self):
-        output = run_example("shared_memory.py", "--windows", "4", "--window-size", "300")
+    @pytest.mark.slow  # spawns local worker processes
+    def test_processes_survive_a_worker_kill(self):
+        output = run_example("processes.py", "--windows", "4", "--window-size", "300")
         assert "killing worker process 0 mid-stream" in output
-        assert "ring statistics:" in output
+        assert "wire statistics:" in output
         assert "symbol syncs:" in output and "delta share:" in output  # the TCP backend's WireStats keys
         # The kill degrades partitions to inline evaluation, never wedges.
         assert "inline fallbacks after the kill: 0" not in output
