@@ -6,8 +6,9 @@ threaded down to per-partition incremental grounding) are identical to the
 ground-from-scratch answer sets, on every execution backend.  The delta
 machinery may change *how* a window is grounded (exact hit or reground on
 the partition's track) but never *what* the window answers.  Every
-comparison first checks that the reference raises events, so a backend
-that loses answers fails.
+dependency-plan comparison first checks that the reference raises events,
+so a backend that loses answers fails; the hash-partitioned ones cannot
+(see ``PARTITIONINGS``).
 """
 
 from __future__ import annotations
@@ -69,11 +70,12 @@ def cached_reasoner(program=None):
     )
 
 
-def scratch_answers_per_window(window_policy, stream, partitioner, program=None):
+def scratch_answers_per_window(window_policy, stream, partitioner, program=None, expect_events=True):
     """Reference: every window evaluated serially inline without any cache.
 
-    Asserts that the reference raises both kinds of event, so the exact
-    match it is compared with is not a match of empty answer sets.
+    With ``expect_events`` it asserts that the reference raises both kinds
+    of event, so the exact match it is compared with is not a match of
+    empty answer sets.
     """
     reasoner = Reasoner(program or traffic_program(), INPUT_PREDICATES, EVENT_PREDICATES)
     with StreamSession(
@@ -83,9 +85,20 @@ def scratch_answers_per_window(window_policy, stream, partitioner, program=None)
             {frozenset(answer) for answer in session.evaluate_window(list(window)).answers}
             for window in window_policy.windows(stream)
         ]
-    raised = {atom.predicate for answers in expected for answer in answers for atom in answer}
-    assert raised >= {"car_fire", "traffic_jam"}, f"the reference raises only {sorted(raised)}"
+    if expect_events:
+        raised = {atom.predicate for answers in expected for answer in answers for atom in answer}
+        assert raised >= {"car_fire", "traffic_jam"}, f"the reference raises only {sorted(raised)}"
     return expected
+
+
+#: The partitioners of the window-kind matrices (name -> factory taking P's
+#: plan).  ``HashPartitioner`` places each atom by ``hash(str(atom))``, which
+#: follows ``PYTHONHASHSEED``, so whether a traffic join survives it varies
+#: between runs: its rows compare answers without the events precondition.
+PARTITIONINGS = {
+    "plan": DependencyPartitioner,
+    "hash": lambda plan: HashPartitioner(3),
+}
 
 
 def delta_answers_per_window(window_policy, stream, partitioner, runner, reasoner=None):
@@ -124,6 +137,16 @@ class TestSlidingWindowEquivalence:
         program = traffic_program_prime()
         expected = scratch_answers_per_window(window_policy, stream, partitioner, program)
         actual = delta_answers_per_window(window_policy, stream, partitioner, runner, cached_reasoner(program))
+        assert actual == expected
+
+    @pytest.mark.parametrize("runner", RUNNERS, ids=runner_id)
+    def test_count_window_hash_partitioning(self, runner):
+        # Hash placement follows PYTHONHASHSEED (see PARTITIONINGS).
+        stream = eventful_traffic_stream(180)
+        window_policy = CountWindow(size=60, slide=20)
+        partitioner = HashPartitioner(3)
+        expected = scratch_answers_per_window(window_policy, stream, partitioner, expect_events=False)
+        actual = delta_answers_per_window(window_policy, stream, partitioner, runner)
         assert actual == expected
 
     @pytest.mark.parametrize("runner", RUNNERS, ids=runner_id)
@@ -190,7 +213,8 @@ class TestBackendWindowKindEquivalence:
 
     Identical answer sets for inline (serial and simulated), threads,
     local worker processes and TCP backends on every window kind, with the
-    delta path enabled and disabled.
+    delta path enabled and disabled, under P's dependency plan and under
+    hash partitioning.
     """
 
     pytestmark = pytest.mark.slow
@@ -204,11 +228,14 @@ class TestBackendWindowKindEquivalence:
     @pytest.mark.parametrize("backend_name", sorted(BACKEND_FACTORIES), ids=str)
     @pytest.mark.parametrize("window_kind", sorted(WINDOW_SCENARIOS), ids=str)
     @pytest.mark.parametrize("use_delta", [True, False], ids=["delta", "no-delta"])
-    def test_backend_equivalence(self, plan_p, backend_name, window_kind, use_delta):
+    @pytest.mark.parametrize("partitioning", sorted(PARTITIONINGS), ids=str)
+    def test_backend_equivalence(self, plan_p, partitioning, backend_name, window_kind, use_delta):
         stream = eventful_traffic_stream(200)
         window_policy = self.WINDOW_SCENARIOS[window_kind]
-        partitioner = DependencyPartitioner(plan_p)
-        expected = scratch_answers_per_window(window_policy, stream, partitioner)
+        partitioner = PARTITIONINGS[partitioning](plan_p)
+        expected = scratch_answers_per_window(
+            window_policy, stream, partitioner, expect_events=partitioning == "plan"
+        )
         backend = BACKEND_FACTORIES[backend_name](2)
         with StreamSession(cached_reasoner(), partitioner=partitioner, backend=backend) as session:
             if use_delta:
@@ -222,37 +249,6 @@ class TestBackendWindowKindEquivalence:
                     for window in window_policy.windows(stream)
                 ]
         assert actual == expected
-
-
-class TestEventfulTrafficStream:
-    """The streams of the equivalence matrices raise both kinds of event.
-
-    Each case is a (stream length, window policy, program) the matrices
-    compare answers on, with the reference's partitioner: the dependency
-    plan of P or of P'.  If the generator changes so that a case goes quiet,
-    this names the case, before the matrices' preconditions do.
-    """
-
-    CASES = {
-        "count 80/30 over 240, P": (240, CountWindow(size=80, slide=30), "P"),
-        "count 60/20 over 180, P'": (180, CountWindow(size=60, slide=20), "P'"),
-        "time 50/20 over 150, P": (150, TimeWindow(duration=50.0, slide=20.0), "P"),
-        "tumbling 60 over 200, P": (200, CountWindow(size=60), "P"),
-        "sliding 60/20 over 200, P": (200, CountWindow(size=60, slide=20), "P"),
-        "hopping 40/60 over 200, P": (200, CountWindow(size=40, slide=60), "P"),
-        "one 80-triple window, P": (80, CountWindow(size=80), "P"),
-        "one 80-triple window, P'": (80, CountWindow(size=80), "P'"),
-    }
-
-    @pytest.mark.parametrize("case", sorted(CASES), ids=str)
-    def test_the_reference_raises_both_events(self, case, plan_p, plan_p_prime):
-        length, window_policy, name = self.CASES[case]
-        program, plan = (traffic_program(), plan_p) if name == "P" else (traffic_program_prime(), plan_p_prime)
-        stream = eventful_traffic_stream(length)
-        expected = scratch_answers_per_window(window_policy, stream, DependencyPartitioner(plan), program)
-        events = [atom.predicate for answers in expected for answer in answers for atom in answer]
-        assert events.count("car_fire") >= 1 and events.count("traffic_jam") >= 1
-        assert sum(1 for answers in expected if any(answers)) * 2 >= len(expected)  # most windows raise one
 
 
 class TestDeltaMetricsFlow:

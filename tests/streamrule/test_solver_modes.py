@@ -16,14 +16,14 @@ import pytest
 from repro.asp.grounding.grounder import GroundingCache
 from repro.asp.solving.incremental import SolverCache
 from repro.asp.syntax.parser import parse_program
-from repro.core.partitioner import DependencyPartitioner, HashPartitioner
+from repro.core.partitioner import HashPartitioner
 from repro.programs.traffic import EVENT_PREDICATES, INPUT_PREDICATES, traffic_program
 from repro.streaming.window import CountWindow
 from repro.streamrule.reasoner import Reasoner
 from repro.streamrule.session import StreamSession
 from tests.conftest import make_atom
 from tests.streamrule.conftest import eventful_traffic_stream
-from tests.streamrule.test_delta_modes import BACKEND_FACTORIES, scratch_answers_per_window
+from tests.streamrule.test_delta_modes import BACKEND_FACTORIES, PARTITIONINGS, scratch_answers_per_window
 
 
 def solver_cached_reasoner():
@@ -53,11 +53,14 @@ class TestBackendWindowKindSolverEquivalence:
 
     @pytest.mark.parametrize("backend_name", sorted(BACKEND_FACTORIES), ids=str)
     @pytest.mark.parametrize("window_kind", sorted(WINDOW_SCENARIOS), ids=str)
-    def test_backend_equivalence(self, plan_p, backend_name, window_kind):
+    @pytest.mark.parametrize("partitioning", sorted(PARTITIONINGS), ids=str)
+    def test_backend_equivalence(self, plan_p, partitioning, backend_name, window_kind):
         stream = eventful_traffic_stream(200)
         window_policy = self.WINDOW_SCENARIOS[window_kind]
-        partitioner = DependencyPartitioner(plan_p)
-        expected = scratch_answers_per_window(window_policy, stream, partitioner)
+        partitioner = PARTITIONINGS[partitioning](plan_p)
+        expected = scratch_answers_per_window(
+            window_policy, stream, partitioner, expect_events=partitioning == "plan"
+        )
         backend = BACKEND_FACTORIES[backend_name](2)
         with StreamSession(solver_cached_reasoner(), partitioner=partitioner, backend=backend) as session:
             actual = [
