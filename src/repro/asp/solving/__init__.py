@@ -3,14 +3,14 @@
 from repro.asp.solving.completion import CompletionEncoding, build_completion
 from repro.asp.solving.incremental import IncrementalSolver, SolveStats, SolverCache
 from repro.asp.solving.sat import DPLLSolver, Satisfiability
-from repro.asp.solving.solver import (
-    StableModelSolver,
-    constraints_satisfied,
-    seed_wellfounded_consequences,
-    stable_models,
-)
+from repro.asp.solving.solver import StableModelSolver, constraints_satisfied, stable_models
 from repro.asp.solving.unfounded import greatest_unfounded_set, is_founded
-from repro.asp.solving.wellfounded import WellFoundedModel, alternating_fixpoint, well_founded_model
+from repro.asp.solving.wellfounded import (
+    WellFoundedModel,
+    alternating_fixpoint,
+    residual_program,
+    well_founded_model,
+)
 
 __all__ = [
     "CompletionEncoding",
@@ -26,7 +26,7 @@ __all__ = [
     "constraints_satisfied",
     "greatest_unfounded_set",
     "is_founded",
-    "seed_wellfounded_consequences",
+    "residual_program",
     "stable_models",
     "well_founded_model",
 ]

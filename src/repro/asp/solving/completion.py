@@ -41,9 +41,6 @@ class CompletionEncoding:
     atom_to_variable: Dict[Atom, int]
     variable_to_atom: Dict[int, Atom]
 
-    def variable(self, atom: Atom) -> int:
-        return self.atom_to_variable[atom]
-
     def atoms_of_model(self, model: Dict[int, bool]) -> Set[Atom]:
         """Extract the set of true atoms from a SAT assignment."""
         return {

@@ -7,27 +7,29 @@ window to the next and is repaired from the content delta between the two
 ground programs -- the rule/fact diff tells it *what* changed, whichever
 way the grounder produced them:
 
-* **Well-founded strata reuse** -- the residual rules are sliced into
+* **Well-founded strata reuse** -- the ground rules are sliced into
   strongly-connected predicate components, evaluated bottom-up with the
   alternating fixpoint.  Each stratum's consequences are cached keyed on its
   rules, its facts and the truth of its input atoms; strata untouched by the
   window's diff are reused verbatim.  Crucially the fixpoint only ever
-  sees the *relevant subprogram* (residual rules plus the facts their
+  sees the *relevant subprogram* (ground rules plus the facts their
   bodies mention), never the full window of facts -- from-scratch solving
   re-derives every fact through the fixpoint queue on every window, which
   is where its per-window cost goes.
 * **Persistent completion encoding** -- when the well-founded model is not
-  total, a selector-guarded Clark completion is kept alive inside one
-  :class:`DPLLSolver`.  Every rule clause carries a selector literal and
-  every fact a fact-selector; a solve assumes the selectors of the rules
-  and facts of the *current* window plus the window's well-founded
-  consequences, and enumerates answer sets under those assumptions.
-  Retracted rules and facts have their clauses removed and the affected
-  support clauses rebuilt; learned unfounded-set clauses are retained
-  across windows while their source rules survive the slide and dropped as
-  soon as a new rule head or fact could give the unfounded atoms fresh
-  external support.  Blocking clauses are window-scoped and removed after
-  each enumeration.
+  total, the window's program is reduced by it
+  (:func:`~repro.asp.solving.wellfounded.residual_program`) and a
+  selector-guarded Clark completion of that residual -- rules over
+  undefined atoms only, no facts -- is kept alive inside one
+  :class:`DPLLSolver`.  Every rule clause carries a selector literal; a
+  solve assumes the selectors of the *current* residual rules and
+  enumerates its answer sets under those assumptions, each joined with the
+  window's facts and well-founded-true atoms.  Rules that leave the
+  residual have their clauses removed and the affected support clauses
+  rebuilt; learned unfounded-set clauses are retained across windows while
+  their source rules survive the slide and dropped as soon as a new rule
+  head could give the unfounded atoms fresh external support.  Blocking
+  clauses are window-scoped and removed after each enumeration.
 
 Disjunctive programs fall back to the from-scratch
 :class:`StableModelSolver` (their guess-and-check minimality test keeps no
@@ -52,7 +54,7 @@ from repro.asp.grounding.grounder import GroundProgram, GroundRule
 from repro.asp.solving.sat import DPLLSolver, Satisfiability
 from repro.asp.solving.solver import StableModelSolver, constraints_satisfied
 from repro.asp.solving.unfounded import greatest_unfounded_set
-from repro.asp.solving.wellfounded import alternating_fixpoint
+from repro.asp.solving.wellfounded import alternating_fixpoint, residual_program
 from repro.asp.syntax.atoms import Atom
 from repro.asp.syntax.symbols import SymbolTable
 
@@ -119,14 +121,6 @@ class _RuleEntry:
         self.head = head
 
 
-class _FactEntry:
-    __slots__ = ("selector", "clause_ids")
-
-    def __init__(self, selector: int, clause_ids: List[int]):
-        self.selector = selector
-        self.clause_ids = clause_ids
-
-
 class _Support:
     __slots__ = ("clause_id", "bodies")
 
@@ -148,13 +142,11 @@ class _PersistentEncoding:
     """A selector-guarded Clark completion kept alive across windows.
 
     Each non-disjunctive rule contributes a selector ``s`` and (for
-    non-empty bodies) a body variable ``b`` with ``b <-> s & body``; each
-    fact atom contributes a fact selector ``f`` with ``f -> atom``.  The
-    support ("only if") clause of an atom disjoins the body variables and
-    fact selectors currently defining it and is rebuilt whenever that set
-    changes.  Assuming all active selectors true makes the encoding
-    logically identical to the from-scratch completion of the current
-    window.
+    non-empty bodies) a body variable ``b`` with ``b <-> s & body``.  The
+    support ("only if") clause of an atom disjoins the body variables
+    currently defining it and is rebuilt whenever that set changes.
+    Assuming all active selectors true makes the encoding logically
+    identical to the from-scratch completion of the synced rules.
     """
 
     def __init__(self) -> None:
@@ -166,7 +158,6 @@ class _PersistentEncoding:
         self.symbols = SymbolTable()
         self.atom_to_variable: Dict[int, int] = {}
         self.rule_entries: Dict[GroundRule, _RuleEntry] = {}
-        self.fact_entries: Dict[Atom, _FactEntry] = {}
         #: Active atoms and their support state; membership here defines
         #: which atoms participate in model extraction and blocking.
         self.supports: Dict[Atom, _Support] = {}
@@ -212,18 +203,15 @@ class _PersistentEncoding:
             dirty.discard(atom)
 
     # -- synchronisation ------------------------------------------------ #
-    def sync(self, rules: Set[GroundRule], facts: Set[Atom], counters: _Counters) -> bool:
-        """Repair the encoding to match the given rules and facts.
+    def sync(self, rules: Set[GroundRule], counters: _Counters) -> bool:
+        """Repair the encoding to match the given rules.
 
         Returns True when anything changed.  ``rules`` must contain no
         disjunctive rule (the caller falls back before reaching here).
         """
         removed_rules = [rule for rule in self.rule_entries if rule not in rules]
         added_rules = [rule for rule in rules if rule not in self.rule_entries]
-        removed_facts = [atom for atom in self.fact_entries if atom not in facts]
-        added_facts = [atom for atom in facts if atom not in self.fact_entries]
-        changed = bool(removed_rules or added_rules or removed_facts or added_facts)
-        if not changed:
+        if not (removed_rules or added_rules):
             counters.clauses_retained += len(self.learned)
             return False
 
@@ -240,28 +228,6 @@ class _PersistentEncoding:
                 support.bodies.remove(entry.body_variable)
                 dirty.add(entry.head)
             self._release_atoms(set(rule.atoms()), dirty, counters)
-
-        for atom in removed_facts:
-            entry = self.fact_entries.pop(atom)
-            for clause_id in entry.clause_ids:
-                self.solver.remove_clause(clause_id)
-                counters.clauses_dropped += 1
-            support = self.supports[atom]
-            support.bodies.remove(entry.selector)
-            dirty.add(atom)
-            self._release_atoms((atom,), dirty, counters)
-
-        for atom in added_facts:
-            self._retain_atoms((atom,), dirty)
-            selector = self.solver.new_variable()
-            clause_ids = []
-            clause_id = self.solver.add_clause([-selector, self._variable_of(atom)])
-            if clause_id is not None:
-                clause_ids.append(clause_id)
-            self.fact_entries[atom] = _FactEntry(selector, clause_ids)
-            self.supports[atom].bodies.append(selector)
-            dirty.add(atom)
-            invalidating_atoms.add(atom)
 
         for rule in added_rules:
             self._retain_atoms(set(rule.atoms()), dirty)
@@ -301,7 +267,7 @@ class _PersistentEncoding:
 
         # Learned unfounded-set clauses survive while all their source rules
         # survive and nothing could lend the unfounded atoms new external
-        # support (a new rule head or fact inside the set).
+        # support (a new rule head inside the set).
         retained: List[_LearnedClause] = []
         self._learned_keys.clear()
         for learned in self.learned:
@@ -337,15 +303,14 @@ class _PersistentEncoding:
         fresh = DPLLSolver()
         variable_map: Dict[int, int] = {}
 
-        def remap(literals: List[int]) -> List[int]:
-            mapped = []
-            for literal in literals:
-                variable = variable_map.get(abs(literal))
-                if variable is None:
-                    variable = fresh.new_variable()
-                    variable_map[abs(literal)] = variable
-                mapped.append(variable if literal > 0 else -variable)
+        def fresh_variable(variable: int) -> int:
+            mapped = variable_map.get(variable)
+            if mapped is None:
+                mapped = variable_map[variable] = fresh.new_variable()
             return mapped
+
+        def remap(literals: List[int]) -> List[int]:
+            return [fresh_variable(literal) if literal > 0 else -fresh_variable(-literal) for literal in literals]
 
         def migrate(clause_ids: List[int]) -> List[int]:
             migrated = []
@@ -360,23 +325,17 @@ class _PersistentEncoding:
 
         for entry in self.rule_entries.values():
             entry.clause_ids = migrate(entry.clause_ids)
-        for fact_entry in self.fact_entries.values():
-            fact_entry.clause_ids = migrate(fact_entry.clause_ids)
         for support in self.supports.values():
             if support.clause_id is not None:
                 [support.clause_id] = migrate([support.clause_id]) or [None]
-            support.bodies = [
-                (variable_map.setdefault(body, fresh.new_variable())) for body in support.bodies
-            ]
+            support.bodies = [fresh_variable(body) for body in support.bodies]
         for learned in self.learned:
             [learned.clause_id] = migrate([learned.clause_id]) or [None]
         self.learned = [learned for learned in self.learned if learned.clause_id is not None]
         for entry in self.rule_entries.values():
-            entry.selector = variable_map.setdefault(entry.selector, fresh.new_variable())
+            entry.selector = fresh_variable(entry.selector)
             if entry.body_variable is not None:
-                entry.body_variable = variable_map.setdefault(entry.body_variable, fresh.new_variable())
-        for fact_entry in self.fact_entries.values():
-            fact_entry.selector = variable_map.setdefault(fact_entry.selector, fresh.new_variable())
+                entry.body_variable = fresh_variable(entry.body_variable)
         self.atom_to_variable = {
             atom: variable_map[variable]
             for atom, variable in self.atom_to_variable.items()
@@ -418,12 +377,15 @@ class IncrementalSolver:
         facts = set(ground.facts)
 
         true_atoms, undefined = self._well_founded(rules, facts, counters)
+        decided = facts | true_atoms
         if not undefined:
-            candidate = facts | true_atoms
-            models = [candidate] if constraints_satisfied(constraints, candidate) else []
+            models = [decided] if constraints_satisfied(constraints, decided) else []
             return models, self._finish(outcome, counters)
 
-        models = self._enumerate(ground, constraints, facts, true_atoms, undefined, limit, counters)
+        residual = residual_program(ground.rules, decided, undefined)
+        if residual is None:
+            return [], self._finish(outcome, counters)
+        models = [decided | model for model in self._enumerate(residual, limit, counters)]
         return models, self._finish(outcome, counters)
 
     @staticmethod
@@ -441,9 +403,9 @@ class IncrementalSolver:
     def _well_founded(
         self, rules: List[GroundRule], facts: Set[Atom], counters: _Counters
     ) -> Tuple[Set[Atom], Set[Atom]]:
-        """Well-founded (true, undefined) atoms of the residual rules.
+        """Well-founded (true, undefined) atoms of the ground rules.
 
-        Facts outside the residual rules' atoms are trivially true and are
+        Facts outside the rules' atoms are trivially true and are
         *not* included in the returned true set; the caller unions the full
         fact set back in.  This is what keeps the incremental path off the
         O(window) fixpoint: only the relevant subprogram is evaluated.
@@ -570,39 +532,18 @@ class IncrementalSolver:
         return true_atoms, possible - true_atoms
 
     # -- assumption-based enumeration over the persistent encoding ------- #
-    def _enumerate(
-        self,
-        ground: GroundProgram,
-        constraints: List[GroundRule],
-        facts: Set[Atom],
-        wf_true: Set[Atom],
-        wf_undefined: Set[Atom],
-        limit: Optional[int],
-        counters: _Counters,
-    ) -> List[Set[Atom]]:
+    def _enumerate(self, residual: GroundProgram, limit: Optional[int], counters: _Counters) -> List[Set[Atom]]:
+        """Stable models of the well-founded residual, under the persistent encoding."""
         encoding = self._encoding
         freshly_built = encoding is None
         if encoding is None:
             encoding = self._encoding = _PersistentEncoding()
-        changed = encoding.sync(set(ground.rules), facts, counters)
+        changed = encoding.sync(set(residual.rules), counters)
         if changed and not freshly_built:
             counters.encoding_repairs += 1
 
-        assumptions: List[int] = []
-        for entry in encoding.rule_entries.values():
-            assumptions.append(entry.selector)
-        for fact_entry in encoding.fact_entries.values():
-            assumptions.append(fact_entry.selector)
-        # Well-founded consequences, window-scoped.  Every active atom is
-        # classified by the well-founded pass (facts are true, rule atoms are
-        # in the relevant universe), so anything neither true nor undefined
-        # is known false.
-        for atom in encoding.supports:
-            if atom in facts or atom in wf_true:
-                assumptions.append(encoding.variable_of(atom))
-            elif atom not in wf_undefined:
-                assumptions.append(-encoding.variable_of(atom))
-
+        assumptions = [entry.selector for entry in encoding.rule_entries.values()]
+        constraints = [rule for rule in residual.rules if rule.is_constraint]
         active_atoms = list(encoding.supports)
         models: List[Set[Atom]] = []
         blocking_ids: List[int] = []
@@ -623,7 +564,7 @@ class IncrementalSolver:
                     if blocking_id is not None:
                         blocking_ids.append(blocking_id)
                 if constraints_satisfied(constraints, candidate):
-                    unfounded = greatest_unfounded_set(ground, candidate)
+                    unfounded = greatest_unfounded_set(residual, candidate)
                     if unfounded:
                         self._learn_unfounded(encoding, unfounded)
                     else:
@@ -641,8 +582,8 @@ class IncrementalSolver:
     def _learn_unfounded(encoding: _PersistentEncoding, unfounded: Set[Atom]) -> None:
         """Learn the unfounded-set clause: not all of the set without support.
 
-        Sound for any window in which no rule head or fact inside the set
-        appears beyond the recorded sources -- `sync` drops the clause the
+        Sound for any window in which no rule head inside the set appears
+        beyond the recorded sources -- `sync` drops the clause the
         moment that could happen.
         """
         sources: List[GroundRule] = []

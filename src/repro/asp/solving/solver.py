@@ -8,9 +8,14 @@ systems (and of Clingo, which the paper uses):
    the case for the stratified traffic programs of the paper), it *is* the
    unique stable-model candidate and only the integrity constraints remain
    to be checked.
-2. **Completion + DPLL search with unfounded-set checking** -- for normal
-   programs with cycles through negation, classical models of the Clark
-   completion are enumerated and filtered by the unfounded-set (loop) check.
+2. **Completion + DPLL search over the residual, with unfounded-set
+   checking** -- for normal programs with cycles through negation, the
+   program is first reduced by its well-founded model
+   (:func:`~repro.asp.solving.wellfounded.residual_program`): decided atoms
+   leave it, so the search covers the undefined atoms only.  Classical
+   models of the residual's Clark completion are enumerated and filtered by
+   the unfounded-set (loop) check, and each survivor joined with the
+   well-founded-true atoms is a stable model.
 3. **Guess-and-check minimality** -- for disjunctive programs, classical
    models are checked for minimality of the reduct (the canonical
    Sigma^p_2-complete test), implemented with a secondary SAT query.
@@ -24,31 +29,14 @@ from repro.asp.grounding.grounder import GroundProgram
 from repro.asp.solving.completion import build_completion
 from repro.asp.solving.sat import DPLLSolver, Satisfiability
 from repro.asp.solving.unfounded import greatest_unfounded_set
-from repro.asp.solving.wellfounded import well_founded_model
+from repro.asp.solving.wellfounded import residual_program, well_founded_model
 from repro.asp.syntax.atoms import Atom
 
 __all__ = [
     "StableModelSolver",
     "constraints_satisfied",
-    "seed_wellfounded_consequences",
     "stable_models",
 ]
-
-
-def seed_wellfounded_consequences(encoding, wf_model) -> None:
-    """Add the well-founded consequences to a completion encoding as units.
-
-    Both polarities are guarded by encoding membership: an atom may be
-    well-founded while absent from the completion's variable table (e.g.
-    when seeding a persistent encoding that only covers the residual rules),
-    and an unguarded lookup would raise ``KeyError`` instead of skipping it.
-    """
-    for atom in wf_model.true:
-        if atom in encoding.atom_to_variable:
-            encoding.solver.add_clause([encoding.variable(atom)])
-    for atom in wf_model.false:
-        if atom in encoding.atom_to_variable:
-            encoding.solver.add_clause([-encoding.variable(atom)])
 
 
 def constraints_satisfied(constraints, model: Set[Atom]) -> bool:
@@ -97,22 +85,26 @@ class StableModelSolver:
             if self._constraints_satisfied(candidate):
                 yield candidate
             return
-        # Residual search: completion models filtered by the unfounded check.
-        encoding = build_completion(self.ground)
+        # Residual search: completion models of the program reduced by its
+        # well-founded model, filtered by the unfounded check.
+        residual = residual_program(self.ground.rules, wf_model.true, wf_model.undefined)
+        if residual is None:
+            return
+        constraints = [rule for rule in residual.rules if rule.is_constraint]
+        encoding = build_completion(residual)
         produced = 0
-        seed_wellfounded_consequences(encoding, wf_model)
         while limit is None or produced < limit:
             status, assignment = encoding.solver.solve()
             if status is Satisfiability.UNSATISFIABLE or assignment is None:
                 return
             candidate = encoding.atoms_of_model(assignment)
             encoding.block_model(candidate)
-            if not self._constraints_satisfied(candidate):
+            if not constraints_satisfied(constraints, candidate):
                 continue
-            if greatest_unfounded_set(self.ground, candidate):
+            if greatest_unfounded_set(residual, candidate):
                 continue
             produced += 1
-            yield candidate
+            yield candidate | wf_model.true
 
     # ------------------------------------------------------------------ #
     # Disjunctive programs

@@ -7,8 +7,13 @@ contains all well-founded-true atoms and no well-founded-false atom, so:
 * if the well-founded model is *total* (no undefined atoms) the program has
   exactly one stable model candidate -- this is the fast path that the
   paper's stratified traffic programs always hit;
-* otherwise the undefined atoms delimit the search space handed to the
-  DPLL-based solver.
+* otherwise :func:`residual_program` reduces the program by the
+  well-founded model, and only that residual -- rules over undefined atoms
+  alone -- is handed to the DPLL-based search.  Every stable model is the
+  well-founded-true atoms plus a stable model of the residual (the
+  well-founded residual program of Brass, Dix, Freitag & Zukowski, TPLP
+  2001; smodels searches only what its well-founded propagation leaves
+  open in the same way).
 
 The alternating fixpoint (Van Gelder) iterates the antimonotone operator
 ``Γ(X) = least model of the reduct of P w.r.t. X``:
@@ -22,12 +27,12 @@ converging to the set of true atoms ``T`` and the set of possibly-true atoms
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, FrozenSet, List, Optional, Set
+from typing import Container, Dict, FrozenSet, Iterable, List, Optional, Set
 
 from repro.asp.grounding.grounder import GroundProgram, GroundRule
 from repro.asp.syntax.atoms import Atom
 
-__all__ = ["WellFoundedModel", "alternating_fixpoint", "well_founded_model"]
+__all__ = ["WellFoundedModel", "alternating_fixpoint", "residual_program", "well_founded_model"]
 
 
 @dataclass(frozen=True)
@@ -142,3 +147,35 @@ def well_founded_model(ground: GroundProgram) -> WellFoundedModel:
         false=frozenset(false_set),
         undefined=frozenset(undefined),
     )
+
+
+def residual_program(
+    rules: Iterable[GroundRule], true: Container[Atom], undefined: Container[Atom]
+) -> Optional[GroundProgram]:
+    """Reduce a normal ground program by its well-founded model.
+
+    ``true`` and ``undefined`` are the model's true and undefined atoms;
+    every other atom is false.  A rule whose head is decided is dropped, and
+    so is every rule or constraint with a body literal decided false; the
+    rules kept lose their body literals decided true.  The residual thus
+    mentions undefined atoms only and carries no facts, and the stable
+    models of the program are exactly ``true | M`` for the stable models
+    ``M`` of the residual.  Returns ``None`` when a constraint is left with
+    an empty body: then the program has no stable model at all.
+    """
+    residual: List[GroundRule] = []
+    for rule in rules:
+        if rule.head and rule.head[0] not in undefined:
+            continue
+        if any(atom not in undefined and atom not in true for atom in rule.positive_body):
+            continue
+        if any(atom in true for atom in rule.negative_body):
+            continue
+        positive = tuple(atom for atom in rule.positive_body if atom in undefined)
+        negative = tuple(atom for atom in rule.negative_body if atom in undefined)
+        if not (rule.head or positive or negative):
+            return None
+        if len(positive) != len(rule.positive_body) or len(negative) != len(rule.negative_body):
+            rule = GroundRule(rule.head, positive, negative)
+        residual.append(rule)
+    return GroundProgram(rules=residual)

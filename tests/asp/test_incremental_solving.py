@@ -9,7 +9,7 @@ while its :class:`SolveStats` show that prior state actually got reused.
 from hypothesis import given, settings, strategies as st
 
 from repro.asp.grounding.grounder import ground_program
-from repro.asp.solving.incremental import IncrementalSolver, SolverCache
+from repro.asp.solving.incremental import _COMPACTION_THRESHOLD, IncrementalSolver, SolverCache
 from repro.asp.solving.solver import stable_models
 from repro.asp.syntax.parser import parse_program
 
@@ -86,6 +86,14 @@ class TestSlidingEquivalence:
         stats = assert_window_sequence_matches(rules, ["", "", "b.", ""])
         assert stats[1].clauses_retained > 0
 
+    def test_new_support_for_a_learned_loop_drops_its_clause(self):
+        # Window 0 learns that {a, b} is unfounded unless p holds; window 1
+        # adds a :- q, under which {q, a, b} is stable.  Keeping the learned
+        # clause would lose that answer set.
+        rules = "a :- b. b :- a. p :- not q. q :- not p. a :- p."
+        stats = assert_window_sequence_matches(rules, ["", "a :- q."])
+        assert stats[1].clauses_dropped > 0
+
     def test_disjunctive_program_falls_back(self):
         solver = IncrementalSolver()
         ground = ground_window("a | b.", "")
@@ -112,6 +120,32 @@ class TestSlidingEquivalence:
     def test_unsat_window_then_sat_window(self):
         rules = "a :- not b. b :- not a."
         assert_window_sequence_matches(rules, [":- a. :- b.", ""])
+
+
+class TestCompaction:
+    def test_compaction_keeps_only_live_variables_and_answers(self):
+        # The domain slides by one constant per window, so every window
+        # retracts the clauses of two rules and the window's 8 blocking
+        # clauses: the tombstones pass the threshold within ~20 windows.
+        rules = "q(X) :- p(X), not r(X). r(X) :- p(X), not q(X)."
+        solver = IncrementalSolver()
+        compacted = False
+        for start in range(40):
+            ground = ground_window(rules, " ".join(f"p({start + offset})." for offset in range(3)))
+            models, _ = solver.solve(ground)
+            assert {frozenset(model) for model in models} == {
+                frozenset(model) for model in stable_models(ground)
+            }
+            sat = solver._encoding.solver
+            if start == 0:
+                first_sat = sat
+            elif sat is not first_sat and not compacted:
+                compacted = True
+                live = set()
+                for index in range(sat.clause_count + sat.removed_clause_count):
+                    live.update(abs(literal) for literal in sat.clause_literals(index) or ())
+                assert sat.variable_count == len(live)
+        assert compacted, f"no compaction within 40 windows (threshold {_COMPACTION_THRESHOLD})"
 
 
 def _program_strategy():

@@ -2,15 +2,7 @@
 
 
 from repro.asp.grounding.grounder import ground_program
-from repro.asp.solving.completion import build_completion
-from repro.asp.solving.sat import Satisfiability
-from repro.asp.solving.solver import (
-    StableModelSolver,
-    seed_wellfounded_consequences,
-    stable_models,
-)
-from repro.asp.solving.wellfounded import WellFoundedModel
-from repro.asp.syntax.atoms import Atom
+from repro.asp.solving.solver import StableModelSolver, stable_models
 from repro.asp.syntax.parser import parse_program
 
 
@@ -101,37 +93,6 @@ class TestDisjunctivePrograms:
     def test_ground_disjunction_over_variables(self):
         models = models_of("p(1). p(2). in(X) | out(X) :- p(X).")
         assert len(models) == 4
-
-
-class TestWellFoundedSeeding:
-    def test_seeding_skips_atoms_absent_from_the_completion(self):
-        # Regression: the true-polarity seeding used to look variables up
-        # unguarded, so a well-founded-true atom outside the encoding's
-        # variable table raised KeyError.  Both polarities must skip atoms
-        # the completion does not know about.
-        ground = ground_program(parse_program("a :- not b. b :- not a."))
-        encoding = build_completion(ground)
-        wf = WellFoundedModel(
-            true=frozenset({Atom("outside_true", ())}),
-            false=frozenset({Atom("outside_false", ())}),
-            undefined=frozenset({Atom("a", ()), Atom("b", ())}),
-        )
-        seed_wellfounded_consequences(encoding, wf)
-        assert encoding.solver.solve()[0] is Satisfiability.SATISFIABLE
-
-    def test_seeding_pins_known_atoms_as_units(self):
-        ground = ground_program(parse_program("a :- not b. b :- not a."))
-        encoding = build_completion(ground)
-        wf = WellFoundedModel(
-            true=frozenset({Atom("a", ())}),
-            false=frozenset({Atom("b", ())}),
-            undefined=frozenset(),
-        )
-        seed_wellfounded_consequences(encoding, wf)
-        status, assignment = encoding.solver.solve()
-        assert status is Satisfiability.SATISFIABLE
-        assert assignment[encoding.variable(Atom("a", ()))] is True
-        assert assignment[encoding.variable(Atom("b", ()))] is False
 
 
 class TestTrafficPrograms:

@@ -21,6 +21,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from repro.asp.control import Control
+from repro.asp.solving.incremental import SolverCache
 from repro.asp.syntax.parser import parse_program
 from repro.programs.traffic import INPUT_PREDICATES, traffic_program, traffic_program_prime
 from repro.streaming.format import DataFormatProcessor
@@ -210,6 +211,27 @@ def test_generated_negation_matches_the_oracle(stratified, data):
     if stratified:
         assert len(expected) == 1
     assert control_models(program, facts) == expected
+
+
+@settings(max_examples=50, deadline=None)
+@given(data=st.data())
+def test_slides_on_one_solver_track_match_the_oracle(data):
+    """Every window of a slide sequence solved on one incremental track.
+
+    The track's persistent encoding is repaired from window to window, so
+    this checks the incremental path against the oracle rather than
+    against from-scratch solving, which shares its well-founded reduction.
+    """
+    program = parse_program(data.draw(negation_programs(False), label="program"))
+    windows = data.draw(st.lists(st.sets(st.sampled_from(EDB_POOL)), min_size=2, max_size=4), label="windows")
+    expected = [stable_models(program, sorted(facts, key=str)) for facts in windows]
+    assume(all(models is not None for models in expected))
+    cache = SolverCache()
+    for facts, models in zip(windows, expected):
+        control = Control(program, solver_cache=cache, solver_track=0)
+        control.add_facts(sorted(facts, key=str))
+        assert {frozenset(model.atoms) for model in control.solve().models} == models
+    assert cache.statistics()["incremental_solves"] == len(windows) - 1
 
 
 @settings(max_examples=100, deadline=None)

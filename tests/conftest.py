@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from collections import Counter
+
 import pytest
 
 from repro.asp.syntax.atoms import Atom
@@ -17,6 +19,62 @@ from repro.programs.traffic import (
 )
 from repro.streaming.generator import SyntheticStreamConfig, generate_window
 from repro.streamrule.reasoner import Reasoner
+from repro.streamrule.session import StreamSession
+
+
+def pytest_addoption(parser):
+    parser.addoption(
+        "--vacuity",
+        action="store_true",
+        default=False,
+        help="list the tests that gather stream windows but never see a non-empty answer set",
+    )
+
+
+def pytest_configure(config):
+    if config.getoption("vacuity"):
+        config.pluginmanager.register(VacuityReport(), "vacuity-report")
+
+
+class VacuityReport:
+    """Counts, per test, the windows ``StreamSession`` gathers and how many
+    of them hold a non-empty answer set; a test whose windows are all empty
+    cannot fail on a wrong answer."""
+
+    def __init__(self):
+        self.current = None
+        self.windows = Counter()
+        self.eventful = set()
+        self._original = StreamSession._gather_solution
+        report = self
+
+        def gather_solution(session, pending):
+            solution = report._original(session, pending)
+            if report.current is not None:
+                report.windows[report.current] += 1
+                if any(solution.answers):
+                    report.eventful.add(report.current)
+            return solution
+
+        StreamSession._gather_solution = gather_solution
+
+    @pytest.hookimpl(hookwrapper=True)
+    def pytest_runtest_protocol(self, item):
+        self.current = item.nodeid
+        yield
+        self.current = None
+
+    def pytest_unconfigure(self):
+        StreamSession._gather_solution = self._original
+
+    def pytest_terminal_summary(self, terminalreporter):
+        vacuous = sorted(set(self.windows) - self.eventful)
+        terminalreporter.section("vacuity")
+        terminalreporter.write_line(
+            f"{len(vacuous)} of {len(self.windows)} tests that gather windows saw no non-empty answer set"
+        )
+        for test in vacuous:
+            terminalreporter.write_line(f"  {test} ({self.windows[test]} windows)")
 
 
 @pytest.fixture
