@@ -18,11 +18,18 @@ the standard intelligent-grounding recipe used by DLV and gringo:
    removed, negative literals over atoms that can never be derived are
    removed, and rules whose body is certainly false are dropped.
 
-Atoms derived by non-disjunctive rules whose body contains no negation and
-only certain atoms are tracked as *certain facts*; for stratified programs
+Atoms that hold in every answer set are tracked as *certain facts*.  Rules
+over *decided* predicates (:attr:`RulePlan.decided`: the stratified,
+disjunction-free part of the program below any unstratified or disjunctive
+component) are settled while grounding, as DLV and gringo treat stratified
+parts: their negative literals name lower strata, complete by the time they
+are read, so an instance whose body holds puts its head straight into the
+certain facts and leaves no ground rule behind.  A stratified program
 without disjunction (such as the paper's traffic programs ``P`` and ``P'``)
-this is not the complete answer set because rules with default negation are
-deliberately left to the solving phase.
+therefore grounds to facts only -- its answer set -- and the solver has
+nothing left to do.  Elsewhere an instance makes its head certain only when
+it has one head atom, no negation and a certain body; everything else is
+left to the solving phase as a ground rule.
 
 For streaming workloads the same window content recurs (overlapping sliding
 windows, periodic sensor readings): :class:`GroundingCache` memoizes the
@@ -183,7 +190,7 @@ class RulePlan:
     construction and may be shared between threads.
     """
 
-    __slots__ = ("facts", "rules_key", "joins", "stratum_joins", "constraint_joins")
+    __slots__ = ("facts", "rules_key", "decided", "joins", "stratum_joins", "constraint_joins")
 
     def __init__(self, program: Program):
         check_safety(program)
@@ -193,8 +200,6 @@ class RulePlan:
         self.facts: Tuple[Atom, ...] = tuple(rule.head[0] for rule in program.rules if rule.is_fact)
         #: Rendered proper rules: identifies the rule set in cache keys.
         self.rules_key: Tuple[str, ...] = tuple(str(rule) for rule in proper_rules)
-        #: Proper rule or constraint -> its compiled joins.
-        self.joins: Dict[Rule, RuleJoins] = {rule: RuleJoins(rule, GroundRule, number) for number, rule in numbered}
 
         # Component evaluation order.  Tarjan emits sink components first;
         # reverse for bottom-up evaluation (predicates a rule depends on must
@@ -205,6 +210,17 @@ class RulePlan:
         for component_index, component in enumerate(components):
             for predicate in component:
                 component_of[predicate] = component_index
+        #: Predicates whose atoms grounding decides outright: a predicate is
+        #: decided when it heads no disjunctive rule, no negative edge lies
+        #: inside its component, and everything it depends on is decided
+        #: (EDB predicates are).  Such a predicate is defined by a stratified
+        #: part of the program, so its atoms are true exactly when derived.
+        self.decided: FrozenSet[str] = _decided_predicates(graph, proper_rules, component_of)
+        #: Proper rule or constraint -> its compiled joins.
+        self.joins: Dict[Rule, RuleJoins] = {
+            rule: RuleJoins(rule, GroundRule, number, len(rule.head) == 1 and rule.head[0].predicate in self.decided)
+            for number, rule in numbered
+        }
         rules_by_component: Dict[int, List[Rule]] = {}
         #: Constraints are instantiated last, over all possible atoms.
         self.constraint_joins: List[RuleJoins] = []
@@ -239,6 +255,25 @@ class RulePlan:
         """The fact set grounded for a window: its ``facts`` plus the program's own."""
         window = frozenset(facts)
         return window.union(self.facts) if self.facts else window
+
+
+def _decided_predicates(
+    graph: PredicateDependencyGraph, rules: Iterable[Rule], component_of: Dict[str, int]
+) -> FrozenSet[str]:
+    """The decided predicates of a rule set (see :attr:`RulePlan.decided`).
+
+    ``component_of`` numbers the components bottom-up, so every component a
+    component depends on has a smaller number and is settled before it.
+    """
+    undecided = {component_of[predicate] for rule in rules if rule.is_disjunctive for predicate in rule.head_predicates()}
+    undecided.update(component_of[head] for body, head in graph.negative_edges if component_of[body] == component_of[head])
+    below: Dict[int, Set[int]] = {}
+    for body, head in graph.edges:
+        below.setdefault(component_of[head], set()).add(component_of[body])
+    for component in sorted(below):
+        if component not in undecided and not undecided.isdisjoint(below[component]):
+            undecided.add(component)
+    return frozenset(predicate for predicate, component in component_of.items() if component not in undecided)
 
 
 # --------------------------------------------------------------------------- #
@@ -476,7 +511,8 @@ class Grounder:
             if cleaned is not None:
                 simplified.append(cleaned)
 
-        return GroundProgram(facts=set(certain), rules=simplified, possible_atoms=possible_atoms | set(certain))
+        # Every certain atom is in the store: a fact, or a head the joins put there.
+        return GroundProgram(facts=certain, rules=simplified, possible_atoms=possible_atoms)
 
 
 def _simplify(rule: GroundRule, certain: Set[Atom], possible: Set[Atom]) -> Optional[GroundRule]:

@@ -23,10 +23,15 @@ derived atoms only):
 * the **comparisons** that become ground after each literal, with the
   comparison keys of their constant sides precomputed (one without
   variables is decided at compile time: false empties the rule);
-* the **emission template**: head and negative atoms are built from the
-  variable slots, the ground positive body *is* the tuple of matched atoms,
-  and whether the instance can make its head certain
-  (``len(head) == 1 and not negative``) is known here.
+* the **emission template**, one of two.  A rule whose head predicate is
+  *decided* (see :attr:`~repro.asp.grounding.grounder.RulePlan.decided`)
+  builds no instance: its negative literals name lower decided strata, so
+  ``n in certain`` decides them exactly (probing the table of live atoms,
+  building none), and its head goes straight into the store and into
+  ``certain``.  Any other rule or constraint builds a ground instance:
+  head and negative atoms from the variable slots, the ground positive body
+  *is* the tuple of matched atoms, and whether the instance can make its
+  head certain (``len(head) == 1 and not negative``) is known here.
 
 The generated source contains only names this module chooses, integer
 argument positions and a fixed skeleton; predicate names, constants,
@@ -162,7 +167,9 @@ def group_by_signature(atoms: Iterable[Atom]) -> Dict[Signature, List[Atom]]:
 class RuleJoins:
     """One proper rule or constraint, compiled: a join per seed position.
 
-    Ground instances are built as ``instance_type(head, positive, negative)``.
+    Ground instances are built as ``instance_type(head, positive, negative)``,
+    except for a ``decided`` rule (a normal rule whose head predicate is
+    decided), which builds none.
     ``number`` (the rule's 1-based position in its program) names the
     generated code: the join of seed ``i`` is compiled as file
     ``<join plan: rule N / seed i>``, the full evaluation as
@@ -171,13 +178,13 @@ class RuleJoins:
 
     __slots__ = ("rule", "positive_predicates", "full", "seeded", "orders", "sources")
 
-    def __init__(self, rule: Rule, instance_type: type, number: int):
+    def __init__(self, rule: Rule, instance_type: type, number: int, decided: bool):
         self.rule = rule
         positive = tuple(e.atom for e in rule.body if isinstance(e, Literal) and e.positive)
         #: Predicate of each positive body literal, by literal position.
         self.positive_predicates: Tuple[str, ...] = tuple(atom.predicate for atom in positive)
         seeds = range(len(positive))
-        compiled = {seed: _JoinCompiler(rule, positive, seed, instance_type) for seed in (None, *seeds)}
+        compiled = {seed: _JoinCompiler(rule, positive, seed, instance_type, decided) for seed in (None, *seeds)}
         #: Seed position (``None``: full evaluation) -> literal order of its join.
         self.orders: Dict[Optional[int], Tuple[int, ...]] = {seed: c.order for seed, c in compiled.items()}
         #: Seed position -> generated source (for inspection; never re-read).
@@ -237,10 +244,13 @@ class _Block:
 class _JoinCompiler:
     """Generates the join function of one rule for one seed position."""
 
-    def __init__(self, rule: Rule, positive: Sequence[Atom], seed: Optional[int], instance_type: type):
+    def __init__(
+        self, rule: Rule, positive: Sequence[Atom], seed: Optional[int], instance_type: type, decided: bool
+    ):
         self.rule = rule
         self.positive = positive
         self.seed = seed
+        self.decided = decided
         self.order = _join_order(positive, seed)
         self.namespace: Dict[str, object] = {
             "Atom": Atom,
@@ -303,6 +313,18 @@ class _JoinCompiler:
         arguments = _tuple_source([self.ref(argument) for argument in atom.arguments])
         return f"Atom({self.bind(atom.predicate)}, {arguments})"
 
+    def probe(self, atom: Atom) -> str:
+        """Expression for the live instance of ``atom`` under the current binding, if any.
+
+        An atom that was never built is in no store and in no set: probe the
+        table of live atoms under Atom's key instead of building one
+        (``None`` when there is none).
+        """
+        if not _has_variables(atom):
+            return self.bind(atom)
+        arguments = _tuple_source([self.ref(argument) for argument in atom.arguments])
+        return f"atoms(({self.bind(atom.predicate)}, {arguments}), absent)()"
+
     def is_bound(self, term: Term) -> bool:
         return all(variable in self.variables for variable in term.variables())
 
@@ -350,9 +372,7 @@ class _JoinCompiler:
                 self.prologue.append(f"p{index} = store.population({signature})")
                 self.loop(f"for {name} in p{index}:")
             elif len(keyed) == len(atom.arguments):
-                # An atom that was never built is in no store: probe the
-                # table of live atoms under Atom's key instead of building one.
-                self.emit(f"{name} = atoms(({self.bind(atom.predicate)}, {_tuple_source(key)}), absent)()")
+                self.emit(f"{name} = {self.probe(atom)}")
                 self.emit(f"if {name} not in slots: {self.skip}")
             else:
                 self.prologue.append(f"l{index} = store.index({signature}, {self.bind(tuple(keyed))}).lookup")
@@ -393,7 +413,8 @@ class _JoinCompiler:
         bodies = [f"a{index}" for index in range(len(self.positive))]
         negatives = [f"n{index}" for index in range(len(negative))]
         for name, atom in zip(negatives, negative):
-            self.emit(f"{name} = {self.atom(atom)}")
+            # A decided instance needs its negative atoms only to look them up.
+            self.emit(f"{name} = {self.probe(atom) if self.decided else self.atom(atom)}")
         if negatives:
             # A negative literal over a certainly-true atom falsifies the body
             # outright: the instance can never fire, so its head atoms are not
@@ -404,6 +425,13 @@ class _JoinCompiler:
             self.emit(f"{name} = {self.atom(atom)}")
             self.emit(f"if {name} not in slots:")
             self.emit(f"    slots[{name}] = len(q{index}); q{index}.append({name}); new.append({name})")
+        if self.decided:
+            # A decided head: every stored atom of a decided predicate is
+            # certain, so the positive body holds, and the negative literals
+            # name lower decided strata, complete by now, so ``in certain``
+            # decided them exactly.  The instance fires: no rule is left.
+            self.emit("    certain.add(h0)")
+            return
         # The same instance is reached through several seeds and rounds.
         self.emit(f"instance = GroundRule({', '.join(map(_tuple_source, (heads, bodies, negatives)))})")
         self.emit("if instance not in seen:")

@@ -3,11 +3,13 @@
 The solver layers three techniques, mirroring the architecture of modern ASP
 systems (and of Clingo, which the paper uses):
 
-1. **Well-founded fast path** -- for normal (non-disjunctive) programs the
-   well-founded model is computed first.  When it is total (which is always
-   the case for the stratified traffic programs of the paper), it *is* the
-   unique stable-model candidate and only the integrity constraints remain
-   to be checked.
+1. **Rule-free and well-founded fast paths** -- a ground program without
+   rules has its facts as its only stable model: the grounder settles
+   stratified, disjunction-free programs (the traffic programs of the
+   paper) down to facts, so those windows stop here.  Otherwise, for normal
+   (non-disjunctive) programs the well-founded model is computed first.
+   When it is total, it *is* the unique stable-model candidate and only
+   the integrity constraints remain to be checked.
 2. **Completion + DPLL search over the residual, with unfounded-set
    checking** -- for normal programs with cycles through negation, the
    program is first reduced by its well-founded model
@@ -79,6 +81,10 @@ class StableModelSolver:
     # Normal programs
     # ------------------------------------------------------------------ #
     def _normal_models(self, limit: Optional[int]) -> Iterator[Set[Atom]]:
+        if not self.ground.rules:
+            # Grounding decided every atom: the facts are the only model.
+            yield set(self.ground.facts)
+            return
         wf_model = well_founded_model(self.ground)
         if wf_model.is_total:
             candidate = set(wf_model.true) | set(self.ground.facts)

@@ -74,9 +74,19 @@ class TestNegationAndSimplification:
         assert kept, "choice-like rules must keep their negative bodies"
 
     def test_certain_positive_body_atoms_are_removed(self):
-        ground = ground_program(parse_program("p(1). q(1) :- p(1), not r(1). r(1) :- s(1)."))
+        # q and r negate each other, so neither is decided and q(1)'s rule
+        # reaches the solver -- without its certain body atom p(1).
+        ground = ground_program(parse_program("p(1). s(1). q(1) :- p(1), not r(1). r(1) :- s(1), not q(1)."))
         [rule] = [rule for rule in ground.rules if rule.head[0].predicate == "q"]
         assert rule.positive_body == ()
+        assert rule.negative_body == (Atom("r", (Constant(1),)),)
+
+    def test_a_stratified_program_grounds_to_facts_only(self):
+        # q's negative literal names r, a lower decided stratum: r(1) is not
+        # derived, so q(1) is decided true while grounding.
+        ground = ground_program(parse_program("p(1). q(1) :- p(1), not r(1). r(1) :- s(1)."))
+        assert ground.rules == []
+        assert ground.facts == ground.possible_atoms == {Atom("p", (Constant(1),)), Atom("q", (Constant(1),))}
 
 
 class TestRecursionAndConstraints:
@@ -97,10 +107,22 @@ class TestRecursionAndConstraints:
         assert len(atoms_of(ground, "path")) == 4  # (1,2) (2,1) (1,1) (2,2)
 
     def test_constraint_instantiation_over_derived_atoms(self):
-        ground = ground_program(parse_program("p(1). p(2). q(X) :- p(X), not s(X). :- q(X), X > 1."))
+        # q and s negate each other, so q(2) is possible but not certain.
+        ground = ground_program(
+            parse_program("p(1). p(2). q(X) :- p(X), not s(X). s(X) :- p(X), not q(X). :- q(X), X > 1.")
+        )
         constraints = [rule for rule in ground.rules if rule.is_constraint]
         assert len(constraints) == 1
         assert constraints[0].positive_body == (Atom("q", (Constant(2),)),)
+
+    def test_constraint_over_decided_atoms_is_decided(self):
+        from repro.asp.solving.solver import stable_models
+
+        # Nothing defines s, so q is decided and q(2) is certain: the
+        # constraint keeps an empty body and the program has no answer set.
+        ground = ground_program(parse_program("p(1). p(2). q(X) :- p(X), not s(X). :- q(X), X > 1."))
+        assert ground.rules == [GroundRule((), (), ())]
+        assert stable_models(ground) == []
 
     def test_constraint_with_certainly_true_body_makes_program_inconsistent(self):
         from repro.asp.solving.solver import stable_models

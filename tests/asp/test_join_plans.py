@@ -136,10 +136,13 @@ class TestGeneratedSource:
 
     def test_rule_without_positive_body(self):
         program = parse_program("p :- not q.\nr(1) :- not p, 1 < 2.\ns :- not q, 2 < 1.")
+        # Every predicate is decided: each join runs once and settles its head.
         ground = ground_program(program)
-        assert make_atom("p") in ground.possible_atoms
-        assert make_atom("r", 1) in ground.possible_atoms
-        assert make_atom("s") not in ground.possible_atoms
+        assert ground.rules == []
+        assert ground.facts == ground.possible_atoms == {make_atom("p")}
+        ground = ground_program(program, [make_atom("q")])
+        assert ground.rules == []
+        assert ground.facts == ground.possible_atoms == {make_atom("q"), make_atom("r", 1)}
 
     def test_variable_free_comparison_is_decided_at_compile_time(self):
         program = parse_program("a(X) :- n(X), 1 < 2.\nb(X) :- n(X), 2 < 1.")
@@ -159,12 +162,14 @@ class TestGeneratedSource:
             make_atom("chain", 0, width),
             make_atom("chain", 0, -1),
         }
-        # The seeded join nests the same way: seeding e0(0, 1) re-derives both chains.
+        # The seeded join nests the same way: seeding e0(0, 1) re-derives both
+        # chains, decided outright (chain is decided: no instance is built).
         [joins] = program.derived(RulePlan).joins.values()
-        store, out = _AtomStore(), []
+        store, out, certain, new = _AtomStore(), [], set(), []
         store.load(facts)
-        joins.seeded[0](store, group_by_signature(facts[:1]), set(), out, set(), [])
-        assert {instance.head[0] for instance in out} == {make_atom("chain", 0, width), make_atom("chain", 0, -1)}
+        joins.seeded[0](store, group_by_signature(facts[:1]), certain, out, set(), new)
+        assert out == []
+        assert set(new) == certain == {make_atom("chain", 0, width), make_atom("chain", 0, -1)}
 
 
 class TestSharedPlan:
@@ -233,15 +238,83 @@ def reference_candidates(program, universe):
     return candidates
 
 
-def reference_ground(candidates, facts):
+def dependency_edges(program):
+    """``(body predicate, head predicate, positive)`` for every body literal of every rule."""
+    return {
+        (literal.predicate, head.predicate, literal.positive)
+        for rule in program.rules
+        for head in rule.head
+        for literal in rule.body_literals
+    }
+
+
+def dependencies(program):
+    """Predicate -> every predicate it depends on under either sign, by a naive closure."""
+    below = {predicate: set() for predicate in program.predicates()}
+    for body, head, _ in dependency_edges(program):
+        below[head].add(body)
+    changed = True
+    while changed:
+        changed = False
+        for predicate, found in below.items():
+            wider = found.union(*(below[dependency] for dependency in found))
+            if wider != found:
+                below[predicate] = wider
+                changed = True
+    return below
+
+
+def reference_strata(program):
+    """Stratum number of every decided predicate, by naive closures (no components).
+
+    A predicate is decided unless it, or a predicate it depends on under
+    either sign, heads a disjunctive rule or is defined through a negative
+    literal over a predicate it depends on in turn.  A decided predicate's
+    stratum counts the negative edges on its longest dependency path.
+    """
+    edges = dependency_edges(program)
+    below = dependencies(program)
+    causes = {head.predicate for rule in program.rules if len(rule.head) > 1 for head in rule.head}
+    causes |= {head for body, head, positive in edges if not positive and (body == head or head in below[body])}
+    strata = {predicate: 0 for predicate in below if causes.isdisjoint(below[predicate] | {predicate})}
+    changed = True
+    while changed:
+        changed = False
+        for body, head, positive in edges:
+            if head in strata and strata[head] < strata[body] + (not positive):
+                strata[head] = strata[body] + (not positive)
+                changed = True
+    return strata
+
+
+def reference_ground(program, candidates, facts):
     """The ground program of ``candidates`` over ``facts`` by naive fixpoints.
 
-    As in the grounder, an instance whose negative body holds a definite
-    consequence is never instantiated, so its head is not possible.
+    The decided predicates are settled first, stratum by stratum: an
+    instance fires when its positive body is certain and no atom of its
+    negative body -- all of a lower stratum, complete by then -- is.  The
+    definite consequences of the other instances follow.  As in the
+    grounder, an instance whose negative body holds a certain atom is never
+    instantiated, so its head is not possible, and a decided instance leaves
+    no rule behind.
     """
+    strata = reference_strata(program)
     certain = set(facts)
     possible = set(facts)
     instances = set()
+    for stratum in sorted(set(strata.values())):
+        settling = [
+            (head[0], positive, negative)
+            for head, positive, negative in candidates
+            if len(head) == 1 and strata.get(head[0].predicate) == stratum
+        ]
+        changed = True
+        while changed:
+            changed = False
+            for head, positive, negative in settling:
+                if head not in certain and certain.issuperset(positive) and certain.isdisjoint(negative):
+                    certain.add(head)
+                    changed = True
     changed = True
     while changed:
         changed = False
@@ -389,7 +462,7 @@ class TestAgainstReference:
         cache = GroundingCache()
         held = None
         for facts, repeat in zip(sequence, repeats):
-            expected = reference_ground(candidates, facts)
+            expected = reference_ground(program, candidates, facts)
             ground = Grounder(program, facts).ground()
             assert ground.facts == expected.facts
             assert ground.possible_atoms == expected.possible_atoms

@@ -15,12 +15,14 @@ programs with stratified and unstratified negation.
 from __future__ import annotations
 
 import itertools
+import random
 
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from repro.asp.control import Control
+from repro.asp.grounding.grounder import RulePlan
 from repro.asp.solving.incremental import SolverCache
 from repro.asp.syntax.parser import parse_program
 from repro.programs.traffic import INPUT_PREDICATES, traffic_program, traffic_program_prime
@@ -232,6 +234,63 @@ def test_slides_on_one_solver_track_match_the_oracle(data):
         control.add_facts(sorted(facts, key=str))
         assert {frozenset(model.atoms) for model in control.solve().models} == models
     assert cache.statistics()["incremental_solves"] == len(windows) - 1
+
+
+def mixed_strata_text(rng):
+    """A decided prefix (``p``, ``q``) under an even loop (``a``, ``b``) and its consumers.
+
+    ``p`` and ``q`` are stratified over ``n``/``m``, so grounding decides
+    them; ``a`` and ``b`` negate each other and nothing negates itself, so
+    the loop is even and a window where both bodies hold for some ``X`` has
+    two or more stable models.  The loop and its consumers (``c``, ``d``)
+    use the prefix under both signs, which crosses the boundary between
+    what grounding decides and what the solver searches.  ``rng`` is any
+    ``random.Random``: hypothesis's (which shrinks) or a seeded one.
+    Windows come from :data:`MIXED_POOL`, so the oracle's guesses stay
+    under its cap.
+    """
+    decided = ["p(X)", "not p(X)", "q(X)", "not q(X)", "m(X)", "not m(X)", "not m(0)"]
+    lines = [
+        f"p(X) :- {', '.join(['n(X)', *rng.sample(['m(X)', 'not m(0)'], rng.randint(0, 1))])}.",
+        f"q(X) :- n(X), {rng.choice(['p(X)', 'not p(X)', 'not m(X)'])}.",
+    ]
+    for head, other in (("a", "b"), ("b", "a")):
+        lines.append(f"{head}(X) :- {', '.join(['n(X)', *rng.sample(decided, rng.randint(0, 1)), f'not {other}(X)'])}.")
+    lines.append(f"c(X) :- {rng.choice(['a(X)', 'b(X)'])}{rng.choice(['', ', q(X)', ', not p(X)'])}.")
+    lines.append(f"d(X) :- n(X), {rng.choice(['not c(X)', 'not a(X)', 'c(X)'])}{rng.choice(['', ', p(X)', ', not q(X)'])}.")
+    return "\n".join(lines)
+
+
+#: Two constants: six undecided predicates over them stay within the oracle's cap.
+MIXED_POOL = [make_atom(predicate, value) for predicate in ("n", "m") for value in range(2)]
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.randoms(use_true_random=False), st.lists(st.sets(st.sampled_from(MIXED_POOL)), min_size=1, max_size=3))
+def test_mixed_strata_match_the_oracle(rng, windows):
+    """From-scratch solving and one incremental track, window by window, against the oracle."""
+    program = parse_program(mixed_strata_text(rng))
+    cache = SolverCache()
+    for facts in windows:
+        facts = sorted(facts, key=str)
+        expected = stable_models(program, facts)
+        assert expected is not None
+        assert control_models(program, facts) == expected
+        control = Control(program, solver_cache=cache, solver_track=0)
+        control.add_facts(facts)
+        assert {frozenset(model.atoms) for model in control.solve().models} == expected
+
+
+def test_mixed_strata_draw_several_models():
+    """A quarter of the drawn windows or more have two or more stable models."""
+    several = 0
+    for seed in range(200):
+        rng = random.Random(seed)
+        program = parse_program(mixed_strata_text(rng))
+        assert {"p", "q"} <= program.derived(RulePlan).decided and "a" not in program.derived(RulePlan).decided
+        facts = sorted((atom for atom in MIXED_POOL if rng.random() < 0.5), key=str)
+        several += len(stable_models(program, facts)) >= 2
+    assert several >= 50, f"{several} of 200 windows have two or more stable models"
 
 
 @settings(max_examples=100, deadline=None)

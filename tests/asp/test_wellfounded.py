@@ -41,11 +41,20 @@ class TestWellFoundedModel:
         assert model.is_total
 
     def test_blocked_by_non_certain_atom_is_false(self):
-        # r(1) is derivable but only through negation, so q(1) survives
-        # grounding and the well-founded model classifies it as false.
-        model = wf("p(1). r(X) :- p(X), not s(X). q(X) :- p(X), not r(X).")
+        # r and s share a component through negation, so r(1) is derivable
+        # but not certain while grounding: q(1) survives grounding and the
+        # well-founded model classifies it as false.
+        model = wf("p(1). r(X) :- p(X), not s(X). s(X) :- r(X), not p(X). q(X) :- p(X), not r(X).")
         assert atom("r", 1) in model.true
         assert atom("q", 1) in model.false
+        assert model.is_total
+
+    def test_blocked_by_a_decided_atom_is_never_grounded(self):
+        # A stratified program: r(1) is decided true while grounding, so
+        # q(1)'s only instance is blocked and q(1) is not even possible.
+        model = wf("p(1). r(X) :- p(X), not s(X). q(X) :- p(X), not r(X).")
+        assert atom("r", 1) in model.true
+        assert atom("q", 1) not in model.true | model.undefined
         assert model.is_total
 
     def test_even_loop_is_undefined(self):

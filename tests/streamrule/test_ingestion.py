@@ -24,6 +24,7 @@ from repro.streaming.processor import StreamQueryProcessor
 from repro.streaming.triples import Triple
 from repro.streaming.window import CountWindow, TimeWindow
 from repro.streamrule.backends import InlineBackend, ThreadPoolBackend
+from repro.streamrule import session as session_module
 from repro.streamrule.reasoner import Reasoner
 from repro.streamrule.session import StreamSession
 from tests.streamrule.conftest import InThreadTcpBackend
@@ -202,17 +203,45 @@ def test_time_windows_keep_their_timestamps(eager):
         assert {frozenset(answer) for answer in solution.answers} == answers
 
 
-def test_ingestion_time_is_billed_to_the_windows():
-    """Conversion at push time still shows up as the windows' transformation time."""
+class FakeClock:
+    """A ``perf_counter`` stand-in: each reading advances it by a microsecond."""
+
+    def __init__(self):
+        self.now = 0.0
+
+    def __call__(self):
+        self.now += 1e-6
+        return self.now
+
+
+def test_ingestion_time_is_billed_to_the_windows(monkeypatch):
+    """Conversion at push time still shows up as the windows' transformation time.
+
+    The clock is fake and ingestion advances it by a millisecond per item,
+    so the one bulk push costs a known 0.4 s and each window's share
+    follows from the pro-rating alone: no pause on the host can move it.
+    """
+    clock = FakeClock()
+    monkeypatch.setattr(session_module.time, "perf_counter", clock)
     stream = [Triple(f"seg{index % 7}", "average_speed", index % 50) for index in range(400)]
     with make_session(CountWindow(size=100, slide=25), InlineBackend()) as session:
+        admit = session.query_processor.process  # runs at ingestion only
+
+        def timed_ingestion(items):
+            clock.now += 1e-3 * len(items)
+            return admit(items)
+
+        monkeypatch.setattr(session.query_processor, "process", timed_ingestion)
         session.push(stream)
         session.finish()
         solutions = list(session.results())
     billed = [solution.metrics.breakdown.transformation_seconds for solution in solutions]
-    assert all(seconds > 0.0 for seconds in billed)
+    # Beside its share of the push, a window's own reasoner reads the clock
+    # a few times: microseconds of fake time.
+    assert len(billed) == 13 and sum(billed) == pytest.approx(0.4, abs=1e-3)
     # One bulk push converted every item up front; the first window covers
     # four slides' worth of new items, every later one a single slide's.
-    assert billed[0] > max(billed[1:])
+    assert billed[0] == pytest.approx(0.1, abs=1e-4)
+    assert billed[1:] == pytest.approx([0.025] * 12, abs=1e-4)
     for solution in solutions:
         assert solution.metrics.latency_seconds >= solution.metrics.breakdown.transformation_seconds

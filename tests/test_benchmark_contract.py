@@ -49,13 +49,34 @@ def test_inline_hot_path_runs_through_the_traced_entry_points_and_counters():
         assert [solution.window_index for solution in solutions] == [0, 1, 2]
         recorded = {span[0] for span in tracer.spans}
         assert INLINE_SPANS <= recorded, f"never called: {sorted(INLINE_SPANS - recorded)}"
-        assert tracer.ground_rules > 0 and tracer.models > 0
+        # P is stratified: grounding decides every atom, so no rule reaches the solver.
+        assert tracer.ground_rules == 0 and tracer.models > 0
 
         counters = deployment.counters()
         assert counters["accepted_items"] == len(triples)  # each pushed item counted once
         assert counters["inflight_high_water"] == 1
         for key in ("backpressure_stalls", "fallbacks", "queue_high_water"):
             assert key in counters
+    finally:
+        deployment.close()
+
+
+def test_search_windows_hand_rules_to_the_solver():
+    """``ground.rules_per_window`` reads the ground programs the solver is handed.
+
+    On ``sliding_inline`` that count is 0 by design, so the traced counter
+    is checked where rules do reach the solver: the search program's loops.
+    """
+    workload = WORKLOADS["search_inline"]
+    deployment = Deployment(workload)
+    try:
+        triples = streams.chunk(workload, 2017, streams.SATURATION, 0, workload.size + 2 * workload.slide)
+        tracer = Tracer()
+        with tracer.installed():
+            deployment.session.push(triples)
+            solutions = list(deployment.session.results(wait=True))
+        assert [solution.window_index for solution in solutions] == [0, 1, 2]
+        assert tracer.ground_rules > 0 and tracer.models > 0
     finally:
         deployment.close()
 
