@@ -23,7 +23,6 @@ if TYPE_CHECKING:  # pragma: no cover - annotation-only import, avoids a layerin
     from repro.streamrule.work import WorkItem
 
 from repro.asp.grounding.grounder import GroundProgram, Grounder, GroundingCache
-from repro.asp.solving.incremental import SolveStats, SolverCache
 from repro.asp.solving.solver import StableModelSolver
 from repro.asp.syntax.atoms import Atom
 from repro.asp.syntax.parser import parse_program
@@ -101,12 +100,9 @@ class Control:
     incremental and a cache is attached), and the item stays
     available as :attr:`work` / :attr:`epoch` for downstream bookkeeping.
 
-    ``solver_track`` (with a ``solver_cache``) does for solving what
-    ``delta_track`` does for grounding: :meth:`solve` then repairs the
-    track's persistent solver state -- cached well-founded strata plus a
-    selector-guarded completion encoding -- and re-solves under assumptions
-    instead of solving from scratch.  The track is derived from ``work`` the
-    same way as ``delta_track`` when not given explicitly.
+    :meth:`solve` always solves the ground program from scratch with
+    :class:`~repro.asp.solving.solver.StableModelSolver`; no solver state
+    survives from one control to the next.
     """
 
     def __init__(
@@ -115,8 +111,6 @@ class Control:
         grounding_cache: Optional[GroundingCache] = None,
         delta_track: Optional[int] = None,
         work: Optional["WorkItem"] = None,
-        solver_cache: Optional[SolverCache] = None,
-        solver_track: Optional[int] = None,
     ):
         self._rules = program if program is not None else Program()
         self._owns_rules = program is None
@@ -126,14 +120,9 @@ class Control:
         if delta_track is None and work is not None and grounding_cache is not None and work.incremental:
             delta_track = work.track
         self._delta_track = delta_track
-        self._solver_cache = solver_cache
-        if solver_track is None and work is not None and solver_cache is not None and work.incremental:
-            solver_track = work.track
-        self._solver_track = solver_track
         self._ground_program: Optional[GroundProgram] = None
         self._ground_from_cache: Optional[bool] = None
         self._ground_outcome: Optional[str] = None
-        self._solve_stats: Optional[SolveStats] = None
         self._grounding_seconds = 0.0
 
     # ------------------------------------------------------------------ #
@@ -217,12 +206,6 @@ class Control:
         (``None``: no cache or not grounded yet)."""
         return self._ground_outcome
 
-    @property
-    def solve_stats(self) -> Optional[SolveStats]:
-        """Record of the last incremental solve (``None`` without a
-        ``solver_cache``-backed track or before :meth:`solve`)."""
-        return self._solve_stats
-
     def solve(self, models: Optional[int] = None) -> SolveResult:
         """Ground (if needed) and enumerate up to ``models`` answer sets.
 
@@ -232,13 +215,7 @@ class Control:
         limit = None if not models else models
         ground = self.ground()
         started = time.perf_counter()
-        if self._solver_cache is not None and self._solver_track is not None:
-            model_sets, self._solve_stats = self._solver_cache.solve_incremental(
-                ground, track=self._solver_track, limit=limit
-            )
-            found = [Model(frozenset(model)) for model in model_sets]
-        else:
-            found = [Model(frozenset(model)) for model in StableModelSolver(ground).models(limit=limit)]
+        found = [Model(frozenset(model)) for model in StableModelSolver(ground).models(limit=limit)]
         solving_seconds = time.perf_counter() - started
         return SolveResult(
             models=tuple(found),

@@ -1,27 +1,17 @@
 """Solving phase: from a ground program to its stable models."""
 
 from repro.asp.solving.completion import CompletionEncoding, build_completion
-from repro.asp.solving.incremental import IncrementalSolver, SolveStats, SolverCache
 from repro.asp.solving.sat import DPLLSolver, Satisfiability
 from repro.asp.solving.solver import StableModelSolver, constraints_satisfied, stable_models
 from repro.asp.solving.unfounded import greatest_unfounded_set, is_founded
-from repro.asp.solving.wellfounded import (
-    WellFoundedModel,
-    alternating_fixpoint,
-    residual_program,
-    well_founded_model,
-)
+from repro.asp.solving.wellfounded import WellFoundedModel, residual_program, well_founded_model
 
 __all__ = [
     "CompletionEncoding",
     "DPLLSolver",
-    "IncrementalSolver",
     "Satisfiability",
-    "SolveStats",
-    "SolverCache",
     "StableModelSolver",
     "WellFoundedModel",
-    "alternating_fixpoint",
     "build_completion",
     "constraints_satisfied",
     "greatest_unfounded_set",

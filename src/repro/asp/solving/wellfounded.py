@@ -32,7 +32,7 @@ from typing import Container, Dict, FrozenSet, Iterable, List, Optional, Set
 from repro.asp.grounding.grounder import GroundProgram, GroundRule
 from repro.asp.syntax.atoms import Atom
 
-__all__ = ["WellFoundedModel", "alternating_fixpoint", "residual_program", "well_founded_model"]
+__all__ = ["WellFoundedModel", "residual_program", "well_founded_model"]
 
 
 @dataclass(frozen=True)
@@ -100,15 +100,12 @@ def _least_model(rules: List[GroundRule], facts: Set[Atom], assume_false: Set[At
     return derived
 
 
-def alternating_fixpoint(rules: List[GroundRule], facts: Set[Atom], universe: Set[Atom]):
-    """Run Van Gelder's alternating fixpoint over an explicit subprogram.
+def _alternating_fixpoint(rules: List[GroundRule], facts: Set[Atom], universe: Set[Atom]):
+    """Run Van Gelder's alternating fixpoint.
 
     Returns ``(true_set, possible_set)``: the well-founded-true atoms and
     the possibly-true atoms (their difference is the undefined set; atoms of
-    ``universe`` outside ``possible_set`` are well-founded-false).  Exposed
-    separately from :func:`well_founded_model` so that the incremental
-    solving layer can evaluate stratum slices of the residual program
-    without materialising a full :class:`WellFoundedModel` each time.
+    ``universe`` outside ``possible_set`` are well-founded-false).
     """
 
     def gamma(assume_false: Set[Atom]) -> Set[Atom]:
@@ -138,7 +135,7 @@ def well_founded_model(ground: GroundProgram) -> WellFoundedModel:
     for rule in rules:
         universe.update(rule.atoms())
 
-    true_set, possible_set = alternating_fixpoint(rules, facts, universe)
+    true_set, possible_set = _alternating_fixpoint(rules, facts, universe)
 
     false_set = universe - possible_set
     undefined = possible_set - true_set

@@ -103,7 +103,7 @@ class WindowDelta:
         """Whether part of this window survived from the previous one.
 
         True exactly for the overlapping (sliding) case -- the one where a
-        partition's track (grounding cache, solver cache, delta shipping)
+        partition's track (grounding cache, delta shipping)
         can carry state from the previous window.  Tumbling and
         hopping windows (and the first window of any stream) share no
         content with their predecessor: every item arrived.

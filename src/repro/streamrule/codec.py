@@ -32,7 +32,6 @@ from typing import Any, Dict, List
 
 from repro.asp.errors import ParseError
 from repro.asp.grounding.grounder import GroundingCache
-from repro.asp.solving.incremental import SolverCache
 from repro.asp.syntax.atoms import Atom
 from repro.asp.syntax.parser import parse_program
 from repro.asp.syntax.program import Program
@@ -157,8 +156,9 @@ def encode_reasoner_spec(reasoner: Reasoner) -> bytes:
     the program's text does not parse back to the same rules (a constant
     built in code as ``Constant("two words")`` renders as unparseable
     ``two words``, an unquoted ``Constant("Abc")`` would come back as a
-    variable).  Cache *contents* never travel; only the presence flags do,
-    so the worker warms its own.  A custom ``format_processor`` cannot be
+    variable).  Cache *contents* never travel; only the grounding cache's
+    presence flag does, so the worker warms its own.  A ``solver_cache``
+    key sent by an older peer is ignored.  A custom ``format_processor`` cannot be
     expressed -- the worker always builds the default one, matching what
     every production configuration uses.
     """
@@ -172,7 +172,6 @@ def encode_reasoner_spec(reasoner: Reasoner) -> bytes:
             "output_predicates": sorted(reasoner.output_predicates),
             "max_models": reasoner.max_models,
             "grounding_cache": reasoner.grounding_cache is not None,
-            "solver_cache": reasoner.solver_cache is not None,
         }
     )
 
@@ -217,7 +216,6 @@ def reasoner_from_spec(payload: bytes) -> Reasoner:
         output_predicates=spec["output_predicates"],
         max_models=max_models,
         grounding_cache=GroundingCache() if spec.get("grounding_cache") else None,
-        solver_cache=SolverCache() if spec.get("solver_cache") else None,
     )
 
 
@@ -229,12 +227,6 @@ _COUNTER_FIELDS = (
     "answer_count",
     "cache_hits",
     "cache_misses",
-    "assumption_resolves",
-    "solver_full_solves",
-    "encoding_repairs",
-    "solver_clauses_retained",
-    "solver_clauses_dropped",
-    "solver_strata_reused",
 )
 _BREAKDOWN_FIELDS = (
     "transformation_seconds",

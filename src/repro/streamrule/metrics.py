@@ -184,9 +184,10 @@ class ReasonerMetrics:
     window; the parallel reasoner sums them over its partitions (including
     worker-process-side caches, whose counts travel back inside the partition
     results): a hit serves a ground program the cache already held, a miss
-    grounds the window from scratch.  ``delta_repairs``, ``repair_size``
-    and ``repair_rules_changed`` are retired and always read 0 (see their
-    field comment).  ``evaluation_wall_seconds`` is the measured wall-clock
+    grounds the window from scratch.  ``delta_repairs``, ``repair_size``,
+    ``repair_rules_changed``, ``assumption_resolves`` and
+    ``solver_full_solves`` are retired and always read 0 (see their field
+    comment).  ``evaluation_wall_seconds`` is the measured wall-clock
     of the partition-evaluation phase and ``worker_wall_seconds`` the in-worker
     wall-clock of each *evaluated* partition, populated by the parallel
     reasoner.  Under pipelined ingestion (``StreamSession(max_inflight>1)``,
@@ -212,26 +213,15 @@ class ReasonerMetrics:
     cache_hits: int = 0
     cache_misses: int = 0
     #: Retired, always 0: windows are no longer repaired, only served as a
-    #: hit or regrounded.  The fields stay only because the repository
-    #: benchmark still reads two of them; the wire does not carry them.
+    #: hit or regrounded, and every window is solved from scratch, with no
+    #: solver state kept between windows.  The fields stay only because the
+    #: repository benchmark still reads four of them; the wire does not
+    #: carry them.
     delta_repairs: int = 0
     repair_size: int = 0
     repair_rules_changed: int = 0
-    #: Incremental-solving counters (zero without a ``solver_cache``):
-    #: ``assumption_resolves`` counts partitions answered by repairing the
-    #: track's persistent solver state and re-solving under assumptions,
-    #: ``solver_full_solves`` those solved from scratch (first window of a
-    #: track, or a disjunctive fallback).  ``encoding_repairs`` counts
-    #: persistent-completion repairs, ``solver_clauses_retained`` /
-    #: ``solver_clauses_dropped`` learned and encoding clauses kept across or
-    #: removed by the repair, and ``solver_strata_reused`` well-founded
-    #: strata served from cache instead of recomputed.
     assumption_resolves: int = 0
     solver_full_solves: int = 0
-    encoding_repairs: int = 0
-    solver_clauses_retained: int = 0
-    solver_clauses_dropped: int = 0
-    solver_strata_reused: int = 0
     evaluation_wall_seconds: Optional[float] = None
     worker_wall_seconds: List[float] = field(default_factory=list)
 
@@ -265,10 +255,6 @@ class ReasonerMetrics:
             "repair_rules_changed": float(self.repair_rules_changed),
             "assumption_resolves": float(self.assumption_resolves),
             "solver_full_solves": float(self.solver_full_solves),
-            "encoding_repairs": float(self.encoding_repairs),
-            "solver_clauses_retained": float(self.solver_clauses_retained),
-            "solver_clauses_dropped": float(self.solver_clauses_dropped),
-            "solver_strata_reused": float(self.solver_strata_reused),
             "evaluation_wall_ms": (
                 self.evaluation_wall_seconds * 1000.0 if self.evaluation_wall_seconds is not None else 0.0
             ),

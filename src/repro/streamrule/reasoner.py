@@ -28,7 +28,6 @@ from typing import FrozenSet, Iterable, List, Optional, Sequence, Set, Tuple, Un
 
 from repro.asp.control import Control
 from repro.asp.grounding.grounder import GroundingCache
-from repro.asp.solving.incremental import SolverCache
 from repro.asp.syntax.atoms import Atom
 from repro.asp.syntax.program import Program
 from repro.streaming.format import DataFormatProcessor
@@ -73,7 +72,6 @@ class Reasoner:
         format_processor: Optional[DataFormatProcessor] = None,
         max_models: Optional[int] = None,
         grounding_cache: Optional[GroundingCache] = None,
-        solver_cache: Optional[SolverCache] = None,
     ):
         """Create a reasoner for ``program``.
 
@@ -97,14 +95,9 @@ class Reasoner:
             content (same fact set) then skips regrounding.  The cache is
             thread-safe, so one instance may be shared by concurrent
             threads; worker processes each hold their own.
-        solver_cache:
-            Optional window-to-window solver state (the solving-layer
-            counterpart of ``grounding_cache``): sliding windows then repair
-            the track's persistent solver state -- cached well-founded
-            strata and a selector-guarded completion encoding -- and
-            re-solve under assumptions instead of solving from scratch.
-            Thread-safe with per-track locks; worker processes each warm
-            their own.
+
+        Every window's ground program is solved from scratch; no solver
+        state is kept between windows.
         """
         self.program = program
         self.input_predicates: Set[str] = (
@@ -116,7 +109,6 @@ class Reasoner:
         self.format_processor = format_processor or DataFormatProcessor()
         self.max_models = max_models
         self.grounding_cache = grounding_cache
-        self.solver_cache = solver_cache
 
     # ------------------------------------------------------------------ #
     def to_atoms(self, window: WindowInput) -> List[Atom]:
@@ -138,8 +130,7 @@ class Reasoner:
         route: when a grounding cache is attached and the flag is set,
         the window goes through the item's track -- free
         when its fact set equals the track's last one, a reground otherwise
-        (see :meth:`GroundingCache.ground_incremental`) -- and a solver
-        cache re-solves on the track's persistent state.  An item that
+        (see :meth:`GroundingCache.ground_incremental`).  An item that
         carries nothing over (tumbling/hopping windows, the first window of
         a stream) takes the plain path, the LRU memo of whole ground
         programs.  Without a cache the flag is inert.
@@ -147,12 +138,7 @@ class Reasoner:
         with Timer() as transformation_timer:
             facts = self.to_atoms(item.facts)
 
-        control = Control(
-            self.program,
-            grounding_cache=self.grounding_cache,
-            solver_cache=self.solver_cache,
-            work=item,
-        )
+        control = Control(self.program, grounding_cache=self.grounding_cache, work=item)
         control.add_facts(facts)
         result = control.solve(models=self.max_models)
 
@@ -166,7 +152,6 @@ class Reasoner:
             solving_seconds=result.solving_seconds,
         )
         outcome = control.ground_outcome
-        solve_stats = control.solve_stats
         metrics = ReasonerMetrics(
             window_size=len(item.facts),
             latency_seconds=breakdown.total_seconds,
@@ -175,12 +160,6 @@ class Reasoner:
             answer_count=len(answers),
             cache_hits=1 if outcome == "hit" else 0,
             cache_misses=1 if outcome == "full" else 0,
-            assumption_resolves=1 if solve_stats is not None and solve_stats.is_incremental else 0,
-            solver_full_solves=1 if solve_stats is not None and not solve_stats.is_incremental else 0,
-            encoding_repairs=solve_stats.encoding_repairs if solve_stats is not None else 0,
-            solver_clauses_retained=solve_stats.clauses_retained if solve_stats is not None else 0,
-            solver_clauses_dropped=solve_stats.clauses_dropped if solve_stats is not None else 0,
-            solver_strata_reused=solve_stats.strata_reused if solve_stats is not None else 0,
         )
         return ReasonerResult(answers=answers, metrics=metrics)
 

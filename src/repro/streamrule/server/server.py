@@ -8,9 +8,8 @@ One server hosts many named standing queries over a single shared
 into one union program, and a single internal
 :class:`~repro.streamrule.session.StreamSession` evaluates that program --
 so a rule shared by N tenants is grounded and solved once per window on a
-shared :class:`~repro.asp.grounding.grounder.GroundingCache` /
-:class:`~repro.asp.solving.incremental.SolverCache` track, not N times in N
-isolated sessions.  Each tenant's answers are projected out of the combined
+shared :class:`~repro.asp.grounding.grounder.GroundingCache` track, not N
+times in N isolated sessions.  Each tenant's answers are projected out of the combined
 answer sets onto its output predicates; registration rejects query
 combinations for which that projection would not be semantics-preserving
 (:func:`~repro.streamrule.server.subprogram.union_conflicts`).
@@ -20,7 +19,7 @@ combinations for which that projection would not be semantics-preserving
 evaluated once, and the result fans out to every member query.  Every lane
 owns a disjoint track range (``lane_id * track_stride``) via the session's
 ``push_window(track_base=...)`` seam, so lanes never collide their
-per-track grounding / incremental-solver states.
+per-track grounding states.
 
 *Fairness.*  Ready windows do not dispatch in arrival order but through a
 :class:`~repro.streamrule.server.scheduler.FairScheduler`: weighted
@@ -137,7 +136,6 @@ class QueryServer:
         backend: Optional[ExecutionBackend] = None,
         partitioner: Optional[Partitioner] = None,
         grounding_cache: Optional[GroundingCache] = None,
-        solver_cache=None,
         scheduler: Optional[FairScheduler] = None,
         max_inflight: Optional[int] = None,
         max_models: Optional[int] = None,
@@ -151,7 +149,6 @@ class QueryServer:
         # Shared grounding is the point of the server: default to a real
         # cache so overlapping queries share tracks out of the box.
         self.grounding_cache = grounding_cache if grounding_cache is not None else GroundingCache()
-        self.solver_cache = solver_cache
         self.scheduler = scheduler if scheduler is not None else FairScheduler()
         self.max_inflight = check_max_inflight(max_inflight)
         self.max_models = max_models
@@ -259,11 +256,7 @@ class QueryServer:
             )
             self._next_lane_id += 1
             self._lanes[key] = lane
-            label = f"lane{lane.lane_id}:{query.key}"
-            if hasattr(self.grounding_cache, "label_track"):
-                self.grounding_cache.label_track(lane.lane_id * self.track_stride, label)
-            if self.solver_cache is not None and hasattr(self.solver_cache, "label_track"):
-                self.solver_cache.label_track(lane.lane_id * self.track_stride, label)
+            self.grounding_cache.label_track(lane.lane_id * self.track_stride, f"lane{lane.lane_id}:{query.key}")
         lane.members.append(query.key)
         self.scheduler.configure(key, weight=self._lane_weight(lane))
 
@@ -332,7 +325,6 @@ class QueryServer:
             format_processor=self._format_processor,
             max_models=self.max_models,
             grounding_cache=self.grounding_cache,
-            solver_cache=self.solver_cache,
         )
         return StreamSession(
             reasoner,
@@ -650,21 +642,10 @@ class QueryServer:
                     ).add(float(value))
                 )
 
-            for prefix, statistics in (
-                (
-                    "streamrule_grounding_cache",
-                    self.grounding_cache.statistics() if self.grounding_cache is not None else {},
-                ),
-                (
-                    "streamrule_solver_cache",
-                    self.solver_cache.statistics() if self.solver_cache is not None else {},
-                ),
-            ):
-                for stat, value in sorted(statistics.items()):
-                    token = _METRIC_TOKEN.sub("_", stat)
-                    families.append(
-                        MetricFamily(f"{prefix}_{token}", "gauge", f"Cache statistic {stat}").add(float(value))
-                    )
+            for stat, value in sorted(self.grounding_cache.statistics().items()):
+                token = _METRIC_TOKEN.sub("_", stat)
+                family = MetricFamily(f"streamrule_grounding_cache_{token}", "gauge", f"Cache statistic {stat}")
+                families.append(family.add(float(value)))
             return families
 
     def health(self) -> Dict[str, object]:

@@ -240,10 +240,11 @@ class StreamSession:
         reasoner is built from it and the predicate/cache/model arguments)
         or a ready-made :class:`Reasoner` (in which case those arguments
         must be left at their defaults).  ``grounding_cache`` enables
-        window-to-window grounding reuse and ``solver_cache`` its
-        solving-layer counterpart: persistent per-track solver state
-        repaired from the window delta and re-solved under assumptions
-        (see :class:`~repro.asp.solving.incremental.SolverCache`).  ``backend`` defaults to
+        window-to-window grounding reuse; every window is solved from
+        scratch.  ``solver_cache`` is retired and ignored: it is dropped
+        before the reasoner is built, and stays only while the repository
+        benchmark still passes one (see
+        :class:`~repro.asp.solving.incremental.SolverCache`).  ``backend`` defaults to
         :class:`InlineBackend`; ``placement`` overrides the backend's
         placement strategy; ``partitioner`` defaults to the trivial
         single-partition layout (the session then behaves exactly like the
@@ -265,13 +266,13 @@ class StreamSession:
         roll sessions over one long-lived shared backend.  ``track_base``
         offsets every dispatched partition's cache track (see
         :meth:`push_window`): give each session multiplexed over one shared
-        reasoner/backend its own base so their per-track grounding/solver
+        reasoner/backend its own base so their per-track grounding
         states never collide (the asyncio serving layer assigns these).
         """
         if isinstance(program, Reasoner):
             if input_predicates is not None or output_predicates is not None:
                 raise ValueError("predicate sets are configured on the passed reasoner")
-            if grounding_cache is not None or solver_cache is not None or max_models is not None:
+            if grounding_cache is not None or max_models is not None:
                 raise ValueError("cache/model limits are configured on the passed reasoner")
             self.reasoner = program
         else:
@@ -282,7 +283,6 @@ class StreamSession:
                 format_processor=format_processor,
                 max_models=max_models,
                 grounding_cache=grounding_cache,
-                solver_cache=solver_cache,
             )
         self.partitioner: Partitioner = partitioner if partitioner is not None else SinglePartitioner()
         self.backend: ExecutionBackend = backend if backend is not None else InlineBackend()
@@ -568,14 +568,14 @@ class StreamSession:
         The caller owns the windowing policy: ``items`` is a complete
         window, ``delta`` its :class:`~repro.streaming.window.WindowDelta`
         when the window is the next slide of an overlapping stream (which
-        enables the per-track grounding / incremental solving exactly as the
-        session's own windowing would).  ``tag`` is an opaque token copied
+        enables the per-track grounding exactly as the session's own
+        windowing would).  ``tag`` is an opaque token copied
         onto the produced :class:`WindowSolution`; ``track_base`` offsets
         the partition tracks, giving each caller-side stream its own
         disjoint cache-track namespace -- the seam the multi-tenant
         :class:`~repro.streamrule.server.QueryServer` uses to run many
         window lanes over one session without colliding their per-track
-        grounding/solver states.  The items go through the same
+        grounding states.  The items go through the same
         filter-and-convert step as pushed ones, here once per window
         (atoms, such as the server's lanes hold, pass through unchanged).
         The ``max_inflight`` bound applies: once
@@ -786,9 +786,8 @@ class StreamSession:
         ``delta`` signals that this window is the next slide of an
         overlapping stream.  When the partitioner is *deterministic* (the
         same item always lands in the same partitions), every partition
-        is evaluated incrementally on its own track: partition ``i``'s
-        solver state carries over from partition ``i``'s previous window,
-        and an unchanged partition is not even regrounded.
+        is evaluated incrementally on its own track: an unchanged
+        partition is not regrounded.
         Non-deterministic partitioners (the random baseline) ignore the
         hint -- their layouts reshuffle every window, so there is no
         continuity to exploit.
@@ -934,12 +933,6 @@ class StreamSession:
             ),
             cache_hits=sum(result.metrics.cache_hits for result in partition_results),
             cache_misses=sum(result.metrics.cache_misses for result in partition_results),
-            assumption_resolves=sum(result.metrics.assumption_resolves for result in partition_results),
-            solver_full_solves=sum(result.metrics.solver_full_solves for result in partition_results),
-            encoding_repairs=sum(result.metrics.encoding_repairs for result in partition_results),
-            solver_clauses_retained=sum(result.metrics.solver_clauses_retained for result in partition_results),
-            solver_clauses_dropped=sum(result.metrics.solver_clauses_dropped for result in partition_results),
-            solver_strata_reused=sum(result.metrics.solver_strata_reused for result in partition_results),
             evaluation_wall_seconds=evaluation_seconds,
             worker_wall_seconds=[result.metrics.latency_seconds for result in partition_results],
         )

@@ -36,8 +36,8 @@ class WorkItem:
         The window (or sub-window) content to evaluate: triples and/or atoms.
     track:
         Stable identity of the sub-stream this item belongs to (the
-        partition index under a deterministic partitioner).  Grounding and
-        solver caches key their per-partition state on it, and pinned
+        partition index under a deterministic partitioner).  The grounding
+        cache keys its per-partition state on it, and pinned
         placement uses it to choose a worker slot.
     epoch:
         Monotonic window counter of the originating stream.  Lets a worker

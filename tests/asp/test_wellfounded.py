@@ -4,7 +4,6 @@ import pytest
 
 from repro.asp.grounding.grounder import GroundProgram, GroundRule, ground_program
 from repro.asp.solving.completion import build_completion
-from repro.asp.solving.incremental import IncrementalSolver
 from repro.asp.solving.solver import stable_models
 from repro.asp.solving.unfounded import greatest_unfounded_set
 from repro.asp.solving.wellfounded import residual_program, well_founded_model
@@ -152,7 +151,6 @@ class TestResidualProgram:
         )
         assert residual_program(ground.rules, {C}, UNDEFINED) is None
         assert stable_models(ground) == []
-        assert IncrementalSolver().solve(ground)[0] == []
 
     def test_positive_loop_behind_an_undefined_choice_is_unfounded(self):
         # {b, c, d} is a model of the residual's completion (c and d support
@@ -166,4 +164,3 @@ class TestResidualProgram:
         assert greatest_unfounded_set(residual, {B, C, atom("d")}) == {C, atom("d")}
         expected = {frozenset({atom("p"), A, C, atom("d")}), frozenset({atom("p"), B})}
         assert {frozenset(found) for found in stable_models(ground)} == expected
-        assert {frozenset(found) for found in IncrementalSolver().solve(ground)[0]} == expected

@@ -24,16 +24,23 @@ body depends on no input.
 
 from __future__ import annotations
 
+import functools
+
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from bench_e2e import streams
+from bench_e2e.programs import SEARCH_OUTPUT_PREDICATES, search_program
+from bench_e2e.workloads import WORKLOADS
 from repro.asp.syntax.parser import parse_program
 from repro.core.decomposition import decompose
 from repro.core.input_dependency import build_input_dependency_graph
 from repro.core.partitioner import DependencyPartitioner
 from repro.core.plan import PartitioningPlan
 from repro.core.validation import validate_plan
+from repro.programs.traffic import INPUT_PREDICATES
+from repro.streaming.window import CountWindow
 from repro.streamrule.backends import InlineBackend
 from repro.streamrule.reasoner import Reasoner
 from repro.streamrule.session import StreamSession
@@ -155,3 +162,52 @@ def test_counterexample_gives_rs_answers(name):
     reference, partitioned = answers(program, inputs, plan, window)
     assert len(reference) == 1
     assert partitioned == reference
+
+
+# --------------------------------------------------------------------------- #
+# A multi-model program: PR_Dep takes a product of partition answers
+# --------------------------------------------------------------------------- #
+@functools.lru_cache(maxsize=1)
+def search_windows():
+    """``(plan, [(R's answers, PR_Dep's answers)] per window)`` on the search workload's stream.
+
+    The benchmark's non-stratified program, ``decompose``'s plan for it, and
+    the first 2 000 triples of ``search_inline``'s seed-2017 stream cut into
+    400-triple windows sliding by 100 (17 windows).
+    """
+    workload = WORKLOADS["search_inline"]
+    program = search_program()
+    plan = decompose(build_input_dependency_graph(program, INPUT_PREDICATES)).plan
+    stream = streams.chunk(workload, 2017, streams.SATURATION, 0, 2000)
+    reasoner = Reasoner(program, INPUT_PREDICATES, SEARCH_OUTPUT_PREDICATES)
+    pairs = []
+    with StreamSession(
+        search_program(),
+        partitioner=DependencyPartitioner(plan),
+        backend=InlineBackend(),
+        input_predicates=INPUT_PREDICATES,
+        output_predicates=SEARCH_OUTPUT_PREDICATES,
+    ) as session:
+        for window in CountWindow(size=workload.size, slide=workload.slide).windows(stream):
+            pairs.append((set(reasoner.reason(list(window)).answers), set(session.evaluate_window(list(window)).answers)))
+    return plan, pairs
+
+
+def test_search_plan_is_dependency_safe_and_every_window_has_four_answer_sets():
+    plan, pairs = search_windows()
+    graph = build_input_dependency_graph(search_program(), INPUT_PREDICATES)
+    assert plan.community_count == 2
+    assert validate_plan(graph, plan).is_dependency_safe
+    assert len(pairs) == 17
+    assert all(len(reference) == 4 for reference, _ in pairs)
+    # What PR_Dep gets wrong is extra answers: none of R's is lost.
+    assert all(reference <= partitioned for reference, partitioned in pairs)
+
+
+@pytest.mark.xfail(
+    strict=True,
+    reason="combine_answer_sets takes every product of partition answers where the theory asks for a join",
+)
+def test_search_program_windows_give_rs_answers():
+    _, pairs = search_windows()
+    assert [partitioned for _, partitioned in pairs] == [reference for reference, _ in pairs]

@@ -36,6 +36,7 @@ from repro.streaming.triples import Triple
 from repro.streaming.window import CountWindow
 from repro.streamrule.aio import AioTcpBackend, AsyncStreamSession
 from repro.streamrule.backends import InlineBackend, ProcessBackend, TcpBackend
+from repro.streamrule.codec import decode_metrics, encode_metrics
 from repro.streamrule.errors import BackendError, ProtocolError
 from repro.streamrule.metrics import LatencyBreakdown, ReasonerMetrics
 from repro.streamrule.net import (
@@ -103,12 +104,6 @@ metrics = st.builds(
     duplication_ratio=finite,
     cache_hits=counts,
     cache_misses=counts,
-    assumption_resolves=counts,
-    solver_full_solves=counts,
-    encoding_repairs=counts,
-    solver_clauses_retained=counts,
-    solver_clauses_dropped=counts,
-    solver_strata_reused=counts,
     evaluation_wall_seconds=st.one_of(st.none(), finite),
     worker_wall_seconds=st.lists(finite, max_size=4),
 )
@@ -149,6 +144,14 @@ class TestRoundTrip:
         encoder, decoder = ResultEncoder(), ResultDecoder("worker w:1")
         for result in sequence:
             assert decoder.decode(encoder.encode(result)) == result
+
+    def test_retired_solver_counters_from_an_older_worker_are_ignored(self):
+        record = encode_metrics(ReasonerMetrics(3, 0.5, cache_hits=1))
+        assert not {"assumption_resolves", "solver_full_solves", "encoding_repairs"} & set(record)
+        record.update(assumption_resolves=2, solver_full_solves=1, encoding_repairs=4, solver_strata_reused=7)
+        decoded = decode_metrics(record)
+        assert decoded == ReasonerMetrics(3, 0.5, cache_hits=1)
+        assert decoded.assumption_resolves == decoded.solver_full_solves == 0
 
     def test_no_data_frame_decode_unpickles(self, monkeypatch):
         """Data frames, answer results and control frames decode without ``pickle.loads``."""

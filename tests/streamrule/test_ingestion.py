@@ -5,17 +5,18 @@ rejected predicates, duplicate triples, unary-marker triples, ready-made
 atoms -- and however the stream is windowed, the session yields exactly the
 windows an independent slicer cuts from the *raw* pushed stream (a rejected
 item keeps its slot), and each window's answers are those of a from-scratch
-``Reasoner.reason`` over that slice.
+``Reasoner.reason`` over that slice.  The streams are slices of
+:func:`eventful_traffic_stream` with such items spliced in, so the answers
+compared include both kinds of event.
 """
 
 from __future__ import annotations
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.asp.grounding.grounder import GroundingCache
-from repro.asp.solving.incremental import SolverCache
 from repro.asp.syntax.atoms import Atom
 from repro.asp.syntax.terms import Constant
 from repro.core import DependencyPartitioner, build_input_dependency_graph, decompose
@@ -27,14 +28,15 @@ from repro.streamrule.backends import InlineBackend, ThreadPoolBackend
 from repro.streamrule import session as session_module
 from repro.streamrule.reasoner import Reasoner
 from repro.streamrule.session import StreamSession
-from tests.streamrule.conftest import InThreadTcpBackend
+from tests.streamrule.conftest import InThreadTcpBackend, eventful_traffic_stream
 
 LOCATIONS = ["a", "b", "c"]
 CARS = ["c1", "c2"]
 
 locations = st.sampled_from(LOCATIONS)
 cars = st.sampled_from(CARS)
-#: Small pools, so joins fire and duplicate triples are common.
+#: Items spliced into the eventful stream: small pools, so joins fire and
+#: duplicate triples are common.
 items = st.one_of(
     st.builds(Triple, locations, st.just("average_speed"), st.sampled_from([5, 15, 40])),
     st.builds(Triple, locations, st.just("car_number"), st.sampled_from([10, 50])),
@@ -46,12 +48,25 @@ items = st.one_of(
     st.builds(lambda car, place: Atom("car_location", (Constant(car), Constant(place))), cars, locations),
     st.builds(lambda place: Atom("traffic_light", (Constant(place),)), locations),
 )
-streams = st.lists(items, min_size=0, max_size=40)
+#: Both kinds of event fire in 40-item windows of this stream.
+EVENTFUL = eventful_traffic_stream(120)
+
+
+@st.composite
+def streams(draw):
+    """A slice of :data:`EVENTFUL` with spliced-in items and duplicates of its own."""
+    start = draw(st.integers(0, len(EVENTFUL)))
+    stream = EVENTFUL[start : start + draw(st.integers(0, len(EVENTFUL)))]
+    for _ in range(draw(st.integers(0, 12))):
+        extra = draw(st.one_of(items, st.sampled_from(stream))) if stream else draw(items)
+        stream.insert(draw(st.integers(0, len(stream))), extra)
+    return stream
+
 
 WINDOWS = {
-    "tumbling": CountWindow(size=8, slide=8),
-    "sliding": CountWindow(size=8, slide=3),
-    "hopping": CountWindow(size=5, slide=7),
+    "tumbling": CountWindow(size=40, slide=40),
+    "sliding": CountWindow(size=40, slide=15),
+    "hopping": CountWindow(size=25, slide=35),
 }
 
 
@@ -83,7 +98,6 @@ def make_session(policy, backend, **kwargs):
         input_predicates=INPUT_PREDICATES,
         output_predicates=EVENT_PREDICATES,
         grounding_cache=GroundingCache(),
-        solver_cache=SolverCache(),
         query_processor=StreamQueryProcessor(set(INPUT_PREDICATES)),
         **kwargs,
     )
@@ -104,7 +118,8 @@ def check_stream(session, stream, policy, chunk):
 
 @pytest.mark.parametrize("window_kind", sorted(WINDOWS))
 @settings(max_examples=25, deadline=None)
-@given(stream=streams, chunk=st.integers(min_value=1, max_value=11))
+@given(stream=streams(), chunk=st.integers(min_value=1, max_value=11))
+@example(stream=EVENTFUL, chunk=7)
 def test_inline_session_matches_the_sliced_stream(window_kind, stream, chunk):
     policy = WINDOWS[window_kind]
     with make_session(policy, InlineBackend()) as session:
@@ -115,7 +130,8 @@ def test_inline_session_matches_the_sliced_stream(window_kind, stream, chunk):
 
 @pytest.mark.parametrize("window_kind", sorted(WINDOWS))
 @settings(max_examples=8, deadline=None)
-@given(stream=streams, chunk=st.integers(min_value=1, max_value=11))
+@given(stream=streams(), chunk=st.integers(min_value=1, max_value=11))
+@example(stream=EVENTFUL, chunk=7)
 def test_thread_pool_session_matches_the_sliced_stream(window_kind, stream, chunk):
     policy = WINDOWS[window_kind]
     with make_session(policy, ThreadPoolBackend(max_workers=2)) as session:
@@ -131,7 +147,8 @@ def test_tcp_session_matches_the_sliced_stream(window_kind):
     session = make_session(policy, backend)
 
     @settings(max_examples=8, deadline=None)
-    @given(stream=streams, chunk=st.integers(min_value=1, max_value=11))
+    @given(stream=streams(), chunk=st.integers(min_value=1, max_value=11))
+    @example(stream=EVENTFUL, chunk=7)
     def run(stream, chunk):
         check_stream(session, stream, policy, chunk)
 
@@ -223,7 +240,7 @@ def test_ingestion_time_is_billed_to_the_windows(monkeypatch):
     """
     clock = FakeClock()
     monkeypatch.setattr(session_module.time, "perf_counter", clock)
-    stream = [Triple(f"seg{index % 7}", "average_speed", index % 50) for index in range(400)]
+    stream = eventful_traffic_stream(400)
     with make_session(CountWindow(size=100, slide=25), InlineBackend()) as session:
         admit = session.query_processor.process  # runs at ingestion only
 

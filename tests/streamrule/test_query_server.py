@@ -551,6 +551,13 @@ class TestMetricsEndpoint:
                 assert sample.match(line), line
                 assert line.split("{")[0].split(" ")[0] in typed, line
 
+    def test_cache_families_are_the_grounding_caches_only(self):
+        with QueryServer() as server:
+            server.register(traffic_query("city"))
+            names = {family.name for family in server.metric_families()}
+        assert "streamrule_grounding_cache_hits" in names
+        assert not any(name.startswith("streamrule_solver_cache") for name in names)
+
     def test_render_prometheus_escapes_labels(self):
         from repro.streamrule.server import MetricFamily
 

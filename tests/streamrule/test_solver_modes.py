@@ -1,36 +1,41 @@
-"""Cross-mode equivalence under incremental solving.
+"""Cross-mode equivalence with the retired solver cache passed in.
 
-Acceptance contract of the solver cache: for every windowed stream, the
-answer sets produced with a :class:`SolverCache` attached (persistent
-per-track solver state repaired across slides and re-solved under
-assumptions) are identical to the solve-from-scratch answer sets, in every
-execution backend and for every window kind.  The cache may change *how* a
-window is solved (stratum reuse, encoding repair, disjunctive fallback) but
-never *what* the window answers.
+Every window is solved from scratch.  ``StreamSession(solver_cache=)`` is
+retired: the session drops it before the reasoner is built, so a session
+that still passes a :class:`SolverCache` (the repository benchmark does)
+must answer exactly like serial from-scratch evaluation, in every execution
+backend and for every window kind, and report the retired solver counters
+as 0.
 """
 
 from __future__ import annotations
 
 import pytest
 
+from repro.asp.control import Control
 from repro.asp.grounding.grounder import GroundingCache
 from repro.asp.solving.incremental import SolverCache
 from repro.asp.syntax.parser import parse_program
-from repro.core.partitioner import HashPartitioner
+from repro.core.partitioner import DependencyPartitioner, HashPartitioner
 from repro.programs.traffic import EVENT_PREDICATES, INPUT_PREDICATES, traffic_program
 from repro.streaming.window import CountWindow
+from repro.streamrule.backends import InlineBackend
 from repro.streamrule.reasoner import Reasoner
+from repro.streamrule.server import QueryServer
 from repro.streamrule.session import StreamSession
 from tests.conftest import make_atom
 from tests.streamrule.conftest import eventful_traffic_stream
 from tests.streamrule.test_delta_modes import BACKEND_FACTORIES, PARTITIONINGS, scratch_answers_per_window
 
 
-def solver_cached_reasoner():
-    return Reasoner(
+def solver_cached_session(partitioner, backend):
+    """A session built the way the repository benchmark builds its cached ones."""
+    return StreamSession(
         traffic_program(),
-        INPUT_PREDICATES,
-        EVENT_PREDICATES,
+        partitioner=partitioner,
+        backend=backend,
+        input_predicates=INPUT_PREDICATES,
+        output_predicates=EVENT_PREDICATES,
         grounding_cache=GroundingCache(),
         solver_cache=SolverCache(),
     )
@@ -39,8 +44,8 @@ def solver_cached_reasoner():
 class TestBackendWindowKindSolverEquivalence:
     """Acceptance matrix: backends x {tumbling, sliding, hopping} x delta.
 
-    Every cell must answer exactly like serial from-scratch evaluation even
-    though the solver cache repairs persistent state between windows.
+    Every cell must answer exactly like serial from-scratch evaluation with
+    the retired solver cache passed in.
     """
 
     pytestmark = pytest.mark.slow
@@ -62,7 +67,7 @@ class TestBackendWindowKindSolverEquivalence:
             window_policy, stream, partitioner, expect_events=partitioning == "plan"
         )
         backend = BACKEND_FACTORIES[backend_name](2)
-        with StreamSession(solver_cached_reasoner(), partitioner=partitioner, backend=backend) as session:
+        with solver_cached_session(partitioner, backend) as session:
             actual = [
                 {frozenset(a) for a in session.evaluate_window(list(delta.window), delta=delta).answers}
                 for delta in window_policy.deltas(stream)
@@ -90,14 +95,15 @@ dropped(X) :- item(X), not picked(X).
             for window in window_policy.windows(stream)
         ]
 
-        cached = Reasoner(
+        backend = BACKEND_FACTORIES[backend_name](2)
+        with StreamSession(
             program,
+            partitioner=HashPartitioner(2),
+            backend=backend,
             input_predicates=["item"],
             grounding_cache=GroundingCache(),
             solver_cache=SolverCache(),
-        )
-        backend = BACKEND_FACTORIES[backend_name](2)
-        with StreamSession(cached, partitioner=HashPartitioner(2), backend=backend) as session:
+        ) as session:
             combined = [
                 {
                     frozenset(answer)
@@ -108,67 +114,37 @@ dropped(X) :- item(X), not picked(X).
         assert combined == expected
 
 
-class TestSolverMetricsFlow:
-    def test_session_reports_assumption_resolves(self):
+class TestRetiredSolverCache:
+    def test_the_cache_is_dropped_before_the_reasoner_is_built(self, plan_p):
+        with solver_cached_session(DependencyPartitioner(plan_p), InlineBackend()) as session:
+            assert not hasattr(session.reasoner, "solver_cache")
+            assert session.reasoner.grounding_cache is not None
+
+    def test_sliding_answers_match_and_retired_counters_read_zero(self, plan_p):
         stream = eventful_traffic_stream(200)
-        solver_cache = SolverCache()
-        reasoner = Reasoner(
-            traffic_program(),
-            INPUT_PREDICATES,
-            EVENT_PREDICATES,
-            grounding_cache=GroundingCache(),
-            solver_cache=solver_cache,
-        )
         window_policy = CountWindow(size=80, slide=20)
-        with StreamSession(reasoner, partitioner=HashPartitioner(2)) as session:
+        partitioner = DependencyPartitioner(plan_p)
+        expected = scratch_answers_per_window(window_policy, stream, partitioner)
+        with solver_cached_session(partitioner, InlineBackend()) as session:
             results = [
                 session.evaluate_window(list(delta.window), delta=delta)
                 for delta in window_policy.deltas(stream)
             ]
         assert len(results) >= 5
-        resolves = sum(result.metrics.assumption_resolves for result in results)
-        fulls = sum(result.metrics.solver_full_solves for result in results)
-        # Each partition track pays one full solve on its first window;
-        # everything after re-solves incrementally.
-        assert fulls >= 1
-        assert resolves > fulls
-        stats = solver_cache.statistics()
-        assert stats["incremental_solves"] == float(resolves)
-        assert stats["full_solves"] == float(fulls)
-        assert stats["solver_states"] >= 1.0
-
-    def test_tumbling_windows_keep_no_solver_state(self):
-        stream = eventful_traffic_stream(200)
-        solver_cache = SolverCache()
-        reasoner = Reasoner(
-            traffic_program(),
-            INPUT_PREDICATES,
-            EVENT_PREDICATES,
-            grounding_cache=GroundingCache(),
-            solver_cache=solver_cache,
-        )
-        with StreamSession(reasoner, partitioner=HashPartitioner(2)) as session:
-            results = [
-                session.evaluate_window(list(window))
-                for window in CountWindow(size=50).windows(stream)
-            ]
-        # Tumbling windows carry nothing over: the work items never want
-        # incremental evaluation, so no solver state is created.
-        assert all(result.metrics.assumption_resolves == 0 for result in results)
-        assert solver_cache.statistics()["solver_states"] == 0.0
-
-    def test_metrics_flow_without_solver_cache_stays_zero(self):
-        stream = eventful_traffic_stream(120)
-        reasoner = Reasoner(
-            traffic_program(), INPUT_PREDICATES, EVENT_PREDICATES, grounding_cache=GroundingCache()
-        )
-        window_policy = CountWindow(size=60, slide=20)
-        with StreamSession(reasoner, partitioner=HashPartitioner(2)) as session:
-            results = [
-                session.evaluate_window(list(delta.window), delta=delta)
-                for delta in window_policy.deltas(stream)
-            ]
+        assert [{frozenset(answer) for answer in result.answers} for result in results] == expected
         for result in results:
             assert result.metrics.assumption_resolves == 0
             assert result.metrics.solver_full_solves == 0
-            assert result.metrics.encoding_repairs == 0
+
+    def test_only_the_session_still_takes_the_keyword(self):
+        with pytest.raises(TypeError):
+            Reasoner(traffic_program(), solver_cache=SolverCache())
+        with pytest.raises(TypeError):
+            QueryServer(solver_cache=SolverCache())
+        with pytest.raises(TypeError):
+            Control(traffic_program(), solver_cache=SolverCache(), solver_track=0)
+
+    def test_a_session_given_a_reasoner_accepts_the_retired_cache(self):
+        reasoner = Reasoner(traffic_program(), INPUT_PREDICATES, EVENT_PREDICATES)
+        with StreamSession(reasoner, solver_cache=SolverCache()) as session:
+            assert session.reasoner is reasoner
