@@ -62,7 +62,6 @@ sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 sys.path.insert(0, str(Path(__file__).resolve().parents[1]))
 
 from benchmarks.bench_json import write_bench_json  # noqa: E402
-from repro.asp.grounding import GroundingCache  # noqa: E402
 from repro.core.partitioner import HashPartitioner  # noqa: E402
 from repro.programs.traffic import EVENT_PREDICATES, INPUT_PREDICATES, traffic_program  # noqa: E402
 from repro.streaming.generator import SyntheticStreamConfig, generate_window  # noqa: E402
@@ -108,9 +107,7 @@ def run_ingestion(
     partitions: int,
 ) -> Dict[str, object]:
     """Push the stream item by item; time the push loop and the whole run."""
-    reasoner = Reasoner(
-        traffic_program(), INPUT_PREDICATES, EVENT_PREDICATES, grounding_cache=GroundingCache()
-    )
+    reasoner = Reasoner(traffic_program(), INPUT_PREDICATES, EVENT_PREDICATES)
     stream = [triple for window in windows for triple in window]
     with StreamSession(
         reasoner,
@@ -199,9 +196,7 @@ def async_many_sessions(
     metrics: Dict[str, float],
 ) -> List[str]:
     """N asyncio sessions on one loop over one shared thread backend."""
-    reasoner = Reasoner(
-        traffic_program(), INPUT_PREDICATES, EVENT_PREDICATES, grounding_cache=GroundingCache()
-    )
+    reasoner = Reasoner(traffic_program(), INPUT_PREDICATES, EVENT_PREDICATES)
     backend = ThreadPoolBackend(max_workers=workers)
     stream_windows = make_stream(windows_per_session, window_size)
 

@@ -7,16 +7,17 @@ plus its extended (maintenance) variant -- run once on a single
 :class:`QueryServer` over one shared thread-pool backend, and once as six
 isolated :class:`StreamSession` instances.  Each pair agrees on its window
 policy and input slice, so on the server each pair shares a lane: one
-evaluation per window serves both tenants, on one shared grounding-cache
-track.
+evaluation per window serves both tenants.
 
 Reported:
 
 * ``evaluations_ratio`` -- isolated window evaluations / server lane
   evaluations (paired lanes make this ~2.0 by construction),
-* ``grounding_ops_ratio`` -- isolated grounding work (cache misses + delta
-  repairs + rebuilds, summed over the six private caches) / the server's
-  single shared cache,
+* ``grounding_ops_ratio`` -- isolated groundings / the server's groundings.
+  Every evaluated work item is grounded once, from scratch, so a grounding
+  is one work item reaching the backend: the server's are counted once per
+  lane window (however many tenants it serves), the isolated sessions' are
+  summed over the six sessions,
 * ``answers_identical`` -- 1.0 iff every tenant's projected per-window
   answer sets match its isolated session's exactly, in order,
 * per-tenant p50/p95 window latency on the server (informational -- absolute
@@ -40,7 +41,6 @@ sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 sys.path.insert(0, str(Path(__file__).resolve().parents[1]))
 
 from benchmarks.bench_json import write_bench_json  # noqa: E402
-from repro.asp.grounding.grounder import GroundingCache  # noqa: E402
 from repro.programs import fraud as fraud_module  # noqa: E402
 from repro.programs import iot as iot_module  # noqa: E402
 from repro.programs.traffic import EVENT_PREDICATES, INPUT_PREDICATES, traffic_program  # noqa: E402
@@ -50,6 +50,7 @@ from repro.streaming.window import CountWindow  # noqa: E402
 from repro.streamrule.backends import ThreadPoolBackend  # noqa: E402
 from repro.streamrule.server import QueryServer, StandingQuery  # noqa: E402
 from repro.streamrule.session import StreamSession  # noqa: E402
+from repro.streamrule.work import WorkItem  # noqa: E402
 
 RESULTS_DIRECTORY = Path(__file__).parent / "results"
 BENCH_SEED = 2017
@@ -115,10 +116,20 @@ def make_combined_stream(length_per_scenario: int) -> List[Triple]:
     return combined
 
 
-def grounding_ops(cache_statistics: Dict[str, float]) -> float:
-    """Actual grounding work: every grounding not served as a hit (LRU misses
-    plus track rebuilds)."""
-    return cache_statistics["misses"]
+class CountingThreadPool(ThreadPoolBackend):
+    """A thread pool that counts the work items submitted to it.
+
+    Each item is grounded once, from scratch, by the worker that evaluates
+    it, so :attr:`groundings` is the grounding work the backend did.
+    """
+
+    def __init__(self, max_workers: int):
+        super().__init__(max_workers=max_workers)
+        self.groundings = 0
+
+    def _submit(self, item: WorkItem):
+        self.groundings += 1
+        return super()._submit(item)
 
 
 def project(answers: Sequence[frozenset], outputs: frozenset) -> Tuple[frozenset, ...]:
@@ -132,7 +143,8 @@ def project(answers: Sequence[frozenset], outputs: frozenset) -> Tuple[frozenset
 def run_server(
     queries: Sequence[StandingQuery], stream: Sequence[Triple], max_workers: int
 ) -> Dict[str, object]:
-    server = QueryServer(backend=ThreadPoolBackend(max_workers=max_workers))
+    backend = CountingThreadPool(max_workers)
+    server = QueryServer(backend=backend)
     subscriptions = {query.key: server.register(query) for query in queries}
     started = time.perf_counter()
     server.push(stream)
@@ -146,7 +158,7 @@ def run_server(
     summary = {
         "elapsed_s": elapsed,
         "evaluations": float(evaluations),
-        "grounding_ops": grounding_ops(server.grounding_cache.statistics()),
+        "grounding_ops": float(backend.groundings),
         "sharing": server.sharing_summary(),
         "answers": answers,
         "latency": {
@@ -170,12 +182,12 @@ def run_isolated(
         outputs = query.effective_outputs()
         # A lane windows the already-filtered slice; match that exactly.
         slice_ = [item for item in stream if inputs is None or item.predicate in inputs]
+        backend = CountingThreadPool(max_workers)
         session = StreamSession(
             query.program,
             window=query.window,
-            backend=ThreadPoolBackend(max_workers=max_workers),
+            backend=backend,
             input_predicates=query.input_predicates,
-            grounding_cache=GroundingCache(),
         )
         collected: List[Tuple[frozenset, ...]] = []
         session.push(slice_)
@@ -183,8 +195,8 @@ def run_isolated(
         for solution in session.results(wait=False):
             collected.append(project(solution.answers, outputs))
             evaluations += 1.0
-        ops += grounding_ops(session.reasoner.grounding_cache.statistics())
         session.close()
+        ops += backend.groundings
         answers[query.key] = collected
     return {
         "elapsed_s": time.perf_counter() - started,

@@ -14,8 +14,8 @@ The multi-tenant demo:
    the shared in-flight budget across the tenants,
 3. the fraud desk **unregisters mid-stream** -- its subscription stops
    filling while the survivors keep receiving results,
-4. a Prometheus metrics sample (per-tenant counters + shared-cache
-   statistics) is printed at the end.
+4. a Prometheus metrics sample (per-tenant counters + the session's
+   dispatch counter) is printed at the end.
 
 Run with:  python examples/multi_tenant.py [--windows 4] [--window-size 120]
 """
@@ -115,7 +115,7 @@ def main() -> None:
     families = [
         family for family in server.metric_families()
         if family.name.startswith("streamrule_tenant_windows")
-        or family.name in ("streamrule_queries_registered", "streamrule_grounding_cache_hits")
+        or family.name in ("streamrule_queries_registered", "streamrule_session_windows_dispatched")
     ]
     for line in render_prometheus(families).strip().splitlines():
         print(f"  {line}")

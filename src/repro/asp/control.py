@@ -17,12 +17,9 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, FrozenSet, Iterable, Iterator, List, Optional, Set, Tuple
+from typing import FrozenSet, Iterable, Iterator, List, Optional, Set, Tuple
 
-if TYPE_CHECKING:  # pragma: no cover - annotation-only import, avoids a layering cycle
-    from repro.streamrule.work import WorkItem
-
-from repro.asp.grounding.grounder import GroundProgram, Grounder, GroundingCache
+from repro.asp.grounding.grounder import GroundProgram, Grounder
 from repro.asp.solving.solver import StableModelSolver
 from repro.asp.syntax.atoms import Atom
 from repro.asp.syntax.parser import parse_program
@@ -89,40 +86,18 @@ class Control:
     atoms and reach the grounder as such.  :attr:`program` is a *view* that
     merges the two on demand.
 
-    ``delta_track`` opts into the track path: when set together with a
-    ``grounding_cache``, :meth:`ground` goes through
-    :meth:`GroundingCache.ground_incremental`, which serves a window equal
-    to the track's previous one for free and regrounds any other.
-
-    Alternatively a typed :class:`~repro.streamrule.work.WorkItem` can be
-    passed as ``work``: its track/epoch/incremental flag then drive the
-    same delta path (``delta_track = work.track`` when the item is
-    incremental and a cache is attached), and the item stays
-    available as :attr:`work` / :attr:`epoch` for downstream bookkeeping.
-
-    :meth:`solve` always solves the ground program from scratch with
-    :class:`~repro.asp.solving.solver.StableModelSolver`; no solver state
-    survives from one control to the next.
+    :meth:`ground` grounds the program from scratch with
+    :class:`~repro.asp.grounding.grounder.Grounder` and :meth:`solve` solves
+    the result from scratch with
+    :class:`~repro.asp.solving.solver.StableModelSolver`: no grounding or
+    solver state survives from one control to the next.
     """
 
-    def __init__(
-        self,
-        program: Optional[Program] = None,
-        grounding_cache: Optional[GroundingCache] = None,
-        delta_track: Optional[int] = None,
-        work: Optional["WorkItem"] = None,
-    ):
+    def __init__(self, program: Optional[Program] = None):
         self._rules = program if program is not None else Program()
         self._owns_rules = program is None
         self._facts: List[Atom] = []
-        self._grounding_cache = grounding_cache
-        self._work = work
-        if delta_track is None and work is not None and grounding_cache is not None and work.incremental:
-            delta_track = work.track
-        self._delta_track = delta_track
         self._ground_program: Optional[GroundProgram] = None
-        self._ground_from_cache: Optional[bool] = None
-        self._ground_outcome: Optional[str] = None
         self._grounding_seconds = 0.0
 
     # ------------------------------------------------------------------ #
@@ -140,71 +115,27 @@ class Control:
             self._rules = self._rules.copy()
             self._owns_rules = True
         self._rules.add_rules(rules)
-        self._invalidate_grounding()
+        self._ground_program = None
 
     def add_facts(self, atoms: Iterable[Atom]) -> None:
         self._facts.extend(atoms)
-        self._invalidate_grounding()
-
-    def _invalidate_grounding(self) -> None:
         self._ground_program = None
-        self._ground_from_cache = None
-        self._ground_outcome = None
 
     @property
     def program(self) -> Program:
         """The assembled program: the rule set plus the added facts (a fresh copy)."""
         return self._rules.with_facts(self._facts)
 
-    @property
-    def work(self) -> Optional["WorkItem"]:
-        """The typed work item this control evaluates (``None`` for ad-hoc runs)."""
-        return self._work
-
-    @property
-    def epoch(self) -> Optional[int]:
-        """Window epoch of the attached work item (``None`` without one)."""
-        return self._work.epoch if self._work is not None else None
-
     # ------------------------------------------------------------------ #
     # Grounding and solving
     # ------------------------------------------------------------------ #
     def ground(self) -> GroundProgram:
-        """Instantiate the program; idempotent until new rules are added.
-
-        When a :class:`GroundingCache` was supplied, the instantiation goes
-        through it (the LRU memo, or the track's last ground program when
-        ``delta_track`` is set); :attr:`ground_outcome` reports which path
-        was taken.
-        """
+        """Instantiate the program; idempotent until new rules or facts are added."""
         if self._ground_program is None:
             started = time.perf_counter()
-            if self._grounding_cache is not None:
-                if self._delta_track is not None:
-                    self._ground_program, outcome = self._grounding_cache.ground_incremental(
-                        self._rules, self._facts, track=self._delta_track
-                    )
-                    self._ground_from_cache = outcome == "hit"
-                    self._ground_outcome = outcome
-                else:
-                    self._ground_program, from_cache = self._grounding_cache.ground(self._rules, self._facts)
-                    self._ground_from_cache = from_cache
-                    self._ground_outcome = "hit" if from_cache else "full"
-            else:
-                self._ground_program = Grounder(self._rules, self._facts).ground()
+            self._ground_program = Grounder(self._rules, self._facts).ground()
             self._grounding_seconds = time.perf_counter() - started
         return self._ground_program
-
-    @property
-    def ground_from_cache(self) -> Optional[bool]:
-        """Whether the last grounding was a cache hit (``None``: no cache or not grounded)."""
-        return self._ground_from_cache
-
-    @property
-    def ground_outcome(self) -> Optional[str]:
-        """How the last grounding was obtained: ``"hit"`` or ``"full"``
-        (``None``: no cache or not grounded yet)."""
-        return self._ground_outcome
 
     def solve(self, models: Optional[int] = None) -> SolveResult:
         """Ground (if needed) and enumerate up to ``models`` answer sets.

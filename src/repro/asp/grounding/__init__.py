@@ -11,7 +11,6 @@ from repro.asp.grounding.grounder import (
     GroundProgram,
     GroundRule,
     Grounder,
-    GroundingCache,
     ground_program,
 )
 from repro.asp.grounding.safety import check_safety, is_safe, unsafe_variables
@@ -20,7 +19,6 @@ __all__ = [
     "GroundProgram",
     "GroundRule",
     "Grounder",
-    "GroundingCache",
     "PredicateDependencyGraph",
     "check_safety",
     "ground_program",

@@ -31,26 +31,6 @@ nothing left to do.  Elsewhere an instance makes its head certain only when
 it has one head atom, no negation and a certain body; everything else is
 left to the solving phase as a ground rule.
 
-For streaming workloads the same window content recurs (overlapping sliding
-windows, periodic sensor readings): :class:`GroundingCache` memoizes the
-SCC-stratified instantiation keyed on the program's *fact signature* so a
-recurring window skips the whole instantiation.
-
-Tracks
-------
-Exact recurrence is rare under *overlapping* sliding windows: window
-``W_{i+1}`` is ``W_i`` minus its oldest facts plus the new ones, so the
-signature changes on every slide.  :meth:`GroundingCache.ground_incremental`
-therefore memoizes nothing per window: per *track* (one track per
-consecutive window stream, e.g. a partition index) it holds the last fact
-set and its ground program.  A window whose fact set equals the held one is
-a free ``"hit"``; any other window is grounded from scratch and replaces
-the pair.  A reground is the whole cost of a slide: with the rules compiled
-into join plans it is cheaper than repairing an instantiation state, and it
-emits the fully simplified program a repairable state cannot (such a state
-must keep instances blocked by certain negative literals in case the
-literal's atom is retracted later).
-
 Rules versus facts
 ------------------
 A stream evaluates one fixed rule set against ever-changing facts, so the
@@ -58,7 +38,7 @@ two never travel together: everything derived from the rules alone -- the
 safety check, the evaluation order of the strata, and every rule's compiled
 join plans -- lives in a :class:`RulePlan`, built once per rule set
 (:meth:`Program.derived <repro.asp.syntax.program.Program.derived>`) and
-shared by :class:`Grounder` and :class:`GroundingCache`, while a window's
+used by every :class:`Grounder` over that rule set, while a window's
 facts are passed next to the program as a plain collection of ground atoms
 and enter the atom store in bulk.  A window therefore pays for running the
 plans over its facts (full evaluation, then the seeded plans in semi-naive
@@ -69,8 +49,6 @@ and join every window's fact set.
 
 from __future__ import annotations
 
-import threading
-from collections import OrderedDict
 from dataclasses import dataclass, field
 from itertools import chain
 from typing import Collection, Dict, FrozenSet, Iterable, List, Optional, Set, Tuple
@@ -155,20 +133,6 @@ class GroundProgram:
             "possible_atoms": len(self.possible_atoms),
         }
 
-    def copy(self) -> "GroundProgram":
-        """Equal ground program with fresh containers.
-
-        The contained :class:`GroundRule` and :class:`Atom` objects are
-        immutable and shared; only the top-level sets and list are copied, so
-        mutating the copy never affects the original (used by
-        :class:`GroundingCache` to keep cached entries isolated).
-        """
-        return GroundProgram(
-            facts=set(self.facts),
-            rules=list(self.rules),
-            possible_atoms=set(self.possible_atoms),
-        )
-
     def __str__(self) -> str:
         lines = [f"{atom}." for atom in sorted(self.facts, key=str)]
         lines += [str(rule) for rule in self.rules]
@@ -190,7 +154,7 @@ class RulePlan:
     construction and may be shared between threads.
     """
 
-    __slots__ = ("facts", "rules_key", "decided", "joins", "stratum_joins", "constraint_joins")
+    __slots__ = ("facts", "decided", "joins", "stratum_joins", "constraint_joins")
 
     def __init__(self, program: Program):
         check_safety(program)
@@ -198,8 +162,6 @@ class RulePlan:
         proper_rules = [rule for _, rule in numbered]
         #: The program's own facts: part of every fact set grounded under it.
         self.facts: Tuple[Atom, ...] = tuple(rule.head[0] for rule in program.rules if rule.is_fact)
-        #: Rendered proper rules: identifies the rule set in cache keys.
-        self.rules_key: Tuple[str, ...] = tuple(str(rule) for rule in proper_rules)
 
         # Component evaluation order.  Tarjan emits sink components first;
         # reverse for bottom-up evaluation (predicates a rule depends on must
@@ -251,10 +213,6 @@ class RulePlan:
                     non_recursive.append(joins)
             self.stratum_joins.append((non_recursive, recursive))
 
-    def fact_set(self, facts: Iterable[Atom]) -> FrozenSet[Atom]:
-        """The fact set grounded for a window: its ``facts`` plus the program's own."""
-        window = frozenset(facts)
-        return window.union(self.facts) if self.facts else window
 
 
 def _decided_predicates(
@@ -277,184 +235,17 @@ def _decided_predicates(
 
 
 # --------------------------------------------------------------------------- #
-# Grounding cache
+# Retired: the grounding cache
 # --------------------------------------------------------------------------- #
-#: Cache key: (rendered proper rules, frozenset of ground fact atoms).
-CacheKey = Tuple[Tuple[str, ...], FrozenSet[Atom]]
-
-
 class GroundingCache:
-    """Window-to-window reuse of grounding work, keyed on the *fact signature*.
+    """Retired and ignored: holds nothing and changes nothing.
 
-    In the streaming setting the rule part of the program is fixed while the
-    facts change window by window, so every entry point takes the two
-    separately -- ``program`` (whose :class:`RulePlan` identifies the rule
-    set) and the window's ``facts`` -- and keys on the rendered proper rules
-    plus the *set* of ground fact atoms (order-insensitive,
-    duplicate-insensitive -- exactly the granularity at which grounding
-    results coincide).  Two layers:
-
-    * :meth:`ground` -- an LRU memo of whole ground programs for windows
-      with no predecessor (tumbling windows, recurring content);
-    * :meth:`ground_incremental` -- per *track*, the last fact set and its
-      ground program, so an unchanged window is free and any other window
-      is grounded from scratch; it memoizes nothing per window.
-
-    Isolation guarantees:
-
-    * the key snapshots the facts at call time, so mutating the caller's
-      fact list (or the program) afterwards can never corrupt an entry;
-    * what the cache keeps is a :meth:`GroundProgram.copy` of what it
-      returns, and what it returns from an entry is a fresh copy, so cached
-      entries are object-equal to -- but never aliased with -- what callers
-      see, and caller-side mutation of a returned ground program cannot leak
-      back into the cache.
-
-    The cache is thread-safe (one lock around its book-keeping; grounding
-    and copying run outside it) so a single instance can back a thread
-    pool; every worker process holds its own instance.
+    Every window is grounded once, from scratch, by :class:`Grounder`; a
+    memo of ground programs never hit on a stream.  Kept as an empty class
+    only while the repository benchmark still builds one and passes it to
+    ``StreamSession(grounding_cache=)``, which drops it.  Delete both once
+    the benchmark stops naming them.
     """
-
-    def __init__(self, max_entries: int = 128, *, max_delta_states: int = 16):
-        if max_entries < 1:
-            raise ValueError("max_entries must be at least 1")
-        if max_delta_states < 1:
-            raise ValueError("max_delta_states must be at least 1")
-        self.max_entries = max_entries
-        self.max_delta_states = max_delta_states
-        self._entries: "OrderedDict[CacheKey, GroundProgram]" = OrderedDict()
-        self._lock = threading.Lock()
-        self.hits = 0
-        self.misses = 0
-        # Track layer: (rules key, track) -> the track's last (fact set,
-        # ground program), LRU-bounded by max_delta_states.  A *track*
-        # identifies one stream of consecutive windows (partition index,
-        # worker slot).
-        self._tracks: "OrderedDict[Tuple[Tuple[str, ...], int], Tuple[FrozenSet[Atom], GroundProgram]]" = (
-            OrderedDict()
-        )
-        self.delta_rebuilds = 0
-        # Human-readable track names (track -> label), attached by owners
-        # that multiplex many logical streams over one cache -- the query
-        # server labels each tenant lane's track range so the per-track
-        # states stay attributable in the ops metrics export.
-        self._track_labels: Dict[int, str] = {}
-
-    # ------------------------------------------------------------------ #
-    @staticmethod
-    def key_for(program: Program, facts: Collection[Atom] = ()) -> CacheKey:
-        """Cache key of ``program`` evaluated over ``facts``."""
-        plan = program.derived(RulePlan)
-        return (plan.rules_key, plan.fact_set(facts))
-
-    def lookup(self, key: CacheKey) -> Optional[GroundProgram]:
-        """Return a fresh copy of the entry for ``key``, or ``None``."""
-        with self._lock:
-            entry = self._entries.get(key)
-            if entry is None:
-                self.misses += 1
-                return None
-            self._entries.move_to_end(key)
-            self.hits += 1
-        # Stored entries are never mutated in place, so the (potentially
-        # large) copy can happen outside the lock without serializing
-        # concurrent thread-pool readers through it.
-        return entry.copy()
-
-    def store(self, key: CacheKey, ground: GroundProgram) -> None:
-        """Record a grounding result (a snapshot copy) under ``key``."""
-        snapshot = ground.copy()
-        with self._lock:
-            self._entries[key] = snapshot
-            self._entries.move_to_end(key)
-            while len(self._entries) > self.max_entries:
-                self._entries.popitem(last=False)
-
-    # ------------------------------------------------------------------ #
-    def ground(self, program: Program, facts: Collection[Atom] = ()) -> Tuple[GroundProgram, bool]:
-        """Ground ``program`` over ``facts`` through the LRU memo.
-
-        Returns ``(ground_program, from_cache)``.
-        """
-        key = self.key_for(program, facts)
-        cached = self.lookup(key)
-        if cached is not None:
-            return cached, True
-        ground = Grounder(program, facts).ground()
-        self.store(key, ground)
-        return ground, False
-
-    def ground_incremental(
-        self, program: Program, facts: Collection[Atom] = (), track: int = 0
-    ) -> Tuple[GroundProgram, str]:
-        """Ground ``program`` over ``facts`` as the ``track``'s next window.
-
-        Returns ``(ground_program, outcome)`` with outcome ``"hit"`` (the
-        fact set equals the one the track last grounded: a copy of that
-        ground program is returned) or ``"full"`` (anything else: the window
-        is grounded from scratch and becomes the track's pair).  Either way
-        the program equals ``Grounder(program, facts).ground()``; a hit
-        lists its rules in the order of the window that grounded them.
-        """
-        plan = program.derived(RulePlan)
-        target = plan.fact_set(facts)
-        track_key = (plan.rules_key, track)
-        with self._lock:
-            held = self._tracks.get(track_key)
-            if held is not None:
-                self._tracks.move_to_end(track_key)
-        if held is not None and held[0] == target:
-            with self._lock:
-                self.hits += 1
-            return held[1].copy(), "hit"
-        ground = Grounder(program, facts).ground()
-        snapshot = ground.copy()
-        with self._lock:
-            self.misses += 1
-            self.delta_rebuilds += 1
-            self._tracks[track_key] = (target, snapshot)
-            self._tracks.move_to_end(track_key)
-            while len(self._tracks) > self.max_delta_states:
-                self._tracks.popitem(last=False)
-        return ground, "full"
-
-    # ------------------------------------------------------------------ #
-    def __len__(self) -> int:
-        return len(self._entries)
-
-    @property
-    def hit_rate(self) -> float:
-        total = self.hits + self.misses
-        return self.hits / total if total else 0.0
-
-    def clear(self) -> None:
-        with self._lock:
-            self._entries.clear()
-            self._tracks.clear()
-            self.hits = 0
-            self.misses = 0
-            self.delta_rebuilds = 0
-
-    def label_track(self, track: int, label: str) -> None:
-        """Name a track (observability only; evaluation ignores it)."""
-        with self._lock:
-            self._track_labels[track] = label
-
-    def track_labels(self) -> Dict[int, str]:
-        """The labels attached via :meth:`label_track` (a copy)."""
-        with self._lock:
-            return dict(self._track_labels)
-
-    def statistics(self) -> Dict[str, float]:
-        return {
-            "entries": float(len(self._entries)),
-            "hits": float(self.hits),
-            "misses": float(self.misses),
-            "hit_rate": self.hit_rate,
-            "delta_states": float(len(self._tracks)),
-            "delta_rebuilds": float(self.delta_rebuilds),
-            "labeled_tracks": float(len(self._track_labels)),
-        }
 
 
 # --------------------------------------------------------------------------- #

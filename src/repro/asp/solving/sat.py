@@ -11,22 +11,16 @@ Variables are positive integers ``1..n``; a literal is ``+v`` or ``-v``.
 Clauses are lists of literals.  The per-solve assignment is a flat
 int-indexed array over the dense variable ids (slot ``v`` holds 1/-1/0),
 so evaluating a literal is two array reads rather than a dict probe --
-the ids are dense because the incremental encoding layer interns atoms
-through a :class:`~repro.asp.syntax.symbols.SymbolTable` before they ever
-reach the solver.  Unit propagation is driven by a two-literal watch
-index: each clause watches two of its literals (one for a unit clause),
+the ids are dense because the completion encoding numbers atoms and body
+variables consecutively before they ever reach the solver.  Unit
+propagation is driven by a two-literal watch index: each clause watches
+two of its literals (one for a unit clause),
 and an assignment only visits the clauses watching the falsified literal
 instead of re-scanning the whole clause database.  The branching
 heuristic (:meth:`_pick_branch`) still scans for an unsatisfied clause --
 watching accelerates *propagation*, not decision picking.
 
-Model enumeration is supported by adding blocking clauses between calls,
-and :meth:`solve` takes ``assumptions``: literals fixed below every
-decision, so the search never flips them and an unsatisfiable core of
-assumptions reports UNSAT without touching the clause database.  Clauses
-can be retracted again with :meth:`remove_clause` -- the incremental
-solving layer uses this to drop window-scoped blocking clauses and
-invalidated learned clauses between re-solves.
+Model enumeration is supported by adding blocking clauses between calls.
 """
 
 from __future__ import annotations
@@ -50,15 +44,14 @@ class DPLLSolver:
 
     def __init__(self, variable_count: int = 0):
         self._variable_count = variable_count
-        #: Clause database; ``None`` marks a removed (retracted) clause.
-        self._clauses: List[Optional[List[int]]] = []
+        #: Clause database.
+        self._clauses: List[List[int]] = []
         #: literal -> indices of clauses currently watching that literal.
         #: Positions 0 and 1 of each clause hold its watched literals (a
         #: unit clause watches its single literal once, at position 0).
         self._watches: Dict[int, List[int]] = {}
         #: Indices of unit clauses: their literals seed every solve call.
         self._unit_clauses: List[int] = []
-        self._alive_count = 0
         self._empty_clause = False
 
     # ------------------------------------------------------------------ #
@@ -74,25 +67,13 @@ class DPLLSolver:
 
     @property
     def clause_count(self) -> int:
-        """Number of live (non-removed) clauses."""
-        return self._alive_count
-
-    @property
-    def removed_clause_count(self) -> int:
-        """Number of tombstoned slots still occupying the clause database."""
-        return len(self._clauses) - self._alive_count
-
-    def clause_literals(self, clause_index: int) -> Optional[List[int]]:
-        """Literals of a live clause (copy), or ``None`` when removed."""
-        clause = self._clauses[clause_index]
-        return None if clause is None else list(clause)
+        return len(self._clauses)
 
     def add_clause(self, literals: Iterable[int]) -> Optional[int]:
         """Add a clause; duplicate literals are removed, tautologies skipped.
 
-        Returns the clause's index (the handle :meth:`remove_clause`
-        accepts), or ``None`` when the clause was dropped as a tautology or
-        recorded as the empty clause.
+        Returns the clause's index in the database, or ``None`` when the
+        clause was dropped as a tautology or recorded as the empty clause.
         """
         clause = sorted(set(literals), key=abs)
         if not clause:
@@ -106,7 +87,6 @@ class DPLLSolver:
                 self._variable_count = abs(literal)
         clause_index = len(self._clauses)
         self._clauses.append(clause)
-        self._alive_count += 1
         # Watch the first two literals; a unit clause registers its single
         # literal exactly once.
         self._watches.setdefault(clause[0], []).append(clause_index)
@@ -120,38 +100,18 @@ class DPLLSolver:
         for clause in clauses:
             self.add_clause(clause)
 
-    def remove_clause(self, clause_index: int) -> None:
-        """Retract a clause previously returned by :meth:`add_clause`.
-
-        The slot is tombstoned; watch lists drop the index lazily during
-        propagation.  Must not be called while a :meth:`solve` is running
-        (the solver is single-shot between calls, so this only matters for
-        re-entrant use).
-        """
-        if self._clauses[clause_index] is not None:
-            self._clauses[clause_index] = None
-            self._alive_count -= 1
-
     # ------------------------------------------------------------------ #
     # Solving
     # ------------------------------------------------------------------ #
-    def solve(self, assumptions: Sequence[int] = ()) -> Tuple[Satisfiability, Optional[Dict[int, bool]]]:
+    def solve(self) -> Tuple[Satisfiability, Optional[Dict[int, bool]]]:
         """Search for a model; returns (status, assignment or None).
 
-        ``assumptions`` are assigned before any decision and are never
-        flipped by backtracking: when the clauses are unsatisfiable under
-        them, the call returns UNSAT even if the clause set alone is
-        satisfiable.  The solver itself is unchanged by the call, so
-        repeated solves under different assumptions reuse the same clause
-        database -- the incremental re-solving workhorse.
+        The call leaves the clause set as it was (propagation only moves
+        watched literals within a clause), so :meth:`iterate_models` can add
+        a blocking clause and solve again.
         """
         if self._empty_clause:
             return Satisfiability.UNSATISFIABLE, None
-        # Assumptions may mention fresh variables; grow the space first so
-        # the assignment array below covers them.
-        for literal in assumptions:
-            if abs(literal) > self._variable_count:
-                self._variable_count = abs(literal)
         # Int-indexed assignment array over interned variable ids: slot v
         # holds 1 (true), -1 (false) or 0 (unassigned).  Propagation is the
         # hash-heaviest loop of the solver; indexing a flat array beats a
@@ -185,8 +145,6 @@ class DPLLSolver:
                 conflict = False
                 for clause_index in watchers:
                     clause = self._clauses[clause_index]
-                    if clause is None:
-                        continue  # retracted clause: drop the stale entry
                     if conflict:
                         kept.append(clause_index)
                         continue
@@ -244,14 +202,7 @@ class DPLLSolver:
 
         # Unit clauses seed the assignment (watches only fire on changes).
         for clause_index in self._unit_clauses:
-            clause = self._clauses[clause_index]
-            if clause is None:
-                continue
-            if not assign(clause[0], is_decision=False):
-                return Satisfiability.UNSATISFIABLE, None
-
-        for literal in assumptions:
-            if not assign(literal, is_decision=False):
+            if not assign(self._clauses[clause_index][0], is_decision=False):
                 return Satisfiability.UNSATISFIABLE, None
 
         if not propagate():
@@ -269,9 +220,7 @@ class DPLLSolver:
                 return Satisfiability.SATISFIABLE, model
             if not assign(decision, is_decision=True) or not propagate():
                 # Conflict: flip the most recent decision that has not been
-                # tried both ways.  Assumptions sit below every decision, so
-                # they are never flipped -- exhausting the decisions means
-                # UNSAT under the given assumptions.
+                # tried both ways; exhausting the decisions means UNSAT.
                 while True:
                     flipped = backtrack()
                     if flipped is None:
@@ -285,8 +234,6 @@ class DPLLSolver:
     def _pick_branch(self, values: List[int]) -> Optional[int]:
         """Pick the next unassigned variable appearing in an unsatisfied clause."""
         for clause in self._clauses:
-            if clause is None:
-                continue
             clause_satisfied = False
             candidate: Optional[int] = None
             for literal in clause:

@@ -41,13 +41,6 @@ Window = Sequence[Atom]
 class Partitioner(abc.ABC):
     """Interface of every window partitioner."""
 
-    #: Whether the partitioner is a deterministic function of each item: the
-    #: same item always lands in the same partition(s), independent of the
-    #: rest of the window.  Deterministic layouts preserve window-to-window
-    #: continuity per partition, which is what lets the parallel reasoner
-    #: propagate sliding-window deltas down to per-partition tracks.
-    deterministic: bool = False
-
     @abc.abstractmethod
     def partition(self, window: Window) -> List[List[Atom]]:
         """Split ``window`` into sub-windows (some may be empty)."""
@@ -73,8 +66,6 @@ class SinglePartitioner(Partitioner):
     partitioner degenerates to exactly ``R``'s answers.
     """
 
-    deterministic = True  # every item always lands in partition 0
-
     @property
     def partition_count(self) -> int:
         return 1
@@ -85,8 +76,6 @@ class SinglePartitioner(Partitioner):
 
 class DependencyPartitioner(Partitioner):
     """Algorithm 1: dependency-directed partitioning using a plan."""
-
-    deterministic = True  # predicate -> communities is a fixed mapping
 
     def __init__(self, plan: PartitioningPlan):
         self._plan = plan
@@ -144,15 +133,13 @@ class HashPartitioner(Partitioner):
     """Deterministic random-like partitioning by hashing the ground atom.
 
     Deterministic per process: ``hash(str(atom))`` is stable within one
-    interpreter (including forked workers), which is all the delta path
-    needs -- the partition layout of a recurring item never changes
-    mid-stream.  An RDF triple is hashed as the atom it translates to, so a
-    data item lands in the same chunk whether the partitioner sees the
+    interpreter (including forked workers), so the partition of a recurring
+    item never changes mid-stream.  An RDF triple is hashed as the atom it
+    translates to, so a data item lands in the same chunk whether the partitioner sees the
     triple (a window evaluated directly) or the atom a session made of it
     when it was pushed.
     """
 
-    deterministic = True
     _format = DataFormatProcessor()
 
     def __init__(self, partitions: int):

@@ -36,8 +36,7 @@ Over a stream of distinct items the invariant is::
 
 and the shared items are the window's oldest ones.  A window *carries
 over* (:attr:`WindowDelta.carries_over`) exactly when
-``arrived_count < len(window)``: that one bit is what the per-track caches
-use to carry state across a slide.
+``arrived_count < len(window)``.
 
 What a window holds
 -------------------
@@ -102,9 +101,9 @@ class WindowDelta:
     def carries_over(self) -> bool:
         """Whether part of this window survived from the previous one.
 
-        True exactly for the overlapping (sliding) case -- the one where a
-        partition's track (grounding cache, delta shipping)
-        can carry state from the previous window.  Tumbling and
+        True exactly for the overlapping (sliding) case -- the one where
+        the wire can ship a partition as copy runs over its track's
+        previous window.  Tumbling and
         hopping windows (and the first window of any stream) share no
         content with their predecessor: every item arrived.
         """

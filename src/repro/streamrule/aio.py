@@ -83,7 +83,6 @@ from repro.streamrule.placement import PlacementStrategy
 from repro.streamrule.reasoner import ReasonerResult
 from repro.streamrule.session import PendingWindow, StreamSession, WindowSolution
 from repro.streamrule.work import WorkItem
-from repro.streaming.window import WindowDelta
 
 __all__ = [
     "AioTcpBackend",
@@ -409,7 +408,8 @@ class AioTcpBackend(FleetBackend):
     dispatch/gather seam (and ``PendingWindow.done()``) works unchanged --
     but all I/O runs as asyncio tasks on the loop that started the backend,
     with no dispatcher threads.  Per-track ordering (the precondition for
-    delta shipping and the per-track caches) is preserved by *chaining*: each
+    delta shipping: a track's copy runs refer to its previous item) is
+    preserved by *chaining*: each
     slot remembers its newest dispatch task, and the next item's task
     awaits it before submitting, so one slot's items hit the wire strictly
     in submission order while different slots proceed concurrently.
@@ -539,7 +539,8 @@ class AsyncStreamSession:
 
     Multiplexing many sessions over one shared backend/reasoner: construct
     each with ``owns_backend=False`` and a distinct ``track_base`` (disjoint
-    cache-track namespaces; with a pinned placement the bases also spread
+    track namespaces, so no two sessions' windows share one track's copy
+    runs on the wire; with a pinned placement the bases also spread
     sessions across worker slots).  One session must be driven by one task
     at a time -- the cheap-concurrency unit is many sessions on one loop,
     not many tasks on one session.
@@ -634,7 +635,6 @@ class AsyncStreamSession:
         self,
         items: Iterable,
         *,
-        delta: Optional[WindowDelta] = None,
         index: Optional[int] = None,
         tag: Optional[object] = None,
         track_base: Optional[int] = None,
@@ -645,9 +645,7 @@ class AsyncStreamSession:
         if index is None:
             index = session._push_index
             session._push_index += 1
-        session._dispatch_into(
-            session._inflight, index, session._ingest_window(items), delta, tag=tag, track_base=track_base
-        )
+        session._dispatch_into(session._inflight, index, session._ingest_window(items), tag=tag, track_base=track_base)
         while len(session._inflight) >= session.effective_max_inflight():
             await self._gather_oldest(backpressure=True)
 

@@ -16,8 +16,8 @@ transport:
   solver releases the GIL or for I/O-bound format processing.
 * :class:`ProcessBackend` -- true multi-core execution on persistent
   pinned same-host worker processes, each reached through a Unix socket
-  pair; the placement strategy chooses the slot, so worker-local grounding
-  caches keep seeing the same track.
+  pair; the placement strategy chooses the slot, so each track keeps one
+  connection and ships its windows as copy runs over its previous one.
 * :class:`TcpBackend` -- the multi-machine transport: dispatches to remote
   worker daemons (``python -m repro.streamrule.worker``) over the versioned
   wire protocol of :mod:`repro.streamrule.net`, through a
@@ -251,7 +251,7 @@ class InlineBackend(ExecutionBackend):
 
 
 class ThreadPoolBackend(ExecutionBackend):
-    """A persistent thread pool sharing the bound reasoner (and its cache)."""
+    """A persistent thread pool sharing the bound reasoner."""
 
     name = "threads"
     pipelined = True
@@ -572,8 +572,8 @@ class ProcessBackend(ExecutionBackend):
     replicas, with no pickling of atoms in either direction.
 
     Same capability surface as the TCP backend: one single-thread
-    dispatcher per slot preserves per-track ordering (so the per-track
-    caches keep working), the placement strategy routes items to slots, and a
+    dispatcher per slot preserves per-track ordering (so a track's copy runs
+    always refer to its previous item), the placement strategy routes items to slots, and a
     dead worker raises :class:`BackendConnectionError` at the caller -- the
     session answers with its inline fallback.  :meth:`drop_worker` is the
     fault-injection hook the crash tests (and the example) use.

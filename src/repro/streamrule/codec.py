@@ -13,7 +13,7 @@ pieces this module holds (see :mod:`repro.streamrule.net`):
 * the **reasoner** ships as *text* -- the ASP program rendered by
   :meth:`~repro.asp.syntax.program.Program.to_text` and re-parsed by
   :func:`~repro.asp.syntax.parser.parse_program` on the worker, plus the
-  predicate sets and cache flags (:func:`encode_reasoner_spec` /
+  predicate sets and the model limit (:func:`encode_reasoner_spec` /
   :func:`reasoner_from_spec`).  The coordinator refuses a program whose
   text does not parse back to the same rules before anything is dialled
   or spawned, so a worker never evaluates a different program than the
@@ -31,7 +31,6 @@ import json
 from typing import Any, Dict, List
 
 from repro.asp.errors import ParseError
-from repro.asp.grounding.grounder import GroundingCache
 from repro.asp.syntax.atoms import Atom
 from repro.asp.syntax.parser import parse_program
 from repro.asp.syntax.program import Program
@@ -156,9 +155,7 @@ def encode_reasoner_spec(reasoner: Reasoner) -> bytes:
     the program's text does not parse back to the same rules (a constant
     built in code as ``Constant("two words")`` renders as unparseable
     ``two words``, an unquoted ``Constant("Abc")`` would come back as a
-    variable).  Cache *contents* never travel; only the grounding cache's
-    presence flag does, so the worker warms its own.  A ``solver_cache``
-    key sent by an older peer is ignored.  A custom ``format_processor`` cannot be
+    variable).  A custom ``format_processor`` cannot be
     expressed -- the worker always builds the default one, matching what
     every production configuration uses.
     """
@@ -171,7 +168,6 @@ def encode_reasoner_spec(reasoner: Reasoner) -> bytes:
             "input_predicates": sorted(reasoner.input_predicates),
             "output_predicates": sorted(reasoner.output_predicates),
             "max_models": reasoner.max_models,
-            "grounding_cache": reasoner.grounding_cache is not None,
         }
     )
 
@@ -215,7 +211,6 @@ def reasoner_from_spec(payload: bytes) -> Reasoner:
         input_predicates=spec["input_predicates"],
         output_predicates=spec["output_predicates"],
         max_models=max_models,
-        grounding_cache=GroundingCache() if spec.get("grounding_cache") else None,
     )
 
 
@@ -225,8 +220,6 @@ def reasoner_from_spec(payload: bytes) -> Reasoner:
 _COUNTER_FIELDS = (
     "window_size",
     "answer_count",
-    "cache_hits",
-    "cache_misses",
 )
 _BREAKDOWN_FIELDS = (
     "transformation_seconds",

@@ -23,10 +23,10 @@ they share.  When a worker dies mid-stream the fleet
    ``fallbacks`` counter.  The stream keeps flowing even with an empty
    fleet.
 
-Rerouted tracks land on a worker whose grounding cache has no state for
-them; the first item after a reroute is shipped as a full fact set (fresh
-delta-shipping state per connection) and grounds from scratch, after which
-delta shipping and the per-track caches resume on the new worker.
+Rerouted tracks land on a worker whose connection has no state for them;
+the first item after a reroute is shipped as a full fact set (fresh
+delta-shipping state per connection), after which delta shipping resumes
+on the new worker.
 
 Endpoints marked dead are no longer dead forever: a revived worker is
 **re-adopted** without a backend restart.  :meth:`WorkerFleet.readopt`
@@ -72,8 +72,8 @@ def initial_slot_owners(slot_count: int, endpoint_count: int) -> List[int]:
 
     Shared by :class:`WorkerFleet` and its asyncio sibling
     (:class:`repro.streamrule.aio.AsyncWorkerFleet`) so the two route a
-    given slot to the same worker -- which keeps a track's cache state on
-    one machine whichever client drives the fleet.
+    given slot to the same worker -- which keeps a track's copy runs on one
+    connection whichever client drives the fleet.
     """
     return [index % endpoint_count for index in range(slot_count)]
 
@@ -237,7 +237,7 @@ class SlotTable:
 
         It receives the slots of the *widened* canonical layout
         (``slot % (n+1) == n``) -- slots it steals were until now served
-        by survivors, whose caches simply stop seeing those tracks.
+        by survivors, whose connections simply stop seeing those tracks.
         """
         index = len(self.endpoints)
         self.endpoints.append(endpoint)

@@ -179,12 +179,7 @@ class TenantStats:
 class ReasonerMetrics:
     """One window's evaluation record.
 
-    ``cache_hits`` / ``cache_misses`` count grounding-cache outcomes: for a
-    plain :class:`~repro.streamrule.reasoner.Reasoner` they are 0/1 per
-    window; the parallel reasoner sums them over its partitions (including
-    worker-process-side caches, whose counts travel back inside the partition
-    results): a hit serves a ground program the cache already held, a miss
-    grounds the window from scratch.  ``delta_repairs``, ``repair_size``,
+    ``cache_hits``, ``delta_repairs``, ``repair_size``,
     ``repair_rules_changed``, ``assumption_resolves`` and
     ``solver_full_solves`` are retired and always read 0 (see their field
     comment).  ``evaluation_wall_seconds`` is the measured wall-clock
@@ -210,13 +205,11 @@ class ReasonerMetrics:
     partition_sizes: List[int] = field(default_factory=list)
     answer_count: int = 0
     duplication_ratio: float = 0.0
+    #: Retired, always 0: every window is grounded and solved from scratch,
+    #: with no grounding or solver state kept between windows.  The fields
+    #: stay only because the repository benchmark still reads five of them;
+    #: the wire does not carry them.
     cache_hits: int = 0
-    cache_misses: int = 0
-    #: Retired, always 0: windows are no longer repaired, only served as a
-    #: hit or regrounded, and every window is solved from scratch, with no
-    #: solver state kept between windows.  The fields stay only because the
-    #: repository benchmark still reads four of them; the wire does not
-    #: carry them.
     delta_repairs: int = 0
     repair_size: int = 0
     repair_rules_changed: int = 0
@@ -230,12 +223,6 @@ class ReasonerMetrics:
         """Latency in milliseconds, the unit of the paper's figures."""
         return self.latency_seconds * 1000.0
 
-    @property
-    def cache_hit_rate(self) -> float:
-        """Grounding-cache hit rate over this window (0.0 when uncached)."""
-        total = self.cache_hits + self.cache_misses
-        return self.cache_hits / total if total else 0.0
-
     def as_dict(self) -> Dict[str, float]:
         return {
             "window_size": float(self.window_size),
@@ -248,8 +235,6 @@ class ReasonerMetrics:
             "answer_count": float(self.answer_count),
             "duplication_ratio": self.duplication_ratio,
             "cache_hits": float(self.cache_hits),
-            "cache_misses": float(self.cache_misses),
-            "cache_hit_rate": self.cache_hit_rate,
             "delta_repairs": float(self.delta_repairs),
             "repair_size": float(self.repair_size),
             "repair_rules_changed": float(self.repair_rules_changed),

@@ -64,7 +64,7 @@ append-only :class:`~repro.asp.syntax.symbols.SymbolTable` the reader
 replicates.  The client interns every fact and sends the table's new tail
 ahead of the work as a one-way ``SYMBOLS`` frame (no response, so the FIFO
 response order is undisturbed).  The ``WORK`` frame is a ``struct`` header
-``(track, epoch, incremental)`` followed by id runs: copy runs over the
+``(track, epoch)`` followed by id runs: copy runs over the
 same track's previous ids and packed u32 literal runs.  On a sliding window
 consecutive items of one track share most of their facts, so a frame sized
 by the slide replaces a window-sized one; in steady state every fact has
@@ -82,7 +82,7 @@ silently diverge: a reconnected client starts from empty tables.
 Security
 --------
 No byte a peer sends is ever unpickled.  The ``REASONER`` frame carries the
-program as *text* plus its predicate sets and cache flags
+program as *text* plus its predicate sets and model limit
 (:func:`~repro.streamrule.codec.encode_reasoner_spec`), which the worker
 rebuilds by parsing; a failed evaluation comes back as an ``{"error":
 {kind, message}}`` envelope, raised at the caller as a plain
@@ -174,8 +174,9 @@ MAGIC = b"SRW1"
 #: handshake (``REJECT``) rather than misparsing frames.  Version 2 made
 #: the one data plane (id-run ``WORK``, id-blob ``RESULT``, JSON
 #: ``SYMBOLS``); version 3 the one codec (the ``REASONER`` frame is always
-#: the program text, a failed ``RESULT`` always the JSON error envelope).
-PROTOCOL_VERSION = 3
+#: the program text, a failed ``RESULT`` always the JSON error envelope);
+#: version 4 dropped the ``WORK`` header's ``incremental`` flag.
+PROTOCOL_VERSION = 4
 
 _FRAME_HEADER = struct.Struct(">IB")
 
@@ -197,7 +198,7 @@ class FrameKind(enum.IntEnum):
     REJECT = 3  #: server -> client: JSON ``{protocol, reason}``; connection closes
     REASONER = 4  #: client -> server: the reasoner's JSON spec, its program as text
     READY = 5  #: server -> client: reasoner installed, work may flow
-    WORK = 6  #: client -> server: ``(track, epoch, incremental)`` header + id runs
+    WORK = 6  #: client -> server: ``(track, epoch)`` header + id runs
     RESULT = 8  #: server -> client: response-table tail + answer id blobs + metrics, or an error envelope
     PING = 9  #: either direction: heartbeat probe (empty payload)
     PONG = 10  #: heartbeat reply (empty payload)
@@ -327,8 +328,8 @@ def auth_mac(token: str, nonce: str) -> str:
 # --------------------------------------------------------------------------- #
 # The data plane: id-run WORK frames, id-blob RESULT frames
 # --------------------------------------------------------------------------- #
-#: ``WORK`` header: track (i64), epoch (i64), incremental flag (u8, 0 or 1).
-_WORK_HEADER = struct.Struct("<qqB")
+#: ``WORK`` header: track (i64), epoch (i64).
+_WORK_HEADER = struct.Struct("<qq")
 #: One id run of a ``WORK`` frame: kind (u8) and length in ids (u32).  A
 #: literal run is followed by its ``length`` packed u32 ids, a copy run by
 #: its start (u32) in the track's previous id tuple.
@@ -440,7 +441,7 @@ def apply_id_runs(previous: Tuple[int, ...], ops: Sequence[IdRunOp]) -> Tuple[in
 
 
 def _work_payload(item: WorkItem, ops: Tuple[IdRunOp, ...]) -> bytes:
-    parts = [_WORK_HEADER.pack(item.track, item.epoch, item.incremental)]
+    parts = [_WORK_HEADER.pack(item.track, item.epoch)]
     for op in ops:
         if isinstance(op, bytes):
             parts.append(_RUN.pack(_LITERAL, len(op) // 4))
@@ -501,8 +502,8 @@ class DeltaShipper:
 
     Interns every fact in a connection-scoped :class:`SymbolTable`, sends
     the table's new tail ahead of the work as a ``SYMBOLS`` frame, and
-    ships the item as one ``WORK`` frame: the ``(track, epoch,
-    incremental)`` header, then the window's ids as copy runs over the
+    ships the item as one ``WORK`` frame: the ``(track, epoch)`` header,
+    then the window's ids as copy runs over the
     same track's previous ids plus packed literal runs
     (:func:`diff_id_runs`).  A steady-state sliding window whose facts the
     peer already knows therefore costs a few copy runs plus its arrivals'
@@ -561,13 +562,11 @@ class DeltaDecoder:
     def decode(self, payload: bytes) -> WorkItem:
         """Rebuild the :class:`WorkItem` of a ``WORK`` frame."""
         with _malformed("WORK"):
-            track, epoch, flag = _WORK_HEADER.unpack_from(payload)
-            if flag > 1:
-                raise ProtocolError(f"incremental flag {flag} is neither 0 nor 1")
+            track, epoch = _WORK_HEADER.unpack_from(payload)
             ids = apply_id_runs(self._previous.get(track, ()), _decode_runs(payload, _WORK_HEADER.size))
             facts = self._table.resolve_many(ids)
         self._previous[track] = ids
-        return WorkItem(facts=facts, track=track, epoch=epoch, incremental=bool(flag))
+        return WorkItem(facts=facts, track=track, epoch=epoch)
 
 
 class ResultEncoder:

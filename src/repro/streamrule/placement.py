@@ -1,23 +1,26 @@
 """Placement strategies: which worker slot evaluates a work item.
 
-Backends with pinned slots (one grounding cache per same-host worker
-process or remote worker) ask a :class:`PlacementStrategy` to map
-every :class:`~repro.streamrule.work.WorkItem` to a slot.  Placement
-decides cache locality, not correctness: all strategies yield identical
-answer sets.  Slots are deliberately *abstract*: on the TCP backend the
+Backends with pinned slots (one connection per same-host worker process
+or remote worker) ask a :class:`PlacementStrategy` to map every
+:class:`~repro.streamrule.work.WorkItem` to a slot.  Placement decides
+wire locality, not correctness: all strategies yield identical answer
+sets.  A connection's symbol table and per-track copy runs live on one
+slot, so a track that keeps its slot ships its next window as copy runs
+plus the arrivals' ids, and one that moves ships it in full.  Slots are
+deliberately *abstract*: on the TCP backend the
 :class:`~repro.streamrule.fleet.WorkerFleet` owns the second map from slots
 to machines, which is how dead-worker rerouting happens without the
 placement layer noticing (see ``docs/architecture.md``).
 
 * :class:`PinnedPlacement` -- ``track % slots``, the PR-2 behaviour: stable
-  partition indexes keep landing on the same worker, so its cache sees
-  consecutive windows of the same track.
+  partition indexes keep landing on the same worker, so its connection
+  sees consecutive windows of the same track.
 * :class:`ConsistentHashPlacement` -- a consistent-hash ring over the item's
   *fact signature* (the ROADMAP "content-based placement" item): items are
   routed by what they contain rather than by their partition index, so
-  workloads whose partition indexes are unstable across windows still reuse
-  warmed caches, and changing the slot count only remaps ``~1/slots`` of the
-  keys.
+  workloads whose partition indexes are unstable across windows still reach
+  a connection that knows their symbols, and changing the slot count only
+  remaps ``~1/slots`` of the keys.
 
 Both strategies are deterministic *across interpreters and hash seeds*: they
 never touch Python's randomized ``hash`` builtin, so a parent process and a

@@ -10,10 +10,8 @@ includes the solver and the data format processor" (Section I).  One call to
 4. projecting the answers onto the program's derived (output) predicates --
    the knowledge StreamRule streams back out as "solutions".
 
-A reasoner may carry a :class:`~repro.asp.grounding.grounder.GroundingCache`
-so recurring window content skips the instantiation phase entirely
-(window-to-window grounding reuse); the per-window hit/miss outcome is
-recorded in the returned metrics.
+Every window is grounded and solved from scratch: nothing is carried from
+one window to the next.
 
 Every execution backend evaluates a
 :class:`~repro.streamrule.work.WorkItem` through :meth:`Reasoner.reason_item`;
@@ -27,12 +25,10 @@ from dataclasses import dataclass
 from typing import FrozenSet, Iterable, List, Optional, Sequence, Set, Tuple, Union
 
 from repro.asp.control import Control
-from repro.asp.grounding.grounder import GroundingCache
 from repro.asp.syntax.atoms import Atom
 from repro.asp.syntax.program import Program
 from repro.streaming.format import DataFormatProcessor
 from repro.streaming.triples import Triple
-from repro.streaming.window import WindowDelta
 from repro.streamrule.metrics import LatencyBreakdown, ReasonerMetrics, Timer
 from repro.streamrule.work import WorkItem
 
@@ -71,7 +67,6 @@ class Reasoner:
         output_predicates: Optional[Iterable[str]] = None,
         format_processor: Optional[DataFormatProcessor] = None,
         max_models: Optional[int] = None,
-        grounding_cache: Optional[GroundingCache] = None,
     ):
         """Create a reasoner for ``program``.
 
@@ -90,14 +85,9 @@ class Reasoner:
         max_models:
             Optional cap on the number of answer sets enumerated per window
             (``None`` enumerates all of them, clingo's ``--models=0``).
-        grounding_cache:
-            Optional window-to-window grounding memo; recurring window
-            content (same fact set) then skips regrounding.  The cache is
-            thread-safe, so one instance may be shared by concurrent
-            threads; worker processes each hold their own.
 
-        Every window's ground program is solved from scratch; no solver
-        state is kept between windows.
+        A reasoner holds no per-window state, so one instance may serve
+        concurrent threads.
         """
         self.program = program
         self.input_predicates: Set[str] = (
@@ -108,7 +98,6 @@ class Reasoner:
         )
         self.format_processor = format_processor or DataFormatProcessor()
         self.max_models = max_models
-        self.grounding_cache = grounding_cache
 
     # ------------------------------------------------------------------ #
     def to_atoms(self, window: WindowInput) -> List[Atom]:
@@ -126,19 +115,12 @@ class Reasoner:
         """Evaluate one :class:`~repro.streamrule.work.WorkItem`.
 
         This is the core evaluation path every execution backend dispatches
-        to.  The item's ``incremental`` flag selects the grounding
-        route: when a grounding cache is attached and the flag is set,
-        the window goes through the item's track -- free
-        when its fact set equals the track's last one, a reground otherwise
-        (see :meth:`GroundingCache.ground_incremental`).  An item that
-        carries nothing over (tumbling/hopping windows, the first window of
-        a stream) takes the plain path, the LRU memo of whole ground
-        programs.  Without a cache the flag is inert.
+        to: the item's facts are grounded and solved from scratch.
         """
         with Timer() as transformation_timer:
             facts = self.to_atoms(item.facts)
 
-        control = Control(self.program, grounding_cache=self.grounding_cache, work=item)
+        control = Control(self.program)
         control.add_facts(facts)
         result = control.solve(models=self.max_models)
 
@@ -151,25 +133,20 @@ class Reasoner:
             grounding_seconds=result.grounding_seconds,
             solving_seconds=result.solving_seconds,
         )
-        outcome = control.ground_outcome
         metrics = ReasonerMetrics(
             window_size=len(item.facts),
             latency_seconds=breakdown.total_seconds,
             breakdown=breakdown,
             partition_sizes=[len(item.facts)],
             answer_count=len(answers),
-            cache_hits=1 if outcome == "hit" else 0,
-            cache_misses=1 if outcome == "full" else 0,
         )
         return ReasonerResult(answers=answers, metrics=metrics)
 
-    def reason(self, window: WindowInput, *, delta: Optional[WindowDelta] = None) -> ReasonerResult:
+    def reason(self, window: WindowInput) -> ReasonerResult:
         """Evaluate one input window as a single work item on track 0.
 
         The unpartitioned reference ``R``: the whole window, one reasoner
-        call.  ``delta`` is the window's slide record; when the window
-        continues its predecessor, it takes the per-track path (with a
-        grounding cache attached).
+        call.
         """
-        return self.reason_item(WorkItem(facts=tuple(window), incremental=delta is not None and delta.carries_over))
+        return self.reason_item(WorkItem(facts=tuple(window)))
 

@@ -7,10 +7,9 @@ One server hosts many named standing queries over a single shared
 (:mod:`~repro.streamrule.server.subprogram`), their distinct rules merged
 into one union program, and a single internal
 :class:`~repro.streamrule.session.StreamSession` evaluates that program --
-so a rule shared by N tenants is grounded and solved once per window on a
-shared :class:`~repro.asp.grounding.grounder.GroundingCache` track, not N
-times in N isolated sessions.  Each tenant's answers are projected out of the combined
-answer sets onto its output predicates; registration rejects query
+so a rule shared by N tenants is grounded and solved once per lane window,
+not N times in N isolated sessions.  Each tenant's answers are projected
+out of the combined answer sets onto its output predicates; registration rejects query
 combinations for which that projection would not be semantics-preserving
 (:func:`~repro.streamrule.server.subprogram.union_conflicts`).
 
@@ -18,8 +17,9 @@ combinations for which that projection would not be semantics-preserving
 *lane*: the lane windows the shared stream once, each completed window is
 evaluated once, and the result fans out to every member query.  Every lane
 owns a disjoint track range (``lane_id * track_stride``) via the session's
-``push_window(track_base=...)`` seam, so lanes never collide their
-per-track grounding states.
+``push_window(track_base=...)`` seam, so two lanes' windows never share a
+track: each lane keeps its own worker slot under pinned placement and its
+own copy runs on the wire.
 
 *Fairness.*  Ready windows do not dispatch in arrival order but through a
 :class:`~repro.streamrule.server.scheduler.FairScheduler`: weighted
@@ -31,7 +31,7 @@ starvation guard.  The budget is the session's fixed in-flight bound
 *Ops.*  :meth:`QueryServer.metric_families` assembles per-tenant counters
 (:class:`~repro.streamrule.metrics.TenantStats`), the session's
 :class:`~repro.streamrule.metrics.IngestionStats`, backend queue/transport
-statistics, and both cache statistics; :meth:`QueryServer.serve_metrics`
+statistics; :meth:`QueryServer.serve_metrics`
 exposes them over the Prometheus text format (see
 :mod:`~repro.streamrule.server.metrics_export`).
 """
@@ -43,7 +43,6 @@ import threading
 from dataclasses import dataclass, field
 from typing import Dict, Hashable, Iterable, List, Optional, Tuple, Union
 
-from repro.asp.grounding.grounder import GroundingCache
 from repro.asp.syntax.atoms import Atom
 from repro.asp.syntax.program import Program
 from repro.core.partitioner import Partitioner
@@ -73,9 +72,9 @@ __all__ = ["QueryConflictError", "QueryServer"]
 
 StreamItem = Union[Triple, Atom]
 
-#: Tracks reserved per lane: lane ``i`` dispatches partition ``t`` as cache
-#: track ``i * stride + t``, so lanes never collide their track states as
-#: long as the partitioner stays under ``stride`` partitions.
+#: Tracks reserved per lane: lane ``i`` dispatches partition ``t`` as
+#: track ``i * stride + t``, so lanes never share a track as long as the
+#: partitioner stays under ``stride`` partitions.
 DEFAULT_TRACK_STRIDE = 64
 
 _METRIC_TOKEN = re.compile(r"[^a-zA-Z0-9_]")
@@ -135,7 +134,6 @@ class QueryServer:
         *,
         backend: Optional[ExecutionBackend] = None,
         partitioner: Optional[Partitioner] = None,
-        grounding_cache: Optional[GroundingCache] = None,
         scheduler: Optional[FairScheduler] = None,
         max_inflight: Optional[int] = None,
         max_models: Optional[int] = None,
@@ -146,9 +144,6 @@ class QueryServer:
             raise ValueError("track_stride must be at least 1")
         self.backend: ExecutionBackend = backend if backend is not None else InlineBackend()
         self.partitioner = partitioner
-        # Shared grounding is the point of the server: default to a real
-        # cache so overlapping queries share tracks out of the box.
-        self.grounding_cache = grounding_cache if grounding_cache is not None else GroundingCache()
         self.scheduler = scheduler if scheduler is not None else FairScheduler()
         self.max_inflight = check_max_inflight(max_inflight)
         self.max_models = max_models
@@ -256,7 +251,6 @@ class QueryServer:
             )
             self._next_lane_id += 1
             self._lanes[key] = lane
-            self.grounding_cache.label_track(lane.lane_id * self.track_stride, f"lane{lane.lane_id}:{query.key}")
         lane.members.append(query.key)
         self.scheduler.configure(key, weight=self._lane_weight(lane))
 
@@ -324,7 +318,6 @@ class QueryServer:
             output_predicates=tuple(sorted(outputs)) or None,
             format_processor=self._format_processor,
             max_models=self.max_models,
-            grounding_cache=self.grounding_cache,
         )
         return StreamSession(
             reasoner,
@@ -439,7 +432,6 @@ class QueryServer:
         # of before its rules, so it is not theirs to receive.
         self._session.push_window(
             delta.window,
-            delta=delta,
             index=delta.index,
             tag=(lane_key, tuple(lane.members)),
             track_base=lane.lane_id * self.track_stride,
@@ -641,11 +633,6 @@ class QueryServer:
                         f"Backend transport statistic {stat}",
                     ).add(float(value))
                 )
-
-            for stat, value in sorted(self.grounding_cache.statistics().items()):
-                token = _METRIC_TOKEN.sub("_", stat)
-                family = MetricFamily(f"streamrule_grounding_cache_{token}", "gauge", f"Cache statistic {stat}")
-                families.append(family.add(float(value)))
             return families
 
     def health(self) -> Dict[str, object]:

@@ -6,8 +6,7 @@ same transfer-chain closure.  Hosting each query in its own session grounds
 and solves those shared rules once *per tenant per window*.  The query
 server instead evaluates the **union program** of all registered queries
 and projects each tenant's answers out of the combined answer sets, so a
-rule shared by N queries is grounded once per window, on one shared
-grounding-cache track.
+rule shared by N queries is grounded once per window.
 
 That is only sound when the union preserves each query's semantics.  Two
 ingredients make it checkable:

@@ -76,7 +76,7 @@ order, whatever order the backend finished them in.  ``max_inflight=1``
 reproduces the synchronous behaviour exactly (each window is gathered
 before ``push`` returns), and is the automatic choice on non-pipelined
 backends (inline evaluation).  Per-track FIFO ordering -- the precondition
-for the per-track caches and delta shipping -- is preserved by the backends'
+for delta shipping -- is preserved by the backends'
 pinned slot dispatchers, so pipelining never reorders the windows one
 worker sees.  Note the error-timing consequence: an evaluation error in a
 dispatched window surfaces at its *gather* point (a later ``push`` under
@@ -237,14 +237,13 @@ class StreamSession:
         """Create a session for ``program``.
 
         ``program`` may be a :class:`~repro.asp.syntax.program.Program` (a
-        reasoner is built from it and the predicate/cache/model arguments)
+        reasoner is built from it and the predicate/model arguments)
         or a ready-made :class:`Reasoner` (in which case those arguments
-        must be left at their defaults).  ``grounding_cache`` enables
-        window-to-window grounding reuse; every window is solved from
-        scratch.  ``solver_cache`` is retired and ignored: it is dropped
-        before the reasoner is built, and stays only while the repository
-        benchmark still passes one (see
-        :class:`~repro.asp.solving.incremental.SolverCache`).  ``backend`` defaults to
+        must be left at their defaults).  Every window is grounded and
+        solved from scratch.  ``grounding_cache`` and ``solver_cache`` are
+        retired and ignored: they are dropped before the reasoner is built,
+        and stay only while the repository benchmark still passes them (the
+        empty ``GroundingCache`` and ``SolverCache`` classes).  ``backend`` defaults to
         :class:`InlineBackend`; ``placement`` overrides the backend's
         placement strategy; ``partitioner`` defaults to the trivial
         single-partition layout (the session then behaves exactly like the
@@ -264,16 +263,17 @@ class StreamSession:
         windows but leaves the backend running, for callers (the
         multi-tenant :class:`~repro.streamrule.server.QueryServer`) that
         roll sessions over one long-lived shared backend.  ``track_base``
-        offsets every dispatched partition's cache track (see
+        offsets every dispatched partition's track (see
         :meth:`push_window`): give each session multiplexed over one shared
-        reasoner/backend its own base so their per-track grounding
-        states never collide (the asyncio serving layer assigns these).
+        backend its own base so their tracks never collide -- a track pins
+        a worker slot and keys the wire's copy runs (the asyncio serving
+        layer assigns these).
         """
         if isinstance(program, Reasoner):
             if input_predicates is not None or output_predicates is not None:
                 raise ValueError("predicate sets are configured on the passed reasoner")
-            if grounding_cache is not None or max_models is not None:
-                raise ValueError("cache/model limits are configured on the passed reasoner")
+            if max_models is not None:
+                raise ValueError("model limits are configured on the passed reasoner")
             self.reasoner = program
         else:
             self.reasoner = Reasoner(
@@ -282,7 +282,6 @@ class StreamSession:
                 output_predicates=output_predicates,
                 format_processor=format_processor,
                 max_models=max_models,
-                grounding_cache=grounding_cache,
             )
         self.partitioner: Partitioner = partitioner if partitioner is not None else SinglePartitioner()
         self.backend: ExecutionBackend = backend if backend is not None else InlineBackend()
@@ -320,7 +319,7 @@ class StreamSession:
         #: instead of building them again.
         self._last_cut: List[Atom] = []
         self._push_index = 0  # next window index of the pushed stream
-        self._epoch = 0  # monotonic evaluation counter (cache bookkeeping)
+        self._epoch = 0  # monotonic evaluation counter
         self._ready: Deque[WindowSolution] = deque()
         self._inflight: Deque[PendingWindow] = deque()  # dispatched, not yet gathered
 
@@ -558,7 +557,6 @@ class StreamSession:
         self,
         items: Iterable[StreamItem],
         *,
-        delta: Optional[WindowDelta] = None,
         index: Optional[int] = None,
         tag: Optional[object] = None,
         track_base: Optional[int] = None,
@@ -566,16 +564,14 @@ class StreamSession:
         """Dispatch one externally-windowed window through the pipeline.
 
         The caller owns the windowing policy: ``items`` is a complete
-        window, ``delta`` its :class:`~repro.streaming.window.WindowDelta`
-        when the window is the next slide of an overlapping stream (which
-        enables the per-track grounding exactly as the session's own
-        windowing would).  ``tag`` is an opaque token copied
+        window.  ``tag`` is an opaque token copied
         onto the produced :class:`WindowSolution`; ``track_base`` offsets
         the partition tracks, giving each caller-side stream its own
-        disjoint cache-track namespace -- the seam the multi-tenant
+        disjoint track namespace -- the seam the multi-tenant
         :class:`~repro.streamrule.server.QueryServer` uses to run many
-        window lanes over one session without colliding their per-track
-        grounding states.  The items go through the same
+        window lanes over one session without interleaving their windows
+        on one track, so each lane's windows keep their own worker slot
+        and their own copy runs on the wire.  The items go through the same
         filter-and-convert step as pushed ones, here once per window
         (atoms, such as the server's lanes hold, pass through unchanged).
         The ``max_inflight`` bound applies: once
@@ -586,9 +582,7 @@ class StreamSession:
         if index is None:
             index = self._push_index
             self._push_index += 1
-        self._dispatch_into(
-            self._inflight, index, self._ingest_window(items), delta, tag=tag, track_base=track_base
-        )
+        self._dispatch_into(self._inflight, index, self._ingest_window(items), tag=tag, track_base=track_base)
         while len(self._inflight) >= self.effective_max_inflight():
             self._gather_oldest(backpressure=True)
 
@@ -597,7 +591,6 @@ class StreamSession:
         inflight: "Deque[PendingWindow]",
         index: int,
         items: List[Atom],
-        delta: Optional[WindowDelta],
         tag: Optional[object] = None,
         track_base: Optional[int] = None,
         billed_items: Optional[int] = None,
@@ -611,7 +604,7 @@ class StreamSession:
         if inflight:
             self.ingestion.dispatched_ahead += 1
         inflight.append(
-            self._dispatch_window(index, items, delta, tag=tag, track_base=track_base, billed_items=billed_items)
+            self._dispatch_window(index, items, tag=tag, track_base=track_base, billed_items=billed_items)
         )
         self.ingestion.inflight_high_water = max(self.ingestion.inflight_high_water, len(inflight))
 
@@ -620,7 +613,7 @@ class StreamSession:
     ) -> None:
         """Dispatch a window the session cut itself: it newly covers its arrived items."""
         self._last_cut = items
-        self._dispatch_into(inflight, index, items, delta, billed_items=None if delta is None else delta.arrived_count)
+        self._dispatch_into(inflight, index, items, billed_items=None if delta is None else delta.arrived_count)
 
     def _enqueue_window(self, index: int, items: List[Atom], delta: Optional[WindowDelta]) -> None:
         """Dispatch one completed window, applying the in-flight bound.
@@ -686,7 +679,7 @@ class StreamSession:
         window.
         """
         if self.window is None:
-            yield self._gather_solution(self._dispatch_window(0, self._ingest_window(items), None))
+            yield self._gather_solution(self._dispatch_window(0, self._ingest_window(items)))
             return
         deltas: Iterable[WindowDelta]
         if isinstance(self.window, TimeWindow):
@@ -732,7 +725,6 @@ class StreamSession:
         self,
         index: int,
         window_atoms: List[Atom],
-        delta: Optional[WindowDelta],
         tag: Optional[object] = None,
         track_base: Optional[int] = None,
         billed_items: Optional[int] = None,
@@ -741,11 +733,9 @@ class StreamSession:
         self.ingestion.windows_dispatched += 1
         # Tagged windows come from an external windowing authority whose
         # lane-local indexes repeat across lanes; let the session's own
-        # monotonic epoch counter keep cache bookkeeping globally ordered.
+        # monotonic epoch counter keep the epochs globally ordered.
         epoch = None if tag is not None else index
-        pending = self._dispatch_evaluation(
-            window_atoms, delta=delta, epoch=epoch, index=index, tag=tag, track_base=track_base
-        )
+        pending = self._dispatch_evaluation(window_atoms, epoch=epoch, index=index, tag=tag, track_base=track_base)
         pending.transformation_seconds = self._bill_transformation(billed_items)
         return pending
 
@@ -770,7 +760,6 @@ class StreamSession:
         self,
         window: Sequence[StreamItem],
         *,
-        delta: Optional[WindowDelta] = None,
         epoch: Optional[int] = None,
     ) -> ParallelResult:
         """Partition, dispatch to the backend, and combine one input window.
@@ -783,26 +772,16 @@ class StreamSession:
         :meth:`push` / :meth:`process` were translated when their items
         were ingested and reach this stage as atoms.)
 
-        ``delta`` signals that this window is the next slide of an
-        overlapping stream.  When the partitioner is *deterministic* (the
-        same item always lands in the same partitions), every partition
-        is evaluated incrementally on its own track: an unchanged
-        partition is not regrounded.
-        Non-deterministic partitioners (the random baseline) ignore the
-        hint -- their layouts reshuffle every window, so there is no
-        continuity to exploit.
-
         This method is always synchronous (dispatch immediately followed by
         gather), whatever ``max_inflight`` says -- pipelining applies to the
         push/process facade, whose window ordering the session controls.
         """
-        return self._gather_evaluation(self._dispatch_evaluation(list(window), delta=delta, epoch=epoch))
+        return self._gather_evaluation(self._dispatch_evaluation(list(window), epoch=epoch))
 
     def _dispatch_evaluation(
         self,
         window: List[StreamItem],
         *,
-        delta: Optional[WindowDelta],
         epoch: Optional[int],
         index: Optional[int] = None,
         tag: Optional[object] = None,
@@ -818,8 +797,8 @@ class StreamSession:
         combined answers degenerate to the answer sets of the program itself
         -- exactly what the unpartitioned reasoner returns for that window.
         Each batch keeps its partition index as its *track*: the stable
-        identity under which grounding caches store per-partition delta
-        states and placement strategies pin worker slots.  ``track_base``
+        identity under which placement strategies pin worker slots and the
+        wire ships copy runs against the track's previous item.  ``track_base``
         shifts the whole layout, so independent window lanes multiplexed
         over one session occupy disjoint track namespaces.
         """
@@ -832,22 +811,13 @@ class StreamSession:
         # not be billed to the first window's evaluation phase.
         self.backend.start(self.reasoner)
 
-        incremental = (
-            delta is not None
-            and delta.carries_over
-            and getattr(self.partitioner, "deterministic", False)
-        )
-
         with Timer() as partitioning_timer:
             partitions = self.partitioner.partition(window)
 
         batches = [(track, partition) for track, partition in enumerate(partitions) if partition]
         if not batches:
             batches = [(0, [])]
-        items = [
-            WorkItem(facts=tuple(batch), track=track_base + track, epoch=epoch, incremental=incremental)
-            for track, batch in batches
-        ]
+        items = [WorkItem(facts=tuple(batch), track=track_base + track, epoch=epoch) for track, batch in batches]
         dispatched_at = time.perf_counter()
         submissions: List[Tuple[WorkItem, Optional["Future[ReasonerResult]"]]] = []
         for item in items:
@@ -889,8 +859,7 @@ class StreamSession:
                 if not self.inline_fallback:
                     raise
                 # Degraded transport: evaluate this partition locally so the
-                # stream keeps flowing; the local cache state differs from
-                # the lost worker's, but answers are equivalent.
+                # stream keeps flowing with the same answers.
                 self.fallbacks += 1
                 partition_results.append(self.reasoner.reason_item(item))
         # Under pipelined ingestion this includes the time the window sat in
@@ -931,8 +900,6 @@ class StreamSession:
             duplication_ratio=(
                 (sum(pending.partition_sizes) - window_size) / window_size if window_size else 0.0
             ),
-            cache_hits=sum(result.metrics.cache_hits for result in partition_results),
-            cache_misses=sum(result.metrics.cache_misses for result in partition_results),
             evaluation_wall_seconds=evaluation_seconds,
             worker_wall_seconds=[result.metrics.latency_seconds for result in partition_results],
         )

@@ -1,10 +1,9 @@
 """The typed unit of work dispatched to an :class:`ExecutionBackend`.
 
 A :class:`WorkItem` bundles everything one partition (or whole-window)
-evaluation needs -- the facts, whether the window continues its
-predecessor, the partition *track*, and the window *epoch* -- into a single
-picklable value.  It is the unit that crosses execution boundaries: the
-inline backend hands it to the local reasoner, and the process and TCP
+evaluation needs -- the facts, the partition *track*, and the window
+*epoch* -- into a single picklable value.  It is the unit that crosses
+execution boundaries: the inline backend hands it to the local reasoner, and the process and TCP
 backends frame it to a pinned worker process or a remote worker daemon --
 both as the same ``WORK`` frame, whose id runs
 re-ship only what changed since the track's previous window (see
@@ -36,23 +35,19 @@ class WorkItem:
         The window (or sub-window) content to evaluate: triples and/or atoms.
     track:
         Stable identity of the sub-stream this item belongs to (the
-        partition index under a deterministic partitioner).  The grounding
-        cache keys its per-partition state on it, and pinned
-        placement uses it to choose a worker slot.
+        partition index, offset by the session's ``track_base``).  Pinned
+        placement uses it to choose a worker slot, and the wire keys its
+        per-track copy runs on it: a ``WORK`` frame re-ships only the ids
+        that differ from the same track's previous item.
     epoch:
         Monotonic window counter of the originating stream.  Lets a worker
         (local or remote) order items of the same track and lets downstream
         tooling correlate results with windows.
-    incremental:
-        Whether the item takes the per-track (incremental) path: its window
-        continues the one before it on the same track, so the track's
-        caches may carry state across the slide.
     """
 
     facts: Tuple[WorkFact, ...]
     track: int = 0
     epoch: int = 0
-    incremental: bool = False
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "facts", tuple(self.facts))
@@ -67,6 +62,7 @@ class WorkItem:
         This is the key of content-based placement: two windows carrying the
         same predicate mix map to the same signature even when their
         partition indexes differ, so a consistent-hash placement keeps
-        routing them to the same worker (and its warmed grounding cache).
+        routing them to the same worker, whose connection already knows
+        their symbols and can take the next item of a track as copy runs.
         """
         return "|".join(sorted({fact.predicate for fact in self.facts}))

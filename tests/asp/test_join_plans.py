@@ -25,7 +25,6 @@ from bench_e2e.programs import search_program
 from repro.asp.control import Control
 from repro.asp.grounding.grounder import (
     Grounder,
-    GroundingCache,
     GroundProgram,
     GroundRule,
     RulePlan,
@@ -185,7 +184,7 @@ class TestSharedPlan:
         assert Grounder(clone, window).ground() == Grounder(program, window).ground()
         rebuilt = clone.derived(RulePlan)  # compiled where the program landed
         assert rebuilt is not program.derived(RulePlan)
-        assert rebuilt.rules_key == program.derived(RulePlan).rules_key
+        assert list(rebuilt.joins) == list(program.derived(RulePlan).joins)
 
     def test_threads_grounding_the_first_window_of_one_program(self):
         facts = [make_atom("edge", i, (i * 7 + 3) % 23) for i in range(23)]
@@ -454,13 +453,10 @@ def models_of(ground):
 class TestAgainstReference:
     @given(programs(), windows, st.lists(st.booleans(), min_size=5, max_size=5))
     @settings(max_examples=150, deadline=None)
-    def test_grounder_and_track_path_equal_the_reference(self, text, sequence, repeats):
-        """Random slides through one track, some windows repeated so the hit path runs."""
+    def test_grounder_and_control_equal_the_reference(self, text, sequence, repeats):
+        """Random slides over one program, some windows repeated: each is grounded afresh."""
         program = parse_program(text)
-        plan = program.derived(RulePlan)
         candidates = reference_candidates(program, UNIVERSE)
-        cache = GroundingCache()
-        held = None
         for facts, repeat in zip(sequence, repeats):
             expected = reference_ground(program, candidates, facts)
             ground = Grounder(program, facts).ground()
@@ -469,13 +465,8 @@ class TestAgainstReference:
             assert set(ground.rules) == set(expected.rules)
 
             for _ in range(1 + repeat):
-                on_track, outcome = cache.ground_incremental(program, facts, track=0)
-                assert outcome == ("hit" if plan.fact_set(facts) == held else "full")
-                held = plan.fact_set(facts)
-                assert on_track == ground  # facts, rules in order, possible atoms
-
-            control = Control(program, grounding_cache=cache, delta_track=0)
-            control.add_facts(facts)
-            answers = {frozenset(model.atoms) for model in control.solve().models}
-            assert control.ground_outcome == "hit"
-            assert answers == models_of(expected)
+                control = Control(program)
+                control.add_facts(facts)
+                assert control.ground() == ground  # facts, rules in order, possible atoms
+                answers = {frozenset(model.atoms) for model in control.solve().models}
+                assert answers == models_of(expected)

@@ -1,5 +1,7 @@
 """Unit tests for the DPLL SAT core."""
 
+from itertools import product
+
 from hypothesis import given, settings, strategies as st
 
 from repro.asp.solving.sat import DPLLSolver, Satisfiability
@@ -56,39 +58,6 @@ class TestBasicSolving:
         for clause in clauses:
             assert any((literal > 0) == model[abs(literal)] for literal in clause)
 
-    def test_assumptions(self):
-        solver = DPLLSolver()
-        solver.add_clause([1, 2])
-        status, model = solver.solve(assumptions=[-1])
-        assert status is Satisfiability.SATISFIABLE
-        assert model[2] is True
-        status, _ = solver.solve(assumptions=[-1, -2])
-        assert status is Satisfiability.UNSATISFIABLE
-
-    def test_contradictory_assumptions_are_unsat(self):
-        solver = DPLLSolver()
-        solver.add_clause([1, 2])
-        assert solver.solve(assumptions=[1, -1])[0] is Satisfiability.UNSATISFIABLE
-
-    def test_assumptions_do_not_mutate_the_solver(self):
-        solver = DPLLSolver()
-        solver.add_clauses([[1, 2], [-1, 2]])
-        assert solver.solve(assumptions=[-2])[0] is Satisfiability.UNSATISFIABLE
-        # The same solver answers SAT again: assumptions are call-scoped.
-        status, model = solver.solve()
-        assert status is Satisfiability.SATISFIABLE
-        assert model[2] is True
-
-    def test_unsat_under_assumptions_but_sat_without(self):
-        # Classic even-loop shape: satisfiable, but pinning both choices off
-        # kills every model.  The conflict surfaces during search (the
-        # assumptions themselves propagate fine in isolation).
-        solver = DPLLSolver()
-        solver.add_clauses([[1, 2], [-1, -2], [3, 1], [3, 2]])
-        assert solver.solve()[0] is Satisfiability.SATISFIABLE
-        assert solver.solve(assumptions=[-3])[0] is Satisfiability.UNSATISFIABLE
-        assert solver.solve()[0] is Satisfiability.SATISFIABLE
-
 
 class TestWatchBookkeeping:
     def test_unit_clause_registers_a_single_watch_entry(self):
@@ -119,32 +88,6 @@ class TestWatchBookkeeping:
         ]
         assert len(watch_literals) == 2
 
-    def test_removed_clause_no_longer_constrains(self):
-        solver = DPLLSolver()
-        solver.add_clause([1])
-        index = solver.add_clause([-1])
-        assert solver.solve()[0] is Satisfiability.UNSATISFIABLE
-        solver.remove_clause(index)
-        assert solver.clause_count == 1
-        assert solver.removed_clause_count == 1
-        status, model = solver.solve()
-        assert status is Satisfiability.SATISFIABLE
-        assert model[1] is True
-
-    def test_remove_is_idempotent(self):
-        solver = DPLLSolver()
-        index = solver.add_clause([1, 2])
-        solver.remove_clause(index)
-        solver.remove_clause(index)
-        assert solver.clause_count == 0
-
-    def test_clause_literals_accessor(self):
-        solver = DPLLSolver()
-        index = solver.add_clause([2, -1])
-        assert sorted(solver.clause_literals(index), key=abs) == [-1, 2]
-        solver.remove_clause(index)
-        assert solver.clause_literals(index) is None
-
 
 def _clauses_strategy():
     literal = st.integers(min_value=1, max_value=6).flatmap(
@@ -154,48 +97,55 @@ def _clauses_strategy():
     return st.lists(clause, min_size=0, max_size=14)
 
 
-def _assumptions_strategy():
-    literal = st.integers(min_value=1, max_value=6).flatmap(
-        lambda v: st.sampled_from([v, -v])
-    )
-    return st.lists(literal, min_size=0, max_size=4)
+def _brute_force_models(clauses, variables=6):
+    """Every assignment of variables ``1..variables`` that satisfies ``clauses``."""
+    return [
+        values
+        for values in product((False, True), repeat=variables)
+        if all(any((literal > 0) == values[abs(literal) - 1] for literal in clause) for clause in clauses)
+    ]
 
 
-class TestAssumptionProperties:
-    """solve(assumptions=) must agree with adding the assumptions as units."""
+class TestAgainstBruteForce:
+    """The watch-driven search against exhaustive enumeration of 6 variables."""
 
     @settings(max_examples=200, deadline=None)
-    @given(clauses=_clauses_strategy(), assumptions=_assumptions_strategy())
-    def test_assumption_solve_matches_unit_clause_solve(self, clauses, assumptions):
-        assumed = DPLLSolver()
-        assumed.add_clauses(clauses)
-        status, model = assumed.solve(assumptions=assumptions)
-
-        fresh = DPLLSolver()
-        fresh.add_clauses(clauses)
-        for literal in assumptions:
-            fresh.add_clause([literal])
-        reference_status, _ = fresh.solve()
-
-        assert status is reference_status
-        if status is Satisfiability.SATISFIABLE:
-            # The returned model satisfies every clause and every assumption.
+    @given(clauses=_clauses_strategy())
+    def test_solve_agrees_with_exhaustive_search(self, clauses):
+        solver = DPLLSolver()
+        solver.add_clauses(clauses)
+        status, model = solver.solve()
+        satisfiable = bool(_brute_force_models(clauses))
+        assert status is (Satisfiability.SATISFIABLE if satisfiable else Satisfiability.UNSATISFIABLE)
+        if satisfiable:
             # Tautological clauses are never stored, so their variables may
             # stay unassigned: treat an absent variable as false (the
             # tautology is then satisfied through its negative literal).
             for clause in clauses:
                 assert any((literal > 0) == model.get(abs(literal), False) for literal in clause)
-            for literal in assumptions:
-                assert (literal > 0) == model[abs(literal)]
 
     @settings(max_examples=100, deadline=None)
-    @given(clauses=_clauses_strategy(), assumptions=_assumptions_strategy())
-    def test_solver_state_survives_assumption_solves(self, clauses, assumptions):
+    @given(clauses=_clauses_strategy())
+    def test_a_solve_leaves_the_clause_set_as_it_was(self, clauses):
+        """Propagation moves watched literals inside clauses; solving again
+        must see the same clause set, which :meth:`iterate_models` relies on."""
         solver = DPLLSolver()
         solver.add_clauses(clauses)
-        baseline = solver.solve()[0]
-        solver.solve(assumptions=assumptions)
-        assert solver.solve()[0] is baseline
+        before = sorted(sorted(clause) for clause in solver._clauses)
+        status, _ = solver.solve()
+        assert sorted(sorted(clause) for clause in solver._clauses) == before
+        assert solver.solve()[0] is status
+
+    @settings(max_examples=100, deadline=None)
+    @given(clauses=_clauses_strategy())
+    def test_enumeration_finds_every_model_once(self, clauses):
+        solver = DPLLSolver(variable_count=6)
+        solver.add_clauses(clauses)
+        found = [
+            tuple(model[variable] for variable in range(1, 7))
+            for model in solver.iterate_models(relevant_variables=range(1, 7))
+        ]
+        assert sorted(found) == sorted(_brute_force_models(clauses))
 
 
 class TestModelEnumeration:

@@ -22,7 +22,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from repro.asp.control import Control
-from repro.asp.grounding.grounder import GroundingCache, RulePlan
+from repro.asp.grounding.grounder import RulePlan
 from repro.asp.syntax.parser import parse_program
 from repro.programs.traffic import INPUT_PREDICATES, traffic_program, traffic_program_prime
 from repro.streaming.format import DataFormatProcessor
@@ -216,23 +216,21 @@ def test_generated_negation_matches_the_oracle(stratified, data):
 
 @settings(max_examples=50, deadline=None)
 @given(data=st.data())
-def test_slides_on_one_grounding_track_match_the_oracle(data):
-    """Every window of a slide sequence solved on one grounding track.
+def test_slides_over_one_program_match_the_oracle(data):
+    """Every window of a slide sequence, solved over one shared program.
 
-    The track serves a window equal to its predecessor from the held
-    ground program and regrounds any other, so this checks the sliding
-    path (repeated windows included) against the oracle.
+    Only the program's compiled :class:`RulePlan` carries from one window
+    to the next: each window is grounded and solved from scratch, repeated
+    windows included.
     """
     program = parse_program(data.draw(negation_programs(False), label="program"))
     windows = data.draw(st.lists(st.sets(st.sampled_from(EDB_POOL)), min_size=2, max_size=4), label="windows")
     expected = [stable_models(program, sorted(facts, key=str)) for facts in windows]
     assume(all(models is not None for models in expected))
-    cache = GroundingCache()
+    plan = program.derived(RulePlan)
     for facts, models in zip(windows, expected):
-        control = Control(program, grounding_cache=cache, delta_track=0)
-        control.add_facts(sorted(facts, key=str))
-        assert {frozenset(model.atoms) for model in control.solve().models} == models
-    assert cache.hits + cache.misses == len(windows)
+        assert control_models(program, sorted(facts, key=str)) == models
+    assert program.derived(RulePlan) is plan
 
 
 def mixed_strata_text(rng):
@@ -267,17 +265,13 @@ MIXED_POOL = [make_atom(predicate, value) for predicate in ("n", "m") for value 
 @settings(max_examples=100, deadline=None)
 @given(st.randoms(use_true_random=False), st.lists(st.sets(st.sampled_from(MIXED_POOL)), min_size=1, max_size=3))
 def test_mixed_strata_match_the_oracle(rng, windows):
-    """A fresh control and one grounding track, window by window, against the oracle."""
+    """A fresh control per window, against the oracle."""
     program = parse_program(mixed_strata_text(rng))
-    cache = GroundingCache()
     for facts in windows:
         facts = sorted(facts, key=str)
         expected = stable_models(program, facts)
         assert expected is not None
         assert control_models(program, facts) == expected
-        control = Control(program, grounding_cache=cache, delta_track=0)
-        control.add_facts(facts)
-        assert {frozenset(model.atoms) for model in control.solve().models} == expected
 
 
 def test_mixed_strata_draw_several_models():

@@ -238,7 +238,7 @@ class TestChaos:
                 deltas = list(window_policy.deltas(stream))
                 third = len(deltas) // 3
                 actual = [
-                    {frozenset(a) for a in session.evaluate_window(list(d.window), delta=d).answers}
+                    {frozenset(a) for a in session.evaluate_window(list(d.window)).answers}
                     for d in deltas[:third]
                 ]
                 fleet = backend.fleet
@@ -247,7 +247,7 @@ class TestChaos:
                 for worker in workers[:2]:
                     worker.terminate()
                 actual += [
-                    {frozenset(a) for a in session.evaluate_window(list(d.window), delta=d).answers}
+                    {frozenset(a) for a in session.evaluate_window(list(d.window)).answers}
                     for d in deltas[third : 2 * third]
                 ]
                 assert fleet.reroutes > 0
@@ -261,7 +261,7 @@ class TestChaos:
 
                 # --- the regained workers serve the rest of the stream
                 actual += [
-                    {frozenset(a) for a in session.evaluate_window(list(d.window), delta=d).answers}
+                    {frozenset(a) for a in session.evaluate_window(list(d.window)).answers}
                     for d in deltas[2 * third :]
                 ]
                 assert session.fallbacks == 0  # inline never ran

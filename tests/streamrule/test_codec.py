@@ -245,7 +245,7 @@ class TestEquivalence:
             reasoner = Reasoner(traffic_program(), INPUT_PREDICATES, EVENT_PREDICATES)
             with StreamSession(reasoner, partitioner=partitioner, backend=backend) as session:
                 actual = [
-                    {frozenset(a) for a in session.evaluate_window(list(delta.window), delta=delta).answers}
+                    {frozenset(a) for a in session.evaluate_window(list(delta.window)).answers}
                     for delta in window_policy.deltas(stream)
                 ]
                 assert session.fallbacks == 0
@@ -257,9 +257,7 @@ class TestEquivalence:
                 client = await AsyncWorkerClient.connect(server.address, encode_reasoner_spec(choice_reasoner()))
                 try:
                     first = await client.submit_item(work_item(3, epoch=0))
-                    second = await client.submit_item(
-                        WorkItem(facts=work_item(3).facts, track=0, epoch=1, incremental=True)
-                    )
+                    second = await client.submit_item(WorkItem(facts=work_item(3).facts, track=0, epoch=1))
                 finally:
                     await client.close()
                 return first, second

@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import asyncio
 import pickle
+import struct
 
 import pytest
 from hypothesis import given, settings
@@ -88,7 +89,7 @@ def window_sequences(draw):
             window = sorted(window, key=lambda fact: fact.predicate)
         elif shape == "shuffle":
             window = draw(st.permutations(window))
-        items.append(WorkItem(facts=tuple(window), track=track, epoch=epoch, incremental=draw(st.booleans())))
+        items.append(WorkItem(facts=tuple(window), track=track, epoch=epoch))
     return items
 
 
@@ -102,8 +103,6 @@ metrics = st.builds(
     partition_sizes=st.lists(counts, max_size=4),
     answer_count=counts,
     duplication_ratio=finite,
-    cache_hits=counts,
-    cache_misses=counts,
     evaluation_wall_seconds=st.one_of(st.none(), finite),
     worker_wall_seconds=st.lists(finite, max_size=4),
 )
@@ -134,9 +133,29 @@ class TestRoundTrip:
     def test_every_work_item_is_rebuilt_exactly(self, items):
         shipper, decoder = DeltaShipper(), DeltaDecoder()
         for item in items:
-            rebuilt = ship(shipper, decoder, item)
+            rebuilt = None
+            for kind, payload in shipper.encode_frames(item):
+                if kind is FrameKind.SYMBOLS:
+                    decoder.apply_symbols(payload)
+                else:
+                    # Protocol 4: the WORK header is (track, epoch) and nothing else.
+                    assert payload[:16] == struct.pack("<qq", item.track, item.epoch)
+                    rebuilt = decoder.decode(payload)
             assert rebuilt == item
-            assert type(rebuilt.incremental) is bool
+
+    @pytest.mark.parametrize(
+        "track, epoch", [(0, 0), (3, 17), (2**40, 2**62)], ids=["zero", "small", "past-u32"]
+    )
+    def test_the_work_header_is_track_and_epoch(self, track, epoch):
+        """Protocol 4: sixteen header bytes, then the id runs (protocol 3 had a flag byte between)."""
+        item = WorkItem(facts=(Atom("item", (Constant(1),)),), track=track, epoch=epoch)
+        [(_, symbols), (kind, payload)] = DeltaShipper().encode_frames(item)
+        assert kind is FrameKind.WORK
+        assert payload[:16] == struct.pack("<qq", track, epoch)
+        assert payload[16:] == struct.pack("<BI", 0, 1) + struct.pack("<I", 0)  # one literal run: id 0
+        decoder = DeltaDecoder()
+        decoder.apply_symbols(symbols)
+        assert decoder.decode(payload) == item
 
     @given(sequence=st.lists(results, min_size=1, max_size=5))
     @settings(max_examples=100, deadline=None)
@@ -146,12 +165,20 @@ class TestRoundTrip:
             assert decoder.decode(encoder.encode(result)) == result
 
     def test_retired_solver_counters_from_an_older_worker_are_ignored(self):
-        record = encode_metrics(ReasonerMetrics(3, 0.5, cache_hits=1))
+        record = encode_metrics(ReasonerMetrics(3, 0.5, answer_count=1))
         assert not {"assumption_resolves", "solver_full_solves", "encoding_repairs"} & set(record)
         record.update(assumption_resolves=2, solver_full_solves=1, encoding_repairs=4, solver_strata_reused=7)
         decoded = decode_metrics(record)
-        assert decoded == ReasonerMetrics(3, 0.5, cache_hits=1)
+        assert decoded == ReasonerMetrics(3, 0.5, answer_count=1)
         assert decoded.assumption_resolves == decoded.solver_full_solves == 0
+
+    def test_retired_cache_counters_from_an_older_worker_are_ignored(self):
+        record = encode_metrics(ReasonerMetrics(3, 0.5, answer_count=1))
+        assert not {"cache_hits", "cache_misses"} & set(record)
+        record.update(cache_hits=1, cache_misses=2)
+        decoded = decode_metrics(record)
+        assert decoded == ReasonerMetrics(3, 0.5, answer_count=1)
+        assert decoded.cache_hits == 0
 
     def test_no_data_frame_decode_unpickles(self, monkeypatch):
         """Data frames, answer results and control frames decode without ``pickle.loads``."""
@@ -168,8 +195,8 @@ class TestRoundTrip:
         encoded = ResultEncoder().encode_failure(KeyError("k"))
         failure = ResultDecoder("w").decode(encoded)
         assert type(failure) is BackendError
-        welcome = b'{"protocol": 3, "nonce": "abc"}'
-        assert parse_welcome_fields(FrameKind.WELCOME, welcome, ("h", 1)) == {"protocol": 3, "nonce": "abc"}
+        welcome = b'{"protocol": 4, "nonce": "abc"}'
+        assert parse_welcome_fields(FrameKind.WELCOME, welcome, ("h", 1)) == {"protocol": 4, "nonce": "abc"}
         with pytest.raises(ProtocolError):
             loads_json(pickle.dumps({"protocol": 3}))
 

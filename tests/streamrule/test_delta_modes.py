@@ -1,11 +1,11 @@
-"""Cross-backend equivalence under delta-grounding.
+"""Cross-backend equivalence of windowed streams.
 
-Acceptance contract of the delta path: for every windowed stream, the
-answer sets produced with delta-grounding enabled (sliding-window deltas
-threaded down to per-partition incremental grounding) are identical to the
-ground-from-scratch answer sets, on every execution backend.  The delta
-machinery may change *how* a window is grounded (exact hit or reground on
-the partition's track) but never *what* the window answers.  Every
+Every window is grounded and solved from scratch wherever it runs, but the
+backends move it differently: the worker-process and TCP backends ship a
+sliding window's partitions as copy runs over the same track's previous
+window (delta shipping), the pipelined ones dispatch windows ahead of the
+gather point.  Acceptance contract: for every windowed stream, every
+backend answers exactly like serial inline evaluation.  Every
 dependency-plan comparison first checks that the reference raises events,
 so a backend that loses answers fails; the hash-partitioned ones cannot
 (see ``PARTITIONINGS``).
@@ -15,9 +15,8 @@ from __future__ import annotations
 
 import pytest
 
-from repro.asp.grounding.grounder import GroundingCache
 from repro.asp.syntax.parser import parse_program
-from repro.core.partitioner import DependencyPartitioner, HashPartitioner, RandomPartitioner
+from repro.core.partitioner import DependencyPartitioner, HashPartitioner
 from repro.programs.traffic import EVENT_PREDICATES, INPUT_PREDICATES, traffic_program, traffic_program_prime
 from repro.streaming.window import CountWindow, TimeWindow
 from repro.streamrule.backends import (
@@ -30,7 +29,7 @@ from repro.streamrule.session import StreamSession
 from tests.conftest import make_atom
 from tests.streamrule.conftest import MATRIX_TOKEN, InThreadTcpBackend, eventful_traffic_stream
 
-#: The backends of the delta-equivalence matrix (name -> factory).  ``tcp``
+#: The backends of the equivalence matrix (name -> factory).  ``tcp``
 #: and ``tcp-token`` ship the same id-run work frames, the latter behind the
 #: shared-token ``AUTH`` handshake; ``processes`` ships them to local worker
 #: processes over socket pairs.
@@ -44,9 +43,9 @@ BACKEND_FACTORIES = {
 }
 
 #: Every row of the matrix: (entry point, backend name).  ``evaluate_window`` hands
-#: the session each window together with its delta; ``process`` lets the
-#: session cut the windows and thread their deltas itself (dispatching ahead
-#: of the gather point on pipelined backends).
+#: the session each window, cut by the caller; ``process`` lets the session cut
+#: the windows itself (dispatching ahead of the gather point on pipelined
+#: backends).
 RUNNERS = [(entry, name) for entry in ("evaluate_window", "process") for name in BACKEND_FACTORIES]
 
 
@@ -64,22 +63,19 @@ def answer_sets(answers):
     return {frozenset(answer) for answer in answers}
 
 
-def cached_reasoner(program=None):
-    return Reasoner(
-        program or traffic_program(), INPUT_PREDICATES, EVENT_PREDICATES, grounding_cache=GroundingCache()
-    )
+def traffic_reasoner(program=None):
+    return Reasoner(program or traffic_program(), INPUT_PREDICATES, EVENT_PREDICATES)
 
 
 def scratch_answers_per_window(window_policy, stream, partitioner, program=None, expect_events=True):
-    """Reference: every window evaluated serially inline without any cache.
+    """Reference: every window evaluated serially inline, one at a time.
 
     With ``expect_events`` it asserts that the reference raises both kinds
     of event, so the exact match it is compared with is not a match of
     empty answer sets.
     """
-    reasoner = Reasoner(program or traffic_program(), INPUT_PREDICATES, EVENT_PREDICATES)
     with StreamSession(
-        reasoner, partitioner=partitioner, backend=InlineBackend(simulated=False)
+        traffic_reasoner(program), partitioner=partitioner, backend=InlineBackend(simulated=False)
     ) as session:
         expected = [
             {frozenset(answer) for answer in session.evaluate_window(list(window)).answers}
@@ -101,18 +97,15 @@ PARTITIONINGS = {
 }
 
 
-def delta_answers_per_window(window_policy, stream, partitioner, runner, reasoner=None):
-    """Delta path: every window evaluated with its slide delta and a cache."""
+def answers_per_window(window_policy, stream, partitioner, runner, reasoner=None):
+    """Every window of the stream through the runner's entry point and backend."""
     entry, name = runner
-    reasoner = reasoner or cached_reasoner()
+    reasoner = reasoner or traffic_reasoner()
     if entry == "process":
         with make_session(reasoner, partitioner, name, window=window_policy) as session:
             return [answer_sets(solution.answers) for solution in session.process(stream)]
     with make_session(reasoner, partitioner, name) as session:
-        return [
-            answer_sets(session.evaluate_window(list(delta.window), delta=delta).answers)
-            for delta in window_policy.deltas(stream)
-        ]
+        return [answer_sets(session.evaluate_window(list(window)).answers) for window in window_policy.windows(stream)]
 
 
 class TestSlidingWindowEquivalence:
@@ -124,19 +117,19 @@ class TestSlidingWindowEquivalence:
         window_policy = CountWindow(size=80, slide=30)
         partitioner = DependencyPartitioner(plan_p)
         expected = scratch_answers_per_window(window_policy, stream, partitioner)
-        actual = delta_answers_per_window(window_policy, stream, partitioner, runner)
+        actual = answers_per_window(window_policy, stream, partitioner, runner)
         assert actual == expected
 
     @pytest.mark.parametrize("runner", RUNNERS, ids=runner_id)
     def test_count_window_overlapping_partitions(self, plan_p_prime, runner):
         # The P' plan copies the atoms rule r7 joins across into both
-        # partitions, so one fact rides two tracks' deltas.
+        # partitions, so one fact rides two tracks' copy runs.
         stream = eventful_traffic_stream(180)
         window_policy = CountWindow(size=60, slide=20)
         partitioner = DependencyPartitioner(plan_p_prime)
         program = traffic_program_prime()
         expected = scratch_answers_per_window(window_policy, stream, partitioner, program)
-        actual = delta_answers_per_window(window_policy, stream, partitioner, runner, cached_reasoner(program))
+        actual = answers_per_window(window_policy, stream, partitioner, runner, traffic_reasoner(program))
         assert actual == expected
 
     @pytest.mark.parametrize("runner", RUNNERS, ids=runner_id)
@@ -146,7 +139,7 @@ class TestSlidingWindowEquivalence:
         window_policy = CountWindow(size=60, slide=20)
         partitioner = HashPartitioner(3)
         expected = scratch_answers_per_window(window_policy, stream, partitioner, expect_events=False)
-        actual = delta_answers_per_window(window_policy, stream, partitioner, runner)
+        actual = answers_per_window(window_policy, stream, partitioner, runner)
         assert actual == expected
 
     @pytest.mark.parametrize("runner", RUNNERS, ids=runner_id)
@@ -155,29 +148,8 @@ class TestSlidingWindowEquivalence:
         window_policy = TimeWindow(duration=50.0, slide=20.0)
         partitioner = DependencyPartitioner(plan_p)
         expected = scratch_answers_per_window(window_policy, stream, partitioner)
-        actual = delta_answers_per_window(window_policy, stream, partitioner, runner)
+        actual = answers_per_window(window_policy, stream, partitioner, runner)
         assert actual == expected
-
-    def test_random_partitioner_ignores_delta_hint(self):
-        # Random layouts reshuffle between windows; the delta hint must be
-        # ignored (no partition-level continuity) yet answers stay equal to
-        # the same partitioner's non-delta evaluation under a fixed seed.
-        stream = eventful_traffic_stream(120)
-        window_policy = CountWindow(size=40, slide=15)
-        reasoner = cached_reasoner()
-        with make_session(reasoner, RandomPartitioner(3, seed=5), "inline-serial") as session:
-            results = [
-                session.evaluate_window(list(delta.window), delta=delta) for delta in window_policy.deltas(stream)
-            ]
-        with_delta = [{frozenset(answer) for answer in result.answers} for result in results]
-        assert reasoner.grounding_cache.statistics()["delta_states"] == 0.0  # no track was opened
-        plain = Reasoner(traffic_program(), INPUT_PREDICATES, EVENT_PREDICATES)
-        with make_session(plain, RandomPartitioner(3, seed=5), "inline-serial") as session:
-            without_delta = [
-                {frozenset(answer) for answer in session.evaluate_window(list(window)).answers}
-                for window in window_policy.windows(stream)
-            ]
-        assert with_delta == without_delta
 
 
 class TestNonStratifiedDeltaEquivalence:
@@ -200,21 +172,22 @@ dropped(X) :- item(X), not picked(X).
             for window in window_policy.windows(stream)
         ]
 
-        cached = Reasoner(program, input_predicates=["item"], grounding_cache=GroundingCache())
+        reasoner = Reasoner(program, input_predicates=["item"])
         assert all(answers and all(answers) for answers in expected)  # picks in every window
-        combined = delta_answers_per_window(window_policy, stream, HashPartitioner(2), runner, reasoner=cached)
+        combined = answers_per_window(window_policy, stream, HashPartitioner(2), runner, reasoner=reasoner)
         # Partition-combined answers for a single-predicate choice program
         # coincide with the unpartitioned ones (no cross-partition joins).
         assert combined == expected
 
 
 class TestBackendWindowKindEquivalence:
-    """Acceptance matrix: backends x {tumbling, sliding, hopping} x delta on/off.
+    """Acceptance matrix: backends x {tumbling, sliding, hopping} x {caller-cut, pushed}.
 
     Identical answer sets for inline (serial and simulated), threads,
-    local worker processes and TCP backends on every window kind, with the
-    delta path enabled and disabled, under P's dependency plan and under
-    hash partitioning.
+    local worker processes and TCP backends on every window kind, whether
+    the caller cuts the windows (``evaluate_window``) or the session cuts a
+    pushed stream (``push``, dispatching ahead on pipelined backends), under
+    P's dependency plan and under hash partitioning.
     """
 
     pytestmark = pytest.mark.slow
@@ -227,9 +200,9 @@ class TestBackendWindowKindEquivalence:
 
     @pytest.mark.parametrize("backend_name", sorted(BACKEND_FACTORIES), ids=str)
     @pytest.mark.parametrize("window_kind", sorted(WINDOW_SCENARIOS), ids=str)
-    @pytest.mark.parametrize("use_delta", [True, False], ids=["delta", "no-delta"])
+    @pytest.mark.parametrize("entry", ["push", "evaluate_window"], ids=str)
     @pytest.mark.parametrize("partitioning", sorted(PARTITIONINGS), ids=str)
-    def test_backend_equivalence(self, plan_p, partitioning, backend_name, window_kind, use_delta):
+    def test_backend_equivalence(self, plan_p, partitioning, backend_name, window_kind, entry):
         stream = eventful_traffic_stream(200)
         window_policy = self.WINDOW_SCENARIOS[window_kind]
         partitioner = PARTITIONINGS[partitioning](plan_p)
@@ -237,66 +210,33 @@ class TestBackendWindowKindEquivalence:
             window_policy, stream, partitioner, expect_events=partitioning == "plan"
         )
         backend = BACKEND_FACTORIES[backend_name](2)
-        with StreamSession(cached_reasoner(), partitioner=partitioner, backend=backend) as session:
-            if use_delta:
-                actual = [
-                    {frozenset(a) for a in session.evaluate_window(list(delta.window), delta=delta).answers}
-                    for delta in window_policy.deltas(stream)
-                ]
+        window = window_policy if entry == "push" else None
+        with StreamSession(traffic_reasoner(), window=window, partitioner=partitioner, backend=backend) as session:
+            if entry == "push":
+                session.push(stream)
+                session.finish()
+                actual = [answer_sets(solution.answers) for solution in session.results()]
             else:
-                actual = [
-                    {frozenset(a) for a in session.evaluate_window(list(window)).answers}
-                    for window in window_policy.windows(stream)
-                ]
+                actual = [answer_sets(session.evaluate_window(list(cut)).answers) for cut in window_policy.windows(stream)]
         assert actual == expected
 
 
-class TestDeltaMetricsFlow:
-    def test_pipeline_reports_track_rebuilds_and_hits(self):
-        stream = eventful_traffic_stream(200)
-        cache = GroundingCache()
-        reasoner = Reasoner(
-            traffic_program(), INPUT_PREDICATES, EVENT_PREDICATES, grounding_cache=cache
-        )
-        with StreamSession(reasoner, window=CountWindow(size=80, slide=20)) as session:
-            solutions = list(session.process(stream))
-        assert len(solutions) >= 5
-        rebuilds = sum(solution.metrics.cache_misses for solution in solutions)
-        hits = sum(solution.metrics.cache_hits for solution in solutions)
-        assert rebuilds + hits == len(solutions)  # one outcome per window
-        assert rebuilds >= 2  # sliding windows change, so they are regrounded
-        statistics = cache.statistics()
-        assert (statistics["misses"], statistics["hits"]) == (rebuilds, hits)
-        # The first window has no predecessor and goes through the LRU memo.
-        assert statistics["delta_rebuilds"] == rebuilds - 1
-        assert statistics["delta_states"] == 1.0
-        assert all(solution.metrics.delta_repairs == solution.metrics.repair_size == 0 for solution in solutions)
+class TestMetricsFlow:
+    pytestmark = pytest.mark.slow  # the processes row spawns worker processes
 
-    def test_tumbling_pipeline_stays_on_exact_cache_path(self):
-        stream = eventful_traffic_stream(200)
-        cache = GroundingCache()
-        reasoner = Reasoner(
-            traffic_program(), INPUT_PREDICATES, EVENT_PREDICATES, grounding_cache=cache
-        )
-        with StreamSession(reasoner, window=CountWindow(size=50)) as session:
-            solutions = list(session.process(stream))
-        # Tumbling windows carry nothing over: no track is opened.
-        assert all(solution.metrics.cache_misses + solution.metrics.cache_hits == 1 for solution in solutions)
-        assert cache.statistics()["delta_states"] == 0.0
-        assert cache.statistics()["delta_rebuilds"] == 0.0
-
-    def test_parallel_metrics_aggregate_track_outcomes(self, plan_p):
+    @pytest.mark.parametrize("backend_name", sorted(BACKEND_FACTORIES), ids=str)
+    def test_every_partition_of_every_window_is_grounded(self, plan_p, backend_name):
+        """No window is served from anything kept: each evaluated partition is
+        grounded and solved wherever it runs (a worker's times travel back in
+        its result), and the retired counters read 0."""
         stream = eventful_traffic_stream(200)
         window_policy = CountWindow(size=80, slide=20)
-        reasoner = cached_reasoner()
-        with make_session(reasoner, DependencyPartitioner(plan_p), "inline-serial") as session:
-            results = [
-                session.evaluate_window(list(delta.window), delta=delta) for delta in window_policy.deltas(stream)
-            ]
+        with make_session(traffic_reasoner(), DependencyPartitioner(plan_p), backend_name) as session:
+            results = [session.evaluate_window(list(window)) for window in window_policy.windows(stream)]
+        assert len(results) >= 5
         for result in results:
-            # One outcome per evaluated partition, summed over the window's partitions.
-            assert result.metrics.cache_hits + result.metrics.cache_misses == len(result.partition_results)
-        statistics = reasoner.grounding_cache.statistics()
-        assert statistics["delta_states"] > 1.0  # one track per partition
-        assert statistics["delta_rebuilds"] > 0.0
-        assert sum(result.metrics.cache_misses for result in results) == statistics["misses"]
+            assert len(result.metrics.worker_wall_seconds) == len(result.partition_results) >= 2
+            for partition in result.partition_results:
+                assert partition.metrics.breakdown.grounding_seconds > 0.0
+                assert partition.metrics.breakdown.solving_seconds > 0.0
+            assert result.metrics.cache_hits == result.metrics.delta_repairs == result.metrics.repair_size == 0

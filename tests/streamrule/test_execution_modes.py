@@ -20,7 +20,6 @@ from __future__ import annotations
 
 import pytest
 
-from repro.asp.grounding.grounder import GroundingCache
 from repro.asp.syntax.parser import parse_program
 from repro.core.partitioner import DependencyPartitioner, HashPartitioner, Partitioner
 from repro.programs.traffic import EVENT_PREDICATES, INPUT_PREDICATES
@@ -223,11 +222,7 @@ class TestEdgeCases:
         assert len(result.metrics.partition_sizes) == 12
 
     def test_process_workers_persist_across_windows(self, program_p, plan_p, motivating_window):
-        # A *cached* reasoner: each worker inherits its own fresh cache, so
-        # the repeated window must be served from worker-side cache hits.
-        reasoner = Reasoner(
-            program_p, INPUT_PREDICATES, EVENT_PREDICATES, grounding_cache=GroundingCache()
-        )
+        reasoner = Reasoner(program_p, INPUT_PREDICATES, EVENT_PREDICATES)
         backend = ProcessBackend(max_workers=1)
         with StreamSession(reasoner, partitioner=DependencyPartitioner(plan_p), backend=backend) as session:
             first = session.evaluate_window(motivating_window)
@@ -235,25 +230,16 @@ class TestEdgeCases:
             slots = backend.slots
             assert slots is not None and len(slots) == 1
             pids = [slot.process.pid for slot in slots]
+            symbol_frames = backend.transport_statistics()["symbol_frames"]
+            assert symbol_frames >= 1
             second = session.evaluate_window(motivating_window)
             assert backend.slots is slots  # reused, not rebuilt
             assert [slot.process.pid for slot in slots] == pids  # same worker processes
             assert {frozenset(a) for a in first.answers} == {frozenset(a) for a in second.answers}
-            # The single worker's grounding cache serves the repeated window.
-            assert second.metrics.cache_hits == len(second.partition_results)
+            # The persistent worker's connection still knows every symbol of
+            # the first window: the repeat ships no SYMBOLS frame.
+            assert backend.transport_statistics()["symbol_frames"] == symbol_frames
         assert backend.slots is None  # context exit shut the workers down
-
-    def test_uncached_reasoner_stays_uncached_in_workers(self, event_reasoner_p, plan_p, motivating_window):
-        # Workers inherit the parent's cache *configuration*: no cache on the
-        # parent means no hidden caching in worker processes either, keeping
-        # cross-backend latency comparisons honest.
-        with StreamSession(
-            event_reasoner_p, partitioner=DependencyPartitioner(plan_p), backend=ProcessBackend(max_workers=1)
-        ) as session:
-            session.evaluate_window(motivating_window)
-            repeat = session.evaluate_window(motivating_window)
-        assert repeat.metrics.cache_hits == 0
-        assert repeat.metrics.cache_misses == 0
 
     def test_close_is_idempotent_and_pool_recreates(self, event_reasoner_p, plan_p, motivating_window):
         session = StreamSession(

@@ -16,7 +16,6 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from repro.asp.grounding.grounder import GroundingCache
 from repro.asp.syntax.atoms import Atom
 from repro.asp.syntax.terms import Constant
 from repro.core import DependencyPartitioner, build_input_dependency_graph, decompose
@@ -97,7 +96,6 @@ def make_session(policy, backend, **kwargs):
         backend=backend,
         input_predicates=INPUT_PREDICATES,
         output_predicates=EVENT_PREDICATES,
-        grounding_cache=GroundingCache(),
         query_processor=StreamQueryProcessor(set(INPUT_PREDICATES)),
         **kwargs,
     )

@@ -230,7 +230,7 @@ class TestDataPlaneCodec:
         stream = traffic_stream(120)
         shipper, decoder = DeltaShipper(), DeltaDecoder()
         for delta in CountWindow(size=40, slide=10).deltas(stream):
-            item = WorkItem(facts=tuple(delta.window), incremental=delta.carries_over, track=2, epoch=delta.index)
+            item = WorkItem(facts=tuple(delta.window), track=2, epoch=delta.index)
             kinds, rebuilt = pump(shipper, decoder, item)
             assert kinds[-1] is FrameKind.WORK
             assert rebuilt == item
@@ -241,7 +241,7 @@ class TestDataPlaneCodec:
         shipper = DeltaShipper()
         sizes = {False: [], True: []}
         for delta in CountWindow(size=150, slide=25).deltas(stream):
-            item = WorkItem(facts=tuple(delta.window), incremental=delta.carries_over, track=0, epoch=delta.index)
+            item = WorkItem(facts=tuple(delta.window), track=0, epoch=delta.index)
             kind, payload = shipper.encode_frames(item)[-1]
             sizes[shipper.copied].append(len(payload))
         assert len(sizes[False]) == 1  # only the first window ships full
@@ -255,7 +255,7 @@ class TestDataPlaneCodec:
         shipper = DeltaShipper()
         copied = []
         for delta in CountWindow(size=40).deltas(stream):
-            item = WorkItem(facts=tuple(delta.window), incremental=delta.carries_over, track=0, epoch=delta.index)
+            item = WorkItem(facts=tuple(delta.window), track=0, epoch=delta.index)
             shipper.encode_frames(item)
             copied.append(shipper.copied)
         assert not any(copied)
@@ -327,7 +327,7 @@ class TestDataPlaneWire:
             with WorkerClient(server.address, encode_reasoner_spec(reasoner)) as client:
                 inline = Reasoner(traffic_program(), INPUT_PREDICATES, EVENT_PREDICATES)
                 for delta in CountWindow(size=30, slide=10).deltas(stream):
-                    item = WorkItem(facts=tuple(delta.window), incremental=delta.carries_over, epoch=delta.index)
+                    item = WorkItem(facts=tuple(delta.window), epoch=delta.index)
                     over_the_wire = client.submit_item(item)
                     local = inline.reason_item(item)
                     assert set(over_the_wire.answers) == set(local.answers)
@@ -365,14 +365,14 @@ class TestHandshake:
                 assert client.submit_item(work_item()).answers
 
     def test_hello_and_welcome_name_only_the_protocol(self):
-        assert _json_hello() == b'{"protocol":3}'
+        assert _json_hello() == b'{"protocol":4}'
         client, server = socket.socketpair()
         try:
             client.settimeout(10.0)
             client.sendall(MAGIC + frame_bytes(FrameKind.HELLO, _json_hello()))
             with ThreadPoolExecutor(max_workers=1) as pool:
                 served = pool.submit(serve_worker_connection, server)
-                assert recv_frame(client) == (FrameKind.WELCOME, b'{"protocol":3}')
+                assert recv_frame(client) == (FrameKind.WELCOME, b'{"protocol":4}')
                 client.shutdown(socket.SHUT_WR)  # hang up before the REASONER
                 assert served.result(timeout=10.0).rejected is None
         finally:
@@ -463,6 +463,14 @@ REFUSALS = {
         ),
         {},
         f"protocol 2 != {PROTOCOL_VERSION}",
+        [FrameKind.REJECT],
+        _reject_payload("protocol version mismatch"),
+    ),
+    "version-3 peer": (
+        # Version 3 still sent the WORK header's incremental flag.
+        MAGIC + frame_bytes(FrameKind.HELLO, _compact_json({"protocol": 3})),
+        {},
+        f"protocol 3 != {PROTOCOL_VERSION}",
         [FrameKind.REJECT],
         _reject_payload("protocol version mismatch"),
     ),
@@ -563,11 +571,14 @@ class TestServerRefusals:
             assert frames[-1] == (FrameKind.REJECT, reject_payload)
 
 
-_NO_RUNS = struct.pack("<qqB", 0, 0, 0)  # track 0, epoch 0, not incremental
+_NO_RUNS = struct.pack("<qq", 0, 0)  # track 0, epoch 0
 
 #: Data frames a server must refuse after the handshake: (frame kind, payload).
 MALFORMED_FRAMES = {
     "short WORK header": (FrameKind.WORK, b"\x00" * 5),
+    # Protocol 3's header carried an incremental flag byte: to a version 4
+    # server that byte is the start of a truncated id run.
+    "protocol 3 WORK header": (FrameKind.WORK, struct.pack("<qqB", 0, 0, 1)),
     "unknown run kind": (FrameKind.WORK, _NO_RUNS + struct.pack("<BI", 7, 0)),
     "literal run past the payload": (FrameKind.WORK, _NO_RUNS + struct.pack("<BI", 0, 3) + b"\x00" * 4),
     "id no SYMBOLS frame introduced": (FrameKind.WORK, _NO_RUNS + struct.pack("<BII", 0, 1, 5)),
@@ -826,7 +837,7 @@ class TestWorkerDeath:
                 for index, delta in enumerate(window.deltas(stream)):
                     if index == 2:
                         first.stop()  # one worker dies mid-stream
-                    result = session.evaluate_window(list(delta.window), delta=delta)
+                    result = session.evaluate_window(list(delta.window))
                     solutions.append({frozenset(answer) for answer in result.answers})
                 # No window lost, none duplicated, all answers exact.
                 assert len(solutions) == len(expected)
@@ -853,10 +864,10 @@ class TestWorkerDeath:
             reasoner = Reasoner(traffic_program(), INPUT_PREDICATES, EVENT_PREDICATES)
             with StreamSession(reasoner, partitioner=partitioner, backend=backend) as session:
                 deltas = list(window.deltas(stream))
-                session.evaluate_window(list(deltas[0].window), delta=deltas[0])
+                session.evaluate_window(list(deltas[0].window))
                 for server in servers:
                     server.stop()  # the whole fleet goes dark
-                result = session.evaluate_window(list(deltas[1].window), delta=deltas[1])
+                result = session.evaluate_window(list(deltas[1].window))
                 assert result.answers  # the stream kept flowing...
                 assert session.fallbacks > 0  # ...on inline evaluation
                 assert backend.fleet.alive_endpoints == []
@@ -1032,7 +1043,7 @@ class TestWireStatistics:
             reasoner = Reasoner(traffic_program(), INPUT_PREDICATES, EVENT_PREDICATES)
             with StreamSession(reasoner, partitioner=HashPartitioner(2), backend=backend) as session:
                 for delta in window.deltas(stream):
-                    session.evaluate_window(list(delta.window), delta=delta)
+                    session.evaluate_window(list(delta.window))
             stats = backend.transport_statistics()  # final snapshot survives close
         assert stats["items_delta"] > stats["items_full"]
         assert stats["bytes_delta"] / stats["items_delta"] < stats["bytes_full"] / stats["items_full"]
@@ -1045,7 +1056,7 @@ class TestWireStatistics:
             reasoner = Reasoner(traffic_program(), INPUT_PREDICATES, EVENT_PREDICATES)
             with StreamSession(reasoner, backend=backend) as session:
                 for delta in window.deltas(stream):
-                    session.evaluate_window(list(delta.window), delta=delta)
+                    session.evaluate_window(list(delta.window))
             stats = backend.transport_statistics()
         assert stats["items_delta"] == 0
         assert stats["items_full"] > 0

@@ -22,7 +22,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bench_e2e.programs import search_program
-from repro.asp.grounding.grounder import GroundingCache
 from repro.asp.syntax.atoms import Atom
 from repro.asp.syntax.parser import parse_program
 from repro.asp.syntax.program import Program
@@ -76,22 +75,30 @@ def test_every_shipped_program_parses_back_to_its_rules(name):
 @pytest.mark.parametrize("name", sorted(SHIPPED))
 def test_every_shipped_reasoner_answers_the_same_after_shipping(name):
     build, window = SHIPPED[name]
-    reasoner = Reasoner(build(), grounding_cache=GroundingCache(), max_models=8)
+    reasoner = Reasoner(build(), max_models=8)
     rebuilt = reasoner_from_spec(encode_reasoner_spec(reasoner))
     assert rebuilt.max_models == 8
-    assert rebuilt.grounding_cache is not None and rebuilt.grounding_cache is not reasoner.grounding_cache
     assert_ships_exactly(reasoner, window())
 
 
 def test_an_older_coordinators_solver_cache_flag_is_ignored():
     """Specs from before the solver cache was retired still carry its flag; workers accept them."""
-    reasoner = Reasoner(traffic_program(), grounding_cache=GroundingCache())
+    reasoner = Reasoner(traffic_program())
     spec = json.loads(encode_reasoner_spec(reasoner))
     assert "solver_cache" not in spec
     spec["solver_cache"] = True
     rebuilt = reasoner_from_spec(json.dumps(spec).encode())
     assert not hasattr(rebuilt, "solver_cache")
     assert_ships_exactly(rebuilt, motivating_example_window())
+
+
+def test_the_spec_is_the_program_its_predicates_and_its_model_limit():
+    """No cache flag travels: a worker grounds every window from scratch, like the coordinator."""
+    spec = json.loads(encode_reasoner_spec(Reasoner(traffic_program(), max_models=3)))
+    assert set(spec) == {"program", "name", "input_predicates", "output_predicates", "max_models"}
+    spec["grounding_cache"] = True  # a key protocol 3 peers sent
+    rebuilt = reasoner_from_spec(json.dumps(spec).encode())
+    assert not hasattr(rebuilt, "grounding_cache") and rebuilt.max_models == 3
 
 
 def test_a_query_server_union_program_ships_exactly():

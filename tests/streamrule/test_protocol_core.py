@@ -140,7 +140,7 @@ HANDSHAKE_FAILURES = [
         (FrameKind.REJECT, control(protocol=7, reason="protocol version mismatch")),
         None,
         HandshakeError,
-        "{worker} rejected the handshake: protocol version mismatch (worker protocol 7, ours 3)",
+        "{worker} rejected the handshake: protocol version mismatch (worker protocol 7, ours 4)",
     ),
     (
         "version-mismatch",
@@ -148,16 +148,16 @@ HANDSHAKE_FAILURES = [
         (FrameKind.WELCOME, control(protocol=99)),
         None,
         HandshakeError,
-        "{worker} speaks protocol 99, this client speaks 3",
+        "{worker} speaks protocol 99, this client speaks 4",
     ),
     (
-        # A version-1 daemon refuses a version-3 client.
+        # A version-1 daemon refuses a version-4 client.
         "version-1-daemon",
         {},
         (FrameKind.REJECT, control(protocol=1, reason="protocol version mismatch")),
         None,
         HandshakeError,
-        "{worker} rejected the handshake: protocol version mismatch (worker protocol 1, ours 3)",
+        "{worker} rejected the handshake: protocol version mismatch (worker protocol 1, ours 4)",
     ),
     (
         # So does a version-2 daemon, whichever codec it was started with.
@@ -166,7 +166,16 @@ HANDSHAKE_FAILURES = [
         (FrameKind.REJECT, control(protocol=2, reason="protocol version mismatch")),
         None,
         HandshakeError,
-        "{worker} rejected the handshake: protocol version mismatch (worker protocol 2, ours 3)",
+        "{worker} rejected the handshake: protocol version mismatch (worker protocol 2, ours 4)",
+    ),
+    (
+        # And a version-3 daemon, which still reads an incremental flag in every WORK header.
+        "version-3-daemon",
+        {},
+        (FrameKind.REJECT, control(protocol=3, reason="protocol version mismatch")),
+        None,
+        HandshakeError,
+        "{worker} rejected the handshake: protocol version mismatch (worker protocol 3, ours 4)",
     ),
     ("wrong-kind-for-welcome", {}, (FrameKind.PONG, b""), None, ProtocolError, "expected WELCOME, got PONG"),
     (
@@ -182,7 +191,7 @@ HANDSHAKE_FAILURES = [
         "invalid-reasoner",
         {},
         welcome(),
-        (FrameKind.REJECT, control(protocol=3, reason="invalid reasoner: ParseError: unexpected end of input")),
+        (FrameKind.REJECT, control(protocol=4, reason="invalid reasoner: ParseError: unexpected end of input")),
         HandshakeError,
         "{worker} rejected the handshake: invalid reasoner: ParseError: unexpected end of input",
     ),
@@ -220,7 +229,7 @@ class TestHandshakeCore:
         assert [kind for kind, _ in frames] == [FrameKind.HELLO, FrameKind.AUTH, FrameKind.REASONER]
         assert frames[2][1] == b"reasoner-bytes"
         assert connection.is_open
-        assert frames[0][1] == b'{"protocol":3}'
+        assert frames[0][1] == b'{"protocol":4}'
 
     def test_unknown_welcome_fields_are_ignored(self):
         connection = ClientConnection(ADDRESS)

@@ -2,9 +2,9 @@
 
 The load-bearing assertions mirror the subsystem's contract:
 
-* two queries sharing rules map onto ONE lane evaluation per window (shared
-  grounding-cache track), with *fewer grounding operations* than the same
-  queries in isolated sessions and *identical* projected answer sets;
+* two queries sharing rules map onto ONE lane evaluation per window, with
+  *fewer evaluations* (each one a grounding) than the same queries in
+  isolated sessions and *identical* projected answer sets;
 * the backend matrix (inline / threads / TCP / local worker processes)
   answers identically through the server;
 * mid-stream unregister narrows the fan-out without disturbing the
@@ -22,7 +22,6 @@ import urllib.request
 
 import pytest
 
-from repro.asp.grounding.grounder import GroundingCache
 from repro.asp.syntax.parser import parse_program
 from repro.programs import fraud as fraud_module
 from repro.programs import iot as iot_module
@@ -46,15 +45,7 @@ from repro.streamrule.server import (
     render_prometheus,
 )
 from repro.streamrule.session import StreamSession
-from tests.streamrule.conftest import InThreadTcpBackend
-
-
-def traffic_stream(length, seed=11):
-    return generate_window(
-        SyntheticStreamConfig(
-            window_size=length, input_predicates=INPUT_PREDICATES, scheme="traffic", seed=seed
-        )
-    )
+from tests.streamrule.conftest import InThreadTcpBackend, eventful_traffic_stream
 
 
 def fraud_stream(length, seed=12):
@@ -93,12 +84,7 @@ def isolated_answers(query, stream):
     inputs = query.effective_inputs()
     outputs = query.effective_outputs()
     slice_ = [item for item in stream if inputs is None or item.predicate in inputs]
-    session = StreamSession(
-        query.program,
-        window=query.window,
-        input_predicates=query.input_predicates,
-        grounding_cache=GroundingCache(),
-    )
+    session = StreamSession(query.program, window=query.window, input_predicates=query.input_predicates)
     session.push(slice_)
     session.finish()
     collected = []
@@ -111,8 +97,20 @@ def isolated_answers(query, stream):
     return collected
 
 
-def grounding_ops(statistics):
-    return statistics["misses"]  # every grounding not served as a hit
+class CountingBackend(InlineBackend):
+    """Inline evaluation that records every work item it evaluates.
+
+    Every item is grounded once, from scratch, so the count of evaluated
+    items is the count of groundings.
+    """
+
+    def __init__(self):
+        super().__init__()
+        self.items = []
+
+    def _submit(self, item):
+        self.items.append(item)
+        return super()._submit(item)
 
 
 class TestRegistry:
@@ -199,7 +197,7 @@ class TestFailedRegistration:
             assert server_state(server) == before
 
     def test_a_later_register_delivers_every_window(self, monkeypatch):
-        stream = traffic_stream(200)
+        stream = eventful_traffic_stream(200)
         query = traffic_query("city", size=40)
         with QueryServer() as server:
             monkeypatch.setattr(server, "_refresh_program", lambda: 1 / 0)
@@ -213,7 +211,7 @@ class TestFailedRegistration:
         assert delivered == isolated_answers(query, stream)
 
     def test_a_failed_rebuild_keeps_the_running_session(self, monkeypatch):
-        stream = traffic_stream(120)
+        stream = eventful_traffic_stream(120)
         query = traffic_query("city")
         with QueryServer() as server:
             subscription = server.register(query)
@@ -274,9 +272,39 @@ class TestConflictGate:
             assert summary["shared_rules"] >= summary["combined_rules"] * 0.5
 
 
+def assert_one_grounding_per_lane_window(queries, stream):
+    """Two queries that share a lane: the server grounds each lane window
+    once, half of what the two isolated sessions ground, with identical
+    projected answers."""
+    backend = CountingBackend()
+    with QueryServer(backend=backend) as server:
+        subs = {query.key: server.register(query) for query in queries}
+        assert server.sharing_summary()["lanes"] == 1.0
+        server.push(stream)
+        server.finish()
+        server_ops = len(backend.items)
+        server_answers = {key: [result.answers for result in sub.drain()] for key, sub in subs.items()}
+    isolated_ops = 0
+    for query in queries:
+        isolated = CountingBackend()
+        session = StreamSession(
+            query.program, window=query.window, input_predicates=query.input_predicates, backend=isolated
+        )
+        session.push(list(stream))
+        session.finish()
+        for _ in session.results(wait=False):
+            pass
+        session.close()
+        isolated_ops += len(isolated.items)
+        assert server_answers[query.key] == isolated_answers(query, stream)
+    # One lane: each window is evaluated once for both tenants.
+    assert 0 < server_ops < isolated_ops
+    assert 2 * server_ops == isolated_ops
+
+
 class TestSharedLane:
     def test_one_evaluation_serves_both_tenants(self):
-        stream = traffic_stream(90)
+        stream = eventful_traffic_stream(90)
         with QueryServer() as server:
             sub_a = server.register(traffic_query("city"))
             sub_b = server.register(traffic_query("ops"))
@@ -309,32 +337,28 @@ class TestSharedLane:
             input_predicates=fraud_module.INPUT_PREDICATES,
             output_predicates=fraud_module.EXTENDED_ALERT_PREDICATES,
         )
-        stream = fraud_stream(160)
-        with QueryServer() as server:
-            subs = {q.key: server.register(q) for q in (base, extended)}
-            server.push(stream)
-            server.finish()
-            server_ops = grounding_ops(server.grounding_cache.statistics())
-            server_answers = {
-                key: [result.answers for result in sub.drain()] for key, sub in subs.items()
-            }
-        isolated_ops = 0.0
-        for query in (base, extended):
-            cache = GroundingCache()
-            session = StreamSession(
-                query.program,
-                window=query.window,
-                input_predicates=query.input_predicates,
-                grounding_cache=cache,
+        assert_one_grounding_per_lane_window((base, extended), fraud_stream(160))
+
+    @pytest.mark.parametrize("scenario", ["traffic", "iot"])
+    def test_other_scenario_pairs_ground_once_per_lane_window(self, scenario):
+        """The benchmark's other two pairs: two desks on ``P`` (sliding), and
+        the IoT monitor with its extended variant (tumbling)."""
+        if scenario == "traffic":
+            queries = (traffic_query("city", size=40, slide=20), traffic_query("highways", size=40, slide=20))
+            stream = eventful_traffic_stream(160)
+        else:
+            queries = tuple(
+                StandingQuery(
+                    tenant=tenant, name="anomalies", program=program, window=CountWindow(size=40),
+                    input_predicates=iot_module.INPUT_PREDICATES, output_predicates=outputs,
+                )
+                for tenant, program, outputs in (
+                    ("plant", iot_module.iot_program(), iot_module.ANOMALY_PREDICATES),
+                    ("facilities", iot_module.iot_program_extended(), iot_module.EXTENDED_ANOMALY_PREDICATES),
+                )
             )
-            session.push(list(stream))
-            session.finish()
-            for _ in session.results(wait=False):
-                pass
-            session.close()
-            isolated_ops += grounding_ops(cache.statistics())
-            assert server_answers[query.key] == isolated_answers(query, stream)
-        assert server_ops < isolated_ops
+            stream = iot_stream(160)
+        assert_one_grounding_per_lane_window(queries, stream)
 
     def test_distinct_windows_get_distinct_lanes(self):
         with QueryServer() as server:
@@ -342,11 +366,17 @@ class TestSharedLane:
             server.register(traffic_query("ops", size=50))
             assert server.sharing_summary()["lanes"] == 2.0
 
-    def test_lane_tracks_are_labeled(self):
-        with QueryServer() as server:
-            server.register(traffic_query("city"))
-            labels = server.grounding_cache.track_labels()
-            assert any("city/jams" in label for label in labels.values())
+    def test_lanes_dispatch_on_disjoint_track_ranges(self):
+        backend = CountingBackend()
+        with QueryServer(backend=backend, track_stride=8) as server:
+            server.register(traffic_query("city", size=30))
+            server.register(traffic_query("ops", size=50))
+            server.push(eventful_traffic_stream(150))
+            server.finish()
+        tracks_by_size = {}
+        for item in backend.items:
+            tracks_by_size.setdefault(len(item.facts), set()).add(item.track)
+        assert tracks_by_size == {30: {0}, 50: {8}}
 
 
 BACKEND_FACTORIES = {
@@ -372,7 +402,7 @@ class TestBackendMatrix:
             ),
         ]
         stream = []
-        for t_item, i_item in zip(traffic_stream(90), iot_stream(90)):
+        for t_item, i_item in zip(eventful_traffic_stream(90), iot_stream(90)):
             stream += [t_item, i_item]
         with QueryServer(backend=BACKEND_FACTORIES[backend_name]()) as server:
             subs = {q.key: server.register(q) for q in queries}
@@ -385,7 +415,7 @@ class TestBackendMatrix:
     @pytest.mark.slow
     def test_server_matches_isolated_sessions_processes(self):
         queries = [traffic_query("city", size=30), traffic_query("ops", size=30)]
-        stream = traffic_stream(90)
+        stream = eventful_traffic_stream(90)
         with QueryServer(backend=ProcessBackend(max_workers=2)) as server:
             subs = {q.key: server.register(q) for q in queries}
             server.push(stream)
@@ -397,7 +427,7 @@ class TestBackendMatrix:
 
 class TestUnregisterMidStream:
     def test_survivors_keep_their_results(self):
-        stream = traffic_stream(180)
+        stream = eventful_traffic_stream(180)
         with QueryServer() as server:
             sub_a = server.register(traffic_query("city"))
             sub_b = server.register(traffic_query("ops"))
@@ -426,7 +456,7 @@ class TestUnregisterMidStream:
             server.register(traffic_query("city"))
             server.unregister("city/jams")
             assert server.sharing_summary()["lanes"] == 0.0
-            assert server.push(traffic_stream(40)) == 0  # no lanes accept
+            assert server.push(eventful_traffic_stream(40)) == 0  # no lanes accept
 
 
 class SlowThreadPoolBackend(ThreadPoolBackend):
@@ -453,7 +483,7 @@ class TestRegisterMidStream:
             input_predicates=INPUT_PREDICATES,
             output_predicates=("slow",),
         )
-        stream = list(traffic_stream(150))
+        stream = list(eventful_traffic_stream(150))
         expected = isolated_answers(slow, stream)
         assert all(expected)  # every window has slow segments: an empty delivery is a wrong one
         with QueryServer(backend=SlowThreadPoolBackend(max_workers=2), max_inflight=4) as server:
@@ -479,7 +509,7 @@ class TestFairnessIntegration:
             weight=0.01,
         )
         stream = []
-        for t_item, i_item in zip(traffic_stream(120), iot_stream(120)):
+        for t_item, i_item in zip(eventful_traffic_stream(120), iot_stream(120)):
             stream += [t_item, i_item]
         with QueryServer(backend=ThreadPoolBackend(max_workers=2)) as server:
             server.register(heavy)
@@ -494,7 +524,7 @@ class TestFairnessIntegration:
 
 class TestMetricsEndpoint:
     def test_prometheus_families_served_over_http(self):
-        stream = traffic_stream(60)
+        stream = eventful_traffic_stream(60)
         with QueryServer(backend=ThreadPoolBackend(max_workers=2)) as server:
             server.register(traffic_query("city"))
             server.push(stream)
@@ -514,8 +544,7 @@ class TestMetricsEndpoint:
                 assert error.value.code == 404
             finally:
                 endpoint.stop()
-        # Every counter family the issue names: tenant, session, backend,
-        # and cache statistics.
+        # Every counter family: tenant, session and backend statistics.
         for family in (
             'streamrule_tenant_windows_dispatched_total{tenant="city"}',
             'streamrule_tenant_windows_completed_total{tenant="city"}',
@@ -523,15 +552,11 @@ class TestMetricsEndpoint:
             "streamrule_queries_registered 1",
             "streamrule_session_windows_dispatched",
             "streamrule_backend_queue_depth",
-            "streamrule_grounding_cache_hits",
+            "streamrule_backend_queue_high_water",
         ):
             assert family in body, family
         assert "streamrule_scheduler_budget_trims_total" not in body  # the in-flight bound is fixed
-        # The grounding-cache families: one per statistic, none for the retired repair counters.
-        for statistic in ("entries", "hits", "misses", "hit_rate", "delta_states", "delta_rebuilds", "labeled_tracks"):
-            assert f"\nstreamrule_grounding_cache_{statistic} " in body, statistic
-        for retired in ("delta_repairs", "repaired_atoms", "repaired_rules"):
-            assert f"streamrule_grounding_cache_{retired}" not in body, retired
+        assert "cache" not in body  # no cache family: nothing is cached
         assert health["status"] == "ok" and health["queries"] == 1
         # Valid exposition format: HELP/TYPE pairs precede their samples.
         self._assert_exposition_valid(body)
@@ -551,12 +576,12 @@ class TestMetricsEndpoint:
                 assert sample.match(line), line
                 assert line.split("{")[0].split(" ")[0] in typed, line
 
-    def test_cache_families_are_the_grounding_caches_only(self):
+    def test_no_family_names_a_cache(self):
         with QueryServer() as server:
             server.register(traffic_query("city"))
             names = {family.name for family in server.metric_families()}
-        assert "streamrule_grounding_cache_hits" in names
-        assert not any(name.startswith("streamrule_solver_cache") for name in names)
+        assert "streamrule_queries_registered" in names
+        assert not any("cache" in name for name in names)
 
     def test_render_prometheus_escapes_labels(self):
         from repro.streamrule.server import MetricFamily

@@ -122,7 +122,7 @@ class TestQueryServerOverDaemons:
         finally:
             server.close()
         # Every counter family: per-tenant, session ingestion, backend
-        # queue, wire transport (TCP only), and grounding cache.
+        # queue and wire transport (TCP only); there is no cache family.
         for family in (
             'streamrule_tenant_windows_dispatched_total{tenant="city"}',
             'streamrule_tenant_windows_completed_total{tenant="fraud_desk"}',
@@ -133,10 +133,11 @@ class TestQueryServerOverDaemons:
             "streamrule_session_windows_dispatched",
             "streamrule_session_windows_gathered",
             "streamrule_backend_queue_depth",
+            "streamrule_backend_queue_high_water",
             "streamrule_wire_",
-            "streamrule_grounding_cache_hits",
         ):
             assert family in body, family
+        assert "cache" not in body
 
 
 if __name__ == "__main__":

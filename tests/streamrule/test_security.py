@@ -256,7 +256,7 @@ class TestHardenedEndToEnd:
             )
             with StreamSession(reasoner(), partitioner=partitioner, backend=backend) as session:
                 actual = [
-                    {frozenset(a) for a in session.evaluate_window(list(delta.window), delta=delta).answers}
+                    {frozenset(a) for a in session.evaluate_window(list(delta.window)).answers}
                     for delta in window_policy.deltas(stream)
                 ]
                 assert session.fallbacks == 0

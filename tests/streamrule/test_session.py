@@ -4,7 +4,6 @@ from __future__ import annotations
 
 import pytest
 
-from repro.asp.grounding.grounder import GroundingCache
 from repro.asp.syntax.parser import parse_program
 from repro.core.partitioner import DependencyPartitioner, HashPartitioner
 from repro.programs.traffic import EVENT_PREDICATES, INPUT_PREDICATES, traffic_program
@@ -31,13 +30,8 @@ def traffic_stream(length, seed=31):
     return generate_window(config)
 
 
-def traffic_reasoner(cache=False):
-    return Reasoner(
-        traffic_program(),
-        INPUT_PREDICATES,
-        EVENT_PREDICATES,
-        grounding_cache=GroundingCache() if cache else None,
-    )
+def traffic_reasoner():
+    return Reasoner(traffic_program(), INPUT_PREDICATES, EVENT_PREDICATES)
 
 
 def answer_sets(solution):
@@ -115,22 +109,19 @@ class TestPushResults:
             assert session.finish() == 3
             assert len(list(session.results())) == 3
 
-    def test_sliding_push_grounds_on_a_track(self):
-        stream = traffic_stream(160)
-        cache = GroundingCache()
-        reasoner = Reasoner(traffic_program(), INPUT_PREDICATES, EVENT_PREDICATES, grounding_cache=cache)
-        with StreamSession(reasoner, window=CountWindow(size=80, slide=20, emit_partial=False)) as session:
+    def test_sliding_push_matches_the_reference_per_window(self):
+        stream = list(traffic_stream(160))
+        window = CountWindow(size=80, slide=20, emit_partial=False)
+        reference = traffic_reasoner()
+        expected = [
+            {frozenset(answer) for answer in reference.reason(list(chunk)).answers} for chunk in window.windows(stream)
+        ]
+        with StreamSession(traffic_reasoner(), window=window) as session:
             session.push(stream)
             solutions = list(session.results())
         assert len(solutions) >= 4
-        rebuilds = sum(solution.metrics.cache_misses for solution in solutions)
-        hits = sum(solution.metrics.cache_hits for solution in solutions)
-        assert rebuilds + hits == len(solutions) and rebuilds > 0
-        statistics = cache.statistics()
-        assert statistics["delta_states"] == 1.0  # one pair, on the session's track
-        assert (statistics["misses"], statistics["hits"]) == (rebuilds, hits)
-        # The first window has no predecessor and goes through the LRU memo.
-        assert statistics["delta_rebuilds"] == rebuilds - 1
+        assert [answer_sets(solution) for solution in solutions] == expected
+        assert all(solution.metrics.cache_hits == 0 for solution in solutions)  # retired, always 0
 
     def test_solutions_match_unwindowed_reference(self):
         stream = traffic_stream(80)
@@ -186,9 +177,9 @@ class TestSessionConfiguration:
             assert backend.started
         assert not backend.started
 
-    def test_sliding_windows_dispatch_incremental_items(self, plan_p):
-        # Only the window and the partitioner decide the incremental intent;
-        # every backend keeps per-track order, so none can veto it.
+    def test_sliding_windows_dispatch_one_item_per_partition_track(self, plan_p):
+        # A sliding window's partitions go out as plain items: one per
+        # non-empty partition, on its partition's track, under the window's epoch.
         submitted = []
 
         class RecordingBackend(InlineBackend):
@@ -197,16 +188,17 @@ class TestSessionConfiguration:
                 return super()._submit(item)
 
         window = CountWindow(size=40, slide=10, emit_partial=False)
+        partitioner = DependencyPartitioner(plan_p)
         with StreamSession(
-            traffic_reasoner(cache=True), window=window, partitioner=DependencyPartitioner(plan_p),
-            backend=RecordingBackend(),
+            traffic_reasoner(), window=window, partitioner=partitioner, backend=RecordingBackend()
         ) as session:
-            list(session.process(traffic_stream(80)))
+            solutions = list(session.process(traffic_stream(80)))
         by_epoch = {}
         for item in submitted:
-            by_epoch.setdefault(item.epoch, set()).add(item.incremental)
-        assert by_epoch[min(by_epoch)] == {False}  # the first window carries nothing over
-        assert all(intents == {True} for epoch, intents in by_epoch.items() if epoch != min(by_epoch))
+            by_epoch.setdefault(item.epoch, []).append(item.track)
+        assert sorted(by_epoch) == list(range(len(solutions)))
+        for tracks in by_epoch.values():
+            assert len(tracks) == len(set(tracks)) and set(tracks) <= set(range(partitioner.partition_count))
 
     def test_epochs_are_monotonic(self):
         session = StreamSession(traffic_reasoner())

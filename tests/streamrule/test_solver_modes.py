@@ -1,11 +1,12 @@
-"""Cross-mode equivalence with the retired solver cache passed in.
+"""Cross-mode equivalence with the retired caches passed in.
 
-Every window is solved from scratch.  ``StreamSession(solver_cache=)`` is
-retired: the session drops it before the reasoner is built, so a session
-that still passes a :class:`SolverCache` (the repository benchmark does)
-must answer exactly like serial from-scratch evaluation, in every execution
-backend and for every window kind, and report the retired solver counters
-as 0.
+Every window is grounded and solved from scratch.
+``StreamSession(grounding_cache=, solver_cache=)`` are retired: the session
+drops both before the reasoner is built, so a session that still passes a
+:class:`GroundingCache` and a :class:`SolverCache` (the repository benchmark
+does) must answer exactly like serial from-scratch evaluation, in every
+execution backend and for every window kind, and report the retired
+counters as 0.
 """
 
 from __future__ import annotations
@@ -42,10 +43,10 @@ def solver_cached_session(partitioner, backend):
 
 
 class TestBackendWindowKindSolverEquivalence:
-    """Acceptance matrix: backends x {tumbling, sliding, hopping} x delta.
+    """Acceptance matrix: backends x {tumbling, sliding, hopping}.
 
     Every cell must answer exactly like serial from-scratch evaluation with
-    the retired solver cache passed in.
+    the retired caches passed in.
     """
 
     pytestmark = pytest.mark.slow
@@ -69,8 +70,8 @@ class TestBackendWindowKindSolverEquivalence:
         backend = BACKEND_FACTORIES[backend_name](2)
         with solver_cached_session(partitioner, backend) as session:
             actual = [
-                {frozenset(a) for a in session.evaluate_window(list(delta.window), delta=delta).answers}
-                for delta in window_policy.deltas(stream)
+                {frozenset(a) for a in session.evaluate_window(list(window)).answers}
+                for window in window_policy.windows(stream)
             ]
         assert actual == expected
 
@@ -105,11 +106,8 @@ dropped(X) :- item(X), not picked(X).
             solver_cache=SolverCache(),
         ) as session:
             combined = [
-                {
-                    frozenset(answer)
-                    for answer in session.evaluate_window(list(delta.window), delta=delta).answers
-                }
-                for delta in window_policy.deltas(stream)
+                {frozenset(answer) for answer in session.evaluate_window(list(window)).answers}
+                for window in window_policy.windows(stream)
             ]
         assert combined == expected
 
@@ -118,7 +116,6 @@ class TestRetiredSolverCache:
     def test_the_cache_is_dropped_before_the_reasoner_is_built(self, plan_p):
         with solver_cached_session(DependencyPartitioner(plan_p), InlineBackend()) as session:
             assert not hasattr(session.reasoner, "solver_cache")
-            assert session.reasoner.grounding_cache is not None
 
     def test_sliding_answers_match_and_retired_counters_read_zero(self, plan_p):
         stream = eventful_traffic_stream(200)
@@ -126,15 +123,13 @@ class TestRetiredSolverCache:
         partitioner = DependencyPartitioner(plan_p)
         expected = scratch_answers_per_window(window_policy, stream, partitioner)
         with solver_cached_session(partitioner, InlineBackend()) as session:
-            results = [
-                session.evaluate_window(list(delta.window), delta=delta)
-                for delta in window_policy.deltas(stream)
-            ]
+            results = [session.evaluate_window(list(window)) for window in window_policy.windows(stream)]
         assert len(results) >= 5
         assert [{frozenset(answer) for answer in result.answers} for result in results] == expected
         for result in results:
             assert result.metrics.assumption_resolves == 0
             assert result.metrics.solver_full_solves == 0
+            assert result.metrics.cache_hits == 0
 
     def test_only_the_session_still_takes_the_keyword(self):
         with pytest.raises(TypeError):
@@ -147,4 +142,27 @@ class TestRetiredSolverCache:
     def test_a_session_given_a_reasoner_accepts_the_retired_cache(self):
         reasoner = Reasoner(traffic_program(), INPUT_PREDICATES, EVENT_PREDICATES)
         with StreamSession(reasoner, solver_cache=SolverCache()) as session:
+            assert session.reasoner is reasoner
+
+
+class TestRetiredGroundingCache:
+    def test_the_cache_is_dropped_before_the_reasoner_is_built(self, plan_p):
+        with solver_cached_session(DependencyPartitioner(plan_p), InlineBackend()) as session:
+            assert not hasattr(session.reasoner, "grounding_cache")
+
+    def test_only_the_session_still_takes_the_keyword(self):
+        with pytest.raises(TypeError):
+            Reasoner(traffic_program(), grounding_cache=GroundingCache())
+        with pytest.raises(TypeError):
+            QueryServer(grounding_cache=GroundingCache())
+        with pytest.raises(TypeError):
+            Control(traffic_program(), grounding_cache=GroundingCache(), delta_track=0)
+        with pytest.raises(TypeError):
+            Reasoner(traffic_program()).reason([], delta=None)
+        with StreamSession(traffic_program()) as session, pytest.raises(TypeError):
+            session.push_window([], delta=None)
+
+    def test_a_session_given_a_reasoner_accepts_the_retired_cache(self):
+        reasoner = Reasoner(traffic_program(), INPUT_PREDICATES, EVENT_PREDICATES)
+        with StreamSession(reasoner, grounding_cache=GroundingCache()) as session:
             assert session.reasoner is reasoner

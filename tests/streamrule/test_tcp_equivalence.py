@@ -95,7 +95,7 @@ class TestTcpEquivalenceMatrix:
         with StreamSession(reasoner, partitioner=partitioner, backend=backend) as session:
             if use_delta:
                 actual = [
-                    {frozenset(a) for a in session.evaluate_window(list(delta.window), delta=delta).answers}
+                    {frozenset(a) for a in session.evaluate_window(list(delta.window)).answers}
                     for delta in window_policy.deltas(stream)
                 ]
             else:
@@ -115,7 +115,7 @@ class TestTcpEquivalenceMatrix:
         reasoner = Reasoner(traffic_program(), INPUT_PREDICATES, EVENT_PREDICATES)
         with StreamSession(reasoner, partitioner=partitioner, backend=backend) as session:
             actual = [
-                {frozenset(a) for a in session.evaluate_window(list(delta.window), delta=delta).answers}
+                {frozenset(a) for a in session.evaluate_window(list(delta.window)).answers}
                 for delta in window_policy.deltas(stream)
             ]
         assert actual == expected
@@ -155,7 +155,7 @@ class TestKillAWorker:
                 for index, delta in enumerate(window_policy.deltas(stream)):
                     if index == 2:
                         workers[1].kill()  # SIGKILL: no goodbye, no flush
-                    result = session.evaluate_window(list(delta.window), delta=delta)
+                    result = session.evaluate_window(list(delta.window))
                     solutions.append({frozenset(answer) for answer in result.answers})
                 assert len(solutions) == len(expected)  # no lost/duplicated windows
                 assert solutions == expected

@@ -48,11 +48,10 @@ class TestRoundTrip:
             facts=tuple(make_atom("very_slow_speed", index) for index in range(5)),
             track=3,
             epoch=17,
-            incremental=True,
         )
         clone = round_trip(item)
         assert clone == item
-        assert clone.track == 3 and clone.epoch == 17 and clone.incremental
+        assert clone.track == 3 and clone.epoch == 17
 
     def test_work_item_with_triples_round_trip(self):
         item = WorkItem(facts=tuple(traffic_stream(20)), track=1)
